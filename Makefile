@@ -8,7 +8,7 @@ FUZZTIME ?= 10s
 COVER_FLOOR_CORE ?= 85
 COVER_FLOOR_OBS  ?= 85
 
-.PHONY: build test vet race verify cover-check fuzz-smoke bench bench-json bench-json-smoke bench-commit bench-commit-smoke bench-data bench-data-smoke bench-delta bench-delta-smoke bench-recovery bench-recovery-smoke bench-fleet bench-fleet-smoke
+.PHONY: build test vet race verify cover-check fuzz-smoke bench-build bench bench-commit bench-commit-smoke bench-data bench-data-smoke bench-recovery bench-recovery-smoke bench-fleet bench-fleet-smoke
 
 build:
 	$(GO) build ./...
@@ -49,48 +49,39 @@ cover-check:
 		if (pct < floor) { printf "FAIL: internal/obs coverage %.1f%% below floor %d%%\n", pct, floor; exit 1 } }'
 	@cat coverage_summary.txt
 
+# bench-build vets and tests the wall-clock benchmark (benchmark/, see
+# BENCHMARK.json). It is a nested module that imports internal/*, so
+# `go build ./... && go test ./...` from the root never compiles it: an
+# internal/core API slip would otherwise surface only when the benchmark
+# is next run.
+bench-build:
+	$(GO) -C benchmark vet ./...
+	$(GO) -C benchmark test ./...
+
 # verify is the tier-1 gate (see ROADMAP.md): everything must pass before
 # a change lands.
-verify: build vet test race cover-check fuzz-smoke bench-data-smoke bench-commit-smoke bench-recovery-smoke bench-fleet-smoke
+verify: build vet test race cover-check fuzz-smoke bench-build bench-data-smoke bench-commit-smoke bench-recovery-smoke bench-fleet-smoke
 
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x .
 
-# bench-json measures the cloud data path (dump upload, recovery prefetch,
-# sealer allocs) on the deterministic simulated WAN and records the result
-# in BENCH_datapath.json. Virtual-clock latencies: exact and
-# machine-independent.
-bench-json:
-	$(GO) run ./cmd/ginja-benchjson -out BENCH_datapath.json
-
-bench-json-smoke:
-	$(GO) run ./cmd/ginja-benchjson -smoke
-
-# bench-data is the streamed-datapath gate: ginja-benchjson exits non-zero
-# if the dump's peak resident bytes exceed 2 × CheckpointUploaders ×
-# MaxObjectSize, if the dump did not actually split into parts, if bytes
-# stayed queued after close, or if legacy whole-sealed objects stopped
-# recovering. The smoke variant runs the small scenario and is part of
-# `make verify`.
+# bench-data measures the cloud data path on the deterministic simulated
+# WAN (virtual-clock latencies: exact and machine-independent) and
+# records BENCH_datapath.json: serial vs parallel dump upload and recovery
+# prefetch, sealer allocs, the streamed-datapath gate and the
+# delta_checkpoint section. ginja-benchjson exits non-zero if the dump's
+# peak resident bytes exceed 2 × CheckpointUploaders × MaxObjectSize, if
+# the dump did not actually split into parts, or if bytes stayed queued
+# after close; and, on the 1 %-dirty workload run with incremental delta
+# checkpoints and with classic full re-dumps, if a delta crossing ships
+# (or reads under the stop-writes gate) more than 15 % of a full re-dump,
+# if recovering through a maximum-length chain costs more than 2x a fresh
+# base, or if either recovery is not byte-identical to the primary. The
+# smoke variant runs the small scenario and is part of `make verify`.
 bench-data:
 	$(GO) run ./cmd/ginja-benchjson -out BENCH_datapath.json
 
 bench-data-smoke:
-	$(GO) run ./cmd/ginja-benchjson -smoke
-
-# bench-delta regenerates the delta_checkpoint section of
-# BENCH_datapath.json: the same deterministic 1 %-dirty workload run with
-# incremental delta checkpoints and with classic full re-dumps.
-# ginja-benchjson exits non-zero if a delta crossing ships (or reads
-# under the stop-writes gate) more than 15 % of a full re-dump, if
-# recovering through a maximum-length chain costs more than 2x a fresh
-# base, if either recovery is not byte-identical to the primary, or if
-# the streaming memory bound changed. The smoke variant runs inside
-# bench-data-smoke and is therefore part of `make verify`.
-bench-delta:
-	$(GO) run ./cmd/ginja-benchjson -out BENCH_datapath.json
-
-bench-delta-smoke:
 	$(GO) run ./cmd/ginja-benchjson -smoke
 
 # bench-commit measures the commit path before/after WAL batch packing —

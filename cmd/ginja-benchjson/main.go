@@ -77,15 +77,15 @@ func run(args []string) error {
 		fmt.Printf("sealer:      %.1f allocs/op seal, %.1f allocs/op open (compressed path)\n",
 			r.SealAllocsPerOp, r.OpenAllocsPerOp)
 		s := r.Streaming
-		fmt.Printf("streaming:   peak %d B resident of %d B bound (db %d B, %d parts); legacy recovery ok=%v\n",
-			s.PeakStreamBytes, s.BoundBytes, s.LocalDBBytes, s.DumpParts, s.LegacyRecoveryOK)
+		fmt.Printf("streaming:   peak %d B resident of %d B bound (db %d B, %d parts)\n",
+			s.PeakStreamBytes, s.BoundBytes, s.LocalDBBytes, s.DumpParts)
 		// The streamed data path's contract is enforced here so that
-		// `make verify` (bench-json-smoke / bench-data-smoke) fails the
-		// build when the memory bound or the legacy format regresses.
-		if !s.WithinBound || s.DumpParts < 2 || !s.LegacyRecoveryOK || s.QueueBytesAfter != 0 {
+		// `make verify` (bench-data-smoke) fails the build when the memory
+		// bound regresses.
+		if !s.WithinBound || s.DumpParts < 2 || s.QueueBytesAfter != 0 {
 			return fmt.Errorf(
-				"streaming data path regressed: within_bound=%v (peak=%d bound=%d) parts=%d legacy_recovery_ok=%v queue_bytes_after=%d",
-				s.WithinBound, s.PeakStreamBytes, s.BoundBytes, s.DumpParts, s.LegacyRecoveryOK, s.QueueBytesAfter)
+				"streaming data path regressed: within_bound=%v (peak=%d bound=%d) parts=%d queue_bytes_after=%d",
+				s.WithinBound, s.PeakStreamBytes, s.BoundBytes, s.DumpParts, s.QueueBytesAfter)
 		}
 		d := r.DeltaCheckpoint
 		fmt.Printf("delta ckpt:  %d B delta vs %d B full re-dump (%.1f%%, %d/%d rows dirty); gate %d B vs %d B (%.1f%%)\n",

@@ -653,7 +653,6 @@ func (c *checkpointer) upload(obj dbObject) error {
 	info := ident
 	info.Size = size
 	if len(parts) > 1 {
-		info.Parts = len(parts)
 		info.PartSizes = sizes
 	}
 	if err := c.view.AddDB(info); err != nil {
@@ -1132,26 +1131,4 @@ func estimateSize(writes []FileWrite) int64 {
 		n += int64(len(w.Data))
 	}
 	return n
-}
-
-// splitBytes chops b into chunks of at most max bytes (at least one
-// chunk). Chunks are copies, not sub-slices: a retained part must not pin
-// the whole multi-part sealed buffer (think one 20 MiB part keeping a
-// multi-GB dump alive in a store or retry queue). The single-chunk case
-// returns b itself — the part IS the whole buffer, nothing extra is pinned.
-func splitBytes(b []byte, max int64) [][]byte {
-	if max <= 0 || int64(len(b)) <= max {
-		return [][]byte{b}
-	}
-	var out [][]byte
-	for start := int64(0); start < int64(len(b)); start += max {
-		end := start + max
-		if end > int64(len(b)) {
-			end = int64(len(b))
-		}
-		part := make([]byte, end-start)
-		copy(part, b[start:end])
-		out = append(out, part)
-	}
-	return out
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 
 	"github.com/ginja-dr/ginja/internal/cloud"
@@ -27,12 +26,10 @@ type DBObjectInfo struct {
 	Ts   int64
 	Gen  int
 	Type DBObjectType
+	// Size is the object's total sealed size.
 	Size int64
-	// Parts is the number of split parts; 0 means a single unsplit object.
-	Parts int
-	// PartSizes holds the per-part sealed sizes of a part-sealed object
-	// (len == Parts); nil for unsplit objects and legacy whole-sealed
-	// splits, whose part names carry the total size instead.
+	// PartSizes holds the per-part sealed sizes of an object split at the
+	// maximum object size; nil means a single unsplit object.
 	PartSizes []int64
 	// BaseTs/BaseGen identify the chain predecessor of a Delta object
 	// (meaningful only when Type is Delta). The base is part of the
@@ -42,10 +39,6 @@ type DBObjectInfo struct {
 	BaseGen int
 }
 
-// PartSealed reports whether this object uses the part-sealed format
-// (every part an independently sealed write list).
-func (d DBObjectInfo) PartSealed() bool { return len(d.PartSizes) > 0 }
-
 // Before orders DB objects by (Ts, Gen).
 func (d DBObjectInfo) Before(o DBObjectInfo) bool {
 	if d.Ts != o.Ts {
@@ -54,32 +47,38 @@ func (d DBObjectInfo) Before(o DBObjectInfo) bool {
 	return d.Gen < o.Gen
 }
 
-// name builds the DBName for one part (or the unsplit whole) of this
-// object, carrying the base linkage when the object is a delta.
-func (d DBObjectInfo) name(size int64, part int, sealed bool, count int) DBName {
+// conflictsWith returns an error if d and o, two complete objects claiming
+// the same (Ts, Gen) slot, are not the same object: identity is the type,
+// the total sealed size and the base.
+func (d DBObjectInfo) conflictsWith(o DBObjectInfo) error {
+	if d.Size == o.Size && d.Type == o.Type && d.BaseTs == o.BaseTs && d.BaseGen == o.BaseGen {
+		return nil
+	}
+	return fmt.Errorf(
+		"core: conflicting DB objects at ts=%d gen=%d: have %s size=%d base=%d-%d, got %s size=%d base=%d-%d",
+		d.Ts, d.Gen, d.Type, d.Size, d.BaseTs, d.BaseGen, o.Type, o.Size, o.BaseTs, o.BaseGen)
+}
+
+// name builds the DBName for one part (part < 0: the unsplit whole) of
+// this object, carrying the base linkage when the object is a delta.
+func (d DBObjectInfo) name(size int64, part, count int) DBName {
 	return DBName{Ts: d.Ts, Gen: d.Gen, Type: d.Type, Size: size,
-		Part: part, Sealed: sealed, Count: count,
+		Part: part, Count: count,
 		BaseTs: d.BaseTs, BaseGen: d.BaseGen, HasBase: d.Type == Delta}
 }
 
 // PartNames returns the cloud keys holding this object's payload, in order.
 func (d DBObjectInfo) PartNames() []string {
-	if d.Parts == 0 {
-		return []string{d.name(d.Size, -1, false, 0).String()}
+	if d.PartSizes == nil {
+		return []string{d.name(d.Size, -1, 0).String()}
 	}
-	names := make([]string, d.Parts)
-	if d.PartSealed() {
-		for i := range names {
-			count := 0
-			if i == d.Parts-1 {
-				count = d.Parts
-			}
-			names[i] = d.name(d.PartSizes[i], i, true, count).String()
+	names := make([]string, len(d.PartSizes))
+	for i, size := range d.PartSizes {
+		count := 0
+		if i == len(names)-1 {
+			count = len(names)
 		}
-		return names
-	}
-	for i := range names {
-		names[i] = d.name(d.Size, i, false, 0).String()
+		names[i] = d.name(size, i, count).String()
 	}
 	return names
 }
@@ -133,14 +132,20 @@ type CloudView struct {
 // "WAL objects newer than the last DB object" rule also covers the boot
 // segments (see Boot).
 func NewCloudView() *CloudView {
-	return &CloudView{
-		wal:       make(map[int64]WALObjectInfo),
-		db:        make(map[dbKey]*DBObjectInfo),
-		retired:   make(map[dbKey]bool),
-		orphans:   make(map[string]OrphanPart),
-		orphanGen: make(map[int64]int),
-		nextTs:    1,
-	}
+	v := &CloudView{}
+	v.reset(0)
+	return v
+}
+
+// reset empties the view, sizing it for about walHint WAL objects.
+func (v *CloudView) reset(walHint int) {
+	v.wal = make(map[int64]WALObjectInfo, walHint)
+	v.db = make(map[dbKey]*DBObjectInfo)
+	v.retired = make(map[dbKey]bool)
+	v.orphans = make(map[string]OrphanPart)
+	v.orphanGen = make(map[int64]int)
+	v.nextTs = 1
+	v.dbSize = 0
 }
 
 // NextWALTs allocates the next WAL timestamp.
@@ -183,37 +188,32 @@ func (v *CloudView) NextDBGen(ts int64) int {
 func (v *CloudView) AddWAL(info WALObjectInfo) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
+	v.addWAL(info)
+}
+
+func (v *CloudView) addWAL(info WALObjectInfo) {
 	v.wal[info.Ts] = info
 	if info.Ts >= v.nextTs {
 		v.nextTs = info.Ts + 1
 	}
 }
 
-// AddDB records a DB object (or one part of it). Re-adding an existing
-// (Ts, Gen) is only legal for the same object — identical Size and Type;
-// a mismatch means two distinct objects claim the same slot (a generation
-// collision), and merging their part counts would fabricate a chimeric
-// record, so it is reported instead.
+// AddDB records a complete DB object. Re-adding an existing (Ts, Gen) is
+// only legal for the same object — identical Size, Type and base; a
+// mismatch means two distinct objects claim the same slot (a generation
+// collision) and is reported.
 func (v *CloudView) AddDB(info DBObjectInfo) error {
 	v.mu.Lock()
 	defer v.mu.Unlock()
+	return v.addDB(info)
+}
+
+func (v *CloudView) addDB(info DBObjectInfo) error {
 	key := dbKey{ts: info.Ts, gen: info.Gen}
 	if existing, ok := v.db[key]; ok {
-		if existing.Size != info.Size || existing.Type != info.Type ||
-			existing.BaseTs != info.BaseTs || existing.BaseGen != info.BaseGen {
-			return fmt.Errorf(
-				"core: conflicting DB objects at ts=%d gen=%d: have %s size=%d base=%d-%d, got %s size=%d base=%d-%d",
-				info.Ts, info.Gen, existing.Type, existing.Size, existing.BaseTs, existing.BaseGen,
-				info.Type, info.Size, info.BaseTs, info.BaseGen)
-		}
-		if info.Parts > existing.Parts {
-			existing.Parts = info.Parts
-			existing.PartSizes = info.PartSizes
-		}
-		return nil
+		return existing.conflictsWith(info)
 	}
-	cp := info
-	v.db[key] = &cp
+	v.db[key] = &info
 	v.dbSize += info.Size
 	if info.Ts >= v.nextTs {
 		v.nextTs = info.Ts + 1
@@ -228,7 +228,6 @@ func (v *CloudView) DeleteWAL(ts int64) {
 	delete(v.wal, ts)
 }
 
-// DeleteDB forgets a DB object.
 // MarkDBRetired flags a DB object as superseded-but-retained: it stays in
 // DBObjects (point-in-time recovery can still use it) but stops counting
 // toward TotalDBSize. Idempotent; unknown keys are ignored.
@@ -242,6 +241,7 @@ func (v *CloudView) MarkDBRetired(ts int64, gen int) {
 	}
 }
 
+// DeleteDB forgets a DB object (after its cloud DELETEs).
 func (v *CloudView) DeleteDB(ts int64, gen int) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
@@ -331,153 +331,38 @@ func (v *CloudView) DropOrphan(name string) {
 }
 
 // LoadFromList rebuilds the view from a cloud listing (Reboot and Recovery
-// modes, Algorithm 1 lines 19–26). Unknown object names are reported as an
-// error — a foreign object in the bucket is a configuration problem worth
-// surfacing, not skipping silently.
+// modes, Algorithm 1 lines 19–26): one listTracker round decides which
+// objects are complete, and those enter the view. Foreign or malformed
+// object names are reported as an error.
 //
-// DB listings are grouped by (ts, gen, declared size) before any of them
-// reaches the view: the size in the name is part of an object's identity,
-// so parts of differently-sized objects that collide on (ts, gen) — say a
-// fresh upload whose slot is shared with the orphan of an interrupted one
-// — can never mix into one chimeric record or veto each other's
-// completeness check.
-//
-// A group whose listed bytes add up to its declared size is complete and
-// enters the view (two complete objects on one (ts, gen) is genuine
-// corruption and surfaces as an AddDB conflict error). Incomplete groups
-// are the leftovers of an upload interrupted mid-way (a crash or outage
-// between part PUTs — the local view never learned about them, so
-// recovery must not either): their parts are recorded as orphans so that
-// NextDBGen never re-issues their generation and the next dump's garbage
-// collection deletes them from the bucket (checkpointer.collectOldDBObjects).
-//
-// Delta objects face one more gate after part-completeness: the chain
-// rule. A delta enters the view only if its ".b" back-pointers resolve —
-// through complete, strictly older deltas — to a complete dump. A broken
-// chain can only be the residue of garbage collection that ran after a
-// newer fold dump became durable (the delta's uploader deletes nothing
-// until its own object is complete), so orphaning the stranded deltas is
-// always safe: the fold dump already carries their state.
+// Everything the round leaves unresolved — part sets an upload interrupted
+// mid-way never finished (the local view never learned about them, so
+// recovery must not either), invalid sets, deltas stranded without a
+// rooted chain — is recorded as orphans: NextDBGen never re-issues their
+// generation, and the next dump's garbage collection deletes them from the
+// bucket by name (checkpointer.collectOldDBObjects).
 func (v *CloudView) LoadFromList(infos []cloud.ObjectInfo) error {
 	v.mu.Lock()
-	v.wal = make(map[int64]WALObjectInfo, len(infos))
-	v.db = make(map[dbKey]*DBObjectInfo)
-	v.retired = make(map[dbKey]bool)
-	v.orphans = make(map[string]OrphanPart)
-	v.orphanGen = make(map[int64]int)
-	v.nextTs = 1
-	v.dbSize = 0
-	v.mu.Unlock()
+	defer v.mu.Unlock()
+	v.reset(len(infos))
 
-	type sizedKey struct {
-		ts      int64
-		gen     int
-		size    int64
-		baseTs  int64
-		baseGen int
-		hasBase bool
+	t := newListTracker(len(infos))
+	wal, db, err := t.observe(infos)
+	if err != nil {
+		return err
 	}
-	type dbGroup struct {
-		typ DBObjectType
-		// The unsplit (part < 0) listing, if any — its name is fully
-		// determined by the key, so there is at most one.
-		unsplitName  string
-		unsplitBytes int64
-		// The split (".p<N>") listings.
-		splitNames []string
-		splitBytes int64 // summed on-cloud bytes across split parts
-		maxPart    int
+	for _, w := range wal {
+		v.addWAL(w)
 	}
-	// Part-sealed groups: each part's name declares that part's own sealed
-	// size, so the grouping key is just (ts, gen) and identity conflicts
-	// show up as duplicate part indices instead.
-	type sealedPart struct {
-		name     string
-		declared int64 // sealed size from the name
-		listed   int64 // bytes in the cloud listing
-		count    int   // > 0 on the final (commit-marker) part
-	}
-	type sealedGroup struct {
-		typ     DBObjectType
-		baseTs  int64
-		baseGen int
-		hasBase bool
-		invalid bool // mixed types/bases or duplicate indices: never complete
-		parts   map[int]sealedPart
-		names   []string // every listed name in the group, for orphaning
-	}
-	groups := make(map[sizedKey]*dbGroup)
-	sealedGroups := make(map[dbKey]*sealedGroup)
-	var (
-		order       []sizedKey
-		sealedOrder []dbKey
-	)
-	for _, info := range infos {
-		switch {
-		case strings.HasPrefix(info.Name, walPrefix):
-			ts, filename, offset, err := ParseWALObjectName(info.Name)
-			if err != nil {
-				return err
-			}
-			v.AddWAL(WALObjectInfo{Ts: ts, Filename: filename, Offset: offset, Size: info.Size})
-		case strings.HasPrefix(info.Name, dbPrefix):
-			n, err := ParseDBObjectName(info.Name)
-			if err != nil {
-				return err
-			}
-			if n.Sealed {
-				k := dbKey{ts: n.Ts, gen: n.Gen}
-				g := sealedGroups[k]
-				if g == nil {
-					g = &sealedGroup{typ: n.Type, baseTs: n.BaseTs, baseGen: n.BaseGen,
-						hasBase: n.HasBase, parts: make(map[int]sealedPart)}
-					sealedGroups[k] = g
-					sealedOrder = append(sealedOrder, k)
-				}
-				g.names = append(g.names, info.Name)
-				if n.Type != g.typ || n.HasBase != g.hasBase ||
-					n.BaseTs != g.baseTs || n.BaseGen != g.baseGen {
-					g.invalid = true
-				}
-				if _, dup := g.parts[n.Part]; dup {
-					g.invalid = true
-				} else {
-					g.parts[n.Part] = sealedPart{
-						name: info.Name, declared: n.Size, listed: info.Size, count: n.Count}
-				}
-				continue
-			}
-			k := sizedKey{ts: n.Ts, gen: n.Gen, size: n.Size,
-				baseTs: n.BaseTs, baseGen: n.BaseGen, hasBase: n.HasBase}
-			g := groups[k]
-			if g == nil {
-				g = &dbGroup{typ: n.Type, maxPart: -1}
-				groups[k] = g
-				order = append(order, k)
-			}
-			if n.Part < 0 {
-				g.unsplitName = info.Name
-				g.unsplitBytes = info.Size
-			} else {
-				g.splitNames = append(g.splitNames, info.Name)
-				g.splitBytes += info.Size
-				if n.Part > g.maxPart {
-					g.maxPart = n.Part
-				}
-			}
-		default:
-			return fmt.Errorf("core: unrecognised object %q in cloud listing", info.Name)
+	for _, d := range db {
+		if err := v.addDB(d); err != nil {
+			return err
 		}
 	}
-	// recordOrphans remembers an incomplete group's names so GC can delete
-	// them and NextDBGen never re-issues their generation.
-	recordOrphans := func(ts int64, gen int, names []string) {
-		if len(names) == 0 {
-			return
-		}
-		v.mu.Lock()
-		for _, name := range names {
-			v.orphans[name] = OrphanPart{Name: name, Ts: ts, Gen: gen}
+	for _, g := range t.unresolved() {
+		ts, gen := g.info.Ts, g.info.Gen
+		for _, p := range g.parts {
+			v.orphans[p.name] = OrphanPart{Name: p.name, Ts: ts, Gen: gen}
 		}
 		if gen+1 > v.orphanGen[ts] {
 			v.orphanGen[ts] = gen + 1
@@ -486,131 +371,6 @@ func (v *CloudView) LoadFromList(infos []cloud.ObjectInfo) error {
 		// once allocated; never re-issue it.
 		if ts >= v.nextTs {
 			v.nextTs = ts + 1
-		}
-		v.mu.Unlock()
-	}
-	// Part-complete objects are collected as candidates first: deltas must
-	// additionally pass the chain rule below before entering the view, and
-	// a failing delta's parts must be orphanable as a unit.
-	type candidate struct {
-		info  DBObjectInfo
-		names []string
-	}
-	var cands []candidate
-	for _, k := range order {
-		g := groups[k]
-		// Completeness: an unsplit object is complete when its stored
-		// bytes match its declared size; a split set is complete when its
-		// parts sum to the declared size (parts of one upload are disjoint
-		// chunks of exactly that many bytes, so any missing or truncated
-		// part falls short). Whichever form is complete becomes a
-		// candidate; everything else in the group becomes an orphan.
-		info := DBObjectInfo{Ts: k.ts, Gen: k.gen, Type: g.typ, Size: k.size,
-			BaseTs: k.baseTs, BaseGen: k.baseGen}
-		var orphanNames []string
-		switch {
-		case g.unsplitName != "" && g.unsplitBytes == k.size:
-			cands = append(cands, candidate{info: info, names: []string{g.unsplitName}})
-			orphanNames = g.splitNames
-		case g.maxPart >= 0 && g.splitBytes == k.size:
-			info.Parts = g.maxPart + 1
-			cands = append(cands, candidate{info: info, names: g.splitNames})
-			if g.unsplitName != "" {
-				orphanNames = []string{g.unsplitName}
-			}
-		default:
-			orphanNames = g.splitNames
-			if g.unsplitName != "" {
-				orphanNames = append(orphanNames, g.unsplitName)
-			}
-		}
-		recordOrphans(k.ts, k.gen, orphanNames)
-	}
-	for _, k := range sealedOrder {
-		g := sealedGroups[k]
-		// Completeness for a part-sealed set: exactly one commit marker
-		// (".n<count>" on the final part), indices contiguous 0..count-1,
-		// and every part's stored bytes matching its name-declared sealed
-		// size. The final part is PUT only by the worker that drew the last
-		// index, but parts upload concurrently — the marker's presence
-		// proves every sibling was handed to the pool, not that every PUT
-		// landed, hence the per-index checks.
-		count := 0
-		markers := 0
-		for _, p := range g.parts {
-			if p.count > 0 {
-				markers++
-				count = p.count
-			}
-		}
-		ok := !g.invalid && markers == 1 && len(g.parts) == count
-		var sizes []int64
-		var total int64
-		if ok {
-			sizes = make([]int64, count)
-			for i := 0; i < count && ok; i++ {
-				p, present := g.parts[i]
-				ok = present && p.listed == p.declared
-				if ok {
-					sizes[i] = p.declared
-					total += p.declared
-				}
-			}
-		}
-		if !ok {
-			recordOrphans(k.ts, k.gen, g.names)
-			continue
-		}
-		cands = append(cands, candidate{
-			info: DBObjectInfo{Ts: k.ts, Gen: k.gen, Type: g.typ,
-				Size: total, Parts: count, PartSizes: sizes,
-				BaseTs: g.baseTs, BaseGen: g.baseGen},
-			names: g.names,
-		})
-	}
-	// The chain rule: a delta is usable only if its back-pointer resolves
-	// to another candidate — a strictly older delta or a dump — and so on
-	// until a dump roots the chain. Stranded deltas (base missing,
-	// incomplete, newer, or of the wrong type) are orphaned whole; the
-	// strictly-older requirement also makes pointer loops impossible.
-	byKey := make(map[dbKey]*candidate, len(cands))
-	for i := range cands {
-		c := &cands[i]
-		k := dbKey{ts: c.info.Ts, gen: c.info.Gen}
-		if byKey[k] == nil {
-			byKey[k] = c
-		}
-	}
-	chainState := make(map[dbKey]int, len(cands)) // 1 rooted, 2 broken
-	var rooted func(c *candidate) bool
-	rooted = func(c *candidate) bool {
-		if c.info.Type != Delta {
-			return true
-		}
-		k := dbKey{ts: c.info.Ts, gen: c.info.Gen}
-		if s := chainState[k]; s != 0 {
-			return s == 1
-		}
-		base := byKey[dbKey{ts: c.info.BaseTs, gen: c.info.BaseGen}]
-		ok := base != nil &&
-			(base.info.Type == Dump || base.info.Type == Delta) &&
-			base.info.Before(c.info) &&
-			rooted(base)
-		if ok {
-			chainState[k] = 1
-		} else {
-			chainState[k] = 2
-		}
-		return ok
-	}
-	for i := range cands {
-		c := &cands[i]
-		if rooted(c) {
-			if err := v.AddDB(c.info); err != nil {
-				return err
-			}
-		} else {
-			recordOrphans(c.info.Ts, c.info.Gen, c.names)
 		}
 	}
 	return nil

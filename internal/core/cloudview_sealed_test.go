@@ -42,7 +42,7 @@ func TestLoadFromListSealedComplete(t *testing.T) {
 		t.Fatalf("DBObjects = %+v, want one", objs)
 	}
 	d := objs[0]
-	if d.Ts != 7 || d.Gen != 0 || d.Type != Dump || d.Size != 350 || d.Parts != 3 || !d.PartSealed() {
+	if d.Ts != 7 || d.Gen != 0 || d.Type != Dump || d.Size != 350 || len(d.PartSizes) != 3 {
 		t.Fatalf("loaded object = %+v", d)
 	}
 	for i, sz := range sizes {
@@ -106,37 +106,31 @@ func TestLoadFromListSealedIncomplete(t *testing.T) {
 	}
 }
 
-// TestLoadFromListSealedAndLegacyCoexist: a bucket written by two code
-// generations — a legacy whole-sealed split object and a part-sealed one —
-// must load both, and an incomplete sealed set must not shadow a complete
-// legacy object on a different slot.
-func TestLoadFromListSealedAndLegacyCoexist(t *testing.T) {
-	listing := []cloud.ObjectInfo{
-		// Legacy: one object sealed whole (declared size 300), split into
-		// two raw chunks that sum to it.
-		{Name: DBObjectName(3, 0, Dump, 300, 0), Size: 256},
-		{Name: DBObjectName(3, 0, Dump, 300, 1), Size: 44},
-	}
+// TestLoadFromListSealedAndUnsplitCoexist: an unsplit object and a split
+// one load side by side, and an incomplete split set must not shadow a
+// complete object on a different slot.
+func TestLoadFromListSealedAndUnsplitCoexist(t *testing.T) {
+	listing := []cloud.ObjectInfo{{Name: DBObjectName(3, 0, Dump, 300), Size: 300}}
 	listing = append(listing, sealedListing(7, 0, Checkpoint, []int64{128, 64})...)
-	// And a stranded sealed upload on its own slot.
+	// And a stranded split upload on its own slot.
 	listing = append(listing, cloud.ObjectInfo{Name: DBPartName(8, 0, Checkpoint, 99, 0, 0), Size: 99})
 
 	v := loadView(t, listing)
 	objs := v.DBObjects()
 	if len(objs) != 2 {
-		t.Fatalf("DBObjects = %+v, want legacy dump + sealed checkpoint", objs)
+		t.Fatalf("DBObjects = %+v, want unsplit dump + split checkpoint", objs)
 	}
-	var sawLegacy, sawSealed bool
+	var sawUnsplit, sawSplit bool
 	for _, d := range objs {
 		switch {
-		case d.Ts == 3 && d.Type == Dump && d.Size == 300 && d.Parts == 2 && !d.PartSealed():
-			sawLegacy = true
-		case d.Ts == 7 && d.Type == Checkpoint && d.Size == 192 && d.Parts == 2 && d.PartSealed():
-			sawSealed = true
+		case d.Ts == 3 && d.Type == Dump && d.Size == 300 && d.PartSizes == nil:
+			sawUnsplit = true
+		case d.Ts == 7 && d.Type == Checkpoint && d.Size == 192 && len(d.PartSizes) == 2:
+			sawSplit = true
 		}
 	}
-	if !sawLegacy || !sawSealed {
-		t.Fatalf("legacy=%v sealed=%v, objects: %+v", sawLegacy, sawSealed, objs)
+	if !sawUnsplit || !sawSplit {
+		t.Fatalf("unsplit=%v split=%v, objects: %+v", sawUnsplit, sawSplit, objs)
 	}
 	if orphans := v.OrphanParts(); len(orphans) != 1 {
 		t.Fatalf("orphans = %+v, want just the stranded ts-8 part", orphans)

@@ -93,19 +93,19 @@ func TestCloudViewLoadFromList(t *testing.T) {
 func TestCloudViewLoadFromListParts(t *testing.T) {
 	v := NewCloudView()
 	infos := []cloud.ObjectInfo{
-		{Name: "DB/7_dump_3000.p0", Size: 1000},
-		{Name: "DB/7_dump_3000.p1", Size: 1000},
-		{Name: "DB/7_dump_3000.p2", Size: 1000},
+		{Name: "DB/7_dump_1000.s1", Size: 1000},
+		{Name: "DB/7_dump_1000.s2.n3", Size: 1000},
+		{Name: "DB/7_dump_1000.s0", Size: 1000},
 	}
 	if err := v.LoadFromList(infos); err != nil {
 		t.Fatal(err)
 	}
 	db := v.DBObjects()
-	if len(db) != 1 || db[0].Parts != 3 || db[0].Size != 3000 {
+	if len(db) != 1 || len(db[0].PartSizes) != 3 || db[0].Size != 3000 {
 		t.Fatalf("DBObjects = %+v", db)
 	}
 	names := db[0].PartNames()
-	if len(names) != 3 || names[0] != "DB/7_dump_3000.p0" || names[2] != "DB/7_dump_3000.p2" {
+	if len(names) != 3 || names[0] != "DB/7_dump_1000.s0" || names[2] != "DB/7_dump_1000.s2.n3" {
 		t.Fatalf("PartNames = %v", names)
 	}
 	// Size must be counted once, not per part.

@@ -138,7 +138,7 @@ func NewFollower(localFS vfs.FS, store cloud.ObjectStore, proc dbevent.Processor
 		ctx:         ctx,
 		cancel:      cancel,
 		done:        make(chan struct{}),
-		tracker:     newListTracker(),
+		tracker:     newListTracker(0),
 		pendingWAL:  make(map[int64]WALObjectInfo),
 		appliedWALs: make(map[int64]WALObjectInfo),
 	}
@@ -382,16 +382,8 @@ func (f *Follower) reapplyNewerThan(ctx context.Context, d DBObjectInfo, bd *Rec
 // truncates before its continuation chunks append, as in restoreTo).
 func (f *Follower) applyDB(ctx context.Context, d DBObjectInfo, bd *RecoveryBreakdown) error {
 	names := d.PartNames()
-	var sealed []byte
 	apply := func(i int, data []byte) error {
-		if d.PartSealed() {
-			return f.openAndApply(fmt.Sprintf("DB ts=%d", d.Ts), data, bd)
-		}
-		sealed = append(sealed, data...)
-		if i+1 < len(names) {
-			return nil
-		}
-		return f.openAndApply(fmt.Sprintf("DB ts=%d", d.Ts), sealed, bd)
+		return openAndApply(f.seal, f.clk, f.localFS, names[i], data, bd)
 	}
 	return prefetchInOrder(ctx, f.params.RecoveryFetchers, names, f.fetch(bd), apply)
 }
@@ -405,7 +397,7 @@ func (f *Follower) applyWALRun(ctx context.Context, run []WALObjectInfo, bd *Rec
 	}
 	applied := 0
 	apply := func(i int, data []byte) error {
-		if err := f.openAndApply(names[i], data, bd); err != nil {
+		if err := openAndApply(f.seal, f.clk, f.localFS, names[i], data, bd); err != nil {
 			return err
 		}
 		applied++
@@ -441,25 +433,6 @@ func (f *Follower) fetch(bd *RecoveryBreakdown) func(ctx context.Context, name s
 		}
 		return data, nil
 	}
-}
-
-func (f *Follower) openAndApply(label string, env []byte, bd *RecoveryBreakdown) error {
-	decStart := f.clk.Now()
-	payload, err := f.seal.Open(env)
-	if err != nil {
-		return fmt.Errorf("core: follower apply %s: %w", label, err)
-	}
-	writes, err := DecodeWrites(payload)
-	if err != nil {
-		return fmt.Errorf("core: follower apply %s: %w", label, err)
-	}
-	applyStart := f.clk.Now()
-	err = applyWrites(f.localFS, writes)
-	if bd != nil {
-		bd.Decode += applyStart.Sub(decStart)
-		bd.Apply += f.clk.Since(applyStart)
-	}
-	return err
 }
 
 // Promote turns the warm replica into the live site: it stops the tail

@@ -44,7 +44,8 @@ type Stats struct {
 	// Batches is the number of cloud synchronizations performed.
 	Batches int64
 	// WALObjectsUploaded / WALBytesUploaded cover the commit path
-	// (bytes are sealed, i.e. post-compression sizes).
+	// (bytes are sealed, i.e. post-compression sizes). The WAL segments
+	// Boot uploads before the pipeline starts are not counted.
 	WALObjectsUploaded int64
 	WALBytesUploaded   int64
 	// WALBytesRaw is the pre-seal payload volume (compression input).
@@ -75,7 +76,8 @@ type Stats struct {
 	// on the stop-writes dump gate (only writes to files an active dump or
 	// delta plan was reading count).
 	DumpGateBlockedTime time.Duration
-	// DBObjectsUploaded / DBBytesUploaded cover the checkpoint path.
+	// DBObjectsUploaded / DBBytesUploaded cover the checkpoint path. The
+	// Boot dump bypasses the checkpointer and is not counted.
 	DBObjectsUploaded int64
 	DBBytesUploaded   int64
 	// WALObjectsDeleted / DBObjectsDeleted count garbage collection.
@@ -263,7 +265,6 @@ func (g *Ginja) Boot(ctx context.Context) error {
 	}
 	info := DBObjectInfo{Ts: 0, Gen: 0, Type: Dump, Size: size}
 	if len(plan) > 1 {
-		info.Parts = len(plan)
 		info.PartSizes = sizes
 	}
 	if err := g.view.AddDB(info); err != nil {
@@ -396,7 +397,8 @@ func (g *Ginja) restoreTo(ctx context.Context, target vfs.FS, upTo int64, bd *Re
 		dump  DBObjectInfo
 		found bool
 	)
-	for _, d := range g.view.DBObjects() { // (Ts, Gen) ascending
+	objs := g.view.DBObjects() // (Ts, Gen) ascending
+	for _, d := range objs {
 		if d.Type == Dump && (upTo < 0 || d.Ts <= upTo) {
 			dump = d // newest qualifying dump wins
 			found = true
@@ -409,18 +411,13 @@ func (g *Ginja) restoreTo(ctx context.Context, target vfs.FS, upTo int64, bd *Re
 		return fmt.Errorf("core: no dump at or before ts %d (outside the retention window): %w", upTo, ErrNoDump)
 	}
 
-	// An item is one DB or WAL object. For legacy whole-sealed objects the
-	// parts concatenate in order before the envelope opens; for part-sealed
-	// objects (partSealed) every fetched part is its own envelope, opened
-	// and applied as it arrives — no reassembly buffer.
-	type restoreItem struct {
-		label      string
-		names      []string
-		partSealed bool
-	}
-
+	// The plan is a flat list of object names: every name, DB part or WAL
+	// object alike, is one envelope, opened, decoded and applied as it
+	// arrives (in plan order, so a whole-file head chunk truncates before
+	// its continuation chunks append).
+	//
 	// 1. The dump (Algorithm 1 lines 27-29).
-	items := []restoreItem{{label: fmt.Sprintf("DB ts=%d", dump.Ts), names: dump.PartNames(), partSealed: dump.PartSealed()}}
+	names := dump.PartNames()
 	// 2. The delta chain rooted at the selected dump, and incremental
 	// checkpoints after the dump, all in (Ts, Gen) order (lines 30-36).
 	// Chain membership follows the `.b` back-pointers forward from the
@@ -431,7 +428,6 @@ func (g *Ginja) restoreTo(ctx context.Context, target vfs.FS, upTo int64, bd *Re
 	// (Ts, Gen) guarantees the delta lands after. When restoring to a
 	// point in time (upTo >= 0), only objects covering WAL up to the
 	// target participate; a chain prefix is itself a consistent cut.
-	objs := g.view.DBObjects() // (Ts, Gen) ascending
 	inChain := map[dbKey]bool{{ts: dump.Ts, gen: dump.Gen}: true}
 	tip := dump
 	for {
@@ -469,7 +465,7 @@ func (g *Ginja) restoreTo(ctx context.Context, target vfs.FS, upTo int64, bd *Re
 		default:
 			continue
 		}
-		items = append(items, restoreItem{label: fmt.Sprintf("DB ts=%d", d.Ts), names: d.PartNames(), partSealed: d.PartSealed()})
+		names = append(names, d.PartNames()...)
 		if d.Ts > maxCkptTs {
 			maxCkptTs = d.Ts
 		}
@@ -492,23 +488,10 @@ func (g *Ginja) restoreTo(ctx context.Context, target vfs.FS, upTo int64, bd *Re
 		if !ok {
 			break
 		}
-		items = append(items, restoreItem{label: w.Name(), names: []string{w.Name()}})
+		names = append(names, w.Name())
 		bd.WALObjects++
 	}
 	bd.DumpTs = dump.Ts
-
-	// Flatten the plan to one fetch list; itemOf maps each flattened index
-	// back to its item so the applier knows when an object is complete.
-	var (
-		names  []string
-		itemOf []int
-	)
-	for idx, it := range items {
-		for _, n := range it.names {
-			names = append(names, n)
-			itemOf = append(itemOf, idx)
-		}
-	}
 	bd.Objects = len(names)
 	clk := g.params.clock()
 	// Fetchers run in parallel, so their phase accounting is atomic;
@@ -531,78 +514,13 @@ func (g *Ginja) restoreTo(ctx context.Context, target vfs.FS, upTo int64, bd *Re
 		}
 		return data, nil
 	}
-	var sealed []byte // parts of the in-progress legacy item, concatenated
-	openAndApply := func(label string, env []byte) error {
-		decStart := clk.Now()
-		payload, err := g.seal.Open(env)
-		if err != nil {
-			return fmt.Errorf("core: recover %s: %w", label, err)
-		}
-		writes, err := DecodeWrites(payload)
-		if err != nil {
-			return fmt.Errorf("core: recover %s: %w", label, err)
-		}
-		applyStart := clk.Now()
-		bd.Decode += applyStart.Sub(decStart)
-		err = applyWrites(target, writes)
-		bd.Apply += clk.Since(applyStart)
-		return err
-	}
-	apply := func(i int, data []byte) error {
-		it := items[itemOf[i]]
-		if it.partSealed {
-			// Each part is a complete envelope: decode and apply it as it
-			// arrives (in plan order, so a whole-file head chunk truncates
-			// before its continuation chunks append).
-			return openAndApply(it.label, data)
-		}
-		sealed = append(sealed, data...)
-		if i+1 < len(names) && itemOf[i+1] == itemOf[i] {
-			return nil // more parts of this object still to come
-		}
-		env := sealed
-		sealed = sealed[:0]
-		return openAndApply(it.label, env)
+	apply := func(i int, env []byte) error {
+		return openAndApply(g.seal, clk, target, names[i], env, bd)
 	}
 	err := prefetchInOrder(ctx, g.params.RecoveryFetchers, names, fetch, apply)
 	bd.Fetch = time.Duration(fetchNanos.Load())
 	bd.Bytes = fetchBytes.Load()
 	return err
-}
-
-// applyDBObject downloads (all parts of) a DB object and applies it.
-// Part-sealed parts open and apply one by one; legacy parts reassemble
-// into the single envelope first.
-func (g *Ginja) applyDBObject(ctx context.Context, target vfs.FS, d DBObjectInfo) error {
-	open := func(env []byte) error {
-		payload, err := g.seal.Open(env)
-		if err != nil {
-			return fmt.Errorf("core: recover DB ts=%d: %w", d.Ts, err)
-		}
-		writes, err := DecodeWrites(payload)
-		if err != nil {
-			return fmt.Errorf("core: recover DB ts=%d: %w", d.Ts, err)
-		}
-		return applyWrites(target, writes)
-	}
-	var sealed []byte
-	for _, name := range d.PartNames() {
-		part, err := g.getWithRetry(ctx, name)
-		if err != nil {
-			return fmt.Errorf("core: recover %s: %w", name, err)
-		}
-		if d.PartSealed() {
-			if err := open(part); err != nil {
-				return err
-			}
-			continue
-		}
-		sealed = append(sealed, part...)
-	}
-	if d.PartSealed() {
-		return nil
-	}
-	return open(sealed)
 }
 
 // putWithRetry uploads an object, absorbing transient cloud failures
@@ -696,6 +614,29 @@ func retryStartDelay(p Params) time.Duration {
 		return minRetryDelay
 	}
 	return p.RetryBaseDelay
+}
+
+// openAndApply is the read side of every cloud object — DB part, unsplit
+// DB object and WAL object alike: open the envelope, decode its write
+// list, replay it onto target. Decode and apply time accumulate into bd
+// when it is non-nil.
+func openAndApply(seal *sealer.Sealer, clk simclock.Clock, target vfs.FS, name string, env []byte, bd *RecoveryBreakdown) error {
+	decStart := clk.Now()
+	payload, err := seal.Open(env)
+	if err != nil {
+		return fmt.Errorf("core: open %s: %w", name, err)
+	}
+	writes, err := DecodeWrites(payload)
+	if err != nil {
+		return fmt.Errorf("core: decode %s: %w", name, err)
+	}
+	applyStart := clk.Now()
+	err = applyWrites(target, writes)
+	if bd != nil {
+		bd.Decode += applyStart.Sub(decStart)
+		bd.Apply += clk.Since(applyStart)
+	}
+	return err
 }
 
 // applyWrites replays file writes locally (Algorithm 1's writeLocally).

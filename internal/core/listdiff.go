@@ -8,238 +8,231 @@ import (
 	"github.com/ginja-dr/ginja/internal/cloud"
 )
 
-// listTracker turns a sequence of cloud LISTs into a stream of newly
-// completed objects, for the warm-standby Follower: each observe call
-// diffs the listing against everything seen before and reports only the
-// WAL objects and *complete* DB objects that appeared since the last
-// call. It applies the same completeness rules as CloudView.LoadFromList
-// (legacy groups complete when their listed bytes sum to the declared
-// size; part-sealed groups when exactly one commit marker is present,
-// indices are contiguous and every part's listed bytes match its
-// declared sealed size; delta objects additionally wait until their
-// chain predecessor has been emitted, so the follower always applies a
-// base before the deltas stacked on it) — FuzzListDiff pins the two
-// implementations to each other.
+// listTracker is the one piece of code that turns cloud LISTs into
+// complete objects. Each observe call diffs a listing against everything
+// seen before and reports only the WAL objects and *complete* DB objects
+// that appeared since the last call. CloudView.LoadFromList feeds a fresh
+// tracker a single round and orphans whatever it leaves unresolved; the
+// warm-standby Follower feeds one tracker every poll and simply waits.
 //
-// The tracker is tolerant of read-after-write list lag: an object seen
-// once is never un-seen when a later listing omits it (eventual-
-// consistency flapping must not re-emit or stall a group), and a group
-// that is incomplete in this listing simply waits for a later one.
-// Names that disappear because the primary garbage-collected them stay
-// in the seen set — the follower applied them (or the checkpoint that
+// The tracker is tolerant of read-after-write list lag: a name counts
+// once, first sight wins, and it is never un-seen when a later listing
+// omits it (eventual-consistency flapping must not re-emit or stall a
+// group); a group that is incomplete in this listing waits for a later
+// one. Names that disappear because the primary garbage-collected them
+// stay seen — the follower applied them (or the checkpoint that
 // superseded them) already, so forgetting them could only cause
 // re-emission. Memory therefore grows with the number of objects ever
 // listed, which the primary's retention cap (Params.RetainObjects)
 // bounds in steady state.
 type listTracker struct {
-	seen    map[string]struct{}
-	emitted map[dbKey]DBObjectInfo // complete DB object already reported per (ts, gen)
+	walSeen map[int64]struct{} // WAL objects are unique per timestamp
+	dbSeen  map[string]struct{}
 
-	legacy map[trackerSizedKey]*trackerLegacyGroup
-	sealed map[dbKey]*trackerSealedGroup
+	// groups holds every DB group ever opened, emitted or not; splits
+	// indexes the split ones by slot so later parts find their group.
+	groups []*dbGroup
+	splits map[dbKey]*dbGroup
+
+	emitted map[dbKey]*dbGroup // the complete object reported per (ts, gen)
 
 	// pending holds complete Delta objects whose chain predecessor has not
 	// been emitted yet, keyed by the base they wait for: a delta is only
-	// useful on top of its base, so the follower must never see it first.
-	// When the base completes, every waiter cascades (a waiter may itself
-	// be some later delta's base). A delta whose base never appears —
-	// the primary folded the chain and GC'd it — waits forever, which is
-	// correct: the fold dump carries that state instead.
-	pending map[dbKey][]DBObjectInfo
+	// useful on top of its base, so no consumer may see it first. When the
+	// base emits, every waiter cascades (a waiter may itself be some later
+	// delta's base). A delta whose base never appears can only be the
+	// residue of garbage collection that ran after a newer fold dump
+	// became durable (the delta's uploader deletes nothing until its own
+	// object is complete), so leaving it unresolved — forever, for a
+	// follower; as an orphan, for LoadFromList — is always safe: the fold
+	// dump already carries its state.
+	pending map[dbKey][]*dbGroup
 }
 
-type trackerSizedKey struct {
-	ts      int64
-	gen     int
-	size    int64
-	baseTs  int64
-	baseGen int
-	hasBase bool
+// dbGroup is the listing state of one candidate DB object: the single name
+// of an unsplit object, or the ".s<part>" names sharing a (ts, gen) slot.
+// An unsplit name declares the whole object, so differently-sized
+// claimants of one slot are separate groups and a truncated one never
+// vetoes a complete one; a part's name declares only that part's sealed
+// size, so split parts can only group by slot, and identity conflicts show
+// up as mixed types/bases or duplicate indices instead.
+type dbGroup struct {
+	// info carries the identity taken from the first listed name; complete
+	// fills in Size and PartSizes.
+	info    DBObjectInfo
+	split   bool
+	mixed   bool // parts disagree on type or base: never complete
+	touched bool // gained a part in the current round
+	emitted bool
+	parts   []listedPart
 }
 
-type trackerLegacyGroup struct {
-	typ          DBObjectType
-	unsplitBytes int64
-	haveUnsplit  bool
-	splitBytes   int64
-	maxPart      int
+type listedPart struct {
+	name     string
+	index    int
+	declared int64 // sealed size from the name
+	listed   int64 // bytes in the cloud listing
+	count    int   // > 0 on the final (commit-marker) part
 }
 
-type trackerSealedGroup struct {
-	typ     DBObjectType
-	baseTs  int64
-	baseGen int
-	hasBase bool
-	invalid bool
-	parts   map[int]trackerSealedPart
-}
-
-type trackerSealedPart struct {
-	declared int64
-	listed   int64
-	count    int
-}
-
-func newListTracker() *listTracker {
+// newListTracker returns an empty tracker; sizeHint presizes it for a
+// first listing of about that many names.
+func newListTracker(sizeHint int) *listTracker {
 	return &listTracker{
-		seen:    make(map[string]struct{}),
-		emitted: make(map[dbKey]DBObjectInfo),
-		legacy:  make(map[trackerSizedKey]*trackerLegacyGroup),
-		sealed:  make(map[dbKey]*trackerSealedGroup),
-		pending: make(map[dbKey][]DBObjectInfo),
+		walSeen: make(map[int64]struct{}, sizeHint),
+		dbSeen:  make(map[string]struct{}),
+		splits:  make(map[dbKey]*dbGroup),
+		emitted: make(map[dbKey]*dbGroup),
+		pending: make(map[dbKey][]*dbGroup),
 	}
 }
 
-// observe ingests one cloud listing and returns the WAL objects and
-// complete DB objects that became known with it, each emitted exactly
-// once across the tracker's lifetime. WAL results are sorted by Ts, DB
-// results by (Ts, Gen). A foreign object name is an error, as in
-// LoadFromList; a second complete object claiming an already-emitted
-// (ts, gen) slot with a different identity is genuine corruption and is
-// reported too.
+// observe ingests one cloud listing and returns, in no particular order,
+// the WAL objects and complete DB objects that became known with it, each
+// emitted exactly once across the tracker's lifetime. A foreign or
+// malformed object name is an error — a stranger in the bucket is a
+// configuration problem worth surfacing, not skipping silently — and so is
+// a second complete object claiming an already-emitted (ts, gen) slot with
+// a different identity, or a new part joining an already-emitted group:
+// both are genuine corruption.
 func (t *listTracker) observe(infos []cloud.ObjectInfo) (wal []WALObjectInfo, db []DBObjectInfo, err error) {
-	var emit func(info DBObjectInfo) error
-	emit = func(info DBObjectInfo) error {
-		k := dbKey{ts: info.Ts, gen: info.Gen}
-		if prev, ok := t.emitted[k]; ok {
-			if prev.Size != info.Size || prev.Type != info.Type ||
-				prev.BaseTs != info.BaseTs || prev.BaseGen != info.BaseGen {
-				return fmt.Errorf(
-					"core: conflicting DB objects at ts=%d gen=%d: have %s size=%d, got %s size=%d",
-					info.Ts, info.Gen, prev.Type, prev.Size, info.Type, info.Size)
-			}
-			return nil
-		}
-		if info.Type == Delta {
-			bk := dbKey{ts: info.BaseTs, gen: info.BaseGen}
-			base, ok := t.emitted[bk]
-			if !ok {
-				t.pending[bk] = append(t.pending[bk], info)
-				return nil
-			}
-			// A delta whose emitted base is not a chain element strictly
-			// older than it is broken linkage, never valid later: drop it,
-			// exactly as LoadFromList orphans it.
-			if (base.Type != Dump && base.Type != Delta) || !base.Before(info) {
-				return nil
-			}
-		}
-		t.emitted[k] = info
-		db = append(db, info)
-		// Cascade: deltas waiting on this object can go out now (a waiter
-		// may itself be a later delta's base, hence the recursion).
-		if waiters, ok := t.pending[k]; ok {
-			delete(t.pending, k)
-			for _, w := range waiters {
-				if err := emit(w); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
+	// Re-listed names are the bulk of every round but the first, so what
+	// can be new is about the listing minus everything already seen.
+	if fresh := len(infos) - len(t.walSeen) - len(t.dbSeen); fresh > 0 {
+		wal = make([]WALObjectInfo, 0, fresh)
 	}
-	touchedLegacy := make(map[trackerSizedKey]struct{})
-	touchedSealed := make(map[dbKey]struct{})
+	var touched []*dbGroup // split groups that gained a part this round
 	for _, info := range infos {
-		if _, ok := t.seen[info.Name]; ok {
-			continue
-		}
-		t.seen[info.Name] = struct{}{}
 		switch {
 		case strings.HasPrefix(info.Name, walPrefix):
 			ts, filename, offset, perr := ParseWALObjectName(info.Name)
 			if perr != nil {
 				return nil, nil, perr
 			}
+			if _, ok := t.walSeen[ts]; ok {
+				continue
+			}
+			t.walSeen[ts] = struct{}{}
 			wal = append(wal, WALObjectInfo{Ts: ts, Filename: filename, Offset: offset, Size: info.Size})
 		case strings.HasPrefix(info.Name, dbPrefix):
+			if _, ok := t.dbSeen[info.Name]; ok {
+				continue
+			}
 			n, perr := ParseDBObjectName(info.Name)
 			if perr != nil {
 				return nil, nil, perr
 			}
-			if n.Sealed {
-				k := dbKey{ts: n.Ts, gen: n.Gen}
-				g := t.sealed[k]
-				if g == nil {
-					g = &trackerSealedGroup{typ: n.Type,
-						baseTs: n.BaseTs, baseGen: n.BaseGen, hasBase: n.HasBase,
-						parts: make(map[int]trackerSealedPart)}
-					t.sealed[k] = g
+			t.dbSeen[info.Name] = struct{}{}
+			ident := DBObjectInfo{Ts: n.Ts, Gen: n.Gen, Type: n.Type, BaseTs: n.BaseTs, BaseGen: n.BaseGen}
+			part := listedPart{name: info.Name, index: n.Part, declared: n.Size, listed: info.Size, count: n.Count}
+			if n.Part < 0 {
+				g := &dbGroup{info: ident, parts: []listedPart{part}}
+				t.groups = append(t.groups, g)
+				if err := t.emitIfComplete(g, &db); err != nil {
+					return nil, nil, err
 				}
-				if n.Type != g.typ || n.HasBase != g.hasBase ||
-					n.BaseTs != g.baseTs || n.BaseGen != g.baseGen {
-					g.invalid = true
-				}
-				if _, dup := g.parts[n.Part]; dup {
-					g.invalid = true
-				} else {
-					g.parts[n.Part] = trackerSealedPart{declared: n.Size, listed: info.Size, count: n.Count}
-				}
-				touchedSealed[k] = struct{}{}
 				continue
 			}
-			k := trackerSizedKey{ts: n.Ts, gen: n.Gen, size: n.Size,
-				baseTs: n.BaseTs, baseGen: n.BaseGen, hasBase: n.HasBase}
-			g := t.legacy[k]
+			k := dbKey{ts: n.Ts, gen: n.Gen}
+			g := t.splits[k]
 			if g == nil {
-				g = &trackerLegacyGroup{typ: n.Type, maxPart: -1}
-				t.legacy[k] = g
+				g = &dbGroup{info: ident, split: true}
+				t.splits[k] = g
+				t.groups = append(t.groups, g)
 			}
-			if n.Part < 0 {
-				g.haveUnsplit = true
-				g.unsplitBytes = info.Size
-			} else {
-				g.splitBytes += info.Size
-				if n.Part > g.maxPart {
-					g.maxPart = n.Part
-				}
+			if g.emitted {
+				return nil, nil, fmt.Errorf(
+					"core: conflicting DB objects at ts=%d gen=%d: %s joins an already complete object",
+					n.Ts, n.Gen, info.Name)
 			}
-			touchedLegacy[k] = struct{}{}
+			if ident.Type != g.info.Type || ident.BaseTs != g.info.BaseTs || ident.BaseGen != g.info.BaseGen {
+				g.mixed = true
+			}
+			if !g.touched {
+				g.touched = true
+				touched = append(touched, g)
+			}
+			g.parts = append(g.parts, part)
 		default:
 			return nil, nil, fmt.Errorf("core: unrecognised object %q in cloud listing", info.Name)
 		}
 	}
-	for k := range touchedLegacy {
-		if info, ok := t.legacy[k].complete(k); ok {
-			if err := emit(info); err != nil {
-				return nil, nil, err
-			}
+	for _, g := range touched {
+		g.touched = false
+		if err := t.emitIfComplete(g, &db); err != nil {
+			return nil, nil, err
 		}
 	}
-	for k := range touchedSealed {
-		if info, ok := t.sealed[k].complete(k); ok {
-			if err := emit(info); err != nil {
-				return nil, nil, err
-			}
-		}
-	}
-	sort.Slice(wal, func(i, j int) bool { return wal[i].Ts < wal[j].Ts })
-	sort.Slice(db, func(i, j int) bool { return db[i].Before(db[j]) })
 	return wal, db, nil
 }
 
-// complete applies LoadFromList's legacy completeness rule: an unsplit
-// listing whose stored bytes match the declared size, or a split set
-// whose parts sum to it (parts of one upload are disjoint chunks of
-// exactly that many bytes, so any missing or truncated part falls short).
-func (g *trackerLegacyGroup) complete(k trackerSizedKey) (DBObjectInfo, bool) {
-	switch {
-	case g.haveUnsplit && g.unsplitBytes == k.size:
-		return DBObjectInfo{Ts: k.ts, Gen: k.gen, Type: g.typ, Size: k.size,
-			BaseTs: k.baseTs, BaseGen: k.baseGen}, true
-	case g.maxPart >= 0 && g.splitBytes == k.size:
-		return DBObjectInfo{Ts: k.ts, Gen: k.gen, Type: g.typ, Size: k.size, Parts: g.maxPart + 1,
-			BaseTs: k.baseTs, BaseGen: k.baseGen}, true
+// unresolved returns every DB group the tracker has seen but not emitted:
+// incomplete or invalid part sets, deltas still waiting for a base, and
+// deltas whose linkage is broken.
+func (t *listTracker) unresolved() []*dbGroup {
+	var out []*dbGroup
+	for _, g := range t.groups {
+		if !g.emitted {
+			out = append(out, g)
+		}
 	}
-	return DBObjectInfo{}, false
+	return out
 }
 
-// complete applies LoadFromList's part-sealed completeness rule: exactly
-// one commit marker, contiguous indices 0..count-1, and every part's
-// listed bytes matching its name-declared sealed size.
-func (g *trackerSealedGroup) complete(k dbKey) (DBObjectInfo, bool) {
-	if g.invalid {
-		return DBObjectInfo{}, false
+// emitIfComplete reports g through out once it is complete and, for a
+// delta, once its chain predecessor has been reported; emitting g then
+// releases the deltas waiting on it (re-checked, because a waiter may have
+// gained a contradicting part since it queued).
+func (t *listTracker) emitIfComplete(g *dbGroup, out *[]DBObjectInfo) error {
+	if !g.complete() {
+		return nil
+	}
+	k := dbKey{ts: g.info.Ts, gen: g.info.Gen}
+	if prev, ok := t.emitted[k]; ok {
+		return prev.info.conflictsWith(g.info)
+	}
+	if g.info.Type == Delta {
+		bk := dbKey{ts: g.info.BaseTs, gen: g.info.BaseGen}
+		base, ok := t.emitted[bk]
+		if !ok {
+			t.pending[bk] = append(t.pending[bk], g)
+			return nil
+		}
+		// The chain rule: a delta's base must be a chain element — a dump
+		// or another delta — strictly older than it (which also makes
+		// pointer loops impossible). Anything else is broken linkage,
+		// never valid later, and the delta stays unresolved.
+		if base.info.Type == Checkpoint || !base.info.Before(g.info) {
+			return nil
+		}
+	}
+	g.emitted = true
+	t.emitted[k] = g
+	*out = append(*out, g.info)
+	waiters := t.pending[k]
+	delete(t.pending, k)
+	for _, w := range waiters {
+		if err := t.emitIfComplete(w, out); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// complete reports whether every byte of the object is listed, filling in
+// g.info.Size (and PartSizes for a split object) when it is. An unsplit
+// object is complete when its stored bytes match its declared size. A
+// split set needs exactly one commit marker (".n<count>" on the final
+// part), indices contiguous 0..count-1, and every part's stored bytes
+// matching its name-declared sealed size. The final part is PUT only by
+// the worker that drew the last index, but parts upload concurrently — the
+// marker's presence proves every sibling was handed to the pool, not that
+// every PUT landed, hence the per-index checks.
+func (g *dbGroup) complete() bool {
+	if !g.split {
+		p := g.parts[0]
+		g.info.Size = p.declared
+		return p.listed == p.declared
 	}
 	count, markers := 0, 0
 	for _, p := range g.parts {
@@ -248,19 +241,19 @@ func (g *trackerSealedGroup) complete(k dbKey) (DBObjectInfo, bool) {
 			count = p.count
 		}
 	}
-	if markers != 1 || len(g.parts) != count {
-		return DBObjectInfo{}, false
+	if g.mixed || markers != 1 || len(g.parts) != count {
+		return false
 	}
+	sort.Slice(g.parts, func(i, j int) bool { return g.parts[i].index < g.parts[j].index })
 	sizes := make([]int64, count)
 	var total int64
-	for i := 0; i < count; i++ {
-		p, present := g.parts[i]
-		if !present || p.listed != p.declared {
-			return DBObjectInfo{}, false
+	for i, p := range g.parts {
+		if p.index != i || p.listed != p.declared {
+			return false
 		}
 		sizes[i] = p.declared
 		total += p.declared
 	}
-	return DBObjectInfo{Ts: k.ts, Gen: k.gen, Type: g.typ, Size: total, Parts: count, PartSizes: sizes,
-		BaseTs: g.baseTs, BaseGen: g.baseGen}, true
+	g.info.Size, g.info.PartSizes = total, sizes
+	return true
 }

@@ -70,21 +70,14 @@ func ParseWALObjectName(name string) (ts int64, filename string, offset int64, e
 	return ts, rest[first+1 : last], offset, nil
 }
 
-// DBName is the parsed form of a DB object name. Two on-cloud formats
-// share the DB/ prefix:
+// DBName is the parsed form of a DB object name. A DB object is one or
+// more independently encoded, independently sealed write lists:
 //
-//   - Legacy (whole-sealed): the payload is encoded and sealed once, then
-//     split into raw byte chunks. Size is the whole object's sealed size,
-//     Part ≥ 0 (".p<part>") identifies a chunk, Sealed is false and the
-//     MAC only validates over the reassembled whole.
-//   - Part-sealed (streamed, this format version): each part is an
-//     independently encoded, independently sealed write list. Size is the
-//     sealed size of THIS part (".s<part>"), and the final part — the
-//     format's commit marker — additionally carries the total part count
-//     (".n<count>"). Parts open and decode individually.
-//
-// An unsplit object (Part < 0) is byte-identical in both formats, so
-// single-part streamed uploads keep emitting the legacy name.
+//   - Unsplit (Part < 0): the plain DB/<ts>_<type>_<size> name is the
+//     whole object and Size its sealed size.
+//   - Split: Size is the sealed size of THIS part (".s<part>"), and the
+//     final part — the upload's commit marker — additionally carries the
+//     total part count (".n<count>"). Parts open and decode individually.
 //
 // Delta objects additionally carry a ".b<baseTs>-<baseGen>" suffix naming
 // the chain predecessor (a dump or an earlier delta). HasBase is set if
@@ -95,13 +88,10 @@ type DBName struct {
 	Gen  int
 	Type DBObjectType
 	Size int64
-	// Part is the part index, -1 for unsplit objects.
+	// Part is the part index (".s<part>"), -1 for unsplit objects.
 	Part int
-	// Sealed marks a part-sealed (".s") part; false for legacy ".p" parts
-	// and unsplit objects.
-	Sealed bool
-	// Count is the total number of parts, > 0 only on the final sealed
-	// part (".n<count>", count ≥ 2).
+	// Count is the total number of parts, > 0 only on the final part
+	// (".n<count>", count ≥ 2).
 	Count int
 	// BaseTs/BaseGen name the chain predecessor of a Delta object;
 	// meaningful only when HasBase is set.
@@ -120,39 +110,36 @@ func (n DBName) String() string {
 		base = fmt.Sprintf("%s.g%d", base, n.Gen)
 	}
 	switch {
-	case n.Sealed && n.Count > 0:
+	case n.Part >= 0 && n.Count > 0:
 		return fmt.Sprintf("%s.s%d.n%d", base, n.Part, n.Count)
-	case n.Sealed:
-		return fmt.Sprintf("%s.s%d", base, n.Part)
 	case n.Part >= 0:
-		return fmt.Sprintf("%s.p%d", base, n.Part)
+		return fmt.Sprintf("%s.s%d", base, n.Part)
 	}
 	return base
 }
 
-// DBObjectName formats DB/<ts>_<type>_<size> (§5.2), with two optional
-// suffixes: ".g<gen>" disambiguates multiple DB objects that share a
-// timestamp (two checkpoints with no commit in between both carry the ts
-// of the same last WAL object — the paper's naming tells them apart only
-// by size, which is not guaranteed unique), and ".p<part>" marks a legacy
-// whole-sealed part of an object split at the maximum object size (§5.2
-// footnote: 20 MB by default). gen 0 and part < 0 produce the paper's
-// plain format.
-func DBObjectName(ts int64, gen int, typ DBObjectType, size int64, part int) string {
-	return DBName{Ts: ts, Gen: gen, Type: typ, Size: size, Part: part}.String()
+// DBObjectName formats DB/<ts>_<type>_<size> (§5.2), the name of an
+// unsplit object. The optional ".g<gen>" suffix disambiguates multiple DB
+// objects that share a timestamp (two checkpoints with no commit in
+// between both carry the ts of the same last WAL object — the paper's
+// naming tells them apart only by size, which is not guaranteed unique);
+// gen 0 produces the paper's plain format.
+func DBObjectName(ts int64, gen int, typ DBObjectType, size int64) string {
+	return DBName{Ts: ts, Gen: gen, Type: typ, Size: size, Part: -1}.String()
 }
 
-// DBPartName formats the name of one part-sealed part: size is the sealed
-// size of this part alone, and count (the total number of parts, ≥ 2) is
-// carried only by the final part, as the upload's commit marker.
+// DBPartName formats the name of one part of an object split at the
+// maximum object size (§5.2 footnote: 20 MB by default): size is the
+// sealed size of this part alone, and count (the total number of parts,
+// ≥ 2) is carried only by the final part, as the upload's commit marker.
 func DBPartName(ts int64, gen int, typ DBObjectType, size int64, part, count int) string {
-	return DBName{Ts: ts, Gen: gen, Type: typ, Size: size, Part: part, Sealed: true, Count: count}.String()
+	return DBName{Ts: ts, Gen: gen, Type: typ, Size: size, Part: part, Count: count}.String()
 }
 
 // ParseDBObjectName inverts DBName.String. Only values the emitters can
-// produce count as suffixes (legacy part ≥ 0, sealed part ≥ 0, count ≥ 2,
-// gen > 0, base ts ≥ 0 and base gen ≥ 0); anything else — ".p-2", ".g0",
-// ".n1", ".b3" — is not a suffix and must fail the field parse below
+// produce count as suffixes (part ≥ 0, count ≥ 2, gen > 0, base ts ≥ 0
+// and base gen ≥ 0); anything else — ".s-2", ".g0", ".n1", ".b3", the
+// retired ".p<N>" — is not a suffix and must fail the field parse below
 // rather than silently round-trip wrong.
 func ParseDBObjectName(name string) (DBName, error) {
 	n := DBName{Part: -1}
@@ -171,17 +158,7 @@ func ParseDBObjectName(name string) (DBName, error) {
 		p, perr := strconv.Atoi(rest[i+2:])
 		if perr == nil && p >= 0 {
 			n.Part = p
-			n.Sealed = true
 			rest = rest[:i]
-		}
-	}
-	if !n.Sealed {
-		if i := strings.LastIndex(rest, ".p"); i >= 0 {
-			p, perr := strconv.Atoi(rest[i+2:])
-			if perr == nil && p >= 0 {
-				n.Part = p
-				rest = rest[:i]
-			}
 		}
 	}
 	if i := strings.LastIndex(rest, ".g"); i >= 0 {
@@ -203,7 +180,7 @@ func ParseDBObjectName(name string) (DBName, error) {
 	}
 	// The count marker is only valid as ".s<part>.n<count>" with the final
 	// part index; any other combination is not a name we emit.
-	if n.Count > 0 && (!n.Sealed || n.Part != n.Count-1) {
+	if n.Count > 0 && n.Part != n.Count-1 {
 		return DBName{Part: -1}, fmt.Errorf("core: malformed DB object name %q", name)
 	}
 	fields := strings.Split(rest, "_")

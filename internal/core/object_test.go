@@ -53,22 +53,19 @@ func TestDBObjectNameRoundTrip(t *testing.T) {
 		gen  int
 		typ  DBObjectType
 		size int64
-		part int
 	}{
-		{0, 0, Dump, 1 << 30, -1},
-		{55, 0, Checkpoint, 4096, -1},
-		{55, 0, Checkpoint, 4096, 0},
-		{55, 1, Checkpoint, 4096, -1},
-		{55, 2, Checkpoint, 4096, 3},
-		{99, 0, Dump, 123, 7},
+		{0, 0, Dump, 1 << 30},
+		{55, 0, Checkpoint, 4096},
+		{55, 1, Checkpoint, 4096},
+		{99, 3, Dump, 123},
 	}
 	for _, tt := range tests {
-		name := DBObjectName(tt.ts, tt.gen, tt.typ, tt.size, tt.part)
+		name := DBObjectName(tt.ts, tt.gen, tt.typ, tt.size)
 		n, err := ParseDBObjectName(name)
 		if err != nil {
 			t.Fatalf("parse %q: %v", name, err)
 		}
-		if n.Ts != tt.ts || n.Gen != tt.gen || n.Type != tt.typ || n.Size != tt.size || n.Part != tt.part || n.Sealed || n.Count != 0 {
+		if n.Ts != tt.ts || n.Gen != tt.gen || n.Type != tt.typ || n.Size != tt.size || n.Part != -1 || n.Count != 0 {
 			t.Fatalf("round trip %q = %+v", name, n)
 		}
 	}
@@ -94,7 +91,7 @@ func TestDBPartNameRoundTrip(t *testing.T) {
 			t.Fatalf("parse %q: %v", name, err)
 		}
 		if n.Ts != tt.ts || n.Gen != tt.gen || n.Type != tt.typ || n.Size != tt.size ||
-			n.Part != tt.part || !n.Sealed || n.Count != tt.count {
+			n.Part != tt.part || n.Count != tt.count {
 			t.Fatalf("round trip %q = %+v", name, n)
 		}
 	}
@@ -111,10 +108,10 @@ func TestDBPartNameFormat(t *testing.T) {
 
 func TestDBObjectNameMatchesPaperFormat(t *testing.T) {
 	// §5.2: DB/<ts>_<type>_<size>
-	if got := DBObjectName(0, 0, Dump, 777, -1); got != "DB/0_dump_777" {
+	if got := DBObjectName(0, 0, Dump, 777); got != "DB/0_dump_777" {
 		t.Fatalf("name = %q", got)
 	}
-	if got := DBObjectName(3, 0, Checkpoint, 10, -1); got != "DB/3_checkpoint_10" {
+	if got := DBObjectName(3, 0, Checkpoint, 10); got != "DB/3_checkpoint_10" {
 		t.Fatalf("name = %q", got)
 	}
 }
@@ -122,10 +119,12 @@ func TestDBObjectNameMatchesPaperFormat(t *testing.T) {
 func TestParseDBObjectNameRejectsGarbage(t *testing.T) {
 	for _, bad := range []string{
 		"", "DB/", "DB/1_dump", "DB/1_blob_2", "WAL/1_f_0", "DB/x_dump_2",
-		"DB/1_dump_2.n2",    // count marker without a sealed part index
+		"DB/1_dump_2.n2",    // count marker without a part index
 		"DB/1_dump_2.s0.n3", // marker not on the final part
-		"DB/1_dump_2.p0.n2", // marker on a legacy part
-		"DB/1_dump_2.s0.p1", // both suffix kinds at once
+		"DB/1_dump_2.p0",    // the retired whole-sealed part suffix
+		"DB/1_dump_2.g1.p3", // ... after a generation
+		"DB/1_dump_2.p0.n2", // ... under a marker
+		"DB/1_dump_2.s0.p1", // ... after a part index
 		"DB/1_dump_2.s1.n1", // count < 2 is not a marker, so ".n1" corrupts the size field
 		"DB/1_dump_2.s-1",   // negative sealed index corrupts the size field
 	} {
@@ -341,17 +340,6 @@ func TestSplitWrite(t *testing.T) {
 	}
 }
 
-func TestSplitBytes(t *testing.T) {
-	b := bytes.Repeat([]byte{1}, 25)
-	parts := splitBytes(b, 10)
-	if len(parts) != 3 || len(parts[0]) != 10 || len(parts[2]) != 5 {
-		t.Fatalf("splitBytes = %d parts", len(parts))
-	}
-	if got := splitBytes(nil, 10); len(got) != 1 {
-		t.Fatalf("splitBytes(nil) = %d parts, want 1 empty", len(got))
-	}
-}
-
 // FuzzParseWALObjectName checks that any name the parser accepts
 // round-trips: re-encoding the parsed fields and re-parsing yields the
 // same fields. Names the parser rejects are simply skipped — the property
@@ -380,8 +368,8 @@ func FuzzParseWALObjectName(f *testing.F) {
 }
 
 // FuzzParseDBObjectName checks the same accepted-implies-round-trips
-// property for DB object names, including the .g<gen>, legacy .p<part>
-// and part-sealed .s<part>[.n<count>] suffixes.
+// property for DB object names, including the .g<gen> and
+// .s<part>[.n<count>] suffixes (the retired .p<part> seeds must be rejected).
 func FuzzParseDBObjectName(f *testing.F) {
 	f.Add("DB/5_dump_123")
 	f.Add("DB/5_checkpoint_123")
@@ -414,8 +402,8 @@ func FuzzParseDBObjectName(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if n.Gen < 0 || n.Part < -1 || (n.Sealed && n.Part < 0) ||
-			n.Count < 0 || (n.Count > 0 && (n.Count < 2 || !n.Sealed || n.Part != n.Count-1)) ||
+		if n.Gen < 0 || n.Part < -1 ||
+			n.Count < 0 || (n.Count > 0 && (n.Count < 2 || n.Part != n.Count-1)) ||
 			n.HasBase != (n.Type == Delta) ||
 			(n.HasBase && (n.BaseTs < 0 || n.BaseGen < 0)) ||
 			(!n.HasBase && (n.BaseTs != 0 || n.BaseGen != 0)) {

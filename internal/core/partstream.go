@@ -437,8 +437,7 @@ func (u *partUploader) release(bp *[]byte) {
 // last part's local reads completed — the signal that the database files
 // are no longer needed and frozen writers may resume; on failure the
 // caller's own release path must cover it. A single-part object is
-// uploaded under the legacy unsplit name (the formats are byte-identical
-// there), so small checkpoints stay readable by legacy readers.
+// uploaded under the plain unsplit name.
 func (u *partUploader) upload(ctx context.Context, ident DBObjectInfo,
 	parts [][]planEntry, readsDone func()) ([]int64, error) {
 	ts, gen := ident.Ts, ident.Gen
@@ -475,16 +474,14 @@ func (u *partUploader) upload(ctx context.Context, ident DBObjectInfo,
 			u.sealHist.ObserveDuration(u.clk.Since(sealStart))
 		}
 		sizes[i] = int64(len(sealed))
-		var name string
-		if len(parts) == 1 {
-			name = ident.name(int64(len(sealed)), -1, false, 0).String()
-		} else {
-			count := 0
+		part, count := -1, 0
+		if len(parts) > 1 {
+			part = i
 			if i == len(parts)-1 {
 				count = len(parts)
 			}
-			name = ident.name(int64(len(sealed)), i, true, count).String()
 		}
+		name := ident.name(int64(len(sealed)), part, count).String()
 		putStart := u.clk.Now()
 		u.putInflight.enter()
 		err = u.put(ctx, name, sealed)

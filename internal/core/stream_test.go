@@ -1,17 +1,14 @@
 package core_test
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"strings"
 	"testing"
 	"time"
 
-	"github.com/ginja-dr/ginja/internal/cloud"
 	"github.com/ginja-dr/ginja/internal/core"
 	"github.com/ginja-dr/ginja/internal/dbevent"
-	"github.com/ginja-dr/ginja/internal/sealer"
 	"github.com/ginja-dr/ginja/internal/vfs"
 )
 
@@ -74,7 +71,7 @@ func TestSingleFileBiggerThanMaxObjectSizeStreams(t *testing.T) {
 		if err != nil {
 			t.Fatalf("unparseable name %q: %v", info.Name, err)
 		}
-		if n.Sealed {
+		if n.Part >= 0 {
 			sealedParts++
 			if n.Count > 0 {
 				markers++
@@ -98,75 +95,6 @@ func TestSingleFileBiggerThanMaxObjectSizeStreams(t *testing.T) {
 		}
 		if string(v) != strings.Repeat("v", 512) {
 			t.Fatalf("recovered %s corrupted (%d bytes)", key, len(v))
-		}
-	}
-}
-
-// TestLegacyWholeSealedBigFileRecovery hand-builds the pre-streaming
-// format — a single file far bigger than MaxObjectSize encoded and sealed
-// as ONE envelope, then chopped into raw ".p<part>" chunks whose names all
-// carry the total sealed size — and verifies a current build recovers it
-// byte-identically. Buckets written by older versions must keep restoring.
-func TestLegacyWholeSealedBigFileRecovery(t *testing.T) {
-	const maxObj = 4096
-	params := core.DefaultParams()
-	params.MaxObjectSize = maxObj
-	seal, err := sealer.New(sealer.Options{
-		Compress: params.Compress,
-		Encrypt:  params.Encrypt,
-		Password: params.Password,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Incompressible deterministic content so the sealed envelope really
-	// spans several chunks even with compression on.
-	big := make([]byte, 3*maxObj)
-	x := uint32(88172645)
-	for i := range big {
-		x ^= x << 13
-		x ^= x >> 17
-		x ^= x << 5
-		big[i] = byte(x)
-	}
-	writes := []core.FileWrite{
-		{Path: "base/1/huge", Data: big, Whole: true},
-		{Path: "base/1/marker", Data: []byte("legacy-whole-sealed"), Whole: true},
-	}
-	sealed, err := seal.Seal(core.EncodeWrites(writes))
-	if err != nil {
-		t.Fatal(err)
-	}
-	size := int64(len(sealed))
-	nParts := int((size + maxObj - 1) / maxObj)
-	if nParts < 2 {
-		t.Fatalf("sealed payload (%d B) did not span MaxObjectSize %d", size, maxObj)
-	}
-	ctx := context.Background()
-	store := cloud.NewMemStore()
-	for i := 0; i < nParts; i++ {
-		lo := int64(i) * maxObj
-		hi := min(lo+maxObj, size)
-		if err := store.Put(ctx, core.DBObjectName(0, 0, core.Dump, size, i), sealed[lo:hi]); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	g, err := core.New(vfs.NewMemFS(), store, dbevent.NewPGProcessor(), params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	target := vfs.NewMemFS()
-	if err := g.RecoverAt(ctx, target, -1); err != nil {
-		t.Fatalf("legacy-format recovery: %v", err)
-	}
-	for _, w := range writes {
-		got, err := vfs.ReadFile(target, w.Path)
-		if err != nil {
-			t.Fatalf("recovered %s: %v", w.Path, err)
-		}
-		if !bytes.Equal(got, w.Data) {
-			t.Fatalf("recovered %s differs (%d B vs %d B)", w.Path, len(got), len(w.Data))
 		}
 	}
 }

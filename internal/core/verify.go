@@ -35,46 +35,29 @@ type VerifyResult struct {
 // restart and probe may be nil to skip those steps.
 func (g *Ginja) Verify(ctx context.Context, target vfs.FS,
 	restart func(vfs.FS) error, probe func(vfs.FS) error) (VerifyResult, error) {
-	start := time.Now()
+	clk := g.params.clock()
+	start := clk.Now()
 	var res VerifyResult
 
-	infos, err := g.store.List(ctx, "")
+	infos, err := g.listWithRetry(ctx)
 	if err != nil {
 		return res, fmt.Errorf("core: verify list: %w", err)
 	}
 	if err := g.view.LoadFromList(infos); err != nil {
 		return res, err
 	}
-	// Step 1: integrity of every object.
+	// Step 1: integrity of every object — each name, DB part or WAL object
+	// alike, is one complete envelope.
 	for _, info := range infos {
-		sealed, err := g.store.Get(ctx, info.Name)
+		sealed, err := g.getWithRetry(ctx, info.Name)
 		if err != nil {
 			return res, fmt.Errorf("core: verify download %s: %w", info.Name, err)
 		}
 		res.BytesDownloaded += int64(len(sealed))
-		// Legacy whole-sealed split parts only validate as a whole; check
-		// them via the full-object path below instead. Part-sealed parts
-		// are each a complete envelope and verify right here.
-		if n, dbErr := ParseDBObjectName(info.Name); dbErr == nil && n.Part >= 0 && !n.Sealed {
-			continue
-		}
 		if _, err := g.seal.Open(sealed); err != nil {
 			return res, fmt.Errorf("core: verify %s: %w", info.Name, err)
 		}
 		res.ObjectsChecked++
-	}
-	// Validate legacy split DB objects part-sets as wholes (their MAC
-	// covers the reassembled object, so parts can only be checked
-	// together). Part-sealed objects were fully verified in step 1.
-	scratch := vfs.NewMemFS()
-	for _, d := range g.view.DBObjects() {
-		if d.Parts == 0 || d.PartSealed() {
-			continue
-		}
-		if err := g.applyDBObject(ctx, scratch, d); err != nil {
-			return res, fmt.Errorf("core: verify DB ts=%d: %w", d.Ts, err)
-		}
-		res.ObjectsChecked += d.Parts
 	}
 
 	// Step 2: rebuild into the scratch target and restart the DBMS.
@@ -94,6 +77,6 @@ func (g *Ginja) Verify(ctx context.Context, target vfs.FS,
 		}
 		res.ProbeOK = true
 	}
-	res.Duration = time.Since(start)
+	res.Duration = clk.Since(start)
 	return res, nil
 }

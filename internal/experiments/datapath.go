@@ -73,8 +73,7 @@ type DatapathRun struct {
 
 // StreamingResult reports the streamed part-sealed data path: the memory
 // high-water mark of the parallel dump against its O(uploaders ×
-// MaxObjectSize) bound, and backwards compatibility with legacy
-// whole-sealed multi-part objects.
+// MaxObjectSize) bound.
 type StreamingResult struct {
 	Parallelism int `json:"parallelism"`
 	// DumpParts is how many part-sealed parts the measured dump produced.
@@ -93,10 +92,6 @@ type StreamingResult struct {
 	// QueueBytesAfter is ginja_checkpoint_queue_bytes after the dump
 	// drained (must return to zero — no payload leaks in the accounting).
 	QueueBytesAfter int64 `json:"queue_bytes_after"`
-	// LegacyRecoveryOK: a hand-built legacy whole-sealed multi-part dump
-	// (".p<part>" names, one MAC over the reassembled object) recovered
-	// end-to-end byte-identically.
-	LegacyRecoveryOK bool `json:"legacy_recovery_ok"`
 }
 
 // DatapathResult is the serial-vs-parallel comparison plus the sealer
@@ -306,78 +301,9 @@ func sealAllocProfile() (sealAllocs, openAllocs float64, err error) {
 	return sealAllocs, openAllocs, nil
 }
 
-// legacyRecoveryCheck hand-builds a legacy whole-sealed multi-part dump —
-// one payload encoded and sealed once, split into raw ".p<part>" chunks
-// whose names carry the total sealed size — and verifies a current Ginja
-// recovers it end-to-end byte-identically. This is the format produced
-// before the part-sealed data path; buckets written by older versions
-// must keep restoring.
-func legacyRecoveryCheck(maxObj int64) (bool, error) {
-	params := core.DefaultParams()
-	params.MaxObjectSize = maxObj
-	seal, err := sealer.New(sealer.Options{
-		Compress: params.Compress,
-		Encrypt:  params.Encrypt,
-		Password: params.Password,
-	})
-	if err != nil {
-		return false, err
-	}
-	// Incompressible deterministic content so the sealed object really
-	// splits into several parts even when compression is on.
-	big := make([]byte, 3*maxObj)
-	x := uint32(2463534242)
-	for i := range big {
-		x ^= x << 13
-		x ^= x >> 17
-		x ^= x << 5
-		big[i] = byte(x)
-	}
-	writes := []core.FileWrite{
-		{Path: "base/1/accounts", Data: big, Whole: true},
-		{Path: "base/1/meta", Data: []byte("legacy-format-marker"), Whole: true},
-	}
-	sealed, err := seal.Seal(core.EncodeWrites(writes))
-	if err != nil {
-		return false, err
-	}
-	ctx := context.Background()
-	store := cloud.NewMemStore()
-	size := int64(len(sealed))
-	nParts := int((size + maxObj - 1) / maxObj)
-	if nParts < 2 {
-		return false, fmt.Errorf("legacy check: sealed dump (%d bytes) did not split at MaxObjectSize %d", size, maxObj)
-	}
-	for i := 0; i < nParts; i++ {
-		lo := int64(i) * maxObj
-		hi := lo + maxObj
-		if hi > size {
-			hi = size
-		}
-		if err := store.Put(ctx, core.DBObjectName(0, 0, core.Dump, size, i), sealed[lo:hi]); err != nil {
-			return false, err
-		}
-	}
-	g, err := core.New(vfs.NewMemFS(), store, dbevent.NewPGProcessor(), params)
-	if err != nil {
-		return false, err
-	}
-	target := vfs.NewMemFS()
-	if err := g.RecoverAt(ctx, target, -1); err != nil {
-		return false, fmt.Errorf("legacy recovery: %w", err)
-	}
-	for _, w := range writes {
-		got, err := vfs.ReadFile(target, w.Path)
-		if err != nil || !bytes.Equal(got, w.Data) {
-			return false, nil
-		}
-	}
-	return true, nil
-}
-
 // RunDatapath measures the serial baseline and the parallel data path on
 // identical deterministic scenarios and reports the speedups, plus the
-// streaming-path memory bound and legacy-format compatibility.
+// streaming-path memory bound.
 func RunDatapath(opts DatapathOptions) (*DatapathResult, error) {
 	opts = opts.withDefaults()
 	serial, _, err := measureDatapath(opts, 1)
@@ -409,10 +335,6 @@ func RunDatapath(opts DatapathOptions) (*DatapathResult, error) {
 		BoundBytes:      bound,
 		WithinBound:     sample.peakStreamBytes > 0 && sample.peakStreamBytes <= bound,
 		QueueBytesAfter: sample.queueBytesAfter,
-	}
-	res.Streaming.LegacyRecoveryOK, err = legacyRecoveryCheck(opts.MaxObjectSize)
-	if err != nil {
-		return nil, fmt.Errorf("legacy-format check: %w", err)
 	}
 	// The delta-checkpoint comparison scales off the same knobs: a larger
 	// database than the dump measurement (deltas only matter when the

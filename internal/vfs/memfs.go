@@ -172,9 +172,7 @@ func (f *memFile) WriteAt(p []byte, off int64) (int, error) {
 	defer f.fd.mu.Unlock()
 	end := off + int64(len(p))
 	if end > int64(len(f.fd.data)) {
-		grown := make([]byte, end)
-		copy(grown, f.fd.data)
-		f.fd.data = grown
+		f.fd.grow(end)
 	}
 	copy(f.fd.data[off:end], p)
 	f.fd.modTime = time.Now()
@@ -187,15 +185,27 @@ func (f *memFile) Sync() error  { return nil }
 func (f *memFile) Truncate(size int64) error {
 	f.fd.mu.Lock()
 	defer f.fd.mu.Unlock()
-	switch {
-	case size < int64(len(f.fd.data)):
+	if size < int64(len(f.fd.data)) {
 		f.fd.data = f.fd.data[:size]
-	case size > int64(len(f.fd.data)):
-		grown := make([]byte, size)
-		copy(grown, f.fd.data)
-		f.fd.data = grown
+	} else {
+		f.fd.grow(size)
 	}
 	return nil
+}
+
+// grow extends the file to size bytes, zero-filling the extension.
+// Capacity doubles, so a file appended to in small writes costs O(n)
+// allocated bytes over its life rather than O(n²). The caller holds mu.
+func (fd *memFileData) grow(size int64) {
+	old := len(fd.data)
+	if size <= int64(cap(fd.data)) {
+		fd.data = fd.data[:size]
+		clear(fd.data[old:]) // bytes past an earlier shrink are stale
+		return
+	}
+	grown := make([]byte, size, max(size, 2*int64(cap(fd.data))))
+	copy(grown, fd.data)
+	fd.data = grown
 }
 
 func (f *memFile) Size() (int64, error) {

@@ -6,6 +6,7 @@ import (
 	"io/fs"
 	"os"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -268,6 +269,51 @@ func TestMemFSPropertyWriteAt(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestMemFSAppendAllocatesLinearly: growing a 16 MiB segment in 8 KiB
+// appends — what every virtual-time bench and most tests do to MemFS —
+// must allocate O(n) bytes in total, not a fresh copy of the file per
+// write; and bytes left behind by a shrink must not resurface when the
+// file grows back into its spare capacity.
+func TestMemFSAppendAllocatesLinearly(t *testing.T) {
+	const size, chunk = 16 << 20, 8 << 10
+	f, err := NewMemFS().OpenFile("seg", os.O_RDWR|os.O_CREATE, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, chunk)
+	for i := range buf {
+		buf[i] = 0xAB
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for off := int64(0); off < size; off += chunk {
+		if _, err := f.WriteAt(buf, off); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 8*size {
+		t.Fatalf("appending %d B in %d B writes allocated %d B (%.1fx), want O(n)",
+			size, chunk, got, float64(got)/size)
+	}
+
+	if err := f.Truncate(chunk); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt([]byte{1}, 3*chunk); err != nil {
+		t.Fatal(err)
+	}
+	gap := make([]byte, 2*chunk)
+	if _, err := f.ReadAt(gap, chunk); err != nil {
+		t.Fatal(err)
+	}
+	for i, b := range gap {
+		if b != 0 {
+			t.Fatalf("byte %d past the shrink reads %#x after growing back, want 0", chunk+i, b)
+		}
 	}
 }
 
