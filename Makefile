@@ -8,7 +8,7 @@ FUZZTIME ?= 10s
 COVER_FLOOR_CORE ?= 85
 COVER_FLOOR_OBS  ?= 85
 
-.PHONY: build test vet race verify cover-check fuzz-smoke bench-build bench bench-commit bench-commit-smoke bench-data bench-data-smoke bench-recovery bench-recovery-smoke bench-fleet bench-fleet-smoke
+.PHONY: build test vet race loc verify cover-check fuzz-smoke bench-build bench bench-commit bench-commit-smoke bench-data bench-data-smoke bench-recovery bench-recovery-smoke bench-fleet bench-fleet-smoke
 
 build:
 	$(GO) build ./...
@@ -19,11 +19,18 @@ vet:
 test:
 	$(GO) test ./...
 
-# Race-check the concurrency-heavy packages: pipeline + metrics registry,
+# Race-check the concurrency-heavy packages: the observability registry,
+# the replication core (commit pipeline, checkpointer, follower, fleet),
 # the simulated cloud (virtual-clock latency/outage state), and the
 # deterministic simulation driver.
 race:
 	$(GO) test -race ./internal/obs/... ./internal/core/... ./internal/cloud/... ./internal/sim/...
+
+# loc prints the two size figures the simplicity issues gate on: non-test
+# Go lines in internal/core, and in the repo outside benchmark/.
+loc:
+	@printf 'internal/core        %s\n' "$$(find internal/core -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
+	@printf 'repo less benchmark/ %s\n' "$$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' | xargs cat | wc -l)"
 
 # fuzz-smoke gives each wire-format fuzz target a short budget on top of
 # the checked-in corpus (internal/core/testdata/fuzz/). Reproduce a

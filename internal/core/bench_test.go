@@ -8,7 +8,6 @@ import (
 
 	"github.com/ginja-dr/ginja/internal/cloud"
 	"github.com/ginja-dr/ginja/internal/obs"
-	"github.com/ginja-dr/ginja/internal/sealer"
 )
 
 func BenchmarkMergeWritesSamePage(b *testing.B) {
@@ -75,7 +74,7 @@ func BenchmarkPipelineThroughput(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				pipe := newPipeline(NewCloudView(), cloud.NewMemStore(), sealer.NewPlain(), params)
+				pipe := newPipeline(NewCloudView(), plainIO(cloud.NewMemStore(), params), params)
 				pipe.start(0)
 				defer pipe.drainAndStop(10 * time.Second)
 				page := make([]byte, 8192)
@@ -125,7 +124,7 @@ func BenchmarkCommitPath(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			pipe := newPipeline(NewCloudView(), cloud.NewMemStore(), sealer.NewPlain(), params)
+			pipe := newPipeline(NewCloudView(), plainIO(cloud.NewMemStore(), params), params)
 			pipe.start(0)
 			defer pipe.drainAndStop(10 * time.Second)
 			payload := make([]byte, 256)

@@ -2,16 +2,13 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"github.com/ginja-dr/ginja/internal/cloud"
 	"github.com/ginja-dr/ginja/internal/dbevent"
-	"github.com/ginja-dr/ginja/internal/sealer"
 	"github.com/ginja-dr/ginja/internal/simclock"
 	"github.com/ginja-dr/ginja/internal/vfs"
 )
@@ -81,8 +78,7 @@ type checkpointer struct {
 	localFS vfs.FS
 	proc    dbevent.Processor
 	view    *CloudView
-	store   cloud.ObjectStore
-	seal    *sealer.Sealer
+	io      *cloudIO
 	params  Params
 	clk     simclock.Clock
 
@@ -139,10 +135,8 @@ type checkpointer struct {
 	chainLen    int
 	chainBytes  int64
 
-	stats       checkpointStats
-	metrics     *checkpointMetrics
-	putInflight *inflight
-	delInflight *inflight
+	stats   checkpointStats
+	metrics *checkpointMetrics
 
 	// The settle hook: enqueuedN counts objects handed to the upload queue,
 	// processedN counts upload() calls that finished — including their GC
@@ -155,67 +149,67 @@ type checkpointer struct {
 	processedN int64
 	settleCh   chan struct{}
 
-	// The point-in-time retention window (Params.RetainFor): superseded
-	// objects are stamped here instead of deleted, first stamp wins (a
-	// re-marked victim must not have its window restarted), and the trimmer
-	// deletes them once the window expires or the RetainObjects cap evicts
-	// the oldest-superseded early.
+	// retired holds the superseded objects a retention window
+	// (Params.RetainFor) keeps alive, by names[0]: see retire and
+	// trimRetention. trimMu serializes trims.
 	retMu      sync.Mutex
-	walRetired map[int64]retiredObject
-	dbRetired  map[dbKey]retiredObject
+	retired    map[string]gcVictim
+	retiredSeq int
 	trimMu     sync.Mutex
 
 	// Trimmer tick state: the periodic retention trim is driven by a
-	// clock AfterFunc (one entry on the shared tick wheel in fleet mode,
+	// clock func timer (one entry on the shared tick wheel in fleet mode,
 	// a runtime timer otherwise) instead of a dedicated sleeper goroutine,
 	// so N instances cost N heap entries, not N goroutines. The timer
 	// callback only spawns the transient trim goroutine — cloud I/O never
 	// runs on the timer goroutine itself.
-	trimTickMu  sync.Mutex
-	trimTimer   simclock.Timer
-	trimStopped bool
-	trimWG      sync.WaitGroup
+	trimTickMu   sync.Mutex
+	trimTimer    simclock.Timer // nil unless Params.RetainFor > 0
+	trimInterval time.Duration
+	trimWG       sync.WaitGroup
 
 	errMu sync.Mutex
 	err   error
 }
 
-// retiredObject is one superseded-but-retained cloud object: the stamp is
-// when supersession happened, which starts its RetainFor window.
-type retiredObject struct {
-	wal WALObjectInfo
-	db  DBObjectInfo
+// gcVictim is one superseded cloud object: a WAL object, or a DB object
+// with all its parts.
+type gcVictim struct {
+	names []string      // cloud keys; names[0] identifies the object
+	walTs int64         // the WAL object's timestamp (db == nil)
+	db    *DBObjectInfo // nil for a WAL object
+	// at is the supersession stamp that starts the RetainFor window; seq
+	// numbers retired objects in stamping order, which within one sweep is
+	// WAL before the DB objects, oldest first.
 	at  time.Time
+	seq int
 }
 
 func newCheckpointer(localFS vfs.FS, proc dbevent.Processor, view *CloudView,
-	store cloud.ObjectStore, seal *sealer.Sealer, params Params, tracker *streamTracker) *checkpointer {
-	ctx, cancel := context.WithCancel(context.Background())
+	io *cloudIO, params Params, tracker *streamTracker) *checkpointer {
+	// Everything the CheckpointThread issues — DB-object parts, GC and
+	// retention-trim DELETEs — is Bulk: tagged once, here.
+	ctx, cancel := context.WithCancel(withClass(context.Background(), classBulk))
 	c := &checkpointer{
-		localFS:     localFS,
-		proc:        proc,
-		view:        view,
-		store:       store,
-		seal:        seal,
-		params:      params,
-		clk:         params.clock(),
-		metrics:     newCheckpointMetrics(params.Metrics),
-		putInflight: newInflight(params.Metrics, "put", "checkpoint"),
-		delInflight: newInflight(params.Metrics, "delete", "gc"),
-		genAlloc:    make(map[int64]int),
-		walRetired:  make(map[int64]retiredObject),
-		dbRetired:   make(map[dbKey]retiredObject),
-		gateHolds:   make(map[*gateHold]struct{}),
-		queue:       make(chan dbObject, 4),
-		ctx:         ctx,
-		cancel:      cancel,
-		done:        make(chan struct{}),
+		localFS:   localFS,
+		proc:      proc,
+		view:      view,
+		io:        io,
+		params:    params,
+		clk:       params.clock(),
+		metrics:   newCheckpointMetrics(params.Metrics),
+		genAlloc:  make(map[int64]int),
+		retired:   make(map[string]gcVictim),
+		gateHolds: make(map[*gateHold]struct{}),
+		queue:     make(chan dbObject, 4),
+		ctx:       ctx,
+		cancel:    cancel,
+		done:      make(chan struct{}),
 	}
 	if params.DeltaCheckpoints {
 		c.dirty = newDirtyMap()
 	}
-	c.uploader = newPartUploader(localFS, seal, params, tracker, c.putWithRetry)
-	c.uploader.putInflight = c.putInflight
+	c.uploader = newPartUploader(localFS, io, tracker)
 	if c.metrics != nil {
 		c.uploader.sealHist = c.metrics.sealPart
 		c.uploader.putHist = c.metrics.partPut
@@ -318,56 +312,56 @@ func (c *checkpointer) start() {
 	if c.params.RetainFor > 0 {
 		// Background trimmer: enforce the retention window even when no
 		// dump happens to run GC — a quiet database must still converge to
-		// its bounded chain. Driven by AfterFunc ticks rather than a
-		// dedicated sleeper goroutine (see the trimTick fields).
-		interval := c.params.RetainFor / 4
-		if interval <= 0 {
-			interval = time.Second
+		// its bounded chain.
+		c.trimInterval = c.params.RetainFor / 4
+		if c.trimInterval <= 0 {
+			c.trimInterval = time.Second
 		}
-		c.armTrimTick(interval)
+		c.trimTimer = c.clk.NewFuncTimer(c.onTrimTick)
+		c.armTrimTick()
 	}
 }
 
-// armTrimTick schedules the next retention trim, unless the trimmer has
-// been stopped. The AfterFunc callback must stay brief (it may run on a
-// shared tick wheel), so the trim itself — cloud deletes with retries —
-// runs on a transient goroutine tracked by trimWG.
-func (c *checkpointer) armTrimTick(interval time.Duration) {
+// armTrimTick schedules the next retention trim, unless the checkpointer
+// has been stopped (stop and fail both cancel ctx).
+func (c *checkpointer) armTrimTick() {
 	c.trimTickMu.Lock()
 	defer c.trimTickMu.Unlock()
-	if c.trimStopped || c.ctx.Err() != nil {
-		return
+	if c.ctx.Err() == nil {
+		c.trimTimer.Reset(c.trimInterval)
 	}
-	c.trimTimer = c.clk.AfterFunc(interval, func() {
-		c.trimTickMu.Lock()
-		if c.trimStopped || c.ctx.Err() != nil {
-			c.trimTickMu.Unlock()
-			return
-		}
-		c.trimWG.Add(1)
-		c.trimTickMu.Unlock()
-		go func() {
-			defer c.trimWG.Done()
-			if err := c.trimRetention(); err != nil {
-				// stop() cancelling the context mid-trim is a clean
-				// shutdown, not a checkpointer failure (mirrors the
-				// follower's loop).
-				if c.ctx.Err() == nil {
-					c.fail(err)
-				}
-				return
-			}
-			c.armTrimTick(interval)
-		}()
-	})
 }
 
-// stopTrimTick halts the trim cycle: no further ticks are armed, the
-// pending timer is cancelled, and any in-flight trim is waited out (its
-// context is already cancelled by stop, so it returns promptly).
+// onTrimTick is the timer callback. It must stay brief (it may run on a
+// shared tick wheel), so the trim itself — cloud deletes with retries —
+// runs on a transient goroutine tracked by trimWG.
+func (c *checkpointer) onTrimTick() {
+	c.trimTickMu.Lock()
+	defer c.trimTickMu.Unlock()
+	if c.ctx.Err() != nil {
+		return
+	}
+	c.trimWG.Add(1)
+	go func() {
+		defer c.trimWG.Done()
+		if err := c.trimRetention(nil); err != nil {
+			// stop() cancelling the context mid-trim is a clean
+			// shutdown, not a checkpointer failure (mirrors the
+			// follower's loop).
+			if c.ctx.Err() == nil {
+				c.fail(err)
+			}
+			return
+		}
+		c.armTrimTick()
+	}()
+}
+
+// stopTrimTick runs after ctx is cancelled: the pending timer is disarmed
+// and any in-flight trim is waited out (it returns promptly). trimTickMu
+// orders this against a tick that is just starting a trim.
 func (c *checkpointer) stopTrimTick() {
 	c.trimTickMu.Lock()
-	c.trimStopped = true
 	if c.trimTimer != nil {
 		c.trimTimer.Stop()
 	}
@@ -614,8 +608,7 @@ func (c *checkpointer) localDBSize() (int64, error) {
 // The view learns about the object only after every part is durable, so a
 // failure mid-upload leaves at most orphan parts in the bucket; after a
 // restart, LoadFromList records them as orphans (never surfacing them to
-// recovery) and the next dump's GC deletes them (collectOldDBObjects
-// sweeps view.OrphanParts).
+// recovery) and the next dump's GC sweep deletes them.
 func (c *checkpointer) upload(obj dbObject) error {
 	defer c.noteProcessed() // runs last: GC and retention trimming included
 	defer c.bufBytes.Add(-obj.bufBytes)
@@ -633,14 +626,11 @@ func (c *checkpointer) upload(obj dbObject) error {
 	}
 	ident := DBObjectInfo{Ts: obj.ts, Gen: obj.gen, Type: obj.typ,
 		BaseTs: obj.baseTs, BaseGen: obj.baseGen}
-	sizes, err := c.uploader.upload(c.ctx, ident, parts, release)
+	info, err := c.uploader.upload(c.ctx, ident, parts, release)
 	if err != nil {
 		return err
 	}
-	var size int64
-	for _, s := range sizes {
-		size += s
-	}
+	size := info.Size
 	// Durable-data counters move only once the whole object landed: a
 	// sibling part failure abandons the object, and parts that did make it
 	// are orphans, not durable data.
@@ -649,11 +639,6 @@ func (c *checkpointer) upload(obj dbObject) error {
 	if c.metrics != nil {
 		c.metrics.dbObjects.Add(float64(len(parts)))
 		c.metrics.dbBytes.Add(float64(size))
-	}
-	info := ident
-	info.Size = size
-	if len(parts) > 1 {
-		info.PartSizes = sizes
 	}
 	if err := c.view.AddDB(info); err != nil {
 		return err
@@ -695,375 +680,178 @@ func (c *checkpointer) upload(obj dbObject) error {
 		"type", string(obj.typ), "ts", obj.ts, "gen", obj.gen,
 		"bytes", size, "parts", len(parts))
 
-	// Garbage collection (lines 23-29). Deletes go through the same
-	// bounded pool: each success is recorded in the view individually, so
-	// a failure mid-GC leaves the view accurate about what still exists.
-	var victims []WALObjectInfo
+	// Garbage collection (lines 23-29): the WAL objects this DB object
+	// covers; for a dump, the DB objects older than the oldest dump that
+	// must survive plus any orphan parts; for a delta, the checkpoints it
+	// recaptured. All of them are retired, then trimmed: without a
+	// retention window that deletes them at once; with one, the inline trim
+	// keeps the RetainObjects cap between trimmer ticks and an expired
+	// window does not wait for one.
+	var victims []gcVictim
 	for _, w := range c.view.WALObjects() {
 		if w.Ts <= obj.ts {
-			victims = append(victims, w)
+			victims = append(victims, gcVictim{names: []string{w.Name()}, walTs: w.Ts})
 		}
 	}
-	if c.params.RetainFor > 0 {
-		// Point-in-time retention: stamp the supersession instead of
-		// deleting. The WAL stays in the cloud (and in the view, so
-		// RecoverAt can replay it) until the window expires.
-		now := c.clk.Now()
-		c.retMu.Lock()
-		marked := 0
-		for _, w := range victims {
-			if _, ok := c.walRetired[w.Ts]; !ok {
-				c.walRetired[w.Ts] = retiredObject{wal: w, at: now}
-				marked++
+	for _, d := range c.supersededBy(obj) {
+		d := d
+		victims = append(victims, gcVictim{names: d.PartNames(), db: &d})
+	}
+	c.retire(victims)
+	var orphans []OrphanPart
+	if obj.typ == Dump {
+		orphans = c.view.OrphanParts()
+	}
+	return c.trimRetention(orphans)
+}
+
+// supersededBy selects the DB objects a freshly durable obj makes
+// redundant. A dump supersedes everything older than the oldest dump that
+// must survive: the newest dump plus PITRGenerations older ones (each with
+// its incremental checkpoints) stay as recovery points (§5.4). A delta
+// supersedes every Checkpoint strictly between its base and itself: it
+// recaptured every range they dirtied (the dirty map is fed from the same
+// collected writes), and removing them is what keeps the chain
+// self-describing for LoadFromList, which never needs intervening
+// checkpoints to materialize a chain.
+func (c *checkpointer) supersededBy(obj dbObject) []DBObjectInfo {
+	objs := c.view.DBObjects() // sorted by (Ts, Gen)
+	var victims []DBObjectInfo
+	switch obj.typ {
+	case Dump:
+		// The cutoff is the oldest of the 1+PITRGenerations newest dumps
+		// (or the oldest dump there is).
+		var cutoff DBObjectInfo
+		for i, keep := len(objs)-1, 1+c.params.PITRGenerations; i >= 0 && keep > 0; i-- {
+			if objs[i].Type == Dump {
+				cutoff = objs[i]
+				keep--
 			}
 		}
-		c.retMu.Unlock()
-		if marked > 0 {
-			c.params.logger().Debug("retained superseded WAL objects",
-				"count", marked, "up_to_ts", obj.ts, "window", c.params.RetainFor)
-		}
-	} else {
-		err = runLimited(c.ctx, c.params.CheckpointUploaders, len(victims), func(ctx context.Context, i int) error {
-			w := victims[i]
-			c.delInflight.enter()
-			err := c.deleteObject(ctx, w.Name())
-			c.delInflight.exit()
-			if err != nil {
-				return err
+		for _, d := range objs {
+			if d.Before(cutoff) {
+				victims = append(victims, d)
 			}
-			c.view.DeleteWAL(w.Ts)
+		}
+	case Delta:
+		base := DBObjectInfo{Ts: obj.baseTs, Gen: obj.baseGen}
+		self := DBObjectInfo{Ts: obj.ts, Gen: obj.gen}
+		for _, d := range objs {
+			if d.Type == Checkpoint && base.Before(d) && d.Before(self) {
+				victims = append(victims, d)
+			}
+		}
+	}
+	return victims
+}
+
+// retire stamps superseded objects with the start of their retention
+// window (Params.RetainFor, possibly zero) — first stamp wins, a re-marked
+// victim must not have its window restarted. Until trimRetention deletes
+// it a retired object stays in the cloud and in the view, so RecoverAt can
+// still reach it; a retired DB object leaves the 150 %-rule size
+// accounting at once.
+func (c *checkpointer) retire(victims []gcVictim) {
+	now := c.clk.Now()
+	c.retMu.Lock()
+	defer c.retMu.Unlock()
+	for _, v := range victims {
+		if _, ok := c.retired[v.names[0]]; !ok {
+			c.retiredSeq++
+			v.at, v.seq = now, c.retiredSeq
+			c.retired[v.names[0]] = v
+		}
+		if v.db != nil {
+			c.view.MarkDBRetired(v.db.Ts, v.db.Gen)
+		}
+	}
+}
+
+// sweep deletes victims and orphan parts through the seam's one bounded
+// DELETE pool. Every name — a DB victim's parts included — goes into one
+// flat work list so the pool stays saturated across object boundaries.
+// Each success is recorded as it happens, and a victim leaves the view
+// only once its last part is gone, so an interrupted sweep leaves the view
+// conservative (object still listed, the next sweep retries). Orphan parts
+// — leftovers of uploads a previous incarnation never finished, recorded
+// at LoadFromList time — ride the same list; they were never in the view,
+// so success just drops the orphan record.
+func (c *checkpointer) sweep(victims []gcVictim, orphans []OrphanPart) error {
+	var names []string
+	var owner []int // index into victims; -1 = orphan part
+	remaining := make([]atomic.Int64, len(victims))
+	for vi, v := range victims {
+		remaining[vi].Store(int64(len(v.names)))
+		for _, name := range v.names {
+			names = append(names, name)
+			owner = append(owner, vi)
+		}
+	}
+	for _, o := range orphans {
+		names = append(names, o.Name)
+		owner = append(owner, -1)
+	}
+	err := c.io.deleteAll(c.ctx, names, func(i int) {
+		vi := owner[i]
+		if vi < 0 {
+			c.view.DropOrphan(names[i])
+			return
+		}
+		if remaining[vi].Add(-1) > 0 {
+			return
+		}
+		v := victims[vi]
+		if v.db == nil {
+			c.view.DeleteWAL(v.walTs)
 			c.stats.walDeleted.Add(1)
 			if c.metrics != nil {
 				c.metrics.walDeleted.Inc()
 			}
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-		if len(victims) > 0 {
-			c.params.logger().Debug("garbage-collected WAL objects",
-				"count", len(victims), "up_to_ts", obj.ts)
-		}
-	}
-	if obj.typ == Dump {
-		if err := c.collectOldDBObjects(); err != nil {
-			return err
-		}
-	}
-	if obj.typ == Delta {
-		if err := c.collectSupersededCheckpoints(obj); err != nil {
-			return err
-		}
-	}
-	if c.params.RetainFor > 0 {
-		// Trim inline too: the cap (RetainObjects) must hold even between
-		// trimmer ticks, and an expired window should not wait for one.
-		if err := c.trimRetention(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// collectOldDBObjects deletes DB objects superseded by the newest dump,
-// plus any orphan parts recorded at LoadFromList time (leftovers of
-// uploads a previous incarnation never finished). With
-// PITRGenerations = N, the N most recent dump generations (each dump and
-// its incremental checkpoints) are retained as recovery points (§5.4,
-// point-in-time recovery).
-func (c *checkpointer) collectOldDBObjects() error {
-	objs := c.view.DBObjects() // sorted by (Ts, Gen)
-	var dumps []DBObjectInfo
-	for _, d := range objs {
-		if d.Type == Dump {
-			dumps = append(dumps, d)
-		}
-	}
-	// Flatten every victim's part names into one work list so the pool
-	// stays saturated across object boundaries; a victim leaves the view
-	// only once its last part is gone, so an interrupted GC leaves the
-	// view conservative (object still listed, next dump retries).
-	type dbVictim struct {
-		d         DBObjectInfo
-		remaining atomic.Int64
-	}
-	var (
-		names  []string
-		owners []*dbVictim // nil entry = orphan part, not a view object
-	)
-	if len(dumps) > 0 {
-		// The cutoff is the oldest dump that must survive: keep the newest
-		// dump plus PITRGenerations older ones.
-		keep := 1 + c.params.PITRGenerations
-		if keep > len(dumps) {
-			keep = len(dumps)
-		}
-		cutoff := dumps[len(dumps)-keep]
-		for _, d := range objs {
-			if !d.Before(cutoff) {
-				continue
-			}
-			if c.params.RetainFor > 0 {
-				// Retention window: retire instead of delete. The object
-				// stays listed for RecoverAt but leaves the 150 %-rule size
-				// accounting; the trimmer deletes it when the window closes.
-				now := c.clk.Now()
-				c.retMu.Lock()
-				k := dbKey{ts: d.Ts, gen: d.Gen}
-				if _, ok := c.dbRetired[k]; !ok {
-					c.dbRetired[k] = retiredObject{db: d, at: now}
-				}
-				c.retMu.Unlock()
-				c.view.MarkDBRetired(d.Ts, d.Gen)
-				continue
-			}
-			v := &dbVictim{d: d}
-			pn := d.PartNames()
-			v.remaining.Store(int64(len(pn)))
-			for _, name := range pn {
-				names = append(names, name)
-				owners = append(owners, v)
-			}
-		}
-	}
-	// Orphan parts ride the same delete pool. They were never in the view,
-	// so success just drops the orphan record — an interrupted sweep
-	// retries the remainder on the next dump.
-	orphans := c.view.OrphanParts()
-	for _, o := range orphans {
-		names = append(names, o.Name)
-		owners = append(owners, nil)
-	}
-	err := runLimited(c.ctx, c.params.CheckpointUploaders, len(names), func(ctx context.Context, i int) error {
-		c.delInflight.enter()
-		err := c.deleteObject(ctx, names[i])
-		c.delInflight.exit()
-		if err != nil {
-			return err
-		}
-		v := owners[i]
-		if v == nil {
-			c.view.DropOrphan(names[i])
-			return nil
-		}
-		if v.remaining.Add(-1) == 0 {
-			c.view.DeleteDB(v.d.Ts, v.d.Gen)
+		} else {
+			c.view.DeleteDB(v.db.Ts, v.db.Gen)
 			c.stats.dbDeleted.Add(1)
 			if c.metrics != nil {
 				c.metrics.dbDeleted.Inc()
 			}
 		}
-		return nil
+		c.retMu.Lock()
+		delete(c.retired, v.names[0])
+		c.retMu.Unlock()
 	})
-	if err == nil && len(orphans) > 0 {
-		c.params.logger().Info("garbage-collected orphan DB parts",
-			"count", len(orphans))
+	if err == nil && len(names) > 0 {
+		c.params.logger().Debug("garbage-collected WAL objects and DB parts",
+			"objects", len(victims), "orphan_parts", len(orphans))
 	}
 	return err
-}
-
-// collectSupersededCheckpoints deletes (or retires, under a retention
-// window) the incremental Checkpoint objects a freshly durable delta
-// supersedes: every Checkpoint strictly between the delta's base and the
-// delta itself. The delta recaptured every range those checkpoints
-// dirtied (the dirty map is fed from the same collected writes), so they
-// add nothing to recovery once the delta is durable — and removing them
-// is what keeps the chain self-describing for LoadFromList, which never
-// needs intervening checkpoints to materialize a chain.
-func (c *checkpointer) collectSupersededCheckpoints(obj dbObject) error {
-	base := DBObjectInfo{Ts: obj.baseTs, Gen: obj.baseGen}
-	self := DBObjectInfo{Ts: obj.ts, Gen: obj.gen}
-	type dbVictim struct {
-		d         DBObjectInfo
-		remaining atomic.Int64
-	}
-	var (
-		names  []string
-		owners []*dbVictim
-	)
-	for _, d := range c.view.DBObjects() {
-		if d.Type != Checkpoint || !base.Before(d) || !d.Before(self) {
-			continue
-		}
-		if c.params.RetainFor > 0 {
-			now := c.clk.Now()
-			c.retMu.Lock()
-			k := dbKey{ts: d.Ts, gen: d.Gen}
-			if _, ok := c.dbRetired[k]; !ok {
-				c.dbRetired[k] = retiredObject{db: d, at: now}
-			}
-			c.retMu.Unlock()
-			c.view.MarkDBRetired(d.Ts, d.Gen)
-			continue
-		}
-		v := &dbVictim{d: d}
-		pn := d.PartNames()
-		v.remaining.Store(int64(len(pn)))
-		for _, name := range pn {
-			names = append(names, name)
-			owners = append(owners, v)
-		}
-	}
-	err := runLimited(c.ctx, c.params.CheckpointUploaders, len(names), func(ctx context.Context, i int) error {
-		c.delInflight.enter()
-		err := c.deleteObject(ctx, names[i])
-		c.delInflight.exit()
-		if err != nil {
-			return err
-		}
-		v := owners[i]
-		if v.remaining.Add(-1) == 0 {
-			c.view.DeleteDB(v.d.Ts, v.d.Gen)
-			c.stats.dbDeleted.Add(1)
-			if c.metrics != nil {
-				c.metrics.dbDeleted.Inc()
-			}
-		}
-		return nil
-	})
-	if err == nil && len(owners) > 0 {
-		c.params.logger().Debug("garbage-collected superseded checkpoints",
-			"delta_ts", obj.ts, "delta_gen", obj.gen)
-	}
-	return err
-}
-
-func (c *checkpointer) deleteObject(ctx context.Context, name string) error {
-	delay := c.params.RetryBaseDelay
-	for attempt := 0; ; attempt++ {
-		err := c.store.Delete(ctx, name)
-		if err == nil || errors.Is(err, cloud.ErrNotFound) {
-			return nil
-		}
-		if ctx.Err() != nil {
-			return fmt.Errorf("core: delete %s: %w", name, err)
-		}
-		if c.params.UploadRetries > 0 && attempt+1 >= c.params.UploadRetries {
-			return fmt.Errorf("core: delete %s: %w", name, err)
-		}
-		if simclock.SleepCtx(ctx, c.clk, delay) != nil {
-			return fmt.Errorf("core: delete %s: %w", name, err)
-		}
-		if delay < maxRetryDelay {
-			delay *= 2
-		}
-	}
-}
-
-func (c *checkpointer) putWithRetry(ctx context.Context, name string, data []byte) error {
-	delay := c.params.RetryBaseDelay
-	for attempt := 0; ; attempt++ {
-		err := c.store.Put(ctx, name, data)
-		if err == nil {
-			return nil
-		}
-		if ctx.Err() != nil {
-			return err
-		}
-		if c.params.UploadRetries > 0 && attempt+1 >= c.params.UploadRetries {
-			return err
-		}
-		if simclock.SleepCtx(ctx, c.clk, delay) != nil {
-			return err
-		}
-		if delay < maxRetryDelay {
-			delay *= 2
-		}
-	}
 }
 
 // trimRetention deletes retired objects whose RetainFor window has
 // closed, plus — BtrLog-style bounded chain length — the oldest-superseded
 // entries beyond the RetainObjects cap, even if their window is still
-// open. Runs from the background trimmer and inline after each upload's
-// GC; trimMu keeps the two from racing each other.
-func (c *checkpointer) trimRetention() error {
+// open, plus the given orphan parts. Runs from the background trimmer and
+// inline after each upload; trimMu keeps the two from racing each other.
+func (c *checkpointer) trimRetention(orphans []OrphanPart) error {
 	c.trimMu.Lock()
 	defer c.trimMu.Unlock()
 	now := c.clk.Now()
-
-	type victim struct {
-		at    time.Time
-		isWAL bool
-		wal   WALObjectInfo
-		db    DBObjectInfo
-	}
 	c.retMu.Lock()
-	all := make([]victim, 0, len(c.walRetired)+len(c.dbRetired))
-	for _, r := range c.walRetired {
-		all = append(all, victim{at: r.at, isWAL: true, wal: r.wal})
-	}
-	for _, r := range c.dbRetired {
-		all = append(all, victim{at: r.at, db: r.db})
+	all := make([]gcVictim, 0, len(c.retired))
+	for _, v := range c.retired {
+		all = append(all, v)
 	}
 	c.retMu.Unlock()
-	sort.Slice(all, func(i, j int) bool {
-		if !all[i].at.Equal(all[j].at) {
-			return all[i].at.Before(all[j].at)
-		}
-		// Same stamp (one GC sweep): trim WAL before the checkpoint that
-		// superseded it, and older timestamps first, for determinism.
-		if all[i].isWAL != all[j].isWAL {
-			return all[i].isWAL
-		}
-		if all[i].isWAL {
-			return all[i].wal.Ts < all[j].wal.Ts
-		}
-		return all[i].db.Before(all[j].db)
-	})
+	sort.Slice(all, func(i, j int) bool { return all[i].seq < all[j].seq })
 	overflow := len(all) - c.params.RetainObjects
-	var victims []victim
+	var victims []gcVictim
 	for i, v := range all {
 		if i < overflow || !now.Before(v.at.Add(c.params.RetainFor)) {
 			victims = append(victims, v)
 		}
 	}
-	if len(victims) == 0 {
+	if len(victims)+len(orphans) == 0 {
 		return nil
 	}
-	err := runLimited(c.ctx, c.params.CheckpointUploaders, len(victims), func(ctx context.Context, i int) error {
-		v := victims[i]
-		if v.isWAL {
-			c.delInflight.enter()
-			err := c.deleteObject(ctx, v.wal.Name())
-			c.delInflight.exit()
-			if err != nil {
-				return err
-			}
-			c.view.DeleteWAL(v.wal.Ts)
-			c.stats.walDeleted.Add(1)
-			if c.metrics != nil {
-				c.metrics.walDeleted.Inc()
-			}
-			c.retMu.Lock()
-			delete(c.walRetired, v.wal.Ts)
-			c.retMu.Unlock()
-			return nil
-		}
-		for _, name := range v.db.PartNames() {
-			c.delInflight.enter()
-			err := c.deleteObject(ctx, name)
-			c.delInflight.exit()
-			if err != nil {
-				return err
-			}
-		}
-		c.view.DeleteDB(v.db.Ts, v.db.Gen)
-		c.stats.dbDeleted.Add(1)
-		if c.metrics != nil {
-			c.metrics.dbDeleted.Inc()
-		}
-		c.retMu.Lock()
-		delete(c.dbRetired, dbKey{ts: v.db.Ts, gen: v.db.Gen})
-		c.retMu.Unlock()
-		return nil
-	})
-	if err == nil {
-		c.params.logger().Debug("trimmed retention window",
-			"deleted", len(victims), "retained", len(all)-len(victims))
-	}
-	return err
+	return c.sweep(victims, orphans)
 }
 
 func (c *checkpointer) noteEnqueued() {

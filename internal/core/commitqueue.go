@@ -95,10 +95,8 @@ func newCommitQueue(p Params) *commitQueue {
 	// Both timers are armed lazily — TB only while unsent items are
 	// pending, TS only while any item is unacknowledged — so an idle queue
 	// schedules no timers at all.
-	q.tbTimer = q.clk.AfterFunc(q.batchTimeout, q.onTB)
-	q.tbTimer.Stop()
-	q.tsTimer = q.clk.AfterFunc(q.safetyTimeout, q.onTS)
-	q.tsTimer.Stop()
+	q.tbTimer = q.clk.NewFuncTimer(q.onTB)
+	q.tsTimer = q.clk.NewFuncTimer(q.onTS)
 	return q
 }
 
@@ -336,12 +334,13 @@ func (q *commitQueue) drain(timeout time.Duration) bool {
 		return true
 	}
 	timedOut := false
-	t := q.clk.AfterFunc(timeout, func() {
+	t := q.clk.NewFuncTimer(func() {
 		q.mu.Lock()
 		timedOut = true
 		q.emptied.Broadcast()
 		q.mu.Unlock()
 	})
+	t.Reset(timeout)
 	defer t.Stop()
 	for q.liveLocked() > 0 && !timedOut && !q.closed {
 		q.emptied.Wait()

@@ -200,9 +200,7 @@ func (f *Fleet) Admit(id string, localFS vfs.FS, proc dbevent.Processor, params 
 		inner:         f.fp.Store,
 		sched:         f.sched,
 		tenant:        id,
-		prefix:        params.Prefix + "/",
 		safetyTimeout: params.SafetyTimeout,
-		clk:           f.clk,
 	}
 	if ss.safetyTimeout == 0 {
 		ss.safetyTimeout = DefaultSafetyTimeout

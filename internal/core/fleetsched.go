@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -11,31 +10,6 @@ import (
 	"github.com/ginja-dr/ginja/internal/obs"
 	"github.com/ginja-dr/ginja/internal/simclock"
 )
-
-// opClass classifies a cloud operation for the fleet's shared-pool
-// scheduler. The class decides which pool the operation draws from and
-// how it is ordered against other tenants' traffic.
-type opClass int
-
-const (
-	// classSafety is a commit-path WAL PUT: the operation a database is
-	// (or soon will be) blocked on via the Safety contract. Dispatched
-	// earliest-deadline-first from the upload pool, exempt from the
-	// per-tenant cap, and counted as a starvation event if it out-waits
-	// its TS deadline in the queue.
-	classSafety opClass = iota
-	// classBulk is checkpoint-path traffic — DB-object PUTs and GC
-	// DELETEs. It is what a dumping or compacting antagonist tenant
-	// floods the pool with, so it is capped per tenant and yields to
-	// Safety traffic (with aging, so it always progresses).
-	classBulk
-	// classFetch is read traffic — GETs and LISTs from recovery, Verify
-	// and followers. Drawn from the separate fetch pool so a recovery
-	// storm cannot consume upload slots, capped per tenant.
-	classFetch
-)
-
-var opClassNames = [3]string{"safety", "bulk", "fetch"}
 
 // fleetScheduler arbitrates two bounded pools of concurrent cloud
 // operations — uploads (PUT/DELETE) and fetches (GET/LIST) — across the
@@ -318,63 +292,50 @@ func (s *fleetScheduler) grantLocked(w *schedWaiter) {
 }
 
 // schedStore routes one tenant's cloud operations through the fleet
-// scheduler. It wraps the SHARED store (core.New layers the tenant's
-// PrefixStore on top), so the names it sees are fully prefixed; the
-// class is derived from the logical name under the tenant's prefix.
+// scheduler; the slot is taken here, at the store layer, under whatever
+// fan-out the tenant's own worker pools produce. The class is the one the
+// caller tagged the context with (cloudIO always does). An untagged
+// operation — a tool using the fleet's store directly — is Bulk when it
+// writes and Fetch when it reads: never an error, never Safety.
 type schedStore struct {
 	inner         cloud.ObjectStore
 	sched         *fleetScheduler
 	tenant        string
-	prefix        string // the tenant's "/"-terminated prefix ("" = none)
 	safetyTimeout time.Duration
-	clk           simclock.Clock
 }
 
 var _ cloud.ObjectStore = (*schedStore)(nil)
 
-func (s *schedStore) putClass(name string) (opClass, time.Time) {
-	logical := strings.TrimPrefix(name, s.prefix)
-	if strings.HasPrefix(logical, walPrefix) {
+// do runs op holding a slot of ctx's class, or of def for an untagged ctx.
+func (s *schedStore) do(ctx context.Context, def opClass, op func() error) error {
+	class := classOf(ctx, def)
+	var deadline time.Time
+	if class == classSafety {
 		// The deadline is the Safety contract: if this PUT has not even
 		// DISPATCHED within TS, commits on this tenant are blocking.
-		return classSafety, s.clk.Now().Add(s.safetyTimeout)
+		deadline = s.sched.clk.Now().Add(s.safetyTimeout)
 	}
-	return classBulk, time.Time{}
-}
-
-// Put implements cloud.ObjectStore.
-func (s *schedStore) Put(ctx context.Context, name string, data []byte) error {
-	class, deadline := s.putClass(name)
 	if err := s.sched.acquire(ctx, s.tenant, class, deadline); err != nil {
 		return err
 	}
 	defer s.sched.release(s.tenant, class)
-	return s.inner.Put(ctx, name, data)
+	return op()
 }
 
-// Get implements cloud.ObjectStore.
-func (s *schedStore) Get(ctx context.Context, name string) ([]byte, error) {
-	if err := s.sched.acquire(ctx, s.tenant, classFetch, time.Time{}); err != nil {
-		return nil, err
-	}
-	defer s.sched.release(s.tenant, classFetch)
-	return s.inner.Get(ctx, name)
+func (s *schedStore) Put(ctx context.Context, name string, data []byte) error {
+	return s.do(ctx, classBulk, func() error { return s.inner.Put(ctx, name, data) })
 }
 
-// List implements cloud.ObjectStore.
-func (s *schedStore) List(ctx context.Context, prefix string) ([]cloud.ObjectInfo, error) {
-	if err := s.sched.acquire(ctx, s.tenant, classFetch, time.Time{}); err != nil {
-		return nil, err
-	}
-	defer s.sched.release(s.tenant, classFetch)
-	return s.inner.List(ctx, prefix)
+func (s *schedStore) Get(ctx context.Context, name string) (data []byte, err error) {
+	err = s.do(ctx, classFetch, func() error { data, err = s.inner.Get(ctx, name); return err })
+	return data, err
 }
 
-// Delete implements cloud.ObjectStore.
+func (s *schedStore) List(ctx context.Context, prefix string) (infos []cloud.ObjectInfo, err error) {
+	err = s.do(ctx, classFetch, func() error { infos, err = s.inner.List(ctx, prefix); return err })
+	return infos, err
+}
+
 func (s *schedStore) Delete(ctx context.Context, name string) error {
-	if err := s.sched.acquire(ctx, s.tenant, classBulk, time.Time{}); err != nil {
-		return err
-	}
-	defer s.sched.release(s.tenant, classBulk)
-	return s.inner.Delete(ctx, name)
+	return s.do(ctx, classBulk, func() error { return s.inner.Delete(ctx, name) })
 }

@@ -202,19 +202,3 @@ func TestFleetSchedulerFetchPoolIndependent(t *testing.T) {
 		t.Fatalf("queued fetch: %v", err)
 	}
 }
-
-func TestSchedStoreClassification(t *testing.T) {
-	s := &schedStore{
-		prefix:        "tenants/a/",
-		safetyTimeout: time.Minute,
-		clk:           simclock.Real(),
-	}
-	class, deadline := s.putClass("tenants/a/WAL/12_wal_0")
-	if class != classSafety || deadline.IsZero() {
-		t.Fatalf("WAL put classified as %v (deadline zero=%v), want safety with deadline", class, deadline.IsZero())
-	}
-	class, deadline = s.putClass("tenants/a/DB/12_d_4096")
-	if class != classBulk || !deadline.IsZero() {
-		t.Fatalf("DB put classified as %v, want bulk with zero deadline", class)
-	}
-}

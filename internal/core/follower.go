@@ -12,7 +12,6 @@ import (
 	"github.com/ginja-dr/ginja/internal/cloud"
 	"github.com/ginja-dr/ginja/internal/dbevent"
 	"github.com/ginja-dr/ginja/internal/obs"
-	"github.com/ginja-dr/ginja/internal/sealer"
 	"github.com/ginja-dr/ginja/internal/simclock"
 	"github.com/ginja-dr/ginja/internal/vfs"
 )
@@ -37,10 +36,9 @@ import (
 // files) or Close.
 type Follower struct {
 	localFS vfs.FS
-	store   cloud.ObjectStore
+	io      *cloudIO
 	proc    dbevent.Processor
 	params  Params
-	seal    *sealer.Sealer
 	clk     simclock.Clock
 
 	ctx      context.Context
@@ -73,8 +71,6 @@ type Follower struct {
 	appliedWAL atomic.Int64
 	appliedDB  atomic.Int64
 	watermark  atomic.Int64 // appliedTs mirror for the lock-free gauge
-
-	recFetch *obs.Histogram
 
 	errMu sync.Mutex
 	err   error
@@ -116,24 +112,20 @@ func NewFollower(localFS vfs.FS, store cloud.ObjectStore, proc dbevent.Processor
 	if err != nil {
 		return nil, err
 	}
-	// Tail the same per-tenant subtree the primary writes: with a Prefix
-	// set the follower's LIST diffing sees only this tenant's objects.
-	store = cloud.NewPrefixStore(store, params.Prefix)
-	seal, err := sealer.New(sealer.Options{
-		Compress: params.Compress,
-		Encrypt:  params.Encrypt,
-		Password: params.Password,
-	})
+	// The seam tails the same per-tenant subtree the primary writes: with
+	// a Prefix set the follower's LIST diffing sees only this tenant's
+	// objects.
+	io, err := newCloudIO(store, params)
 	if err != nil {
 		return nil, err
 	}
-	ctx, cancel := context.WithCancel(context.Background())
+	// Everything the tail loop issues is a read.
+	ctx, cancel := context.WithCancel(withClass(context.Background(), classFetch))
 	f := &Follower{
 		localFS:     localFS,
-		store:       store,
+		io:          io,
 		proc:        proc,
 		params:      params,
-		seal:        seal,
 		clk:         params.clock(),
 		ctx:         ctx,
 		cancel:      cancel,
@@ -144,8 +136,6 @@ func NewFollower(localFS vfs.FS, store cloud.ObjectStore, proc dbevent.Processor
 	}
 	f.caughtUpAt = f.clk.Now()
 	if reg := params.Metrics; reg != nil {
-		f.recFetch = reg.Histogram(metricRecoveryFetch,
-			"Per-object GET duration during recovery prefetch in seconds.", nil, nil)
 		reg.GaugeFunc(metricFollowerLag,
 			"Warm-standby replication lag in seconds: how long ago the follower last held everything the bucket listed.",
 			nil, func() float64 { return f.Lag().Seconds() })
@@ -164,7 +154,7 @@ func (f *Follower) Start(ctx context.Context) error {
 	if !f.started.CompareAndSwap(false, true) {
 		return errors.New("core: follower already started")
 	}
-	infos, err := storeListWithRetry(ctx, f.store, f.params)
+	infos, err := f.io.list(ctx, false)
 	if err != nil {
 		// Reset started so a failed Start can be retried and so Promote
 		// reports ErrNotStarted instead of waiting on a loop that never
@@ -191,7 +181,7 @@ func (f *Follower) loop() {
 			return
 		}
 		start := f.clk.Now()
-		infos, err := f.store.List(f.ctx, "")
+		infos, err := f.io.list(f.ctx, true)
 		if err != nil {
 			if f.ctx.Err() != nil {
 				return
@@ -267,7 +257,7 @@ func (f *Follower) applyReady(ctx context.Context, bd *RecoveryBreakdown) error 
 			f.pendingDB = f.pendingDB[1:]
 			outOfOrder := len(f.appliedDBs) > 0 && d.Before(f.appliedDBs[len(f.appliedDBs)-1])
 			f.mu.Unlock()
-			if err := f.applyDB(ctx, d, bd); err != nil {
+			if _, err := f.io.restore(ctx, f.localFS, d.PartNames(), bd); err != nil {
 				if errors.Is(err, cloud.ErrNotFound) {
 					continue // GC'd under us: superseded, skip
 				}
@@ -370,22 +360,11 @@ func (f *Follower) reapplyNewerThan(ctx context.Context, d DBObjectInfo, bd *Rec
 	}
 	f.mu.Unlock()
 	for _, a := range newer {
-		if err := f.applyDB(ctx, a, bd); err != nil && !errors.Is(err, cloud.ErrNotFound) {
+		if _, err := f.io.restore(ctx, f.localFS, a.PartNames(), bd); err != nil && !errors.Is(err, cloud.ErrNotFound) {
 			return err
 		}
 	}
 	return nil
-}
-
-// applyDB fetches all parts of one complete DB object through
-// prefetchInOrder and applies them in part order (a whole-file head chunk
-// truncates before its continuation chunks append, as in restoreTo).
-func (f *Follower) applyDB(ctx context.Context, d DBObjectInfo, bd *RecoveryBreakdown) error {
-	names := d.PartNames()
-	apply := func(i int, data []byte) error {
-		return openAndApply(f.seal, f.clk, f.localFS, names[i], data, bd)
-	}
-	return prefetchInOrder(ctx, f.params.RecoveryFetchers, names, f.fetch(bd), apply)
 }
 
 // applyWALRun fetches and applies a consecutive WAL run, returning how
@@ -395,44 +374,11 @@ func (f *Follower) applyWALRun(ctx context.Context, run []WALObjectInfo, bd *Rec
 	for i, w := range run {
 		names[i] = w.Name()
 	}
-	applied := 0
-	apply := func(i int, data []byte) error {
-		if err := openAndApply(f.seal, f.clk, f.localFS, names[i], data, bd); err != nil {
-			return err
-		}
-		applied++
-		if bd != nil {
-			bd.WALObjects++
-		}
-		return nil
+	applied, err := f.io.restore(ctx, f.localFS, names, bd)
+	if bd != nil {
+		bd.WALObjects += applied
 	}
-	err := prefetchInOrder(ctx, f.params.RecoveryFetchers, names, f.fetch(bd), apply)
 	return applied, err
-}
-
-// fetch returns the prefetch closure: GET with the shared retry policy,
-// timed into the recovery-fetch histogram and, when bd is set, into the
-// promote breakdown.
-func (f *Follower) fetch(bd *RecoveryBreakdown) func(ctx context.Context, name string) ([]byte, error) {
-	return func(ctx context.Context, name string) ([]byte, error) {
-		start := f.clk.Now()
-		data, err := storeGetWithRetry(ctx, f.store, f.params, name)
-		if err != nil {
-			return nil, fmt.Errorf("core: follower fetch %s: %w", name, err)
-		}
-		d := f.clk.Since(start)
-		if f.recFetch != nil {
-			f.recFetch.ObserveDuration(d)
-		}
-		if bd != nil {
-			f.mu.Lock()
-			bd.Fetch += d
-			bd.Bytes += int64(len(data))
-			bd.Objects++
-			f.mu.Unlock()
-		}
-		return data, nil
-	}
 }
 
 // Promote turns the warm replica into the live site: it stops the tail
@@ -461,7 +407,7 @@ func (f *Follower) Promote(ctx context.Context) (*Ginja, error) {
 	started := f.clk.Now()
 	bd := &RecoveryBreakdown{Mode: "promote"}
 	t := f.clk.Now()
-	infos, err := storeListWithRetry(ctx, f.store, f.params)
+	infos, err := f.io.list(ctx, false)
 	if err != nil {
 		return nil, fmt.Errorf("core: promote list: %w", err)
 	}
@@ -470,10 +416,7 @@ func (f *Follower) Promote(ctx context.Context) (*Ginja, error) {
 	if err := f.ingestAndApply(ctx, infos, bd); err != nil {
 		return nil, fmt.Errorf("core: promote catch-up: %w", err)
 	}
-	g, err := New(f.localFS, f.store, f.proc, f.params)
-	if err != nil {
-		return nil, err
-	}
+	g := newGinja(f.localFS, f.io, f.proc, f.params)
 	t = f.clk.Now()
 	if err := g.view.LoadFromList(infos); err != nil {
 		return nil, err

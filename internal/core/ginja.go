@@ -50,7 +50,8 @@ type Stats struct {
 	WALBytesUploaded   int64
 	// WALBytesRaw is the pre-seal payload volume (compression input).
 	WALBytesRaw int64
-	// UploadRetries counts transient cloud failures absorbed.
+	// UploadRetries counts transient cloud failures absorbed on commit-path
+	// (Safety-class) uploads.
 	UploadRetries int64
 	// PackedWALObjects counts uploaded WAL objects carrying more than one
 	// write (batch packing); WALObjectsUploaded − PackedWALObjects are
@@ -132,10 +133,9 @@ type Stats struct {
 // 1:1 onto those methods.
 type Ginja struct {
 	localFS vfs.FS
-	store   cloud.ObjectStore
+	io      *cloudIO
 	proc    dbevent.Processor
 	params  Params
-	seal    *sealer.Sealer
 	view    *CloudView
 
 	pipe    *pipeline
@@ -146,9 +146,6 @@ type Ginja struct {
 	// tracker accounts the bytes resident in the streaming DB data path
 	// (Boot's dump and every checkpoint/dump upload share it).
 	tracker *streamTracker
-
-	recInflight *inflight
-	recFetch    *obs.Histogram // per-object GET during recovery prefetch
 
 	// lastRecovery holds the RTO breakdown of the most recent
 	// Recover/RecoverAt (atomic: Stats may race with RecoverAt on a
@@ -169,30 +166,23 @@ func New(localFS vfs.FS, store cloud.ObjectStore, proc dbevent.Processor, params
 	if err != nil {
 		return nil, err
 	}
-	store = cloud.NewPrefixStore(store, params.Prefix)
-	seal, err := sealer.New(sealer.Options{
-		Compress: params.Compress,
-		Encrypt:  params.Encrypt,
-		Password: params.Password,
-	})
+	io, err := newCloudIO(store, params)
 	if err != nil {
 		return nil, err
 	}
-	var recFetch *obs.Histogram
-	if params.Metrics != nil {
-		recFetch = params.Metrics.Histogram(metricRecoveryFetch,
-			"Per-object GET duration during recovery prefetch in seconds.", nil, nil)
-	}
+	return newGinja(localFS, io, proc, params), nil
+}
+
+// newGinja builds an instance over an existing cloud seam (New's, or the
+// one a promoted Follower hands over). params must be validated.
+func newGinja(localFS vfs.FS, io *cloudIO, proc dbevent.Processor, params Params) *Ginja {
 	g := &Ginja{
-		localFS:     localFS,
-		store:       store,
-		proc:        proc,
-		params:      params,
-		seal:        seal,
-		view:        NewCloudView(),
-		tracker:     &streamTracker{},
-		recInflight: newInflight(params.Metrics, "get", "recovery"),
-		recFetch:    recFetch,
+		localFS: localFS,
+		io:      io,
+		proc:    proc,
+		params:  params,
+		view:    NewCloudView(),
+		tracker: &streamTracker{},
 	}
 	if reg := params.Metrics; reg != nil {
 		reg.GaugeFunc(metricStreamBytes,
@@ -200,7 +190,7 @@ func New(localFS vfs.FS, store cloud.ObjectStore, proc dbevent.Processor, params
 			nil, func() float64 { return float64(g.tracker.cur.Load()) })
 		obs.RegisterBuildInfo(reg, Version, strconv.Itoa(ObjectFormatVersion))
 	}
-	return g, nil
+	return g
 }
 
 // FS returns the intercepted file system the DBMS must be opened on.
@@ -235,12 +225,12 @@ func (g *Ginja) Boot(ctx context.Context) error {
 		}
 		ts := g.view.NextWALTs()
 		payload := EncodeWrites([]FileWrite{{Path: p, Offset: 0, Data: content}})
-		sealed, err := g.seal.Seal(payload)
+		sealed, err := g.io.seal.Seal(payload)
 		if err != nil {
 			return err
 		}
 		name := WALObjectName(ts, p, 0)
-		if err := g.putWithRetry(ctx, name, sealed); err != nil {
+		if err := g.io.put(ctx, classSafety, name, sealed); err != nil {
 			return fmt.Errorf("core: boot upload %s: %w", name, err)
 		}
 		g.view.AddWAL(WALObjectInfo{Ts: ts, Filename: p, Offset: 0, Size: int64(len(sealed))})
@@ -254,24 +244,16 @@ func (g *Ginja) Boot(ctx context.Context) error {
 	if err != nil {
 		return fmt.Errorf("core: boot dump: %w", err)
 	}
-	up := newPartUploader(g.localFS, g.seal, g.params, g.tracker, g.putWithRetry)
-	sizes, err := up.upload(ctx, DBObjectInfo{Ts: 0, Gen: 0, Type: Dump}, plan, nil)
+	up := newPartUploader(g.localFS, g.io, g.tracker)
+	info, err := up.upload(ctx, DBObjectInfo{Ts: 0, Gen: 0, Type: Dump}, plan, nil)
 	if err != nil {
 		return fmt.Errorf("core: boot dump: %w", err)
-	}
-	var size int64
-	for _, s := range sizes {
-		size += s
-	}
-	info := DBObjectInfo{Ts: 0, Gen: 0, Type: Dump, Size: size}
-	if len(plan) > 1 {
-		info.PartSizes = sizes
 	}
 	if err := g.view.AddDB(info); err != nil {
 		return err
 	}
 	g.params.logger().Info("ginja boot complete",
-		"wal_objects", len(g.view.WALObjects()), "dump_bytes", size, "dump_parts", len(plan))
+		"wal_objects", len(g.view.WALObjects()), "dump_bytes", info.Size, "dump_parts", len(plan))
 	g.start()
 	// The boot dump can seed the delta chain: the DBMS has not run yet, so
 	// the fresh dirty map has missed nothing. (Reboot/Recover must not seed
@@ -287,7 +269,7 @@ func (g *Ginja) Reboot(ctx context.Context) error {
 	if g.started {
 		return errors.New("core: already started")
 	}
-	infos, err := g.listWithRetry(ctx)
+	infos, err := g.io.list(ctx, false)
 	if err != nil {
 		return fmt.Errorf("core: reboot list: %w", err)
 	}
@@ -348,7 +330,7 @@ func (g *Ginja) recoverInto(ctx context.Context, target vfs.FS, upTo int64, mode
 	bd := &RecoveryBreakdown{Mode: mode}
 
 	t := clk.Now()
-	infos, err := g.listWithRetry(ctx)
+	infos, err := g.io.list(ctx, false)
 	if err != nil {
 		return nil, fmt.Errorf("core: recover list: %w", err)
 	}
@@ -492,128 +474,8 @@ func (g *Ginja) restoreTo(ctx context.Context, target vfs.FS, upTo int64, bd *Re
 		bd.WALObjects++
 	}
 	bd.DumpTs = dump.Ts
-	bd.Objects = len(names)
-	clk := g.params.clock()
-	// Fetchers run in parallel, so their phase accounting is atomic;
-	// decode/apply accumulate into bd directly because prefetchInOrder
-	// calls apply strictly sequentially.
-	var fetchNanos, fetchBytes atomic.Int64
-	fetch := func(ctx context.Context, name string) ([]byte, error) {
-		start := clk.Now()
-		g.recInflight.enter()
-		data, err := g.getWithRetry(ctx, name)
-		g.recInflight.exit()
-		if err != nil {
-			return nil, fmt.Errorf("core: recover %s: %w", name, err)
-		}
-		d := clk.Since(start)
-		fetchNanos.Add(int64(d))
-		fetchBytes.Add(int64(len(data)))
-		if g.recFetch != nil {
-			g.recFetch.ObserveDuration(d)
-		}
-		return data, nil
-	}
-	apply := func(i int, env []byte) error {
-		return openAndApply(g.seal, clk, target, names[i], env, bd)
-	}
-	err := prefetchInOrder(ctx, g.params.RecoveryFetchers, names, fetch, apply)
-	bd.Fetch = time.Duration(fetchNanos.Load())
-	bd.Bytes = fetchBytes.Load()
+	_, err := g.io.restore(ctx, target, names, bd)
 	return err
-}
-
-// putWithRetry uploads an object, absorbing transient cloud failures
-// (used by Boot; steady-state uploads retry inside the pipeline).
-func (g *Ginja) putWithRetry(ctx context.Context, name string, data []byte) error {
-	return storePutWithRetry(ctx, g.store, g.params, name, data)
-}
-
-// listWithRetry lists the store, absorbing transient cloud failures.
-func (g *Ginja) listWithRetry(ctx context.Context) ([]cloud.ObjectInfo, error) {
-	return storeListWithRetry(ctx, g.store, g.params)
-}
-
-// getWithRetry downloads an object, absorbing transient cloud failures
-// with the same retry policy as uploads. ErrNotFound is permanent and is
-// returned immediately.
-func (g *Ginja) getWithRetry(ctx context.Context, name string) ([]byte, error) {
-	return storeGetWithRetry(ctx, g.store, g.params, name)
-}
-
-// storePutWithRetry / storeListWithRetry / storeGetWithRetry are the one
-// shared retry policy for direct store operations (exponential backoff
-// from RetryBaseDelay on the configured clock, jittered per retryJitter,
-// bounded by UploadRetries, 0 = retry forever): Ginja's boot/recovery
-// paths and the warm-standby Follower all speak to the cloud through
-// these.
-func storePutWithRetry(ctx context.Context, store cloud.ObjectStore, p Params, name string, data []byte) error {
-	delay := retryStartDelay(p)
-	clk := p.clock()
-	for attempt := 0; ; attempt++ {
-		err := store.Put(ctx, name, data)
-		if err == nil || ctx.Err() != nil {
-			return err
-		}
-		if p.UploadRetries > 0 && attempt+1 >= p.UploadRetries {
-			return err
-		}
-		if simclock.SleepCtx(ctx, clk, retryJitter(delay, name, attempt, clk.Now())) != nil {
-			return err
-		}
-		if delay < maxRetryDelay {
-			delay *= 2
-		}
-	}
-}
-
-func storeListWithRetry(ctx context.Context, store cloud.ObjectStore, p Params) ([]cloud.ObjectInfo, error) {
-	delay := retryStartDelay(p)
-	clk := p.clock()
-	for attempt := 0; ; attempt++ {
-		infos, err := store.List(ctx, "")
-		if err == nil || ctx.Err() != nil {
-			return infos, err
-		}
-		if p.UploadRetries > 0 && attempt+1 >= p.UploadRetries {
-			return nil, err
-		}
-		if simclock.SleepCtx(ctx, clk, retryJitter(delay, "LIST", attempt, clk.Now())) != nil {
-			return nil, err
-		}
-		if delay < maxRetryDelay {
-			delay *= 2
-		}
-	}
-}
-
-// storeGetWithRetry treats cloud.ErrNotFound as permanent and returns it
-// immediately.
-func storeGetWithRetry(ctx context.Context, store cloud.ObjectStore, p Params, name string) ([]byte, error) {
-	delay := retryStartDelay(p)
-	clk := p.clock()
-	for attempt := 0; ; attempt++ {
-		data, err := store.Get(ctx, name)
-		if err == nil || errors.Is(err, cloud.ErrNotFound) || ctx.Err() != nil {
-			return data, err
-		}
-		if p.UploadRetries > 0 && attempt+1 >= p.UploadRetries {
-			return nil, err
-		}
-		if simclock.SleepCtx(ctx, clk, retryJitter(delay, name, attempt, clk.Now())) != nil {
-			return nil, err
-		}
-		if delay < maxRetryDelay {
-			delay *= 2
-		}
-	}
-}
-
-func retryStartDelay(p Params) time.Duration {
-	if p.RetryBaseDelay < minRetryDelay {
-		return minRetryDelay
-	}
-	return p.RetryBaseDelay
 }
 
 // openAndApply is the read side of every cloud object — DB part, unsplit
@@ -657,9 +519,9 @@ func applyWrites(target vfs.FS, writes []FileWrite) error {
 
 // start launches the replication threads (Algorithm 1 lines 2-6).
 func (g *Ginja) start() {
-	g.pipe = newPipeline(g.view, g.store, g.seal, g.params)
+	g.pipe = newPipeline(g.view, g.io, g.params)
 	g.pipe.start(g.view.LastWALTs())
-	g.ckpt = newCheckpointer(g.localFS, g.proc, g.view, g.store, g.seal, g.params, g.tracker)
+	g.ckpt = newCheckpointer(g.localFS, g.proc, g.view, g.io, g.params, g.tracker)
 	g.ckpt.start()
 	g.started = true
 	if reg := g.params.Metrics; reg != nil {
@@ -806,7 +668,7 @@ func (g *Ginja) Stats() Stats {
 		s.WALObjectsUploaded = g.pipe.stats.walObjects.Load()
 		s.WALBytesUploaded = g.pipe.stats.walBytes.Load()
 		s.WALBytesRaw = g.pipe.stats.rawBytes.Load()
-		s.UploadRetries = g.pipe.stats.retries.Load()
+		s.UploadRetries = g.io.retries.Load()
 		s.PackedWALObjects = g.pipe.stats.packedObjects.Load()
 		s.SplitWALWrites = g.pipe.stats.splitWrites.Load()
 		s.BlockedTime = g.pipe.q.blockedDuration()

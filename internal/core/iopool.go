@@ -6,21 +6,16 @@ import (
 	"sync/atomic"
 )
 
-// This file is the shared bounded-concurrency cloud I/O layer: every data
-// path that moves more than one object to or from the cloud — checkpoint/
-// dump part uploads, garbage-collection deletes, recovery prefetch — runs
-// its requests through runLimited or prefetchInOrder instead of a serial
-// loop. Per-request behaviour (retry, backoff, latency modelling) is
-// unchanged: the helpers only control how many requests are in flight at
-// once, which is what hides per-request cloud latency (the same lever the
-// paper pulls with its five Uploader threads on the WAL commit path).
-//
-// Under fleet mode these per-instance worker counts are an upper bound,
-// not a reservation: each request still acquires a slot from the shared
-// fleetScheduler at the store layer (schedStore), so a tenant that spins
-// up CheckpointUploaders workers for a dump queues at the fleet's bulk
-// class — per-tenant capped and unable to starve other tenants' WAL
-// PUTs — instead of multiplying against the process-wide pool.
+// This file is the bounded fan-out under the cloud seam (cloudio.go):
+// part uploads, GC deletes and recovery prefetch run their requests
+// through runLimited or prefetchInOrder instead of a serial loop. The
+// helpers only control how many requests are in flight at once, which is
+// what hides per-request cloud latency (the lever the paper pulls with its
+// five Uploader threads on the commit path); what one request does — class,
+// retry, backoff — is the seam's business. Under a Fleet the worker count
+// is only the fan-out, not a reservation: each request still takes its
+// slot from the shared scheduler where the seam meets the store
+// (schedStore), in the class its caller gave it.
 
 // runLimited executes n index-addressed tasks with at most workers
 // goroutines in flight, stopping at the first error. Tasks receive a

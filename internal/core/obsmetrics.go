@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sync/atomic"
 	"time"
 
 	"github.com/ginja-dr/ginja/internal/obs"
@@ -108,35 +107,6 @@ func walPutSizeClass(sealedBytes int) int {
 	}
 }
 
-// inflight tracks the cloud requests currently in flight on one
-// (op, path) pair, exported as a gauge sampled at scrape time. A nil
-// *inflight (observability disabled) counts nothing.
-type inflight struct{ n atomic.Int64 }
-
-func newInflight(reg *obs.Registry, op, path string) *inflight {
-	if reg == nil {
-		return nil
-	}
-	f := &inflight{}
-	reg.GaugeFunc(metricCloudInflight,
-		"Cloud requests currently in flight, by operation and data path.",
-		obs.Labels{"op": op, "path": path},
-		func() float64 { return float64(f.n.Load()) })
-	return f
-}
-
-func (f *inflight) enter() {
-	if f != nil {
-		f.n.Add(1)
-	}
-}
-
-func (f *inflight) exit() {
-	if f != nil {
-		f.n.Add(-1)
-	}
-}
-
 // pipelineMetrics bundles the commit-path instruments. A nil
 // *pipelineMetrics means observability is disabled; every call site
 // guards with a nil check so the disabled cost is one predictable branch.
@@ -146,7 +116,6 @@ type pipelineMetrics struct {
 	walObjects     *obs.Counter
 	walBytes       *obs.Counter
 	rawBytes       *obs.Counter
-	retries        *obs.Counter
 	blockedSeconds *obs.Counter
 	blocks         *obs.Counter
 
@@ -203,7 +172,6 @@ func newPipelineMetrics(reg *obs.Registry) *pipelineMetrics {
 		walObjects:     reg.Counter(metricWALObjects, "WAL objects uploaded (paper Table 3 #PUTs, commit path).", nil),
 		walBytes:       reg.Counter(metricWALBytes, "Sealed WAL bytes uploaded.", nil),
 		rawBytes:       reg.Counter(metricWALBytesRaw, "Pre-seal WAL payload bytes (compression input).", nil),
-		retries:        reg.Counter(metricRetries, "Transient cloud failures absorbed by upload retries.", nil),
 		blockedSeconds: reg.Counter(metricBlockedSeconds, "Cumulative seconds DBMS commits spent blocked on the Safety contract.", nil),
 		blocks:         reg.Counter(metricBlocks, "Commits that blocked on the Safety contract at least once.", nil),
 		queueWait:      stage("queue_wait"),

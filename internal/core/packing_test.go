@@ -250,11 +250,14 @@ func TestPipelineDisablePackingAblation(t *testing.T) {
 	}
 }
 
-// TestPipelineRetryDelayFloorVirtualClock is the regression test for the
-// putWithRetry hot-loop hazard: a caller that builds Params by hand
-// (bypassing Validate's defaults) leaves RetryBaseDelay at 0, which used
-// to double to 0 forever — a busy spin against a down provider. The floor
-// must turn that into real (virtual) 1 ms → 2 ms → 4 ms backoff.
+// TestPipelineRetryDelayFloorVirtualClock is the pipeline-level half of
+// the regression test for the retry hot-loop hazard: a caller that builds
+// Params by hand (bypassing Validate's defaults) leaves RetryBaseDelay at
+// 0, which used to double to 0 forever — a busy spin against a down
+// provider. Here: three failures are three counted commit-path retries and
+// the object lands. The delays themselves (1 ms floor, jitter window) are
+// asserted by TestCloudIORetryPolicy on a hand-advanced clock, where no
+// unrelated timer can fire in between.
 func TestPipelineRetryDelayFloorVirtualClock(t *testing.T) {
 	clk := simclock.NewSim()
 	stopPump := clk.Pump()
@@ -264,7 +267,7 @@ func TestPipelineRetryDelayFloorVirtualClock(t *testing.T) {
 	p.Clock = clk
 	p.RetryBaseDelay = 0 // deliberately NOT validated
 	store := &flakyStore{ObjectStore: cloud.NewMemStore(), failFirst: 3}
-	pipe := newPipeline(NewCloudView(), store, sealer.NewPlain(), p)
+	pipe := newPipeline(NewCloudView(), plainIO(store, p), p)
 	start := clk.Now()
 	pipe.start(0)
 	defer pipe.drainAndStop(time.Second)
@@ -273,20 +276,11 @@ func TestPipelineRetryDelayFloorVirtualClock(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitUntil(t, func() bool { return pipe.stats.walObjects.Load() == 1 })
-	if got := pipe.stats.retries.Load(); got != 3 {
+	if got := pipe.io.retries.Load(); got != 3 {
 		t.Fatalf("retries = %d, want 3", got)
 	}
-	// Three failures back off nominally 1+2+4 ms of virtual time before
-	// the fourth attempt succeeds. With retryJitter scaling each sleep
-	// into [0.5, 1.0)× (and the floor re-applied) the minimum is
-	// 1+1+2 = 4 ms and the maximum stays under 7 ms; zero elapsed virtual
-	// time would mean the old spin.
-	elapsed := clk.Since(start)
-	if elapsed < 4*time.Millisecond {
-		t.Fatalf("virtual backoff time = %v, want ≥ 4ms (jittered 1+2+4 floored)", elapsed)
-	}
-	if elapsed >= 7*time.Millisecond {
-		t.Fatalf("virtual backoff time = %v, want < 7ms (jitter must shrink, never stretch)", elapsed)
+	if clk.Since(start) == 0 {
+		t.Fatal("three retries took no virtual time: the backoff is a spin")
 	}
 }
 

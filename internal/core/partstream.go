@@ -15,7 +15,6 @@ import (
 	"github.com/ginja-dr/ginja/internal/dbevent"
 	"github.com/ginja-dr/ginja/internal/obs"
 	"github.com/ginja-dr/ginja/internal/sealer"
-	"github.com/ginja-dr/ginja/internal/simclock"
 	"github.com/ginja-dr/ginja/internal/vfs"
 )
 
@@ -381,16 +380,12 @@ func (t *streamTracker) sub(n int64) {
 // checkpointer serializes objects; Boot runs alone).
 type partUploader struct {
 	fs      vfs.FS
-	seal    *sealer.Sealer
-	params  Params
-	clk     simclock.Clock
-	put     func(ctx context.Context, name string, data []byte) error
+	io      *cloudIO // also the source of Params and the clock
 	tracker *streamTracker
 
 	// Optional instruments (nil when observability is disabled).
-	sealHist    *obs.Histogram
-	putHist     *obs.Histogram
-	putInflight *inflight
+	sealHist *obs.Histogram
+	putHist  *obs.Histogram
 
 	ctxs sync.Pool // *sealer.Ctx per-worker seal state
 }
@@ -412,10 +407,9 @@ func getPartBuf(budget int64) *[]byte {
 	return &b
 }
 
-func newPartUploader(fsys vfs.FS, seal *sealer.Sealer, params Params, tracker *streamTracker,
-	put func(ctx context.Context, name string, data []byte) error) *partUploader {
-	u := &partUploader{fs: fsys, seal: seal, params: params, clk: params.clock(), put: put, tracker: tracker}
-	u.ctxs.New = func() any { return seal.NewCtx() }
+func newPartUploader(fsys vfs.FS, io *cloudIO, tracker *streamTracker) *partUploader {
+	u := &partUploader{fs: fsys, io: io, tracker: tracker}
+	u.ctxs.New = func() any { return io.seal.NewCtx() }
 	return u
 }
 
@@ -423,15 +417,16 @@ func newPartUploader(fsys vfs.FS, seal *sealer.Sealer, params Params, tracker *s
 // past the object-size bound (a pathological plan entry) — an oversized
 // buffer retained in the pool would defeat the memory bound.
 func (u *partUploader) release(bp *[]byte) {
-	if u.params.MaxObjectSize > 0 && int64(cap(*bp)) > u.params.MaxObjectSize {
+	if u.io.params.MaxObjectSize > 0 && int64(cap(*bp)) > u.io.params.MaxObjectSize {
 		return
 	}
 	*bp = (*bp)[:0]
 	partBufs.Put(bp)
 }
 
-// upload streams every planned part and returns the sealed size of each,
-// in part order. ident carries the object's identity — (Ts, Gen, Type)
+// upload streams every planned part and returns ident completed with the
+// object's sealed Size (and, when split, PartSizes) — the record the view
+// takes. ident carries the object's identity — (Ts, Gen, Type)
 // plus the base linkage when the object is a delta — from which every
 // part name is built. readsDone (optional) fires once, as soon as the
 // last part's local reads completed — the signal that the database files
@@ -439,13 +434,14 @@ func (u *partUploader) release(bp *[]byte) {
 // caller's own release path must cover it. A single-part object is
 // uploaded under the plain unsplit name.
 func (u *partUploader) upload(ctx context.Context, ident DBObjectInfo,
-	parts [][]planEntry, readsDone func()) ([]int64, error) {
+	parts [][]planEntry, readsDone func()) (DBObjectInfo, error) {
 	ts, gen := ident.Ts, ident.Gen
 	sizes := make([]int64, len(parts))
 	var readsLeft atomic.Int64
 	readsLeft.Store(int64(len(parts)))
-	err := runLimited(ctx, u.params.CheckpointUploaders, len(parts), func(ctx context.Context, i int) error {
-		bp := getPartBuf(partBudget(u.params.MaxObjectSize))
+	ctx = withClass(ctx, classBulk) // once per object, not per part
+	err := runLimited(ctx, u.io.params.CheckpointUploaders, len(parts), func(ctx context.Context, i int) error {
+		bp := getPartBuf(partBudget(u.io.params.MaxObjectSize))
 		payload, err := encodePart(u.fs, parts[i], (*bp)[:0])
 		if err != nil {
 			u.release(bp)
@@ -455,7 +451,7 @@ func (u *partUploader) upload(ctx context.Context, ident DBObjectInfo,
 			readsDone()
 		}
 		u.tracker.add(int64(len(payload)))
-		sealStart := u.clk.Now()
+		sealStart := u.io.clk.Now()
 		sctx := u.ctxs.Get().(*sealer.Ctx)
 		sealed, err := sctx.Seal(payload)
 		u.ctxs.Put(sctx)
@@ -471,7 +467,7 @@ func (u *partUploader) upload(ctx context.Context, ident DBObjectInfo,
 			return fmt.Errorf("core: seal DB part ts=%d gen=%d part=%d: %w", ts, gen, i, err)
 		}
 		if u.sealHist != nil {
-			u.sealHist.ObserveDuration(u.clk.Since(sealStart))
+			u.sealHist.ObserveDuration(u.io.clk.Since(sealStart))
 		}
 		sizes[i] = int64(len(sealed))
 		part, count := -1, 0
@@ -482,21 +478,25 @@ func (u *partUploader) upload(ctx context.Context, ident DBObjectInfo,
 			}
 		}
 		name := ident.name(int64(len(sealed)), part, count).String()
-		putStart := u.clk.Now()
-		u.putInflight.enter()
-		err = u.put(ctx, name, sealed)
-		u.putInflight.exit()
+		putStart := u.io.clk.Now()
+		err = u.io.put(ctx, classBulk, name, sealed)
 		u.tracker.sub(int64(len(sealed)))
 		if err != nil {
 			return fmt.Errorf("core: upload %s: %w", name, err)
 		}
 		if u.putHist != nil {
-			u.putHist.ObserveDuration(u.clk.Since(putStart))
+			u.putHist.ObserveDuration(u.io.clk.Since(putStart))
 		}
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return ident, err
 	}
-	return sizes, nil
+	for _, size := range sizes {
+		ident.Size += size
+	}
+	if len(parts) > 1 {
+		ident.PartSizes = sizes
+	}
+	return ident, nil
 }

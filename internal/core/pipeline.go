@@ -11,9 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/ginja-dr/ginja/internal/cloud"
 	"github.com/ginja-dr/ginja/internal/obs"
-	"github.com/ginja-dr/ginja/internal/sealer"
 	"github.com/ginja-dr/ginja/internal/simclock"
 )
 
@@ -69,7 +67,6 @@ type pipelineStats struct {
 	rawBytes      atomic.Int64 // pre-seal payload bytes
 	batches       atomic.Int64
 	updates       atomic.Int64
-	retries       atomic.Int64
 	packedObjects atomic.Int64 // WAL objects carrying more than one write
 	splitWrites   atomic.Int64 // writes split across objects (> MaxObjectSize)
 }
@@ -80,8 +77,7 @@ type pipeline struct {
 	q      *commitQueue
 	clk    simclock.Clock
 	view   *CloudView
-	store  cloud.ObjectStore
-	seal   *sealer.Sealer
+	io     *cloudIO
 	params Params
 
 	uploadCh chan walUpload
@@ -99,11 +95,10 @@ type pipeline struct {
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
 
-	stats       pipelineStats
-	metrics     *pipelineMetrics
-	putInflight *inflight
-	batchSeq    atomic.Int64
-	trace       bool // emit per-batch/per-object spans via params.Logger
+	stats    pipelineStats
+	metrics  *pipelineMetrics
+	batchSeq atomic.Int64
+	trace    bool // emit per-batch/per-object spans via params.Logger
 	// spans is the obs span ring: per-batch/per-object spans are recorded
 	// here whenever a metrics registry is attached, independent of the
 	// logger's level (slog emission stays Debug-gated via trace). Recording
@@ -125,23 +120,23 @@ type pipeline struct {
 	err   error
 }
 
-func newPipeline(view *CloudView, store cloud.ObjectStore, seal *sealer.Sealer, params Params) *pipeline {
-	ctx, cancel := context.WithCancel(context.Background())
+func newPipeline(view *CloudView, io *cloudIO, params Params) *pipeline {
+	// Every PUT this pipeline issues is a commit-path WAL object: the
+	// context is tagged once, so the per-object put wraps nothing.
+	ctx, cancel := context.WithCancel(withClass(context.Background(), classSafety))
 	p := &pipeline{
-		q:           newCommitQueue(params),
-		clk:         params.clock(),
-		view:        view,
-		store:       store,
-		seal:        seal,
-		params:      params,
-		metrics:     newPipelineMetrics(params.Metrics),
-		putInflight: newInflight(params.Metrics, "put", "wal"),
-		trace:       params.Logger != nil && params.Logger.Enabled(context.Background(), slog.LevelDebug),
-		uploadCh:    make(chan walUpload, params.Uploaders),
-		ackCh:       make(chan int64, params.Uploaders),
-		batchCh:     make(chan batchRec, 64),
-		ctx:         ctx,
-		cancel:      cancel,
+		q:        newCommitQueue(params),
+		clk:      params.clock(),
+		view:     view,
+		io:       io,
+		params:   params,
+		metrics:  newPipelineMetrics(params.Metrics),
+		trace:    params.Logger != nil && params.Logger.Enabled(context.Background(), slog.LevelDebug),
+		uploadCh: make(chan walUpload, params.Uploaders),
+		ackCh:    make(chan int64, params.Uploaders),
+		batchCh:  make(chan batchRec, 64),
+		ctx:      ctx,
+		cancel:   cancel,
 	}
 	if params.Metrics != nil {
 		p.spans = params.Metrics.Spans()
@@ -515,7 +510,7 @@ func (p *pipeline) sealOne(u walUpload, enc *[]byte) (sealedUpload, bool) {
 	*enc = EncodeWritesInto((*enc)[:0], ws)
 	*u.writes = ws[:0]
 	walWritesPool.Put(u.writes)
-	sealed, err := p.seal.Seal(*enc)
+	sealed, err := p.io.seal.Seal(*enc)
 	if err != nil {
 		p.fail(fmt.Errorf("core: seal WAL object ts=%d: %w", u.ts, err))
 		return sealedUpload{}, false
@@ -545,10 +540,7 @@ func (p *pipeline) putSealed(su sealedUpload) bool {
 	if m != nil || p.trace || p.tuner != nil {
 		upStart = p.clk.Now()
 	}
-	p.putInflight.enter()
-	err := p.putWithRetry(su.name, su.sealed)
-	p.putInflight.exit()
-	if err != nil {
+	if err := p.io.put(p.ctx, classSafety, su.name, su.sealed); err != nil {
 		p.fail(fmt.Errorf("core: upload %s: %w", su.name, err))
 		return false
 	}
@@ -638,43 +630,6 @@ func (p *pipeline) putStage() {
 	for su := range p.sealedCh {
 		if !p.putSealed(su) {
 			return
-		}
-	}
-}
-
-// putWithRetry uploads with exponential backoff. UploadRetries = 0 retries
-// until the pipeline shuts down — a transient cloud hiccup must delay, not
-// lose, the backup. The delay is floored at minRetryDelay: a zero
-// RetryBaseDelay (a caller bypassing Validate's defaults) would otherwise
-// stay zero through every doubling and turn the retry loop into a hot
-// spin against a down provider. Each sleep is jittered (retryJitter) so
-// the many objects an outage strands don't hammer the recovering store in
-// lockstep waves.
-func (p *pipeline) putWithRetry(name string, data []byte) error {
-	delay := p.params.RetryBaseDelay
-	if delay < minRetryDelay {
-		delay = minRetryDelay
-	}
-	for attempt := 0; ; attempt++ {
-		err := p.store.Put(p.ctx, name, data)
-		if err == nil {
-			return nil
-		}
-		if p.ctx.Err() != nil {
-			return err
-		}
-		if p.params.UploadRetries > 0 && attempt+1 >= p.params.UploadRetries {
-			return err
-		}
-		p.stats.retries.Add(1)
-		if m := p.metrics; m != nil {
-			m.retries.Inc()
-		}
-		if simclock.SleepCtx(p.ctx, p.clk, retryJitter(delay, name, attempt, p.clk.Now())) != nil {
-			return err
-		}
-		if delay < maxRetryDelay {
-			delay *= 2
 		}
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"github.com/ginja-dr/ginja/internal/cloud"
-	"github.com/ginja-dr/ginja/internal/sealer"
 )
 
 // gatedStore blocks selected Puts until released, for deterministic
@@ -63,13 +62,23 @@ func testParams(b, s int) Params {
 	return p
 }
 
+// plainIO builds the cloud seam over store for pipeline-level tests; their
+// params carry no Compress/Encrypt, so its sealer is the plain one.
+func plainIO(store cloud.ObjectStore, p Params) *cloudIO {
+	io, err := newCloudIO(store, p)
+	if err != nil {
+		panic(err)
+	}
+	return io
+}
+
 func startPipeline(t *testing.T, store cloud.ObjectStore, p Params) *pipeline {
 	t.Helper()
 	params, err := p.Validate()
 	if err != nil {
 		t.Fatal(err)
 	}
-	pipe := newPipeline(NewCloudView(), store, sealer.NewPlain(), params)
+	pipe := newPipeline(NewCloudView(), plainIO(store, params), params)
 	pipe.start(0)
 	t.Cleanup(func() { pipe.drainAndStop(time.Second) })
 	return pipe
@@ -226,7 +235,7 @@ func TestPipelineRetriesTransientFailures(t *testing.T) {
 	if !pipe.q.drain(2 * time.Second) {
 		t.Fatal("queue did not drain despite retries")
 	}
-	if pipe.stats.retries.Load() == 0 {
+	if pipe.io.retries.Load() == 0 {
 		t.Fatal("no retries recorded")
 	}
 	if err := pipe.lastErr(); err != nil {

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/ginja-dr/ginja/internal/sealer"
 	"github.com/ginja-dr/ginja/internal/simclock"
 )
 
@@ -188,7 +187,7 @@ func TestSimPipelineFatalAfterRetryBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	store := &flakyStore{ObjectStore: nil, failFirst: 1 << 30} // every Put fails
-	pipe := newPipeline(NewCloudView(), store, sealer.NewPlain(), params)
+	pipe := newPipeline(NewCloudView(), plainIO(store, params), params)
 	start := clk.Now()
 	pipe.start(0)
 	defer pipe.drainAndStop(time.Second)

@@ -100,10 +100,11 @@ func newTuner(q *commitQueue, params Params, updates func() int64) *tuner {
 	}
 	// Until the fit warms up the configured knobs stand.
 	t.knobs.Store(&effectiveKnobs{batch: params.Batch, timeout: params.BatchTimeout})
+	t.timer = t.clk.NewFuncTimer(t.onTick)
 	return t
 }
 
-// start arms the periodic re-solve. The tick is an AfterFunc on the
+// start arms the periodic re-solve. The tick is a func timer on the
 // instance clock, not a dedicated goroutine — under fleet mode
 // Admit overrides Params.Clock with the fleet's shared tick wheel, so a
 // thousand tenants' tuner ticks multiplex onto one timer heap instead
@@ -112,16 +113,14 @@ func (t *tuner) start() {
 	t.mu.Lock()
 	t.lastTick = t.clk.Now()
 	t.mu.Unlock()
-	t.timer = t.clk.AfterFunc(tunerInterval, t.onTick)
+	t.timer.Reset(tunerInterval)
 }
 
 // close stops the re-solve timer. Idempotent; a tick racing the stop is
 // harmless (setKnobs ignores a closed queue).
 func (t *tuner) close() {
 	t.done.Store(true)
-	if t.timer != nil {
-		t.timer.Stop()
-	}
+	t.timer.Stop()
 }
 
 func (t *tuner) onTick() {

@@ -39,7 +39,8 @@ func (g *Ginja) Verify(ctx context.Context, target vfs.FS,
 	start := clk.Now()
 	var res VerifyResult
 
-	infos, err := g.listWithRetry(ctx)
+	ctx = withClass(ctx, classFetch)
+	infos, err := g.io.list(ctx, false)
 	if err != nil {
 		return res, fmt.Errorf("core: verify list: %w", err)
 	}
@@ -49,12 +50,12 @@ func (g *Ginja) Verify(ctx context.Context, target vfs.FS,
 	// Step 1: integrity of every object — each name, DB part or WAL object
 	// alike, is one complete envelope.
 	for _, info := range infos {
-		sealed, err := g.getWithRetry(ctx, info.Name)
+		sealed, err := g.io.get(ctx, info.Name)
 		if err != nil {
 			return res, fmt.Errorf("core: verify download %s: %w", info.Name, err)
 		}
 		res.BytesDownloaded += int64(len(sealed))
-		if _, err := g.seal.Open(sealed); err != nil {
+		if _, err := g.io.seal.Open(sealed); err != nil {
 			return res, fmt.Errorf("core: verify %s: %w", info.Name, err)
 		}
 		res.ObjectsChecked++

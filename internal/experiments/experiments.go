@@ -17,7 +17,6 @@ import (
 	"github.com/ginja-dr/ginja/internal/cloud/cloudsim"
 	"github.com/ginja-dr/ginja/internal/core"
 	"github.com/ginja-dr/ginja/internal/dbevent"
-	"github.com/ginja-dr/ginja/internal/metrics"
 	"github.com/ginja-dr/ginja/internal/minidb"
 	"github.com/ginja-dr/ginja/internal/minidb/innoengine"
 	"github.com/ginja-dr/ginja/internal/minidb/pgengine"
@@ -116,7 +115,7 @@ type TPCCResult struct {
 	// real deployment would have observed, independent of TimeScale).
 	ModelledPutLatency cloud.LatencyStats
 	// Resources samples the process during the run (Table 4 proxy).
-	Resources metrics.ResourceUsage
+	Resources ResourceUsage
 	// WALObjectMeanBytes is the average uploaded WAL object size.
 	WALObjectMeanBytes float64
 }
@@ -181,7 +180,7 @@ func RunTPCC(ctx context.Context, opts TPCCOptions) (TPCCResult, error) {
 	if sim != nil {
 		sim.ResetLatencyModel()
 	}
-	sampler := metrics.NewResourceSampler()
+	sampler := NewResourceSampler()
 
 	driver := tpcc.NewDriver(db, opts.Workload)
 	bench, err := driver.Run(ctx, opts.Duration)

@@ -3,10 +3,9 @@
 // streaming histograms, a Prometheus-text-format / JSON export surface
 // (see http.go), and an instrumented cloud.ObjectStore wrapper (store.go).
 //
-// Unlike internal/metrics — the experiment harness's exact-quantile
-// sample recorder — every instrument here is fixed-size: counters and
-// gauges are single atomics, histograms use fixed log-scaled buckets, so
-// a production instance can run instrumented indefinitely. The hot-path
+// Every instrument here is fixed-size: counters and gauges are single
+// atomics, histograms use fixed log-scaled buckets, so a production
+// instance can run instrumented indefinitely. The hot-path
 // cost of an update is one or two atomic operations; registration (the
 // only locking path) happens once per instrument.
 package obs

@@ -286,7 +286,9 @@ func Run(cfg Config) (*Result, error) {
 	timers := make([]simclock.Timer, 0, len(sched.Events))
 	for _, ev := range sched.Events {
 		ev := ev
-		timers = append(timers, clk.AfterFunc(ev.At, func() { applyEvent(ev) }))
+		t := clk.NewFuncTimer(func() { applyEvent(ev) })
+		t.Reset(ev.At)
+		timers = append(timers, t)
 	}
 
 	ctx := context.Background()
@@ -458,7 +460,7 @@ func Run(cfg Config) (*Result, error) {
 			// and comes back one virtual second in. The final catch-up LIST
 			// and GETs must ride it out under the retry policy.
 			simStore.StartOutage()
-			clk.AfterFunc(time.Second, simStore.EndOutage)
+			clk.NewFuncTimer(simStore.EndOutage).Reset(time.Second)
 		}
 		recoverStart := clk.Now()
 		g2, err = fol.Promote(ctx)

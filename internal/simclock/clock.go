@@ -10,13 +10,14 @@ package simclock
 
 import (
 	"context"
+	"math"
 	"time"
 )
 
 // Timer is the subset of *time.Timer Ginja uses, expressed as an
 // interface so a virtual clock can supply its own implementation.
 type Timer interface {
-	// C returns the channel the timer fires on. For AfterFunc timers the
+	// C returns the channel the timer fires on. For func timers the
 	// channel is nil.
 	C() <-chan time.Time
 	// Stop cancels the timer, reporting whether it was still pending.
@@ -34,8 +35,14 @@ type Clock interface {
 	Until(t time.Time) time.Duration
 	Sleep(d time.Duration)
 	After(d time.Duration) <-chan time.Time
-	AfterFunc(d time.Duration, f func()) Timer
 	NewTimer(d time.Duration) Timer
+	// NewFuncTimer returns an UNARMED Timer that calls f each time it
+	// expires; Reset(d) arms it. Construct-then-arm (rather than
+	// time.AfterFunc's arm-at-construction) means the caller has stored the
+	// handle before f can possibly run, so a callback that re-arms its own
+	// timer through that handle never observes it unset — whichever
+	// goroutine fires timers, however eagerly.
+	NewFuncTimer(f func()) Timer
 }
 
 // Real returns the wall-clock Clock backed by the time package.
@@ -49,8 +56,12 @@ func (realClock) Until(t time.Time) time.Duration        { return time.Until(t) 
 func (realClock) Sleep(d time.Duration)                  { time.Sleep(d) }
 func (realClock) After(d time.Duration) <-chan time.Time { return time.After(d) }
 
-func (realClock) AfterFunc(d time.Duration, f func()) Timer {
-	return realTimer{t: time.AfterFunc(d, f)}
+func (realClock) NewFuncTimer(f func()) Timer {
+	// The time package has no unarmed constructor: arm at a deadline that
+	// never comes, then disarm.
+	t := time.AfterFunc(math.MaxInt64, f)
+	t.Stop()
+	return realTimer{t: t}
 }
 
 func (realClock) NewTimer(d time.Duration) Timer {

@@ -1,7 +1,6 @@
 package simclock
 
 import (
-	"container/heap"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -21,10 +20,9 @@ var simEpoch = time.Date(2000, 1, 1, 0, 0, 0, 0, time.UTC)
 // stable generation across several scheduler yields as "all registered
 // goroutines are idle".
 type SimClock struct {
-	mu  sync.Mutex
-	now time.Time
-	seq uint64
-	h   timerHeap
+	mu     sync.Mutex
+	now    time.Time
+	timers timerQueue
 
 	// gen is the activity generation: bumped by every clock operation the
 	// system under test performs, never by Advance itself.
@@ -78,48 +76,51 @@ func (c *SimClock) After(d time.Duration) <-chan time.Time {
 // NewTimer returns a Timer that fires its channel when virtual time
 // reaches now+d.
 func (c *SimClock) NewTimer(d time.Duration) Timer {
-	t := &simTimer{c: c, ch: make(chan time.Time, 1)}
-	c.schedule(t, d)
+	t := &heapTimer{owner: c, idx: -1, ch: make(chan time.Time, 1)}
+	c.arm(t, d)
 	return t
 }
 
-// AfterFunc returns a Timer that invokes f when virtual time reaches
-// now+d. f runs synchronously on the goroutine advancing the clock, with
-// no clock lock held.
-func (c *SimClock) AfterFunc(d time.Duration, f func()) Timer {
-	t := &simTimer{c: c, fn: f}
-	c.schedule(t, d)
-	return t
+// NewFuncTimer returns an unarmed Timer that, once Reset, invokes f when
+// virtual time reaches its deadline. f runs synchronously on the goroutine
+// advancing the clock, with no clock lock held.
+func (c *SimClock) NewFuncTimer(f func()) Timer {
+	return &heapTimer{owner: c, idx: -1, fn: f}
 }
 
-func (c *SimClock) schedule(t *simTimer, d time.Duration) {
+func (c *SimClock) arm(t *heapTimer, d time.Duration) bool {
 	c.bump()
 	if d < 0 {
 		d = 0
 	}
 	c.mu.Lock()
-	t.deadline = c.now.Add(d)
-	c.seq++
-	t.seq = c.seq
-	heap.Push(&c.h, t)
-	c.mu.Unlock()
+	defer c.mu.Unlock()
+	return c.timers.set(t, c.now.Add(d))
+}
+
+func (c *SimClock) disarm(t *heapTimer) bool {
+	c.bump()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.timers.remove(t)
 }
 
 // PendingTimers returns the number of timers currently scheduled.
 func (c *SimClock) PendingTimers() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.h)
+	return len(c.timers.h)
 }
 
 // NextDeadline returns the deadline of the earliest pending timer.
 func (c *SimClock) NextDeadline() (time.Time, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if len(c.h) == 0 {
+	t := c.timers.peek()
+	if t == nil {
 		return time.Time{}, false
 	}
-	return c.h[0].deadline, true
+	return t.deadline, true
 }
 
 // Advance moves virtual time forward by d, firing every timer whose
@@ -145,11 +146,12 @@ func (c *SimClock) Advance(d time.Duration) {
 // far time moved and whether any timer was pending.
 func (c *SimClock) AdvanceToNext() (time.Duration, bool) {
 	c.mu.Lock()
-	if len(c.h) == 0 {
+	next := c.timers.peek()
+	if next == nil {
 		c.mu.Unlock()
 		return 0, false
 	}
-	deadline := c.h[0].deadline
+	deadline := next.deadline
 	moved := deadline.Sub(c.now)
 	for {
 		t := c.popDueLocked(deadline)
@@ -164,11 +166,12 @@ func (c *SimClock) AdvanceToNext() (time.Duration, bool) {
 
 // popDueLocked removes and returns the earliest timer with deadline ≤
 // target, advancing now to its deadline, or returns nil.
-func (c *SimClock) popDueLocked(target time.Time) *simTimer {
-	if len(c.h) == 0 || c.h[0].deadline.After(target) {
+func (c *SimClock) popDueLocked(target time.Time) *heapTimer {
+	t := c.timers.peek()
+	if t == nil || t.deadline.After(target) {
 		return nil
 	}
-	t := heap.Pop(&c.h).(*simTimer)
+	c.timers.pop()
 	if c.now.Before(t.deadline) {
 		c.now = t.deadline
 	}
@@ -177,17 +180,10 @@ func (c *SimClock) popDueLocked(target time.Time) *simTimer {
 
 // fireUnlockedRelock releases the clock lock, delivers the timer, and
 // re-acquires the lock — callbacks are free to schedule new timers.
-func (c *SimClock) fireUnlockedRelock(t *simTimer) {
+func (c *SimClock) fireUnlockedRelock(t *heapTimer) {
 	now := c.now
 	c.mu.Unlock()
-	if t.fn != nil {
-		t.fn()
-	} else {
-		select {
-		case t.ch <- now:
-		default:
-		}
-	}
+	t.fire(now)
 	c.mu.Lock()
 }
 
@@ -232,79 +228,4 @@ func (c *SimClock) Pump() (stop func()) {
 		close(done)
 		wg.Wait()
 	}
-}
-
-// simTimer is one scheduled virtual timer.
-type simTimer struct {
-	c        *SimClock
-	deadline time.Time
-	seq      uint64 // creation order breaks deadline ties deterministically
-	idx      int    // heap index, -1 when not scheduled
-	fn       func()
-	ch       chan time.Time
-}
-
-func (t *simTimer) C() <-chan time.Time {
-	if t.fn != nil {
-		return nil
-	}
-	return t.ch
-}
-
-func (t *simTimer) Stop() bool {
-	t.c.bump()
-	t.c.mu.Lock()
-	defer t.c.mu.Unlock()
-	if t.idx < 0 {
-		return false
-	}
-	heap.Remove(&t.c.h, t.idx)
-	return true
-}
-
-func (t *simTimer) Reset(d time.Duration) bool {
-	t.c.bump()
-	if d < 0 {
-		d = 0
-	}
-	t.c.mu.Lock()
-	defer t.c.mu.Unlock()
-	active := t.idx >= 0
-	if active {
-		heap.Remove(&t.c.h, t.idx)
-	}
-	t.deadline = t.c.now.Add(d)
-	t.c.seq++
-	t.seq = t.c.seq
-	heap.Push(&t.c.h, t)
-	return active
-}
-
-// timerHeap orders timers by (deadline, seq).
-type timerHeap []*simTimer
-
-func (h timerHeap) Len() int { return len(h) }
-func (h timerHeap) Less(i, j int) bool {
-	if !h[i].deadline.Equal(h[j].deadline) {
-		return h[i].deadline.Before(h[j].deadline)
-	}
-	return h[i].seq < h[j].seq
-}
-func (h timerHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].idx, h[j].idx = i, j
-}
-func (h *timerHeap) Push(x any) {
-	t := x.(*simTimer)
-	t.idx = len(*h)
-	*h = append(*h, t)
-}
-func (h *timerHeap) Pop() any {
-	old := *h
-	n := len(old)
-	t := old[n-1]
-	old[n-1] = nil
-	t.idx = -1
-	*h = old[:n-1]
-	return t
 }

@@ -8,13 +8,68 @@ import (
 	"time"
 )
 
+// afterFunc is construct-then-arm in one step, for tests whose callbacks
+// never touch their own handle.
+func afterFunc(clk Clock, d time.Duration, f func()) Timer {
+	t := clk.NewFuncTimer(f)
+	t.Reset(d)
+	return t
+}
+
+// TestFuncTimerHandleStoredBeforeFirstFire pins the construct-then-arm
+// contract: a self-rearming ticker stores its handle before arming, so a
+// driver firing timers as eagerly as it can (another goroutine spinning
+// AdvanceToNext, as the Pump does) can never run the callback against an
+// unset handle. With arm-at-construction (the old AfterFunc) this is a nil
+// dereference or a -race report on `tick`.
+func TestFuncTimerHandleStoredBeforeFirstFire(t *testing.T) {
+	clk := NewSim()
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				clk.AdvanceToNext()
+			}
+		}
+	}()
+	var fired atomic.Int64
+	for i := 0; i < 200; i++ {
+		var tick Timer
+		tick = clk.NewFuncTimer(func() {
+			if fired.Add(1)%3 != 0 {
+				tick.Reset(0)
+			}
+		})
+		if tick.Stop() {
+			t.Fatal("a freshly constructed func timer must be unarmed")
+		}
+		tick.Reset(0)
+	}
+	close(stop)
+	wg.Wait()
+	for {
+		if _, ok := clk.AdvanceToNext(); !ok {
+			break
+		}
+	}
+	if fired.Load() < 200 {
+		t.Fatalf("fired %d ticks, want every one of the 200 timers at least once", fired.Load())
+	}
+}
+
 func TestSimClockAdvanceFiresInDeadlineOrder(t *testing.T) {
 	clk := NewSim()
 	var mu sync.Mutex
 	var order []string
-	clk.AfterFunc(30*time.Millisecond, func() { mu.Lock(); order = append(order, "c"); mu.Unlock() })
-	clk.AfterFunc(10*time.Millisecond, func() { mu.Lock(); order = append(order, "a"); mu.Unlock() })
-	clk.AfterFunc(20*time.Millisecond, func() { mu.Lock(); order = append(order, "b"); mu.Unlock() })
+	afterFunc(clk, 30*time.Millisecond, func() { mu.Lock(); order = append(order, "c"); mu.Unlock() })
+	afterFunc(clk, 10*time.Millisecond, func() { mu.Lock(); order = append(order, "a"); mu.Unlock() })
+	afterFunc(clk, 20*time.Millisecond, func() { mu.Lock(); order = append(order, "b"); mu.Unlock() })
 
 	clk.Advance(15 * time.Millisecond)
 	mu.Lock()
@@ -39,7 +94,7 @@ func TestSimClockSameDeadlineFiresInCreationOrder(t *testing.T) {
 	var order []int
 	for i := 0; i < 5; i++ {
 		i := i
-		clk.AfterFunc(time.Second, func() { order = append(order, i) })
+		afterFunc(clk, time.Second, func() { order = append(order, i) })
 	}
 	clk.Advance(time.Second)
 	for i, v := range order {
@@ -52,7 +107,7 @@ func TestSimClockSameDeadlineFiresInCreationOrder(t *testing.T) {
 func TestSimClockTimerStopAndReset(t *testing.T) {
 	clk := NewSim()
 	fired := 0
-	tm := clk.AfterFunc(time.Second, func() { fired++ })
+	tm := afterFunc(clk, time.Second, func() { fired++ })
 	if !tm.Stop() {
 		t.Fatal("Stop on pending timer should report true")
 	}
@@ -71,12 +126,13 @@ func TestSimClockTimerStopAndReset(t *testing.T) {
 	// Reset from inside the callback (how the TB timer re-arms itself).
 	var rearm Timer
 	count := 0
-	rearm = clk.AfterFunc(time.Second, func() {
+	rearm = clk.NewFuncTimer(func() {
 		count++
 		if count < 3 {
 			rearm.Reset(time.Second)
 		}
 	})
+	rearm.Reset(time.Second)
 	clk.Advance(10 * time.Second)
 	if count != 3 {
 		t.Fatalf("self-rearming timer fired %d times, want 3", count)
@@ -108,7 +164,7 @@ func TestSimClockAdvanceToNext(t *testing.T) {
 		t.Fatal("AdvanceToNext with no timers reported ok")
 	}
 	fired := false
-	clk.AfterFunc(42*time.Second, func() { fired = true })
+	afterFunc(clk, 42*time.Second, func() { fired = true })
 	moved, ok := clk.AdvanceToNext()
 	if !ok || moved != 42*time.Second || !fired {
 		t.Fatalf("AdvanceToNext: moved=%v ok=%v fired=%v", moved, ok, fired)

@@ -1,7 +1,6 @@
 package simclock
 
 import (
-	"container/heap"
 	"sync"
 	"time"
 )
@@ -19,7 +18,7 @@ import (
 // over a SimClock keeps virtual-time determinism: the wheel's single
 // pending inner timer is fired by the SimClock driver like any other.
 //
-// AfterFunc callbacks run inline on the wheel goroutine (the same
+// Func-timer callbacks run inline on the wheel goroutine (the same
 // contract as SimClock's advancing goroutine): they must be brief and
 // must not block, or they delay every other timer in the process. All of
 // Ginja's internal callbacks (TB/TS expiry, tuner ticks, trimmer ticks)
@@ -27,9 +26,8 @@ import (
 type Wheel struct {
 	inner Clock
 
-	mu  sync.Mutex
-	h   wheelHeap
-	seq uint64
+	mu     sync.Mutex
+	timers timerQueue
 
 	wake chan struct{}
 	done chan struct{}
@@ -88,38 +86,44 @@ func (w *Wheel) After(d time.Duration) <-chan time.Time {
 
 // NewTimer returns a Timer multiplexed onto the wheel.
 func (w *Wheel) NewTimer(d time.Duration) Timer {
-	t := &wheelTimer{w: w, ch: make(chan time.Time, 1), idx: -1}
-	w.schedule(t, d)
+	t := &heapTimer{owner: w, idx: -1, ch: make(chan time.Time, 1)}
+	w.arm(t, d)
 	return t
 }
 
-// AfterFunc returns a Timer that invokes f on the wheel goroutine once d
-// has elapsed. f must be brief and non-blocking.
-func (w *Wheel) AfterFunc(d time.Duration, f func()) Timer {
-	t := &wheelTimer{w: w, fn: f, idx: -1}
-	w.schedule(t, d)
-	return t
+// NewFuncTimer returns an unarmed Timer that, once Reset, invokes f on
+// the wheel goroutine at its deadline. f must be brief and non-blocking.
+func (w *Wheel) NewFuncTimer(f func()) Timer {
+	return &heapTimer{owner: w, idx: -1, fn: f}
 }
 
 // PendingTimers returns the number of timers currently scheduled (tests).
 func (w *Wheel) PendingTimers() int {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return len(w.h)
+	return len(w.timers.h)
 }
 
-func (w *Wheel) schedule(t *wheelTimer, d time.Duration) {
+func (w *Wheel) arm(t *heapTimer, d time.Duration) bool {
 	if d < 0 {
 		d = 0
 	}
 	deadline := w.inner.Now().Add(d)
 	w.mu.Lock()
-	t.deadline = deadline
-	w.seq++
-	t.seq = w.seq
-	heap.Push(&w.h, t)
+	active := w.timers.set(t, deadline)
 	w.mu.Unlock()
 	w.poke()
+	return active
+}
+
+func (w *Wheel) disarm(t *heapTimer) bool {
+	w.mu.Lock()
+	active := w.timers.remove(t)
+	w.mu.Unlock()
+	if active {
+		w.poke()
+	}
+	return active
 }
 
 // poke nudges the wheel goroutine to re-examine the heap (the earliest
@@ -138,17 +142,16 @@ func (w *Wheel) loop() {
 		var arm Timer
 		var armCh <-chan time.Time
 		w.mu.Lock()
-		for len(w.h) > 0 {
-			next := w.h[0]
+		for next := w.timers.peek(); next != nil; next = w.timers.peek() {
 			d := w.inner.Until(next.deadline)
 			if d > 0 {
 				arm = w.inner.NewTimer(d)
 				armCh = arm.C()
 				break
 			}
-			heap.Pop(&w.h)
+			w.timers.pop()
 			w.mu.Unlock()
-			w.fire(next)
+			next.fire(w.inner.Now())
 			w.mu.Lock()
 		}
 		w.mu.Unlock()
@@ -170,97 +173,4 @@ func (w *Wheel) loop() {
 			return
 		}
 	}
-}
-
-func (w *Wheel) fire(t *wheelTimer) {
-	if t.fn != nil {
-		t.fn()
-		return
-	}
-	select {
-	case t.ch <- w.inner.Now():
-	default:
-	}
-}
-
-// wheelTimer is one timer multiplexed onto a Wheel.
-type wheelTimer struct {
-	w        *Wheel
-	deadline time.Time
-	seq      uint64 // creation order breaks deadline ties deterministically
-	idx      int    // heap index, -1 when not scheduled
-	fn       func()
-	ch       chan time.Time
-}
-
-func (t *wheelTimer) C() <-chan time.Time {
-	if t.fn != nil {
-		return nil
-	}
-	return t.ch
-}
-
-func (t *wheelTimer) Stop() bool {
-	t.w.mu.Lock()
-	active := t.idx >= 0
-	if active {
-		heap.Remove(&t.w.h, t.idx)
-	}
-	t.w.mu.Unlock()
-	if active {
-		t.w.poke()
-	}
-	return active
-}
-
-func (t *wheelTimer) Reset(d time.Duration) bool {
-	if d < 0 {
-		d = 0
-	}
-	deadline := t.w.inner.Now().Add(d)
-	t.w.mu.Lock()
-	active := t.idx >= 0
-	if active {
-		heap.Remove(&t.w.h, t.idx)
-	}
-	t.deadline = deadline
-	t.w.seq++
-	t.seq = t.w.seq
-	heap.Push(&t.w.h, t)
-	t.w.mu.Unlock()
-	t.w.poke()
-	return active
-}
-
-// wheelHeap orders timers by (deadline, seq).
-type wheelHeap []*wheelTimer
-
-func (h wheelHeap) Len() int { return len(h) }
-
-func (h wheelHeap) Less(i, j int) bool {
-	if !h[i].deadline.Equal(h[j].deadline) {
-		return h[i].deadline.Before(h[j].deadline)
-	}
-	return h[i].seq < h[j].seq
-}
-
-func (h wheelHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].idx, h[j].idx = i, j
-}
-
-func (h *wheelHeap) Push(x any) {
-	t := x.(*wheelTimer)
-	t.idx = len(*h)
-	*h = append(*h, t)
-}
-
-func (h *wheelHeap) Pop() any {
-	old := *h
-	n := len(old)
-	t := old[n-1]
-	old[n-1] = nil
-	t.idx = -1
-	*h = old[:n-1]
-	return t
 }

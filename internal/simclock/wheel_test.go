@@ -21,9 +21,9 @@ func TestWheelFiresInDeadlineOrderOnSimClock(t *testing.T) {
 			mu.Unlock()
 		}
 	}
-	w.AfterFunc(30*time.Millisecond, record(3))
-	w.AfterFunc(10*time.Millisecond, record(1))
-	w.AfterFunc(20*time.Millisecond, record(2))
+	afterFunc(w, 30*time.Millisecond, record(3))
+	afterFunc(w, 10*time.Millisecond, record(1))
+	afterFunc(w, 20*time.Millisecond, record(2))
 
 	stop := sim.Pump()
 	deadline := time.Now().Add(5 * time.Second)
@@ -63,7 +63,7 @@ func TestWheelTimerChannelAndStop(t *testing.T) {
 
 	// A stopped timer must not fire.
 	var fired atomic.Bool
-	tm2 := w.AfterFunc(30*time.Millisecond, func() { fired.Store(true) })
+	tm2 := afterFunc(w, 30*time.Millisecond, func() { fired.Store(true) })
 	if !tm2.Stop() {
 		t.Fatal("Stop on a pending timer reported inactive")
 	}
@@ -75,8 +75,8 @@ func TestWheelTimerChannelAndStop(t *testing.T) {
 	// Reset re-arms to an earlier deadline than the one the wheel is
 	// currently sleeping toward.
 	var early atomic.Bool
-	w.AfterFunc(10*time.Second, func() {}) // arms a far-future inner timer
-	tm3 := w.AfterFunc(5*time.Second, func() { early.Store(true) })
+	afterFunc(w, 10*time.Second, func() {}) // arms a far-future inner timer
+	tm3 := afterFunc(w, 5*time.Second, func() { early.Store(true) })
 	tm3.Reset(time.Millisecond)
 	deadline := time.Now().Add(5 * time.Second)
 	for !early.Load() {
@@ -116,7 +116,7 @@ func TestWheelManyTimersOneGoroutine(t *testing.T) {
 	const n = 1000
 	var fired atomic.Int32
 	for i := 0; i < n; i++ {
-		w.AfterFunc(time.Duration(i%17+1)*time.Millisecond, func() { fired.Add(1) })
+		afterFunc(w, time.Duration(i%17+1)*time.Millisecond, func() { fired.Add(1) })
 	}
 	if got := w.PendingTimers(); got != n {
 		t.Fatalf("PendingTimers = %d, want %d", got, n)
