@@ -8,7 +8,7 @@ FUZZTIME ?= 10s
 COVER_FLOOR_CORE ?= 85
 COVER_FLOOR_OBS  ?= 85
 
-.PHONY: build test vet race loc verify cover-check fuzz-smoke bench-build bench bench-commit bench-commit-smoke bench-data bench-data-smoke bench-recovery bench-recovery-smoke bench-fleet bench-fleet-smoke
+.PHONY: build test vet race loc verify cover-check fuzz-smoke bench-build bench-pair bench bench-commit bench-commit-smoke bench-data bench-data-smoke bench-recovery bench-recovery-smoke bench-fleet bench-fleet-smoke
 
 build:
 	$(GO) build ./...
@@ -21,10 +21,11 @@ test:
 
 # Race-check the concurrency-heavy packages: the observability registry,
 # the replication core (commit pipeline, checkpointer, follower, fleet),
-# the simulated cloud (virtual-clock latency/outage state), and the
-# deterministic simulation driver.
+# the simulated cloud (virtual-clock latency/outage state), the
+# deterministic simulation driver, and the sealer (segment-parallel
+# deflate under one process-wide helper budget).
 race:
-	$(GO) test -race ./internal/obs/... ./internal/core/... ./internal/cloud/... ./internal/sim/...
+	$(GO) test -race ./internal/obs/... ./internal/core/... ./internal/cloud/... ./internal/sim/... ./internal/sealer/...
 
 # loc prints the two size figures the simplicity issues gate on: non-test
 # Go lines in internal/core, and in the repo outside benchmark/.
@@ -128,3 +129,13 @@ bench-fleet:
 
 bench-fleet-smoke:
 	$(GO) run ./cmd/ginja-benchjson -path fleet -smoke
+
+# bench-pair is how a performance claim is measured (ROADMAP item 3): the
+# wall-clock benchmark on PARENT (a revision, required) and on this
+# checkout, seeds 1..PAIRS, the side that runs first alternating, then the
+# benchmark's own -compare verdict. WORKLOAD may name several,
+# space-separated. Everything stays under benchmark/out/.
+WORKLOAD ?= bulk_cycle
+PAIRS ?= 10
+bench-pair:
+	bash scripts/bench-pair.sh "$(PARENT)" "$(WORKLOAD)" $(PAIRS)

@@ -209,7 +209,7 @@ func newCheckpointer(localFS vfs.FS, proc dbevent.Processor, view *CloudView,
 	if params.DeltaCheckpoints {
 		c.dirty = newDirtyMap()
 	}
-	c.uploader = newPartUploader(localFS, io, tracker)
+	c.uploader = &partUploader{fs: localFS, io: io, tracker: tracker}
 	if c.metrics != nil {
 		c.uploader.sealHist = c.metrics.sealPart
 		c.uploader.putHist = c.metrics.partPut

@@ -244,7 +244,7 @@ func (g *Ginja) Boot(ctx context.Context) error {
 	if err != nil {
 		return fmt.Errorf("core: boot dump: %w", err)
 	}
-	up := newPartUploader(g.localFS, g.io, g.tracker)
+	up := &partUploader{fs: g.localFS, io: g.io, tracker: g.tracker}
 	info, err := up.upload(ctx, DBObjectInfo{Ts: 0, Gen: 0, Type: Dump}, plan, nil)
 	if err != nil {
 		return fmt.Errorf("core: boot dump: %w", err)

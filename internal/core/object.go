@@ -6,10 +6,12 @@
 package core
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -269,7 +271,9 @@ func EncodeWritesInto(buf []byte, writes []FileWrite) []byte {
 	return buf
 }
 
-// DecodeWrites parses a serialized write list.
+// DecodeWrites parses a serialized write list. Every Data in the result is
+// a capacity-clipped sub-slice of buf, not a copy: the list is valid while
+// buf is unmodified (every caller applies it and drops it before buf).
 func DecodeWrites(buf []byte) ([]FileWrite, error) {
 	if len(buf) < 8 || string(buf[:4]) != writeListMagic {
 		return nil, ErrBadWriteList
@@ -305,9 +309,9 @@ func DecodeWrites(buf []byte) ([]FileWrite, error) {
 		if dataLen > uint64(len(buf)-off) {
 			return nil, ErrBadWriteList
 		}
-		data := append([]byte(nil), buf[off:off+int(dataLen)]...)
-		off += int(dataLen)
-		writes = append(writes, FileWrite{Path: p, Offset: wOff, Data: data, Whole: flags&1 != 0})
+		end := off + int(dataLen)
+		writes = append(writes, FileWrite{Path: p, Offset: wOff, Data: buf[off:end:end], Whole: flags&1 != 0})
+		off = end
 	}
 	if off != len(buf) {
 		return nil, ErrBadWriteList
@@ -322,67 +326,113 @@ func DecodeWrites(buf []byte) ([]FileWrite, error) {
 // into one cloud object ("by aggregating them we coalesce many updates in
 // a single cloud object upload", §5.3).
 //
-// The result is ordered by (path, offset). Whole-file entries are passed
-// through untouched.
+// The result is ordered by (path, offset), whole-file entries passed
+// through untouched after it. Only joined runs are copied: every other
+// Data in the result is a sub-slice of the input's.
 func MergeWrites(writes []FileWrite) []FileWrite {
-	type segment struct {
-		off  int64
-		data []byte
+	var m mergeScratch
+	return m.merge(writes, true)
+}
+
+// mergeScratch is the working memory of merge: an owner that merges in a
+// loop (the Aggregator) keeps one and allocates nothing in steady state.
+// A result is valid until the next merge.
+type mergeScratch struct {
+	idx  []int32 // positional writes ordered by (path, offset, arrival)
+	live []int32 // writes reaching past the sweep position, newest last
+	out  []FileWrite
+}
+
+// merge is the one write-merging engine: an index sort by (path, offset),
+// then one sweep per file that gives every byte to the newest write
+// covering it. A surviving stretch of a write is a sub-slice of its Data;
+// payload moves only if join is set (MergeWrites' contract; the Aggregator
+// leaves contiguous pieces apart and so never copies). Zero-length writes
+// change no byte and are dropped. O(n log n) plus, per write, one int32
+// shift per older-arrived write still live under it — rewrites of a page
+// arrive in order and shift nothing; pages nest a handful deep at most.
+func (m *mergeScratch) merge(ws []FileWrite, join bool) []FileWrite {
+	idx, live, out := slices.Grow(m.idx[:0], len(ws)), m.live[:0], slices.Grow(m.out[:0], len(ws))
+	for i := range ws {
+		if !ws[i].Whole && len(ws[i].Data) > 0 {
+			idx = append(idx, int32(i))
+		}
 	}
-	files := make(map[string][]segment)
-	var order []string
-	var whole []FileWrite
-	for _, w := range writes {
-		if w.Whole {
-			whole = append(whole, w)
-			continue
+	slices.SortFunc(idx, func(a, b int32) int {
+		wa, wb := &ws[a], &ws[b]
+		if wa.Path != wb.Path {
+			return strings.Compare(wa.Path, wb.Path)
 		}
-		if _, ok := files[w.Path]; !ok {
-			order = append(order, w.Path)
+		if wa.Offset != wb.Offset {
+			return cmp.Compare(wa.Offset, wb.Offset)
 		}
-		segs := files[w.Path]
-		// Cut away the parts of existing segments that the new write
-		// overlaps, then insert the new write.
-		var next []segment
-		for _, s := range segs {
-			sEnd := s.off + int64(len(s.data))
-			switch {
-			case sEnd <= w.Offset || s.off >= w.End():
-				next = append(next, s) // disjoint
-			default:
-				if s.off < w.Offset { // left remainder
-					next = append(next, segment{off: s.off, data: s.data[:w.Offset-s.off]})
+		return cmp.Compare(a, b)
+	})
+	var pos int64    // sweep position in the current file
+	src := int32(-1) // the write out's last piece was cut from
+	for k := 0; k <= len(idx); k++ {
+		// The live writes own everything up to where the next write of the
+		// file starts — or to their end, at a file boundary.
+		until := int64(math.MaxInt64)
+		if k < len(idx) && len(live) > 0 && ws[idx[k]].Path == ws[live[0]].Path {
+			until = ws[idx[k]].Offset
+		}
+		for len(live) > 0 && pos < until {
+			top := live[len(live)-1]
+			w := &ws[top]
+			if end := min(w.End(), until); end > pos {
+				if src == top { // the same write carrying on: still one sub-slice
+					last := &out[len(out)-1]
+					last.Data = w.Data[last.Offset-w.Offset : end-w.Offset : end-w.Offset]
+				} else {
+					out = append(out, FileWrite{Path: w.Path, Offset: pos,
+						Data: w.Data[pos-w.Offset : end-w.Offset : end-w.Offset]})
+					src = top
 				}
-				if sEnd > w.End() { // right remainder
-					next = append(next, segment{off: w.End(), data: s.data[w.End()-s.off:]})
-				}
+				pos = end
+			}
+			if w.End() <= pos {
+				live = live[:len(live)-1]
 			}
 		}
-		next = append(next, segment{off: w.Offset, data: append([]byte(nil), w.Data...)})
-		files[w.Path] = next
-	}
-	var out []FileWrite
-	sort.Strings(order)
-	for _, p := range order {
-		segs := files[p]
-		sort.Slice(segs, func(i, j int) bool { return segs[i].off < segs[j].off })
-		// Merge contiguous segments.
-		var cur *FileWrite
-		for _, s := range segs {
-			if cur != nil && cur.End() == s.off {
-				cur.Data = append(cur.Data, s.data...)
-				continue
+		if k < len(idx) {
+			if len(live) == 0 {
+				pos = ws[idx[k]].Offset // a gap, or the next file
 			}
-			if cur != nil {
-				out = append(out, *cur)
-			}
-			cur = &FileWrite{Path: p, Offset: s.off, Data: s.data}
-		}
-		if cur != nil {
-			out = append(out, *cur)
+			at, _ := slices.BinarySearch(live, idx[k])
+			live = slices.Insert(live, at, idx[k])
 		}
 	}
-	return append(out, whole...)
+	if join {
+		out = joinRuns(out)
+	}
+	for i := range ws {
+		if ws[i].Whole {
+			out = append(out, ws[i])
+		}
+	}
+	m.idx, m.live, m.out = idx, live, out
+	return out
+}
+
+// joinRuns concatenates, in place, every run of contiguous pieces into one
+// write whose buffer is allocated once, at the run's size.
+func joinRuns(ws []FileWrite) []FileWrite {
+	out := ws[:0]
+	for i, j := 0, 0; i < len(ws); i = j {
+		w, size := ws[i], 0
+		for j = i; j < len(ws) && ws[j].Path == w.Path && ws[j].Offset == w.Offset+int64(size); j++ {
+			size += len(ws[j].Data)
+		}
+		if j > i+1 {
+			w.Data = make([]byte, 0, size)
+			for _, piece := range ws[i:j] {
+				w.Data = append(w.Data, piece.Data...)
+			}
+		}
+		out = append(out, w)
+	}
+	return out
 }
 
 // PackWrites plans the minimum number of WAL objects for a batch: writes

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -270,54 +271,179 @@ func TestMergeWritesPartialOverlap(t *testing.T) {
 	}
 }
 
-// TestPropertyMergeWrites: merging must be equivalent to applying the
-// writes to a sparse file in order.
-func TestPropertyMergeWrites(t *testing.T) {
-	type op struct {
-		Off  uint16
-		Data []byte
+// mergeWritesOracle is MergeWrites as it was before the sort-and-sweep
+// engine: every write cuts its range out of the file's segment list, then
+// the list is sorted and contiguous segments joined. Quadratic and copying,
+// but obviously right — the reference TestPropertyMergeWrites compares to.
+func mergeWritesOracle(writes []FileWrite) []FileWrite {
+	type segment struct {
+		off  int64
+		data []byte
 	}
-	prop := func(ops []op) bool {
-		var writes []FileWrite
-		model := make([]byte, 0, 8192)
-		maxEnd := 0
-		for _, o := range ops {
-			off := int(o.Off % 2048)
-			if len(o.Data) == 0 {
+	files := make(map[string][]segment)
+	var order []string
+	var whole []FileWrite
+	for _, w := range writes {
+		if w.Whole {
+			whole = append(whole, w)
+			continue
+		}
+		if _, ok := files[w.Path]; !ok {
+			order = append(order, w.Path)
+		}
+		segs := files[w.Path]
+		// Cut away the parts of existing segments that the new write
+		// overlaps, then insert the new write.
+		var next []segment
+		for _, s := range segs {
+			sEnd := s.off + int64(len(s.data))
+			switch {
+			case sEnd <= w.Offset || s.off >= w.End():
+				next = append(next, s) // disjoint
+			default:
+				if s.off < w.Offset { // left remainder
+					next = append(next, segment{off: s.off, data: s.data[:w.Offset-s.off]})
+				}
+				if sEnd > w.End() { // right remainder
+					next = append(next, segment{off: w.End(), data: s.data[w.End()-s.off:]})
+				}
+			}
+		}
+		next = append(next, segment{off: w.Offset, data: append([]byte(nil), w.Data...)})
+		files[w.Path] = next
+	}
+	var out []FileWrite
+	sort.Strings(order)
+	for _, p := range order {
+		segs := files[p]
+		sort.Slice(segs, func(i, j int) bool { return segs[i].off < segs[j].off })
+		// Merge contiguous segments.
+		var cur *FileWrite
+		for _, s := range segs {
+			if cur != nil && cur.End() == s.off {
+				cur.Data = append(cur.Data, s.data...)
 				continue
 			}
-			writes = append(writes, FileWrite{Path: "f", Offset: int64(off), Data: o.Data})
-			end := off + len(o.Data)
-			if end > len(model) {
-				grown := make([]byte, end)
-				copy(grown, model)
-				model = grown
+			if cur != nil {
+				out = append(out, *cur)
 			}
-			copy(model[off:end], o.Data)
-			if end > maxEnd {
-				maxEnd = end
-			}
+			cur = &FileWrite{Path: p, Offset: s.off, Data: s.data}
 		}
-		merged := MergeWrites(writes)
-		// Replay merged writes onto a fresh buffer; untouched bytes keep
-		// zero, so compare only written regions via full replay of the
-		// original (model) against replay of merged.
-		out := make([]byte, len(model))
-		prevEnd := int64(-1)
-		for _, w := range merged {
-			if w.Offset <= prevEnd {
-				return false // runs must be disjoint and sorted
-			}
-			prevEnd = w.End() - 1
-			copy(out[w.Offset:w.End()], w.Data)
+		if cur != nil {
+			out = append(out, *cur)
 		}
-		// Regions never written must remain zero in both; written regions
-		// must match. Since model's unwritten bytes are zero too, direct
-		// comparison suffices.
-		return bytes.Equal(out, model)
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
+	return append(out, whole...)
+}
+
+func sameWrites(a, b []FileWrite) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Path != b[i].Path || a[i].Offset != b[i].Offset || a[i].Whole != b[i].Whole ||
+			!bytes.Equal(a[i].Data, b[i].Data) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestPropertyMergeWrites: on write sequences over several files — page
+// rewrites, partial overlaps, covering writes, contiguous runs, whole-file
+// entries — MergeWrites returns exactly what the reference implementation
+// does, and the Aggregator's no-join merge returns the same bytes as
+// sorted, disjoint sub-slices of its input (no payload copied).
+func TestPropertyMergeWrites(t *testing.T) {
+	type op struct {
+		File  uint8
+		Off   uint16
+		Data  []byte
+		Page  bool // a page-aligned, page-sized write: exact rewrites and joins
+		Whole bool
+	}
+	var scratch mergeScratch // reused across cases, as the Aggregator does
+	prop := func(ops []op) bool {
+		var writes []FileWrite
+		for i, o := range ops {
+			w := FileWrite{Path: string(rune('a' + o.File%3)), Offset: int64(o.Off % 512), Data: o.Data}
+			switch {
+			case o.Whole && i%8 == 0:
+				w.Offset, w.Whole = 0, true
+			case len(o.Data) == 0:
+				continue
+			case o.Page:
+				w.Offset = int64(o.Off%8) * 64
+				w.Data = bytes.Repeat([]byte{byte(i)}, 64)
+			}
+			writes = append(writes, w)
+		}
+		want := mergeWritesOracle(writes)
+		if !sameWrites(MergeWrites(writes), want) {
+			return false
+		}
+		// Without joining: sorted and disjoint, replaying to the same bytes
+		// as the joined result, every piece inside one of the inputs.
+		pieces := scratch.merge(writes, false)
+		replay := func(ws []FileWrite) map[string][]byte {
+			files := make(map[string][]byte)
+			for _, w := range ws {
+				if w.Whole {
+					continue
+				}
+				f := files[w.Path]
+				if int(w.End()) > len(f) {
+					f = append(f, make([]byte, int(w.End())-len(f))...)
+				}
+				copy(f[w.Offset:], w.Data)
+				files[w.Path] = f
+			}
+			return files
+		}
+		if !reflect.DeepEqual(replay(pieces), replay(want)) {
+			return false
+		}
+		for i, pc := range pieces {
+			if pc.Whole {
+				continue
+			}
+			if i > 0 && pieces[i-1].Path == pc.Path && pieces[i-1].End() > pc.Offset {
+				return false // overlapping or out of order
+			}
+			aliased := false
+			for _, w := range writes {
+				if d := pc.Offset - w.Offset; !w.Whole && w.Path == pc.Path && d >= 0 && pc.End() <= w.End() &&
+					&pc.Data[0] == &w.Data[d] {
+					aliased = true
+				}
+			}
+			if !aliased {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestMergeWritesCopiesOnlyJoinedRuns: a write that survives whole and
+// alone comes back as the caller's own slice — what lets the checkpointer
+// merge 6 MiB of collected pages without copying them again.
+func TestMergeWritesCopiesOnlyJoinedRuns(t *testing.T) {
+	a, b, c := []byte("aaaa"), []byte("bbbb"), []byte("cccc")
+	merged := MergeWrites([]FileWrite{
+		{Path: "f", Offset: 100, Data: c},
+		{Path: "f", Offset: 0, Data: a},
+		{Path: "f", Offset: 4, Data: b},
+	})
+	if len(merged) != 2 || string(merged[0].Data) != "aaaabbbb" || &merged[1].Data[0] != &c[0] {
+		t.Fatalf("merged = %+v, want the joined run copied and the lone write aliased", merged)
+	}
+	merged[0].Data[0] = 'X'
+	if a[0] != 'a' {
+		t.Fatal("a joined run was built inside the caller's buffer")
 	}
 }
 

@@ -14,7 +14,6 @@ import (
 
 	"github.com/ginja-dr/ginja/internal/dbevent"
 	"github.com/ginja-dr/ginja/internal/obs"
-	"github.com/ginja-dr/ginja/internal/sealer"
 	"github.com/ginja-dr/ginja/internal/vfs"
 )
 
@@ -24,13 +23,13 @@ import (
 // first *planned* — split into ≤ partBudget payload slices, each entry
 // either an in-memory write or a lazy (path, offset, length) range of a
 // local file — and the plan is then executed by a bounded worker pool:
-// each worker reads+encodes its part into a pooled buffer, seals it with
-// a dedicated per-worker sealer.Ctx and PUTs it. At most
-// CheckpointUploaders parts are resident at any moment, so memory is
-// bounded by CheckpointUploaders × (payload + sealed) ≤
-// 2 × CheckpointUploaders × MaxObjectSize regardless of database size,
-// and sealing parallelizes across the pool instead of running once over
-// the whole object.
+// each worker reads+encodes its part into a pooled buffer sized from the
+// plan, seals it and PUTs it. At most CheckpointUploaders parts are
+// resident at any moment, so memory is bounded by CheckpointUploaders ×
+// (payload + sealed) ≤ 2 × CheckpointUploaders × MaxObjectSize regardless
+// of database size. Sealing parallelizes across the parts and, inside
+// sealer.Seal, across each part's 1 MiB segments: a one-part object (every
+// incremental checkpoint) still seals on every idle core.
 
 // planEntry is one slice of a planned part: either carries its bytes
 // (data non-nil — collected checkpoint writes, dump extras) or names a
@@ -280,11 +279,21 @@ func planInMemBytes(parts [][]planEntry) int64 {
 	return n
 }
 
-// encodePart serializes one part's entries into buf (usually pooled
-// scratch[:0]) as a self-framing write list — the same wire format
-// DecodeWrites reads — streaming lazy entries straight from the local
-// file into the encode buffer at their final position (no intermediate
-// copy).
+// partEncodedSize is the exact length encodePart produces for a part: the
+// plan fixes it before a byte is read.
+func partEncodedSize(entries []planEntry) int {
+	n := partHeaderSize
+	for _, e := range entries {
+		n += entryOverhead + len(e.path) + int(e.length)
+	}
+	return n
+}
+
+// encodePart serializes one part's entries into buf (pooled scratch[:0] of
+// at least partEncodedSize capacity) as a self-framing write list — the
+// same wire format DecodeWrites reads — streaming lazy entries straight
+// from the local file into the encode buffer at their final position (no
+// intermediate copy).
 func encodePart(fsys vfs.FS, entries []planEntry, buf []byte) ([]byte, error) {
 	buf = append(buf, writeListMagic...)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(entries)))
@@ -325,13 +334,7 @@ func encodePart(fsys vfs.FS, entries []planEntry, buf []byte) ([]byte, error) {
 			curFile, curPath = f, e.path
 		}
 		pos := len(buf)
-		need := pos + int(e.length)
-		if cap(buf) < need {
-			grown := make([]byte, pos, need)
-			copy(grown, buf)
-			buf = grown
-		}
-		buf = buf[:need]
+		buf = buf[:pos+int(e.length)]
 		n, err := curFile.ReadAt(buf[pos:], e.offset)
 		if n != int(e.length) {
 			if err == nil || errors.Is(err, io.EOF) {
@@ -374,10 +377,9 @@ func (t *streamTracker) sub(n int64) {
 
 // partUploader executes a part plan: read→encode→seal→PUT per part, up to
 // CheckpointUploaders parts in flight. Encode buffers come from a
-// process-wide shared pool and are bounded at MaxObjectSize; each worker
-// seals with a dedicated sealer.Ctx (key-dependent, so per instance).
-// Safe for concurrent use by one upload at a time per object (the
-// checkpointer serializes objects; Boot runs alone).
+// process-wide shared pool and are bounded at MaxObjectSize. Safe for
+// concurrent use by one upload at a time per object (the checkpointer
+// serializes objects; Boot runs alone).
 type partUploader struct {
 	fs      vfs.FS
 	io      *cloudIO // also the source of Params and the clock
@@ -386,31 +388,23 @@ type partUploader struct {
 	// Optional instruments (nil when observability is disabled).
 	sealHist *obs.Histogram
 	putHist  *obs.Histogram
-
-	ctxs sync.Pool // *sealer.Ctx per-worker seal state
 }
 
 // partBufs is the process-wide encode-scratch pool, shared by every
 // partUploader (every tenant in a fleet): the live buffer count tracks
 // the fleet's CONCURRENT part uploads — bounded by the uploader pools —
-// instead of one retained buffer per database instance. Capacities vary
-// with each instance's MaxObjectSize; getPartBuf tops up undersized
-// pool hits by growing on append, and release drops buffers that exceed
-// the releasing instance's bound.
+// instead of one retained buffer per database instance. getPartBuf drops
+// a pool hit smaller than need and allocates exactly need — a 6 MiB
+// checkpoint does not cost a MaxObjectSize buffer — and release drops
+// buffers that exceed the releasing instance's bound.
 var partBufs sync.Pool
 
-func getPartBuf(budget int64) *[]byte {
-	if bp, ok := partBufs.Get().(*[]byte); ok {
+func getPartBuf(need int) *[]byte {
+	if bp, ok := partBufs.Get().(*[]byte); ok && cap(*bp) >= need {
 		return bp
 	}
-	b := make([]byte, 0, budget)
+	b := make([]byte, 0, need)
 	return &b
-}
-
-func newPartUploader(fsys vfs.FS, io *cloudIO, tracker *streamTracker) *partUploader {
-	u := &partUploader{fs: fsys, io: io, tracker: tracker}
-	u.ctxs.New = func() any { return io.seal.NewCtx() }
-	return u
 }
 
 // release returns an encode buffer to the shared pool unless it grew
@@ -441,7 +435,7 @@ func (u *partUploader) upload(ctx context.Context, ident DBObjectInfo,
 	readsLeft.Store(int64(len(parts)))
 	ctx = withClass(ctx, classBulk) // once per object, not per part
 	err := runLimited(ctx, u.io.params.CheckpointUploaders, len(parts), func(ctx context.Context, i int) error {
-		bp := getPartBuf(partBudget(u.io.params.MaxObjectSize))
+		bp := getPartBuf(partEncodedSize(parts[i]))
 		payload, err := encodePart(u.fs, parts[i], (*bp)[:0])
 		if err != nil {
 			u.release(bp)
@@ -452,9 +446,7 @@ func (u *partUploader) upload(ctx context.Context, ident DBObjectInfo,
 		}
 		u.tracker.add(int64(len(payload)))
 		sealStart := u.io.clk.Now()
-		sctx := u.ctxs.Get().(*sealer.Ctx)
-		sealed, err := sctx.Seal(payload)
-		u.ctxs.Put(sctx)
+		sealed, err := u.io.seal.Seal(payload)
 		// Both buffers exist until the payload scratch is released, so the
 		// sealed bytes enter the tracker first — the measured peak covers
 		// the overlap honestly.

@@ -1,12 +1,9 @@
 package core
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 	"log/slog"
-	"slices"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -112,8 +109,7 @@ type pipeline struct {
 	// allocation-free.
 	batchBuf  []update
 	writesBuf []FileWrite
-	sortIdx   []int32
-	mergedBuf []FileWrite
+	merge     mergeScratch
 	plan      [][]FileWrite
 
 	errMu sync.Mutex
@@ -310,52 +306,6 @@ func (p *pipeline) submit(path string, off int64, data []byte) (time.Duration, e
 	return blocked, err
 }
 
-// coalesce merges one batch's writes without copying payload bytes: an
-// index sort orders them by (path, offset) — stable, so writes to the
-// same region keep their arrival order — exact page rewrites keep only
-// the newest copy, and a later write fully covering an earlier one
-// supersedes it in place. Any other overlap shape (partial overlaps,
-// whole-file entries) returns nil and the caller falls back to the
-// general copying MergeWrites; the result is identical, only the
-// allocation profile differs. WAL workloads are appends and whole-page
-// rewrites, so the zero-copy path is the one that runs in practice.
-func (p *pipeline) coalesce(ws []FileWrite) []FileWrite {
-	idx := p.sortIdx[:0]
-	for i := range ws {
-		idx = append(idx, int32(i))
-	}
-	slices.SortStableFunc(idx, func(a, b int32) int {
-		wa, wb := &ws[a], &ws[b]
-		if c := strings.Compare(wa.Path, wb.Path); c != 0 {
-			return c
-		}
-		return cmp.Compare(wa.Offset, wb.Offset)
-	})
-	p.sortIdx = idx
-	merged := p.mergedBuf[:0]
-	defer func() { p.mergedBuf = merged[:0] }()
-	for _, i := range idx {
-		w := ws[i]
-		if w.Whole {
-			return nil
-		}
-		if n := len(merged); n > 0 {
-			prev := &merged[n-1]
-			if prev.Path == w.Path && w.Offset < prev.End() {
-				if w.Offset == prev.Offset && len(w.Data) >= len(prev.Data) {
-					// The newer write covers the older one completely:
-					// last-writer-wins without touching any bytes.
-					*prev = w
-					continue
-				}
-				return nil // partial overlap: needs byte-level composition
-			}
-		}
-		merged = append(merged, w)
-	}
-	return merged
-}
-
 // appendUnpacked plans one single-write object per split piece — the
 // pre-packing behaviour, kept for the DisablePacking/DisableAggregation
 // ablations that quantify what packing saves.
@@ -417,9 +367,9 @@ func (p *pipeline) aggregator() {
 		p.writesBuf = writes
 		merged := writes
 		if !p.params.DisableAggregation {
-			if merged = p.coalesce(writes); merged == nil {
-				merged = MergeWrites(writes)
-			}
+			// Contiguous runs stay separate writes: joining them would copy
+			// payload, and the packed object carries a write list anyway.
+			merged = p.merge.merge(writes, false)
 		}
 		maxSize := p.params.MaxObjectSize
 		if maxSize > 0 {

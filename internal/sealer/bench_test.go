@@ -17,7 +17,10 @@ func benchDumpPayload() []byte {
 }
 
 func benchPayloads() map[string][]byte {
-	return map[string][]byte{"wal8k": benchPayload(), "dump256k": benchDumpPayload()}
+	// part6m is one bulk_cycle checkpoint, part20m a full dump part: the
+	// multi-segment payloads (run with -cpu 1,2 to see what the helpers buy).
+	return map[string][]byte{"wal8k": benchPayload(), "dump256k": benchDumpPayload(),
+		"part6m": rowPayload(6_700_000, 1), "part20m": rowPayload(20<<20, 2)}
 }
 
 func benchConfigs(b *testing.B) map[string]*Sealer {

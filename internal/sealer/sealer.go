@@ -10,10 +10,24 @@
 //	magic(4) "GJA1" | flags(1) | iv(16, if encrypted) | payload | mac(20)
 //
 // The MAC covers everything before it (encrypt-then-MAC).
+//
+// A compressed payload is one RFC 1950 stream, but Seal builds it from
+// fixed 1 MiB segments deflated concurrently (pigz's construction): every
+// segment is compressed on its own by a raw flate writer and all but the
+// last end in a sync flush — a byte-aligned, empty, non-final stored block
+// — so the concatenation 0x78 0x01 ‖ segments ‖ Adler-32(payload) is a
+// single valid stream that Open, or any stock zlib reader, inflates
+// unchanged; segment boundaries cannot be recovered from it, which is why
+// Open stays serial. A payload of at most one segment is byte for byte
+// what a stock zlib writer at BestSpeed produces. The sealed size is part
+// of a DB object's name and simulated schedules must reproduce, so the
+// output is a function of the payload (and the IV) only — never of
+// GOMAXPROCS, of how many helpers were free, or of scheduling.
 package sealer
 
 import (
 	"bytes"
+	"compress/flate"
 	"compress/zlib"
 	"crypto/aes"
 	"crypto/cipher"
@@ -21,11 +35,15 @@ import (
 	"crypto/rand"
 	"crypto/sha1"
 	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash"
+	"hash/adler32"
 	"io"
+	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // Envelope constants.
@@ -39,6 +57,14 @@ const (
 
 	// kdfIterations for the PBKDF2 password derivation.
 	kdfIterations = 4096
+
+	// segmentSize is the unit of parallel compression. Not a knob: it
+	// decides the sealed bytes. A boundary costs the 5-byte sync marker and
+	// the lost 32 KiB window (+0.03 % on row-like data); smaller segments
+	// would only buy load balance.
+	segmentSize = 1 << 20
+	// zlibOverhead is the RFC 1950 header plus the Adler-32 trailer.
+	zlibOverhead = 2 + 4
 )
 
 var magic = []byte("GJA1")
@@ -75,12 +101,12 @@ type Options struct {
 // Sealer seals byte payloads into tamper-evident (optionally compressed
 // and encrypted) cloud objects and opens them back.
 //
-// Seal/Open are allocation-pooled: zlib writer/reader state, HMAC state
-// and compression buffers are recycled via sync.Pool, and the AES block
-// cipher is built once at construction. At high update rates the per-
-// object seal cost would otherwise be dominated by re-allocating that
-// state (a fresh zlib writer alone is several hundred KiB). Both methods
-// remain safe for concurrent use.
+// Seal/Open are allocation-pooled: deflate writer and zlib reader state,
+// HMAC state and compression buffers are recycled via sync.Pool, and the
+// AES block cipher is built once at construction. At high update rates the
+// per-object seal cost would otherwise be dominated by re-allocating that
+// state (a fresh deflate writer alone is several hundred KiB). Both
+// methods remain safe for concurrent use.
 type Sealer struct {
 	opts   Options
 	encKey []byte
@@ -92,19 +118,23 @@ type Sealer struct {
 
 // Key-independent scratch state is pooled at package level and shared by
 // every Sealer in the process: a fleet of a thousand tenants recycles one
-// set of zlib writers (several hundred KiB each) and buffers across all
+// set of deflate writers (several hundred KiB each) and buffers across all
 // of them instead of keeping a thousand idle copies warm. Only the HMAC
 // pool stays per-Sealer — its states are bound to that sealer's MAC key.
 var (
 	bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-	zwPool  = sync.Pool{New: func() any {
-		zw, err := zlib.NewWriterLevel(io.Discard, zlib.BestSpeed)
+	fwPool  = sync.Pool{New: func() any {
+		fw, err := flate.NewWriter(io.Discard, flate.BestSpeed)
 		if err != nil {
 			panic(err) // unreachable: BestSpeed is a valid level
 		}
-		return zw
+		return fw
 	}}
 	zrPool sync.Pool // io.ReadCloser + zlib.Resetter
+
+	// helpers counts the goroutines currently lent to multi-segment Seal
+	// calls, process-wide (see deflate).
+	helpers atomic.Int32
 )
 
 // New builds a Sealer. Encryption without a password is rejected.
@@ -163,98 +193,127 @@ func (s *Sealer) sum(dst, data []byte) []byte {
 // Seal envelopes payload for upload. The returned buffer is freshly
 // allocated at exact size — it is never recycled, so callers may retain
 // it — but all intermediate state (compressor, HMAC, scratch) is pooled.
+// A compressed payload longer than one segment is deflated on every idle
+// core (see deflate); the bytes do not depend on how many there were.
 func (s *Sealer) Seal(payload []byte) ([]byte, error) {
-	var scratch *bytes.Buffer
-	var zw *zlib.Writer
-	if s.opts.Compress {
-		scratch = bufPool.Get().(*bytes.Buffer)
-		defer bufPool.Put(scratch)
-		zw = zwPool.Get().(*zlib.Writer)
-		defer zwPool.Put(zw)
-	}
-	mac := s.macPool.Get().(hash.Hash)
-	defer s.macPool.Put(mac)
-	return s.sealWith(payload, scratch, zw, mac)
-}
-
-// sealWith is the sealing core shared by the pooled Seal path and Ctx:
-// scratch and zw are only touched when compression is enabled (and may be
-// nil otherwise), mac is always required.
-func (s *Sealer) sealWith(payload []byte, scratch *bytes.Buffer, zw *zlib.Writer, mac hash.Hash) ([]byte, error) {
 	var flags byte
-	body := payload
+	var segs []*bytes.Buffer
+	bodyLen := len(payload)
 	if s.opts.Compress {
-		scratch.Reset()
-		zw.Reset(scratch)
-		if _, err := zw.Write(payload); err != nil {
-			return nil, fmt.Errorf("sealer: compress: %w", err)
-		}
-		if err := zw.Close(); err != nil {
-			return nil, fmt.Errorf("sealer: compress: %w", err)
-		}
-		body = scratch.Bytes()
 		flags |= flagCompressed
+		var one [1]*bytes.Buffer // keeps the one-segment path allocation-free
+		var err error
+		if len(payload) <= segmentSize {
+			one[0], err = deflateSegment(payload, true)
+			segs = one[:]
+		} else {
+			segs, err = deflate(payload)
+		}
+		defer func() {
+			for _, seg := range segs {
+				bufPool.Put(seg)
+			}
+		}()
+		if err != nil {
+			return nil, fmt.Errorf("sealer: compress: %w", err)
+		}
+		bodyLen = zlibOverhead
+		for _, seg := range segs {
+			bodyLen += seg.Len()
+		}
 	}
-	size := len(magic) + 1 + len(body) + macSize
+	size := len(magic) + 1 + bodyLen + macSize
 	if s.opts.Encrypt {
+		flags |= flagEncrypted
 		size += ivSize
 	}
 	out := make([]byte, 0, size)
 	out = append(out, magic...)
-	if s.opts.Encrypt {
-		flags |= flagEncrypted
-	}
 	out = append(out, flags)
 	if s.opts.Encrypt {
-		var iv [ivSize]byte
-		if _, err := rand.Read(iv[:]); err != nil {
+		out = out[:len(out)+ivSize]
+		if _, err := rand.Read(out[len(out)-ivSize:]); err != nil {
 			return nil, fmt.Errorf("sealer: iv: %w", err)
 		}
-		out = append(out, iv[:]...)
-		// Encrypt in place: append the plaintext, then XOR the keystream
-		// over the bytes just appended.
-		start := len(out)
-		out = append(out, body...)
-		cipher.NewCTR(s.block, iv[:]).XORKeyStream(out[start:], out[start:])
-	} else {
-		out = append(out, body...)
 	}
-	mac.Reset()
-	mac.Write(out) //nolint:errcheck // hash writes never fail
-	return mac.Sum(out), nil
-}
-
-// Ctx is a dedicated sealing context for one worker goroutine: it owns
-// its compressor, HMAC state and compression scratch outright instead of
-// borrowing them from the shared pools, so a pool of N workers sealing
-// parts concurrently (the streaming dump path) hits zero pool contention
-// and keeps exactly N compressors alive. A Ctx is NOT safe for concurrent
-// use; the Sealer it came from remains so.
-type Ctx struct {
-	s       *Sealer
-	mac     hash.Hash
-	scratch *bytes.Buffer
-	zw      *zlib.Writer
-}
-
-// NewCtx builds a per-worker sealing context.
-func (s *Sealer) NewCtx() *Ctx {
-	c := &Ctx{s: s, mac: hmac.New(sha1.New, s.macKey)}
+	// The body goes straight to its final position — the segments are never
+	// concatenated anywhere else — and is encrypted there, in place.
+	start := len(out)
 	if s.opts.Compress {
-		c.scratch = new(bytes.Buffer)
-		zw, err := zlib.NewWriterLevel(io.Discard, zlib.BestSpeed)
-		if err != nil {
-			panic(err) // unreachable: BestSpeed is a valid level
+		out = append(out, 0x78, 0x01) // RFC 1950: deflate, 32 KiB window, fastest
+		for _, seg := range segs {
+			out = append(out, seg.Bytes()...)
 		}
-		c.zw = zw
+		out = binary.BigEndian.AppendUint32(out, adler32.Checksum(payload))
+	} else {
+		out = append(out, payload...)
 	}
-	return c
+	if s.opts.Encrypt {
+		cipher.NewCTR(s.block, out[start-ivSize:start]).XORKeyStream(out[start:], out[start:])
+	}
+	return s.sum(out, out), nil
 }
 
-// Seal is Sealer.Seal using this context's dedicated state. The returned
-// buffer is freshly allocated at exact size and never recycled.
-func (c *Ctx) Seal(payload []byte) ([]byte, error) {
-	return c.s.sealWith(payload, c.scratch, c.zw, c.mac)
+// deflateSegment compresses one segment into a pooled buffer with a pooled
+// raw deflate writer. Every segment but the stream's last ends in a sync
+// flush, which leaves the output byte-aligned and the stream open.
+func deflateSegment(seg []byte, last bool) (*bytes.Buffer, error) {
+	buf := bufPool.Get().(*bytes.Buffer)
+	buf.Reset()
+	fw := fwPool.Get().(*flate.Writer)
+	defer fwPool.Put(fw)
+	fw.Reset(buf)
+	if _, err := fw.Write(seg); err != nil {
+		return buf, err
+	}
+	if last {
+		return buf, fw.Close()
+	}
+	return buf, fw.Flush()
+}
+
+// borrowHelper claims one slot of the helper budget, or reports that none
+// is free; it never waits.
+func borrowHelper() bool {
+	limit := int32(runtime.GOMAXPROCS(0)) - 1
+	for n := helpers.Load(); n < limit; n = helpers.Load() {
+		if helpers.CompareAndSwap(n, n+1) {
+			return true
+		}
+	}
+	return false
+}
+
+// deflate compresses a multi-segment payload, one pooled buffer per
+// segment. The calling goroutine compresses segments itself and borrows
+// helpers, without ever blocking for one, while fewer than GOMAXPROCS-1
+// are lent out process-wide: on one core nothing is spawned, and five part
+// workers sealing a dump at once — or a fleet of a thousand tenants —
+// cannot oversubscribe the machine. Which goroutine compresses which
+// segment does not reach the output.
+func deflate(payload []byte) ([]*bytes.Buffer, error) {
+	n := (len(payload) + segmentSize - 1) / segmentSize
+	segs := make([]*bytes.Buffer, n)
+	errs := make([]error, n)
+	var next atomic.Int32
+	work := func() {
+		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+			end := min((i+1)*segmentSize, len(payload))
+			segs[i], errs[i] = deflateSegment(payload[i*segmentSize:end], i == n-1)
+		}
+	}
+	var wg sync.WaitGroup
+	for h := 1; h < n && borrowHelper(); h++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer helpers.Add(-1)
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+	return segs, errors.Join(errs...)
 }
 
 // Open verifies and unwraps a sealed object. The result never aliases
@@ -286,7 +345,9 @@ func (s *Sealer) Open(sealed []byte) ([]byte, error) {
 		dec := make([]byte, len(enc))
 		cipher.NewCTR(s.block, iv).XORKeyStream(dec, enc)
 		payload = dec
-	} else {
+	} else if flags&flagCompressed == 0 {
+		// Plain: nothing below produces a fresh buffer, and the result
+		// must not alias sealed.
 		payload = append([]byte(nil), payload...)
 	}
 	if flags&flagCompressed != 0 {

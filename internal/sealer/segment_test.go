@@ -1,0 +1,178 @@
+package sealer
+
+import (
+	"bytes"
+	"compress/zlib"
+	"errors"
+	"fmt"
+	"io"
+	"math/rand"
+	"runtime"
+	"sync"
+	"testing"
+	"time"
+)
+
+// rowPayload is n bytes of seeded, JSON-like row text: compressible, and
+// different in every segment.
+func rowPayload(n int, seed int64) []byte {
+	rng := rand.New(rand.NewSource(seed))
+	var b bytes.Buffer
+	b.Grow(n + 64)
+	for b.Len() < n {
+		fmt.Fprintf(&b, `{"id":%d,"qty":%d,"name":"item-%x"},`, rng.Int63(), rng.Intn(100), rng.Int31())
+	}
+	return b.Bytes()[:n]
+}
+
+// segmentEdgeSizes are the payload sizes around every place the segmented
+// body writer changes shape, plus a checkpoint-sized and a part-sized one.
+var segmentEdgeSizes = []int{0, 1, segmentSize - 1, segmentSize, segmentSize + 1,
+	2*segmentSize - 1, 2*segmentSize + 1, 6_700_000, 20 << 20}
+
+func TestSegmentedRoundTrip(t *testing.T) {
+	big := rowPayload(20<<20, 1)
+	for name, s := range configs(t) {
+		for _, n := range segmentEdgeSizes {
+			sealed, err := s.Seal(big[:n])
+			if err != nil {
+				t.Fatalf("%s/%d: Seal: %v", name, n, err)
+			}
+			got, err := s.Open(sealed)
+			if err != nil {
+				t.Fatalf("%s/%d: Open: %v", name, n, err)
+			}
+			if !bytes.Equal(got, big[:n]) {
+				t.Fatalf("%s/%d: round trip mismatch", name, n)
+			}
+		}
+	}
+}
+
+// zlibEnvelope is the compress-only envelope as the pre-segment sealer wrote
+// it: one zlib.Writer pass over the whole payload.
+func zlibEnvelope(t *testing.T, s *Sealer, payload []byte) []byte {
+	t.Helper()
+	out := append([]byte(nil), magic...)
+	out = append(out, flagCompressed)
+	var z bytes.Buffer
+	zw, err := zlib.NewWriterLevel(&z, zlib.BestSpeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zw.Write(payload) //nolint:errcheck // bytes.Buffer
+	zw.Close()        //nolint:errcheck // bytes.Buffer
+	out = append(out, z.Bytes()...)
+	return s.sum(out, out)
+}
+
+// TestSealedBytesAreAFunctionOfThePayload pins the format: the body of a
+// compress-only object is a stock zlib stream; its bytes are the same at
+// every GOMAXPROCS; and up to one segment they are exactly what one
+// zlib.Writer pass produced before sealing was segmented.
+func TestSealedBytesAreAFunctionOfThePayload(t *testing.T) {
+	s, err := New(Options{Compress: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	big := rowPayload(3*segmentSize+12345, 2)
+	for _, n := range []int{0, 1, 180, 8 << 10, 100 << 10, segmentSize, segmentSize + 1, len(big)} {
+		payload := big[:n]
+		var first []byte
+		for _, procs := range []int{1, 2, 8} {
+			runtime.GOMAXPROCS(procs)
+			sealed, err := s.Seal(payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if first == nil {
+				first = sealed
+			} else if !bytes.Equal(sealed, first) {
+				t.Fatalf("%d bytes: sealed object differs between GOMAXPROCS 1 and %d", n, procs)
+			}
+		}
+		if n <= segmentSize && !bytes.Equal(first, zlibEnvelope(t, s, payload)) {
+			t.Fatalf("%d bytes: one-segment object is not the zlib.Writer envelope", n)
+		}
+		zr, err := zlib.NewReader(bytes.NewReader(first[len(magic)+1 : len(first)-macSize]))
+		if err != nil {
+			t.Fatalf("%d bytes: zlib.NewReader: %v", n, err)
+		}
+		got, err := io.ReadAll(zr)
+		if err != nil || !bytes.Equal(got, payload) {
+			t.Fatalf("%d bytes: stock zlib reader: err=%v, equal=%v", n, err, bytes.Equal(got, payload))
+		}
+	}
+}
+
+func TestSegmentedTamperingDetected(t *testing.T) {
+	payload := rowPayload(3*segmentSize+999, 3)
+	for name, s := range configs(t) {
+		sealed, err := s.Seal(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// One flipped byte inside each quarter of the body, i.e. in every
+		// segment's share of it.
+		for q := 0; q < 4; q++ {
+			bad := append([]byte(nil), sealed...)
+			bad[len(bad)/8+q*len(bad)/4] ^= 0x40
+			if _, err := s.Open(bad); !errors.Is(err, ErrIntegrity) {
+				t.Errorf("%s: flipped byte in quarter %d: Open = %v, want ErrIntegrity", name, q, err)
+			}
+		}
+	}
+}
+
+// TestConcurrentSealsStayInsideHelperBudget runs many multi-segment Seals at
+// once (under -race in `make race`) while sampling the process-wide helper
+// count: it never exceeds GOMAXPROCS-1 and returns to zero, and every Seal
+// still produces the same bytes.
+func TestConcurrentSealsStayInsideHelperBudget(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	s, err := New(Options{Compress: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := rowPayload(8<<20, 4)
+	want, err := s.Seal(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := s.Open(want); err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("round trip: err=%v", err)
+	}
+	stop := make(chan struct{})
+	sampled := make(chan int32)
+	go func() {
+		var peak int32
+		for {
+			select {
+			case <-stop:
+				sampled <- peak
+				return
+			case <-time.After(20 * time.Microsecond):
+				peak = max(peak, helpers.Load())
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for i := 0; i < 32; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if sealed, err := s.Seal(payload); err != nil || !bytes.Equal(sealed, want) {
+				t.Errorf("concurrent Seal: err=%v, same bytes=%v", err, bytes.Equal(sealed, want))
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	if peak := <-sampled; peak < 1 || peak > 3 {
+		t.Fatalf("saw at most %d helpers live at once, want some and never more than GOMAXPROCS-1 = 3", peak)
+	}
+	if n := helpers.Load(); n != 0 {
+		t.Fatalf("%d helpers still counted after every Seal returned", n)
+	}
+}
