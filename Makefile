@@ -27,11 +27,13 @@ test:
 race:
 	$(GO) test -race ./internal/obs/... ./internal/core/... ./internal/cloud/... ./internal/sim/... ./internal/sealer/...
 
-# loc prints the two size figures the simplicity issues gate on: non-test
-# Go lines in internal/core, and in the repo outside benchmark/.
+# loc prints the three size figures the simplicity issues gate on: non-test
+# Go lines in internal/core, in the repo outside benchmark/, and in the
+# virtual-time and paper-figure measurement code (ROADMAP item 6).
 loc:
 	@printf 'internal/core        %s\n' "$$(find internal/core -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
 	@printf 'repo less benchmark/ %s\n' "$$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' | xargs cat | wc -l)"
+	@printf 'measurement          %s\n' "$$(find internal/sim internal/experiments cmd/ginja-bench -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
 
 # fuzz-smoke gives each wire-format fuzz target a short budget on top of
 # the checked-in corpus (internal/core/testdata/fuzz/). Reproduce a
@@ -77,7 +79,7 @@ bench:
 # WAN (virtual-clock latencies: exact and machine-independent) and
 # records BENCH_datapath.json: serial vs parallel dump upload and recovery
 # prefetch, sealer allocs, the streamed-datapath gate and the
-# delta_checkpoint section. ginja-benchjson exits non-zero if the dump's
+# delta_checkpoint section. `ginja-bench json` exits non-zero if the dump's
 # peak resident bytes exceed 2 × CheckpointUploaders × MaxObjectSize, if
 # the dump did not actually split into parts, or if bytes stayed queued
 # after close; and, on the 1 %-dirty workload run with incremental delta
@@ -87,48 +89,48 @@ bench:
 # base, or if either recovery is not byte-identical to the primary. The
 # smoke variant runs the small scenario and is part of `make verify`.
 bench-data:
-	$(GO) run ./cmd/ginja-benchjson -out BENCH_datapath.json
+	$(GO) run ./cmd/ginja-bench json -out BENCH_datapath.json
 
 bench-data-smoke:
-	$(GO) run ./cmd/ginja-benchjson -smoke
+	$(GO) run ./cmd/ginja-bench json -smoke
 
 # bench-commit measures the commit path before/after WAL batch packing —
 # throughput, batch-latency quantiles, PUTs-per-batch, allocs-per-commit
 # and the costmodel $/day projection — and records BENCH_commitpath.json.
 # Deterministic: latencies are virtual time on the simulated 40 ms WAN.
 bench-commit:
-	$(GO) run ./cmd/ginja-benchjson -path commit -out BENCH_commitpath.json
+	$(GO) run ./cmd/ginja-bench json -path commit -out BENCH_commitpath.json
 
 bench-commit-smoke:
-	$(GO) run ./cmd/ginja-benchjson -path commit -smoke
+	$(GO) run ./cmd/ginja-bench json -path commit -smoke
 
 # bench-recovery measures RPO and RTO directly: deterministic sim fault
 # schedules (crash mid-batch, outage then crash, crash during a multi-part
 # dump) replayed across seeds under the virtual clock, reporting data-loss
 # window and recovery-time percentiles plus the per-phase RTO budget into
-# BENCH_recovery.json. ginja-benchjson exits non-zero if any scenario
+# BENCH_recovery.json. `ginja-bench json` exits non-zero if any scenario
 # fails its consistent-prefix check, recovers nothing, or if no run
 # measures a non-zero data-loss window (the RPO watermark regressed).
 bench-recovery:
-	$(GO) run ./cmd/ginja-benchjson -path recovery -out BENCH_recovery.json
+	$(GO) run ./cmd/ginja-bench json -path recovery -out BENCH_recovery.json
 
 bench-recovery-smoke:
-	$(GO) run ./cmd/ginja-benchjson -path recovery -smoke
+	$(GO) run ./cmd/ginja-bench json -path recovery -smoke
 
 # bench-fleet measures fleet mode — many tenant databases multiplexed in
 # one process over shared upload/fetch pools and one bucket — swept over
 # 1/10/100/1000 tenants: per-tenant goroutine and heap footprint, the
 # hot tenant's commit p50/p99 while an antagonist tenant dumps, and the
 # fleet-wide Safety-deadline-miss count, into BENCH_fleet.json.
-# ginja-benchjson exits non-zero if any sweep point records a Safety
+# `ginja-bench json` exits non-zero if any sweep point records a Safety
 # deadline miss, if commit p50 at 100 tenants exceeds 1.5x solo, or if
 # the per-tenant footprint grows more than 10% from 10 to 1000 tenants.
 # The smoke variant sweeps 1/10/100 and is part of `make verify`.
 bench-fleet:
-	$(GO) run ./cmd/ginja-benchjson -path fleet -out BENCH_fleet.json
+	$(GO) run ./cmd/ginja-bench json -path fleet -out BENCH_fleet.json
 
 bench-fleet-smoke:
-	$(GO) run ./cmd/ginja-benchjson -path fleet -smoke
+	$(GO) run ./cmd/ginja-bench json -path fleet -smoke
 
 # bench-pair is how a performance claim is measured (ROADMAP item 3): the
 # wall-clock benchmark on PARENT (a revision, required) and on this

@@ -41,8 +41,8 @@ func TestChaosRandomCrashRecovery(t *testing.T) {
 			}
 			if testing.Verbose() {
 				t.Logf("%s: B=%d S=%d TB=%v TS=%v retries=%d, %d commits, %d checkpoints, flushed to %d, cut %d, %v virtual",
-					res.Schedule, res.Batch, res.Safety, res.BatchTimeout, res.SafetyTimeout,
-					res.UploadRetries, res.Commits, res.Checkpoints, res.FlushedUpTo, res.Cut,
+					res.Schedule, res.Params.Batch, res.Params.Safety, res.Params.BatchTimeout, res.Params.SafetyTimeout,
+					res.Params.UploadRetries, res.Commits, res.Checkpoints, res.FlushedUpTo, res.Cut,
 					res.VirtualElapsed)
 			}
 		})

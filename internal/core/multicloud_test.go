@@ -80,8 +80,28 @@ func TestReplicatedDeleteBestEffort(t *testing.T) {
 	}
 }
 
+// refusedPuts reports every PUT its provider refused.
+type refusedPuts struct {
+	cloud.ObjectStore
+	refused chan string
+}
+
+func (p *refusedPuts) Put(ctx context.Context, name string, data []byte) error {
+	err := p.ObjectStore.Put(ctx, name, data)
+	if err != nil {
+		p.refused <- name
+	}
+	return err
+}
+
 func TestRepairCopiesToLaggingProvider(t *testing.T) {
-	repl, a, b, c := threeProviders()
+	a, b := cloud.NewMemStore(), cloud.NewMemStore()
+	c := cloudsim.New(cloud.NewMemStore(), cloudsim.Options{TimeScale: -1})
+	lagging := &refusedPuts{ObjectStore: c, refused: make(chan string, 2)}
+	repl, err := NewReplicatedStore(a, b, lagging)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ctx := context.Background()
 
 	// Provider C misses two writes during an outage.
@@ -91,6 +111,15 @@ func TestRepairCopiesToLaggingProvider(t *testing.T) {
 	}
 	if err := repl.Put(ctx, "WAL/2_seg_0", []byte("two")); err != nil {
 		t.Fatal(err)
+	}
+	// Put returns on quorum (paper §6), possibly before C's goroutine has
+	// reached the outage: the outage must outlast both of C's attempts.
+	for i := 0; i < 2; i++ {
+		select {
+		case <-lagging.refused:
+		case <-time.After(10 * time.Second):
+			t.Fatal("provider C never saw the PUT it was to miss")
+		}
 	}
 	c.EndOutage()
 

@@ -136,12 +136,6 @@ type Params struct {
 	// Prices is the cloud price sheet the controller budgets against.
 	// The zero value means cloud.AmazonS3May2017().
 	Prices cloud.PriceSheet
-	// DisablePipelining makes the uploader seal and PUT each WAL object
-	// in one sequential stage (the pre-pipelining behaviour) instead of
-	// overlapping encode+seal of batch N+1 with the in-flight PUT of
-	// batch N. Exists only for the ablation benchmarks quantifying what
-	// the overlap buys; never enable it in production.
-	DisablePipelining bool
 	// DisableAggregation turns off the coalescing of page rewrites before
 	// upload (one object per intercepted write). Exists only for the
 	// ablation benchmarks quantifying how much aggregation saves; never

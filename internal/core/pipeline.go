@@ -78,8 +78,7 @@ type pipeline struct {
 	params Params
 
 	uploadCh chan walUpload
-	// sealedCh feeds sealed objects from the seal stage to the PUT stage;
-	// nil when DisablePipelining collapses both into one sequential loop.
+	// sealedCh feeds sealed objects from the seal stage to the PUT stage.
 	sealedCh chan sealedUpload
 	ackCh    chan int64
 	batchCh  chan batchRec
@@ -129,6 +128,7 @@ func newPipeline(view *CloudView, io *cloudIO, params Params) *pipeline {
 		metrics:  newPipelineMetrics(params.Metrics),
 		trace:    params.Logger != nil && params.Logger.Enabled(context.Background(), slog.LevelDebug),
 		uploadCh: make(chan walUpload, params.Uploaders),
+		sealedCh: make(chan sealedUpload, params.Uploaders),
 		ackCh:    make(chan int64, params.Uploaders),
 		batchCh:  make(chan batchRec, 64),
 		ctx:      ctx,
@@ -137,9 +137,6 @@ func newPipeline(view *CloudView, io *cloudIO, params Params) *pipeline {
 	if params.Metrics != nil {
 		p.spans = params.Metrics.Spans()
 		p.q.lossHist = p.metrics.lossWindow
-	}
-	if !params.DisablePipelining {
-		p.sealedCh = make(chan sealedUpload, params.Uploaders)
 	}
 	if params.AdaptiveBatching {
 		p.tuner = newTuner(p.q, params, p.stats.updates.Load)
@@ -223,50 +220,34 @@ func (p *pipeline) start(initialFrontier int64) {
 	// (atomic countdown) — no WaitGroup-then-close watcher goroutines.
 	// At one instance the two watchers were noise; across a fleet of
 	// thousands of tenants they were two goroutines per database.
-	if p.params.DisablePipelining {
-		var uploadersLeft atomic.Int32
-		uploadersLeft.Store(int32(p.params.Uploaders))
-		for i := 0; i < p.params.Uploaders; i++ {
-			p.wg.Add(1)
-			go func() {
-				defer p.wg.Done()
-				defer func() {
-					if uploadersLeft.Add(-1) == 0 {
-						close(p.ackCh)
-					}
-				}()
-				p.uploader()
+	//
+	// Two-stage uploader: seal workers encode+seal batch N+1 while the
+	// PUT workers hold batch N's upload in flight. Acks flow through the
+	// ackRing/unlocker, so release order (and the Safety bound) does not
+	// depend on which worker finishes first.
+	var sealersLeft, puttersLeft atomic.Int32
+	sealersLeft.Store(int32(p.params.Uploaders))
+	puttersLeft.Store(int32(p.params.Uploaders))
+	for i := 0; i < p.params.Uploaders; i++ {
+		p.wg.Add(2)
+		go func() {
+			defer p.wg.Done()
+			defer func() {
+				if sealersLeft.Add(-1) == 0 {
+					close(p.sealedCh)
+				}
 			}()
-		}
-	} else {
-		// Two-stage uploader: seal workers encode+seal batch N+1 while the
-		// PUT workers hold batch N's upload in flight. Acks still flow
-		// through the same ackRing/unlocker, so release order (and the
-		// Safety bound) is exactly as in the sequential path.
-		var sealersLeft, puttersLeft atomic.Int32
-		sealersLeft.Store(int32(p.params.Uploaders))
-		puttersLeft.Store(int32(p.params.Uploaders))
-		for i := 0; i < p.params.Uploaders; i++ {
-			p.wg.Add(2)
-			go func() {
-				defer p.wg.Done()
-				defer func() {
-					if sealersLeft.Add(-1) == 0 {
-						close(p.sealedCh)
-					}
-				}()
-				p.sealStage()
+			p.sealStage()
+		}()
+		go func() {
+			defer p.wg.Done()
+			defer func() {
+				if puttersLeft.Add(-1) == 0 {
+					close(p.ackCh)
+				}
 			}()
-			go func() {
-				defer p.wg.Done()
-				defer func() {
-					if puttersLeft.Add(-1) == 0 {
-						close(p.ackCh)
-					}
-				}()
-				p.putStage()
-			}()
-		}
+			p.putStage()
+		}()
 	}
 	if p.tuner != nil {
 		p.tuner.start()
@@ -517,9 +498,9 @@ func (p *pipeline) putSealed(su sealedUpload) bool {
 	}
 	if p.spans != nil {
 		// Seal + PUT (retries included) of one WAL object; ID is the
-		// object timestamp, Extra the sealed bytes shipped. Under the
-		// pipelined uploader the span covers the wait in sealedCh too —
-		// time the object genuinely spent between intercept and durability.
+		// object timestamp, Extra the sealed bytes shipped. The span
+		// covers the wait in sealedCh too — time the object genuinely
+		// spent between intercept and durability.
 		p.spans.Record(obs.Span{
 			Name: "wal_put", ID: su.ts, Extra: int64(len(su.sealed)),
 			Start: su.t0, Duration: p.clk.Since(su.t0),
@@ -536,21 +517,6 @@ func (p *pipeline) putSealed(su sealedUpload) bool {
 		return false
 	}
 	return true
-}
-
-// uploader is one sequential Uploader thread (the DisablePipelining
-// ablation): seal and PUT each WAL object back to back.
-func (p *pipeline) uploader() {
-	var enc []byte
-	for u := range p.uploadCh {
-		su, ok := p.sealOne(u, &enc)
-		if !ok {
-			return
-		}
-		if !p.putSealed(su) {
-			return
-		}
-	}
 }
 
 // sealStage is the first half of the pipelined uploader: it seals the

@@ -1,19 +1,12 @@
 package experiments
 
 import (
-	"context"
-	"encoding/binary"
 	"fmt"
 	"time"
 
 	"github.com/ginja-dr/ginja/internal/cloud"
-	"github.com/ginja-dr/ginja/internal/cloud/cloudsim"
 	"github.com/ginja-dr/ginja/internal/core"
 	"github.com/ginja-dr/ginja/internal/costmodel"
-	"github.com/ginja-dr/ginja/internal/dbevent"
-	"github.com/ginja-dr/ginja/internal/obs"
-	"github.com/ginja-dr/ginja/internal/simclock"
-	"github.com/ginja-dr/ginja/internal/vfs"
 )
 
 // This file is the ablation for the adaptive batch controller: the same
@@ -22,8 +15,7 @@ import (
 // the knobs online under a $/day ceiling. The claim under test is the
 // controller's contract — commit latency no worse than the best fixed
 // configuration an operator could have picked for that regime (within
-// 10%), while never spending past the ceiling — plus the two-stage
-// uploader's throughput gain over the serial seal→PUT loop.
+// 10%), while never spending past the ceiling.
 
 // AdaptiveRun is one measured (workload, knob policy) configuration.
 type AdaptiveRun struct {
@@ -82,33 +74,8 @@ type ThroughputGate struct {
 	Speedup float64 `json:"speedup"`
 }
 
-// PipelinedAblation isolates the two-stage uploader: the identical
-// workload against a constant-latency store with sealing costed on the
-// real clock (virtual time cannot see CPU work), serial seal→PUT versus
-// seal of batch N+1 overlapping the PUT of batch N.
-type PipelinedAblation struct {
-	RTTMs                  float64 `json:"rtt_ms"`
-	SerialCommitsPerSec    float64 `json:"serial_commits_per_sec"`
-	PipelinedCommitsPerSec float64 `json:"pipelined_commits_per_sec"`
-	Speedup                float64 `json:"speedup"`
-}
-
-// adaptiveRunOpts parameterizes one measureAdaptive call.
-type adaptiveRunOpts struct {
-	rtt          time.Duration
-	ceiling      float64
-	commits      int
-	payloadBytes int
-	batch        int
-	batchTimeout time.Duration
-	pace         time.Duration // 0 = submit as fast as the pipeline accepts
-	adaptive     bool
-}
-
 // fineLatencyBounds returns commit-latency histogram buckets fine enough
-// for a meaningful p50 (5 ms steps to 1 s, 25 ms steps to 5 s). The
-// registry's first registration wins, so registering these before
-// core.New overrides the default coarse buckets.
+// for a meaningful p50 (5 ms steps to 1 s, 25 ms steps to 5 s).
 func fineLatencyBounds() []float64 {
 	var b []float64
 	for v := 0.005; v < 1.0; v += 0.005 {
@@ -133,94 +100,34 @@ func adaptiveDollarsPerDay(ratePerSec, effectiveBatch float64) float64 {
 }
 
 // measureAdaptive drives the paced (or unpaced) commit workload through
-// the full stack on the simulated WAN and reports latency, throughput,
-// realized PUT packing and the resulting spend.
-func measureAdaptive(o adaptiveRunOpts) (AdaptiveRun, error) {
-	run := AdaptiveRun{Adaptive: o.adaptive, Batch: o.batch, Commits: o.commits}
-	clk := simclock.NewSim()
-	stopPump := clk.Pump()
-	defer stopPump()
-
-	store := cloudsim.New(cloud.NewMemStore(), cloudsim.Options{
-		Profile: cloudsim.Profile{
-			BaseLatency:       o.rtt,
-			UploadBandwidth:   8e6,
-			DownloadBandwidth: 30e6,
-		},
-		Clock: clk,
-		Seed:  1,
-	})
-	reg := obs.NewRegistry()
-	// Register the commit-latency histogram with fine buckets before
-	// core.New so the p50 below is not quantized by the default bounds.
-	batchLatency := reg.Histogram("ginja_commit_batch_seconds",
-		"End-to-end commit batch latency: oldest submit to durable release.", nil, fineLatencyBounds())
-
-	params := core.DefaultParams()
-	params.Clock = clk
-	params.Batch = o.batch
-	params.Safety = 1024
-	params.BatchTimeout = o.batchTimeout
-	params.SafetyTimeout = 2 * time.Minute
-	params.RetryBaseDelay = 20 * time.Millisecond
-	params.AdaptiveBatching = o.adaptive
-	params.CostCeilingPerDay = o.ceiling
-	params.Metrics = reg
-
-	ctx := context.Background()
-	g, err := core.New(vfs.NewMemFS(), store, dbevent.NewPGProcessor(), params)
+// the commit driver and reports latency, throughput, realized PUT packing
+// and the resulting spend. Safety is wide open (1024) so the knobs, not
+// the queue bound, decide the latency.
+func measureAdaptive(d commitDrive) (AdaptiveRun, error) {
+	run := AdaptiveRun{Adaptive: d.adaptive, Batch: d.batch, Commits: d.commits}
+	d.safety = 1024
+	d.fineBuckets = true
+	out, err := driveCommits(d)
 	if err != nil {
 		return run, err
 	}
-	if err := g.Boot(ctx); err != nil {
-		return run, fmt.Errorf("boot: %w", err)
-	}
-	fsys := g.FS()
-	payload := make([]byte, o.payloadBytes)
-	for i := range payload {
-		payload[i] = byte(i)
-	}
-	t0 := clk.Now()
-	for i := 0; i < o.commits; i++ {
-		off := int64(i%4096) * 8192
-		if err := vfs.WriteAt(fsys, "pg_xlog/000000010000000000000001", off, payload); err != nil {
-			return run, fmt.Errorf("commit %d: %w", i, err)
-		}
-		if o.pace > 0 {
-			clk.Sleep(o.pace)
-		}
-	}
-	if !g.Flush(10 * time.Minute) {
-		return run, fmt.Errorf("flush did not drain")
-	}
-	elapsed := clk.Since(t0)
-	if elapsed > 0 {
-		run.CommitsPerSec = float64(o.commits) / elapsed.Seconds()
-	}
-	run.P50BatchMs = batchLatency.Quantile(0.50) * 1000
-
-	stats := g.Stats()
-	run.WALObjects = stats.WALObjectsUploaded
-	if run.WALObjects > 0 {
-		run.CommitsPerPut = float64(o.commits) / float64(run.WALObjects)
-	}
-	run.EffectiveBatch = stats.EffectiveBatch
-	run.EffectiveTimeoutMs = float64(stats.EffectiveBatchTimeout) / float64(time.Millisecond)
-	run.FitBaseMs = float64(stats.FittedPutLatency) / float64(time.Millisecond)
+	run.CommitsPerSec = out.commitsPerSec
+	run.P50BatchMs = out.p50BatchMs
+	run.WALObjects = out.stats.WALObjectsUploaded
+	run.CommitsPerPut = out.commitsPerPut
+	run.EffectiveBatch = out.stats.EffectiveBatch
+	run.EffectiveTimeoutMs = millis(out.stats.EffectiveBatchTimeout)
+	run.FitBaseMs = millis(out.stats.FittedPutLatency)
 
 	// Spend is judged at the workload's arrival rate: the paced rate when
 	// one was imposed, the measured rate otherwise.
 	rate := run.CommitsPerSec
-	if o.pace > 0 {
-		rate = float64(time.Second) / float64(o.pace)
+	if d.pace > 0 {
+		rate = float64(time.Second) / float64(d.pace)
 	}
 	run.DollarsPerDay = adaptiveDollarsPerDay(rate, run.CommitsPerPut)
 	run.SteadyDollarsPerDay = adaptiveDollarsPerDay(rate, float64(run.EffectiveBatch))
-	run.Feasible = o.ceiling == 0 || run.DollarsPerDay <= o.ceiling
-
-	if err := g.Close(); err != nil {
-		return run, fmt.Errorf("close: %w", err)
-	}
+	run.Feasible = d.ceiling == 0 || run.DollarsPerDay <= d.ceiling
 	return run, nil
 }
 
@@ -249,12 +156,12 @@ func runAdaptiveRegimes(commits int) ([]AdaptiveRegime, error) {
 	var regimes []AdaptiveRegime
 	for _, cell := range cells {
 		reg := AdaptiveRegime{
-			RTTMs:         float64(cell.rtt) / float64(time.Millisecond),
+			RTTMs:         millis(cell.rtt),
 			CeilingPerDay: cell.ceiling,
 			RatePerSec:    float64(time.Second) / float64(pace),
 		}
 		for _, b := range fixedBatches {
-			run, err := measureAdaptive(adaptiveRunOpts{
+			run, err := measureAdaptive(commitDrive{
 				rtt: cell.rtt, ceiling: cell.ceiling, commits: commits,
 				payloadBytes: payload, batch: b, batchTimeout: capTB, pace: pace,
 			})
@@ -266,7 +173,7 @@ func runAdaptiveRegimes(commits int) ([]AdaptiveRegime, error) {
 				reg.BestFeasibleFixedP50Ms = run.P50BatchMs
 			}
 		}
-		adaptive, err := measureAdaptive(adaptiveRunOpts{
+		adaptive, err := measureAdaptive(commitDrive{
 			rtt: cell.rtt, ceiling: cell.ceiling, commits: commits,
 			payloadBytes: payload, batch: core.DefaultParams().Batch,
 			batchTimeout: capTB, pace: pace, adaptive: true,
@@ -292,14 +199,14 @@ func runAdaptiveRegimes(commits int) ([]AdaptiveRegime, error) {
 func runThroughputGate(commits int) (ThroughputGate, error) {
 	var gate ThroughputGate
 	const rtt = 40 * time.Millisecond
-	fixed, err := measureAdaptive(adaptiveRunOpts{
+	fixed, err := measureAdaptive(commitDrive{
 		rtt: rtt, commits: commits, payloadBytes: 256,
 		batch: core.DefaultParams().Batch, batchTimeout: 50 * time.Millisecond,
 	})
 	if err != nil {
 		return gate, fmt.Errorf("fixed-default: %w", err)
 	}
-	adaptive, err := measureAdaptive(adaptiveRunOpts{
+	adaptive, err := measureAdaptive(commitDrive{
 		rtt: rtt, ceiling: 20.0, commits: commits, payloadBytes: 256,
 		batch: core.DefaultParams().Batch, batchTimeout: 50 * time.Millisecond,
 		adaptive: true,
@@ -313,111 +220,4 @@ func runThroughputGate(commits int) (ThroughputGate, error) {
 		gate.Speedup = adaptive.CommitsPerSec / fixed.CommitsPerSec
 	}
 	return gate, nil
-}
-
-// fixedLatencyStore adds a constant real-clock delay to every Put — the
-// WAN stand-in for the pipelined ablation, which must run on the real
-// clock because sealing (the stage being overlapped) costs CPU time that
-// virtual time cannot see.
-type fixedLatencyStore struct {
-	cloud.ObjectStore
-	delay time.Duration
-}
-
-func (s *fixedLatencyStore) Put(ctx context.Context, name string, data []byte) error {
-	t := time.NewTimer(s.delay)
-	defer t.Stop()
-	select {
-	case <-t.C:
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-	return s.ObjectStore.Put(ctx, name, data)
-}
-
-// runPipelinedAblation measures serial versus two-stage upload: with
-// Compress on, sealing a 4 MiB low-entropy batch costs real CPU
-// milliseconds comparable to a cross-region 100 ms PUT, so overlapping
-// the two shows up as wall-clock throughput (the overlap is largest when
-// the stages are balanced; at the paper's 40 ms the win shrinks but the
-// mechanism is identical). Each mode takes the best of five trials: on
-// a loaded machine scheduling noise only ever subtracts throughput, so
-// the per-mode maximum is the stable estimate of what the mode can do
-// (single trials swing the serial baseline by more than the gate's
-// margin, so too few trials make the 1.15x gate flake).
-func runPipelinedAblation(commits int) (PipelinedAblation, error) {
-	const rtt = 100 * time.Millisecond
-	res := PipelinedAblation{RTTMs: float64(rtt) / float64(time.Millisecond)}
-	// One 64 KiB low-entropy payload, filled once: per-commit content
-	// barely varies (an 8-byte stamp), but zlib's 32 KiB window cannot
-	// reach the identical block 64 KiB back, so every batch still costs
-	// the sealer full match-search time (~70 ms per 4 MiB batch here —
-	// comparable to the PUT) while the producer loop stays cheap enough
-	// to hide under the PUT sleep in both modes.
-	payload := make([]byte, 64<<10)
-	rnd := uint32(2463534242)
-	for j := range payload {
-		rnd = rnd*1664525 + 1013904223
-		payload[j] = byte(rnd>>24) & 0x0f
-	}
-	measure := func(disablePipelining bool) (float64, error) {
-		params := core.DefaultParams()
-		params.Batch = 64
-		params.Safety = 256
-		params.BatchTimeout = 5 * time.Second
-		params.Compress = true
-		params.Uploaders = 1        // isolate the seal/PUT overlap from pool parallelism
-		params.DumpThreshold = 1e12 // no background dumps mid-measurement
-		params.DisablePipelining = disablePipelining
-		g, err := core.New(vfs.NewMemFS(), &fixedLatencyStore{ObjectStore: cloud.NewMemStore(), delay: rtt},
-			dbevent.NewPGProcessor(), params)
-		if err != nil {
-			return 0, err
-		}
-		if err := g.Boot(context.Background()); err != nil {
-			return 0, err
-		}
-		defer g.Close()
-		fsys := g.FS()
-		t0 := time.Now()
-		for i := 0; i < commits; i++ {
-			binary.LittleEndian.PutUint64(payload, uint64(i))
-			off := int64(i%256) * int64(len(payload))
-			if err := vfs.WriteAt(fsys, "pg_xlog/000000010000000000000001", off, payload); err != nil {
-				return 0, fmt.Errorf("commit %d: %w", i, err)
-			}
-		}
-		if !g.Flush(5 * time.Minute) {
-			return 0, fmt.Errorf("flush did not drain")
-		}
-		elapsed := time.Since(t0)
-		if elapsed <= 0 {
-			return 0, fmt.Errorf("no elapsed time")
-		}
-		return float64(commits) / elapsed.Seconds(), nil
-	}
-	bestOf := func(disablePipelining bool) (float64, error) {
-		var best float64
-		for trial := 0; trial < 5; trial++ {
-			v, err := measure(disablePipelining)
-			if err != nil {
-				return 0, err
-			}
-			if v > best {
-				best = v
-			}
-		}
-		return best, nil
-	}
-	var err error
-	if res.SerialCommitsPerSec, err = bestOf(true); err != nil {
-		return res, fmt.Errorf("serial: %w", err)
-	}
-	if res.PipelinedCommitsPerSec, err = bestOf(false); err != nil {
-		return res, fmt.Errorf("pipelined: %w", err)
-	}
-	if res.SerialCommitsPerSec > 0 {
-		res.Speedup = res.PipelinedCommitsPerSec / res.SerialCommitsPerSec
-	}
-	return res, nil
 }

@@ -3,17 +3,17 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"time"
 
 	"github.com/ginja-dr/ginja/internal/cloud"
-	"github.com/ginja-dr/ginja/internal/cloud/cloudsim"
 	"github.com/ginja-dr/ginja/internal/core"
 	"github.com/ginja-dr/ginja/internal/costmodel"
 	"github.com/ginja-dr/ginja/internal/dbevent"
 	"github.com/ginja-dr/ginja/internal/obs"
-	"github.com/ginja-dr/ginja/internal/simclock"
+	"github.com/ginja-dr/ginja/internal/sim"
 	"github.com/ginja-dr/ginja/internal/vfs"
 )
 
@@ -43,8 +43,6 @@ type CommitpathOptions struct {
 	AdaptiveCommits int
 	// ThroughputCommits sizes the unpaced adaptive-vs-default gate.
 	ThroughputCommits int
-	// PipelineCommits sizes the real-clock pipelined-uploader ablation.
-	PipelineCommits int
 }
 
 func (o CommitpathOptions) withDefaults() CommitpathOptions {
@@ -62,9 +60,6 @@ func (o CommitpathOptions) withDefaults() CommitpathOptions {
 	}
 	if o.ThroughputCommits == 0 {
 		o.ThroughputCommits = 16384
-	}
-	if o.PipelineCommits == 0 {
-		o.PipelineCommits = 768
 	}
 	return o
 }
@@ -114,80 +109,124 @@ type CommitpathResult struct {
 	AdaptiveRegimes []AdaptiveRegime `json:"adaptive_regimes"`
 	// AdaptiveThroughput is the unpaced controller-vs-default gate.
 	AdaptiveThroughput ThroughputGate `json:"adaptive_throughput"`
-	// Pipelined is the two-stage-uploader ablation on the real clock.
-	Pipelined PipelinedAblation `json:"pipelined_ablation"`
 }
 
-// measureCommitpath drives Commits small scattered writes through the
-// full stack (intercepted FS → pipeline → simulated WAN) and reports
-// throughput, latency quantiles and PUT accounting.
-func measureCommitpath(opts CommitpathOptions, packing bool) (CommitpathRun, error) {
-	run := CommitpathRun{Packing: packing, Commits: opts.Commits}
-	clk := simclock.NewSim()
-	stopPump := clk.Pump()
-	defer stopPump()
+// commitDrive parameterizes one run of the commit driver.
+type commitDrive struct {
+	rtt          time.Duration
+	commits      int
+	payloadBytes int
+	batch        int
+	safety       int
+	batchTimeout time.Duration
+	unpacked     bool          // DisablePacking: one object per write-run
+	pace         time.Duration // 0 = submit as fast as the pipeline accepts
+	adaptive     bool          // AdaptiveBatching under ceiling
+	ceiling      float64
+	fineBuckets  bool // 5 ms latency buckets instead of the registry's coarse default
+}
 
-	store := cloudsim.New(cloud.NewMemStore(), cloudsim.Options{
-		Profile: datapathProfile(), // 40 ms RTT, jitter-free
-		Clock:   clk,
-		Seed:    1,
-	})
+// commitOutcome is what one driven run measured, all in virtual time.
+type commitOutcome struct {
+	elapsed       time.Duration // first submit → every commit durable
+	commitsPerSec float64
+	commitsPerPut float64 // the effective B of the §7.1 cost model
+	// Batch-latency quantiles: oldest submit → durable release (the
+	// paper's user-visible commit delay).
+	p50BatchMs, p99BatchMs float64
+	stats                  core.Stats
+}
+
+// driveCommits is the one commit-path driver: small writes scattered
+// across WAL offsets (8 KiB stride, so aggregation cannot coalesce and
+// each commit is its own write-run — the case packing exists for) through
+// the full stack (intercepted FS → pipeline → simulated WAN) on a rig.
+func driveCommits(d commitDrive) (commitOutcome, error) {
+	var out commitOutcome
+	rig := sim.NewRig(sim.WAN(d.rtt, 0), 1)
+	defer rig.Close()
+
+	// The registry's first registration wins, so registering the
+	// commit-latency histogram before core.New picks its buckets.
 	reg := obs.NewRegistry()
+	var bounds []float64
+	if d.fineBuckets {
+		bounds = fineLatencyBounds()
+	}
+	batchLatency := reg.Histogram("ginja_commit_batch_seconds",
+		"End-to-end commit batch latency: oldest submit to durable release.", nil, bounds)
 
-	params := core.DefaultParams()
-	params.Clock = clk
-	params.Batch = opts.Batch
-	params.Safety = 2 * opts.Batch
-	params.BatchTimeout = 50 * time.Millisecond
+	params := rig.Params()
+	params.Batch = d.batch
+	params.Safety = d.safety
+	params.BatchTimeout = d.batchTimeout
 	params.SafetyTimeout = 2 * time.Minute
-	params.RetryBaseDelay = 20 * time.Millisecond
-	params.DisablePacking = !packing
+	params.DisablePacking = d.unpacked
+	params.AdaptiveBatching = d.adaptive
+	params.CostCeilingPerDay = d.ceiling
 	params.Metrics = reg
 
-	ctx := context.Background()
-	g, err := core.New(vfs.NewMemFS(), store, dbevent.NewPGProcessor(), params)
+	g, err := rig.Boot(nil, params)
 	if err != nil {
-		return run, err
-	}
-	if err := g.Boot(ctx); err != nil {
-		return run, fmt.Errorf("boot: %w", err)
+		return out, err
 	}
 	fsys := g.FS()
-	payload := make([]byte, opts.PayloadBytes)
+	payload := make([]byte, d.payloadBytes)
 	for i := range payload {
 		payload[i] = byte(i)
 	}
-	t0 := clk.Now()
-	for i := 0; i < opts.Commits; i++ {
-		// Scattered offsets: aggregation cannot coalesce, so each commit
-		// is its own write-run — the case packing exists for.
+	t0 := rig.Clock.Now()
+	for i := 0; i < d.commits; i++ {
 		off := int64(i%4096) * 8192
 		if err := vfs.WriteAt(fsys, "pg_xlog/000000010000000000000001", off, payload); err != nil {
-			return run, fmt.Errorf("commit %d: %w", i, err)
+			return out, fmt.Errorf("commit %d: %w", i, err)
+		}
+		if d.pace > 0 {
+			rig.Clock.Sleep(d.pace)
 		}
 	}
 	if !g.Flush(10 * time.Minute) {
-		return run, fmt.Errorf("flush did not drain")
+		return out, fmt.Errorf("flush did not drain")
 	}
-	elapsed := clk.Since(t0)
-	run.VirtualMs = float64(elapsed) / float64(time.Millisecond)
-	if elapsed > 0 {
-		run.CommitsPerSec = float64(opts.Commits) / elapsed.Seconds()
+	out.elapsed = rig.Clock.Since(t0)
+	if out.elapsed > 0 {
+		out.commitsPerSec = float64(d.commits) / out.elapsed.Seconds()
 	}
+	out.stats = g.Stats()
+	if n := out.stats.WALObjectsUploaded; n > 0 {
+		out.commitsPerPut = float64(d.commits) / float64(n)
+	}
+	out.p50BatchMs = batchLatency.Quantile(0.50) * 1000
+	out.p99BatchMs = batchLatency.Quantile(0.99) * 1000
+	if err := g.Close(); err != nil {
+		return out, fmt.Errorf("close: %w", err)
+	}
+	return out, nil
+}
 
-	stats := g.Stats()
-	run.Batches = stats.Batches
-	run.WALObjects = stats.WALObjectsUploaded
+// measureCommitpath drives Commits small scattered writes packed or
+// unpacked and reports throughput, latency quantiles and PUT accounting.
+func measureCommitpath(opts CommitpathOptions, packing bool) (CommitpathRun, error) {
+	run := CommitpathRun{Packing: packing, Commits: opts.Commits}
+	// Safety is 2×B so throughput is bound by upload round trips, not by
+	// an over-generous queue.
+	out, err := driveCommits(commitDrive{
+		rtt: 40 * time.Millisecond, commits: opts.Commits, payloadBytes: opts.PayloadBytes,
+		batch: opts.Batch, safety: 2 * opts.Batch, batchTimeout: 50 * time.Millisecond,
+		unpacked: !packing,
+	})
+	if err != nil {
+		return run, err
+	}
+	run.VirtualMs = millis(out.elapsed)
+	run.CommitsPerSec = out.commitsPerSec
+	run.P50BatchMs, run.P99BatchMs = out.p50BatchMs, out.p99BatchMs
+	run.Batches = out.stats.Batches
+	run.WALObjects = out.stats.WALObjectsUploaded
 	if run.Batches > 0 {
 		run.PutsPerBatch = float64(run.WALObjects) / float64(run.Batches)
 	}
-	if run.WALObjects > 0 {
-		run.CommitsPerPut = float64(opts.Commits) / float64(run.WALObjects)
-	}
-	batchLatency := reg.Histogram("ginja_commit_batch_seconds",
-		"End-to-end commit batch latency: oldest submit to durable release.", nil, nil)
-	run.P50BatchMs = batchLatency.Quantile(0.50) * 1000
-	run.P99BatchMs = batchLatency.Quantile(0.99) * 1000
+	run.CommitsPerPut = out.commitsPerPut
 
 	// The §7.1 cost model with the measured effective batch: CWAL_PUT is
 	// the term packing attacks (W × month / B_effective × CPUT).
@@ -197,10 +236,6 @@ func measureCommitpath(opts CommitpathOptions, packing bool) (CommitpathRun, err
 		dep.Batch = 1
 	}
 	run.DollarsPerDay = costmodel.Monthly(dep, cloud.AmazonS3May2017()).Total() / 30
-
-	if err := g.Close(); err != nil {
-		return run, fmt.Errorf("close: %w", err)
-	}
 	return run, nil
 }
 
@@ -294,8 +329,64 @@ func RunCommitpath(opts CommitpathOptions) (*CommitpathResult, error) {
 	if res.AdaptiveThroughput, err = runThroughputGate(opts.ThroughputCommits); err != nil {
 		return nil, fmt.Errorf("adaptive throughput gate: %w", err)
 	}
-	if res.Pipelined, err = runPipelinedAblation(opts.PipelineCommits); err != nil {
-		return nil, fmt.Errorf("pipelined ablation: %w", err)
-	}
 	return res, nil
+}
+
+// Fprint renders the result as the human-readable summary `ginja-bench
+// json -path commit` prints above the JSON.
+func (r *CommitpathResult) Fprint(w io.Writer) {
+	fmt.Fprintf(w, "commit path: %7.0f commits/s unpacked -> %7.0f commits/s packed (%.2fx)\n",
+		r.Unpacked.CommitsPerSec, r.Packed.CommitsPerSec, r.ThroughputSpeedup)
+	fmt.Fprintf(w, "PUTs/batch:  %7.1f unpacked -> %7.1f packed (%.1fx fewer PUTs)\n",
+		r.Unpacked.PutsPerBatch, r.Packed.PutsPerBatch, r.PutReduction)
+	fmt.Fprintf(w, "batch p50/p99: %.0f/%.0f ms unpacked -> %.0f/%.0f ms packed\n",
+		r.Unpacked.P50BatchMs, r.Unpacked.P99BatchMs, r.Packed.P50BatchMs, r.Packed.P99BatchMs)
+	fmt.Fprintf(w, "cost model:  $%.3f/day unpacked -> $%.3f/day packed; %.2f allocs/commit\n",
+		r.Unpacked.DollarsPerDay, r.Packed.DollarsPerDay, r.AllocsPerCommit)
+	for _, reg := range r.AdaptiveRegimes {
+		a := reg.Adaptive
+		fmt.Fprintf(w, "adaptive rtt=%3.0fms ceiling=$%.2f/day: B->%d TB->%.0fms p50 %.0f ms (best feasible fixed %.0f ms), steady $%.3f/day\n",
+			reg.RTTMs, reg.CeilingPerDay, a.EffectiveBatch, a.EffectiveTimeoutMs,
+			a.P50BatchMs, reg.BestFeasibleFixedP50Ms, a.SteadyDollarsPerDay)
+	}
+	tg := r.AdaptiveThroughput
+	fmt.Fprintf(w, "adaptive throughput: %7.0f commits/s default -> %7.0f commits/s adaptive (%.2fx), $%.2f -> $%.2f/day\n",
+		tg.FixedDefault.CommitsPerSec, tg.Adaptive.CommitsPerSec, tg.Speedup,
+		tg.FixedDefault.DollarsPerDay, tg.Adaptive.DollarsPerDay)
+}
+
+// Check enforces the adaptive controller's contracts. (The packing
+// numbers are TestCommitpathPackingSpeedup's, at the full-size scenario.)
+func (r *CommitpathResult) Check() error {
+	for _, reg := range r.AdaptiveRegimes {
+		a := reg.Adaptive
+		// The controller's contract, enforced per regime: the solved
+		// knobs stay inside [1, Safety], the steady-state spend fits the
+		// ceiling, and the median commit latency is within 10% of the
+		// best fixed configuration that also fits the ceiling.
+		if a.EffectiveBatch < 1 || a.EffectiveBatch > 1024 {
+			return fmt.Errorf("adaptive regime rtt=%.0fms: effective batch %d outside [1, 1024]",
+				reg.RTTMs, a.EffectiveBatch)
+		}
+		if a.SteadyDollarsPerDay > reg.CeilingPerDay*1.001 {
+			return fmt.Errorf("adaptive regime rtt=%.0fms: steady spend $%.3f/day exceeds ceiling $%.3f/day",
+				reg.RTTMs, a.SteadyDollarsPerDay, reg.CeilingPerDay)
+		}
+		if reg.BestFeasibleFixedP50Ms > 0 && a.P50BatchMs > 1.1*reg.BestFeasibleFixedP50Ms {
+			return fmt.Errorf("adaptive regime rtt=%.0fms ceiling=$%.2f: p50 %.1f ms worse than 1.1x best feasible fixed %.1f ms",
+				reg.RTTMs, reg.CeilingPerDay, a.P50BatchMs, reg.BestFeasibleFixedP50Ms)
+		}
+	}
+	// The unpaced gate: adaptive must beat the default fixed knobs on
+	// throughput at equal-or-lower $/day, or the controller regressed.
+	tg := r.AdaptiveThroughput
+	if tg.Adaptive.CommitsPerSec < tg.FixedDefault.CommitsPerSec {
+		return fmt.Errorf("adaptive throughput regressed: %.0f commits/s < fixed default %.0f commits/s",
+			tg.Adaptive.CommitsPerSec, tg.FixedDefault.CommitsPerSec)
+	}
+	if tg.Adaptive.DollarsPerDay > tg.FixedDefault.DollarsPerDay {
+		return fmt.Errorf("adaptive throughput gate overspends: $%.3f/day > fixed default $%.3f/day",
+			tg.Adaptive.DollarsPerDay, tg.FixedDefault.DollarsPerDay)
+	}
+	return nil
 }

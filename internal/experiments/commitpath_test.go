@@ -6,11 +6,15 @@ import "testing"
 // workload on the simulated 40 ms-RTT store, the packed commit path must
 // issue ≤ ceil(batch bytes / MaxObjectSize) PUTs per batch (one, here),
 // deliver ≥ 2× commit throughput, cost less per day in the §7.1 model,
-// and keep the steady-state submit→upload path at ≤ 2 allocs per commit.
+// and keep the steady-state submit→upload path at ≤ 2 allocs per commit —
+// on top of the adaptive controller's gates, which Check enforces.
 func TestCommitpathPackingSpeedup(t *testing.T) {
 	res, err := RunCommitpath(CommitpathOptions{})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if err := res.Check(); err != nil {
+		t.Error(err)
 	}
 	t.Logf("unpacked: %.0f commits/s, %.1f PUTs/batch, p50 %.0fms p99 %.0fms, $%.3f/day",
 		res.Unpacked.CommitsPerSec, res.Unpacked.PutsPerBatch,

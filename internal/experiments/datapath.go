@@ -4,18 +4,17 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"runtime"
+	"slices"
 	"strings"
 	"time"
 
-	"github.com/ginja-dr/ginja/internal/cloud"
-	"github.com/ginja-dr/ginja/internal/cloud/cloudsim"
 	"github.com/ginja-dr/ginja/internal/core"
 	"github.com/ginja-dr/ginja/internal/dbevent"
 	"github.com/ginja-dr/ginja/internal/minidb"
-	"github.com/ginja-dr/ginja/internal/minidb/pgengine"
 	"github.com/ginja-dr/ginja/internal/sealer"
-	"github.com/ginja-dr/ginja/internal/simclock"
+	"github.com/ginja-dr/ginja/internal/sim"
 	"github.com/ginja-dr/ginja/internal/vfs"
 )
 
@@ -114,15 +113,113 @@ type DatapathResult struct {
 	DeltaCheckpoint *DeltaBenchResult `json:"delta_checkpoint"`
 }
 
-// datapathProfile is the WAN model used for the measurement: the sim
-// package's shape with jitter removed so both runs see identical latency.
-func datapathProfile() cloudsim.Profile {
-	return cloudsim.Profile{
-		BaseLatency:       40 * time.Millisecond,
-		UploadBandwidth:   8e6,
-		DownloadBandwidth: 30e6,
-		JitterFraction:    0,
+// millis renders a duration in (fractional) milliseconds.
+func millis(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+
+// bulkRun is the one bulk-path driver: a primary on a rig (40 ms
+// jitter-free WAN, so paired runs see identical latency) whose database
+// was filled and flushed, then checkpointed, closed and recovered on a
+// fresh machine — every window measured in virtual time.
+type bulkRun struct {
+	rig    *sim.Rig
+	params core.Params
+	g      *core.Ginja
+	db     *minidb.DB
+}
+
+// startBulk boots a primary whose every checkpoint crosses DumpThreshold,
+// with dumps split at maxObjectSize and parallel uploaders/fetchers, fills
+// rows × valueBytes and drains the commit path. tune adjusts the params
+// before boot (nil: none). The caller must Close b.rig.
+func startBulk(rows, valueBytes int, maxObjectSize int64, parallel int, tune func(*core.Params)) (b *bulkRun, err error) {
+	rig := sim.NewRig(sim.WAN(40*time.Millisecond, 0), 1)
+	defer func() {
+		if err != nil {
+			rig.Close()
+		}
+	}()
+	b = &bulkRun{rig: rig, params: rig.Params()}
+	b.params.Batch = 4
+	b.params.Safety = 4096
+	b.params.BatchTimeout = 50 * time.Millisecond
+	b.params.SafetyTimeout = 2 * time.Minute
+	b.params.DumpThreshold = 1.0
+	b.params.MaxObjectSize = maxObjectSize
+	b.params.CheckpointUploaders = parallel
+	b.params.RecoveryFetchers = parallel
+	if tune != nil {
+		tune(&b.params)
 	}
+	if b.g, err = rig.Boot(nil, b.params); err != nil {
+		return nil, err
+	}
+	if b.db, err = rig.OpenKV(b.g); err != nil {
+		return nil, err
+	}
+	if err := sim.PutRows(b.db, "key-%06d", rows, strings.Repeat("v", valueBytes)); err != nil {
+		return nil, err
+	}
+	if !b.g.Flush(5 * time.Minute) {
+		return nil, fmt.Errorf("flush did not drain")
+	}
+	return b, nil
+}
+
+// checkpoint issues a DBMS checkpoint and waits until the Stats counter
+// it must settle into (Dumps, Deltas) moves — which it does after the
+// last part PUT and the view update, before garbage collection. It
+// returns the virtual time from submission to durable.
+func (b *bulkRun) checkpoint(counter func(core.Stats) int64) (time.Duration, error) {
+	before := counter(b.g.Stats())
+	t0 := b.rig.Clock.Now()
+	if err := b.db.Checkpoint(); err != nil {
+		return 0, err
+	}
+	moved := func() bool { return counter(b.g.Stats()) != before }
+	if !b.rig.Await(func() bool { return moved() || b.g.Err() != nil }, 5*time.Millisecond, 100000) {
+		return 0, fmt.Errorf("checkpoint crossing never completed (did not cross DumpThreshold?)")
+	}
+	if !moved() {
+		return 0, fmt.Errorf("replication failed: %w", b.g.Err())
+	}
+	return b.rig.Clock.Since(t0), nil
+}
+
+// close stops the primary — which drains uploads and finishes GC
+// deterministically — and returns its final counters.
+func (b *bulkRun) close() (core.Stats, error) {
+	if err := b.g.Close(); err != nil {
+		return core.Stats{}, fmt.Errorf("close: %w", err)
+	}
+	return b.g.Stats(), nil
+}
+
+// dataFiles lists the database's data files (not WAL, not control) on fsys.
+func dataFiles(fsys vfs.FS) ([]string, error) {
+	files, err := vfs.Walk(fsys, "")
+	if err != nil {
+		return nil, err
+	}
+	proc := dbevent.NewPGProcessor()
+	return slices.DeleteFunc(files, func(p string) bool { return proc.FileKind(p) != dbevent.KindData }), nil
+}
+
+// localDataBytes sizes the database's data files on fsys: the O(DB)
+// quantity a full dump reads under the stop-writes gate and ships.
+func localDataBytes(fsys vfs.FS) (int64, error) {
+	files, err := dataFiles(fsys)
+	if err != nil {
+		return 0, err
+	}
+	var total int64
+	for _, p := range files {
+		fi, err := fsys.Stat(p)
+		if err != nil {
+			return 0, err
+		}
+		total += fi.Size()
+	}
+	return total, nil
 }
 
 // streamSample captures the streaming-path observations of one run.
@@ -137,103 +234,33 @@ type streamSample struct {
 func measureDatapath(opts DatapathOptions, parallel int) (DatapathRun, streamSample, error) {
 	run := DatapathRun{Parallelism: parallel}
 	var sample streamSample
-	clk := simclock.NewSim()
-	stopPump := clk.Pump()
-	defer stopPump()
-
-	store := cloudsim.New(cloud.NewMemStore(), cloudsim.Options{
-		Profile: datapathProfile(),
-		Clock:   clk,
-		Seed:    1,
-	})
-
-	params := core.DefaultParams()
-	params.Clock = clk
-	params.Batch = 4
-	params.Safety = 4096
-	params.BatchTimeout = 50 * time.Millisecond
-	params.SafetyTimeout = 2 * time.Minute
-	params.RetryBaseDelay = 20 * time.Millisecond
-	params.DumpThreshold = 1.0 // the measured checkpoint becomes a dump
-	params.MaxObjectSize = opts.MaxObjectSize
-	params.CheckpointUploaders = parallel
-	params.RecoveryFetchers = parallel
-
-	ctx := context.Background()
-	localFS := vfs.NewMemFS()
-	g, err := core.New(localFS, store, dbevent.NewPGProcessor(), params)
+	b, err := startBulk(opts.Rows, opts.ValueBytes, opts.MaxObjectSize, parallel, nil)
 	if err != nil {
 		return run, sample, err
 	}
-	if err := g.Boot(ctx); err != nil {
-		return run, sample, fmt.Errorf("boot: %w", err)
+	defer b.rig.Close()
+
+	// The measured window: checkpoint submission → dump durable.
+	upload, err := b.checkpoint(func(s core.Stats) int64 { return s.Dumps })
+	if err != nil {
+		return run, sample, fmt.Errorf("dump: %w", err)
 	}
-	db, err := minidb.Open(g.FS(), pgengine.NewWithSizes(512, 8192, 1024), minidb.Options{})
+	run.DumpUploadMs = millis(upload)
+	stats, err := b.close()
 	if err != nil {
 		return run, sample, err
 	}
-	if err := db.CreateTable("kv", 4); err != nil {
-		return run, sample, err
-	}
-	value := bytes.Repeat([]byte("v"), opts.ValueBytes)
-	for i := 0; i < opts.Rows; i++ {
-		key := fmt.Sprintf("key-%06d", i)
-		if err := db.Update(func(tx *minidb.Txn) error {
-			return tx.Put("kv", []byte(key), value)
-		}); err != nil {
-			return run, sample, fmt.Errorf("row %d: %w", i, err)
-		}
-	}
-	if !g.Flush(5 * time.Minute) {
-		return run, sample, fmt.Errorf("flush did not drain")
-	}
-
-	// The measured window: checkpoint submission → dump durable. The
-	// Dumps counter increments after the last part PUT and the view
-	// update, before garbage collection.
-	dumpsBefore := g.Stats().Dumps
-	t0 := clk.Now()
-	if err := db.Checkpoint(); err != nil {
-		return run, sample, err
-	}
-	for tries := 0; g.Stats().Dumps == dumpsBefore; tries++ {
-		if err := g.Err(); err != nil {
-			return run, sample, fmt.Errorf("replication failed during dump: %w", err)
-		}
-		if tries > 100000 {
-			return run, sample, fmt.Errorf("dump never completed (checkpoint did not cross DumpThreshold?)")
-		}
-		clk.Sleep(5 * time.Millisecond)
-	}
-	run.DumpUploadMs = float64(clk.Since(t0)) / float64(time.Millisecond)
-	if err := g.Close(); err != nil { // finishes the dump's GC deterministically
-		return run, sample, fmt.Errorf("close: %w", err)
-	}
-	stats := g.Stats()
 	sample.peakStreamBytes = stats.PeakStreamBytes
 	sample.queueBytesAfter = stats.CheckpointBytesBuffered
 
-	// Size the local database (the O(DB) quantity the pre-streaming data
-	// path kept resident). Sampled after the checkpoint so the engine has
-	// flushed its pages into the data files the dump actually streamed.
-	proc := dbevent.NewPGProcessor()
-	files, err := vfs.Walk(localFS, "")
-	if err != nil {
+	// Sampled after the checkpoint so the engine has flushed its pages
+	// into the data files the dump actually streamed.
+	if sample.localDBBytes, err = localDataBytes(b.g.FS()); err != nil {
 		return run, sample, err
-	}
-	for _, p := range files {
-		if proc.FileKind(p) != dbevent.KindData {
-			continue
-		}
-		fi, err := localFS.Stat(p)
-		if err != nil {
-			return run, sample, err
-		}
-		sample.localDBBytes += fi.Size()
 	}
 
 	// Count what recovery will fetch (post-GC listing).
-	infos, err := store.List(ctx, "")
+	infos, err := b.rig.Store.List(context.Background(), "")
 	if err != nil {
 		return run, sample, err
 	}
@@ -246,15 +273,11 @@ func measureDatapath(opts DatapathOptions, parallel int) (DatapathRun, streamSam
 	run.RecoveryObjects = len(infos)
 
 	// Disaster recovery on a fresh machine, same parallelism.
-	g2, err := core.New(vfs.NewMemFS(), store, dbevent.NewPGProcessor(), params)
+	_, recovery, err := b.rig.RecoverFresh(b.params)
 	if err != nil {
 		return run, sample, err
 	}
-	t1 := clk.Now()
-	if err := g2.RecoverAt(ctx, vfs.NewMemFS(), -1); err != nil {
-		return run, sample, fmt.Errorf("recover: %w", err)
-	}
-	run.RecoveryMs = float64(clk.Since(t1)) / float64(time.Millisecond)
+	run.RecoveryMs = millis(recovery)
 	return run, sample, nil
 }
 
@@ -352,4 +375,53 @@ func RunDatapath(opts DatapathOptions) (*DatapathResult, error) {
 		return nil, fmt.Errorf("delta-checkpoint bench: %w", err)
 	}
 	return res, nil
+}
+
+// Fprint renders the result as the human-readable summary `ginja-bench
+// json -path datapath` prints above the JSON.
+func (r *DatapathResult) Fprint(w io.Writer) {
+	fmt.Fprintf(w, "dump upload: %8.1f ms serial -> %8.1f ms at parallelism %d (%.2fx, %d parts)\n",
+		r.Serial.DumpUploadMs, r.Parallel.DumpUploadMs, r.Parallel.Parallelism,
+		r.DumpSpeedup, r.Parallel.DumpParts)
+	fmt.Fprintf(w, "recovery:    %8.1f ms serial -> %8.1f ms at parallelism %d (%.2fx, %d objects)\n",
+		r.Serial.RecoveryMs, r.Parallel.RecoveryMs, r.Parallel.Parallelism,
+		r.RecoverySpeedup, r.Parallel.RecoveryObjects)
+	fmt.Fprintf(w, "sealer:      %.1f allocs/op seal, %.1f allocs/op open (compressed path)\n",
+		r.SealAllocsPerOp, r.OpenAllocsPerOp)
+	s := r.Streaming
+	fmt.Fprintf(w, "streaming:   peak %d B resident of %d B bound (db %d B, %d parts)\n",
+		s.PeakStreamBytes, s.BoundBytes, s.LocalDBBytes, s.DumpParts)
+	d := r.DeltaCheckpoint
+	fmt.Fprintf(w, "delta ckpt:  %d B delta vs %d B full re-dump (%.1f%%, %d/%d rows dirty); gate %d B vs %d B (%.1f%%)\n",
+		d.DeltaBytes, d.FullRedumpBytes, 100*d.BytesRatio, d.DirtyRows, d.Rows,
+		d.GateBytesDelta, d.GateBytesFull, 100*d.GateRatio)
+	fmt.Fprintf(w, "             chain(%d) recovery %.1f ms vs base-only %.1f ms (%.2fx); saved %d B; identical=%v\n",
+		d.ChainLen, d.ChainRecoveryMs, d.BaseRecoveryMs, d.RecoveryRatio, d.CheckpointBytesSaved, d.RecoveredIdentical)
+}
+
+// Check enforces the data path's contracts, so that `make verify`
+// (bench-data-smoke) fails the build when one regresses.
+func (r *DatapathResult) Check() error {
+	// The streamed data path: the dump split into parts, its peak resident
+	// bytes stayed under 2 × CheckpointUploaders × MaxObjectSize, and
+	// nothing stayed queued after close.
+	s := r.Streaming
+	if !s.WithinBound || s.DumpParts < 2 || s.QueueBytesAfter != 0 {
+		return fmt.Errorf(
+			"streaming data path regressed: within_bound=%v (peak=%d bound=%d) parts=%d queue_bytes_after=%d",
+			s.WithinBound, s.PeakStreamBytes, s.BoundBytes, s.DumpParts, s.QueueBytesAfter)
+	}
+	// Delta checkpoints: a 1 %-dirty crossing ships and gates a small
+	// fraction of a full re-dump, recovering through a maximum-length
+	// chain stays within 2x of a fresh base, the two formats materialize
+	// byte-identical machines, and the streaming memory bound is unchanged.
+	d := r.DeltaCheckpoint
+	if d.BytesRatio > 0.15 || d.GateRatio > 0.15 || d.ChainLen < 1 ||
+		d.RecoveryRatio > 2 || !d.RecoveredIdentical || !d.WithinBound {
+		return fmt.Errorf(
+			"delta checkpoints regressed: bytes_ratio=%.3f gate_ratio=%.3f (want <= 0.15) chain_len=%d recovery_ratio=%.2f (want <= 2) identical=%v within_bound=%v (peak=%d bound=%d)",
+			d.BytesRatio, d.GateRatio, d.ChainLen, d.RecoveryRatio,
+			d.RecoveredIdentical, d.WithinBound, d.PeakStreamBytes, d.BoundBytes)
+	}
+	return nil
 }

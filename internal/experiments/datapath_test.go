@@ -4,12 +4,16 @@ import "testing"
 
 // The acceptance bar for the parallel data path: at parallelism 5 on the
 // simulated WAN, dump upload and disaster recovery must both be at least
-// 2x faster than the serial baseline. Virtual time makes this exact and
-// fast to check.
+// 2x faster than the serial baseline — on top of the streaming and
+// delta-checkpoint gates, which Check enforces. Virtual time makes this
+// exact and fast to check.
 func TestDatapathParallelSpeedup(t *testing.T) {
 	res, err := RunDatapath(DatapathOptions{})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if err := res.Check(); err != nil {
+		t.Error(err)
 	}
 	t.Logf("dump:     serial %.1fms, parallel(%d) %.1fms, speedup %.2fx (%d parts)",
 		res.Serial.DumpUploadMs, res.Parallel.Parallelism, res.Parallel.DumpUploadMs,

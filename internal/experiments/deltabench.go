@@ -2,17 +2,12 @@ package experiments
 
 import (
 	"bytes"
-	"context"
 	"fmt"
+	"strings"
 	"time"
 
-	"github.com/ginja-dr/ginja/internal/cloud"
-	"github.com/ginja-dr/ginja/internal/cloud/cloudsim"
 	"github.com/ginja-dr/ginja/internal/core"
-	"github.com/ginja-dr/ginja/internal/dbevent"
-	"github.com/ginja-dr/ginja/internal/minidb"
-	"github.com/ginja-dr/ginja/internal/minidb/pgengine"
-	"github.com/ginja-dr/ginja/internal/simclock"
+	"github.com/ginja-dr/ginja/internal/sim"
 	"github.com/ginja-dr/ginja/internal/vfs"
 )
 
@@ -79,7 +74,7 @@ type DeltaBenchResult struct {
 	// FullRedumpBytes / DeltaBytes are the sealed bytes one DumpThreshold
 	// crossing uploaded in each mode (first dirty round; compression off
 	// so they track payload). BytesRatio = delta/full, the headline
-	// saving; the ≤ 0.15 gate lives in ginja-benchjson.
+	// saving; the ≤ 0.15 gate is DatapathResult.Check's.
 	FullRedumpBytes    int64   `json:"full_redump_bytes"`
 	DeltaBytes         int64   `json:"delta_bytes"`
 	BytesRatio         float64 `json:"bytes_ratio"`
@@ -96,7 +91,7 @@ type DeltaBenchResult struct {
 	// (== Rounds == MaxDeltaChain). ChainRecoveryMs restores base +
 	// chain + WAL tail; BaseRecoveryMs restores the full-run store whose
 	// newest object is a single fresh dump. RecoveryRatio = chain/base;
-	// the ≤ 2 gate lives in ginja-benchjson.
+	// the ≤ 2 gate is DatapathResult.Check's.
 	ChainLen        int     `json:"chain_len"`
 	ChainRecoveryMs float64 `json:"chain_recovery_ms"`
 	BaseRecoveryMs  float64 `json:"base_recovery_ms"`
@@ -120,17 +115,15 @@ type DeltaBenchResult struct {
 
 // deltaBenchRun is one scenario's outcome.
 type deltaBenchRun struct {
-	store           *cloud.MemStore
-	firstBytes      int64 // sealed DB bytes uploaded by the first dirty round
-	firstMs         float64
-	gateBytes       int64 // raw bytes read under the gate in that round
-	localDBBytes    int64
-	chainLen        int
-	bytesSaved      int64
-	peakStream      int64
-	recoveryMs      float64
-	recoveredOK     bool // recovery materialized the primary's data files byte-for-byte
-	recoveryObjects int
+	firstBytes   int64 // sealed DB bytes uploaded by the first dirty round
+	firstMs      float64
+	gateBytes    int64 // raw bytes read under the gate in that round
+	localDBBytes int64
+	chainLen     int
+	bytesSaved   int64
+	peakStream   int64
+	recoveryMs   float64
+	recoveredOK  bool // recovery materialized the primary's data files byte-for-byte
 }
 
 // measureDeltaScenario runs boot → bulk fill → base dump → Rounds ×
@@ -138,134 +131,57 @@ type deltaBenchRun struct {
 // without delta checkpoints, entirely in virtual time.
 func measureDeltaScenario(opts DeltaBenchOptions, deltas bool) (*deltaBenchRun, error) {
 	out := &deltaBenchRun{}
-	clk := simclock.NewSim()
-	stopPump := clk.Pump()
-	defer stopPump()
-
-	mem := cloud.NewMemStore()
-	out.store = mem
-	store := cloudsim.New(mem, cloudsim.Options{
-		Profile: datapathProfile(),
-		Clock:   clk,
-		Seed:    1,
-	})
-
-	params := core.DefaultParams()
-	params.Clock = clk
-	params.Batch = 4
-	params.Safety = 4096
-	params.BatchTimeout = 50 * time.Millisecond
-	params.SafetyTimeout = 2 * time.Minute
-	params.RetryBaseDelay = 20 * time.Millisecond
-	params.DumpThreshold = 1.0 // every checkpoint settle crosses the rule
-	params.MaxObjectSize = opts.MaxObjectSize
-	params.CheckpointUploaders = opts.Parallel
-	params.RecoveryFetchers = opts.Parallel
-	params.Compress = false // sealed sizes track payload byte-for-byte
-	if deltas {
-		params.DeltaCheckpoints = true
-		params.MaxDeltaChain = opts.Rounds // the final chain is maximum-length
-	}
-
-	ctx := context.Background()
-	localFS := vfs.NewMemFS()
-	g, err := core.New(localFS, store, dbevent.NewPGProcessor(), params)
-	if err != nil {
-		return nil, err
-	}
-	if err := g.Boot(ctx); err != nil {
-		return nil, fmt.Errorf("boot: %w", err)
-	}
-	db, err := minidb.Open(g.FS(), pgengine.NewWithSizes(512, 8192, 1024), minidb.Options{})
-	if err != nil {
-		return nil, err
-	}
-	if err := db.CreateTable("kv", 4); err != nil {
-		return nil, err
-	}
-	value := bytes.Repeat([]byte("v"), opts.ValueBytes)
-	for i := 0; i < opts.Rows; i++ {
-		key := fmt.Sprintf("key-%06d", i)
-		if err := db.Update(func(tx *minidb.Txn) error {
-			return tx.Put("kv", []byte(key), value)
-		}); err != nil {
-			return nil, fmt.Errorf("row %d: %w", i, err)
+	b, err := startBulk(opts.Rows, opts.ValueBytes, opts.MaxObjectSize, opts.Parallel, func(p *core.Params) {
+		p.Compress = false // sealed sizes track payload byte-for-byte
+		if deltas {
+			p.DeltaCheckpoints = true
+			p.MaxDeltaChain = opts.Rounds // the final chain is maximum-length
 		}
+	})
+	if err != nil {
+		return nil, fmt.Errorf("bulk fill: %w", err)
 	}
-	if !g.Flush(5 * time.Minute) {
-		return nil, fmt.Errorf("bulk flush did not drain")
-	}
+	defer b.rig.Close()
+	g, db := b.g, b.db
 
 	// Settle one checkpoint to establish the base: the crossing finds the
 	// whole database dirty, so both modes serve it with a full dump (the
 	// delta run's compaction bound folds an all-dirty "delta" away).
-	waitCounter := func(read func(core.Stats) int64) error {
-		before := read(g.Stats())
-		if err := db.Checkpoint(); err != nil {
-			return err
-		}
-		for tries := 0; read(g.Stats()) == before; tries++ {
-			if err := g.Err(); err != nil {
-				return fmt.Errorf("replication failed: %w", err)
-			}
-			if tries > 100000 {
-				return fmt.Errorf("checkpoint crossing never completed")
-			}
-			clk.Sleep(5 * time.Millisecond)
-		}
-		return nil
-	}
-	if err := waitCounter(func(s core.Stats) int64 { return s.Dumps }); err != nil {
+	dumps := func(s core.Stats) int64 { return s.Dumps }
+	if _, err := b.checkpoint(dumps); err != nil {
 		return nil, fmt.Errorf("base dump: %w", err)
 	}
 
 	// Size the settled database: the bytes a full re-dump reads under the
 	// stop-writes gate and ships per crossing.
-	proc := dbevent.NewPGProcessor()
-	files, err := vfs.Walk(localFS, "")
-	if err != nil {
+	if out.localDBBytes, err = localDataBytes(g.FS()); err != nil {
 		return nil, err
-	}
-	for _, p := range files {
-		if proc.FileKind(p) != dbevent.KindData {
-			continue
-		}
-		fi, err := localFS.Stat(p)
-		if err != nil {
-			return nil, err
-		}
-		out.localDBBytes += fi.Size()
 	}
 
 	// The dirty rounds: rewrite a clustered 1 % of the rows, checkpoint,
 	// and let the crossing ship a delta (or a full re-dump). Round 1 is
 	// the measured crossing.
-	counter := func(s core.Stats) int64 { return s.Dumps }
+	counter := dumps
 	if deltas {
 		counter = func(s core.Stats) int64 { return s.Deltas }
 	}
+	value := strings.Repeat("v", opts.ValueBytes)
 	for round := 1; round <= opts.Rounds; round++ {
-		for i := 0; i < opts.DirtyRows; i++ {
-			key := fmt.Sprintf("key-%06d", i)
-			val := []byte(fmt.Sprintf("round-%d-%s", round, value))
-			if err := db.Update(func(tx *minidb.Txn) error {
-				return tx.Put("kv", []byte(key), val)
-			}); err != nil {
-				return nil, err
-			}
+		if err := sim.PutRows(db, "key-%06d", opts.DirtyRows, fmt.Sprintf("round-%d-%s", round, value)); err != nil {
+			return nil, err
 		}
 		if !g.Flush(5 * time.Minute) {
 			return nil, fmt.Errorf("round %d flush did not drain", round)
 		}
 		statsBefore := g.Stats()
-		t0 := clk.Now()
-		if err := waitCounter(counter); err != nil {
+		upload, err := b.checkpoint(counter)
+		if err != nil {
 			return nil, fmt.Errorf("round %d: %w", round, err)
 		}
 		if round == 1 {
 			statsAfter := g.Stats()
 			out.firstBytes = statsAfter.DBBytesUploaded - statsBefore.DBBytesUploaded
-			out.firstMs = float64(clk.Since(t0)) / float64(time.Millisecond)
+			out.firstMs = millis(upload)
 			if deltas {
 				// The delta's raw planned payload is what its gate covered:
 				// localSize minus what skipping the clean pages saved.
@@ -275,40 +191,32 @@ func measureDeltaScenario(opts DeltaBenchOptions, deltas bool) (*deltaBenchRun, 
 			}
 		}
 	}
-	if err := g.Close(); err != nil { // drains uploads + GC deterministically
-		return nil, fmt.Errorf("close: %w", err)
+	final, err := b.close()
+	if err != nil {
+		return nil, err
 	}
-	final := g.Stats()
 	out.chainLen = final.DeltaChainLen
 	out.bytesSaved = final.CheckpointBytesSaved
 	out.peakStream = final.PeakStreamBytes
 
 	// Disaster recovery on a fresh machine: the delta store resolves base
 	// + maximum-length chain, the full store a single fresh dump.
-	g2, err := core.New(vfs.NewMemFS(), store, dbevent.NewPGProcessor(), params)
+	target, recovery, err := b.rig.RecoverFresh(b.params)
 	if err != nil {
 		return nil, err
 	}
-	target := vfs.NewMemFS()
-	t1 := clk.Now()
-	if err := g2.RecoverAt(ctx, target, -1); err != nil {
-		return nil, fmt.Errorf("recover: %w", err)
-	}
-	out.recoveryMs = float64(clk.Since(t1)) / float64(time.Millisecond)
+	out.recoveryMs = millis(recovery)
 	// Recovery's correctness contract: the rebuilt machine's data files
 	// are byte-identical to the primary's. For the delta run this is the
 	// whole point — base + every chained delta + the WAL tail must
 	// materialize exactly the pages the primary holds.
 	out.recoveredOK = true
-	finalFiles, err := vfs.Walk(localFS, "")
+	files, err := dataFiles(g.FS())
 	if err != nil {
 		return nil, err
 	}
-	for _, p := range finalFiles {
-		if proc.FileKind(p) != dbevent.KindData {
-			continue
-		}
-		want, err := vfs.ReadFile(localFS, p)
+	for _, p := range files {
+		want, err := vfs.ReadFile(g.FS(), p)
 		if err != nil {
 			return nil, err
 		}

@@ -1,21 +1,15 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
+	"io"
 	"runtime"
 	"sort"
 	"strings"
 	"time"
 
-	"github.com/ginja-dr/ginja/internal/cloud"
-	"github.com/ginja-dr/ginja/internal/cloud/cloudsim"
-	"github.com/ginja-dr/ginja/internal/core"
-	"github.com/ginja-dr/ginja/internal/dbevent"
 	"github.com/ginja-dr/ginja/internal/minidb"
-	"github.com/ginja-dr/ginja/internal/minidb/pgengine"
-	"github.com/ginja-dr/ginja/internal/simclock"
-	"github.com/ginja-dr/ginja/internal/vfs"
+	"github.com/ginja-dr/ginja/internal/sim"
 )
 
 // This file measures fleet mode: one process multiplexing many tenant
@@ -103,43 +97,22 @@ func fleetPoint(opts FleetBenchOptions, tenants int) (FleetBenchRow, error) {
 	heap0 := ms.HeapAlloc
 	gor0 := runtime.NumGoroutine()
 
-	clk := simclock.NewSim()
-	stopPump := clk.Pump()
-	defer stopPump()
-	store := cloudsim.New(cloud.NewMemStore(), cloudsim.Options{
-		Profile: datapathProfile(),
-		Clock:   clk,
-		Seed:    int64(tenants),
-	})
-	fleet, err := core.NewFleet(core.FleetParams{
-		Store:       store,
-		Clock:       clk,
-		UploadSlots: 32,
-		FetchSlots:  16,
-		TenantCap:   2,
-	})
+	rig := sim.NewRig(sim.WAN(40*time.Millisecond, 0), int64(tenants))
+	defer rig.Close()
+	fleet, err := rig.Fleet(nil)
 	if err != nil {
 		return row, err
 	}
 	defer fleet.Close()
 
-	params := func() core.Params {
-		p := core.DefaultParams()
-		p.Batch = 1 // every commit is its own Safety-class PUT
-		p.Safety = 8
-		p.BatchTimeout = 50 * time.Millisecond
-		p.SafetyTimeout = 10 * time.Second
-		p.RetryBaseDelay = 20 * time.Millisecond
-		p.Uploaders = 1
-		return p
-	}
-	ctx := context.Background()
+	params := rig.Params()
+	params.Batch = 1 // every commit is its own Safety-class PUT
+	params.Safety = 8
+	params.BatchTimeout = 50 * time.Millisecond
+	params.SafetyTimeout = 10 * time.Second
+	params.Uploaders = 1
 	for i := 0; i < tenants; i++ {
-		g, err := fleet.Admit(fmt.Sprintf("t%04d", i), vfs.NewMemFS(), dbevent.NewPGProcessor(), params())
-		if err != nil {
-			return row, err
-		}
-		if err := g.Boot(ctx); err != nil {
+		if _, err := rig.Admit(fleet, fmt.Sprintf("t%04d", i), params); err != nil {
 			return row, err
 		}
 	}
@@ -154,22 +127,14 @@ func fleetPoint(opts FleetBenchOptions, tenants int) (FleetBenchRow, error) {
 		row.HeapBytesPerTenant = float64(ms.HeapAlloc-heap0) / float64(tenants)
 	}
 
-	engine := func() minidb.Engine { return pgengine.NewWithSizes(512, 8192, 1024) }
 	hot := fleet.Tenant("t0000")
-	hotDB, err := minidb.Open(hot.FS(), engine(), minidb.Options{})
+	hotDB, err := rig.OpenKV(hot)
 	if err != nil {
-		return row, err
-	}
-	if err := hotDB.CreateTable("kv", 4); err != nil {
 		return row, err
 	}
 	var antaDB *minidb.DB
 	if tenants >= 2 {
-		anta := fleet.Tenant("t0001")
-		if antaDB, err = minidb.Open(anta.FS(), engine(), minidb.Options{}); err != nil {
-			return row, err
-		}
-		if err := antaDB.CreateTable("kv", 4); err != nil {
+		if antaDB, err = rig.OpenKV(fleet.Tenant("t0001")); err != nil {
 			return row, err
 		}
 	}
@@ -193,7 +158,7 @@ func fleetPoint(opts FleetBenchOptions, tenants int) (FleetBenchRow, error) {
 				return row, err
 			}
 		}
-		t0 := clk.Now()
+		t0 := rig.Clock.Now()
 		if err := hotDB.Update(func(tx *minidb.Txn) error {
 			return tx.Put("kv", []byte("k"), []byte(fmt.Sprintf("v%d", i)))
 		}); err != nil {
@@ -202,7 +167,7 @@ func fleetPoint(opts FleetBenchOptions, tenants int) (FleetBenchRow, error) {
 		if !hot.Flush(2 * time.Minute) {
 			return row, fmt.Errorf("fleet bench: hot flush timed out at %d tenants, commit %d", tenants, i)
 		}
-		lats = append(lats, clk.Since(t0))
+		lats = append(lats, rig.Clock.Since(t0))
 	}
 	sort.Slice(lats, func(a, b int) bool { return lats[a] < lats[b] })
 	row.CommitP50Ms = quantileMs(lats, 0.50)
@@ -241,4 +206,45 @@ func RunFleetBench(opts FleetBenchOptions) (*FleetBenchResult, error) {
 		}
 	}
 	return res, nil
+}
+
+// Fprint renders the result as the human-readable summary `ginja-bench
+// json -path fleet` prints above the JSON.
+func (r *FleetBenchResult) Fprint(w io.Writer) {
+	for _, row := range r.Rows {
+		fmt.Fprintf(w, "fleet %5d tenants: %.2f goroutines, %6.1f KiB heap per tenant; commit p50/p99 %6.1f/%6.1f ms; %d safety misses\n",
+			row.Tenants, row.GoroutinesPerTenant, row.HeapBytesPerTenant/1024,
+			row.CommitP50Ms, row.CommitP99Ms, row.SafetyDeadlineMisses)
+	}
+	fmt.Fprintf(w, "fleet gates: p50 ratio at 100 tenants %.2fx of solo; per-tenant growth 10->1000: goroutines %+.1f%%, heap %+.1f%%\n",
+		r.P50RatioAt100, 100*r.GoroutineGrowth10To1000, 100*r.HeapGrowth10To1000)
+}
+
+// Check enforces the fleet's contracts.
+func (r *FleetBenchResult) Check() error {
+	for _, row := range r.Rows {
+		// The fairness contract: with a dumping antagonist saturating
+		// the bulk path at every sweep point, no tenant's Safety-class
+		// PUT ever out-waits its TS window in the shared queue.
+		if row.SafetyDeadlineMisses != 0 {
+			return fmt.Errorf("fleet bench regressed: %d safety deadline misses at %d tenants (want 0)",
+				row.SafetyDeadlineMisses, row.Tenants)
+		}
+		if row.GoroutinesPerTenant <= 0 || row.GoroutinesPerTenant > 12 {
+			return fmt.Errorf("fleet bench regressed: %.2f goroutines per tenant at %d tenants (want (0, 12])",
+				row.GoroutinesPerTenant, row.Tenants)
+		}
+	}
+	// Contention gate: a shared fleet must not tax the hot tenant's
+	// commit latency beyond 1.5x of running alone.
+	if r.P50RatioAt100 > 1.5 {
+		return fmt.Errorf("fleet bench regressed: commit p50 at 100 tenants is %.2fx solo (want <= 1.5x)", r.P50RatioAt100)
+	}
+	// Flat-overhead gate (full sweep only — the smoke sweep has no
+	// 1000-tenant row and reports zero growth).
+	if r.GoroutineGrowth10To1000 > 0.10 || r.HeapGrowth10To1000 > 0.10 {
+		return fmt.Errorf("fleet bench regressed: per-tenant overhead grew 10->1000 tenants: goroutines %+.1f%% heap %+.1f%% (want <= +10%%)",
+			100*r.GoroutineGrowth10To1000, 100*r.HeapGrowth10To1000)
+	}
+	return nil
 }

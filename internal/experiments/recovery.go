@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"io"
 	"sort"
 	"time"
 
@@ -161,7 +162,7 @@ func quantileMs(sorted []time.Duration, q float64) float64 {
 		return 0
 	}
 	idx := int(q*float64(len(sorted)-1) + 0.5)
-	return float64(sorted[idx]) / float64(time.Millisecond)
+	return millis(sorted[idx])
 }
 
 // RunRecovery replays every scenario across opts.Seeds deterministic
@@ -188,20 +189,19 @@ func RunRecoveryBench(opts RecoveryBenchOptions) (*RecoveryBenchResult, error) {
 			rpos = append(rpos, r.RPO)
 			rtos = append(rtos, r.RTO)
 			bd := r.Recovery
-			ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-			ph.List += ms(bd.List)
-			ph.View += ms(bd.ViewBuild)
-			ph.Fetch += ms(bd.Fetch)
-			ph.Decode += ms(bd.Decode)
-			ph.Apply += ms(bd.Apply)
-			ph.Verify += ms(bd.Verify)
-			ph.Total += ms(bd.Total)
+			ph.List += millis(bd.List)
+			ph.View += millis(bd.ViewBuild)
+			ph.Fetch += millis(bd.Fetch)
+			ph.Decode += millis(bd.Decode)
+			ph.Apply += millis(bd.Apply)
+			ph.Verify += millis(bd.Verify)
+			ph.Total += millis(bd.Total)
 			agg.MeanObjects += float64(bd.Objects)
 			agg.MeanWALObjects += float64(bd.WALObjects)
 			agg.MeanFetchedKB += float64(bd.Bytes) / 1024
 			lost += float64(r.Commits - (r.Cut + 1))
-			if r.Safety > agg.MaxSafety {
-				agg.MaxSafety = r.Safety
+			if r.Params.Safety > agg.MaxSafety {
+				agg.MaxSafety = r.Params.Safety
 			}
 		}
 		n := float64(agg.Runs)
@@ -256,7 +256,7 @@ func runWarmStandby(opts RecoveryBenchOptions) (*WarmStandbyBench, error) {
 		w.Runs++
 		coldRTOs = append(coldRTOs, cold.RTO)
 		warmRTOs = append(warmRTOs, warm.RTO)
-		w.MeanFollowerLagMs += float64(warm.FollowerLag) / float64(time.Millisecond)
+		w.MeanFollowerLagMs += millis(warm.FollowerLag)
 		w.MeanColdObjects += float64(cold.Recovery.Objects)
 		w.MeanWarmObjects += float64(warm.Recovery.Objects)
 	}
@@ -277,6 +277,57 @@ func runWarmStandby(opts RecoveryBenchOptions) (*WarmStandbyBench, error) {
 	if err != nil {
 		return nil, fmt.Errorf("promote-during-outage drill: %w", err)
 	}
-	w.OutageDrillRTOMs = float64(outage.RTO) / float64(time.Millisecond)
+	w.OutageDrillRTOMs = millis(outage.RTO)
 	return w, nil
+}
+
+// Fprint renders the result as the human-readable summary `ginja-bench
+// json -path recovery` prints above the JSON.
+func (r *RecoveryBenchResult) Fprint(out io.Writer) {
+	for _, sc := range r.Scenarios {
+		fmt.Fprintf(out, "%-18s RPO p50/p99 %7.1f/%7.1f ms  RTO p50/p99 %7.1f/%7.1f ms  (%d runs, %.0f objects, %.1f KiB)\n",
+			sc.Name+":", sc.RPOp50Ms, sc.RPOp99Ms, sc.RTOp50Ms, sc.RTOp99Ms,
+			sc.Runs, sc.MeanObjects, sc.MeanFetchedKB)
+		fmt.Fprintf(out, "%-18s phases list %.1f, view %.1f, fetch %.1f, decode %.1f, apply %.1f, verify %.1f, total %.1f ms\n",
+			"", sc.Phases.List, sc.Phases.View, sc.Phases.Fetch,
+			sc.Phases.Decode, sc.Phases.Apply, sc.Phases.Verify, sc.Phases.Total)
+	}
+	w := r.WarmStandby
+	fmt.Fprintf(out, "%-18s cold RTO p50/p99 %7.1f/%7.1f ms -> warm promote %7.1f/%7.1f ms (%.1fx, lag %.0f ms, %.0f vs %.0f objects)\n",
+		"warm-standby:", w.ColdRTOp50Ms, w.ColdRTOp99Ms, w.WarmRTOp50Ms, w.WarmRTOp99Ms,
+		w.Speedup, w.MeanFollowerLagMs, w.MeanColdObjects, w.MeanWarmObjects)
+	fmt.Fprintf(out, "%-18s promote-during-outage drill RTO %.1f ms (rides a 1 s provider outage)\n",
+		"", w.OutageDrillRTOMs)
+}
+
+// Check enforces the recovery bench's contracts (each run's
+// consistent-prefix check already failed RunRecoveryBench itself).
+func (r *RecoveryBenchResult) Check() error {
+	anyLoss := false
+	for _, sc := range r.Scenarios {
+		// The RTO budget must be a real measurement: recovery happened
+		// (total > 0), fetched actual objects, and every run completed.
+		if sc.Runs != r.Seeds || sc.RTOp50Ms <= 0 || sc.Phases.Total <= 0 || sc.MeanObjects <= 0 {
+			return fmt.Errorf("recovery bench regressed: scenario %s runs=%d rto_p50=%.3f total=%.3f objects=%.1f",
+				sc.Name, sc.Runs, sc.RTOp50Ms, sc.Phases.Total, sc.MeanObjects)
+		}
+		if sc.RPOMaxMs > 0 {
+			anyLoss = true
+		}
+	}
+	// The disasters are scripted to strike with work in flight; a sweep
+	// where no run ever had a non-zero data-loss window means the RPO
+	// watermark (or the schedules) broke.
+	if !anyLoss {
+		return fmt.Errorf("recovery bench regressed: no scenario measured a non-zero RPO")
+	}
+	// The warm standby's reason to exist: promoting the tailed replica
+	// must beat re-downloading the database by a wide margin, or the
+	// follower has regressed to cold-restore behaviour.
+	w := r.WarmStandby
+	if w.Runs != r.Seeds || w.WarmRTOp50Ms <= 0 || w.Speedup < 5 {
+		return fmt.Errorf("warm standby regressed: runs=%d warm_rto_p50=%.3f speedup=%.2f (want >= 5x over cold)",
+			w.Runs, w.WarmRTOp50Ms, w.Speedup)
+	}
+	return nil
 }

@@ -2,20 +2,13 @@ package sim
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
-	"strings"
-	"sync"
 	"time"
 
-	"github.com/ginja-dr/ginja/internal/cloud"
-	"github.com/ginja-dr/ginja/internal/cloud/cloudsim"
 	"github.com/ginja-dr/ginja/internal/core"
 	"github.com/ginja-dr/ginja/internal/dbevent"
 	"github.com/ginja-dr/ginja/internal/minidb"
-	"github.com/ginja-dr/ginja/internal/minidb/pgengine"
-	"github.com/ginja-dr/ginja/internal/simclock"
 	"github.com/ginja-dr/ginja/internal/vfs"
 )
 
@@ -52,74 +45,11 @@ type FleetResult struct {
 	VirtualElapsed       time.Duration
 }
 
-// prefixKillStore fails every operation on names under a killed prefix:
-// one tenant's machine dies mid-upload while the rest of the fleet —
-// sharing the same bucket — keeps working.
-type prefixKillStore struct {
-	inner cloud.ObjectStore
-
-	mu   sync.Mutex
-	dead map[string]bool // "/"-terminated prefixes
-}
-
-func (p *prefixKillStore) kill(prefix string)   { p.setDead(prefix, true) }
-func (p *prefixKillStore) revive(prefix string) { p.setDead(prefix, false) }
-
-func (p *prefixKillStore) setDead(prefix string, dead bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.dead == nil {
-		p.dead = make(map[string]bool)
-	}
-	p.dead[prefix+"/"] = dead
-}
-
-func (p *prefixKillStore) check(name string) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for pre, dead := range p.dead {
-		if dead && strings.HasPrefix(name, pre) {
-			return errCrashed
-		}
-	}
-	return nil
-}
-
-func (p *prefixKillStore) Put(ctx context.Context, name string, data []byte) error {
-	if err := p.check(name); err != nil {
-		return err
-	}
-	return p.inner.Put(ctx, name, data)
-}
-
-func (p *prefixKillStore) Get(ctx context.Context, name string) ([]byte, error) {
-	if err := p.check(name); err != nil {
-		return nil, err
-	}
-	return p.inner.Get(ctx, name)
-}
-
-func (p *prefixKillStore) List(ctx context.Context, prefix string) ([]cloud.ObjectInfo, error) {
-	if err := p.check(prefix); err != nil {
-		return nil, err
-	}
-	return p.inner.List(ctx, prefix)
-}
-
-func (p *prefixKillStore) Delete(ctx context.Context, name string) error {
-	if err := p.check(name); err != nil {
-		return err
-	}
-	return p.inner.Delete(ctx, name)
-}
-
 // fleetWriter is one tenant running a workload.
 type fleetWriter struct {
 	id      string
 	g       *core.Ginja
-	db      *minidb.DB
-	history []chaosWrite
-	seq     int
+	log     kvLog
 	flushed int
 }
 
@@ -153,52 +83,27 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed ^ 0xf1ee7))
 
-	clk := simclock.NewSim()
-	start := clk.Now()
-	stopPump := clk.Pump()
-	defer stopPump()
-
-	simStore := cloudsim.New(cloud.NewMemStore(), cloudsim.Options{
-		Profile: simProfile(),
-		Clock:   clk,
-		Seed:    cfg.Seed,
-	})
-	kill := &prefixKillStore{inner: simStore}
-	fleet, err := core.NewFleet(core.FleetParams{
-		Store:       kill,
-		Clock:       clk,
-		UploadSlots: 32,
-		FetchSlots:  16,
-		TenantCap:   2,
-	})
+	rig := NewRig(WAN(faultLatency, 0.10), cfg.Seed)
+	defer rig.Close()
+	kill := &crashStore{inner: rig.Store}
+	fleet, err := rig.Fleet(kill)
 	if err != nil {
 		return fail("new fleet: %v", err)
 	}
 	defer fleet.Close()
 
 	tenantParams := func() core.Params {
-		p := core.DefaultParams()
+		p := rig.Params()
 		p.Batch = 1 + rng.Intn(4)
 		p.Safety = p.Batch * (4 + rng.Intn(8))
 		p.BatchTimeout = time.Duration(100+rng.Intn(900)) * time.Millisecond
 		p.SafetyTimeout = time.Duration(2+rng.Intn(8)) * time.Second
-		p.RetryBaseDelay = 20 * time.Millisecond
 		p.Uploaders = 1 // fleet shape: per-tenant goroutines stay minimal
 		return p
 	}
 
-	ctx := context.Background()
 	tenantID := func(i int) string { return fmt.Sprintf("t%04d", i) }
-	admit := func(id string) (*core.Ginja, error) {
-		g, err := fleet.Admit(id, vfs.NewMemFS(), dbevent.NewPGProcessor(), tenantParams())
-		if err != nil {
-			return nil, err
-		}
-		if err := g.Boot(ctx); err != nil {
-			return nil, err
-		}
-		return g, nil
-	}
+	admit := func(id string) (*core.Ginja, error) { return rig.Admit(fleet, id, tenantParams()) }
 	for i := 0; i < cfg.Tenants; i++ {
 		if _, err := admit(tenantID(i)); err != nil {
 			return fail("admit %d: %v", i, err)
@@ -207,19 +112,15 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 
 	// The first `writers` tenants get databases and workloads; everyone
 	// else stays idle with timers armed.
-	engine := func() minidb.Engine { return pgengine.NewWithSizes(512, 8192, 1024) }
 	ws := make([]*fleetWriter, writers)
 	for i := range ws {
 		id := tenantID(i)
 		g := fleet.Tenant(id)
-		db, err := minidb.Open(g.FS(), engine(), minidb.Options{})
+		db, err := rig.OpenKV(g)
 		if err != nil {
-			return fail("open db %s: %v", id, err)
+			return fail("tenant %s: %v", id, err)
 		}
-		if err := db.CreateTable("kv", 4); err != nil {
-			return fail("create table %s: %v", id, err)
-		}
-		ws[i] = &fleetWriter{id: id, g: g, db: db, flushed: -1}
+		ws[i] = &fleetWriter{id: id, g: g, log: kvLog{db: db}, flushed: -1}
 	}
 
 	// Interleave the writers' workloads step by step so their traffic
@@ -228,35 +129,18 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 	keys := []string{"k0", "k1", "k2", "k3"}
 	step := func(w *fleetWriter) error {
 		switch r := rng.Intn(100); {
-		case r < 65:
-			key := keys[rng.Intn(len(keys))]
-			value := fmt.Sprintf("%s#%d", key, w.seq)
-			if err := w.db.Update(func(tx *minidb.Txn) error {
-				return tx.Put("kv", []byte(key), []byte(value))
-			}); err != nil {
-				return err
-			}
-			w.history = append(w.history, chaosWrite{seq: w.seq, key: key})
-			w.seq++
-		case r < 75:
-			key := keys[rng.Intn(len(keys))]
-			if err := w.db.Update(func(tx *minidb.Txn) error {
-				return tx.Delete("kv", []byte(key))
-			}); err != nil {
-				return err
-			}
-			w.history = append(w.history, chaosWrite{seq: w.seq, key: key, deleted: true})
-			w.seq++
+		case r < 65: // put
+			return w.log.write(keys[rng.Intn(len(keys))], false)
+		case r < 75: // delete
+			return w.log.write(keys[rng.Intn(len(keys))], true)
 		case r < 85:
-			if err := w.db.Checkpoint(); err != nil {
-				return err
-			}
+			return w.log.db.Checkpoint()
 		case r < 95:
 			if w.g.Flush(2 * time.Minute) {
-				w.flushed = w.seq - 1
+				w.flushed = w.log.commits() - 1
 			}
 		default:
-			clk.Sleep(time.Duration(rng.Int63n(int64(500 * time.Millisecond))))
+			rig.Clock.Sleep(time.Duration(rng.Int63n(int64(500 * time.Millisecond))))
 		}
 		return nil
 	}
@@ -288,7 +172,7 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 		}
 	}
 	for _, w := range ws {
-		res.Commits += w.seq
+		res.Commits += w.log.commits()
 	}
 
 	// CRASH one writing tenant: its bucket subtree goes dark with
@@ -297,7 +181,7 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 	// legitimate crash outcome, not a drill failure).
 	victim := ws[rng.Intn(len(ws))]
 	res.CrashedTenant = victim.id
-	victimPrefix := core.DefaultFleetPrefixRoot + "/" + victim.id
+	victimPrefix := core.DefaultFleetPrefixRoot + "/" + victim.id + "/"
 	kill.kill(victimPrefix)
 	_ = fleet.Evict(victim.id)
 	kill.revive(victimPrefix)
@@ -308,7 +192,7 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 		if w == victim {
 			continue
 		}
-		if err := w.db.Update(func(tx *minidb.Txn) error {
+		if err := w.log.db.Update(func(tx *minidb.Txn) error {
 			return tx.Put("kv", []byte("post-crash"), []byte(w.id))
 		}); err != nil {
 			return fail("post-crash put %s: %v", w.id, err)
@@ -326,63 +210,24 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 	if err != nil {
 		return fail("re-admit %s: %v", victim.id, err)
 	}
-	if err := g2.Recover(ctx); err != nil {
+	if err := g2.Recover(context.Background()); err != nil {
 		return fail("recover %s: %v", victim.id, err)
 	}
-	db2, err := minidb.Open(g2.FS(), engine(), minidb.Options{})
+	db2, err := openDB(g2.FS())
 	if err != nil {
 		return fail("DBMS restart %s: %v", victim.id, err)
 	}
-	recovered := make(map[string]string)
-	for _, key := range keys {
-		v, err := db2.Get("kv", []byte(key))
-		switch {
-		case err == nil:
-			recovered[key] = string(v)
-		case errors.Is(err, minidb.ErrNotFound):
-		case errors.Is(err, minidb.ErrNoTable):
-		default:
-			return fail("get %s: %v", key, err)
-		}
+	recovered, err := readBack(db2, keys)
+	if err != nil {
+		return fail("%v", err)
 	}
-	stateAt := func(cut int) map[string]string {
-		state := make(map[string]string)
-		for _, w := range victim.history {
-			if w.seq > cut {
-				break
-			}
-			if w.deleted {
-				delete(state, w.key)
-			} else {
-				state[w.key] = fmt.Sprintf("%s#%d", w.key, w.seq)
-			}
-		}
-		return state
-	}
-	matches := func(cut int) bool {
-		want := stateAt(cut)
-		if len(want) != len(recovered) {
-			return false
-		}
-		for k, v := range want {
-			if recovered[k] != v {
-				return false
-			}
-		}
-		return true
-	}
-	for c := len(victim.history) - 1; c >= -1; c-- {
-		if matches(c) {
-			res.CrashedCut = c
-			break
-		}
-	}
+	res.CrashedCut = victim.log.cut(recovered)
 	res.CrashedFlushed = victim.flushed
 	res.SafetyDeadlineMisses = fleet.Stats().SafetyDeadlineMisses
-	res.VirtualElapsed = clk.Since(start)
+	res.VirtualElapsed = rig.Elapsed()
 	if res.CrashedCut == -2 {
 		return fail("recovered state of %s matches no prefix of its history.\nrecovered: %v\nhistory: %+v",
-			victim.id, recovered, victim.history)
+			victim.id, recovered, victim.log.history)
 	}
 	if res.CrashedCut < res.CrashedFlushed {
 		return fail("recovered cut %d of %s is older than its flushed frontier %d",

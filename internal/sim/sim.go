@@ -18,19 +18,13 @@ package sim
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
-	"sync/atomic"
 	"time"
 
-	"github.com/ginja-dr/ginja/internal/cloud"
-	"github.com/ginja-dr/ginja/internal/cloud/cloudsim"
 	"github.com/ginja-dr/ginja/internal/core"
 	"github.com/ginja-dr/ginja/internal/dbevent"
-	"github.com/ginja-dr/ginja/internal/minidb"
-	"github.com/ginja-dr/ginja/internal/minidb/pgengine"
 	"github.com/ginja-dr/ginja/internal/simclock"
 	"github.com/ginja-dr/ginja/internal/vfs"
 )
@@ -79,18 +73,11 @@ type Config struct {
 // Result summarises one simulation run.
 type Result struct {
 	Schedule *Schedule
-	// Params actually used (derived from the seed).
-	Batch         int
-	Safety        int
-	BatchTimeout  time.Duration
-	SafetyTimeout time.Duration
-	UploadRetries int
-	// Data-path parallelism knobs (also seed-derived). MaxObjectSize is
-	// drawn small enough that dumps split into several parts, so the
-	// concurrent part-upload path is exercised under faults.
-	MaxObjectSize       int64
-	CheckpointUploaders int
-	RecoveryFetchers    int
+	// Params is the configuration the primary ran with, derived from the
+	// seed. MaxObjectSize is drawn small enough that dumps split into
+	// several parts, so the concurrent part-upload path is exercised
+	// under faults.
+	Params core.Params
 	// Workload outcome.
 	Commits     int
 	Checkpoints int64
@@ -131,66 +118,8 @@ type Result struct {
 	FollowerLag time.Duration
 }
 
-// chaosWrite is one committed write in history order.
-type chaosWrite struct {
-	seq     int
-	key     string
-	deleted bool
-}
-
-// simProfile is the network model used in simulation: WAN-shaped (fixed
-// RTT plus bandwidth terms) but an order of magnitude faster than the
-// paper's Lisbon→S3 link so virtual timers stay small relative to the
-// TB/TS ranges the seeds draw.
-func simProfile() cloudsim.Profile {
-	return cloudsim.Profile{
-		BaseLatency:       40 * time.Millisecond,
-		UploadBandwidth:   8e6,
-		DownloadBandwidth: 30e6,
-		JitterFraction:    0.10,
-	}
-}
-
-// errCrashed is what the killable store returns once the primary is dead.
-var errCrashed = errors.New("sim: primary site crashed")
-
-// killableStore cuts the crashed primary off from the cloud: a real dead
-// machine stops mid-upload, it does not keep draining its queue while the
-// replacement site recovers.
-type killableStore struct {
-	inner cloud.ObjectStore
-	dead  atomic.Bool
-}
-
-func (k *killableStore) kill() { k.dead.Store(true) }
-
-func (k *killableStore) Put(ctx context.Context, name string, data []byte) error {
-	if k.dead.Load() {
-		return errCrashed
-	}
-	return k.inner.Put(ctx, name, data)
-}
-
-func (k *killableStore) Get(ctx context.Context, name string) ([]byte, error) {
-	if k.dead.Load() {
-		return nil, errCrashed
-	}
-	return k.inner.Get(ctx, name)
-}
-
-func (k *killableStore) List(ctx context.Context, prefix string) ([]cloud.ObjectInfo, error) {
-	if k.dead.Load() {
-		return nil, errCrashed
-	}
-	return k.inner.List(ctx, prefix)
-}
-
-func (k *killableStore) Delete(ctx context.Context, name string) error {
-	if k.dead.Load() {
-		return errCrashed
-	}
-	return k.inner.Delete(ctx, name)
-}
+// faultLatency is the simulated WAN's round trip under fault schedules.
+const faultLatency = 40 * time.Millisecond
 
 // Run executes one simulated disaster-recovery scenario and checks the
 // consistent-prefix invariant. The returned error, if any, embeds the
@@ -209,25 +138,16 @@ func Run(cfg Config) (*Result, error) {
 	// from the schedule's, so tweaking Generate never re-rolls workloads.
 	rng := rand.New(rand.NewSource(sched.Seed ^ 0x5ee1e55edBeef))
 
-	clk := simclock.NewSim()
-	start := clk.Now()
-	stopPump := clk.Pump()
-	defer stopPump()
+	rig := NewRig(WAN(faultLatency, 0.10), sched.Seed)
+	defer rig.Close()
+	clk, simStore := rig.Clock, rig.Store
+	kill := &crashStore{inner: simStore}
 
-	simStore := cloudsim.New(cloud.NewMemStore(), cloudsim.Options{
-		Profile: simProfile(),
-		Clock:   clk,
-		Seed:    sched.Seed,
-	})
-	kill := &killableStore{inner: simStore}
-
-	params := core.DefaultParams()
-	params.Clock = clk
+	params := rig.Params()
 	params.Batch = 1 + rng.Intn(8)
 	params.Safety = params.Batch * (2 + rng.Intn(16))
 	params.BatchTimeout = time.Duration(50+rng.Intn(1950)) * time.Millisecond
 	params.SafetyTimeout = time.Duration(1+rng.Intn(14)) * time.Second
-	params.RetryBaseDelay = 20 * time.Millisecond
 	params.DumpThreshold = 1.1 + rng.Float64()
 	if rng.Intn(3) == 0 {
 		// Bounded retries: a long enough outage exhausts them and drives
@@ -263,12 +183,7 @@ func Run(cfg Config) (*Result, error) {
 		params.Compress = false
 		params.DumpThreshold = 1.05 + drng.Float64()*0.3
 	}
-	res.Batch, res.Safety = params.Batch, params.Safety
-	res.BatchTimeout, res.SafetyTimeout = params.BatchTimeout, params.SafetyTimeout
-	res.UploadRetries = params.UploadRetries
-	res.MaxObjectSize = params.MaxObjectSize
-	res.CheckpointUploaders = params.CheckpointUploaders
-	res.RecoveryFetchers = params.RecoveryFetchers
+	res.Params = params
 
 	// Arm the fault schedule on the virtual clock.
 	applyEvent := func(ev Event) {
@@ -292,32 +207,19 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	ctx := context.Background()
-	localFS := vfs.NewMemFS()
-	g, err := core.New(localFS, kill, dbevent.NewPGProcessor(), params)
+	g, err := rig.Boot(kill, params)
 	if err != nil {
-		return fail("new: %v", err)
+		return fail("%v", err)
 	}
-	if err := g.Boot(ctx); err != nil {
-		return fail("boot: %v", err)
-	}
-	engine := func() minidb.Engine { return pgengine.NewWithSizes(512, 8192, 1024) }
-	db, err := minidb.Open(g.FS(), engine(), minidb.Options{})
+	db, err := rig.OpenKV(g)
 	if err != nil {
-		return fail("open db: %v", err)
-	}
-	if err := db.CreateTable("kv", 4); err != nil {
-		return fail("create table: %v", err)
+		return fail("%v", err)
 	}
 	if cfg.FillerRows > 0 {
 		// Bulk outside the tracked key set: it weighs down dumps and cold
 		// restores without touching the prefix check.
-		pad := strings.Repeat("b", 128)
-		for i := 0; i < cfg.FillerRows; i++ {
-			if err := db.Update(func(tx *minidb.Txn) error {
-				return tx.Put("kv", []byte(fmt.Sprintf("pad-%05d", i)), []byte(pad))
-			}); err != nil {
-				return fail("filler put %d: %v", i, err)
-			}
+		if err := PutRows(db, "pad-%05d", cfg.FillerRows, strings.Repeat("b", 128)); err != nil {
+			return fail("filler %v", err)
 		}
 		if err := db.Checkpoint(); err != nil {
 			return fail("filler checkpoint: %v", err)
@@ -347,85 +249,61 @@ func Run(cfg Config) (*Result, error) {
 	for i := range keys {
 		keys[i] = fmt.Sprintf("key-%d", i)
 	}
-	var (
-		history []chaosWrite
-		seq     int
-		ckpts   int64
-	)
+	log := &kvLog{db: db}
+	var ckpts int64 // DBMS checkpoints issued
+	settled := func() bool {
+		s := g.Stats()
+		return s.Checkpoints+s.Dumps+s.Deltas >= ckpts
+	}
 	for i := 0; i < sched.Steps; i++ {
 		if i == sched.CrashAfterStep {
 			break
 		}
 		switch r := rng.Intn(100); {
 		case r < 60: // put
-			key := keys[rng.Intn(len(keys))]
-			value := fmt.Sprintf("%s#%d", key, seq)
-			if err := db.Update(func(tx *minidb.Txn) error {
-				return tx.Put("kv", []byte(key), []byte(value))
-			}); err != nil {
+			if err := log.write(keys[rng.Intn(len(keys))], false); err != nil {
 				return fail("step %d put: %v", i, err)
 			}
-			history = append(history, chaosWrite{seq: seq, key: key})
-			seq++
 		case r < 72: // delete
-			key := keys[rng.Intn(len(keys))]
-			if err := db.Update(func(tx *minidb.Txn) error {
-				return tx.Delete("kv", []byte(key))
-			}); err != nil {
+			if err := log.write(keys[rng.Intn(len(keys))], true); err != nil {
 				return fail("step %d delete: %v", i, err)
 			}
-			history = append(history, chaosWrite{seq: seq, key: key, deleted: true})
-			seq++
 		case r < 84: // checkpoint (a crash right after leaves it in flight)
 			if err := db.Checkpoint(); err != nil {
 				return fail("step %d checkpoint: %v", i, err)
 			}
 			ckpts++
 		case r < 94: // flush: everything so far becomes guaranteed-durable
-			if g.Flush(2 * time.Minute) {
-				covered := true
-				for tries := 0; func() int64 {
-					s := g.Stats()
-					return s.Checkpoints + s.Dumps + s.Deltas
-				}() < ckpts; tries++ {
-					if g.Err() != nil || tries > 5000 {
-						covered = false
-						break
-					}
-					clk.Sleep(50 * time.Millisecond)
-				}
-				if covered {
-					res.FlushedUpTo = seq - 1
-				}
+			// Flush covers the WAL; every checkpoint issued so far must have
+			// settled in the cloud too before the frontier moves.
+			if g.Flush(2*time.Minute) &&
+				rig.Await(func() bool { return settled() || g.Err() != nil }, 50*time.Millisecond, 5000) &&
+				settled() {
+				res.FlushedUpTo = log.commits() - 1
 			}
 		default: // think: let TB (and sometimes TS) expire on a quiet queue
 			clk.Sleep(time.Duration(rng.Int63n(int64(2 * params.BatchTimeout))))
 		}
 	}
-	res.Commits = seq
+	res.Commits = log.commits()
 	res.Checkpoints = ckpts
 
 	// CRASH: the primary site dies with whatever is in flight. Cut it off
 	// from the cloud, then shut its goroutines down (bounded in virtual
 	// time); a fatal pipeline error here is a legitimate outcome.
-	if cfg.CrashDuringCheckpoint && seq > 0 {
+	if cfg.CrashDuringCheckpoint && log.commits() > 0 {
 		// Fresh keys dirty enough pages that the checkpoint's upload spans
 		// several parts at the seed-drawn MaxObjectSize (2–8 KiB). The keys
 		// are outside the tracked set, so the prefix check is unaffected.
-		filler := strings.Repeat("s", 120)
-		for i := 0; i < 96; i++ {
-			if err := db.Update(func(tx *minidb.Txn) error {
-				return tx.Put("kv", []byte(fmt.Sprintf("stride-%03d", i)), []byte(filler))
-			}); err != nil {
-				return fail("pre-crash filler put %d: %v", i, err)
-			}
+		if err := PutRows(db, "stride-%03d", 96, strings.Repeat("s", 120)); err != nil {
+			return fail("pre-crash filler %v", err)
 		}
 		if err := db.Checkpoint(); err != nil {
 			return fail("pre-crash checkpoint: %v", err)
 		}
 		// One base cloud latency is enough for the first wave of part PUTs
 		// to land but not the stragglers behind them in the uploader pool.
-		clk.Sleep(simProfile().BaseLatency + 20*time.Millisecond)
+		clk.Sleep(faultLatency + 20*time.Millisecond)
 	}
 	// Measure the realized data-loss window at the instant of the
 	// disaster, then cut the primary off.
@@ -433,7 +311,7 @@ func Run(cfg Config) (*Result, error) {
 	if fol != nil {
 		res.FollowerLag = fol.Lag()
 	}
-	kill.kill()
+	kill.kill("")
 	for _, t := range timers {
 		t.Stop()
 	}
@@ -470,8 +348,7 @@ func Run(cfg Config) (*Result, error) {
 		res.RTO = clk.Since(recoverStart)
 		res.Promoted = true
 	} else {
-		freshFS := vfs.NewMemFS()
-		g2, err = core.New(freshFS, simStore, dbevent.NewPGProcessor(), params)
+		g2, err = rig.newGinja(nil, params)
 		if err != nil {
 			return fail("new recovery instance: %v", err)
 		}
@@ -484,66 +361,22 @@ func Run(cfg Config) (*Result, error) {
 	res.Recovery = g2.Stats().LastRecovery
 	defer g2.Close()
 	res.OrphanParts = len(g2.View().OrphanParts())
-	db2, err := minidb.Open(g2.FS(), engine(), minidb.Options{})
+	db2, err := openDB(g2.FS())
 	if err != nil {
 		return fail("DBMS restart after recovery: %v", err)
 	}
 
-	// A crash can predate even the CreateTable WAL write reaching the
-	// cloud; a missing table is simply the empty prefix.
-	recovered := make(map[string]string)
-	for _, key := range keys {
-		v, err := db2.Get("kv", []byte(key))
-		switch {
-		case err == nil:
-			recovered[key] = string(v)
-		case errors.Is(err, minidb.ErrNotFound):
-		case errors.Is(err, minidb.ErrNoTable):
-		default:
-			return fail("get %s: %v", key, err)
-		}
-	}
-
-	// stateAt computes the expected per-key state after the first cut+1
-	// committed writes.
-	stateAt := func(cut int) map[string]string {
-		state := make(map[string]string)
-		for _, w := range history {
-			if w.seq > cut {
-				break
-			}
-			if w.deleted {
-				delete(state, w.key)
-			} else {
-				state[w.key] = fmt.Sprintf("%s#%d", w.key, w.seq)
-			}
-		}
-		return state
-	}
-	matches := func(cut int) bool {
-		want := stateAt(cut)
-		if len(want) != len(recovered) {
-			return false
-		}
-		for k, v := range want {
-			if recovered[k] != v {
-				return false
-			}
-		}
-		return true
+	recovered, err := readBack(db2, keys)
+	if err != nil {
+		return fail("%v", err)
 	}
 
 	// Property 2: some cut point reproduces the recovered state exactly.
-	for c := len(history) - 1; c >= -1; c-- {
-		if matches(c) {
-			res.Cut = c
-			break
-		}
-	}
-	res.VirtualElapsed = clk.Since(start)
+	res.Cut = log.cut(recovered)
+	res.VirtualElapsed = rig.Elapsed()
 	if res.Cut == -2 {
 		return fail("recovered state matches no prefix of the commit history.\nrecovered: %v\nhistory: %+v",
-			recovered, history)
+			recovered, log.history)
 	}
 	// Property 1: the cut covers everything the last Flush guaranteed.
 	if res.Cut < res.FlushedUpTo {

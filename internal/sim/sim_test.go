@@ -221,7 +221,7 @@ func TestRunCrashMidPackedBatch(t *testing.T) {
 		}
 		packed += res.PackedWALObjects
 		t.Logf("seed=%d: batch=%d walObjects=%d packed=%d commits=%d cut=%d flushed=%d",
-			seed, res.Batch, res.WALObjects, res.PackedWALObjects,
+			seed, res.Params.Batch, res.WALObjects, res.PackedWALObjects,
 			res.Commits, res.Cut, res.FlushedUpTo)
 	}
 	if packed == 0 {
@@ -252,7 +252,7 @@ func TestRunCrashMidPartStream(t *testing.T) {
 		}
 		totalOrphans += res.OrphanParts
 		t.Logf("seed=%d: maxObj=%d uploaders=%d commits=%d orphanParts=%d cut=%d flushed=%d",
-			seed, res.MaxObjectSize, res.CheckpointUploaders,
+			seed, res.Params.MaxObjectSize, res.Params.CheckpointUploaders,
 			res.Commits, res.OrphanParts, res.Cut, res.FlushedUpTo)
 	}
 	if totalOrphans == 0 {
@@ -287,11 +287,11 @@ func TestRunFlappingProviderDuringDumps(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.MaxObjectSize > 8192 {
-				t.Fatalf("MaxObjectSize = %d; the schedule relies on dumps splitting", res.MaxObjectSize)
+			if res.Params.MaxObjectSize > 8192 {
+				t.Fatalf("MaxObjectSize = %d; the schedule relies on dumps splitting", res.Params.MaxObjectSize)
 			}
 			t.Logf("flapping run: maxObj=%d ckptUploaders=%d fetchers=%d commits=%d ckpts=%d cut=%d flushed=%d retries=%d",
-				res.MaxObjectSize, res.CheckpointUploaders, res.RecoveryFetchers,
+				res.Params.MaxObjectSize, res.Params.CheckpointUploaders, res.Params.RecoveryFetchers,
 				res.Commits, res.Checkpoints, res.Cut, res.FlushedUpTo, res.Retries)
 		})
 	}
@@ -413,7 +413,7 @@ func TestRunAdaptiveSeeds(t *testing.T) {
 				t.Fatalf("cut %d < flushed %d", res.Cut, res.FlushedUpTo)
 			}
 			t.Logf("adaptive seed=%d: batch=%d safety=%d commits=%d cut=%d flushed=%d retries=%d",
-				seed, res.Batch, res.Safety, res.Commits, res.Cut, res.FlushedUpTo, res.Retries)
+				seed, res.Params.Batch, res.Params.Safety, res.Commits, res.Cut, res.FlushedUpTo, res.Retries)
 		})
 	}
 }
