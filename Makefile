@@ -8,7 +8,7 @@ FUZZTIME ?= 10s
 COVER_FLOOR_CORE ?= 85
 COVER_FLOOR_OBS  ?= 85
 
-.PHONY: build test vet race loc verify cover-check fuzz-smoke bench-build bench-pair bench bench-commit bench-commit-smoke bench-data bench-data-smoke bench-recovery bench-recovery-smoke bench-fleet bench-fleet-smoke
+.PHONY: build test vet race determinism loc verify cover-check fuzz-smoke bench-build bench-pair bench bench-commit bench-commit-smoke bench-data bench-data-smoke bench-recovery bench-recovery-smoke bench-fleet bench-fleet-smoke
 
 build:
 	$(GO) build ./...
@@ -22,16 +22,27 @@ test:
 # Race-check the concurrency-heavy packages: the observability registry,
 # the replication core (commit pipeline, checkpointer, follower, fleet),
 # the simulated cloud (virtual-clock latency/outage state), the
-# deterministic simulation driver, and the sealer (segment-parallel
-# deflate under one process-wide helper budget).
+# deterministic simulation driver, the virtual clock and its hand-off
+# helpers, and the sealer (segment-parallel deflate under one
+# process-wide helper budget).
 race:
-	$(GO) test -race ./internal/obs/... ./internal/core/... ./internal/cloud/... ./internal/sim/... ./internal/sealer/...
+	$(GO) test -race ./internal/obs/... ./internal/core/... ./internal/cloud/... ./internal/sim/... ./internal/simclock/... ./internal/sealer/...
 
-# loc prints the three size figures the simplicity issues gate on: non-test
-# Go lines in internal/core, in the repo outside benchmark/, and in the
-# virtual-time and paper-figure measurement code (ROADMAP item 6).
+# determinism runs every virtual-time test — core's, the sim seed set and
+# the four bench smokes (cmd/ginja-bench) — at three core counts, with the
+# simclock token oracle on (their TestMain switches it on): a schedule is a
+# function of its seed, never of how many Ps run it.
+DETERMINISM_PKGS = ./internal/core/... ./internal/sim/... ./internal/experiments/... ./cmd/ginja-bench
+determinism:
+	for p in 1 2 8; do GOMAXPROCS=$$p $(GO) test -count=1 $(DETERMINISM_PKGS) || exit 1; done
+
+# loc prints the size figures the simplicity issues gate on: non-test Go
+# lines in internal/core, in the virtual clock (internal/simclock and its
+# test harness), in the repo outside benchmark/, and in the virtual-time
+# and paper-figure measurement code (ROADMAP item 6).
 loc:
 	@printf 'internal/core        %s\n' "$$(find internal/core -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
+	@printf 'internal/simclock    %s\n' "$$(find internal/simclock -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
 	@printf 'repo less benchmark/ %s\n' "$$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' | xargs cat | wc -l)"
 	@printf 'measurement          %s\n' "$$(find internal/sim internal/experiments cmd/ginja-bench -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
 
@@ -70,7 +81,7 @@ bench-build:
 
 # verify is the tier-1 gate (see ROADMAP.md): everything must pass before
 # a change lands.
-verify: build vet test race cover-check fuzz-smoke bench-build bench-data-smoke bench-commit-smoke bench-recovery-smoke bench-fleet-smoke
+verify: build vet test race determinism cover-check fuzz-smoke bench-build bench-data-smoke bench-commit-smoke bench-recovery-smoke bench-fleet-smoke
 
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x .

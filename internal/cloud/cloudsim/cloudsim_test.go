@@ -181,10 +181,11 @@ func TestStoreContextCancellation(t *testing.T) {
 
 func TestJitterBounded(t *testing.T) {
 	p := WANProfile()
-	rng := newLockedRand(42)
+	r := &opRand{seed: 42}
 	base := p.PutLatency(1 << 20)
 	for i := 0; i < 100; i++ {
-		d := rng.jitter(p, base)
+		_, u := r.draw("put", "k", time.Unix(0, int64(i)))
+		d := p.jittered(base, u)
 		lo := time.Duration(float64(base) * (1 - p.JitterFraction - 1e-9))
 		hi := time.Duration(float64(base) * (1 + p.JitterFraction + 1e-9))
 		if d < lo || d > hi {

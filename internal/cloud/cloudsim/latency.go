@@ -11,7 +11,6 @@
 package cloudsim
 
 import (
-	"math/rand"
 	"sync"
 	"time"
 )
@@ -61,33 +60,57 @@ func (p Profile) GetLatency(size int64) time.Duration {
 	return p.BaseLatency + time.Duration(float64(size)/p.DownloadBandwidth*float64(time.Second))
 }
 
-// jittered applies the profile's jitter to d using rng.
-func (p Profile) jittered(d time.Duration, rng *rand.Rand) time.Duration {
+// jittered applies the profile's jitter to d, u being uniform in [0, 1).
+func (p Profile) jittered(d time.Duration, u float64) time.Duration {
 	if p.JitterFraction <= 0 {
 		return d
 	}
-	f := 1 + p.JitterFraction*(2*rng.Float64()-1)
+	f := 1 + p.JitterFraction*(2*u-1)
 	return time.Duration(float64(d) * f)
 }
 
-// lockedRand is a rand.Rand safe for concurrent use.
-type lockedRand struct {
-	mu  sync.Mutex
-	rng *rand.Rand
+// opRand draws the store's randomness per operation instead of from one
+// shared stream: an operation's values hash (seed, op, object name, the
+// clock reading, how many identical operations came before it at that
+// reading). Operations racing within one instant of a simulation clock
+// draw the same values whatever order they reach the store in, where a
+// shared stream would deal them out in goroutine-scheduling order.
+type opRand struct {
+	seed uint64
+
+	mu   sync.Mutex
+	at   int64             // the clock reading seen counts
+	seen map[string]uint64 // identical operations already drawn at `at`
 }
 
-func newLockedRand(seed int64) *lockedRand {
-	return &lockedRand{rng: rand.New(rand.NewSource(seed))}
+// draw returns two independent uniform values in [0, 1) for one operation:
+// the failure roll and the jitter.
+func (r *opRand) draw(op, name string, now time.Time) (fail, jitter float64) {
+	at := now.UnixNano()
+	key := op + "\x00" + name
+	r.mu.Lock()
+	if at != r.at || r.seen == nil {
+		r.at, r.seen = at, make(map[string]uint64)
+	}
+	n := r.seen[key]
+	r.seen[key] = n + 1
+	r.mu.Unlock()
+	h := uint64(14695981039346656037) // FNV-1a
+	for i := 0; i < len(key); i++ {
+		h ^= uint64(key[i])
+		h *= 1099511628211
+	}
+	h ^= r.seed*0x9E3779B97F4A7C15 ^ uint64(at)*0xBF58476D1CE4E5B9 ^ (n+1)*0x94D049BB133111EB
+	return unit(mix(h ^ 1)), unit(mix(h ^ 2))
 }
 
-func (l *lockedRand) Float64() float64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.rng.Float64()
+// mix is the splitmix64 finalizer.
+func mix(h uint64) uint64 {
+	h ^= h >> 30
+	h *= 0xBF58476D1CE4E5B9
+	h ^= h >> 27
+	h *= 0x94D049BB133111EB
+	return h ^ h>>31
 }
 
-func (l *lockedRand) jitter(p Profile, d time.Duration) time.Duration {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return p.jittered(d, l.rng)
-}
+func unit(h uint64) float64 { return float64(h>>11) / (1 << 53) }

@@ -31,7 +31,9 @@ type Options struct {
 	// FailureRate is the probability (0..1) that an operation fails with
 	// ErrInjected before reaching the backing store.
 	FailureRate float64
-	// Seed seeds the jitter/failure RNG for reproducible runs.
+	// Seed seeds the jitter/failure draws for reproducible runs (see
+	// opRand: on a simulation clock they are a function of the seed and the
+	// operation, not of the order concurrent operations arrive in).
 	Seed int64
 	// Clock supplies the latency-model sleeps. nil means the wall clock;
 	// deterministic simulations install a *simclock.SimClock so modelled
@@ -45,7 +47,7 @@ type Options struct {
 type Store struct {
 	inner cloud.ObjectStore
 	opts  Options
-	rng   *lockedRand
+	rand  *opRand
 	clk   simclock.Clock
 
 	down     atomic.Bool
@@ -69,7 +71,7 @@ func New(inner cloud.ObjectStore, opts Options) *Store {
 	if opts.Clock == nil {
 		opts.Clock = simclock.Real()
 	}
-	s := &Store{inner: inner, opts: opts, rng: newLockedRand(opts.Seed), clk: opts.Clock}
+	s := &Store{inner: inner, opts: opts, rand: &opRand{seed: uint64(opts.Seed)}, clk: opts.Clock}
 	s.failBits.Store(math.Float64bits(opts.FailureRate))
 	return s
 }
@@ -114,14 +116,18 @@ func (s *Store) ResetLatencyModel() {
 	s.getModelled = cloud.LatencyStats{}
 }
 
-func (s *Store) gate(ctx context.Context, op string) error {
+// gate admits one operation: it fails during an outage, or when the
+// operation's failure roll lands under the current FailureRate. The
+// admitted operation's jitter draw is returned.
+func (s *Store) gate(ctx context.Context, op, name string) (jitter float64, err error) {
 	if s.down.Load() {
-		return fmt.Errorf("%s: %w", op, ErrOutage)
+		return 0, fmt.Errorf("%s: %w", op, ErrOutage)
 	}
-	if rate := s.FailureRate(); rate > 0 && s.rng.Float64() < rate {
-		return fmt.Errorf("%s: %w", op, ErrInjected)
+	fail, jitter := s.rand.draw(op, name, s.clk.Now())
+	if fail < s.FailureRate() {
+		return 0, fmt.Errorf("%s: %w", op, ErrInjected)
 	}
-	return ctx.Err()
+	return jitter, ctx.Err()
 }
 
 // sleepScaled sleeps d/TimeScale (no sleep when TimeScale < 0) and honours
@@ -162,10 +168,11 @@ func addLatency(l *cloud.LatencyStats, d time.Duration) {
 
 // Put implements cloud.ObjectStore with modelled upload latency.
 func (s *Store) Put(ctx context.Context, name string, data []byte) error {
-	if err := s.gate(ctx, "put"); err != nil {
+	u, err := s.gate(ctx, "put", name)
+	if err != nil {
 		return err
 	}
-	d := s.rng.jitter(s.opts.Profile, s.opts.Profile.PutLatency(int64(len(data))))
+	d := s.opts.Profile.jittered(s.opts.Profile.PutLatency(int64(len(data))), u)
 	if err := s.sleepScaled(ctx, d); err != nil {
 		return err
 	}
@@ -178,14 +185,15 @@ func (s *Store) Put(ctx context.Context, name string, data []byte) error {
 
 // Get implements cloud.ObjectStore with modelled download latency.
 func (s *Store) Get(ctx context.Context, name string) ([]byte, error) {
-	if err := s.gate(ctx, "get"); err != nil {
+	u, err := s.gate(ctx, "get", name)
+	if err != nil {
 		return nil, err
 	}
 	data, err := s.inner.Get(ctx, name)
 	if err != nil {
 		return nil, err
 	}
-	d := s.rng.jitter(s.opts.Profile, s.opts.Profile.GetLatency(int64(len(data))))
+	d := s.opts.Profile.jittered(s.opts.Profile.GetLatency(int64(len(data))), u)
 	if err := s.sleepScaled(ctx, d); err != nil {
 		return nil, err
 	}
@@ -195,7 +203,7 @@ func (s *Store) Get(ctx context.Context, name string) ([]byte, error) {
 
 // List implements cloud.ObjectStore; LISTs pay only the base latency.
 func (s *Store) List(ctx context.Context, prefix string) ([]cloud.ObjectInfo, error) {
-	if err := s.gate(ctx, "list"); err != nil {
+	if _, err := s.gate(ctx, "list", prefix); err != nil {
 		return nil, err
 	}
 	if err := s.sleepScaled(ctx, s.opts.Profile.BaseLatency); err != nil {
@@ -206,7 +214,7 @@ func (s *Store) List(ctx context.Context, prefix string) ([]cloud.ObjectInfo, er
 
 // Delete implements cloud.ObjectStore; DELETEs pay only the base latency.
 func (s *Store) Delete(ctx context.Context, name string) error {
-	if err := s.gate(ctx, "delete"); err != nil {
+	if _, err := s.gate(ctx, "delete", name); err != nil {
 		return err
 	}
 	if err := s.sleepScaled(ctx, s.opts.Profile.BaseLatency); err != nil {

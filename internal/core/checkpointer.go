@@ -97,7 +97,7 @@ type checkpointer struct {
 	queue  chan dbObject
 	ctx    context.Context
 	cancel context.CancelFunc
-	done   chan struct{}
+	loop   *simclock.Group // the upload loop (the CheckpointThread)
 
 	// uploader streams part plans to the cloud with bounded memory.
 	uploader *partUploader
@@ -151,22 +151,24 @@ type checkpointer struct {
 
 	// retired holds the superseded objects a retention window
 	// (Params.RetainFor) keeps alive, by names[0]: see retire and
-	// trimRetention. trimMu serializes trims.
+	// trimRetention. trimSlot serializes trims; it is a one-slot channel,
+	// not a mutex, because a trim holds it across cloud I/O and a trimmer
+	// waiting for it must park like any other clock wait.
 	retMu      sync.Mutex
 	retired    map[string]gcVictim
 	retiredSeq int
-	trimMu     sync.Mutex
+	trimSlot   chan struct{}
 
 	// Trimmer tick state: the periodic retention trim is driven by a
 	// clock func timer (one entry on the shared tick wheel in fleet mode,
 	// a runtime timer otherwise) instead of a dedicated sleeper goroutine,
 	// so N instances cost N heap entries, not N goroutines. The timer
 	// callback only spawns the transient trim goroutine — cloud I/O never
-	// runs on the timer goroutine itself.
+	// runs where the timer fires.
 	trimTickMu   sync.Mutex
 	trimTimer    simclock.Timer // nil unless Params.RetainFor > 0
 	trimInterval time.Duration
-	trimWG       sync.WaitGroup
+	trims        *simclock.Group
 
 	errMu sync.Mutex
 	err   error
@@ -190,13 +192,14 @@ func newCheckpointer(localFS vfs.FS, proc dbevent.Processor, view *CloudView,
 	// Everything the CheckpointThread issues — DB-object parts, GC and
 	// retention-trim DELETEs — is Bulk: tagged once, here.
 	ctx, cancel := context.WithCancel(withClass(context.Background(), classBulk))
+	clk := params.clock()
 	c := &checkpointer{
 		localFS:   localFS,
 		proc:      proc,
 		view:      view,
 		io:        io,
 		params:    params,
-		clk:       params.clock(),
+		clk:       clk,
 		metrics:   newCheckpointMetrics(params.Metrics),
 		genAlloc:  make(map[int64]int),
 		retired:   make(map[string]gcVictim),
@@ -204,7 +207,9 @@ func newCheckpointer(localFS vfs.FS, proc dbevent.Processor, view *CloudView,
 		queue:     make(chan dbObject, 4),
 		ctx:       ctx,
 		cancel:    cancel,
-		done:      make(chan struct{}),
+		loop:      simclock.NewGroup(clk),
+		trims:     simclock.NewGroup(clk),
+		trimSlot:  make(chan struct{}, 1),
 	}
 	if params.DeltaCheckpoints {
 		c.dirty = newDirtyMap()
@@ -237,7 +242,7 @@ func (c *checkpointer) releaseGate(h *gateHold) {
 	c.gateMu.Lock()
 	delete(c.gateHolds, h)
 	if c.gateCh != nil {
-		close(c.gateCh)
+		simclock.Close(c.clk, c.gateCh)
 		c.gateCh = nil
 	}
 	c.gateMu.Unlock()
@@ -278,9 +283,7 @@ func (c *checkpointer) waitGate(path string) {
 		if blockedFrom.IsZero() {
 			blockedFrom = c.clk.Now()
 		}
-		select {
-		case <-ch:
-		case <-c.ctx.Done():
+		if _, _, err := simclock.Recv(c.ctx, c.clk, ch); err != nil {
 			return
 		}
 	}
@@ -300,15 +303,18 @@ func (c *checkpointer) start() {
 				nil, func() float64 { return float64(c.deltaChainLen()) })
 		}
 	}
-	go func() {
-		defer close(c.done)
-		for obj := range c.queue {
+	c.loop.Go(func() {
+		for {
+			obj, ok, _ := simclock.Recv(context.Background(), c.clk, c.queue)
+			if !ok {
+				return
+			}
 			if err := c.upload(obj); err != nil {
 				c.fail(err)
 				return
 			}
 		}
-	}()
+	})
 	if c.params.RetainFor > 0 {
 		// Background trimmer: enforce the retention window even when no
 		// dump happens to run GC — a quiet database must still converge to
@@ -341,9 +347,7 @@ func (c *checkpointer) onTrimTick() {
 	if c.ctx.Err() != nil {
 		return
 	}
-	c.trimWG.Add(1)
-	go func() {
-		defer c.trimWG.Done()
+	c.trims.Go(func() {
 		if err := c.trimRetention(nil); err != nil {
 			// stop() cancelling the context mid-trim is a clean
 			// shutdown, not a checkpointer failure (mirrors the
@@ -354,7 +358,7 @@ func (c *checkpointer) onTrimTick() {
 			return
 		}
 		c.armTrimTick()
-	}()
+	})
 }
 
 // stopTrimTick runs after ctx is cancelled: the pending timer is disarmed
@@ -366,23 +370,20 @@ func (c *checkpointer) stopTrimTick() {
 		c.trimTimer.Stop()
 	}
 	c.trimTickMu.Unlock()
-	c.trimWG.Wait()
+	c.trims.Wait()
 }
 
 // stop flushes the queue (bounded by timeout) and terminates the
 // CheckpointThread. If the drain cannot finish — e.g. the cloud is gone
-// and retries are unbounded — the context is cancelled so the upload loop
-// exits instead of hanging shutdown forever.
+// and retries are unbounded — the timeout cancels the context so the
+// upload loop exits instead of hanging shutdown forever.
 func (c *checkpointer) stop(timeout time.Duration) error {
-	close(c.queue)
-	t := c.clk.NewTimer(timeout)
-	defer t.Stop()
-	select {
-	case <-c.done:
-	case <-t.C():
-	}
+	simclock.Close(c.clk, c.queue)
+	t := c.clk.NewFuncTimer(c.cancel)
+	t.Reset(timeout)
+	c.loop.Wait()
+	t.Stop()
 	c.cancel()
-	<-c.done
 	c.stopTrimTick()
 	return c.lastErr()
 }
@@ -481,15 +482,14 @@ func (c *checkpointer) finalizeLocked() {
 		obj = chainObj
 	}
 	c.bufBytes.Add(obj.bufBytes - rawBytes)
-	select {
-	case c.queue <- obj:
-		c.noteEnqueued()
-	case <-c.ctx.Done():
+	if simclock.Send(c.ctx, c.clk, c.queue, obj) != nil {
 		c.bufBytes.Add(-obj.bufBytes)
 		if obj.hold != nil {
 			c.releaseGate(obj.hold)
 		}
+		return
 	}
+	c.noteEnqueued()
 }
 
 // planChainElement serves one DumpThreshold crossing: a delta when the
@@ -829,10 +829,10 @@ func (c *checkpointer) sweep(victims []gcVictim, orphans []OrphanPart) error {
 // closed, plus — BtrLog-style bounded chain length — the oldest-superseded
 // entries beyond the RetainObjects cap, even if their window is still
 // open, plus the given orphan parts. Runs from the background trimmer and
-// inline after each upload; trimMu keeps the two from racing each other.
+// inline after each upload; trimSlot keeps the two from racing each other.
 func (c *checkpointer) trimRetention(orphans []OrphanPart) error {
-	c.trimMu.Lock()
-	defer c.trimMu.Unlock()
+	simclock.Send(context.Background(), c.clk, c.trimSlot, struct{}{}) //nolint:errcheck // Background never ends
+	defer simclock.Recv(context.Background(), c.clk, c.trimSlot)       //nolint:errcheck
 	now := c.clk.Now()
 	c.retMu.Lock()
 	all := make([]gcVictim, 0, len(c.retired))
@@ -864,7 +864,7 @@ func (c *checkpointer) noteProcessed() {
 	c.settleMu.Lock()
 	c.processedN++
 	if c.processedN >= c.enqueuedN && c.settleCh != nil {
-		close(c.settleCh)
+		simclock.Close(c.clk, c.settleCh)
 		c.settleCh = nil
 	}
 	c.settleMu.Unlock()
@@ -875,7 +875,10 @@ func (c *checkpointer) noteProcessed() {
 // or until the timeout (false). A failed checkpointer returns false
 // immediately: its queue will never drain.
 func (c *checkpointer) sync(timeout time.Duration) bool {
-	t := c.clk.NewTimer(timeout)
+	ctx, cancel := context.WithCancel(c.ctx)
+	defer cancel()
+	t := c.clk.NewFuncTimer(cancel)
+	t.Reset(timeout)
 	defer t.Stop()
 	for {
 		c.settleMu.Lock()
@@ -888,11 +891,7 @@ func (c *checkpointer) sync(timeout time.Duration) bool {
 		}
 		ch := c.settleCh
 		c.settleMu.Unlock()
-		select {
-		case <-ch:
-		case <-t.C():
-			return false
-		case <-c.ctx.Done():
+		if _, _, err := simclock.Recv(ctx, c.clk, ch); err != nil {
 			return false
 		}
 	}

@@ -221,7 +221,7 @@ func (c *cloudIO) delete(ctx context.Context, name string) error {
 // when a sweep is interrupted. It stops at the first error.
 func (c *cloudIO) deleteAll(ctx context.Context, names []string, onDeleted func(i int)) error {
 	ctx = withClass(ctx, classBulk)
-	return runLimited(ctx, c.params.CheckpointUploaders, len(names), func(ctx context.Context, i int) error {
+	return runLimited(ctx, c.clk, c.params.CheckpointUploaders, len(names), func(ctx context.Context, i int) error {
 		if err := c.delete(ctx, names[i]); err != nil {
 			return err
 		}
@@ -267,6 +267,6 @@ func (c *cloudIO) restore(ctx context.Context, target vfs.FS, names []string, bd
 		applied++
 		return nil
 	}
-	err = prefetchInOrder(ctx, c.params.RecoveryFetchers, names, fetch, apply)
+	err = prefetchInOrder(ctx, c.clk, c.params.RecoveryFetchers, names, fetch, apply)
 	return applied, err
 }

@@ -50,9 +50,9 @@ type commitQueue struct {
 	clk simclock.Clock
 
 	mu      sync.Mutex
-	notFull *sync.Cond // Put waiters (Safety)
-	more    *sync.Cond // Aggregator waiting for a batch
-	emptied *sync.Cond // drain waiters (queue fully acknowledged)
+	notFull *simclock.Cond // Put waiters (Safety)
+	more    *simclock.Cond // Aggregator waiting for a batch
+	emptied *simclock.Cond // drain waiters (queue fully acknowledged)
 
 	items []update
 	head  int // items[head:] are pending (unacknowledged)
@@ -89,9 +89,9 @@ func newCommitQueue(p Params) *commitQueue {
 		batchTimeout:  p.BatchTimeout,
 		safetyTimeout: p.SafetyTimeout,
 	}
-	q.notFull = sync.NewCond(&q.mu)
-	q.more = sync.NewCond(&q.mu)
-	q.emptied = sync.NewCond(&q.mu)
+	q.notFull = simclock.NewCond(q.clk, &q.mu)
+	q.more = simclock.NewCond(q.clk, &q.mu)
+	q.emptied = simclock.NewCond(q.clk, &q.mu)
 	// Both timers are armed lazily — TB only while unsent items are
 	// pending, TS only while any item is unacknowledged — so an idle queue
 	// schedules no timers at all.

@@ -57,7 +57,7 @@ type FleetParams struct {
 	Metrics *obs.Registry
 	// Clock drives every tenant's timers. nil makes the Fleet create a
 	// tick wheel over the wall clock so all tenants' TB/TS/tuner/trim
-	// timers multiplex onto one goroutine; fleet sims pass a shared
+	// timers multiplex onto one timer; fleet sims pass a shared
 	// *simclock.SimClock instead (itself already a single timer heap).
 	Clock simclock.Clock
 }
@@ -130,8 +130,8 @@ func NewFleet(fp FleetParams) (*Fleet, error) {
 	if fp.Clock != nil {
 		f.clk = fp.Clock
 	} else {
-		// One timer goroutine for the whole fleet: every tenant's TB,
-		// TS, tuner and retention-trim timers land on this wheel.
+		// One timer for the whole fleet: every tenant's TB, TS, tuner
+		// and retention-trim timers land on this wheel.
 		f.wheel = simclock.NewWheel(simclock.Real())
 		f.clk = f.wheel
 	}
@@ -339,12 +339,10 @@ func (f *Fleet) Close() error {
 	// Tenants close concurrently: each drain can wait on in-flight
 	// uploads, and serial closes of a thousand tenants would stack
 	// those waits end to end.
-	var wg sync.WaitGroup
+	wg := simclock.NewGroup(f.clk)
 	var errMu sync.Mutex
 	for _, g := range gs {
-		wg.Add(1)
-		go func(g *Ginja) {
-			defer wg.Done()
+		wg.Go(func() {
 			if err := g.Close(); err != nil {
 				errMu.Lock()
 				if firstErr == nil {
@@ -352,7 +350,7 @@ func (f *Fleet) Close() error {
 				}
 				errMu.Unlock()
 			}
-		}(g)
+		})
 	}
 	wg.Wait()
 	if f.wheel != nil {

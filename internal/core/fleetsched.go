@@ -121,9 +121,7 @@ func (s *fleetScheduler) acquire(ctx context.Context, tenant string, class opCla
 	s.dispatchLocked()
 	s.mu.Unlock()
 
-	select {
-	case <-w.ch:
-	case <-ctx.Done():
+	if _, _, err := simclock.Recv(ctx, s.clk, w.ch); err != nil {
 		s.mu.Lock()
 		if w.granted {
 			// Lost the race: the slot was granted as the context died.
@@ -288,7 +286,7 @@ func (s *fleetScheduler) grantLocked(w *schedWaiter) {
 	}
 	s.inflightByClass[w.class].Add(1)
 	w.granted = true
-	close(w.ch)
+	simclock.Close(s.clk, w.ch)
 }
 
 // schedStore routes one tenant's cloud operations through the fleet

@@ -43,8 +43,7 @@ type Follower struct {
 
 	ctx      context.Context
 	cancel   context.CancelFunc
-	done     chan struct{}
-	looping  atomic.Bool // true once loop() was launched (f.done will close)
+	loop     *simclock.Group // the tail loop, once Start launched it
 	started  atomic.Bool
 	promoted atomic.Bool
 
@@ -121,15 +120,16 @@ func NewFollower(localFS vfs.FS, store cloud.ObjectStore, proc dbevent.Processor
 	}
 	// Everything the tail loop issues is a read.
 	ctx, cancel := context.WithCancel(withClass(context.Background(), classFetch))
+	clk := params.clock()
 	f := &Follower{
 		localFS:     localFS,
 		io:          io,
 		proc:        proc,
 		params:      params,
-		clk:         params.clock(),
+		clk:         clk,
 		ctx:         ctx,
 		cancel:      cancel,
-		done:        make(chan struct{}),
+		loop:        simclock.NewGroup(clk),
 		tracker:     newListTracker(0),
 		pendingWAL:  make(map[int64]WALObjectInfo),
 		appliedWALs: make(map[int64]WALObjectInfo),
@@ -157,8 +157,7 @@ func (f *Follower) Start(ctx context.Context) error {
 	infos, err := f.io.list(ctx, false)
 	if err != nil {
 		// Reset started so a failed Start can be retried and so Promote
-		// reports ErrNotStarted instead of waiting on a loop that never
-		// launched (f.done only closes once loop() runs).
+		// reports ErrNotStarted.
 		f.started.Store(false)
 		return fmt.Errorf("core: follower initial list: %w", err)
 	}
@@ -169,13 +168,11 @@ func (f *Follower) Start(ctx context.Context) error {
 	}
 	f.params.logger().Info("follower started",
 		"applied_ts", f.watermark.Load(), "poll_interval", f.params.FollowInterval)
-	f.looping.Store(true)
-	go f.loop()
+	f.loop.Go(f.tail)
 	return nil
 }
 
-func (f *Follower) loop() {
-	defer close(f.done)
+func (f *Follower) tail() {
 	for {
 		if simclock.SleepCtx(f.ctx, f.clk, f.params.FollowInterval) != nil {
 			return
@@ -398,9 +395,7 @@ func (f *Follower) Promote(ctx context.Context) (*Ginja, error) {
 		return nil, errors.New("core: follower already promoted")
 	}
 	f.cancel()
-	if f.looping.Load() {
-		<-f.done
-	}
+	f.loop.Wait()
 	if err := f.Err(); err != nil {
 		return nil, fmt.Errorf("core: promote after fatal tail error: %w", err)
 	}
@@ -500,8 +495,6 @@ func (f *Follower) fail(err error) {
 // already stopped; Close is then a no-op.
 func (f *Follower) Close() error {
 	f.cancel()
-	if f.looping.Load() {
-		<-f.done
-	}
+	f.loop.Wait()
 	return f.Err()
 }

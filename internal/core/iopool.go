@@ -4,6 +4,8 @@ import (
 	"context"
 	"sync"
 	"sync/atomic"
+
+	"github.com/ginja-dr/ginja/internal/simclock"
 )
 
 // This file is the bounded fan-out under the cloud seam (cloudio.go):
@@ -23,8 +25,9 @@ import (
 // inside a task abort instead of riding out their backoff. The first task
 // error is returned; if the parent context is cancelled before every task
 // completed, that cancellation error is returned instead of silently
-// reporting success on partial work.
-func runLimited(ctx context.Context, workers, n int, task func(ctx context.Context, i int) error) error {
+// reporting success on partial work. The workers start and are awaited
+// through clk's hand-off helpers.
+func runLimited(ctx context.Context, clk simclock.Clock, workers, n int, task func(ctx context.Context, i int) error) error {
 	if n == 0 {
 		return ctx.Err()
 	}
@@ -51,7 +54,7 @@ func runLimited(ctx context.Context, workers, n int, task func(ctx context.Conte
 	var (
 		next    atomic.Int64
 		done    atomic.Int64
-		wg      sync.WaitGroup
+		wg      = simclock.NewGroup(clk)
 		errOnce sync.Once
 		first   error
 	)
@@ -61,10 +64,8 @@ func runLimited(ctx context.Context, workers, n int, task func(ctx context.Conte
 			cancel()
 		})
 	}
-	wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
+		wg.Go(func() {
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= n || gctx.Err() != nil {
@@ -76,7 +77,7 @@ func runLimited(ctx context.Context, workers, n int, task func(ctx context.Conte
 				}
 				done.Add(1)
 			}
-		}()
+		})
 	}
 	wg.Wait()
 	if first != nil {
@@ -103,7 +104,7 @@ func runLimited(ctx context.Context, workers, n int, task func(ctx context.Conte
 // cannot buffer the whole backup in memory. Workers acquire a window slot
 // before claiming an index, which guarantees the lowest outstanding index
 // always owns a slot — the applier can always make progress.
-func prefetchInOrder(ctx context.Context, workers int, names []string,
+func prefetchInOrder(ctx context.Context, clk simclock.Clock, workers int, names []string,
 	fetch func(ctx context.Context, name string) ([]byte, error),
 	apply func(i int, data []byte) error) error {
 	n := len(names)
@@ -140,7 +141,7 @@ func prefetchInOrder(ctx context.Context, workers int, names []string,
 		data []byte
 		err  error
 	}
-	var wg sync.WaitGroup
+	wg := simclock.NewGroup(clk)
 	defer wg.Wait()
 	gctx, cancel := context.WithCancel(ctx)
 	defer cancel() // runs before wg.Wait: workers parked on the window wake up
@@ -177,14 +178,11 @@ func prefetchInOrder(ctx context.Context, workers int, names []string,
 	}
 	sem := make(chan struct{}, window)
 	var next atomic.Int64
-	wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
+		wg.Go(func() {
 			for {
-				select {
-				case sem <- struct{}{}: // slot released when the applier consumes
-				case <-gctx.Done():
+				// The slot is released when the applier consumes.
+				if simclock.Send(gctx, clk, sem, struct{}{}) != nil {
 					return
 				}
 				i := int(next.Add(1)) - 1
@@ -192,20 +190,18 @@ func prefetchInOrder(ctx context.Context, workers int, names []string,
 					return
 				}
 				data, err := fetch(gctx, names[i])
-				results[i] <- result{data: data, err: err}
+				simclock.Send(context.Background(), clk, results[i], result{data: data, err: err}) //nolint:errcheck // buffered, never blocks
 				if err != nil {
 					fail(err)
 					return
 				}
 			}
-		}()
+		})
 	}
 	for i := 0; i < n; i++ {
-		var r result
-		select {
-		case r = <-results[i]:
-		case <-gctx.Done():
-			return firstErr(gctx.Err())
+		r, _, err := simclock.Recv(gctx, clk, results[i])
+		if err != nil {
+			return firstErr(err)
 		}
 		if r.err != nil {
 			return firstErr(r.err)
@@ -213,7 +209,7 @@ func prefetchInOrder(ctx context.Context, workers int, names []string,
 		if err := apply(i, r.data); err != nil {
 			return err
 		}
-		<-sem
+		simclock.Recv(context.Background(), clk, sem) //nolint:errcheck // never blocks: result i held a slot
 	}
 	return nil
 }

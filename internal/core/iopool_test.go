@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"github.com/ginja-dr/ginja/internal/simclock"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -12,7 +13,7 @@ import (
 func TestRunLimitedRunsEveryTask(t *testing.T) {
 	for _, workers := range []int{1, 2, 5, 100} {
 		var done [37]atomic.Bool
-		err := runLimited(context.Background(), workers, len(done), func(_ context.Context, i int) error {
+		err := runLimited(context.Background(), simclock.Real(), workers, len(done), func(_ context.Context, i int) error {
 			if done[i].Swap(true) {
 				t.Errorf("workers=%d: task %d ran twice", workers, i)
 			}
@@ -32,7 +33,7 @@ func TestRunLimitedRunsEveryTask(t *testing.T) {
 func TestRunLimitedBoundsConcurrency(t *testing.T) {
 	const workers, n = 3, 50
 	var cur, peak atomic.Int64
-	err := runLimited(context.Background(), workers, n, func(context.Context, int) error {
+	err := runLimited(context.Background(), simclock.Real(), workers, n, func(context.Context, int) error {
 		c := cur.Add(1)
 		for {
 			p := peak.Load()
@@ -55,7 +56,7 @@ func TestRunLimitedBoundsConcurrency(t *testing.T) {
 func TestRunLimitedFirstErrorCancelsRest(t *testing.T) {
 	boom := errors.New("boom")
 	var cancelled atomic.Int64
-	err := runLimited(context.Background(), 4, 64, func(ctx context.Context, i int) error {
+	err := runLimited(context.Background(), simclock.Real(), 4, 64, func(ctx context.Context, i int) error {
 		if i == 0 {
 			return boom
 		}
@@ -76,7 +77,7 @@ func TestRunLimitedFirstErrorCancelsRest(t *testing.T) {
 func TestRunLimitedParentCancelIsNotSuccess(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var started sync.Once
-	err := runLimited(ctx, 2, 100, func(ctx context.Context, i int) error {
+	err := runLimited(ctx, simclock.Real(), 2, 100, func(ctx context.Context, i int) error {
 		started.Do(cancel)
 		<-ctx.Done() // simulate an in-flight request aborted by cancellation
 		return nil   // task "succeeds" anyway; the pool must still not report success
@@ -87,7 +88,7 @@ func TestRunLimitedParentCancelIsNotSuccess(t *testing.T) {
 }
 
 func TestRunLimitedZeroTasks(t *testing.T) {
-	if err := runLimited(context.Background(), 4, 0, func(context.Context, int) error {
+	if err := runLimited(context.Background(), simclock.Real(), 4, 0, func(context.Context, int) error {
 		t.Fatal("task ran")
 		return nil
 	}); err != nil {
@@ -102,7 +103,7 @@ func TestPrefetchInOrderAppliesInOrder(t *testing.T) {
 			names[i] = string(rune('a' + i%26))
 		}
 		nextWant := 0
-		err := prefetchInOrder(context.Background(), workers, names,
+		err := prefetchInOrder(context.Background(), simclock.Real(), workers, names,
 			func(_ context.Context, name string) ([]byte, error) {
 				time.Sleep(time.Duration(len(name)) * time.Microsecond)
 				return []byte(name), nil
@@ -133,7 +134,7 @@ func TestPrefetchInOrderBoundsReadahead(t *testing.T) {
 	names := make([]string, 64)
 	done := make(chan error, 1)
 	go func() {
-		done <- prefetchInOrder(context.Background(), workers, names,
+		done <- prefetchInOrder(context.Background(), simclock.Real(), workers, names,
 			func(context.Context, string) ([]byte, error) {
 				fetched.Add(1)
 				return nil, nil
@@ -160,7 +161,7 @@ func TestPrefetchInOrderFetchError(t *testing.T) {
 	boom := errors.New("fetch failed")
 	names := make([]string, 20)
 	var applied atomic.Int64
-	err := prefetchInOrder(context.Background(), 4, names,
+	err := prefetchInOrder(context.Background(), simclock.Real(), 4, names,
 		func(_ context.Context, name string) ([]byte, error) {
 			return nil, boom
 		},
@@ -189,7 +190,7 @@ func TestPrefetchInOrderFetchErrorCancelsInFlight(t *testing.T) {
 		cancelled atomic.Int64
 	)
 	inflight := make(chan struct{}, len(names))
-	err := prefetchInOrder(context.Background(), 4, names,
+	err := prefetchInOrder(context.Background(), simclock.Real(), 4, names,
 		func(ctx context.Context, _ string) ([]byte, error) {
 			if first.CompareAndSwap(false, true) {
 				// Fail only once sibling fetches are in flight, so the
@@ -226,7 +227,7 @@ func TestPrefetchInOrderFetchErrorCancelsInFlight(t *testing.T) {
 func TestPrefetchInOrderApplyErrorStopsEverything(t *testing.T) {
 	boom := errors.New("apply failed")
 	names := make([]string, 32)
-	err := prefetchInOrder(context.Background(), 4, names,
+	err := prefetchInOrder(context.Background(), simclock.Real(), 4, names,
 		func(context.Context, string) ([]byte, error) { return nil, nil },
 		func(i int, _ []byte) error {
 			if i == 3 {

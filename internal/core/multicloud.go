@@ -9,6 +9,7 @@ import (
 
 	"github.com/ginja-dr/ginja/internal/cloud"
 	"github.com/ginja-dr/ginja/internal/obs"
+	"github.com/ginja-dr/ginja/internal/simclock"
 )
 
 // ReplicatedStore replicates objects across several clouds for
@@ -35,6 +36,10 @@ import (
 // garbage (recovery always picks the newest dump, and Repair removes
 // minority leftovers), whereas an object missing from a stale first
 // responder is silent data loss at recovery time.
+//
+// It holds no Clock: its per-provider fan-out runs on wall-clock
+// goroutines, so it belongs in front of real providers, not under a
+// simclock.SimClock.
 type ReplicatedStore struct {
 	stores []cloud.ObjectStore
 	// unhealthy[i] is set when replica i fails any operation and cleared
@@ -81,13 +86,13 @@ func (r *ReplicatedStore) Put(ctx context.Context, name string, data []byte) err
 	type result struct{ err error }
 	results := make(chan result, len(r.stores))
 	for i, s := range r.stores {
-		go func(i int, s cloud.ObjectStore) {
+		simclock.Go(simclock.Real(), func() {
 			err := s.Put(ctx, name, data)
 			if err != nil {
 				r.unhealthy[i].Store(true)
 			}
 			results <- result{err: err}
-		}(i, s)
+		})
 	}
 	oks := 0
 	var firstErr error
@@ -154,10 +159,10 @@ func (r *ReplicatedStore) listMerged(ctx context.Context, prefix string) ([]clou
 	}
 	results := make(chan result, len(r.stores))
 	for i, s := range r.stores {
-		go func(i int, s cloud.ObjectStore) {
+		simclock.Go(simclock.Real(), func() {
 			infos, err := s.List(ctx, prefix)
 			results <- result{idx: i, infos: infos, err: err}
-		}(i, s)
+		})
 	}
 	merged := make(map[string]cloud.ObjectInfo)
 	oks := 0

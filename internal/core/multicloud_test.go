@@ -194,9 +194,10 @@ func TestReplicatedListMergesAfterOutage(t *testing.T) {
 	// The flaky replica is FIRST, so a naive first-responder List would
 	// trust its stale listing.
 	stale := cloudsim.New(cloud.NewMemStore(), cloudsim.Options{TimeScale: -1})
+	lagging := &refusedPuts{ObjectStore: stale, refused: make(chan string, 1)}
 	b := cloud.NewMemStore()
 	c := cloud.NewMemStore()
-	repl, err := NewReplicatedStore(stale, b, c)
+	repl, err := NewReplicatedStore(lagging, b, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,6 +208,13 @@ func TestReplicatedListMergesAfterOutage(t *testing.T) {
 	stale.StartOutage()
 	if err := repl.Put(ctx, "WAL/2_seg_0", []byte("two")); err != nil {
 		t.Fatal(err)
+	}
+	// Put returns on quorum, possibly before the stale replica's goroutine
+	// has reached the outage: the outage must outlast that attempt.
+	select {
+	case <-lagging.refused:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the stale replica never saw the PUT it was to miss")
 	}
 	stale.EndOutage()
 	// Put returns on quorum; the failed replica's goroutine marks it

@@ -275,7 +275,9 @@ func TestPipelineRetryDelayFloorVirtualClock(t *testing.T) {
 	if _, err := pipe.submit("pg_xlog/0001", 0, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	waitUntil(t, func() bool { return pipe.stats.walObjects.Load() == 1 })
+	if !pipe.q.drain(time.Minute) || pipe.stats.walObjects.Load() != 1 {
+		t.Fatalf("uploaded %d objects, want 1", pipe.stats.walObjects.Load())
+	}
 	if got := pipe.io.retries.Load(); got != 3 {
 		t.Fatalf("retries = %d, want 3", got)
 	}
@@ -390,6 +392,7 @@ func TestCrashMidPackedBatch(t *testing.T) {
 	// Crash: abort in-flight uploads without draining (the gated PUT is
 	// cancelled, ts=2 is lost with the machine).
 	g.pipe.drainAndStop(10 * time.Millisecond) //nolint:errcheck
+	g.ckpt.stop(10 * time.Millisecond)         //nolint:errcheck // the dead machine's other thread
 
 	freshFS := vfs.NewMemFS()
 	g2, err := New(freshFS, mem, dbevent.NewPGProcessor(), p)

@@ -163,7 +163,7 @@ type Params struct {
 	// draw from it. nil means the wall clock; deterministic simulation
 	// tests install a *simclock.SimClock to run those paths in virtual
 	// time (see internal/sim), and Fleet installs a shared tick wheel so
-	// thousands of tenants multiplex their timers onto one goroutine.
+	// thousands of tenants multiplex their timers onto one timer.
 	Clock simclock.Clock
 	// Prefix roots every cloud object name under this key prefix, so many
 	// databases (fleet tenants) can share one bucket without their WAL/DB

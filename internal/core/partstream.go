@@ -434,7 +434,7 @@ func (u *partUploader) upload(ctx context.Context, ident DBObjectInfo,
 	var readsLeft atomic.Int64
 	readsLeft.Store(int64(len(parts)))
 	ctx = withClass(ctx, classBulk) // once per object, not per part
-	err := runLimited(ctx, u.io.params.CheckpointUploaders, len(parts), func(ctx context.Context, i int) error {
+	err := runLimited(ctx, u.io.clk, u.io.params.CheckpointUploaders, len(parts), func(ctx context.Context, i int) error {
 		bp := getPartBuf(partEncodedSize(parts[i]))
 		payload, err := encodePart(u.fs, parts[i], (*bp)[:0])
 		if err != nil {

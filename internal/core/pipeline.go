@@ -57,6 +57,15 @@ type batchRec struct {
 	aggregatedAt time.Time
 }
 
+// unlockEv is one Unlocker input: a batch the Aggregator finished
+// planning (isBatch), or a WAL timestamp the cloud acknowledged (carried
+// in rec.maxTs alone). Acks and batches share one channel so the Unlocker
+// has a single place to park.
+type unlockEv struct {
+	rec     batchRec
+	isBatch bool
+}
+
 // pipelineStats are the commit-path counters behind Table 3.
 type pipelineStats struct {
 	walObjects    atomic.Int64
@@ -80,8 +89,9 @@ type pipeline struct {
 	uploadCh chan walUpload
 	// sealedCh feeds sealed objects from the seal stage to the PUT stage.
 	sealedCh chan sealedUpload
-	ackCh    chan int64
-	batchCh  chan batchRec
+	// unlockCh has room for 64 batch records ahead of the Unlocker plus
+	// one ack per uploader, so neither feeder waits on a busy Unlocker.
+	unlockCh chan unlockEv
 
 	// tuner is the adaptive (B, TB) controller; nil unless
 	// Params.AdaptiveBatching.
@@ -89,7 +99,7 @@ type pipeline struct {
 
 	ctx    context.Context
 	cancel context.CancelFunc
-	wg     sync.WaitGroup
+	wg     *simclock.Group
 
 	stats    pipelineStats
 	metrics  *pipelineMetrics
@@ -119,9 +129,10 @@ func newPipeline(view *CloudView, io *cloudIO, params Params) *pipeline {
 	// Every PUT this pipeline issues is a commit-path WAL object: the
 	// context is tagged once, so the per-object put wraps nothing.
 	ctx, cancel := context.WithCancel(withClass(context.Background(), classSafety))
+	clk := params.clock()
 	p := &pipeline{
 		q:        newCommitQueue(params),
-		clk:      params.clock(),
+		clk:      clk,
 		view:     view,
 		io:       io,
 		params:   params,
@@ -129,10 +140,10 @@ func newPipeline(view *CloudView, io *cloudIO, params Params) *pipeline {
 		trace:    params.Logger != nil && params.Logger.Enabled(context.Background(), slog.LevelDebug),
 		uploadCh: make(chan walUpload, params.Uploaders),
 		sealedCh: make(chan sealedUpload, params.Uploaders),
-		ackCh:    make(chan int64, params.Uploaders),
-		batchCh:  make(chan batchRec, 64),
+		unlockCh: make(chan unlockEv, 64+params.Uploaders),
 		ctx:      ctx,
 		cancel:   cancel,
+		wg:       simclock.NewGroup(clk),
 	}
 	if params.Metrics != nil {
 		p.spans = params.Metrics.Spans()
@@ -219,49 +230,44 @@ func (p *pipeline) start(initialFrontier int64) {
 	// The last worker leaving a stage closes the downstream channel
 	// (atomic countdown) — no WaitGroup-then-close watcher goroutines.
 	// At one instance the two watchers were noise; across a fleet of
-	// thousands of tenants they were two goroutines per database.
+	// thousands of tenants they were two goroutines per database. The
+	// Unlocker's channel is fed by the Aggregator and every PUT worker,
+	// so the last of those closes it.
 	//
 	// Two-stage uploader: seal workers encode+seal batch N+1 while the
 	// PUT workers hold batch N's upload in flight. Acks flow through the
 	// ackRing/unlocker, so release order (and the Safety bound) does not
 	// depend on which worker finishes first.
-	var sealersLeft, puttersLeft atomic.Int32
+	var sealersLeft, feedersLeft atomic.Int32
 	sealersLeft.Store(int32(p.params.Uploaders))
-	puttersLeft.Store(int32(p.params.Uploaders))
+	feedersLeft.Store(int32(p.params.Uploaders) + 1)
+	feederDone := func() {
+		if feedersLeft.Add(-1) == 0 {
+			simclock.Close(p.clk, p.unlockCh)
+		}
+	}
 	for i := 0; i < p.params.Uploaders; i++ {
-		p.wg.Add(2)
-		go func() {
-			defer p.wg.Done()
+		p.wg.Go(func() {
 			defer func() {
 				if sealersLeft.Add(-1) == 0 {
-					close(p.sealedCh)
+					simclock.Close(p.clk, p.sealedCh)
 				}
 			}()
 			p.sealStage()
-		}()
-		go func() {
-			defer p.wg.Done()
-			defer func() {
-				if puttersLeft.Add(-1) == 0 {
-					close(p.ackCh)
-				}
-			}()
+		})
+		p.wg.Go(func() {
+			defer feederDone()
 			p.putStage()
-		}()
+		})
 	}
 	if p.tuner != nil {
 		p.tuner.start()
 	}
-	p.wg.Add(1)
-	go func() {
-		defer p.wg.Done()
+	p.wg.Go(func() {
+		defer feederDone()
 		p.aggregator()
-	}()
-	p.wg.Add(1)
-	go func() {
-		defer p.wg.Done()
-		p.unlocker(initialFrontier)
-	}()
+	})
+	p.wg.Go(func() { p.unlocker(initialFrontier) })
 }
 
 // submit is called from the intercepted WAL write; it blocks per the
@@ -323,8 +329,7 @@ func appendUnpacked(dst [][]FileWrite, writes []FileWrite, maxSize int64) [][]Fi
 // B scattered small commits becomes ceil(batch bytes / MaxObjectSize)
 // objects — usually one — instead of one per write-run.
 func (p *pipeline) aggregator() {
-	defer close(p.uploadCh)
-	defer close(p.batchCh)
+	defer simclock.Close(p.clk, p.uploadCh)
 	for {
 		updates, ok := p.q.nextBatch(p.batchBuf)
 		if !ok {
@@ -380,9 +385,7 @@ func (p *pipeline) aggregator() {
 			}
 			ws := walWritesPool.Get().(*[]FileWrite)
 			*ws = append((*ws)[:0], group...)
-			select {
-			case p.uploadCh <- walUpload{ts: ts, batch: batchID, writes: ws}:
-			case <-p.ctx.Done():
+			if simclock.Send(p.ctx, p.clk, p.uploadCh, walUpload{ts: ts, batch: batchID, writes: ws}) != nil {
 				*ws = (*ws)[:0]
 				walWritesPool.Put(ws)
 				return
@@ -414,9 +417,7 @@ func (p *pipeline) aggregator() {
 				"batch", batchID, "updates", rec.count, "objects", rec.objects,
 				"max_ts", maxTs, "queue_wait_ms", aggStart.Sub(rec.enqueuedAt).Milliseconds())
 		}
-		select {
-		case p.batchCh <- rec:
-		case <-p.ctx.Done():
+		if simclock.Send(p.ctx, p.clk, p.unlockCh, unlockEv{isBatch: true, rec: rec}) != nil {
 			return
 		}
 	}
@@ -511,12 +512,7 @@ func (p *pipeline) putSealed(su sealedUpload) bool {
 			"batch", su.batch, "ts", su.ts, "writes", su.nWrites, "bytes", len(su.sealed),
 			"upload_ms", putDur.Milliseconds())
 	}
-	select {
-	case p.ackCh <- su.ts:
-	case <-p.ctx.Done():
-		return false
-	}
-	return true
+	return simclock.Send(p.ctx, p.clk, p.unlockCh, unlockEv{rec: batchRec{maxTs: su.ts}}) == nil
 }
 
 // sealStage is the first half of the pipelined uploader: it seals the
@@ -524,14 +520,13 @@ func (p *pipeline) putSealed(su sealedUpload) bool {
 // encode+seal CPU time hides under cloud RTT.
 func (p *pipeline) sealStage() {
 	var enc []byte
-	for u := range p.uploadCh {
-		su, ok := p.sealOne(u, &enc)
+	for {
+		u, ok, _ := simclock.Recv(context.Background(), p.clk, p.uploadCh)
 		if !ok {
 			return
 		}
-		select {
-		case p.sealedCh <- su:
-		case <-p.ctx.Done():
+		su, ok := p.sealOne(u, &enc)
+		if !ok || simclock.Send(p.ctx, p.clk, p.sealedCh, su) != nil {
 			return
 		}
 	}
@@ -543,8 +538,9 @@ func (p *pipeline) sealStage() {
 // refuses to release anything at or beyond the gap, so a
 // sealed-but-unPUT object can never be acknowledged to the DBMS.
 func (p *pipeline) putStage() {
-	for su := range p.sealedCh {
-		if !p.putSealed(su) {
+	for {
+		su, ok, _ := simclock.Recv(context.Background(), p.clk, p.sealedCh)
+		if !ok || !p.putSealed(su) {
 			return
 		}
 	}
@@ -622,23 +618,16 @@ func (r *ackRing) advance() int64 {
 func (p *pipeline) unlocker(frontier int64) {
 	acked := newAckRing(frontier+1, 4*p.params.Uploaders+64)
 	var pending []batchRec
-	ackCh := p.ackCh
-	batchCh := p.batchCh
-	for ackCh != nil || batchCh != nil {
-		select {
-		case ts, ok := <-ackCh:
-			if !ok {
-				ackCh = nil
-				continue
-			}
-			acked.set(ts)
+	for {
+		ev, ok, _ := simclock.Recv(context.Background(), p.clk, p.unlockCh)
+		if !ok {
+			return
+		}
+		if ev.isBatch {
+			pending = append(pending, ev.rec)
+		} else {
+			acked.set(ev.rec.maxTs)
 			frontier = acked.advance()
-		case b, ok := <-batchCh:
-			if !ok {
-				batchCh = nil
-				continue
-			}
-			pending = append(pending, b)
 		}
 		for len(pending) > 0 && pending[0].maxTs <= frontier {
 			rec := pending[0]

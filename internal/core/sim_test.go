@@ -195,7 +195,12 @@ func TestSimPipelineFatalAfterRetryBudget(t *testing.T) {
 	if _, err := pipe.submit("pg_xlog/0001", 0, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	waitUntil(t, func() bool { return pipe.lastErr() != nil })
+	// fail() closes the queue, which ends the drain at the instant the
+	// retry budget runs out.
+	pipe.q.drain(time.Hour)
+	if pipe.lastErr() == nil {
+		t.Fatal("pipeline still healthy after the retry budget")
+	}
 	// Two 10-second backoffs, each jitter-scaled into [0.5, 1.0)×: at
 	// least 10 virtual seconds, under 20.
 	if elapsed := clk.Since(start); elapsed < 10*time.Second {

@@ -50,9 +50,6 @@ const (
 type effectiveKnobs struct {
 	batch   int
 	timeout time.Duration
-	// rate is the smoothed arrival rate λ̂ (updates/sec) batch was solved
-	// for; zero while the configured knobs stand.
-	rate float64
 	// putLatency is the fitted latency of one WAL PUT at this batch size
 	// (base + perByte·batch·bytesPerUpdate); zero until the fit has
 	// enough samples.
@@ -210,7 +207,6 @@ func (t *tuner) tick(now time.Time) {
 	t.publish(&effectiveKnobs{
 		batch:      b,
 		timeout:    tb,
-		rate:       rate,
 		putLatency: putLat,
 		fitBase:    base,
 		fitPerByte: perByte,

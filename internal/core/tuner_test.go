@@ -242,14 +242,11 @@ func TestTunerAdaptsUnderSimulatedCloud(t *testing.T) {
 
 // TestAdaptiveProperty: across 5 seeds of randomized pacing, payload
 // sizes and knob starting points, the controller must (a) keep the
-// effective batch within [1, Safety], (b) keep steady-state spend under
-// the ceiling — or sit exactly at the Safety clamp when the ceiling is
-// infeasible at the observed rate — and (c) never deadlock the
-// aggregator as knobs move mid-batch (the bounded-virtual-time Flush
-// proves liveness). "Observed" is the controller's own λ̂ at the solve
-// that produced the batch: the Pump lets virtual time run ahead of the
-// writer by a machine-dependent amount, so the whole-run average rate
-// says nothing about the window the last solve saw.
+// effective batch within [1, Safety], (b) keep steady-state spend at the
+// paced workload's rate under the ceiling — or sit exactly at the Safety
+// clamp when the ceiling is infeasible at that rate — and (c) never
+// deadlock the aggregator as knobs move mid-batch (the
+// bounded-virtual-time Flush proves liveness).
 func TestAdaptiveProperty(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		seed := seed
@@ -288,6 +285,7 @@ func TestAdaptiveProperty(t *testing.T) {
 			payload := make([]byte, 64+rng.Intn(1024))
 			pace := time.Duration(1+rng.Intn(10)) * time.Millisecond
 			commits := 600
+			start := clk.Now()
 			for i := 0; i < commits; i++ {
 				if err := vfs.WriteAt(fsys, "pg_xlog/000000010000000000000001", int64(i%4096)*8192, payload); err != nil {
 					t.Fatal(err)
@@ -297,6 +295,7 @@ func TestAdaptiveProperty(t *testing.T) {
 					clk.Sleep(time.Duration(rng.Intn(400)) * time.Millisecond) // lull
 				}
 			}
+			rate := float64(commits) / clk.Since(start).Seconds()
 			if !g.Flush(10 * time.Minute) {
 				t.Fatal("Flush did not drain (aggregator deadlocked under moving knobs?)")
 			}
@@ -307,14 +306,13 @@ func TestAdaptiveProperty(t *testing.T) {
 			if s.EffectiveBatchTimeout > p.BatchTimeout {
 				t.Fatalf("EffectiveBatchTimeout = %v exceeds the configured cap %v", s.EffectiveBatchTimeout, p.BatchTimeout)
 			}
-			k := g.pipe.tuner.snapshot()
-			if k.rate <= 0 {
+			if s.FittedPutLatency <= 0 {
 				t.Fatalf("controller never re-solved in %d commits", commits)
 			}
-			if k.batch != p.Safety { // Safety clamp = documented infeasible case
-				if got := steadyDollarsPerDay(k.rate, k.batch); got > ceiling {
+			if s.EffectiveBatch != p.Safety { // Safety clamp = documented infeasible case
+				if got := steadyDollarsPerDay(rate, s.EffectiveBatch); got > ceiling {
 					t.Fatalf("steady spend at B=%d, rate %.0f/s = $%.3f/day > $%v ceiling",
-						k.batch, k.rate, got, ceiling)
+						s.EffectiveBatch, rate, got, ceiling)
 				}
 			}
 		})
@@ -365,6 +363,7 @@ func TestCrashMidPipelinedPut(t *testing.T) {
 		t.Fatalf("queue released %d updates with ts=2 still unPUT", 6-got)
 	}
 	g.pipe.drainAndStop(10 * time.Millisecond) //nolint:errcheck
+	g.ckpt.stop(10 * time.Millisecond)         //nolint:errcheck // the dead machine's other thread
 
 	freshFS := vfs.NewMemFS()
 	g2, err := New(freshFS, mem, dbevent.NewPGProcessor(), p)

@@ -13,6 +13,7 @@ import (
 	"github.com/ginja-dr/ginja/internal/core"
 	"github.com/ginja-dr/ginja/internal/dbevent"
 	"github.com/ginja-dr/ginja/internal/minidb"
+	"github.com/ginja-dr/ginja/internal/obs"
 	"github.com/ginja-dr/ginja/internal/sealer"
 	"github.com/ginja-dr/ginja/internal/sim"
 	"github.com/ginja-dr/ginja/internal/vfs"
@@ -122,6 +123,7 @@ func millis(d time.Duration) float64 { return float64(d) / float64(time.Millisec
 // fresh machine — every window measured in virtual time.
 type bulkRun struct {
 	rig    *sim.Rig
+	reg    *obs.Registry
 	params core.Params
 	g      *core.Ginja
 	db     *minidb.DB
@@ -138,7 +140,8 @@ func startBulk(rows, valueBytes int, maxObjectSize int64, parallel int, tune fun
 			rig.Close()
 		}
 	}()
-	b = &bulkRun{rig: rig, params: rig.Params()}
+	b = &bulkRun{rig: rig, reg: obs.NewRegistry(), params: rig.Params()}
+	b.params.Metrics = b.reg
 	b.params.Batch = 4
 	b.params.Safety = 4096
 	b.params.BatchTimeout = 50 * time.Millisecond
@@ -165,24 +168,25 @@ func startBulk(rows, valueBytes int, maxObjectSize int64, parallel int, tune fun
 	return b, nil
 }
 
-// checkpoint issues a DBMS checkpoint and waits until the Stats counter
-// it must settle into (Dumps, Deltas) moves — which it does after the
-// last part PUT and the view update, before garbage collection. It
-// returns the virtual time from submission to durable.
-func (b *bulkRun) checkpoint(counter func(core.Stats) int64) (time.Duration, error) {
-	before := counter(b.g.Stats())
-	t0 := b.rig.Clock.Now()
+// checkpoint issues a DBMS checkpoint, waits until it has settled —
+// uploaded, recorded and garbage-collected (SyncCheckpoints) — checks that
+// it produced an object of kind ("dump" or "delta") and returns the
+// virtual time from submission to durable: the checkpointer's own upload
+// histogram, which stops before garbage collection starts.
+func (b *bulkRun) checkpoint(kind string) (time.Duration, error) {
+	upload := b.reg.Histogram("ginja_checkpoint_upload_seconds", "", obs.Labels{"type": kind}, nil)
+	n, sum := upload.Count(), upload.Sum()
 	if err := b.db.Checkpoint(); err != nil {
 		return 0, err
 	}
-	moved := func() bool { return counter(b.g.Stats()) != before }
-	if !b.rig.Await(func() bool { return moved() || b.g.Err() != nil }, 5*time.Millisecond, 100000) {
+	b.g.SyncCheckpoints(500 * time.Second)
+	if upload.Count() == n {
+		if err := b.g.Err(); err != nil {
+			return 0, fmt.Errorf("replication failed: %w", err)
+		}
 		return 0, fmt.Errorf("checkpoint crossing never completed (did not cross DumpThreshold?)")
 	}
-	if !moved() {
-		return 0, fmt.Errorf("replication failed: %w", b.g.Err())
-	}
-	return b.rig.Clock.Since(t0), nil
+	return time.Duration((upload.Sum() - sum) * float64(time.Second)), nil
 }
 
 // close stops the primary — which drains uploads and finishes GC
@@ -241,7 +245,7 @@ func measureDatapath(opts DatapathOptions, parallel int) (DatapathRun, streamSam
 	defer b.rig.Close()
 
 	// The measured window: checkpoint submission → dump durable.
-	upload, err := b.checkpoint(func(s core.Stats) int64 { return s.Dumps })
+	upload, err := b.checkpoint("dump")
 	if err != nil {
 		return run, sample, fmt.Errorf("dump: %w", err)
 	}

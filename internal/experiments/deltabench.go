@@ -147,8 +147,7 @@ func measureDeltaScenario(opts DeltaBenchOptions, deltas bool) (*deltaBenchRun, 
 	// Settle one checkpoint to establish the base: the crossing finds the
 	// whole database dirty, so both modes serve it with a full dump (the
 	// delta run's compaction bound folds an all-dirty "delta" away).
-	dumps := func(s core.Stats) int64 { return s.Dumps }
-	if _, err := b.checkpoint(dumps); err != nil {
+	if _, err := b.checkpoint("dump"); err != nil {
 		return nil, fmt.Errorf("base dump: %w", err)
 	}
 
@@ -161,9 +160,9 @@ func measureDeltaScenario(opts DeltaBenchOptions, deltas bool) (*deltaBenchRun, 
 	// The dirty rounds: rewrite a clustered 1 % of the rows, checkpoint,
 	// and let the crossing ship a delta (or a full re-dump). Round 1 is
 	// the measured crossing.
-	counter := dumps
+	kind := "dump"
 	if deltas {
-		counter = func(s core.Stats) int64 { return s.Deltas }
+		kind = "delta"
 	}
 	value := strings.Repeat("v", opts.ValueBytes)
 	for round := 1; round <= opts.Rounds; round++ {
@@ -174,7 +173,7 @@ func measureDeltaScenario(opts DeltaBenchOptions, deltas bool) (*deltaBenchRun, 
 			return nil, fmt.Errorf("round %d flush did not drain", round)
 		}
 		statsBefore := g.Stats()
-		upload, err := b.checkpoint(counter)
+		upload, err := b.checkpoint(kind)
 		if err != nil {
 			return nil, fmt.Errorf("round %d: %w", round, err)
 		}

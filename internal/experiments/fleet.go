@@ -118,7 +118,10 @@ func fleetPoint(opts FleetBenchOptions, tenants int) (FleetBenchRow, error) {
 	}
 
 	// The all-in footprint once every tenant is up and idle (two GC
-	// cycles: retained state, not reclaimable pool scratch).
+	// cycles: retained state, not reclaimable pool scratch). The last
+	// tenants' goroutines start only once the driver parks, so let the
+	// instant settle first.
+	rig.Clock.Sleep(0)
 	runtime.GC()
 	runtime.GC()
 	runtime.ReadMemStats(&ms)

@@ -53,6 +53,18 @@ func (p *page) byteSize() int {
 	return n
 }
 
+// sortedKeys returns the page's keys in order: everything that walks a
+// page does so in key order, so the file layout is a function of the
+// operations alone.
+func (p *page) sortedKeys() []string {
+	keys := make([]string, 0, len(p.entries))
+	for k := range p.entries {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
 // serialize renders the page into a buffer of exactly size bytes.
 func (p *page) serialize(size int) ([]byte, error) {
 	if !p.fits(size) {
@@ -62,13 +74,8 @@ func (p *page) serialize(size int) ([]byte, error) {
 	binary.LittleEndian.PutUint16(buf[0:2], pageMagic)
 	binary.LittleEndian.PutUint16(buf[2:4], uint16(len(p.entries)))
 	binary.LittleEndian.PutUint64(buf[8:16], p.overflow)
-	keys := make([]string, 0, len(p.entries))
-	for k := range p.entries {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
 	off := pageHeaderSize
-	for _, k := range keys {
+	for _, k := range p.sortedKeys() {
 		v := p.entries[k]
 		binary.LittleEndian.PutUint16(buf[off:off+2], uint16(len(k)))
 		binary.LittleEndian.PutUint32(buf[off+2:off+6], uint32(len(v)))

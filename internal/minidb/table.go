@@ -214,10 +214,11 @@ func (t *table) spill(fsys vfs.FS, p *page) error {
 			}
 		}
 		moved := false
-		for k, v := range p.entries {
+		for _, k := range p.sortedKeys() {
 			if p.fits(t.pageSize) {
 				break
 			}
+			v := p.entries[k]
 			entrySize := entryHeader + len(k) + len(v)
 			if ov.byteSize()+entrySize > t.pageSize {
 				continue

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"testing"
+
+	"github.com/ginja-dr/ginja/internal/simclock"
 )
 
 // TestRunFleetSmall drives the fleet drill across several seeds at a
@@ -40,10 +42,16 @@ func TestRunFleetSmall(t *testing.T) {
 // on the shared clock — with churn, a crash and a recovery running in
 // the middle of them. The idle tenants must cost nothing: zero Safety
 // deadline misses fleet-wide.
+//
+// It runs without the token oracle: one stop-the-world dump of ~5 000
+// goroutines costs ≈ 9 ms, once per advance, which turns the 0.2 s drill
+// into minutes. The same fleet code runs under the oracle in
+// TestRunFleetSmall and in the fleet bench smoke.
 func TestRunFleetThousand(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1k-tenant drill skipped in -short")
 	}
+	defer simclock.SetOracle(simclock.SetOracle(nil))
 	res, err := RunFleet(FleetConfig{
 		Seed:           7,
 		Tenants:        1000,

@@ -141,18 +141,6 @@ func (r *Rig) Admit(f *core.Fleet, id string, params core.Params) (*core.Ginja, 
 	return g, nil
 }
 
-// Await polls cond every step of virtual time and reports whether it
-// came true before tries polls had failed.
-func (r *Rig) Await(cond func() bool, step time.Duration, tries int) bool {
-	for n := 0; !cond(); n++ {
-		if n > tries {
-			return false
-		}
-		r.Clock.Sleep(step)
-	}
-	return true
-}
-
 // RecoverFresh is the disaster drill's second half: a new instance on a
 // fresh machine restores the newest state in the rig's bucket. It
 // returns the restored disk and the virtual time the restore took.

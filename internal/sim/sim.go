@@ -116,6 +116,11 @@ type Result struct {
 	// FollowerLag is the standby's replication lag at the instant of the
 	// crash (how long ago it last held everything the bucket listed).
 	FollowerLag time.Duration
+	// TraceHash fingerprints the primary's cloud traffic: every operation
+	// it issued, as (virtual time, op, object name), hashed. The clock is
+	// exact, so it is a function of the seed alone — equal on any core
+	// count.
+	TraceHash uint64
 }
 
 // faultLatency is the simulated WAN's round trip under fault schedules.
@@ -141,7 +146,7 @@ func Run(cfg Config) (*Result, error) {
 	rig := NewRig(WAN(faultLatency, 0.10), sched.Seed)
 	defer rig.Close()
 	clk, simStore := rig.Clock, rig.Store
-	kill := &crashStore{inner: simStore}
+	kill := &crashStore{inner: simStore, clk: clk}
 
 	params := rig.Params()
 	params.Batch = 1 + rng.Intn(8)
@@ -276,9 +281,7 @@ func Run(cfg Config) (*Result, error) {
 		case r < 94: // flush: everything so far becomes guaranteed-durable
 			// Flush covers the WAL; every checkpoint issued so far must have
 			// settled in the cloud too before the frontier moves.
-			if g.Flush(2*time.Minute) &&
-				rig.Await(func() bool { return settled() || g.Err() != nil }, 50*time.Millisecond, 5000) &&
-				settled() {
+			if g.Flush(2*time.Minute) && g.SyncCheckpoints(250*time.Second) && settled() {
 				res.FlushedUpTo = log.commits() - 1
 			}
 		default: // think: let TB (and sometimes TS) expire on a quiet queue
@@ -324,6 +327,7 @@ func Run(cfg Config) (*Result, error) {
 	res.Deltas = stats.Deltas
 	res.Dumps = stats.Dumps
 	_ = g.Close()
+	res.TraceHash = kill.traceHash()
 
 	// The replacement site sees a healthy provider (the schedule's faults
 	// hit the primary's lifetime; recovery-time faults are exercised by

@@ -53,8 +53,13 @@ type realClock struct{}
 func (realClock) Now() time.Time                         { return time.Now() }
 func (realClock) Since(t time.Time) time.Duration        { return time.Since(t) }
 func (realClock) Until(t time.Time) time.Duration        { return time.Until(t) }
-func (realClock) Sleep(d time.Duration)                  { time.Sleep(d) }
 func (realClock) After(d time.Duration) <-chan time.Time { return time.After(d) }
+
+func (realClock) Sleep(d time.Duration) {
+	if d > 0 {
+		<-time.NewTimer(d).C
+	}
+}
 
 func (realClock) NewFuncTimer(f func()) Timer {
 	// The time package has no unarmed constructor: arm at a deadline that
@@ -83,10 +88,6 @@ func SleepCtx(ctx context.Context, clk Clock, d time.Duration) error {
 	}
 	t := clk.NewTimer(d)
 	defer t.Stop()
-	select {
-	case <-t.C():
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
+	_, _, err := Recv(ctx, clk, t.C())
+	return err
 }

@@ -1,9 +1,8 @@
 package simclock
 
 import (
-	"runtime"
+	"context"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -13,20 +12,42 @@ var simEpoch = time.Date(2000, 1, 1, 0, 0, 0, 0, time.UTC)
 
 // SimClock is a virtual Clock for deterministic simulation testing. Time
 // never passes on its own: it advances only when the test driver (or the
-// Pump) fires pending timers, and the Pump fires them only once every
-// goroutine interacting with the clock has gone idle. Goroutines register
-// with the clock implicitly — every clock operation (Now, After, Sleep,
-// timer resets …) bumps an activity generation, and the Pump treats a
-// stable generation across several scheduler yields as "all registered
-// goroutines are idle".
+// Pump) fires pending timers, and the Pump fires one only when no work is
+// outstanding.
+//
+// Outstanding work is an exact count of work tokens. Every running
+// goroutine of the system under test holds one. A goroutine gives its
+// token up when it parks on something only virtual time (or another
+// goroutine's hand-off) can resolve, and whoever wakes it grants it a
+// token before releasing its own: a timer firing, a cond signal, a
+// channel hand-off, a goroutine start (see handoff.go). A goroutine that
+// waits on CPU-only work keeps its token. The count therefore reaches zero
+// exactly when every goroutine is parked, and that is the only instant the
+// Pump moves time.
 type SimClock struct {
 	mu     sync.Mutex
 	now    time.Time
 	timers timerQueue
 
-	// gen is the activity generation: bumped by every clock operation the
-	// system under test performs, never by Advance itself.
-	gen atomic.Uint64
+	// busy is the number of work tokens outstanding; idle is signalled
+	// when it reaches zero (and whenever the Pump has something new to
+	// look at).
+	busy int
+	idle sync.Cond
+	// parked holds the goroutines parked on each hand-off key (a channel,
+	// a Cond, a Group); ctxParked those of them that a context can also
+	// wake.
+	parked    map[any][]*parker
+	ctxParked []*parker
+	// ready holds the goroutines woken (or started) while a Pump runs, in
+	// wake order; the Pump resumes them one per idle instant.
+	ready   []func()
+	pumping bool
+
+	// members are the goroutine ids that touched this clock while the
+	// oracle was on (see oracle.go).
+	members map[int64]bool
+	moves   uint64 // grants + releases: the oracle's progress counter
 }
 
 var _ Clock = (*SimClock)(nil)
@@ -34,17 +55,14 @@ var _ Clock = (*SimClock)(nil)
 // NewSim returns a virtual clock starting at a fixed epoch
 // (2000-01-01T00:00:00Z).
 func NewSim() *SimClock {
-	return &SimClock{now: simEpoch}
+	c := &SimClock{now: simEpoch, parked: make(map[any][]*parker)}
+	c.idle.L = &c.mu
+	return c
 }
-
-func (c *SimClock) bump() { c.gen.Add(1) }
-
-// Gen returns the current activity generation (see Pump).
-func (c *SimClock) Gen() uint64 { return c.gen.Load() }
 
 // Now returns the current virtual time.
 func (c *SimClock) Now() time.Time {
-	c.bump()
+	c.touch()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.now
@@ -56,15 +74,11 @@ func (c *SimClock) Since(t time.Time) time.Duration { return c.Now().Sub(t) }
 // Until returns the virtual time remaining until t.
 func (c *SimClock) Until(t time.Time) time.Duration { return t.Sub(c.Now()) }
 
-// Sleep blocks the calling goroutine until virtual time advances by d.
+// Sleep parks the calling goroutine until virtual time advances by d. A
+// d ≤ 0 moves no time but still parks until the Pump finds the clock idle:
+// everything else due at the current instant runs first.
 func (c *SimClock) Sleep(d time.Duration) {
-	if d <= 0 {
-		runtime.Gosched()
-		return
-	}
-	t := c.NewTimer(d)
-	<-t.C()
-	c.bump() // signal the Pump that a sleeper woke and is running again
+	Recv(context.Background(), c, c.NewTimer(d).C()) //nolint:errcheck // Background never ends
 }
 
 // After returns a channel that receives the virtual time once it has
@@ -89,17 +103,19 @@ func (c *SimClock) NewFuncTimer(f func()) Timer {
 }
 
 func (c *SimClock) arm(t *heapTimer, d time.Duration) bool {
-	c.bump()
+	c.touch()
 	if d < 0 {
 		d = 0
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.busy <= 0 {
+		c.idle.Signal() // armed by a goroutine the count does not cover
+	}
 	return c.timers.set(t, c.now.Add(d))
 }
 
 func (c *SimClock) disarm(t *heapTimer) bool {
-	c.bump()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.timers.remove(t)
@@ -127,105 +143,112 @@ func (c *SimClock) NextDeadline() (time.Time, bool) {
 // deadline falls within the window in deadline order.
 func (c *SimClock) Advance(d time.Duration) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	target := c.now.Add(d)
-	for {
-		t := c.popDueLocked(target)
-		if t == nil {
-			break
-		}
-		c.fireUnlockedRelock(t)
+	for t := c.timers.peek(); t != nil && !t.deadline.After(target); t = c.timers.peek() {
+		c.fireNextLocked()
 	}
 	if c.now.Before(target) {
 		c.now = target
 	}
-	c.mu.Unlock()
 }
 
 // AdvanceToNext jumps virtual time to the earliest pending deadline and
-// fires that timer (plus any sharing the same deadline), reporting how
-// far time moved and whether any timer was pending.
+// fires that one timer (timers sharing the deadline fire on later calls,
+// in arming order), reporting how far time moved and whether any timer
+// was pending.
 func (c *SimClock) AdvanceToNext() (time.Duration, bool) {
 	c.mu.Lock()
-	next := c.timers.peek()
-	if next == nil {
-		c.mu.Unlock()
+	defer c.mu.Unlock()
+	if c.timers.peek() == nil {
 		return 0, false
 	}
-	deadline := next.deadline
-	moved := deadline.Sub(c.now)
-	for {
-		t := c.popDueLocked(deadline)
-		if t == nil {
-			break
-		}
-		c.fireUnlockedRelock(t)
-	}
-	c.mu.Unlock()
-	return moved, true
+	before := c.now
+	c.fireNextLocked()
+	return c.now.Sub(before), true
 }
 
-// popDueLocked removes and returns the earliest timer with deadline ≤
-// target, advancing now to its deadline, or returns nil.
-func (c *SimClock) popDueLocked(target time.Time) *heapTimer {
-	t := c.timers.peek()
-	if t == nil || t.deadline.After(target) {
-		return nil
-	}
-	c.timers.pop()
+// fireNextLocked pops the earliest timer, moves now to its deadline and
+// delivers it with the clock lock released — callbacks are free to
+// schedule new timers.
+func (c *SimClock) fireNextLocked() {
+	t := c.timers.pop()
 	if c.now.Before(t.deadline) {
 		c.now = t.deadline
 	}
-	return t
-}
-
-// fireUnlockedRelock releases the clock lock, delivers the timer, and
-// re-acquires the lock — callbacks are free to schedule new timers.
-func (c *SimClock) fireUnlockedRelock(t *heapTimer) {
 	now := c.now
 	c.mu.Unlock()
-	t.fire(now)
+	t.fire(now, c)
 	c.mu.Lock()
 }
 
-// Pump drives virtual time from a background goroutine: whenever the
-// activity generation stays stable across a few scheduler yields (all
-// goroutines registered with the clock are idle — blocked in virtual
-// sleeps, condition variables or channels) and timers are pending, it
-// fires the earliest timer. It returns a stop function that must be
+// Pump drives the simulation from a background goroutine. The goroutine
+// calling Pump becomes the driver: it holds one work token until it calls
+// the returned stop function, so time stands still while the driver runs
+// and moves only while it is parked in a clock wait.
+//
+// While a Pump runs, waking a goroutine (or starting one with Go) only
+// queues it: the Pump resumes queued goroutines itself, one per idle
+// instant, in the order they were woken. Whenever the token count is zero
+// it resumes the next queued goroutine; failing that, it wakes the
+// goroutines whose context ended while they were parked; failing that, it
+// fires the earliest pending timer (equal deadlines in arming order). So
+// one goroutine of the simulation runs at a time, in an order that
+// depends on the schedule alone — not on the core count. stop must be
 // called before the clock is abandoned.
 func (c *SimClock) Pump() (stop func()) {
+	c.touch()
+	c.mu.Lock()
+	c.grantLocked()
+	c.pumping = true
+	stopped := false
+	c.mu.Unlock()
 	done := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
 	go func() {
-		defer wg.Done()
-		last := c.Gen()
-		idle := 0
+		defer close(done)
+		self := goid()
+		c.mu.Lock()
+		defer c.mu.Unlock()
 		for {
-			select {
-			case <-done:
+			for !stopped && (c.busy > 0 || (len(c.ready) == 0 && c.timers.peek() == nil && c.cancelledLocked() == nil)) {
+				c.waitIdleLocked(self)
+			}
+			if stopped {
 				return
-			default:
 			}
-			runtime.Gosched()
-			if g := c.Gen(); g != last {
-				last, idle = g, 0
+			if len(c.ready) > 0 {
+				run := c.ready[0]
+				c.ready = c.ready[1:]
+				c.grantLocked()
+				run()
 				continue
 			}
-			if idle++; idle < 3 {
+			if ended := c.cancelledLocked(); ended != nil {
+				for _, p := range ended {
+					c.wakeLocked(p)
+				}
 				continue
 			}
-			idle = 0
-			if _, ok := c.AdvanceToNext(); !ok {
-				// No timers pending: either the run is over or the stack
-				// is progressing without the clock. Back off briefly so
-				// an idle pump does not burn the only CPU.
-				time.Sleep(20 * time.Microsecond)
+			if !c.checkLocked(self) {
+				continue
+			}
+			if c.timers.peek() != nil {
+				c.fireNextLocked()
 			}
 		}
 	}()
 	return func() {
-		close(done)
-		wg.Wait()
+		c.mu.Lock()
+		stopped = true
+		c.pumping = false
+		for _, run := range c.ready {
+			c.grantLocked()
+			run()
+		}
+		c.ready = nil
+		c.releaseLocked()
+		c.idle.Signal()
+		c.mu.Unlock()
+		<-done
 	}
 }

@@ -179,23 +179,22 @@ func TestSimClockSleepWithPump(t *testing.T) {
 	stop := clk.Pump()
 	defer stop()
 	start := clk.Now()
-	done := make(chan time.Duration, 3)
-	for i := 1; i <= 3; i++ {
-		d := time.Duration(i) * time.Hour
-		go func() {
-			clk.Sleep(d)
-			done <- clk.Since(start)
-		}()
+	var woke [3]time.Duration
+	sleepers := NewGroup(clk)
+	for i := range woke {
+		sleepers.Go(func() {
+			clk.Sleep(time.Duration(i+1) * time.Hour)
+			woke[i] = clk.Since(start)
+		})
 	}
-	for i := 0; i < 3; i++ {
-		select {
-		case <-done:
-		case <-time.After(5 * time.Second):
-			t.Fatal("virtual sleepers never woke under the pump")
+	sleepers.Wait()
+	for i, d := range woke {
+		if want := time.Duration(i+1) * time.Hour; d != want {
+			t.Fatalf("sleeper %d woke at +%v, want exactly +%v", i, d, want)
 		}
 	}
-	if got := clk.Since(start); got < 3*time.Hour {
-		t.Fatalf("virtual time advanced only %v", got)
+	if got := clk.Since(start); got != 3*time.Hour {
+		t.Fatalf("virtual time advanced %v, want exactly 3h", got)
 	}
 }
 

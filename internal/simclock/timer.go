@@ -26,16 +26,14 @@ func (t *heapTimer) Stop() bool                 { return t.owner.disarm(t) }
 func (t *heapTimer) Reset(d time.Duration) bool { return t.owner.arm(t, d) }
 
 // fire delivers the timer: func timers run inline, channel timers get a
-// non-blocking send of now.
-func (t *heapTimer) fire(now time.Time) {
+// non-blocking send of now (see deliver; s is the SimClock counting the
+// receiver's token, nil on the wall clock).
+func (t *heapTimer) fire(now time.Time, s *SimClock) {
 	if t.fn != nil {
 		t.fn()
 		return
 	}
-	select {
-	case t.ch <- now:
-	default:
-	}
+	deliver(s, t.ch, now)
 }
 
 // timerQueue is a (deadline, seq) min-heap of timers. The owning clock

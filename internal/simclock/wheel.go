@@ -1,64 +1,63 @@
 package simclock
 
 import (
+	"context"
 	"sync"
 	"time"
 )
 
-// Wheel is a Clock that multiplexes any number of timers onto a single
-// goroutine: one deadline heap, one arming of the inner clock at a time.
-// It exists for fleet deployments — one process protecting thousands of
-// databases — where per-instance Batch/Safety timeouts, tuner ticks and
-// retention-trimmer ticks would otherwise each arm their own runtime
-// timer (and, historically, their own goroutine). A Fleet installs one
-// Wheel as every tenant's Params.Clock, so the whole fleet's timer load
-// is a heap and a goroutine, independent of tenant count.
+// Wheel is a Clock that multiplexes any number of timers onto one timer of
+// an inner clock: one deadline heap, one arming of the inner clock at a
+// time, no goroutine of its own. It exists for fleet deployments — one
+// process protecting thousands of databases — where per-instance
+// Batch/Safety timeouts, tuner ticks and retention-trimmer ticks would
+// otherwise each arm their own runtime timer. A Fleet installs one Wheel
+// as every tenant's Params.Clock, so the whole fleet's timer load is a
+// heap and one inner timer, independent of tenant count.
 //
 // Timestamps (Now/Since/Until) delegate to the inner clock, so a Wheel
 // over a SimClock keeps virtual-time determinism: the wheel's single
-// pending inner timer is fired by the SimClock driver like any other.
+// pending inner timer is fired by the SimClock driver like any other, and
+// waits on wheel timers count tokens on that SimClock.
 //
-// Func-timer callbacks run inline on the wheel goroutine (the same
-// contract as SimClock's advancing goroutine): they must be brief and
-// must not block, or they delay every other timer in the process. All of
-// Ginja's internal callbacks (TB/TS expiry, tuner ticks, trimmer ticks)
-// follow that rule.
+// Func-timer callbacks run inline wherever the inner timer fires (the
+// runtime's timer goroutine on the wall clock, the advancing goroutine on
+// a SimClock): they must be brief and must not block, or they delay every
+// other timer in the process. All of Ginja's internal callbacks (TB/TS
+// expiry, tuner ticks, trimmer ticks) follow that rule.
 type Wheel struct {
 	inner Clock
+	sim   *SimClock
+	tick  Timer // inner func timer firing the due wheel timers
 
-	mu     sync.Mutex
-	timers timerQueue
-
-	wake chan struct{}
-	done chan struct{}
-	wg   sync.WaitGroup
-
-	stopOnce sync.Once
+	mu      sync.Mutex
+	timers  timerQueue
+	armed   time.Time // deadline tick is armed for; zero when disarmed
+	stopped bool
+	firing  sync.WaitGroup
 }
 
 var _ Clock = (*Wheel)(nil)
 
-// NewWheel returns a running Wheel over inner (nil = the wall clock).
-// Call Stop when the wheel is abandoned.
+// NewWheel returns a Wheel over inner (nil = the wall clock). Call Stop
+// when the wheel is abandoned.
 func NewWheel(inner Clock) *Wheel {
 	if inner == nil {
 		inner = Real()
 	}
-	w := &Wheel{
-		inner: inner,
-		wake:  make(chan struct{}, 1),
-		done:  make(chan struct{}),
-	}
-	w.wg.Add(1)
-	go w.loop()
+	w := &Wheel{inner: inner, sim: simOf(inner)}
+	w.tick = inner.NewFuncTimer(w.fireDue)
 	return w
 }
 
-// Stop terminates the wheel goroutine. Pending timers never fire after
-// Stop returns; timers scheduled after Stop are accepted but dormant.
+// Stop disarms the wheel. Pending timers never fire after Stop returns;
+// timers scheduled after Stop are accepted but dormant.
 func (w *Wheel) Stop() {
-	w.stopOnce.Do(func() { close(w.done) })
-	w.wg.Wait()
+	w.mu.Lock()
+	w.stopped = true
+	w.tick.Stop()
+	w.mu.Unlock()
+	w.firing.Wait()
 }
 
 // Now returns the inner clock's current time.
@@ -76,7 +75,7 @@ func (w *Wheel) Sleep(d time.Duration) {
 		w.inner.Sleep(d)
 		return
 	}
-	<-w.After(d)
+	SleepCtx(context.Background(), w, d) //nolint:errcheck // Background never ends
 }
 
 // After returns a channel that receives the time once d has elapsed.
@@ -91,8 +90,8 @@ func (w *Wheel) NewTimer(d time.Duration) Timer {
 	return t
 }
 
-// NewFuncTimer returns an unarmed Timer that, once Reset, invokes f on
-// the wheel goroutine at its deadline. f must be brief and non-blocking.
+// NewFuncTimer returns an unarmed Timer that, once Reset, invokes f at
+// its deadline. f must be brief and non-blocking.
 func (w *Wheel) NewFuncTimer(f func()) Timer {
 	return &heapTimer{owner: w, idx: -1, fn: f}
 }
@@ -110,67 +109,51 @@ func (w *Wheel) arm(t *heapTimer, d time.Duration) bool {
 	}
 	deadline := w.inner.Now().Add(d)
 	w.mu.Lock()
+	defer w.mu.Unlock()
 	active := w.timers.set(t, deadline)
-	w.mu.Unlock()
-	w.poke()
+	w.rearmLocked()
 	return active
 }
 
 func (w *Wheel) disarm(t *heapTimer) bool {
 	w.mu.Lock()
-	active := w.timers.remove(t)
-	w.mu.Unlock()
-	if active {
-		w.poke()
-	}
-	return active
+	defer w.mu.Unlock()
+	return w.timers.remove(t)
 }
 
-// poke nudges the wheel goroutine to re-examine the heap (the earliest
-// deadline may have changed). Non-blocking: one pending nudge is enough.
-func (w *Wheel) poke() {
-	select {
-	case w.wake <- struct{}{}:
-	default:
+// rearmLocked points the inner timer at the earliest deadline if it is
+// not already armed for one at least as early. A tick that finds nothing
+// due (its timer was stopped) just rearms.
+func (w *Wheel) rearmLocked() {
+	next := w.timers.peek()
+	if w.stopped || next == nil || (!w.armed.IsZero() && !next.deadline.Before(w.armed)) {
+		return
 	}
+	w.armed = next.deadline
+	w.tick.Reset(w.inner.Until(next.deadline))
 }
 
-func (w *Wheel) loop() {
-	defer w.wg.Done()
-	for {
-		// Fire everything due, then find how long until the next deadline.
-		var arm Timer
-		var armCh <-chan time.Time
-		w.mu.Lock()
-		for next := w.timers.peek(); next != nil; next = w.timers.peek() {
-			d := w.inner.Until(next.deadline)
-			if d > 0 {
-				arm = w.inner.NewTimer(d)
-				armCh = arm.C()
-				break
-			}
-			w.timers.pop()
-			w.mu.Unlock()
-			next.fire(w.inner.Now())
-			w.mu.Lock()
-		}
+// fireDue is the inner timer's callback: fire everything due, in deadline
+// order, then rearm for the rest.
+func (w *Wheel) fireDue() {
+	w.mu.Lock()
+	if w.stopped {
 		w.mu.Unlock()
-
-		if armCh == nil {
-			select {
-			case <-w.wake:
-			case <-w.done:
-				return
-			}
-			continue
-		}
-		select {
-		case <-armCh:
-		case <-w.wake:
-			arm.Stop()
-		case <-w.done:
-			arm.Stop()
-			return
-		}
+		return
 	}
+	w.firing.Add(1)
+	defer w.firing.Done()
+	w.armed = time.Time{}
+	for next := w.timers.peek(); next != nil && !w.stopped; next = w.timers.peek() {
+		now := w.inner.Now()
+		if now.Before(next.deadline) {
+			break
+		}
+		w.timers.pop()
+		w.mu.Unlock()
+		next.fire(now, w.sim)
+		w.mu.Lock()
+	}
+	w.rearmLocked()
+	w.mu.Unlock()
 }

@@ -1,6 +1,7 @@
 package simclock
 
 import (
+	"context"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -26,24 +27,12 @@ func TestWheelFiresInDeadlineOrderOnSimClock(t *testing.T) {
 	afterFunc(w, 20*time.Millisecond, record(2))
 
 	stop := sim.Pump()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		mu.Lock()
-		n := len(order)
-		mu.Unlock()
-		if n == 3 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("timers did not all fire; order so far %v", order)
-		}
-		time.Sleep(time.Millisecond)
-	}
+	sim.Sleep(31 * time.Millisecond) // past the last deadline: equal deadlines fire in arming order
 	stop()
 	mu.Lock()
 	defer mu.Unlock()
-	if order[0] != 1 || order[1] != 2 || order[2] != 3 {
-		t.Fatalf("fired out of deadline order: %v", order)
+	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
+		t.Fatalf("fired %v by +31ms, want [1 2 3]", order)
 	}
 }
 
@@ -96,15 +85,14 @@ func TestWheelSleepAndAfter(t *testing.T) {
 
 	start := w.Now()
 	w.Sleep(42 * time.Millisecond)
-	if got := w.Since(start); got < 42*time.Millisecond {
-		t.Fatalf("Sleep advanced virtual time by %v, want >= 42ms", got)
+	if got := w.Since(start); got != 42*time.Millisecond {
+		t.Fatalf("Sleep advanced virtual time by %v, want exactly 42ms", got)
 	}
 
-	ch := w.After(7 * time.Millisecond)
-	select {
-	case <-ch:
-	case <-time.After(5 * time.Second):
-		t.Fatal("After channel never fired under the pump")
+	start = w.Now()
+	Recv(context.Background(), w, w.After(7*time.Millisecond)) //nolint:errcheck
+	if got := w.Since(start); got != 7*time.Millisecond {
+		t.Fatalf("After fired at +%v, want exactly +7ms", got)
 	}
 }
 
@@ -122,12 +110,9 @@ func TestWheelManyTimersOneGoroutine(t *testing.T) {
 		t.Fatalf("PendingTimers = %d, want %d", got, n)
 	}
 	stop := sim.Pump()
-	deadline := time.Now().Add(10 * time.Second)
-	for fired.Load() != n {
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d/%d timers fired", fired.Load(), n)
-		}
-		time.Sleep(time.Millisecond)
-	}
+	sim.Sleep(18 * time.Millisecond)
 	stop()
+	if fired.Load() != n {
+		t.Fatalf("only %d/%d timers fired", fired.Load(), n)
+	}
 }
