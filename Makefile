@@ -37,19 +37,24 @@ determinism:
 	for p in 1 2 8; do GOMAXPROCS=$$p $(GO) test -count=1 $(DETERMINISM_PKGS) || exit 1; done
 
 # loc prints the size figures the simplicity issues gate on: non-test Go
-# lines in internal/core, in the virtual clock (internal/simclock and its
-# test harness), in the repo outside benchmark/, and in the virtual-time
-# and paper-figure measurement code (ROADMAP item 6).
+# lines in internal/core, in the sealer (envelope plus its deflate
+# encoder), in the virtual clock (internal/simclock and its test harness),
+# in the repo outside benchmark/, and in the virtual-time and paper-figure
+# measurement code (ROADMAP item 6).
 loc:
 	@printf 'internal/core        %s\n' "$$(find internal/core -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
+	@printf 'internal/sealer      %s\n' "$$(find internal/sealer -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
 	@printf 'internal/simclock    %s\n' "$$(find internal/simclock -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
 	@printf 'repo less benchmark/ %s\n' "$$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' | xargs cat | wc -l)"
 	@printf 'measurement          %s\n' "$$(find internal/sim internal/experiments cmd/ginja-bench -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
 
 # fuzz-smoke gives each wire-format fuzz target a short budget on top of
-# the checked-in corpus (internal/core/testdata/fuzz/). Reproduce a
-# finding with: go test ./internal/core -run 'FuzzX/<entry>'
+# the checked-in corpus (internal/{core,sealer}/testdata/fuzz/). Reproduce
+# a finding with: go test ./internal/core -run 'FuzzX/<entry>'. The deflate
+# differential target runs two encoders per input of up to ~70 KB, so its
+# minimisation of a new input is capped to keep the budget.
 fuzz-smoke:
+	$(GO) test ./internal/sealer -run '^$$' -fuzz '^FuzzDeflateMatchesStdlib$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzParseWALObjectName$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzParseDBObjectName$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzDecodeWrites$$' -fuzztime $(FUZZTIME)

@@ -13,21 +13,34 @@
 //
 // A compressed payload is one RFC 1950 stream, but Seal builds it from
 // fixed 1 MiB segments deflated concurrently (pigz's construction): every
-// segment is compressed on its own by a raw flate writer and all but the
-// last end in a sync flush — a byte-aligned, empty, non-final stored block
-// — so the concatenation 0x78 0x01 ‖ segments ‖ Adler-32(payload) is a
-// single valid stream that Open, or any stock zlib reader, inflates
-// unchanged; segment boundaries cannot be recovered from it, which is why
-// Open stays serial. A payload of at most one segment is byte for byte
-// what a stock zlib writer at BestSpeed produces. The sealed size is part
-// of a DB object's name and simulated schedules must reproduce, so the
-// output is a function of the payload (and the IV) only — never of
-// GOMAXPROCS, of how many helpers were free, or of scheduling.
+// segment is compressed on its own and all but the last end in a sync
+// flush — a byte-aligned, empty, non-final stored block — so the
+// concatenation 0x78 0x01 ‖ segments ‖ Adler-32(payload) is a single valid
+// stream that Open, or any stock zlib reader, inflates unchanged; segment
+// boundaries cannot be recovered from it, which is why Open stays serial.
+// Each segment's goroutine also takes that segment's Adler-32, and Seal
+// folds them in order (adler32Combine), so Seal never walks the whole
+// payload on one core.
+//
+// The deflate encoder (deflate.go, huffman.go) is compress/flate's
+// BestSpeed algorithm re-implemented for a whole in-memory segment: the
+// same Snappy-style matcher over 65 535-byte blocks, the same per-block
+// choice of dynamic, literals-only or stored coding, the same Huffman
+// builder and closing markers — so its bytes are exactly what
+// flate.NewWriter(BestSpeed) writes for one Write and a Flush or Close, and
+// a payload of at most one segment is byte for byte a stock zlib writer's
+// output (TestDeflateMatchesStdlib and FuzzDeflateMatchesStdlib hold the
+// two together). It is faster because it reads the segment in place,
+// counts the block histogram while matching and writes bits straight into
+// the output slice; it cannot fail. Open needs none of that: any inflater
+// reads the stream, so it keeps compress/zlib. The sealed size is part of
+// a DB object's name and simulated schedules must reproduce, so the output
+// is a function of the payload (and the IV) only — never of GOMAXPROCS, of
+// how many helpers were free, or of scheduling.
 package sealer
 
 import (
 	"bytes"
-	"compress/flate"
 	"compress/zlib"
 	"crypto/aes"
 	"crypto/cipher"
@@ -101,12 +114,12 @@ type Options struct {
 // Sealer seals byte payloads into tamper-evident (optionally compressed
 // and encrypted) cloud objects and opens them back.
 //
-// Seal/Open are allocation-pooled: deflate writer and zlib reader state,
+// Seal/Open are allocation-pooled: deflate encoder and zlib reader state,
 // HMAC state and compression buffers are recycled via sync.Pool, and the
 // AES block cipher is built once at construction. At high update rates the
 // per-object seal cost would otherwise be dominated by re-allocating that
-// state (a fresh deflate writer alone is several hundred KiB). Both
-// methods remain safe for concurrent use.
+// state (an encoder's hash table alone is 128 KiB). Both methods remain
+// safe for concurrent use.
 type Sealer struct {
 	opts   Options
 	encKey []byte
@@ -118,19 +131,14 @@ type Sealer struct {
 
 // Key-independent scratch state is pooled at package level and shared by
 // every Sealer in the process: a fleet of a thousand tenants recycles one
-// set of deflate writers (several hundred KiB each) and buffers across all
-// of them instead of keeping a thousand idle copies warm. Only the HMAC
-// pool stays per-Sealer — its states are bound to that sealer's MAC key.
+// set of deflate encoders and buffers across all of them instead of
+// keeping a thousand idle copies warm. Only the HMAC pool stays
+// per-Sealer — its states are bound to that sealer's MAC key.
 var (
 	bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-	fwPool  = sync.Pool{New: func() any {
-		fw, err := flate.NewWriter(io.Discard, flate.BestSpeed)
-		if err != nil {
-			panic(err) // unreachable: BestSpeed is a valid level
-		}
-		return fw
-	}}
-	zrPool sync.Pool // io.ReadCloser + zlib.Resetter
+	segPool = sync.Pool{New: func() any { return new([]byte) }} // deflated segments
+	encPool = sync.Pool{New: func() any { return newEncoder() }}
+	zrPool  sync.Pool // io.ReadCloser + zlib.Resetter
 
 	// helpers counts the goroutines currently lent to multi-segment Seal
 	// calls, process-wide (see deflate).
@@ -197,29 +205,25 @@ func (s *Sealer) sum(dst, data []byte) []byte {
 // core (see deflate); the bytes do not depend on how many there were.
 func (s *Sealer) Seal(payload []byte) ([]byte, error) {
 	var flags byte
-	var segs []*bytes.Buffer
+	var segs []segment
 	bodyLen := len(payload)
 	if s.opts.Compress {
 		flags |= flagCompressed
-		var one [1]*bytes.Buffer // keeps the one-segment path allocation-free
-		var err error
+		var one [1]segment // keeps the one-segment path allocation-free
 		if len(payload) <= segmentSize {
-			one[0], err = deflateSegment(payload, true)
+			one[0] = compressSegment(payload, true)
 			segs = one[:]
 		} else {
-			segs, err = deflate(payload)
+			segs = deflate(payload)
 		}
 		defer func() {
 			for _, seg := range segs {
-				bufPool.Put(seg)
+				segPool.Put(seg.buf)
 			}
 		}()
-		if err != nil {
-			return nil, fmt.Errorf("sealer: compress: %w", err)
-		}
 		bodyLen = zlibOverhead
 		for _, seg := range segs {
-			bodyLen += seg.Len()
+			bodyLen += len(*seg.buf)
 		}
 	}
 	size := len(magic) + 1 + bodyLen + macSize
@@ -241,10 +245,12 @@ func (s *Sealer) Seal(payload []byte) ([]byte, error) {
 	start := len(out)
 	if s.opts.Compress {
 		out = append(out, 0x78, 0x01) // RFC 1950: deflate, 32 KiB window, fastest
+		sum := uint32(1)              // Adler-32 of nothing
 		for _, seg := range segs {
-			out = append(out, seg.Bytes()...)
+			out = append(out, *seg.buf...)
+			sum = adler32Combine(sum, seg.sum, seg.n)
 		}
-		out = binary.BigEndian.AppendUint32(out, adler32.Checksum(payload))
+		out = binary.BigEndian.AppendUint32(out, sum)
 	} else {
 		out = append(out, payload...)
 	}
@@ -254,22 +260,41 @@ func (s *Sealer) Seal(payload []byte) ([]byte, error) {
 	return s.sum(out, out), nil
 }
 
-// deflateSegment compresses one segment into a pooled buffer with a pooled
-// raw deflate writer. Every segment but the stream's last ends in a sync
-// flush, which leaves the output byte-aligned and the stream open.
-func deflateSegment(seg []byte, last bool) (*bytes.Buffer, error) {
-	buf := bufPool.Get().(*bytes.Buffer)
-	buf.Reset()
-	fw := fwPool.Get().(*flate.Writer)
-	defer fwPool.Put(fw)
-	fw.Reset(buf)
-	if _, err := fw.Write(seg); err != nil {
-		return buf, err
-	}
-	if last {
-		return buf, fw.Close()
-	}
-	return buf, fw.Flush()
+// deflateSegment appends seg's raw deflate stream to dst, using a pooled
+// encoder. Every segment but the stream's last ends in a sync flush, which
+// leaves the output byte-aligned and the stream open.
+func deflateSegment(dst, seg []byte, last bool) []byte {
+	e := encPool.Get().(*encoder)
+	dst = e.deflate(dst, seg, last)
+	encPool.Put(e)
+	return dst
+}
+
+// segment is one deflated segment of a compressed payload.
+type segment struct {
+	buf *[]byte // pooled; the deflated bytes
+	n   int     // raw length
+	sum uint32  // Adler-32 of the raw bytes
+}
+
+// compressSegment deflates raw into a pooled buffer and checksums it.
+func compressSegment(raw []byte, last bool) segment {
+	buf := segPool.Get().(*[]byte)
+	*buf = deflateSegment((*buf)[:0], raw, last)
+	return segment{buf: buf, n: len(raw), sum: adler32.Checksum(raw)}
+}
+
+// adler32Combine returns the Adler-32 of a‖b from the Adler-32 of a, that of
+// b and the length of b (zlib's adler32_combine).
+func adler32Combine(sumA, sumB uint32, lenB int) uint32 {
+	const mod = 65521
+	rem := uint64(lenB % mod)
+	a1, b1 := uint64(sumA&0xffff), uint64(sumA>>16)
+	a2, b2 := uint64(sumB&0xffff), uint64(sumB>>16)
+	// a = a1 + a2 - 1 and b = b1 + b2 + lenB·(a1 - 1), both mod 65521.
+	a := (a1 + a2 + mod - 1) % mod
+	b := (rem*a1 + b1 + b2 + mod - rem) % mod
+	return uint32(b<<16 | a)
 }
 
 // borrowHelper claims one slot of the helper budget, or reports that none
@@ -291,15 +316,14 @@ func borrowHelper() bool {
 // workers sealing a dump at once — or a fleet of a thousand tenants —
 // cannot oversubscribe the machine. Which goroutine compresses which
 // segment does not reach the output.
-func deflate(payload []byte) ([]*bytes.Buffer, error) {
+func deflate(payload []byte) []segment {
 	n := (len(payload) + segmentSize - 1) / segmentSize
-	segs := make([]*bytes.Buffer, n)
-	errs := make([]error, n)
+	segs := make([]segment, n)
 	var next atomic.Int32
 	work := func() {
 		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
 			end := min((i+1)*segmentSize, len(payload))
-			segs[i], errs[i] = deflateSegment(payload[i*segmentSize:end], i == n-1)
+			segs[i] = compressSegment(payload[i*segmentSize:end], i == n-1)
 		}
 	}
 	var wg sync.WaitGroup
@@ -313,7 +337,7 @@ func deflate(payload []byte) ([]*bytes.Buffer, error) {
 	}
 	work()
 	wg.Wait()
-	return segs, errors.Join(errs...)
+	return segs
 }
 
 // Open verifies and unwraps a sealed object. The result never aliases
