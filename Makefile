@@ -28,11 +28,13 @@ test:
 race:
 	$(GO) test -race ./internal/obs/... ./internal/core/... ./internal/cloud/... ./internal/sim/... ./internal/simclock/... ./internal/sealer/...
 
-# determinism runs every virtual-time test — core's, the sim seed set and
-# the four bench smokes (cmd/ginja-bench) — at three core counts, with the
-# simclock token oracle on (their TestMain switches it on): a schedule is a
+# determinism runs every virtual-time test — the clock's own (where time
+# moves: on the release that leaves no work token outstanding), core's, the
+# sim seed set and the four bench smokes (cmd/ginja-bench) — at three core
+# counts, with the simclock token oracle on (simtest.Main in their TestMain;
+# the clock's oracle tests switch it on themselves): a schedule is a
 # function of its seed, never of how many Ps run it.
-DETERMINISM_PKGS = ./internal/core/... ./internal/sim/... ./internal/experiments/... ./cmd/ginja-bench
+DETERMINISM_PKGS = ./internal/simclock/... ./internal/core/... ./internal/sim/... ./internal/experiments/... ./cmd/ginja-bench
 determinism:
 	for p in 1 2 8; do GOMAXPROCS=$$p $(GO) test -count=1 $(DETERMINISM_PKGS) || exit 1; done
 

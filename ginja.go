@@ -119,8 +119,8 @@ type (
 	Clock = simclock.Clock
 	// ClockTimer is the resettable timer a Clock hands out.
 	ClockTimer = simclock.Timer
-	// SimClock is the virtual clock: time advances only when the test
-	// driver (or its Pump) fires pending timers.
+	// SimClock is the virtual clock: time advances only when every
+	// goroutine of the simulation, its driver included, is parked.
 	SimClock = simclock.SimClock
 )
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -21,10 +20,13 @@ import (
 var errTransient = errors.New("transient cloud failure")
 
 // scriptStore answers every operation from a script: the first failFirst
-// calls fail with err, later ones succeed.
+// calls fail with err, later ones succeed. It records the instant of each
+// call on clk.
 type scriptStore struct {
+	clk       simclock.Clock
 	mu        sync.Mutex
 	calls     int
+	at        []time.Time
 	failFirst int
 	err       error
 }
@@ -33,6 +35,7 @@ func (s *scriptStore) next() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.calls++
+	s.at = append(s.at, s.clk.Now())
 	if s.calls <= s.failFirst {
 		return s.err
 	}
@@ -49,9 +52,9 @@ func (s *scriptStore) List(context.Context, string) ([]cloud.ObjectInfo, error) 
 func (s *scriptStore) Delete(context.Context, string) error { return s.next() }
 
 // TestCloudIORetryPolicy is the table of the one retry loop, for each of
-// the four operations, on a hand-advanced virtual clock: the test itself
-// fires each backoff timer and reads off how long the loop asked to sleep,
-// so no verdict depends on how fast anything runs.
+// the four operations, on a virtual clock: the store records the instant
+// of every attempt, so each backoff is read off exactly as the gap between
+// two attempts and no verdict depends on how fast anything runs.
 func TestCloudIORetryPolicy(t *testing.T) {
 	ops := map[string]func(c *cloudIO, ctx context.Context, once bool) error{
 		"put-safety": func(c *cloudIO, ctx context.Context, _ bool) error {
@@ -80,10 +83,10 @@ func TestCloudIORetryPolicy(t *testing.T) {
 		failFirst int
 		err       error
 		once      bool
-		cancelAt  int // cancel the context during this sleep (1-based; 0 = never)
+		cancelAt  time.Duration // cancel the context at this instant (0 = never)
 
 		wantErr    error // nil = success
-		wantSleeps int
+		wantSleeps int   // backoffs begun; a cancelled one is cut short
 		wantCalls  int
 	}
 	cases := []tc{
@@ -96,7 +99,9 @@ func TestCloudIORetryPolicy(t *testing.T) {
 			wantErr: cloud.ErrNotFound, wantSleeps: 0, wantCalls: 1},
 		{name: "delete-not-found-success", only: "delete", base: time.Millisecond, failFirst: 99, err: cloud.ErrNotFound,
 			wantSleeps: 0, wantCalls: 1},
-		{name: "cancel-mid-sleep", base: time.Second, failFirst: 99, err: errTransient, cancelAt: 2,
+		// Attempt 2 lands in [0.5s, 1s) and attempt 3 could not before
+		// 1.5s: 1.25s is inside the second backoff.
+		{name: "cancel-mid-sleep", base: time.Second, failFirst: 99, err: errTransient, cancelAt: 1250 * time.Millisecond,
 			wantErr: errTransient, wantSleeps: 2, wantCalls: 2},
 		{name: "poll-list-single-attempt", only: "list", base: time.Millisecond, failFirst: 99, err: errTransient, once: true,
 			wantErr: errTransient, wantSleeps: 0, wantCalls: 1},
@@ -109,7 +114,7 @@ func TestCloudIORetryPolicy(t *testing.T) {
 			c, op := c, op
 			t.Run(c.name+"/"+opName, func(t *testing.T) {
 				clk := simclock.NewSim()
-				store := &scriptStore{failFirst: c.failFirst, err: c.err}
+				store := &scriptStore{clk: clk, failFirst: c.failFirst, err: c.err}
 				// Hand-built Params: RetryBaseDelay 0 must stay 0 on the way in.
 				io, err := newCloudIO(store, Params{Clock: clk, RetryBaseDelay: c.base, UploadRetries: c.retries})
 				if err != nil {
@@ -117,40 +122,29 @@ func TestCloudIORetryPolicy(t *testing.T) {
 				}
 				ctx, cancel := context.WithCancel(context.Background())
 				defer cancel()
-				done := make(chan error, 1)
-				go func() { done <- op(io, ctx, c.once) }()
-
-				var sleeps []time.Duration
+				start := clk.Now()
 				var opErr error
-			drive:
-				for {
-					select {
-					case opErr = <-done:
-						break drive
-					default:
-					}
-					deadline, ok := clk.NextDeadline()
-					if !ok {
-						runtime.Gosched()
-						continue
-					}
-					sleeps = append(sleeps, deadline.Sub(clk.Now()))
-					if c.cancelAt == len(sleeps) {
-						cancel()
-						opErr = <-done
-						break drive
-					}
-					clk.AdvanceToNext()
-					// The loop is now between this sleep and the next (or
-					// done); wait for it to say which.
-					for clk.PendingTimers() == 0 {
-						select {
-						case opErr = <-done:
-							break drive
-						default:
-							runtime.Gosched()
-						}
-					}
+				var took time.Duration
+				g := simclock.NewGroup(clk)
+				g.Go(func() {
+					opErr = op(io, ctx, c.once)
+					took = clk.Since(start)
+				})
+				if c.cancelAt > 0 {
+					clk.Sleep(c.cancelAt)
+					cancel()
+				}
+				g.Wait()
+				if c.cancelAt > 0 && took != c.cancelAt {
+					t.Fatalf("returned at +%v, want at the cancel instant +%v", took, c.cancelAt)
+				}
+				var sleeps []time.Duration
+				for k := 1; k < len(store.at); k++ {
+					sleeps = append(sleeps, store.at[k].Sub(store.at[k-1]))
+				}
+				completed := c.wantSleeps
+				if c.cancelAt > 0 {
+					completed--
 				}
 
 				if c.wantErr == nil && opErr != nil {
@@ -162,8 +156,8 @@ func TestCloudIORetryPolicy(t *testing.T) {
 				if store.calls != c.wantCalls {
 					t.Fatalf("store calls = %d, want %d", store.calls, c.wantCalls)
 				}
-				if len(sleeps) != c.wantSleeps {
-					t.Fatalf("sleeps = %v, want %d of them", sleeps, c.wantSleeps)
+				if len(sleeps) != completed {
+					t.Fatalf("sleeps = %v, want %d of them", sleeps, completed)
 				}
 				// Sleep k is the nominal delay — base floored at 1 ms,
 				// doubled k times, capped at maxRetryDelay — scaled into
@@ -351,7 +345,9 @@ func TestClassParity(t *testing.T) {
 			if err := fol.Start(ctx); err != nil {
 				t.Fatalf("follower start: %v", err)
 			}
-			waitUntil(t, func() bool { return fol.Stats().Polls >= 3 })
+			for fol.Stats().Polls < 3 {
+				time.Sleep(params.FollowInterval)
+			}
 			gp, err := fol.Promote(ctx)
 			if err != nil {
 				t.Fatalf("promote: %v", err)

@@ -256,13 +256,9 @@ func TestPipelineDisablePackingAblation(t *testing.T) {
 // 0, which used to double to 0 forever — a busy spin against a down
 // provider. Here: three failures are three counted commit-path retries and
 // the object lands. The delays themselves (1 ms floor, jitter window) are
-// asserted by TestCloudIORetryPolicy on a hand-advanced clock, where no
-// unrelated timer can fire in between.
+// asserted by TestCloudIORetryPolicy, whose store times every attempt.
 func TestPipelineRetryDelayFloorVirtualClock(t *testing.T) {
 	clk := simclock.NewSim()
-	stopPump := clk.Pump()
-	defer stopPump()
-
 	p := testParams(1, 10)
 	p.Clock = clk
 	p.RetryBaseDelay = 0 // deliberately NOT validated
@@ -385,10 +381,9 @@ func TestCrashMidPackedBatch(t *testing.T) {
 		}
 	}
 	// Wait for ts=1 and ts=3 to land; ts=2 is stuck behind the gate.
-	waitUntil(t, func() bool {
-		infos, err := mem.List(context.Background(), "WAL/")
-		return err == nil && len(infos) >= 2
-	})
+	for infos, _ := mem.List(context.Background(), "WAL/"); len(infos) < 2; infos, _ = mem.List(context.Background(), "WAL/") {
+		time.Sleep(time.Millisecond)
+	}
 	// Crash: abort in-flight uploads without draining (the gated PUT is
 	// cancelled, ts=2 is lost with the machine).
 	g.pipe.drainAndStop(10 * time.Millisecond) //nolint:errcheck

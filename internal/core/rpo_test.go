@@ -37,7 +37,7 @@ func TestRPOWatermarkAdvancesOnAckOnly(t *testing.T) {
 	if _, err := q.put(update{path: "f", off: 0, data: []byte("a")}); err != nil {
 		t.Fatal(err)
 	}
-	clk.Advance(50 * time.Millisecond)
+	clk.Sleep(50 * time.Millisecond)
 	if d := rpo(); d != 50*time.Millisecond {
 		t.Fatalf("RPO after 50ms = %v, want 50ms", d)
 	}
@@ -47,7 +47,7 @@ func TestRPOWatermarkAdvancesOnAckOnly(t *testing.T) {
 	if _, err := q.put(update{path: "f", off: 1, data: []byte("b")}); err != nil {
 		t.Fatal(err)
 	}
-	clk.Advance(50 * time.Millisecond)
+	clk.Sleep(50 * time.Millisecond)
 	if d := rpo(); d != 100*time.Millisecond {
 		t.Fatalf("RPO after enqueue + 50ms = %v, want 100ms (enqueue moved the watermark)", d)
 	}
@@ -67,7 +67,7 @@ func TestRPOWatermarkAdvancesOnAckOnly(t *testing.T) {
 		t.Fatalf("loss-window sum = %v s, want 0.1", got)
 	}
 
-	clk.Advance(25 * time.Millisecond)
+	clk.Sleep(25 * time.Millisecond)
 	q.removeFront(1)
 	at, ok := q.oldestPendingAt()
 	if ok {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"runtime"
 	"testing"
 	"time"
 
@@ -11,20 +10,10 @@ import (
 // These tests pin the TB/TS timeout machinery to exact virtual
 // timestamps: no wall-clock sleeps, no timing slop, and the
 // multi-virtual-minute scenarios (10-second retry backoff, Safety
-// timeouts) finish in microseconds.
-
-// waitUntil yields the scheduler until cond holds; it fails the test
-// rather than spinning forever.
-func waitUntil(t *testing.T, cond func() bool) {
-	t.Helper()
-	for i := 0; i < 1_000_000; i++ {
-		if cond() {
-			return
-		}
-		runtime.Gosched()
-	}
-	t.Fatal("condition never held")
-}
+// timeouts) finish in microseconds. The test goroutine is the clock's
+// driver: a clk.Sleep(d) fires every timer due within d, in deadline
+// order and equal deadlines in arming order, before it returns, and a
+// clk.Sleep(0) returns once every goroutine it started has parked.
 
 func simQueueParams(clk simclock.Clock, b, s int) Params {
 	p := testParams(b, s)
@@ -48,7 +37,7 @@ func TestSimTBFiresAtExactDeadline(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	clk.Advance(99 * time.Millisecond)
+	clk.Sleep(99 * time.Millisecond)
 	q.mu.Lock()
 	expired := q.tbExpired
 	q.mu.Unlock()
@@ -56,7 +45,7 @@ func TestSimTBFiresAtExactDeadline(t *testing.T) {
 		t.Fatal("TB expired before the deadline")
 	}
 
-	clk.Advance(time.Millisecond) // onTB fires synchronously here
+	clk.Sleep(time.Millisecond)   // onTB, armed first, fires first
 	batch, ok := q.nextBatch(nil) // must not block: partial batch released
 	if !ok || len(batch) != 2 {
 		t.Fatalf("nextBatch after TB = (%d items, %v), want 2 items", len(batch), ok)
@@ -72,8 +61,8 @@ func TestSimTBRearmsPerBatch(t *testing.T) {
 	q := newCommitQueue(p)
 	defer q.close()
 
-	if clk.PendingTimers() != 0 {
-		t.Fatalf("idle queue scheduled %d timers, want 0", clk.PendingTimers())
+	if q.tbTimer.Stop() || q.tsTimer.Stop() {
+		t.Fatal("idle queue armed a timer")
 	}
 	for i := 0; i < 3; i++ {
 		if _, err := q.put(update{path: "f", off: int64(i), data: []byte("x")}); err != nil {
@@ -84,7 +73,7 @@ func TestSimTBRearmsPerBatch(t *testing.T) {
 		t.Fatalf("first batch = (%d, %v)", len(batch), ok)
 	}
 	// One unsent item remains: TB must be armed and release it at +100ms.
-	clk.Advance(100 * time.Millisecond)
+	clk.Sleep(100 * time.Millisecond)
 	if batch, ok := q.nextBatch(nil); !ok || len(batch) != 1 {
 		t.Fatalf("TB batch = (%d, %v), want the 1 leftover item", len(batch), ok)
 	}
@@ -104,29 +93,29 @@ func TestSimTSExpiryBlocksCommits(t *testing.T) {
 	if _, err := q.put(update{path: "f", off: 0, data: []byte("x")}); err != nil {
 		t.Fatal(err)
 	}
-	clk.Advance(5 * time.Second) // onTS fires: queue is now in the blocked state
+	clk.Sleep(5 * time.Second) // onTS fires: queue is now in the blocked state
 
-	done := make(chan time.Duration, 1)
-	go func() {
-		blocked, err := q.put(update{path: "f", off: 1, data: []byte("y")})
-		if err != nil {
-			done <- -1
-			return
-		}
-		done <- blocked
-	}()
+	var blocked time.Duration
+	var putErr error
+	returned := false
+	writer := simclock.NewGroup(clk)
+	writer.Go(func() {
+		blocked, putErr = q.put(update{path: "f", off: 1, data: []byte("y")})
+		returned = true
+	})
 	// The second put must have enqueued and parked (it cannot finish while
 	// tsExpired holds).
-	waitUntil(t, func() bool { return q.size() == 2 })
-	select {
-	case d := <-done:
-		t.Fatalf("put returned (%v) although TS had expired", d)
-	default:
+	clk.Sleep(0)
+	if q.size() != 2 || returned {
+		t.Fatalf("queue holds %d updates, put returned %v: want 2 and a parked put", q.size(), returned)
 	}
 
-	clk.Advance(3 * time.Second) // the writer stays blocked across virtual time
-	q.removeFront(1)             // cloud acknowledged the old update
-	blocked := <-done
+	clk.Sleep(3 * time.Second) // the writer stays blocked across virtual time
+	q.removeFront(1)           // cloud acknowledged the old update
+	writer.Wait()
+	if putErr != nil {
+		t.Fatal(putErr)
+	}
 	if blocked < 3*time.Second {
 		t.Fatalf("blocked duration = %v, want ≥ 3s of virtual time", blocked)
 	}
@@ -146,18 +135,20 @@ func TestSimDrainTimesOutVirtually(t *testing.T) {
 	if _, err := q.put(update{path: "f", off: 0, data: []byte("x")}); err != nil {
 		t.Fatal(err)
 	}
-	res := make(chan bool, 1)
-	go func() { res <- q.drain(5 * time.Second) }()
-	// drain registers its timeout timer before parking; the put above
-	// already armed TB and TS, so drain's makes three.
-	waitUntil(t, func() bool { return clk.PendingTimers() >= 3 })
-	select {
-	case r := <-res:
-		t.Fatalf("drain returned %v before its virtual deadline", r)
-	default:
+	drained, returned := true, false
+	drainer := simclock.NewGroup(clk)
+	drainer.Go(func() {
+		drained = q.drain(5 * time.Second)
+		returned = true
+	})
+	// drain arms its timeout timer, then parks.
+	clk.Sleep(0)
+	if returned {
+		t.Fatalf("drain returned %v before its virtual deadline", drained)
 	}
-	clk.Advance(5 * time.Second)
-	if r := <-res; r {
+	clk.Sleep(5 * time.Second) // drain's timer was armed first: it fires first
+	drainer.Wait()
+	if drained {
 		t.Fatal("drain reported success on a stuck queue")
 	}
 
@@ -175,9 +166,6 @@ func TestSimDrainTimesOutVirtually(t *testing.T) {
 // the simulation clock the whole walk takes microseconds.
 func TestSimPipelineFatalAfterRetryBudget(t *testing.T) {
 	clk := simclock.NewSim()
-	stopPump := clk.Pump()
-	defer stopPump()
-
 	p := testParams(1, 2)
 	p.Clock = clk
 	p.UploadRetries = 3

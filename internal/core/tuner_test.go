@@ -143,7 +143,9 @@ func TestSolveKnobsClampsToSafety(t *testing.T) {
 // wake and cut a batch of 3 — a publish that didn't broadcast would
 // deadlock the pipeline until the (long) old TB fired.
 func TestCommitQueueShrinkWakesAggregator(t *testing.T) {
+	clk := simclock.NewSim()
 	p := testParams(100, 1000)
+	p.Clock = clk
 	p.BatchTimeout = time.Hour // only the knob change may release the cut
 	params, err := p.Validate()
 	if err != nil {
@@ -156,26 +158,25 @@ func TestCommitQueueShrinkWakesAggregator(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got := make(chan int, 1)
-	go func() {
-		b, ok := q.nextBatch(nil)
-		if ok {
-			got <- len(b)
+	cut := -1
+	aggregator := simclock.NewGroup(clk)
+	aggregator.Go(func() {
+		if b, ok := q.nextBatch(nil); ok {
+			cut = len(b)
 		}
-	}()
-	select {
-	case n := <-got:
-		t.Fatalf("nextBatch returned %d updates before the shrink", n)
-	case <-time.After(20 * time.Millisecond):
+	})
+	clk.Sleep(0) // the aggregator parks: 5 updates are short of B
+	if cut != -1 {
+		t.Fatalf("nextBatch returned %d updates before the shrink", cut)
 	}
+	start := clk.Now()
 	q.setKnobs(3, time.Hour)
-	select {
-	case n := <-got:
-		if n != 3 {
-			t.Fatalf("batch of %d after shrink to B=3", n)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("aggregator still parked after knob shrink (missing wakeup)")
+	aggregator.Wait()
+	if cut != 3 {
+		t.Fatalf("batch of %d after shrink to B=3", cut)
+	}
+	if d := clk.Since(start); d != 0 {
+		t.Fatalf("aggregator woke at +%v, by the re-armed TB, not by the shrink (missing wakeup)", d)
 	}
 	if b, tb := q.knobs(); b != 3 || tb != time.Hour {
 		t.Fatalf("knobs() = (%d, %v), want (3, 1h)", b, tb)
@@ -189,9 +190,6 @@ func TestCommitQueueShrinkWakesAggregator(t *testing.T) {
 // the ceiling.
 func TestTunerAdaptsUnderSimulatedCloud(t *testing.T) {
 	clk := simclock.NewSim()
-	stopPump := clk.Pump()
-	defer stopPump()
-
 	store := cloudsim.New(cloud.NewMemStore(), cloudsim.Options{
 		Profile: cloudsim.Profile{BaseLatency: 40 * time.Millisecond, UploadBandwidth: 8e6, DownloadBandwidth: 30e6},
 		Clock:   clk,
@@ -253,9 +251,6 @@ func TestAdaptiveProperty(t *testing.T) {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			clk := simclock.NewSim()
-			stopPump := clk.Pump()
-			defer stopPump()
-
 			store := cloudsim.New(cloud.NewMemStore(), cloudsim.Options{
 				Profile: cloudsim.Profile{
 					BaseLatency:     time.Duration(5+rng.Intn(150)) * time.Millisecond,
@@ -353,10 +348,9 @@ func TestCrashMidPipelinedPut(t *testing.T) {
 		}
 	}
 	// ts=1 and ts=3 land; ts=2 is sealed but stuck behind the gate.
-	waitUntil(t, func() bool {
-		infos, err := mem.List(context.Background(), "WAL/")
-		return err == nil && len(infos) >= 2
-	})
+	for infos, _ := mem.List(context.Background(), "WAL/"); len(infos) < 2; infos, _ = mem.List(context.Background(), "WAL/") {
+		time.Sleep(time.Millisecond)
+	}
 	// No release may have happened: ts=1 alone is not a full batch, and
 	// the ts=2 gap blocks the frontier. Then crash without draining.
 	if got := g.pipe.q.size(); got != 6 {

@@ -144,7 +144,6 @@ type commitOutcome struct {
 func driveCommits(d commitDrive) (commitOutcome, error) {
 	var out commitOutcome
 	rig := sim.NewRig(sim.WAN(d.rtt, 0), 1)
-	defer rig.Close()
 
 	// The registry's first registration wins, so registering the
 	// commit-latency histogram before core.New picks its buckets.

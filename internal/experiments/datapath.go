@@ -132,14 +132,9 @@ type bulkRun struct {
 // startBulk boots a primary whose every checkpoint crosses DumpThreshold,
 // with dumps split at maxObjectSize and parallel uploaders/fetchers, fills
 // rows × valueBytes and drains the commit path. tune adjusts the params
-// before boot (nil: none). The caller must Close b.rig.
+// before boot (nil: none).
 func startBulk(rows, valueBytes int, maxObjectSize int64, parallel int, tune func(*core.Params)) (b *bulkRun, err error) {
 	rig := sim.NewRig(sim.WAN(40*time.Millisecond, 0), 1)
-	defer func() {
-		if err != nil {
-			rig.Close()
-		}
-	}()
 	b = &bulkRun{rig: rig, reg: obs.NewRegistry(), params: rig.Params()}
 	b.params.Metrics = b.reg
 	b.params.Batch = 4
@@ -242,7 +237,6 @@ func measureDatapath(opts DatapathOptions, parallel int) (DatapathRun, streamSam
 	if err != nil {
 		return run, sample, err
 	}
-	defer b.rig.Close()
 
 	// The measured window: checkpoint submission → dump durable.
 	upload, err := b.checkpoint("dump")

@@ -141,7 +141,6 @@ func measureDeltaScenario(opts DeltaBenchOptions, deltas bool) (*deltaBenchRun, 
 	if err != nil {
 		return nil, fmt.Errorf("bulk fill: %w", err)
 	}
-	defer b.rig.Close()
 	g, db := b.g, b.db
 
 	// Settle one checkpoint to establish the base: the crossing finds the

@@ -98,7 +98,6 @@ func fleetPoint(opts FleetBenchOptions, tenants int) (FleetBenchRow, error) {
 	gor0 := runtime.NumGoroutine()
 
 	rig := sim.NewRig(sim.WAN(40*time.Millisecond, 0), int64(tenants))
-	defer rig.Close()
 	fleet, err := rig.Fleet(nil)
 	if err != nil {
 		return row, err

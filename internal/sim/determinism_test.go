@@ -25,3 +25,22 @@ func TestRunTraceIsSeedOnly(t *testing.T) {
 		}
 	}
 }
+
+// TestRunFleetTraceIsSeedOnly is the same pin for the fleet drill, whose
+// scheduler hands its shared upload and fetch slots between tenants
+// directly on the virtual clock.
+func TestRunFleetTraceIsSeedOnly(t *testing.T) {
+	const want = 0xb3f16f063634c162
+	cfg := FleetConfig{Seed: 1, Tenants: 12, Writers: 4, StepsPerWriter: 30, Churn: 3}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		res, err := RunFleet(cfg)
+		if err != nil {
+			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
+		}
+		if res.TraceHash != want {
+			t.Errorf("GOMAXPROCS=%d: trace hash %#x, want %#x", procs, res.TraceHash, uint64(want))
+		}
+	}
+}

@@ -43,6 +43,9 @@ type FleetResult struct {
 	CrashedFlushed       int // flushed frontier the cut must cover (-1: none)
 	SafetyDeadlineMisses int64
 	VirtualElapsed       time.Duration
+	// TraceHash fingerprints the fleet's cloud traffic, every tenant's
+	// and the recovery's, as Result.TraceHash does a solo site's.
+	TraceHash uint64
 }
 
 // fleetWriter is one tenant running a workload.
@@ -84,8 +87,7 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed ^ 0xf1ee7))
 
 	rig := NewRig(WAN(faultLatency, 0.10), cfg.Seed)
-	defer rig.Close()
-	kill := &crashStore{inner: rig.Store}
+	kill := &crashStore{inner: rig.Store, clk: rig.Clock}
 	fleet, err := rig.Fleet(kill)
 	if err != nil {
 		return fail("new fleet: %v", err)
@@ -225,6 +227,7 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 	res.CrashedFlushed = victim.flushed
 	res.SafetyDeadlineMisses = fleet.Stats().SafetyDeadlineMisses
 	res.VirtualElapsed = rig.Elapsed()
+	res.TraceHash = kill.traceHash()
 	if res.CrashedCut == -2 {
 		return fail("recovered state of %s matches no prefix of its history.\nrecovered: %v\nhistory: %+v",
 			victim.id, recovered, victim.log.history)

@@ -3,7 +3,6 @@ package sim
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"github.com/ginja-dr/ginja/internal/cloud"
@@ -16,19 +15,18 @@ import (
 	"github.com/ginja-dr/ginja/internal/vfs"
 )
 
-// Rig is the one virtual-time test stand: a SimClock with its Pump
-// running and a latency-modelled bucket on that clock, plus the
-// driver-side verbs every schedule and every BENCH path repeats. It is
-// the only place outside tests that starts a Pump, so whatever replaces
-// the Pump's idle heuristic (ROADMAP item 1) has one driver to change.
+// Rig is the one virtual-time test stand: a SimClock and a
+// latency-modelled bucket on that clock, plus the driver-side verbs every
+// schedule and every BENCH path repeats. The goroutine that builds a rig
+// is its clock's driver (see simclock.NewSim): virtual time moves only
+// while it waits — in Flush, SyncCheckpoints, a clock Sleep — and it must
+// close everything it started before it returns.
 type Rig struct {
 	Clock *simclock.SimClock
 	// Store is the simulated bucket (a MemStore behind the WAN model).
 	Store *cloudsim.Store
 
-	start    time.Time
-	stopPump func()
-	closed   sync.Once
+	start time.Time
 }
 
 // WAN is the network model of every virtual-time run: a fixed round trip
@@ -46,18 +44,12 @@ func WAN(rtt time.Duration, jitter float64) cloudsim.Profile {
 }
 
 // NewRig starts a virtual clock and puts an empty simulated bucket on it.
-// The caller must Close the rig.
 func NewRig(profile cloudsim.Profile, seed int64) *Rig {
 	clk := simclock.NewSim()
 	r := &Rig{Clock: clk, start: clk.Now()}
-	r.stopPump = clk.Pump()
 	r.Store = cloudsim.New(cloud.NewMemStore(), cloudsim.Options{Profile: profile, Clock: clk, Seed: seed})
 	return r
 }
-
-// Close stops the Pump; it returns once the Pump goroutine has exited.
-// Closing twice is harmless.
-func (r *Rig) Close() { r.closed.Do(r.stopPump) }
 
 // Elapsed is the virtual time since the rig was built.
 func (r *Rig) Elapsed() time.Duration { return r.Clock.Since(r.start) }

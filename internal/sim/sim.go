@@ -144,7 +144,6 @@ func Run(cfg Config) (*Result, error) {
 	rng := rand.New(rand.NewSource(sched.Seed ^ 0x5ee1e55edBeef))
 
 	rig := NewRig(WAN(faultLatency, 0.10), sched.Seed)
-	defer rig.Close()
 	clk, simStore := rig.Clock, rig.Store
 	kill := &crashStore{inner: simStore, clk: clk}
 

@@ -54,12 +54,7 @@ func (realClock) Now() time.Time                         { return time.Now() }
 func (realClock) Since(t time.Time) time.Duration        { return time.Since(t) }
 func (realClock) Until(t time.Time) time.Duration        { return time.Until(t) }
 func (realClock) After(d time.Duration) <-chan time.Time { return time.After(d) }
-
-func (realClock) Sleep(d time.Duration) {
-	if d > 0 {
-		<-time.NewTimer(d).C
-	}
-}
+func (realClock) Sleep(d time.Duration)                  { time.Sleep(d) }
 
 func (realClock) NewFuncTimer(f func()) Timer {
 	// The time package has no unarmed constructor: arm at a deadline that

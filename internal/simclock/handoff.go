@@ -5,24 +5,16 @@ import (
 	"reflect"
 	"slices"
 	"sync"
-	"time"
 )
 
 // The hand-off vocabulary: every place a goroutine of the system under
 // test starts another goroutine, parks, or wakes a parked one goes through
-// these helpers, so that a SimClock's work-token count stays exact (see
-// SimClock). On any other clock each helper is the plain operation — go,
-// sync.Cond, sync.WaitGroup, a channel send/receive/close — so production
-// runs the same instructions with or without a simulation behind it.
-//
-// Under a SimClock a parked goroutine waits on its own wake channel, never
-// directly on the operation it needs: the attempt is made under the
-// clock's lock, and a goroutine that changes a key (sends, receives or
-// closes a channel, signals a Cond, finishes a Group member) wakes the
-// goroutines parked on it with one token each. A woken goroutine retries
-// and parks again if it lost the race. A context that ends wakes its
-// parked goroutines too — from the Pump at the next idle instant, or at
-// once when no Pump runs.
+// these helpers, so that a SimClock's work-token count stays exact. On any
+// other clock each is the plain operation — go, sync.Cond, sync.WaitGroup,
+// a channel send/receive/close. Under a SimClock a parked goroutine waits
+// on its own wake channel: the attempt is made under the clock's lock, a
+// goroutine that changes a key (a channel, Cond or Group) wakes those
+// parked on it, and a woken goroutine retries, parking again if it lost.
 
 // simOf returns the SimClock whose tokens clk's waits are counted on, or
 // nil for the wall clock.
@@ -44,54 +36,37 @@ type parker struct {
 	stop func() bool     // deregisters the context callback
 }
 
-func (c *SimClock) grantLocked() {
-	c.busy++
-	c.moves++
-}
-
+// releaseLocked gives up a token; the last one steps the clock.
 func (c *SimClock) releaseLocked() {
 	c.busy--
 	c.moves++
-	if c.busy <= 0 {
-		c.idle.Signal()
-	}
+	c.stepLocked()
 }
 
-// parkLocked registers the calling goroutine on key and gives up its
-// token; the caller unlocks and receives from the returned wake channel.
+// parkLocked registers the calling goroutine on key. The caller then
+// drops any lock a timer callback could need, gives up its token
+// (releaseLocked, which may step) and receives from p.wake.
 func (c *SimClock) parkLocked(key any, ctx context.Context) *parker {
 	p := &parker{key: key, wake: make(chan struct{})}
 	c.parked[key] = append(c.parked[key], p)
+	c.watchLocked()
 	if ctx != nil && ctx.Done() != nil {
 		p.ctx = ctx
 		c.ctxParked = append(c.ctxParked, p)
 		p.stop = context.AfterFunc(ctx, func() {
 			c.mu.Lock()
 			defer c.mu.Unlock()
-			if c.pumping {
-				c.idle.Signal() // the Pump wakes it at the next idle instant
-			} else {
-				c.wakeLocked(p)
-			}
+			c.stepLocked() // the step wakes it, unless a token is outstanding
 		})
 	}
-	c.releaseLocked()
 	return p
 }
 
-// resumeLocked makes a parked (or not yet started) goroutine runnable with
-// a token: while a Pump runs it joins the ready queue, which the Pump
-// drains one goroutine per idle instant in wake order; otherwise at once.
+// resumeLocked queues a parked (or not yet started) goroutine to run with
+// a token; steps resume queued goroutines one at a time, in wake order.
 func (c *SimClock) resumeLocked(run func()) {
-	if !c.pumping {
-		c.grantLocked()
-		run()
-		return
-	}
 	c.ready = append(c.ready, run)
-	if c.busy <= 0 {
-		c.idle.Signal()
-	}
+	c.stepLocked()
 }
 
 // wakeLocked resumes p, unless it was woken already.
@@ -119,16 +94,19 @@ func (c *SimClock) wakeAllLocked(key any) {
 	}
 }
 
-// cancelledLocked returns the parked goroutines whose context has ended,
-// in parking order.
-func (c *SimClock) cancelledLocked() []*parker {
+// wakeCancelledLocked wakes the parked goroutines whose context has ended,
+// in parking order, and reports whether there were any.
+func (c *SimClock) wakeCancelledLocked() bool {
 	var ended []*parker
 	for _, p := range c.ctxParked {
 		if p.ctx.Err() != nil {
 			ended = append(ended, p)
 		}
 	}
-	return ended
+	for _, p := range ended {
+		c.wakeLocked(p)
+	}
+	return ended != nil
 }
 
 // await runs try under the clock lock until it succeeds, parking on key
@@ -148,6 +126,7 @@ func (c *SimClock) await(ctx context.Context, key any, try func() bool) error {
 			return err
 		}
 		p := c.parkLocked(key, ctx)
+		c.releaseLocked()
 		c.mu.Unlock()
 		<-p.wake
 		if p.stop != nil {
@@ -157,41 +136,9 @@ func (c *SimClock) await(ctx context.Context, key any, try func() bool) error {
 	}
 }
 
-// startLocked runs f on a new goroutine that holds a token from before its
-// go statement (see resumeLocked) until f returns and exit has run under
-// the clock lock.
-func (c *SimClock) startLocked(f func(), exit func()) {
-	c.resumeLocked(func() {
-		go func() {
-			c.touch()
-			defer c.finish(exit)
-			f()
-		}()
-	})
-}
-
-// finish ends a goroutine started by startLocked: exit, then the release.
-func (c *SimClock) finish(exit func()) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if exit != nil {
-		exit()
-	}
-	c.dropMemberLocked()
-	c.releaseLocked()
-}
-
 // Go runs f on a new goroutine. Under a SimClock the goroutine holds a
 // work token from before it starts until f returns.
-func Go(clk Clock, f func()) {
-	if s := simOf(clk); s != nil {
-		s.mu.Lock()
-		s.startLocked(f, nil)
-		s.mu.Unlock()
-		return
-	}
-	go f()
-}
+func Go(clk Clock, f func()) { NewGroup(clk).Go(f) }
 
 // Group is a sync.WaitGroup over goroutines started with its Go: Wait
 // parks like any other clock wait.
@@ -218,11 +165,25 @@ func (g *Group) Go(f func()) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	g.n++
-	s.startLocked(f, func() {
-		if g.n--; g.n == 0 {
-			s.wakeAllLocked(g)
-		}
+	s.resumeLocked(func() { // the token is granted before the go statement
+		go func() {
+			s.touch()
+			defer s.finish(g)
+			f()
+		}()
 	})
+}
+
+// finish ends a member of g under a SimClock: the last one wakes g's
+// waiters, then the member gives its token up.
+func (c *SimClock) finish(g *Group) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if g.n--; g.n == 0 {
+		c.wakeAllLocked(g)
+	}
+	c.dropMemberLocked()
+	c.releaseLocked()
 }
 
 // Wait blocks until every member has returned.
@@ -257,8 +218,9 @@ func (c *Cond) Wait() {
 	s.touch()
 	s.mu.Lock()
 	p := s.parkLocked(c, nil)
+	c.L.Unlock() // before the release: its step may fire a callback that takes L
+	s.releaseLocked()
 	s.mu.Unlock()
-	c.L.Unlock()
 	<-p.wake
 	c.L.Lock()
 }
@@ -296,23 +258,15 @@ func chanKey(ch any) any { return reflect.ValueOf(ch).UnsafePointer() }
 // Under a SimClock neither side ever blocks inside the channel itself, so
 // ch must be buffered: an unbuffered channel can only be closed.
 func Send[T any](ctx context.Context, clk Clock, ch chan<- T, v T) error {
-	if s := simOf(clk); s != nil {
-		return sendSim(ctx, s, ch, v)
+	s := simOf(clk)
+	if s == nil {
+		select {
+		case ch <- v:
+			return nil
+		case <-ctx.Done():
+			return ctx.Err()
+		}
 	}
-	done := ctx.Done()
-	if done == nil {
-		ch <- v
-		return nil
-	}
-	select {
-	case ch <- v:
-		return nil
-	case <-done:
-		return ctx.Err()
-	}
-}
-
-func sendSim[T any](ctx context.Context, s *SimClock, ch chan<- T, v T) error {
 	if cap(ch) == 0 {
 		panic("simclock: Send on an unbuffered channel can never complete under a SimClock")
 	}
@@ -329,23 +283,15 @@ func sendSim[T any](ctx context.Context, s *SimClock, ch chan<- T, v T) error {
 // Recv receives from ch; ok is false once ch is closed and drained. It
 // gives up with ctx's error if ctx ends first.
 func Recv[T any](ctx context.Context, clk Clock, ch <-chan T) (v T, ok bool, err error) {
-	if s := simOf(clk); s != nil {
-		return recvSim(ctx, s, ch)
+	s := simOf(clk)
+	if s == nil {
+		select {
+		case v, ok = <-ch:
+			return v, ok, nil
+		case <-ctx.Done():
+			return v, false, ctx.Err()
+		}
 	}
-	done := ctx.Done()
-	if done == nil {
-		v, ok = <-ch
-		return v, ok, nil
-	}
-	select {
-	case v, ok = <-ch:
-		return v, ok, nil
-	case <-done:
-		return v, false, ctx.Err()
-	}
-}
-
-func recvSim[T any](ctx context.Context, s *SimClock, ch <-chan T) (v T, ok bool, err error) {
 	err = s.await(ctx, chanKey(ch), func() bool {
 		select {
 		case v, ok = <-ch:
@@ -368,22 +314,4 @@ func Close[T any](clk Clock, ch chan<- T) {
 	defer s.mu.Unlock()
 	close(ch)
 	s.wakeAllLocked(chanKey(ch))
-}
-
-// deliver is a channel timer firing: a non-blocking send of now, which
-// wakes (and grants a token to) whoever is parked on the channel. A fire
-// nobody is parked on grants nothing, so a timer stopped or abandoned
-// with its value unconsumed leaves no token behind.
-func deliver(s *SimClock, ch chan time.Time, now time.Time) {
-	if s != nil {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-	}
-	select {
-	case ch <- now:
-	default:
-	}
-	if s != nil {
-		s.wakeAllLocked(chanKey(ch))
-	}
 }

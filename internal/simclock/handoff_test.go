@@ -17,8 +17,6 @@ import (
 // time never moves while a woken goroutine is still running.
 func TestHandoffsAreExactInVirtualTime(t *testing.T) {
 	clk := NewSim()
-	stop := clk.Pump()
-	defer stop()
 	start := clk.Now()
 
 	ch := make(chan int, 1)
@@ -66,8 +64,6 @@ func TestHandoffsAreExactInVirtualTime(t *testing.T) {
 // instant, ahead of any timer.
 func TestCancelWakesParkedBeforeTimeMoves(t *testing.T) {
 	clk := NewSim()
-	stop := clk.Pump()
-	defer stop()
 	ctx, cancel := context.WithCancel(context.Background())
 	var err error
 	var at time.Time
@@ -109,13 +105,12 @@ func spinOnClock(clk *SimClock, quit *atomic.Bool) {
 }
 
 // TestOracleReportsMissingGrant: a raw go statement under a SimClock runs
-// without a token, so the Pump is about to advance under it — and the
-// oracle fails with that goroutine's stack.
+// without a token, so the driver's sleep is about to advance time under
+// it — and the oracle fails with that goroutine's stack.
 func TestOracleReportsMissingGrant(t *testing.T) {
 	reports := withOracle(t)
 	clk := NewSim()
-	stop := clk.Pump()
-	defer stop()
+	clk.Now() // the driver joins the simulation
 	var quit atomic.Bool
 	defer quit.Store(true)
 	go spinOnClock(clk, &quit)
@@ -146,8 +141,6 @@ func TestOracleReportsLeakedToken(t *testing.T) {
 	done := make(chan struct{})
 	go func() { // the driver
 		defer close(done)
-		stop := clk.Pump()
-		defer stop()
 		Go(clk, func() { <-raw })
 		clk.Sleep(time.Second) // cannot fire while the token is held
 	}()
@@ -161,6 +154,40 @@ func TestOracleReportsLeakedToken(t *testing.T) {
 		t.Fatalf("unexpected report:\n%s", msg)
 	}
 	close(raw)
+	<-done
+}
+
+// parkForever is the goroutine TestOracleReportsDeadlock must name.
+func parkForever(clk *SimClock, never chan int) {
+	Recv(context.Background(), clk, never) //nolint:errcheck // Background never ends
+}
+
+// TestOracleReportsDeadlock: a goroutine parked on a channel nobody sends
+// on, a driver waiting for it and no timer — every goroutine is parked for
+// good, and the step that finds nothing to do says so at once, long before
+// the leaked-token watchdog would look. A wake from outside the
+// simulation still resumes it.
+func TestOracleReportsDeadlock(t *testing.T) {
+	reports := withOracle(t)
+	clk := NewSim()
+	never := make(chan int, 1)
+	done := make(chan struct{})
+	go func() { // the driver
+		defer close(done)
+		g := NewGroup(clk)
+		g.Go(func() { parkForever(clk, never) })
+		g.Wait()
+	}()
+	var msg string
+	select {
+	case msg = <-reports:
+	case <-time.After(oracleStall / 2):
+		t.Fatal("no deadlock report within half the watchdog's stall")
+	}
+	if !strings.Contains(msg, "deadlock") || !strings.Contains(msg, "parkForever") {
+		t.Fatalf("report does not name the parked goroutine:\n%s", msg)
+	}
+	Close(clk, never)
 	<-done
 }
 

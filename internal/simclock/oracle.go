@@ -3,6 +3,7 @@ package simclock
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -10,37 +11,35 @@ import (
 )
 
 // The oracle proves the work tokens complete instead of hoping. Switched
-// on (SetOracle), every Pump checks two things against the goroutine
-// headers of runtime.Stack(all):
+// on (SetOracle), every SimClock reports three failures:
 //
-//   - Before it advances time, no goroutine that touched the clock is
-//     running or runnable. One that is runs without a token: somebody
-//     woke it without the grant (a raw go statement, channel or cond in
-//     the system under test).
-//   - While tokens are outstanding, some goroutine is running. If every
-//     goroutine is parked and the count has not moved for a while, a token
-//     leaked — a parked goroutine kept it — and the run would hang.
+//   - missing grant (checkLocked): time is about to advance while a
+//     goroutine that touched the clock runs — woken without a token by a
+//     raw go statement, channel or cond in the system under test;
+//   - leaked token (watchLocked): tokens outstanding, yet every goroutine
+//     is parked and the count has not moved for oracleStall;
+//   - deadlock (deadlockLocked): a step finds nothing to do while
+//     goroutines are parked that no context can wake.
 //
 // It stops the world once per advance, so it is a check, never the
-// mechanism; off, it costs one atomic load per clock operation.
+// mechanism; off, it costs one atomic load per clock operation. Its
+// watchdog is the only background goroutine this package ever starts.
 
 var oracle atomic.Pointer[func(string)]
 
 // SetOracle switches the oracle on with report as its failure sink (nil
-// switches it off) and returns the previous sink. report runs on a Pump
-// goroutine, under the clock's lock, with a description and the offending
-// goroutines' stacks; it may panic.
+// switches it off) and returns the previous sink. report runs under the
+// clock's lock, on the goroutine stepping it or on the watchdog, with a
+// description and the offending goroutines' stacks; it may panic.
 func SetOracle(report func(msg string)) (prev func(string)) {
-	var old *func(string)
+	next := &report
 	if report == nil {
-		old = oracle.Swap(nil)
-	} else {
-		old = oracle.Swap(&report)
+		next = nil
 	}
-	if old == nil {
-		return nil
+	if old := oracle.Swap(next); old != nil {
+		prev = *old
 	}
-	return *old
+	return prev
 }
 
 // Goroutine is one entry of a runtime.Stack(all) dump.
@@ -56,7 +55,7 @@ func (g Goroutine) Running() bool { return g.State == "running" || g.State == "r
 // Goroutines parses the headers of a runtime.Stack dump of every
 // goroutine. The calling goroutine comes first.
 func Goroutines() []Goroutine {
-	buf := make([]byte, dumpSize.Load())
+	buf := make([]byte, max(dumpSize.Load(), 64<<10))
 	for {
 		n := runtime.Stack(buf, true)
 		if n < len(buf) {
@@ -79,24 +78,13 @@ func Goroutines() []Goroutine {
 // takes a single runtime.Stack call.
 var dumpSize atomic.Int64
 
-func init() { dumpSize.Store(64 << 10) }
-
 // parseHeader reads "goroutine 7 [chan receive, 2 minutes]:".
 func parseHeader(entry string) (Goroutine, bool) {
-	rest, ok := strings.CutPrefix(entry, "goroutine ")
-	if !ok {
-		return Goroutine{}, false
-	}
-	id, rest, ok := strings.Cut(rest, " [")
-	if !ok {
-		return Goroutine{}, false
-	}
-	state, _, ok := strings.Cut(rest, "]")
-	if !ok {
-		return Goroutine{}, false
-	}
+	head, _, closed := strings.Cut(entry, "]")
+	rest, named := strings.CutPrefix(head, "goroutine ")
+	id, state, opened := strings.Cut(rest, " [")
 	n, err := strconv.ParseInt(id, 10, 64)
-	if err != nil {
+	if !closed || !named || !opened || err != nil {
 		return Goroutine{}, false
 	}
 	state, _, _ = strings.Cut(state, ",")
@@ -132,7 +120,7 @@ func (c *SimClock) dropMemberLocked() {
 }
 
 // oracleStall is how long the count may sit still, with every goroutine
-// parked, before the idle wait calls it a leaked token.
+// parked, before the watchdog calls it a leaked token.
 const oracleStall = time.Second
 
 // parkingFrames are the hand-off code a goroutine runs after giving its
@@ -153,20 +141,15 @@ func parking(g Goroutine) bool {
 			strings.HasPrefix(line, "sync/") || strings.HasPrefix(line, "internal/") {
 			continue // the standard library's locks and atomics on the way
 		}
-		for _, p := range parkingFrames {
-			if strings.Contains(line, p) {
-				return true
-			}
-		}
-		return false
+		return slices.ContainsFunc(parkingFrames, func(f string) bool { return strings.Contains(line, f) })
 	}
 	return false
 }
 
 // checkLocked is the advance check: it returns false if the token count
-// moved while it looked (the Pump must wait again), true once time may
+// moved while it looked (the step must look again), true once time may
 // advance. A member running anything but its own parking is reported.
-func (c *SimClock) checkLocked(self int64) bool {
+func (c *SimClock) checkLocked() bool {
 	report := oracle.Load()
 	if report == nil {
 		return true
@@ -178,57 +161,66 @@ func (c *SimClock) checkLocked(self int64) bool {
 	if c.moves != moves || c.busy > 0 {
 		return false
 	}
-	var running []string
-	for _, g := range gs {
-		if g.ID != self && c.members[g.ID] && g.Running() && !parking(g) {
-			running = append(running, g.Stack)
-		}
-	}
-	if running != nil {
+	running := slices.DeleteFunc(gs[1:], func(g Goroutine) bool { return !c.members[g.ID] || !g.Running() || parking(g) })
+	if len(running) > 0 {
 		(*report)(fmt.Sprintf("simclock oracle: missing grant: time is about to advance from %v with no token outstanding, but %d goroutine(s) of the simulation are running:\n\n%s",
-			c.now, len(running), strings.Join(running, "\n\n")))
+			c.now, len(running), stacks(running)))
 	}
 	return true
 }
 
-// waitIdleLocked parks the Pump until the count may have reached zero.
-// With the oracle on the wait is bounded by oracleStall: a count that
-// stayed put that long with every goroutine parked is a leaked token.
-func (c *SimClock) waitIdleLocked(self int64) {
+// watchLocked arms the leaked-token watchdog, with the oracle on, unless
+// it is armed already. Every oracleStall it looks for tokens outstanding,
+// goroutines parked on the clock, no move since its last look and no
+// goroutine of the process running. It rearms while goroutines stay
+// parked; the next one to park arms it otherwise (a finished run's driver
+// keeps its token for good, with nothing left waiting).
+func (c *SimClock) watchLocked() {
 	report := oracle.Load()
-	if report == nil {
-		c.idle.Wait()
+	if c.watched || report == nil {
 		return
 	}
-	moves := c.moves
-	t := time.AfterFunc(oracleStall, func() {
+	c.watched = true
+	seen := c.moves
+	time.AfterFunc(oracleStall, func() {
 		c.mu.Lock()
-		c.idle.Signal()
-		c.mu.Unlock()
+		defer c.mu.Unlock()
+		c.watched = false
+		if oracle.Load() == nil || len(c.parked) == 0 {
+			return
+		}
+		if c.busy > 0 && c.moves == seen {
+			c.mu.Unlock()
+			gs := Goroutines()[1:]
+			c.mu.Lock()
+			if c.busy > 0 && c.moves == seen && len(c.parked) > 0 && !slices.ContainsFunc(gs, Goroutine.Running) {
+				(*report)(fmt.Sprintf("simclock oracle: leaked token: %d token(s) outstanding for %v while every goroutine is parked:\n\n%s",
+					c.busy, oracleStall, stacks(gs)))
+			}
+		}
+		c.watchLocked()
 	})
-	c.idle.Wait()
-	if t.Stop() || c.busy <= 0 || c.moves != moves {
+}
+
+// deadlockLocked ends a step that found nothing to do. If goroutines are
+// parked and none of them on a context (which could still end), every one
+// of them is parked for good: only a token holder wakes a parked
+// goroutine, and none is left. The oracle reports it at once; off, the
+// clock waits for a wake from outside the simulation.
+func (c *SimClock) deadlockLocked() {
+	report := oracle.Load()
+	if report == nil || len(c.parked) == 0 || len(c.ctxParked) > 0 {
 		return
 	}
-	c.mu.Unlock()
-	gs := Goroutines()
-	c.mu.Lock()
-	if c.busy <= 0 || c.moves != moves {
-		return
+	(*report)(fmt.Sprintf("simclock oracle: deadlock at %v: nothing is ready, no timer is pending and no context can end, but %d hand-off(s) have goroutines parked on them:\n\n%s",
+		c.now, len(c.parked), stacks(Goroutines())))
+}
+
+// stacks joins the goroutines' stacks for a report.
+func stacks(gs []Goroutine) string {
+	all := make([]string, len(gs))
+	for i, g := range gs {
+		all[i] = g.Stack
 	}
-	var stacks []string
-	for _, g := range gs {
-		if g.ID == self {
-			continue
-		}
-		if g.Running() {
-			stacks = nil
-			break
-		}
-		stacks = append(stacks, g.Stack)
-	}
-	if stacks != nil {
-		(*report)(fmt.Sprintf("simclock oracle: leaked token: %d token(s) outstanding for %v while every goroutine is parked:\n\n%s",
-			c.busy, oracleStall, strings.Join(stacks, "\n\n")))
-	}
+	return strings.Join(all, "\n\n")
 }

@@ -2,7 +2,6 @@ package simclock
 
 import (
 	"context"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -18,26 +17,12 @@ func afterFunc(clk Clock, d time.Duration, f func()) Timer {
 
 // TestFuncTimerHandleStoredBeforeFirstFire pins the construct-then-arm
 // contract: a self-rearming ticker stores its handle before arming, so a
-// driver firing timers as eagerly as it can (another goroutine spinning
-// AdvanceToNext, as the Pump does) can never run the callback against an
-// unset handle. With arm-at-construction (the old AfterFunc) this is a nil
+// clock firing timers as eagerly as it can (the wall clock's runtime
+// timer, on a Reset(0)) can never run the callback against an unset
+// handle. With arm-at-construction (the old AfterFunc) this is a nil
 // dereference or a -race report on `tick`.
 func TestFuncTimerHandleStoredBeforeFirstFire(t *testing.T) {
-	clk := NewSim()
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				clk.AdvanceToNext()
-			}
-		}
-	}()
+	clk := Real()
 	var fired atomic.Int64
 	for i := 0; i < 200; i++ {
 		var tick Timer
@@ -51,36 +36,28 @@ func TestFuncTimerHandleStoredBeforeFirstFire(t *testing.T) {
 		}
 		tick.Reset(0)
 	}
-	close(stop)
-	wg.Wait()
-	for {
-		if _, ok := clk.AdvanceToNext(); !ok {
-			break
+	for deadline := time.Now().Add(5 * time.Second); fired.Load() < 200; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("fired %d ticks, want every one of the 200 timers at least once", fired.Load())
 		}
-	}
-	if fired.Load() < 200 {
-		t.Fatalf("fired %d ticks, want every one of the 200 timers at least once", fired.Load())
 	}
 }
 
+// TestSimClockAdvanceFiresInDeadlineOrder: a driver's sleep fires every
+// timer due within it, in deadline order, before the driver resumes.
 func TestSimClockAdvanceFiresInDeadlineOrder(t *testing.T) {
 	clk := NewSim()
-	var mu sync.Mutex
 	var order []string
-	afterFunc(clk, 30*time.Millisecond, func() { mu.Lock(); order = append(order, "c"); mu.Unlock() })
-	afterFunc(clk, 10*time.Millisecond, func() { mu.Lock(); order = append(order, "a"); mu.Unlock() })
-	afterFunc(clk, 20*time.Millisecond, func() { mu.Lock(); order = append(order, "b"); mu.Unlock() })
+	afterFunc(clk, 30*time.Millisecond, func() { order = append(order, "c") })
+	afterFunc(clk, 10*time.Millisecond, func() { order = append(order, "a") })
+	afterFunc(clk, 20*time.Millisecond, func() { order = append(order, "b") })
 
-	clk.Advance(15 * time.Millisecond)
-	mu.Lock()
+	clk.Sleep(15 * time.Millisecond)
 	if len(order) != 1 || order[0] != "a" {
 		t.Fatalf("after 15ms, fired %v", order)
 	}
-	mu.Unlock()
 
-	clk.Advance(50 * time.Millisecond)
-	mu.Lock()
-	defer mu.Unlock()
+	clk.Sleep(50 * time.Millisecond)
 	if len(order) != 3 || order[1] != "b" || order[2] != "c" {
 		t.Fatalf("fired %v", order)
 	}
@@ -96,7 +73,10 @@ func TestSimClockSameDeadlineFiresInCreationOrder(t *testing.T) {
 		i := i
 		afterFunc(clk, time.Second, func() { order = append(order, i) })
 	}
-	clk.Advance(time.Second)
+	clk.Sleep(time.Second) // armed last, so it fires last
+	if len(order) != 5 {
+		t.Fatalf("fired %v, want all 5", order)
+	}
 	for i, v := range order {
 		if v != i {
 			t.Fatalf("fire order %v", order)
@@ -114,12 +94,12 @@ func TestSimClockTimerStopAndReset(t *testing.T) {
 	if tm.Stop() {
 		t.Fatal("second Stop should report false")
 	}
-	clk.Advance(2 * time.Second)
+	clk.Sleep(2 * time.Second)
 	if fired != 0 {
 		t.Fatal("stopped timer fired")
 	}
 	tm.Reset(time.Second)
-	clk.Advance(time.Second)
+	clk.Sleep(time.Second)
 	if fired != 1 {
 		t.Fatalf("reset timer fired %d times", fired)
 	}
@@ -133,7 +113,7 @@ func TestSimClockTimerStopAndReset(t *testing.T) {
 		}
 	})
 	rearm.Reset(time.Second)
-	clk.Advance(10 * time.Second)
+	clk.Sleep(10 * time.Second)
 	if count != 3 {
 		t.Fatalf("self-rearming timer fired %d times, want 3", count)
 	}
@@ -147,7 +127,7 @@ func TestSimClockAfterAndNewTimer(t *testing.T) {
 		t.Fatal("After fired before any advance")
 	default:
 	}
-	clk.Advance(time.Minute)
+	clk.Sleep(time.Minute)
 	select {
 	case ts := <-ch:
 		if want := simEpoch.Add(time.Minute); !ts.Equal(want) {
@@ -158,26 +138,8 @@ func TestSimClockAfterAndNewTimer(t *testing.T) {
 	}
 }
 
-func TestSimClockAdvanceToNext(t *testing.T) {
+func TestSimClockSleepersWakeAtTheirDeadlines(t *testing.T) {
 	clk := NewSim()
-	if _, ok := clk.AdvanceToNext(); ok {
-		t.Fatal("AdvanceToNext with no timers reported ok")
-	}
-	fired := false
-	afterFunc(clk, 42*time.Second, func() { fired = true })
-	moved, ok := clk.AdvanceToNext()
-	if !ok || moved != 42*time.Second || !fired {
-		t.Fatalf("AdvanceToNext: moved=%v ok=%v fired=%v", moved, ok, fired)
-	}
-	if clk.PendingTimers() != 0 {
-		t.Fatal("timer still pending after firing")
-	}
-}
-
-func TestSimClockSleepWithPump(t *testing.T) {
-	clk := NewSim()
-	stop := clk.Pump()
-	defer stop()
 	start := clk.Now()
 	var woke [3]time.Duration
 	sleepers := NewGroup(clk)
@@ -198,27 +160,26 @@ func TestSimClockSleepWithPump(t *testing.T) {
 	}
 }
 
+// TestSleepCtxHonoursCancellation: a cancelled SleepCtx returns the
+// context's error at the instant of the cancel, and its timer goes.
 func TestSleepCtxHonoursCancellation(t *testing.T) {
 	clk := NewSim()
+	start := clk.Now()
 	ctx, cancel := context.WithCancel(context.Background())
-	var ret atomic.Value
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		ret.Store(SleepCtx(ctx, clk, time.Hour) == context.Canceled)
-	}()
+	var err error
+	g := NewGroup(clk)
+	g.Go(func() { err = SleepCtx(ctx, clk, time.Hour) })
+	clk.Sleep(time.Second)
 	cancel()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("SleepCtx ignored context cancellation")
+	g.Wait()
+	if err != context.Canceled {
+		t.Fatalf("SleepCtx returned %v, want context.Canceled", err)
 	}
-	if ret.Load() != true {
-		t.Fatal("SleepCtx did not return the context error")
+	if d := clk.Since(start); d != time.Second {
+		t.Fatalf("SleepCtx returned at +%v, want at the cancel instant +1s", d)
 	}
-	// And the timer must not linger.
-	if clk.PendingTimers() != 0 {
-		t.Fatalf("%d timers leaked after cancelled SleepCtx", clk.PendingTimers())
+	if n := len(clk.timers.h); n != 0 {
+		t.Fatalf("%d timers leaked after cancelled SleepCtx", n)
 	}
 }
 

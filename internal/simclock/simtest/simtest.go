@@ -28,23 +28,16 @@ func Main(m *testing.M) {
 	os.Exit(code)
 }
 
-// leakMarks are the packages whose goroutines must not outlive a test: the
-// replication core and the clock (a Pump, or anything started by Go).
-var leakMarks = []string{"ginja/internal/core.", "ginja/internal/simclock."}
-
 // CheckLeaks waits up to grace for every goroutine running (or started
-// by) core or simclock code to exit, and reports the stacks of those that
-// do not.
+// by) code of the replication core or the clock to exit, and reports the
+// stacks of those that do not.
 func CheckLeaks(grace time.Duration) error {
 	deadline := time.Now().Add(grace)
 	for {
 		var leaked []string
 		for _, g := range simclock.Goroutines()[1:] {
-			for _, mark := range leakMarks {
-				if strings.Contains(g.Stack, mark) {
-					leaked = append(leaked, g.Stack)
-					break
-				}
+			if strings.Contains(g.Stack, "ginja/internal/core.") || strings.Contains(g.Stack, "ginja/internal/simclock.") {
+				leaked = append(leaked, g.Stack)
 			}
 		}
 		if leaked == nil {

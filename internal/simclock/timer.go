@@ -7,8 +7,8 @@ import (
 
 // heapTimer is the one timer both heap-backed clocks (SimClock, Wheel)
 // hand out. A channel timer delivers on ch; a func timer (ch nil) runs fn
-// on whichever goroutine advances its clock. Stop and Reset go back to the
-// owning clock, which holds the lock guarding the heap.
+// on whichever goroutine fires its clock's timers. Stop and Reset go back
+// to the owning clock, which holds the lock guarding the heap.
 type heapTimer struct {
 	owner interface {
 		arm(t *heapTimer, d time.Duration) bool
@@ -25,15 +25,25 @@ func (t *heapTimer) C() <-chan time.Time        { return t.ch }
 func (t *heapTimer) Stop() bool                 { return t.owner.disarm(t) }
 func (t *heapTimer) Reset(d time.Duration) bool { return t.owner.arm(t, d) }
 
-// fire delivers the timer: func timers run inline, channel timers get a
-// non-blocking send of now (see deliver; s is the SimClock counting the
-// receiver's token, nil on the wall clock).
+// fire delivers the timer: a func timer runs inline; a channel timer gets
+// a non-blocking send of now, which under a SimClock s wakes (and grants a
+// token to) whoever is parked on the channel. A fire nobody is parked on
+// grants nothing, so a timer stopped or abandoned with its value unconsumed
+// leaves no token behind.
 func (t *heapTimer) fire(now time.Time, s *SimClock) {
 	if t.fn != nil {
 		t.fn()
 		return
 	}
-	deliver(s, t.ch, now)
+	if s != nil {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		defer s.wakeAllLocked(chanKey(t.ch)) // after the send, under the lock
+	}
+	select {
+	case t.ch <- now:
+	default:
+	}
 }
 
 // timerQueue is a (deadline, seq) min-heap of timers. The owning clock

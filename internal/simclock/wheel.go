@@ -7,24 +7,17 @@ import (
 )
 
 // Wheel is a Clock that multiplexes any number of timers onto one timer of
-// an inner clock: one deadline heap, one arming of the inner clock at a
-// time, no goroutine of its own. It exists for fleet deployments — one
-// process protecting thousands of databases — where per-instance
-// Batch/Safety timeouts, tuner ticks and retention-trimmer ticks would
-// otherwise each arm their own runtime timer. A Fleet installs one Wheel
-// as every tenant's Params.Clock, so the whole fleet's timer load is a
-// heap and one inner timer, independent of tenant count.
+// an inner clock: one deadline heap, one inner arming at a time, no
+// goroutine of its own. A Fleet protecting thousands of databases installs
+// one as every tenant's Params.Clock, so per-tenant Batch/Safety timeouts
+// and tuner and trimmer ticks cost a heap entry each, not a runtime timer.
 //
-// Timestamps (Now/Since/Until) delegate to the inner clock, so a Wheel
-// over a SimClock keeps virtual-time determinism: the wheel's single
-// pending inner timer is fired by the SimClock driver like any other, and
-// waits on wheel timers count tokens on that SimClock.
-//
-// Func-timer callbacks run inline wherever the inner timer fires (the
-// runtime's timer goroutine on the wall clock, the advancing goroutine on
-// a SimClock): they must be brief and must not block, or they delay every
-// other timer in the process. All of Ginja's internal callbacks (TB/TS
-// expiry, tuner ticks, trimmer ticks) follow that rule.
+// Timestamps delegate to the inner clock; over a SimClock the inner timer
+// fires like any other and waits on wheel timers count tokens on that
+// SimClock. Func-timer callbacks run inline wherever the inner timer fires
+// (the runtime's timer goroutine, or the goroutine stepping a SimClock),
+// so they must be brief and must not block — Ginja's TB/TS expiries and
+// tuner and trimmer ticks are.
 type Wheel struct {
 	inner Clock
 	sim   *SimClock
@@ -71,11 +64,7 @@ func (w *Wheel) Until(t time.Time) time.Duration { return w.inner.Until(t) }
 
 // Sleep blocks the calling goroutine for d on the wheel.
 func (w *Wheel) Sleep(d time.Duration) {
-	if d <= 0 {
-		w.inner.Sleep(d)
-		return
-	}
-	SleepCtx(context.Background(), w, d) //nolint:errcheck // Background never ends
+	Recv(context.Background(), w, w.NewTimer(d).C()) //nolint:errcheck // Background never ends
 }
 
 // After returns a channel that receives the time once d has elapsed.
@@ -94,13 +83,6 @@ func (w *Wheel) NewTimer(d time.Duration) Timer {
 // its deadline. f must be brief and non-blocking.
 func (w *Wheel) NewFuncTimer(f func()) Timer {
 	return &heapTimer{owner: w, idx: -1, fn: f}
-}
-
-// PendingTimers returns the number of timers currently scheduled (tests).
-func (w *Wheel) PendingTimers() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return len(w.timers.h)
 }
 
 func (w *Wheel) arm(t *heapTimer, d time.Duration) bool {
