@@ -53,10 +53,10 @@ loc:
 # fuzz-smoke gives each wire-format fuzz target a short budget on top of
 # the checked-in corpus (internal/{core,sealer}/testdata/fuzz/). Reproduce
 # a finding with: go test ./internal/core -run 'FuzzX/<entry>'. The deflate
-# differential target runs two encoders per input of up to ~70 KB, so its
-# minimisation of a new input is capped to keep the budget.
+# round-trip target encodes and inflates every input, of up to ~70 KB, so
+# its minimisation of a new input is capped to keep the budget.
 fuzz-smoke:
-	$(GO) test ./internal/sealer -run '^$$' -fuzz '^FuzzDeflateMatchesStdlib$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
+	$(GO) test ./internal/sealer -run '^$$' -fuzz '^FuzzDeflateRoundTrip$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzParseWALObjectName$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzParseDBObjectName$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzDecodeWrites$$' -fuzztime $(FUZZTIME)

@@ -2,10 +2,16 @@
 // Use of this source code is governed by a BSD-style
 // license that can be found in the LICENSE file.
 //
-// The matcher, block-choice rules and block writers below follow the Go
-// standard library's compress/flate at level BestSpeed (deflatefast.go,
-// deflate.go's encSpeed and huffman_bit_writer.go; the LICENSE file is the
-// Go distribution's), restructured to compress one whole in-memory segment.
+// The block-choice rules, the code-length coding and the block and bit
+// writers below (writeBlock, writeHuff, generateCodegen, dynamicSize,
+// writeDynamicHeader, bitWriter and the code tables) follow the Go standard
+// library's compress/flate at level BestSpeed (deflate.go's encSpeed and
+// huffman_bit_writer.go; the LICENSE file is the Go distribution's),
+// restructured to compress one whole in-memory segment. The matcher is not
+// the stdlib's. It is a Snappy-style hash matcher in the manner of
+// klauspost/compress's level 1 (a 5-byte hash into a table of positions,
+// several probes per 8-byte load, backward extension of every hit), with
+// its own probe pattern.
 
 package sealer
 
@@ -16,23 +22,24 @@ import (
 	"slices"
 )
 
-// Constants of RFC 1951 and of compress/flate's BestSpeed level. Every one
-// of them shapes the output; none is a tuning knob.
+// Constants of RFC 1951 and of the encoder. Every one of them shapes the
+// output; none is a tuning knob.
 const (
-	blockSize       = 65535 // BestSpeed's unit of matching and coding
+	blockSize       = 65535 // the unit of matching and coding
 	maxMatchOffset  = 1 << 15
 	maxMatchLength  = 258
 	baseMatchLength = 3
-	inputMargin     = 16 - 1 // the matcher stops this far before a block's end
+	minMatchLength  = 4 // the matcher's: a hit compares 4 bytes
+	inputMargin     = 8 // the matcher stops this far before a block's end: it loads 8 bytes
 	// A closing block shorter than smallBlock skips the matcher: up to
 	// storedTail bytes are stored, the rest Huffman-coded as literals.
 	smallBlock = 128
 	storedTail = 16
 
-	tableBits  = 14
-	tableSize  = 1 << tableBits
-	tableMask  = tableSize - 1
-	tableShift = 32 - tableBits
+	// The hash table holds one position per hash of the 5 bytes there.
+	tableBits = 15
+	tableSize = 1 << tableBits
+	hashMul   = 0x9e3779b97f4a7c15 // 2⁶⁴/φ: spreads the 40 hashed bits over the top ones
 
 	maxNumLit        = 286
 	offsetCodeCount  = 30
@@ -131,13 +138,6 @@ func offsetCode(xoff uint32) uint8 {
 	return offsetCodes[xoff>>14] + 28
 }
 
-// tableEntry is a slot of the matcher's hash table: four bytes of the
-// segment and their position plus the encoder's base.
-type tableEntry struct {
-	val    uint32
-	offset int32
-}
-
 // seq is one match of a block and the run of literals before it.
 type seq struct {
 	lits  uint32 // literal bytes between the previous match (or block start) and this one
@@ -155,14 +155,16 @@ type lenCode struct {
 // table alone is 128 KiB) and pooled; nothing in it reaches the output
 // except through the segment being compressed.
 type encoder struct {
-	table [tableSize]tableEntry
+	// table maps a hash of 5 bytes to the last position seen with it, plus
+	// cur. The candidate's bytes are read back from the segment.
+	table [tableSize]int32
 	// cur is added to a position to make a table offset. It grows past every
 	// offset stored for an earlier segment by more than maxMatchOffset, so an
 	// old entry can never match and the table needs no clearing between
 	// calls — only when cur nears the int32 limit.
 	cur int32
 
-	seqs     [blockSize/4 + 1]seq // a match covers at least 4 bytes
+	seqs     [blockSize/minMatchLength + 1]seq
 	nseqs    int
 	litFreq  [maxNumLit]int32
 	offFreq  [offsetCodeCount]int32
@@ -178,9 +180,11 @@ func newEncoder() *encoder {
 	return &encoder{cur: maxMatchOffset + 1}
 }
 
-// deflate appends to dst the raw deflate stream compress/flate's BestSpeed
-// writer produces for one Write of seg followed by Close (last) or Flush.
-// seg must be shorter than 1 GiB; Seal never passes more than a segment.
+// deflate appends to dst a raw deflate stream (RFC 1951) of seg. It ends
+// in an empty stored block, final if last and otherwise a sync marker that
+// leaves the stream byte-aligned and open. The bytes are a function of seg
+// alone. seg must be shorter than 1 GiB; Seal never passes more than a
+// segment.
 func (e *encoder) deflate(dst, seg []byte, last bool) []byte {
 	if int64(e.cur)+int64(len(seg)) > math.MaxInt32-2*maxMatchOffset {
 		clear(e.table[:])
@@ -204,10 +208,19 @@ func (e *encoder) deflate(dst, seg []byte, last bool) []byte {
 	return w.dst
 }
 
-// match runs BestSpeed's Snappy-style matcher over the block seg[start:end],
-// which may reach back into the previous block, and counts the block's
-// literal/length and offset histogram as it goes. It returns the number of
-// tokens (literals plus matches) compress/flate would have queued.
+// match finds the matches of the block seg[start:end], which may reach
+// back into the previous block, and counts the block's literal/length and
+// offset histogram as it goes. It returns the number of tokens (literals
+// plus matches) the block codes.
+//
+// The search loads 8 bytes at s, probes s, s+1 and s+3, and steps 7
+// further, and more the longer the current run of literals (Snappy's
+// skipping). {0, 1, 3} is a perfect difference set modulo 7: whatever the
+// offset of a repeat and wherever the steps fall, some probe lands that
+// offset after an earlier one, so probing three positions in seven still
+// finds repeats at every offset. A hit is extended backward over the
+// pending literals, then forward; after it, s-2 and s are indexed and s is
+// tried at once, so a run of matches costs no search.
 func (e *encoder) match(seg []byte, start, end int32) int {
 	clear(e.litFreq[:])
 	clear(e.offFreq[:])
@@ -215,65 +228,64 @@ func (e *encoder) match(seg []byte, start, end int32) int {
 	table, cur, litFreq, offFreq, seqs := &e.table, e.cur, &e.litFreq, &e.offFreq, e.seqs[:0]
 	sLimit := end - inputMargin
 	nextEmit, s := start, start
-	cv := load32(src, s)
-	nextHash := hash4(cv)
-
 	for {
-		// Heuristic match skipping, as in Snappy: after 32 bytes without a
-		// match look at every other byte, after 32 more every third, and so on.
-		skip := int32(32)
-		nextS := s
-		var candidate tableEntry
+		var t int32 // the earlier position src[s:] matches, at least 4 bytes
 		for {
-			s = nextS
-			step := skip >> 5
-			nextS = s + step
-			skip += step
+			nextS := s + 7 + (s-nextEmit)>>6
 			if nextS > sLimit {
 				goto emitRemainder
 			}
-			candidate = table[nextHash&tableMask]
-			now := load32(src, nextS)
-			table[nextHash&tableMask] = tableEntry{offset: s + cur, val: cv}
-			nextHash = hash4(now)
-			if s-(candidate.offset-cur) <= maxMatchOffset && cv == candidate.val {
+			cv := load64(src, s)
+			h0, h1, h3 := hash5(cv), hash5(cv>>8), hash5(cv>>24)
+			c0, c1, c3 := table[h0]-cur, table[h1]-cur, table[h3]-cur
+			table[h0], table[h1], table[h3] = s+cur, s+1+cur, s+3+cur
+			if inWindow(s, c0) && uint32(cv) == load32(src, c0) {
+				t = c0
 				break
 			}
-			cv = now
+			if inWindow(s+1, c1) && uint32(cv>>8) == load32(src, c1) {
+				s, t = s+1, c1
+				break
+			}
+			if inWindow(s+3, c3) && uint32(cv>>24) == load32(src, c3) {
+				s, t = s+3, c3
+				break
+			}
+			s = nextS
+		}
+		for s > nextEmit && t > 0 && src[s-1] == src[t-1] {
+			s, t = s-1, t-1
 		}
 
-		lits := s - nextEmit
+		lits := uint32(s - nextEmit)
 		for _, c := range src[nextEmit:s] {
 			litFreq[c]++
 		}
 		for {
-			// A 4-byte match at s: extend it, then see whether another starts
-			// right after it.
-			s += 4
-			t := candidate.offset - cur + 4
-			l := matchLen(src, s, t, min(s+maxMatchLength-4, end))
-			xlen := l + 4 - baseMatchLength
+			// The match goes out in pieces of at most 258 bytes (RFC 1951's
+			// longest); a tail shorter than 4 is left to the literals.
+			n := minMatchLength + matchLen(src, s+minMatchLength, t+minMatchLength, end)
 			xoff := uint32(s - t - 1)
 			oc := offsetCode(xoff)
-			litFreq[lengthCodesStart+int(lengthCodes[xlen])]++
-			offFreq[oc]++
-			seqs = append(seqs, seq{lits: uint32(lits), xoff: uint16(xoff), xlen: uint8(xlen), ocode: oc})
-			lits = 0
-			s += l
+			for ; n >= minMatchLength; n -= maxMatchLength {
+				l := min(n, maxMatchLength)
+				litFreq[lengthCodesStart+int(lengthCodes[l-baseMatchLength])]++
+				offFreq[oc]++
+				seqs = append(seqs, seq{lits: lits, xoff: uint16(xoff), xlen: uint8(l - baseMatchLength), ocode: oc})
+				lits = 0
+				s += l
+			}
 			nextEmit = s
 			if s >= sLimit {
 				goto emitRemainder
 			}
-			x := load64(src, s-1)
-			prevHash := hash4(uint32(x))
-			table[prevHash&tableMask] = tableEntry{offset: cur + s - 1, val: uint32(x)}
-			x >>= 8
-			currHash := hash4(uint32(x))
-			candidate = table[currHash&tableMask]
-			table[currHash&tableMask] = tableEntry{offset: cur + s, val: uint32(x)}
-			if s-(candidate.offset-cur) > maxMatchOffset || uint32(x) != candidate.val {
-				cv = uint32(x >> 8)
-				nextHash = hash4(cv)
+			x := load64(src, s-2)
+			table[hash5(x)] = s - 2 + cur
+			x >>= 16
+			h := hash5(x)
+			t = table[h] - cur
+			table[h] = s + cur
+			if !inWindow(s, t) || uint32(x) != load32(src, t) {
 				s++
 				break
 			}
@@ -292,11 +304,18 @@ emitRemainder:
 	return n
 }
 
+// inWindow reports whether a table candidate t can be matched from s: it
+// lies 1 to maxMatchOffset bytes before s. A probe indexes up to s+3 before
+// it tests, and a match may end short of that, so a candidate at or after
+// s is possible and must be refused like one too far back.
+func inWindow(s, t int32) bool { return uint32(s-t-1) < maxMatchOffset }
+
 func load32(b []byte, i int32) uint32 { return binary.LittleEndian.Uint32(b[i:]) }
 
 func load64(b []byte, i int32) uint64 { return binary.LittleEndian.Uint64(b[i:]) }
 
-func hash4(u uint32) uint32 { return (u * 0x1e35a7bd) >> tableShift }
+// hash5 hashes the low 5 bytes of u to a table index.
+func hash5(u uint64) uint32 { return uint32((u << 24) * hashMul >> (64 - tableBits)) }
 
 // matchLen returns how many bytes of b[s:limit] equal those at b[t:], t < s.
 func matchLen(b []byte, s, t, limit int32) int32 {

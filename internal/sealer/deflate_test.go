@@ -3,14 +3,16 @@ package sealer
 import (
 	"bytes"
 	"compress/flate"
-	"hash/adler32"
+	"fmt"
+	stdadler32 "hash/adler32"
+	"io"
 	"math/rand"
 	"runtime/debug"
 	"testing"
 )
 
-// stdlibDeflate is the reference: compress/flate at BestSpeed, one Write,
-// then Close (last) or Flush.
+// stdlibDeflate is the size reference: compress/flate at BestSpeed, one
+// Write, then Close (last) or Flush.
 func stdlibDeflate(tb testing.TB, seg []byte, last bool) []byte {
 	tb.Helper()
 	var b bytes.Buffer
@@ -78,32 +80,69 @@ func farMatches(n int, seed int64) []byte {
 	return b
 }
 
+// probeAhead is 2 053 random letters, a 260-letter record, 100 letters, the
+// record again and 64 letters. Where nothing matches, the probe positions
+// depend only on lengths, and these put the one hit on the repeat a few
+// bytes before its end: backward extension reaches the repeat's start, so
+// the first 258-byte piece ends before positions the hit's own probe has
+// indexed. The search resumes there and must refuse them as candidates;
+// one equal to the probe position is a match at offset 0.
+func probeAhead() []byte {
+	rng := rand.New(rand.NewSource(2053))
+	b := make([]byte, 2053+260+100+260+64)
+	for i := range b {
+		b[i] = 'a' + byte(rng.Intn(26))
+	}
+	copy(b[2053+260+100:], b[2053:2053+260])
+	return b
+}
+
 var deflateSizes = []int{0, 1, 16, 17, 127, 128, 65534, 65535, 65536, 131070,
 	segmentSize - 1, segmentSize, segmentSize + 1}
 
-func TestDeflateMatchesStdlib(t *testing.T) {
-	for kind, gen := range deflateKinds {
-		for _, n := range deflateSizes {
-			seg := gen(n, int64(n))
-			for _, last := range []bool{false, true} {
-				want := stdlibDeflate(t, seg, last)
-				got := deflateSegment(nil, seg, last)
-				if !bytes.Equal(got, want) {
-					t.Errorf("%s/%d/last=%v: %d bytes, compress/flate wrote %d; first difference at byte %d",
-						kind, n, last, len(got), len(want), firstDiff(got, want))
-				}
-			}
-		}
+// inflate decodes a stream deflateSegment wrote. A stream that is not
+// last ends in a sync marker, so a final empty stored block closes it.
+func inflate(tb testing.TB, stream []byte, last bool) []byte {
+	tb.Helper()
+	if !last {
+		stream = append(stream[:len(stream):len(stream)], 0x01, 0x00, 0x00, 0xff, 0xff)
 	}
+	got, err := io.ReadAll(flate.NewReader(bytes.NewReader(stream)))
+	if err != nil {
+		tb.Fatalf("inflate: %v", err)
+	}
+	return got
 }
 
-func firstDiff(a, b []byte) int {
-	for i := range min(len(a), len(b)) {
-		if a[i] != b[i] {
-			return i
+// TestDeflateNoLargerThanStdlib pins what the encoder buys in bytes: every
+// stream inflates back, the total over every size × data-kind pair and the
+// payloads the sealer benchmarks use is no larger than compress/flate
+// BestSpeed's, and no single input costs more than 10 % + 16 bytes over it.
+func TestDeflateNoLargerThanStdlib(t *testing.T) {
+	inputs := map[string][]byte{"benchPayload": benchPayload(), "benchDumpPayload": benchDumpPayload(),
+		"walBatch": walBatch(), "rows6.7m": rowPayload(6_700_000, 1), "probeAhead": probeAhead()}
+	for kind, gen := range deflateKinds {
+		for _, n := range deflateSizes {
+			inputs[fmt.Sprintf("%s/%d", kind, n)] = gen(n, int64(n))
 		}
 	}
-	return min(len(a), len(b))
+	var total, stdTotal int
+	for name, seg := range inputs {
+		for _, last := range []bool{false, true} {
+			got, want := deflateSegment(nil, seg, last), stdlibDeflate(t, seg, last)
+			if !bytes.Equal(inflate(t, got, last), seg) {
+				t.Fatalf("%s/last=%v: does not inflate back", name, last)
+			}
+			if len(got) > len(want)+len(want)/10+16 {
+				t.Errorf("%s/last=%v: %d bytes, compress/flate %d", name, last, len(got), len(want))
+			}
+			total, stdTotal = total+len(got), stdTotal+len(want)
+		}
+	}
+	if total > stdTotal {
+		t.Errorf("%d bytes in all, compress/flate %d", total, stdTotal)
+	}
+	t.Logf("%d bytes in all, compress/flate %d (%.2f %%)", total, stdTotal, 100*float64(total)/float64(stdTotal))
 }
 
 // TestDeflateEncoderReuse runs one pooled-size encoder over many segments
@@ -116,42 +155,55 @@ func TestDeflateEncoderReuse(t *testing.T) {
 		if i == 20 {
 			e.cur = 1<<31 - 1 - 2*maxMatchOffset - int32(len(seg)/2)
 		}
-		if got, want := e.deflate(nil, seg, i%2 == 0), stdlibDeflate(t, seg, i%2 == 0); !bytes.Equal(got, want) {
-			t.Fatalf("segment %d (%d bytes): differs from compress/flate at byte %d", i, len(seg), firstDiff(got, want))
+		last := i%2 == 0
+		got, want := e.deflate(nil, seg, last), newEncoder().deflate(nil, seg, last)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("segment %d (%d bytes): a reused encoder wrote %d bytes, a fresh one %d", i, len(seg), len(got), len(want))
+		}
+		if !bytes.Equal(inflate(t, got, last), seg) {
+			t.Fatalf("segment %d (%d bytes): does not inflate back", i, len(seg))
 		}
 	}
 }
 
-// FuzzDeflateMatchesStdlib's seeds are testdata/fuzz/FuzzDeflateMatchesStdlib:
-// the empty stream, the small-tail cases and two farMatches inputs, one a
-// whole block and one crossing into a second.
-func FuzzDeflateMatchesStdlib(f *testing.F) {
+// FuzzDeflateRoundTrip's seeds are testdata/fuzz/FuzzDeflateRoundTrip: the
+// empty stream, the small-tail cases, two farMatches inputs, one a whole
+// block and one crossing into a second, and probeAhead.
+func FuzzDeflateRoundTrip(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seg []byte, last bool) {
-		if got, want := deflateSegment(nil, seg, last), stdlibDeflate(t, seg, last); !bytes.Equal(got, want) {
-			t.Fatalf("%d bytes, last=%v: differs from compress/flate at byte %d", len(seg), last, firstDiff(got, want))
+		if got := inflate(t, deflateSegment(nil, seg, last), last); !bytes.Equal(got, seg) {
+			t.Fatalf("%d bytes, last=%v: inflated to %d different bytes", len(seg), last, len(got))
 		}
 	})
 }
 
-// TestAdler32Combine folds per-piece checksums of random splits — empty
-// pieces and pieces longer than the 65 521 modulus included — and checks
-// the result against one pass.
+// TestAdler32Combine checksums random splits — empty pieces, pieces longer
+// than the 65 521 modulus and runs of 0xff longer than nmax included — with
+// the sealer's adler32, checks each piece against hash/adler32, and folds
+// them into the checksum of the whole.
 func TestAdler32Combine(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	data := make([]byte, 300_000)
 	rng.Read(data)
+	for i := 100_000; i < 120_000; i++ {
+		data[i] = 0xff // the largest sums between two reductions
+	}
 	for trial := 0; trial < 200; trial++ {
 		n := rng.Intn(len(data) + 1)
 		sum, rest := uint32(1), data[:n]
 		for len(rest) > 0 || rng.Intn(3) == 0 {
 			k := min(len(rest), []int{0, 1, rng.Intn(100), 65_521, 65_522, rng.Intn(200_000)}[rng.Intn(6)])
-			sum = adler32Combine(sum, adler32.Checksum(rest[:k]), k)
+			piece := adler32(rest[:k])
+			if want := stdadler32.Checksum(rest[:k]); piece != want {
+				t.Fatalf("trial %d: %d-byte piece: %08x, hash/adler32 %08x", trial, k, piece, want)
+			}
+			sum = adler32Combine(sum, piece, k)
 			rest = rest[k:]
 			if len(rest) == 0 && rng.Intn(2) == 0 {
 				break
 			}
 		}
-		if want := adler32.Checksum(data[:n]); sum != want {
+		if want := stdadler32.Checksum(data[:n]); sum != want {
 			t.Fatalf("trial %d (%d bytes): combined %08x, one pass %08x", trial, n, sum, want)
 		}
 	}
@@ -204,6 +256,7 @@ func BenchmarkDeflateSegment(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				dst = deflateSegment(dst[:0], seg, true)
 			}
+			b.ReportMetric(float64(len(dst))/float64(len(seg)), "sealed/raw")
 		})
 		b.Run(name+"/flate", func(b *testing.B) {
 			fw, err := flate.NewWriter(nil, flate.BestSpeed)
@@ -219,6 +272,7 @@ func BenchmarkDeflateSegment(b *testing.B) {
 				fw.Write(seg) //nolint:errcheck // bytes.Buffer
 				fw.Close()    //nolint:errcheck // bytes.Buffer
 			}
+			b.ReportMetric(float64(buf.Len())/float64(len(seg)), "sealed/raw")
 		})
 	}
 }

@@ -3,6 +3,8 @@ package sealer
 import (
 	"bytes"
 	"compress/zlib"
+	"crypto/cipher"
+	crand "crypto/rand"
 	"errors"
 	"fmt"
 	"io"
@@ -49,12 +51,11 @@ func TestSegmentedRoundTrip(t *testing.T) {
 	}
 }
 
-// zlibEnvelope is the compress-only envelope as the pre-segment sealer wrote
-// it: one zlib.Writer pass over the whole payload.
+// zlibEnvelope is a compressed envelope as the pre-segment sealer wrote
+// it: one zlib.Writer pass over the whole payload, encrypted when s
+// encrypts, under s's MAC key.
 func zlibEnvelope(t *testing.T, s *Sealer, payload []byte) []byte {
 	t.Helper()
-	out := append([]byte(nil), magic...)
-	out = append(out, flagCompressed)
 	var z bytes.Buffer
 	zw, err := zlib.NewWriterLevel(&z, zlib.BestSpeed)
 	if err != nil {
@@ -62,14 +63,42 @@ func zlibEnvelope(t *testing.T, s *Sealer, payload []byte) []byte {
 	}
 	zw.Write(payload) //nolint:errcheck // bytes.Buffer
 	zw.Close()        //nolint:errcheck // bytes.Buffer
-	out = append(out, z.Bytes()...)
+	out := append([]byte(nil), magic...)
+	if !s.opts.Encrypt {
+		out = append(out, flagCompressed)
+		out = append(out, z.Bytes()...)
+		return s.sum(out, out)
+	}
+	out = append(out, flagCompressed|flagEncrypted)
+	iv := make([]byte, ivSize)
+	if _, err := crand.Read(iv); err != nil {
+		t.Fatal(err)
+	}
+	out = append(out, iv...)
+	body := make([]byte, z.Len())
+	cipher.NewCTR(s.block, iv).XORKeyStream(body, z.Bytes())
+	out = append(out, body...)
 	return s.sum(out, out)
 }
 
+// TestOldObjectsOpen keeps what the bucket already holds readable: an object
+// sealed as one stock zlib.Writer pass, compress/flate's bytes, opens with
+// today's Open under every configuration that holds its keys.
+func TestOldObjectsOpen(t *testing.T) {
+	big := rowPayload(2*segmentSize+777, 5)
+	for name, s := range configs(t) {
+		for _, n := range []int{0, 1, 180, 100 << 10, segmentSize + 1, len(big)} {
+			got, err := s.Open(zlibEnvelope(t, s, big[:n]))
+			if err != nil || !bytes.Equal(got, big[:n]) {
+				t.Fatalf("%s/%d: Open = %v, equal=%v", name, n, err, bytes.Equal(got, big[:n]))
+			}
+		}
+	}
+}
+
 // TestSealedBytesAreAFunctionOfThePayload pins the format: the body of a
-// compress-only object is a stock zlib stream; its bytes are the same at
-// every GOMAXPROCS; and up to one segment they are exactly what one
-// zlib.Writer pass produced before sealing was segmented.
+// compress-only object is a stock zlib stream, and its bytes are the same
+// at every GOMAXPROCS.
 func TestSealedBytesAreAFunctionOfThePayload(t *testing.T) {
 	s, err := New(Options{Compress: true})
 	if err != nil {
@@ -91,9 +120,6 @@ func TestSealedBytesAreAFunctionOfThePayload(t *testing.T) {
 			} else if !bytes.Equal(sealed, first) {
 				t.Fatalf("%d bytes: sealed object differs between GOMAXPROCS 1 and %d", n, procs)
 			}
-		}
-		if n <= segmentSize && !bytes.Equal(first, zlibEnvelope(t, s, payload)) {
-			t.Fatalf("%d bytes: one-segment object is not the zlib.Writer envelope", n)
 		}
 		zr, err := zlib.NewReader(bytes.NewReader(first[len(magic)+1 : len(first)-macSize]))
 		if err != nil {
