@@ -26,9 +26,10 @@
 //	_ = g.Close()
 //
 // After a disaster, point a fresh Ginja at the same store and call
-// Recover: the database files are rebuilt from the newest dump, the
-// incremental checkpoints, and the WAL objects with consecutive
-// timestamps; the database engine then completes its own crash recovery.
+// Recover: the database files are rebuilt from the newest dump, its delta
+// chain and the incremental checkpoints, and the WAL objects with
+// consecutive timestamps; the database engine then completes its own
+// crash recovery.
 //
 // This package is a façade: implementations live under internal/ and are
 // re-exported here as the supported surface.
@@ -62,7 +63,7 @@ type (
 	// VerifyResult reports a backup-verification run.
 	VerifyResult = core.VerifyResult
 	// RecoveryBreakdown is the phased RTO budget of the last Recover,
-	// RecoverAt or Verify restore (also in Stats.LastRecovery).
+	// RecoverAt or Follower.Promote (Stats.LastRecovery).
 	RecoveryBreakdown = core.RecoveryBreakdown
 	// CloudView is Ginja's bookkeeping of the objects in the cloud.
 	CloudView = core.CloudView
@@ -254,12 +255,12 @@ type (
 )
 
 // Warm standby. A Follower continuously tails the cloud bucket into a
-// local replica (incremental LIST diffing, parallel prefetch,
-// recovery-order apply), so that after a disaster Promote hands back a
-// live Ginja in O(replication lag) instead of the O(database size) a cold
-// Recover pays. Set Params.RetainFor (and RetainObjects) on the primary
-// to keep superseded objects long enough for RecoverAt to hit any
-// point in the retention window.
+// local replica (incremental LIST diffing, parallel prefetch, each poll
+// applying the same plan as cold recovery), so that after a disaster
+// Promote hands back a live Ginja in O(replication lag) instead of the
+// O(database size) a cold Recover pays. Set Params.RetainFor (and
+// RetainObjects) on the primary to keep superseded objects long enough
+// for RecoverAt to hit any point in the retention window.
 type (
 	// Follower is the warm-standby replica tailing an ObjectStore.
 	Follower = core.Follower

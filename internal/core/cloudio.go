@@ -245,7 +245,7 @@ func (c *cloudIO) restore(ctx context.Context, target vfs.FS, names []string, bd
 		start := c.clk.Now()
 		data, err := c.get(ctx, name)
 		if err != nil {
-			return nil, fmt.Errorf("core: fetch %s: %w", name, err)
+			return nil, &fetchError{name: name, err: err}
 		}
 		d := c.clk.Since(start)
 		if c.recFetch != nil {
@@ -270,3 +270,13 @@ func (c *cloudIO) restore(ctx context.Context, target vfs.FS, names []string, bd
 	err = prefetchInOrder(ctx, c.clk, c.params.RecoveryFetchers, names, fetch, apply)
 	return applied, err
 }
+
+// fetchError is a restore's failed GET. It names the object, so a Follower
+// whose GET lost the race with the primary's GC knows what to forget.
+type fetchError struct {
+	name string
+	err  error
+}
+
+func (e *fetchError) Error() string { return fmt.Sprintf("core: fetch %s: %v", e.name, e.err) }
+func (e *fetchError) Unwrap() error { return e.err }

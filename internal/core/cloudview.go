@@ -288,25 +288,6 @@ func (v *CloudView) DBObjects() []DBObjectInfo {
 	return out
 }
 
-// LatestDump returns the most recent dump object, if any.
-func (v *CloudView) LatestDump() (DBObjectInfo, bool) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	var best *DBObjectInfo
-	for _, d := range v.db {
-		if d.Type != Dump {
-			continue
-		}
-		if best == nil || best.Before(*d) {
-			best = d
-		}
-	}
-	if best == nil {
-		return DBObjectInfo{}, false
-	}
-	return *best, true
-}
-
 // OrphanParts returns the orphan parts recorded by the last LoadFromList
 // that have not been garbage-collected yet, sorted by name.
 func (v *CloudView) OrphanParts() []OrphanPart {

@@ -43,20 +43,6 @@ func TestCloudViewAddDelete(t *testing.T) {
 	}
 }
 
-func TestCloudViewLatestDump(t *testing.T) {
-	v := NewCloudView()
-	if _, ok := v.LatestDump(); ok {
-		t.Fatal("empty view reported a dump")
-	}
-	v.AddDB(DBObjectInfo{Ts: 0, Type: Dump, Size: 10})
-	v.AddDB(DBObjectInfo{Ts: 5, Type: Checkpoint, Size: 10})
-	v.AddDB(DBObjectInfo{Ts: 9, Type: Dump, Size: 10})
-	d, ok := v.LatestDump()
-	if !ok || d.Ts != 9 {
-		t.Fatalf("LatestDump = %+v, %v; want ts 9", d, ok)
-	}
-}
-
 func TestCloudViewCounterAdvancesPastKnownObjects(t *testing.T) {
 	v := NewCloudView()
 	v.AddWAL(WALObjectInfo{Ts: 41, Filename: "seg", Offset: 0})

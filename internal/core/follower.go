@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -16,22 +15,23 @@ import (
 	"github.com/ginja-dr/ginja/internal/vfs"
 )
 
-// Follower is the warm-standby half of disaster recovery (ROADMAP item 3,
-// in the spirit of Taurus's log-is-the-database replicas): it continuously
-// tails the cloud bucket — incremental LIST diffing through a listTracker,
-// parallel prefetch through prefetchInOrder, strict-order apply — into a
-// warm local replica, so that Promote finishes recovery in O(replication
-// lag) instead of O(database size).
+// Follower is the warm-standby half of disaster recovery, in the spirit of
+// Taurus's log-is-the-database replicas: it continuously tails the cloud
+// bucket into a warm local replica, so that Promote finishes recovery in
+// O(replication lag) instead of O(database size).
 //
-// Apply order mirrors cold recovery exactly: complete DB objects in
-// (Ts, Gen) order, and WAL objects only as a consecutive-timestamp run
-// from the applied frontier (parallel uploaders land WAL out of order, so
-// gapped timestamps wait in pending until the gap fills — or until a
-// checkpoint covering them arrives, which skips the frontier past the gap
-// just as a cold restore would). WAL and DB objects touch disjoint file
-// classes, so interleaving the two streams cannot corrupt the replica.
+// Its apply is recovery run continuously, not a second algorithm. Each
+// poll diffs one LIST through a listTracker into the follower's own
+// CloudView and asks plan — the function cold recovery uses — for the
+// newest state. The replica keeps the longest prefix of the plan's DB
+// objects it already holds and fetches the rest through cloudIO.restore:
+// when every planned DB object is in place, only the WAL run past the
+// applied frontier; otherwise the DB suffix and the whole run. A first poll
+// is therefore exactly a cold recovery, and an older object listed late
+// (read-after-write list lag) is just a different plan, whose newer objects
+// and WAL run replay by construction.
 //
-// Lifecycle: NewFollower → Start (initial full sync + tail loop) → either
+// Lifecycle: NewFollower → Start (initial sync + tail loop) → either
 // Promote (disaster: final catch-up, then a started *Ginja on the warm
 // files) or Close.
 type Follower struct {
@@ -47,29 +47,24 @@ type Follower struct {
 	started  atomic.Bool
 	promoted atomic.Bool
 
-	// mu guards the tail state: the LIST tracker, the pending queues, the
-	// applied frontier and the catch-up watermark. The apply path is
-	// single-goroutine (tail loop or Promote, never both); the lock exists
-	// for Stats/metrics readers.
+	// The apply state belongs to the one goroutine polling (Start, then the
+	// tail loop, then Promote once the loop stopped): the LIST tracker, the
+	// view it feeds, and the DB objects of the plan the replica holds, in
+	// plan order.
+	tracker *listTracker
+	view    *CloudView
+	applied []DBObjectInfo
+
+	// mu guards what Stats and the lag gauge read.
 	mu         sync.Mutex
-	tracker    *listTracker
-	pendingWAL map[int64]WALObjectInfo
-	pendingDB  []DBObjectInfo
-	appliedDBs []DBObjectInfo // DB objects applied, in (Ts, Gen) order
-	appliedTs  int64          // WAL frontier: every ts ≤ this is reflected locally
-	// appliedWALs remembers the WAL objects applied beyond the newest
-	// applied DB object (entries at or below it are pruned: the DB object
-	// covers them). They exist so an out-of-order DB repair — which
-	// clobbers the local WAL files with older whole-file images — can
-	// re-queue and replay the run instead of silently losing it.
-	appliedWALs map[int64]WALObjectInfo
-	caughtUpAt  time.Time // last instant the replica held everything listed
+	pendingWAL int       // listed WAL objects past the frontier after the last poll
+	caughtUpAt time.Time // last instant the replica held everything listed
 
 	polls      atomic.Int64
 	listErrs   atomic.Int64
 	appliedWAL atomic.Int64
 	appliedDB  atomic.Int64
-	watermark  atomic.Int64 // appliedTs mirror for the lock-free gauge
+	watermark  atomic.Int64 // the WAL frontier: every ts ≤ this is reflected locally
 
 	errMu sync.Mutex
 	err   error
@@ -122,17 +117,16 @@ func NewFollower(localFS vfs.FS, store cloud.ObjectStore, proc dbevent.Processor
 	ctx, cancel := context.WithCancel(withClass(context.Background(), classFetch))
 	clk := params.clock()
 	f := &Follower{
-		localFS:     localFS,
-		io:          io,
-		proc:        proc,
-		params:      params,
-		clk:         clk,
-		ctx:         ctx,
-		cancel:      cancel,
-		loop:        simclock.NewGroup(clk),
-		tracker:     newListTracker(0),
-		pendingWAL:  make(map[int64]WALObjectInfo),
-		appliedWALs: make(map[int64]WALObjectInfo),
+		localFS: localFS,
+		io:      io,
+		proc:    proc,
+		params:  params,
+		clk:     clk,
+		ctx:     ctx,
+		cancel:  cancel,
+		loop:    simclock.NewGroup(clk),
+		tracker: newListTracker(0),
+		view:    NewCloudView(),
 	}
 	f.caughtUpAt = f.clk.Now()
 	if reg := params.Metrics; reg != nil {
@@ -146,10 +140,11 @@ func NewFollower(localFS vfs.FS, store cloud.ObjectStore, proc dbevent.Processor
 	return f, nil
 }
 
-// Start performs the initial full sync (the cold-restore equivalent:
-// dump, checkpoints, consecutive WAL, all through the same tail path) and
-// then launches the poll loop on the configured clock. It returns once
-// the replica holds everything currently listed.
+// Start performs the initial sync — the first poll, which is a cold
+// recovery's plan — and then launches the poll loop on the configured
+// clock. It returns once the replica holds everything currently listed; a
+// bucket with no dump yet (a primary that has not booted) leaves the
+// replica empty until a later poll lists one.
 func (f *Follower) Start(ctx context.Context) error {
 	if !f.started.CompareAndSwap(false, true) {
 		return errors.New("core: follower already started")
@@ -162,7 +157,7 @@ func (f *Follower) Start(ctx context.Context) error {
 		return fmt.Errorf("core: follower initial list: %w", err)
 	}
 	f.polls.Add(1)
-	if err := f.ingestAndApply(ctx, infos, nil); err != nil {
+	if _, err := f.poll(ctx, infos, nil); err != nil {
 		f.started.Store(false)
 		return fmt.Errorf("core: follower initial sync: %w", err)
 	}
@@ -190,7 +185,7 @@ func (f *Follower) tail() {
 		}
 		f.polls.Add(1)
 		applied := f.appliedWAL.Load() + f.appliedDB.Load()
-		if err := f.ingestAndApply(f.ctx, infos, nil); err != nil {
+		if _, err := f.poll(f.ctx, infos, nil); err != nil {
 			if f.ctx.Err() != nil {
 				return
 			}
@@ -208,174 +203,117 @@ func (f *Follower) tail() {
 	}
 }
 
-// ingestAndApply diffs one listing into the pending queues and drains
-// whatever became applicable. bd, when non-nil (Promote), accumulates
-// recovery-phase timings and counts.
-func (f *Follower) ingestAndApply(ctx context.Context, infos []cloud.ObjectInfo, bd *RecoveryBreakdown) error {
-	f.mu.Lock()
+// poll is one catch-up: diff the listing into the view, plan the newest
+// state, and apply what of the plan the replica does not hold yet. bd,
+// when non-nil (Promote), accumulates recovery-phase timings and counts.
+// With no dump listed there is nothing to build on, and the poll waits
+// for a later listing. A GET that finds its object gone (the primary's GC
+// won the race between LIST and GET) ends the poll with what it completed:
+// the object is forgotten, so the next plan routes around it, and complete
+// is false.
+func (f *Follower) poll(ctx context.Context, infos []cloud.ObjectInfo, bd *RecoveryBreakdown) (complete bool, err error) {
 	walNew, dbNew, err := f.tracker.observe(infos)
 	if err != nil {
-		f.mu.Unlock()
-		return err
+		return false, err
 	}
 	for _, w := range walNew {
-		if w.Ts > f.appliedTs {
-			f.pendingWAL[w.Ts] = w
+		f.view.AddWAL(w)
+	}
+	for _, d := range dbNew {
+		if err := f.view.AddDB(d); err != nil {
+			return false, err
 		}
 	}
-	if len(dbNew) > 0 {
-		f.pendingDB = append(f.pendingDB, dbNew...)
-		sort.Slice(f.pendingDB, func(i, j int) bool { return f.pendingDB[i].Before(f.pendingDB[j]) })
+	dbs, wals := f.view.DBObjects(), f.view.WALObjects()
+	db, run, err := plan(dbs, wals, -1)
+	if err != nil { // ErrNoDump, the only error of an unbounded plan
+		f.settle(len(wals), len(dbs)+len(wals) == 0)
+		return true, nil
 	}
-	f.mu.Unlock()
-	if err := f.applyReady(ctx, bd); err != nil {
-		return err
+	// What precedes the dump, and WAL its newest DB object covers, is out
+	// of every later plan too: a poll should cost the live bucket, not the
+	// history the follower has seen.
+	for _, d := range dbs {
+		if d.Before(db[0]) {
+			f.view.DeleteDB(d.Ts, d.Gen)
+		}
 	}
+	for _, w := range wals {
+		if w.Ts <= db[len(db)-1].Ts {
+			f.view.DeleteWAL(w.Ts)
+		}
+	}
+
+	k := 0
+	for k < len(db) && k < len(f.applied) && db[k].Ts == f.applied[k].Ts && db[k].Gen == f.applied[k].Gen {
+		k++
+	}
+	frontier := f.watermark.Load()
+	if k < len(db) || k < len(f.applied) {
+		// The replica parts from the plan at k: everything after — the DB
+		// suffix and the whole WAL run — applies again.
+		f.applied, frontier = f.applied[:k], 0
+		if k > 0 {
+			frontier = f.applied[k-1].Ts
+		}
+	}
+	for len(run) > 0 && run[0].Ts <= frontier {
+		run = run[1:]
+	}
+	n, err := f.io.restore(ctx, f.localFS, planNames(db[k:], run), bd)
+	for _, d := range db[k:] {
+		parts := len(d.PartNames())
+		if n < parts {
+			n = 0 // cut short inside a DB object: no WAL landed after it
+			break
+		}
+		n -= parts
+		f.applied = append(f.applied, d)
+		frontier = d.Ts
+	}
+	if n > 0 {
+		frontier = run[n-1].Ts
+	}
+	f.watermark.Store(frontier)
+	f.appliedDB.Add(int64(len(f.applied) - k))
+	f.appliedWAL.Add(int64(n))
+	if bd != nil {
+		bd.WALObjects += n
+	}
+	if err != nil {
+		var gone *fetchError
+		if !errors.As(err, &gone) || !errors.Is(err, cloud.ErrNotFound) {
+			return false, err
+		}
+		f.forget(gone.name)
+	}
+	pending := 0
+	for _, w := range wals {
+		if w.Ts > frontier {
+			pending++
+		}
+	}
+	f.settle(pending, err == nil && pending == 0)
+	return err == nil, nil
+}
+
+// forget drops an object the bucket no longer holds from the view.
+func (f *Follower) forget(name string) {
+	if ts, _, _, err := ParseWALObjectName(name); err == nil {
+		f.view.DeleteWAL(ts)
+	} else if n, err := ParseDBObjectName(name); err == nil {
+		f.view.DeleteDB(n.Ts, n.Gen)
+	}
+}
+
+// settle publishes a poll's outcome to Stats and the lag gauge.
+func (f *Follower) settle(pending int, caughtUp bool) {
 	f.mu.Lock()
-	if len(f.pendingWAL) == 0 && len(f.pendingDB) == 0 {
+	defer f.mu.Unlock()
+	f.pendingWAL = pending
+	if caughtUp {
 		f.caughtUpAt = f.clk.Now()
 	}
-	f.mu.Unlock()
-	return nil
-}
-
-// applyReady drains the pending queues in recovery order: DB objects by
-// (Ts, Gen) first, then the consecutive WAL run from the applied
-// frontier. Applying a DB object with Ts = T advances the frontier to T
-// and discards pending WAL ≤ T — exactly the cold-recovery rule that
-// replays WAL only past the newest checkpoint. An object that vanished
-// between LIST and GET (the primary's GC won the race) is dropped; its
-// superseding object is already in, or on its way into, a later listing.
-func (f *Follower) applyReady(ctx context.Context, bd *RecoveryBreakdown) error {
-	for {
-		f.mu.Lock()
-		if len(f.pendingDB) > 0 {
-			d := f.pendingDB[0]
-			f.pendingDB = f.pendingDB[1:]
-			outOfOrder := len(f.appliedDBs) > 0 && d.Before(f.appliedDBs[len(f.appliedDBs)-1])
-			f.mu.Unlock()
-			if _, err := f.io.restore(ctx, f.localFS, d.PartNames(), bd); err != nil {
-				if errors.Is(err, cloud.ErrNotFound) {
-					continue // GC'd under us: superseded, skip
-				}
-				return err
-			}
-			if outOfOrder {
-				// A listing revealed an older DB object after a newer one was
-				// already applied (read-after-write list lag). Its page images
-				// are stale now; re-apply the newer objects on top so the
-				// replica ends at the newest applied state again.
-				if err := f.reapplyNewerThan(ctx, d, bd); err != nil {
-					return err
-				}
-			}
-			f.mu.Lock()
-			f.appliedDBs = append(f.appliedDBs, d)
-			sort.Slice(f.appliedDBs, func(i, j int) bool { return f.appliedDBs[i].Before(f.appliedDBs[j]) })
-			if d.Ts > f.appliedTs {
-				f.appliedTs = d.Ts
-				f.watermark.Store(d.Ts)
-				for ts := range f.pendingWAL {
-					if ts <= f.appliedTs {
-						delete(f.pendingWAL, ts)
-					}
-				}
-				for ts := range f.appliedWALs {
-					if ts <= f.appliedTs {
-						delete(f.appliedWALs, ts)
-					}
-				}
-			} else if outOfOrder {
-				// The out-of-order apply wrote d's older whole-file images —
-				// including its snapshot of the WAL files — and the re-apply
-				// above restored only the newer DB objects, not the WAL run
-				// applied past them. Roll the frontier back to the newest
-				// applied DB Ts and re-queue that run from appliedWALs so the
-				// normal drain below replays it; until then the watermark must
-				// not claim timestamps the files no longer hold.
-				top := f.appliedDBs[len(f.appliedDBs)-1].Ts
-				if f.appliedTs > top {
-					for ts := top + 1; ts <= f.appliedTs; ts++ {
-						if w, ok := f.appliedWALs[ts]; ok {
-							f.pendingWAL[ts] = w
-						}
-					}
-					f.appliedTs = top
-					f.watermark.Store(top)
-				}
-			}
-			f.mu.Unlock()
-			f.appliedDB.Add(1)
-			continue
-		}
-		var run []WALObjectInfo
-		for ts := f.appliedTs + 1; ; ts++ {
-			w, ok := f.pendingWAL[ts]
-			if !ok {
-				break
-			}
-			run = append(run, w)
-		}
-		f.mu.Unlock()
-		if len(run) == 0 {
-			return nil
-		}
-		applied, err := f.applyWALRun(ctx, run, bd)
-		f.mu.Lock()
-		for _, w := range run[:applied] {
-			delete(f.pendingWAL, w.Ts)
-			f.appliedWALs[w.Ts] = w
-			f.appliedTs = w.Ts
-		}
-		f.watermark.Store(f.appliedTs)
-		f.mu.Unlock()
-		f.appliedWAL.Add(int64(applied))
-		if err != nil {
-			if errors.Is(err, cloud.ErrNotFound) && applied < len(run) {
-				// The first unapplied object was GC'd: a checkpoint covering
-				// it exists (or is about to be listed) and will skip the
-				// frontier past it. Drop it and wait.
-				f.mu.Lock()
-				delete(f.pendingWAL, run[applied].Ts)
-				f.mu.Unlock()
-				continue
-			}
-			return err
-		}
-	}
-}
-
-// reapplyNewerThan replays every already-applied DB object after d, in
-// order, restoring the newest-state invariant after an out-of-order apply.
-func (f *Follower) reapplyNewerThan(ctx context.Context, d DBObjectInfo, bd *RecoveryBreakdown) error {
-	f.mu.Lock()
-	var newer []DBObjectInfo
-	for _, a := range f.appliedDBs {
-		if d.Before(a) {
-			newer = append(newer, a)
-		}
-	}
-	f.mu.Unlock()
-	for _, a := range newer {
-		if _, err := f.io.restore(ctx, f.localFS, a.PartNames(), bd); err != nil && !errors.Is(err, cloud.ErrNotFound) {
-			return err
-		}
-	}
-	return nil
-}
-
-// applyWALRun fetches and applies a consecutive WAL run, returning how
-// many objects of the run's prefix were fully applied before any error.
-func (f *Follower) applyWALRun(ctx context.Context, run []WALObjectInfo, bd *RecoveryBreakdown) (int, error) {
-	names := make([]string, len(run))
-	for i, w := range run {
-		names[i] = w.Name()
-	}
-	applied, err := f.io.restore(ctx, f.localFS, names, bd)
-	if bd != nil {
-		bd.WALObjects += applied
-	}
-	return applied, err
 }
 
 // Promote turns the warm replica into the live site: it stops the tail
@@ -384,9 +322,11 @@ func (f *Follower) applyWALRun(ctx context.Context, run []WALObjectInfo, bd *Rec
 // started *Ginja on the warm files, ready for the DBMS to open via FS().
 // The whole handoff is O(replication lag): no second LIST, no database
 // re-download — the final listing seeds the new instance's CloudView
-// directly. The promote RTO is published like any recovery (Mode
-// "promote" in Stats.LastRecovery, ginja_recovery_phase_seconds,
-// recovery:* and follower:promote spans).
+// directly. The promote RTO is timed and published by the same recovery
+// sequence as Recover (Mode "promote" in Stats.LastRecovery,
+// ginja_recovery_phase_seconds, recovery:* spans), plus a follower:promote
+// span. With no dump ever listed there is nothing to promote, and Promote
+// fails with ErrNoDump.
 func (f *Follower) Promote(ctx context.Context) (*Ginja, error) {
 	if !f.started.Load() {
 		return nil, ErrNotStarted
@@ -399,41 +339,31 @@ func (f *Follower) Promote(ctx context.Context) (*Ginja, error) {
 	if err := f.Err(); err != nil {
 		return nil, fmt.Errorf("core: promote after fatal tail error: %w", err)
 	}
-	started := f.clk.Now()
-	bd := &RecoveryBreakdown{Mode: "promote"}
-	t := f.clk.Now()
-	infos, err := f.io.list(ctx, false)
-	if err != nil {
-		return nil, fmt.Errorf("core: promote list: %w", err)
-	}
-	bd.List = f.clk.Since(t)
-	f.polls.Add(1)
-	if err := f.ingestAndApply(ctx, infos, bd); err != nil {
-		return nil, fmt.Errorf("core: promote catch-up: %w", err)
-	}
 	g := newGinja(f.localFS, f.io, f.proc, f.params)
-	t = f.clk.Now()
-	if err := g.view.LoadFromList(infos); err != nil {
+	bd := &RecoveryBreakdown{Mode: "promote"}
+	if err := g.recoverInto(ctx, f.localFS, bd, func(infos []cloud.ObjectInfo) error {
+		f.polls.Add(1)
+		// There is no next poll to finish what a GC race cut short: re-plan
+		// from the same listing until a poll completes (each retry forgets
+		// one object, so this ends).
+		for complete := false; !complete; {
+			var err error
+			if complete, err = f.poll(ctx, infos, bd); err != nil {
+				return fmt.Errorf("core: promote catch-up: %w", err)
+			}
+		}
+		if len(f.applied) == 0 {
+			return fmt.Errorf("core: promote catch-up: %w", ErrNoDump)
+		}
+		bd.DumpTs = f.applied[0].Ts
+		return nil
+	}); err != nil {
 		return nil, err
 	}
-	bd.ViewBuild = f.clk.Since(t)
-	t = f.clk.Now()
-	files, bytes, err := verifyRestore(f.localFS)
-	if err != nil {
-		return nil, fmt.Errorf("core: promote verify: %w", err)
-	}
-	bd.Verify = f.clk.Since(t)
-	bd.VerifiedFiles, bd.VerifiedBytes = files, bytes
-	if d, ok := g.view.LatestDump(); ok {
-		bd.DumpTs = d.Ts
-	}
-	bd.Total = f.clk.Since(started)
-	g.lastRecovery.Store(bd)
-	observeRecovery(f.params.Metrics, bd, started)
 	if reg := f.params.Metrics; reg != nil {
 		reg.Spans().Record(obs.Span{
 			Name: "follower:promote", ID: bd.DumpTs, Extra: int64(bd.Objects),
-			Start: started, Duration: bd.Total,
+			Start: f.clk.Now().Add(-bd.Total), Duration: bd.Total,
 		})
 	}
 	f.params.logger().Info("follower promoted",
@@ -454,7 +384,7 @@ func (f *Follower) Lag() time.Duration {
 // Stats returns a snapshot of the follower's activity.
 func (f *Follower) Stats() FollowerStats {
 	f.mu.Lock()
-	pending := len(f.pendingWAL)
+	pending := f.pendingWAL
 	lag := f.clk.Since(f.caughtUpAt)
 	f.mu.Unlock()
 	s := FollowerStats{

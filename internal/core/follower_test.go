@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -13,6 +14,7 @@ import (
 	"github.com/ginja-dr/ginja/internal/core"
 	"github.com/ginja-dr/ginja/internal/dbevent"
 	"github.com/ginja-dr/ginja/internal/minidb"
+	"github.com/ginja-dr/ginja/internal/minidb/pgengine"
 	"github.com/ginja-dr/ginja/internal/obs"
 	"github.com/ginja-dr/ginja/internal/vfs"
 )
@@ -197,6 +199,186 @@ func TestFollowerSurvivesGCAndDumps(t *testing.T) {
 	}
 }
 
+// getRecorder records the names a store serves through Get.
+type getRecorder struct {
+	cloud.ObjectStore
+	mu    sync.Mutex
+	names []string
+}
+
+func (s *getRecorder) Get(ctx context.Context, name string) ([]byte, error) {
+	s.mu.Lock()
+	s.names = append(s.names, name)
+	s.mu.Unlock()
+	return s.ObjectStore.Get(ctx, name)
+}
+
+// take returns the names recorded since the last take, sorted.
+func (s *getRecorder) take() []string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	names := s.names
+	s.names = nil
+	sort.Strings(names)
+	return names
+}
+
+// TestFollowerFirstPollIsColdRecovery: a fresh follower's initial sync
+// fetches exactly the objects a cold RecoverAt(-1) fetches on the same
+// bucket — even when retention keeps an older dump and the checkpoints
+// after it listed, which neither needs.
+func TestFollowerFirstPollIsColdRecovery(t *testing.T) {
+	params := fastParams()
+	params.PITRGenerations = 1
+	// The retained dump counts toward the dump rule, so the threshold
+	// leaves room for small checkpoints after the newest dump, and a round
+	// rewriting every row crosses it.
+	params.DumpThreshold = 2.5
+	r := pgRig(t, params)
+	if err := r.db.CreateTable("kv", 0); err != nil {
+		t.Fatal(err)
+	}
+	twoDumpsEachFollowed := func() bool {
+		dumps, followed := 0, 0
+		objs := r.g.View().DBObjects()
+		for i, d := range objs {
+			if d.Type == core.Dump {
+				dumps++
+				if i+1 < len(objs) && objs[i+1].Type == core.Checkpoint {
+					followed++
+				}
+			}
+		}
+		return dumps == 2 && followed == 2
+	}
+	var uploads int64
+	for round := 0; !twoDumpsEachFollowed(); round++ {
+		if round == 20 {
+			t.Fatalf("bucket never held two dumps each followed by a checkpoint: %+v", r.g.View().DBObjects())
+		}
+		rows := 1
+		if round%2 == 0 {
+			rows = 100
+		}
+		for i := 0; i < rows; i++ {
+			r.put(t, "kv", fmt.Sprintf("row-%03d", i), fmt.Sprintf("gen-%d-%s", round, strings.Repeat("x", 200)))
+		}
+		if !r.g.Flush(5 * time.Second) {
+			t.Fatal("flush")
+		}
+		if err := r.db.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		uploads++
+		waitCheckpointUploaded(t, r.g, uploads)
+		if !r.g.SyncCheckpoints(5 * time.Second) {
+			t.Fatal("checkpoint GC did not settle")
+		}
+	}
+	for i := 0; i < 3; i++ {
+		r.put(t, "kv", fmt.Sprintf("tail-%d", i), "wal-only")
+	}
+	if !r.g.Flush(5 * time.Second) {
+		t.Fatal("flush")
+	}
+
+	ctx := context.Background()
+	rec := &getRecorder{ObjectStore: r.store}
+	p := params
+	p.FollowInterval = time.Hour // only the initial sync
+	fol, err := core.NewFollower(vfs.NewMemFS(), rec, r.proc(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fol.Start(ctx); err != nil {
+		t.Fatalf("follower start: %v", err)
+	}
+	warm := rec.take()
+	if err := fol.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	gr, err := core.New(vfs.NewMemFS(), rec, r.proc(), params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := gr.RecoverAt(ctx, vfs.NewMemFS(), -1); err != nil {
+		t.Fatalf("RecoverAt: %v", err)
+	}
+	cold := rec.take()
+	if n := gr.Stats().LastRecovery.Objects; n != len(cold) {
+		t.Fatalf("cold recovery counted %d objects but GET %d", n, len(cold))
+	}
+	t.Logf("follower initial sync GETs %d objects, cold RecoverAt(-1) %d", len(warm), len(cold))
+	if strings.Join(warm, "\n") != strings.Join(cold, "\n") {
+		t.Fatalf("follower initial sync GET\n%s\ncold recovery GET\n%s", strings.Join(warm, "\n"), strings.Join(cold, "\n"))
+	}
+}
+
+// TestFollowerStartsBeforeBoot: a follower started on an empty bucket,
+// before the primary's Boot, applies nothing; once the primary boots and
+// commits it converges, and Promote serves every flushed key.
+func TestFollowerStartsBeforeBoot(t *testing.T) {
+	params := fastParams()
+	store := cloud.NewMemStore()
+	p := params
+	p.FollowInterval = 2 * time.Millisecond
+	fol, err := core.NewFollower(vfs.NewMemFS(), store, dbevent.NewPGProcessor(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fol.Start(context.Background()); err != nil {
+		t.Fatalf("follower start on an empty bucket: %v", err)
+	}
+	t.Cleanup(func() { fol.Close() })
+	if s := fol.Stats(); s.AppliedDBObjects != 0 || s.AppliedWALObjects != 0 {
+		t.Fatalf("follower applied objects from an empty bucket (stats %+v)", s)
+	}
+
+	r := newRig(t, store, params,
+		func() minidb.Engine { return pgengine.NewWithSizes(1024, 16*1024, 1024) },
+		func() dbevent.Processor { return dbevent.NewPGProcessor() })
+	if err := r.db.CreateTable("kv", 0); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		r.put(t, "kv", fmt.Sprintf("k%02d", i), "v")
+	}
+	if !r.g.Flush(5 * time.Second) {
+		t.Fatal("flush")
+	}
+	wal := r.g.View().WALObjects()
+	lastTs := wal[len(wal)-1].Ts
+	deadline := time.Now().Add(5 * time.Second)
+	for s := fol.Stats(); s.AppliedTs < lastTs || s.PendingWAL != 0; s = fol.Stats() {
+		if err := fol.Err(); err != nil || time.Now().After(deadline) {
+			t.Fatalf("follower never converged on ts %d: %v (stats %+v)", lastTs, err, s)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+
+	if err := r.db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.g.Close(); err != nil {
+		t.Fatal(err)
+	}
+	g2, err := fol.Promote(context.Background())
+	if err != nil {
+		t.Fatalf("promote: %v", err)
+	}
+	defer g2.Close()
+	db2, err := minidb.Open(g2.FS(), r.engine(), minidb.Options{})
+	if err != nil {
+		t.Fatalf("open promoted replica: %v", err)
+	}
+	for i := 0; i < 20; i++ {
+		if v, err := db2.Get("kv", []byte(fmt.Sprintf("k%02d", i))); err != nil || string(v) != "v" {
+			t.Fatalf("k%02d after promote: %q, %v", i, v, err)
+		}
+	}
+}
+
 // maskedStore hides a set of names from List (read-after-write list lag
 // in miniature): the follower must behave as if those objects do not
 // exist yet, then cope when a later listing reveals them.
@@ -229,149 +411,137 @@ func (s *maskedStore) reveal() {
 }
 
 // TestFollowerLateListedDumpKeepsTailWAL is the out-of-order repair
-// regression: the bucket holds dump D, a newer checkpoint C and WAL
-// beyond C, but D's parts are missing from the follower's listings until
-// after C and the WAL run were already applied (read-after-write list
-// lag). Applying D late clobbers the replica with D's older images, and
-// re-applying the newer DB objects restores only what THEY contain — the
-// WAL run applied past C is not theirs to restore. The follower must
-// roll its frontier back to C and replay that run (the watermark must
-// never claim WAL the files are not guaranteed to hold), and the
-// re-apply must leave the replica byte-equivalent to a cold restore, so
+// regression. The bucket holds dump D, checkpoints C1 < C2 and WAL beyond
+// C2, and read-after-write list lag hides one DB object from the
+// follower's listings until after its first sync.
+//
+// C1 hidden: the first sync applies D, C2 and the WAL run. Once C1 is
+// listed the plan's DB prefix parts from the replica's after D, so C1, C2
+// and the whole run apply again — applying C1 late clobbers the replica
+// with older images, and only replaying what came after restores it. The
+// watermark never claims WAL the files are not guaranteed to hold, and
 // Promote serves every committed write.
+//
+// D hidden: with no dump listed there is nothing to build on — cold
+// recovery would say ErrNoDump, and WAL plus incremental checkpoints with
+// no base do not open — so the follower applies nothing until D is listed,
+// then converges.
 func TestFollowerLateListedDumpKeepsTailWAL(t *testing.T) {
 	params := fastParams()
 	r := pgRig(t, params)
 	if err := r.db.CreateTable("kv", 0); err != nil {
 		t.Fatal(err)
 	}
-
-	// Rewrite the same keys through checkpoints until the 150 % rule
-	// produces dump D.
-	var ckpts int64
-	for round := 0; round < 40 && r.g.Stats().Dumps == 0; round++ {
-		for i := 0; i < 10; i++ {
-			r.put(t, "kv", fmt.Sprintf("k%02d", i), fmt.Sprintf("round-%d", round))
-		}
+	checkpoint := func(ckpts *int64) {
+		t.Helper()
 		if !r.g.Flush(5 * time.Second) {
 			t.Fatal("flush")
 		}
 		if err := r.db.Checkpoint(); err != nil {
 			t.Fatal(err)
 		}
-		ckpts++
-		waitCheckpointUploaded(t, r.g, ckpts)
-	}
-	if r.g.Stats().Dumps == 0 {
-		t.Fatalf("150%% rule never produced a dump (stats %+v)", r.g.Stats())
-	}
-	if !r.g.SyncCheckpoints(5 * time.Second) {
-		t.Fatal("dump GC did not settle")
+		*ckpts++
+		waitCheckpointUploaded(t, r.g, *ckpts)
+		if !r.g.SyncCheckpoints(5 * time.Second) {
+			t.Fatal("checkpoint GC did not settle")
+		}
 	}
 
-	// Checkpoint C after the dump...
-	for i := 0; i < 10; i++ {
-		r.put(t, "kv", fmt.Sprintf("k%02d", i), "post-dump")
+	// Rewrite the same keys through checkpoints until the 150 % rule
+	// produces dump D, then checkpoints C1 and C2 after it...
+	var ckpts int64
+	for round := 0; round < 40 && r.g.Stats().Dumps == 0; round++ {
+		for i := 0; i < 10; i++ {
+			r.put(t, "kv", fmt.Sprintf("k%02d", i), fmt.Sprintf("round-%d", round))
+		}
+		checkpoint(&ckpts)
 	}
-	if !r.g.Flush(5 * time.Second) {
-		t.Fatal("flush")
+	for _, v := range []string{"c1", "c2"} {
+		for i := 0; i < 10; i += 3 {
+			r.put(t, "kv", fmt.Sprintf("k%02d", i), v)
+		}
+		checkpoint(&ckpts)
 	}
-	if err := r.db.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	ckpts++
-	waitCheckpointUploaded(t, r.g, ckpts)
-	if !r.g.SyncCheckpoints(5 * time.Second) {
-		t.Fatal("checkpoint did not settle")
-	}
-	if d := r.g.Stats().Dumps; d != 1 {
-		t.Fatalf("post-dump checkpoint became another dump (%d dumps); scenario needs checkpoint C newer than the dump", d)
+	objs := r.g.View().DBObjects()
+	if len(objs) != 3 || objs[0].Type != core.Dump || objs[1].Type != core.Checkpoint || objs[2].Type != core.Checkpoint {
+		t.Fatalf("bucket holds %+v; the scenario needs exactly dump D and checkpoints C1, C2 after it", objs)
 	}
 
-	// ...and tail commits that exist only as WAL objects beyond C.
+	// ...and tail commits that exist only as WAL objects beyond C2.
 	for i := 0; i < 6; i++ {
 		r.put(t, "kv", fmt.Sprintf("tail-%d", i), "wal-only")
 	}
 	if !r.g.Flush(5 * time.Second) {
 		t.Fatal("flush")
 	}
+	wal := r.g.View().WALObjects()
+	lastTs := wal[len(wal)-1].Ts
 
 	// The primary crashes here: simply stop touching it. A clean db.Close
 	// would run a final checkpoint covering the tail commits, which must
 	// stay WAL-only for this scenario. With no further commits the bucket
 	// is static from now on.
-
-	// Hide every part of the newest dump from the follower's listings.
 	ctx := context.Background()
-	infos, err := r.store.List(ctx, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var dumpTs int64
-	dumpGen := -1
-	for _, info := range infos {
-		if !strings.HasPrefix(info.Name, "DB/") {
-			continue
+	startMasked := func(hide core.DBObjectInfo) (*core.Follower, *maskedStore) {
+		t.Helper()
+		masked := &maskedStore{ObjectStore: r.store, hidden: make(map[string]bool)}
+		for _, name := range hide.PartNames() {
+			masked.hidden[name] = true
 		}
-		n, err := core.ParseDBObjectName(info.Name)
+		p := params
+		p.FollowInterval = 2 * time.Millisecond
+		fol, err := core.NewFollower(vfs.NewMemFS(), masked, r.proc(), p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n.Type == core.Dump && (n.Ts > dumpTs || (n.Ts == dumpTs && n.Gen > dumpGen)) {
-			dumpTs, dumpGen = n.Ts, n.Gen
+		if err := fol.Start(ctx); err != nil {
+			t.Fatalf("follower start: %v", err)
 		}
+		t.Cleanup(func() { fol.Close() })
+		return fol, masked
 	}
-	if dumpGen < 0 {
-		t.Fatal("no dump in the bucket")
-	}
-	masked := &maskedStore{ObjectStore: r.store, hidden: make(map[string]bool)}
-	for _, info := range infos {
-		if !strings.HasPrefix(info.Name, "DB/") {
-			continue
+	waitFor := func(fol *core.Follower, done func(core.FollowerStats) bool, what string) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for s := fol.Stats(); !done(s); s = fol.Stats() {
+			if err := fol.Err(); err != nil {
+				t.Fatalf("follower tail error: %v", err)
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%s (stats %+v)", what, s)
+			}
+			time.Sleep(2 * time.Millisecond)
 		}
-		if n, _ := core.ParseDBObjectName(info.Name); n.Type == core.Dump && n.Ts == dumpTs && n.Gen == dumpGen {
-			masked.hidden[info.Name] = true
-		}
-	}
-	if len(masked.hidden) == 0 {
-		t.Fatal("found no dump parts to hide")
 	}
 
-	params.FollowInterval = 2 * time.Millisecond
-	fol, err := core.NewFollower(vfs.NewMemFS(), masked, r.proc(), params)
-	if err != nil {
+	// D hidden: nothing applies, across several polls, until D is listed.
+	fol, masked := startMasked(objs[0])
+	waitFor(fol, func(s core.FollowerStats) bool { return s.Polls >= 3 }, "follower stopped polling")
+	if s := fol.Stats(); s.AppliedDBObjects != 0 || s.AppliedWALObjects != 0 {
+		t.Fatalf("follower applied objects with no dump listed (stats %+v)", s)
+	}
+	masked.reveal()
+	waitFor(fol, func(s core.FollowerStats) bool {
+		return s.AppliedDBObjects == int64(len(objs)) && s.AppliedTs == lastTs && s.PendingWAL == 0
+	}, "follower never converged once the dump was listed")
+	if err := fol.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := fol.Start(ctx); err != nil {
-		t.Fatalf("follower start: %v", err)
-	}
-	t.Cleanup(func() { fol.Close() })
-	pre := fol.Stats()
-	if pre.AppliedWALObjects == 0 {
-		t.Fatalf("initial sync applied no tail WAL (stats %+v)", pre)
-	}
 
-	// Reveal the dump: the next listing emits it out of order.
+	// C1 hidden: the first sync applies D, C2 and the tail.
+	fol, masked = startMasked(objs[1])
+	pre := fol.Stats()
+	if pre.AppliedDBObjects != 2 || pre.AppliedWALObjects == 0 || pre.AppliedTs != lastTs {
+		t.Fatalf("initial sync did not apply D, C2 and the tail WAL (stats %+v)", pre)
+	}
 	masked.reveal()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		s := fol.Stats()
-		if s.AppliedDBObjects > pre.AppliedDBObjects && s.PendingWAL == 0 && s.AppliedTs >= pre.AppliedTs {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("late dump never applied (stats %+v)", s)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	if err := fol.Err(); err != nil {
-		t.Fatalf("follower tail error: %v", err)
-	}
-	// The out-of-order repair must have replayed the WAL run past the
-	// newest re-applied DB object, not just re-applied DB objects: the
-	// frontier rolled back to C and walked forward through the run again.
+	waitFor(fol, func(s core.FollowerStats) bool {
+		return s.AppliedDBObjects > pre.AppliedDBObjects && s.PendingWAL == 0 && s.AppliedTs >= pre.AppliedTs
+	}, "late checkpoint never applied")
+	// The repair must have replayed the WAL run past the newest re-applied
+	// DB object, not just re-applied DB objects.
 	if s := fol.Stats(); s.AppliedWALObjects <= pre.AppliedWALObjects {
-		t.Fatalf("WAL run not replayed after out-of-order dump repair (before %+v, after %+v)", pre, s)
+		t.Fatalf("WAL run not replayed after out-of-order checkpoint repair (before %+v, after %+v)", pre, s)
 	}
 
 	g2, err := fol.Promote(ctx)
@@ -384,15 +554,19 @@ func TestFollowerLateListedDumpKeepsTailWAL(t *testing.T) {
 		t.Fatalf("open promoted replica: %v", err)
 	}
 	for i := 0; i < 10; i++ {
+		want := fmt.Sprintf("round-%d", ckpts-3) // the last round before C1
+		if i%3 == 0 {
+			want = "c2"
+		}
 		v, err := db2.Get("kv", []byte(fmt.Sprintf("k%02d", i)))
-		if err != nil || string(v) != "post-dump" {
-			t.Fatalf("k%02d after promote: %q, %v", i, v, err)
+		if err != nil || string(v) != want {
+			t.Fatalf("k%02d after promote: %q, %v (want %q)", i, v, err, want)
 		}
 	}
 	for i := 0; i < 6; i++ {
 		v, err := db2.Get("kv", []byte(fmt.Sprintf("tail-%d", i)))
 		if err != nil || string(v) != "wal-only" {
-			t.Fatalf("tail-%d after promote: %q, %v — WAL run lost by out-of-order dump repair", i, v, err)
+			t.Fatalf("tail-%d after promote: %q, %v — WAL run lost by out-of-order repair", i, v, err)
 		}
 	}
 }

@@ -116,7 +116,8 @@ type Stats struct {
 	// samples, or when adaptive batching is off).
 	FittedPutLatency time.Duration
 	// LastRecovery is the phase-by-phase RTO budget of the most recent
-	// Recover/RecoverAt on this instance (nil if it never recovered).
+	// Recover/RecoverAt on this instance, or of the Promote that created
+	// it (nil if it never recovered).
 	LastRecovery *RecoveryBreakdown
 	// LastError is the first fatal replication error, rendered as a
 	// string ("" while healthy), so health checks can consume a Stats
@@ -283,16 +284,18 @@ func (g *Ginja) Reboot(ctx context.Context) error {
 }
 
 // Recover rebuilds the local database files from the cloud (Algorithm 1,
-// Recovery mode): newest dump, then incremental checkpoints in timestamp
-// order, then the WAL objects with consecutive timestamps. After Recover
-// returns, the DBMS can be started on FS() and will complete its own
-// crash recovery from the rebuilt files.
+// Recovery mode): newest dump, then its delta chain and the incremental
+// checkpoints in (Ts, Gen) order, then the WAL objects with consecutive
+// timestamps (see plan). After Recover returns, the DBMS can be started on
+// FS() and will complete its own crash recovery from the rebuilt files.
 func (g *Ginja) Recover(ctx context.Context) error {
 	if g.started {
 		return errors.New("core: already started")
 	}
-	bd, err := g.recoverInto(ctx, g.localFS, -1, "recover")
-	if err != nil {
+	bd := &RecoveryBreakdown{Mode: "recover"}
+	if err := g.recoverInto(ctx, g.localFS, bd, func([]cloud.ObjectInfo) error {
+		return g.restoreTo(ctx, g.localFS, -1, bd)
+	}); err != nil {
 		return err
 	}
 	g.params.logger().Info("ginja recovery complete",
@@ -304,52 +307,52 @@ func (g *Ginja) Recover(ctx context.Context) error {
 
 // RecoverAt rebuilds the local files to the exact consistent prefix of
 // the commit history up to and including WAL timestamp ts: the newest
-// retained dump at or before ts, the incremental checkpoints up to ts,
-// then the consecutive WAL run ending at ts. Any ts whose objects are
-// still retained (Params.RetainFor / PITRGenerations) is a valid
-// recovery point; a ts older than the retention window fails with
-// ErrNoDump. ts = -1 recovers the newest state (like Recover, but onto
-// target). RecoverAt does NOT start replication — point-in-time restores
-// are for inspection or fork-off, not for resuming the production
-// timeline.
+// retained dump at or before ts, its delta chain and the incremental
+// checkpoints up to ts, then the consecutive WAL run ending at ts (see
+// plan). Any ts whose objects are still retained (Params.RetainFor /
+// PITRGenerations) is a valid recovery point; a ts older than the
+// retention window fails with ErrNoDump. ts = -1 recovers the newest
+// state (like Recover, but onto target). RecoverAt does NOT start
+// replication — point-in-time restores are for inspection or fork-off,
+// not for resuming the production timeline.
 func (g *Ginja) RecoverAt(ctx context.Context, target vfs.FS, ts int64) error {
 	if ts < -1 {
 		return fmt.Errorf("core: RecoverAt target ts must be ≥ 0 (or -1 for newest), got %d", ts)
 	}
-	_, err := g.recoverInto(ctx, target, ts, "recover_at")
-	return err
+	bd := &RecoveryBreakdown{Mode: "recover_at"}
+	return g.recoverInto(ctx, target, bd, func([]cloud.ObjectInfo) error {
+		return g.restoreTo(ctx, target, ts, bd)
+	})
 }
 
-// recoverInto runs the full recovery sequence — LIST, CloudView build,
-// restore, verify — onto target with every phase timed, publishing the
-// resulting RecoveryBreakdown (Stats.LastRecovery, the
+// recoverInto runs the full recovery sequence onto target — LIST,
+// CloudView build, restore (which fills target: from a plan for Recover
+// and RecoverAt, by a Follower's final catch-up for Promote), verify — with
+// every phase timed into bd, then publishes bd (Stats.LastRecovery, the
 // ginja_recovery_phase_seconds histogram and "recovery:*" spans).
-func (g *Ginja) recoverInto(ctx context.Context, target vfs.FS, upTo int64, mode string) (*RecoveryBreakdown, error) {
+func (g *Ginja) recoverInto(ctx context.Context, target vfs.FS, bd *RecoveryBreakdown, restore func([]cloud.ObjectInfo) error) error {
 	clk := g.params.clock()
 	started := clk.Now()
-	bd := &RecoveryBreakdown{Mode: mode}
-
-	t := clk.Now()
 	infos, err := g.io.list(ctx, false)
 	if err != nil {
-		return nil, fmt.Errorf("core: recover list: %w", err)
+		return fmt.Errorf("core: %s list: %w", bd.Mode, err)
 	}
-	bd.List = clk.Since(t)
+	bd.List = clk.Since(started)
 
-	t = clk.Now()
+	t := clk.Now()
 	if err := g.view.LoadFromList(infos); err != nil {
-		return nil, err
+		return err
 	}
 	bd.ViewBuild = clk.Since(t)
 
-	if err := g.restoreTo(ctx, target, upTo, bd); err != nil {
-		return nil, err
+	if err := restore(infos); err != nil {
+		return err
 	}
 
 	t = clk.Now()
 	files, bytes, err := verifyRestore(target)
 	if err != nil {
-		return nil, fmt.Errorf("core: recover verify: %w", err)
+		return fmt.Errorf("core: %s verify: %w", bd.Mode, err)
 	}
 	bd.Verify = clk.Since(t)
 	bd.VerifiedFiles, bd.VerifiedBytes = files, bytes
@@ -357,124 +360,20 @@ func (g *Ginja) recoverInto(ctx context.Context, target vfs.FS, upTo int64, mode
 	bd.Total = clk.Since(started)
 	g.lastRecovery.Store(bd)
 	observeRecovery(g.params.Metrics, bd, started)
-	return bd, nil
+	return nil
 }
 
-// restoreTo applies dump + checkpoints + WAL onto target, accumulating
-// the fetch/decode/apply phase timings into bd. upTo bounds the restore
-// to the consistent prefix ending at that WAL timestamp (-1 = no bound,
-// restore the newest state): the plan takes the newest dump at or before
-// upTo, the checkpoints between it and upTo, and the consecutive WAL run
-// stopping at upTo inclusive.
-//
-// The restore plan — which objects, in which order — is computed up front
-// from the view, then executed with prefetchInOrder: up to
-// RecoveryFetchers parallel GETs hide per-request cloud latency while
-// every object is still applied strictly in plan order (dump, then
-// checkpoints by (Ts, Gen), then the consecutive-timestamp WAL run). Only
-// the downloads overlap; the file-write side is identical to a serial
-// restore.
+// restoreTo rebuilds target as plan orders it from the view (upTo = -1:
+// the newest state), accumulating the fetch/decode/apply phase timings
+// into bd. Only the downloads overlap (RecoveryFetchers parallel GETs);
+// every object is applied strictly in plan order.
 func (g *Ginja) restoreTo(ctx context.Context, target vfs.FS, upTo int64, bd *RecoveryBreakdown) error {
-	var (
-		dump  DBObjectInfo
-		found bool
-	)
-	objs := g.view.DBObjects() // (Ts, Gen) ascending
-	for _, d := range objs {
-		if d.Type == Dump && (upTo < 0 || d.Ts <= upTo) {
-			dump = d // newest qualifying dump wins
-			found = true
-		}
+	db, run, err := plan(g.view.DBObjects(), g.view.WALObjects(), upTo)
+	if err != nil {
+		return err
 	}
-	if !found {
-		if upTo < 0 {
-			return ErrNoDump
-		}
-		return fmt.Errorf("core: no dump at or before ts %d (outside the retention window): %w", upTo, ErrNoDump)
-	}
-
-	// The plan is a flat list of object names: every name, DB part or WAL
-	// object alike, is one envelope, opened, decoded and applied as it
-	// arrives (in plan order, so a whole-file head chunk truncates before
-	// its continuation chunks append).
-	//
-	// 1. The dump (Algorithm 1 lines 27-29).
-	names := dump.PartNames()
-	// 2. The delta chain rooted at the selected dump, and incremental
-	// checkpoints after the dump, all in (Ts, Gen) order (lines 30-36).
-	// Chain membership follows the `.b` back-pointers forward from the
-	// dump; a delta rooted elsewhere (an older base the view still lists)
-	// is not part of this restore. Applying a still-retained checkpoint
-	// before the delta that superseded it is harmless — the delta
-	// recaptures every range those checkpoints dirtied — and order by
-	// (Ts, Gen) guarantees the delta lands after. When restoring to a
-	// point in time (upTo >= 0), only objects covering WAL up to the
-	// target participate; a chain prefix is itself a consistent cut.
-	inChain := map[dbKey]bool{{ts: dump.Ts, gen: dump.Gen}: true}
-	tip := dump
-	for {
-		found := false
-		for _, d := range objs {
-			if d.Type != Delta || d.BaseTs != tip.Ts || d.BaseGen != tip.Gen || !tip.Before(d) {
-				continue
-			}
-			if upTo >= 0 && d.Ts > upTo {
-				continue
-			}
-			inChain[dbKey{ts: d.Ts, gen: d.Gen}] = true
-			tip = d
-			found = true
-			break // ascending scan: first successor is the canonical one
-		}
-		if !found {
-			break
-		}
-	}
-	maxCkptTs := dump.Ts
-	for _, d := range objs {
-		if !dump.Before(d) {
-			continue
-		}
-		if upTo >= 0 && d.Ts > upTo {
-			continue
-		}
-		switch d.Type {
-		case Checkpoint:
-		case Delta:
-			if !inChain[dbKey{ts: d.Ts, gen: d.Gen}] {
-				continue
-			}
-		default:
-			continue
-		}
-		names = append(names, d.PartNames()...)
-		if d.Ts > maxCkptTs {
-			maxCkptTs = d.Ts
-		}
-	}
-	// 3. WAL objects with consecutive timestamps (lines 37-40). A gap —
-	// an object lost mid-upload when the disaster struck — ends the
-	// replay; this is exactly what bounds data loss to S. The run stops at
-	// upTo inclusive, which is what makes RecoverAt(ts) the exact prefix
-	// ≤ ts rather than the nearest checkpoint.
-	wal := g.view.WALObjects()
-	byTs := make(map[int64]WALObjectInfo, len(wal))
-	for _, w := range wal {
-		byTs[w.Ts] = w
-	}
-	for ts := maxCkptTs + 1; ; ts++ {
-		if upTo >= 0 && ts > upTo {
-			break
-		}
-		w, ok := byTs[ts]
-		if !ok {
-			break
-		}
-		names = append(names, w.Name())
-		bd.WALObjects++
-	}
-	bd.DumpTs = dump.Ts
-	_, err := g.io.restore(ctx, target, names, bd)
+	bd.DumpTs, bd.WALObjects = db[0].Ts, len(run)
+	_, err = g.io.restore(ctx, target, planNames(db, run), bd)
 	return err
 }
 

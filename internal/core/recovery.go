@@ -1,21 +1,95 @@
 package core
 
 import (
+	"fmt"
+	"sort"
 	"time"
 
 	"github.com/ginja-dr/ginja/internal/obs"
 	"github.com/ginja-dr/ginja/internal/vfs"
 )
 
+// plan is the one place the recovery order is decided (Algorithm 1's
+// Recovery mode) — for Recover, RecoverAt, Verify and every Follower poll
+// alike. From a view snapshot (dbs in (Ts, Gen) order, wals in Ts order)
+// it picks:
+//
+//  1. the newest dump at or before upTo (-1 = no bound);
+//  2. after it, in (Ts, Gen) order and up to upTo, the checkpoints and the
+//     delta chain rooted at that dump: a delta joins only if its `.b` base
+//     is the previous chain element, so one rooted elsewhere (an older
+//     retained dump's chain) is left out. A retained checkpoint applied
+//     before the delta that superseded it is harmless — the delta
+//     recaptures every range it dirtied — and a chain prefix is itself a
+//     consistent cut;
+//  3. the WAL objects with consecutive timestamps from the newest planned
+//     DB object's Ts + 1. A gap (an object lost mid-upload when the
+//     disaster struck) ends the run, which is what bounds data loss to S;
+//     stopping at upTo is what makes RecoverAt(ts) the exact prefix ≤ ts.
+//
+// No qualifying dump is ErrNoDump.
+func plan(dbs []DBObjectInfo, wals []WALObjectInfo, upTo int64) (db []DBObjectInfo, run []WALObjectInfo, err error) {
+	within := func(ts int64) bool { return upTo < 0 || ts <= upTo }
+	dump := -1
+	for i, d := range dbs {
+		if d.Type == Dump && within(d.Ts) {
+			dump = i
+		}
+	}
+	if dump < 0 {
+		if upTo < 0 {
+			return nil, nil, ErrNoDump
+		}
+		return nil, nil, fmt.Errorf("core: no dump at or before ts %d (outside the retention window): %w", upTo, ErrNoDump)
+	}
+	db = []DBObjectInfo{dbs[dump]}
+	tip := dbs[dump]
+	for _, d := range dbs[dump+1:] {
+		if !within(d.Ts) {
+			break
+		}
+		if d.Type == Delta {
+			if d.BaseTs != tip.Ts || d.BaseGen != tip.Gen {
+				continue
+			}
+			tip = d
+		}
+		db = append(db, d)
+	}
+	from := db[len(db)-1].Ts + 1
+	i := sort.Search(len(wals), func(i int) bool { return wals[i].Ts >= from })
+	j := i
+	for j < len(wals) && wals[j].Ts == from+int64(j-i) && within(wals[j].Ts) {
+		j++
+	}
+	return db, wals[i:j], nil
+}
+
+// planNames flattens a plan into the names a restore fetches, in apply
+// order: every name, DB part or WAL object alike, is one envelope (so a
+// whole-file head chunk truncates before its continuation chunks append).
+func planNames(db []DBObjectInfo, run []WALObjectInfo) []string {
+	var names []string
+	for _, d := range db {
+		names = append(names, d.PartNames()...)
+	}
+	for _, w := range run {
+		names = append(names, w.Name())
+	}
+	return names
+}
+
 // RecoveryBreakdown is the machine-readable RTO budget of one recovery:
 // how long each phase of Algorithm 1's Recovery mode took, in the clock
 // the instance runs on (wall in production, virtual under simulation).
-// It is produced by Recover/RecoverAt, surfaced via Stats.LastRecovery,
+// It is produced by Recover, RecoverAt and Promote, surfaced via Stats.LastRecovery,
 // exported per phase as the ginja_recovery_phase_seconds histogram, and
 // recorded as "recovery:<phase>" spans on /tracez.
 type RecoveryBreakdown struct {
-	// Mode is "recover" (Recover: restore and resume replication) or
-	// "recover_at" (RecoverAt: point-in-time restore onto a target FS).
+	// Mode is "recover" (Recover: restore and resume replication),
+	// "recover_at" (RecoverAt: point-in-time restore onto a target FS),
+	// "verify" (Verify's rebuild into its scratch target) or "promote"
+	// (Follower.Promote's final catch-up).
 	Mode string
 	// DumpTs is the timestamp of the dump generation restored from.
 	DumpTs int64
