@@ -8,7 +8,7 @@ FUZZTIME ?= 10s
 COVER_FLOOR_CORE ?= 85
 COVER_FLOOR_OBS  ?= 85
 
-.PHONY: build test vet race determinism loc verify cover-check fuzz-smoke bench-build bench-pair bench bench-commit bench-commit-smoke bench-data bench-data-smoke bench-recovery bench-recovery-smoke bench-fleet bench-fleet-smoke
+.PHONY: build test vet race determinism loc verify cover-check fuzz-smoke bench-build bench-pair bench-seal bench bench-commit bench-commit-smoke bench-data bench-data-smoke bench-recovery bench-recovery-smoke bench-fleet bench-fleet-smoke
 
 build:
 	$(GO) build ./...
@@ -92,6 +92,13 @@ verify: build vet test race determinism cover-check fuzz-smoke bench-build bench
 
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x .
+
+# bench-seal prints the sealer's micro rows: a 6.7 MB checkpoint-sized Seal
+# under every option set and the deflate encoder against compress/flate on
+# one segment, each on one and two cores, five times. The rows come out in
+# the same order every run, so two runs diff line by line.
+bench-seal:
+	$(GO) test ./internal/sealer -run '^$$' -bench 'Seal/part6m|DeflateSegment' -cpu 1,2 -count 5
 
 # bench-data measures the cloud data path on the deterministic simulated
 # WAN (virtual-clock latencies: exact and machine-independent) and

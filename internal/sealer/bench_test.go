@@ -16,14 +16,21 @@ func benchDumpPayload() []byte {
 	return bytes.Repeat(page, 256) // ≈256 KiB
 }
 
-func benchPayloads() map[string][]byte {
-	// part6m is one bulk_cycle checkpoint, part20m a full dump part: the
-	// multi-segment payloads (run with -cpu 1,2 to see what the helpers buy).
-	return map[string][]byte{"wal8k": benchPayload(), "dump256k": benchDumpPayload(),
-		"part6m": rowPayload(6_700_000, 1), "part20m": rowPayload(20<<20, 2)}
+// named is one row of a benchmark table. Tables are slices, not maps, so
+// that sub-benchmarks run in the same order every time.
+type named[T any] struct {
+	name string
+	v    T
 }
 
-func benchConfigs(b *testing.B) map[string]*Sealer {
+func benchPayloads() []named[[]byte] {
+	// part6m is one bulk_cycle checkpoint, part20m a full dump part: the
+	// multi-segment payloads (run with -cpu 1,2 to see what the helpers buy).
+	return []named[[]byte]{{"wal8k", benchPayload()}, {"dump256k", benchDumpPayload()},
+		{"part6m", rowPayload(6_700_000, 1)}, {"part20m", rowPayload(20<<20, 2)}}
+}
+
+func benchConfigs(b *testing.B) []named[*Sealer] {
 	b.Helper()
 	mk := func(o Options) *Sealer {
 		s, err := New(o)
@@ -32,18 +39,19 @@ func benchConfigs(b *testing.B) map[string]*Sealer {
 		}
 		return s
 	}
-	return map[string]*Sealer{
-		"plain": NewPlain(),
-		"comp":  mk(Options{Compress: true}),
-		"crypt": mk(Options{Encrypt: true, Password: "pw"}),
-		"c+c":   mk(Options{Compress: true, Encrypt: true, Password: "pw"}),
+	return []named[*Sealer]{
+		{"plain", NewPlain()},
+		{"comp", mk(Options{Compress: true})},
+		{"crypt", mk(Options{Encrypt: true, Password: "pw"})},
+		{"c+c", mk(Options{Compress: true, Encrypt: true, Password: "pw"})},
 	}
 }
 
 func BenchmarkSeal(b *testing.B) {
-	for size, payload := range benchPayloads() {
-		for name, s := range benchConfigs(b) {
-			b.Run(size+"/"+name, func(b *testing.B) {
+	for _, p := range benchPayloads() {
+		for _, c := range benchConfigs(b) {
+			payload, s := p.v, c.v
+			b.Run(p.name+"/"+c.name, func(b *testing.B) {
 				b.SetBytes(int64(len(payload)))
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
@@ -57,9 +65,10 @@ func BenchmarkSeal(b *testing.B) {
 }
 
 func BenchmarkOpen(b *testing.B) {
-	for size, payload := range benchPayloads() {
-		for name, s := range benchConfigs(b) {
-			b.Run(size+"/"+name, func(b *testing.B) {
+	for _, p := range benchPayloads() {
+		for _, c := range benchConfigs(b) {
+			payload, s := p.v, c.v
+			b.Run(p.name+"/"+c.name, func(b *testing.B) {
 				sealed, err := s.Seal(payload)
 				if err != nil {
 					b.Fatal(err)

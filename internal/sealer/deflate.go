@@ -380,44 +380,60 @@ func (e *encoder) writeBlock(w *bitWriter, seg []byte, start, end int) {
 		}
 	}
 
-	// The token loop keeps the bit accumulator in locals and stores whole
-	// 32-bit words straight into dst, which is grown once for the block.
-	// Before every add fewer than 32 bits are pending and no add exceeds 28
-	// (a 15-bit offset code and 13 extra bits), so nothing overflows 64.
+	// The token loop keeps the bit accumulator in locals and stores it, 8
+	// bytes at a time, straight into dst, which is grown once for the block.
+	// Every store is unconditional and leaves fewer than 8 bits pending (see
+	// flush); a store follows at most three literals (45 bits) or one match
+	// (a 15-bit length code with 5 extra bits and a 15-bit offset code with
+	// 13), so nothing overflows 64.
 	dst := slices.Grow(w.dst, (size+extra)/8+8)
 	o := len(dst)
 	dst = dst[:cap(dst)]
 	acc, nb := w.bits, w.nbits
 	p := start
 	for _, q := range e.seqs[:e.nseqs] {
-		for _, c := range seg[p : p+int(q.lits)] {
-			h := lit[c]
-			acc |= uint64(h.code) << nb
-			nb += uint(h.len)
-			if nb >= 32 {
-				binary.LittleEndian.PutUint32(dst[o:], uint32(acc))
-				o, acc, nb = o+4, acc>>32, nb-32
-			}
-		}
+		o, acc, nb = putLiterals(dst, o, acc, nb, lit, seg[p:p+int(q.lits)])
 		p += int(q.lits) + int(q.xlen) + baseMatchLength
 		lc := e.lenCodes[q.xlen]
-		acc |= uint64(lc.code) << nb
-		nb += uint(lc.len)
-		if nb >= 32 {
-			binary.LittleEndian.PutUint32(dst[o:], uint32(acc))
-			o, acc, nb = o+4, acc>>32, nb-32
-		}
 		oc := q.ocode
 		h := off[oc]
-		acc |= (uint64(h.code) | uint64(uint32(q.xoff)-offsetBase[oc])<<h.len) << nb
-		nb += uint(h.len) + uint(offsetExtraBits[oc])
-		if nb >= 32 {
-			binary.LittleEndian.PutUint32(dst[o:], uint32(acc))
-			o, acc, nb = o+4, acc>>32, nb-32
-		}
+		acc |= uint64(lc.code)<<nb | (uint64(h.code)|uint64(uint32(q.xoff)-offsetBase[oc])<<h.len)<<(nb+uint(lc.len))
+		nb += uint(lc.len) + uint(h.len) + uint(offsetExtraBits[oc])
+		o, acc, nb = flush(dst, o, acc, nb)
 	}
 	w.dst, w.bits, w.nbits = dst[:o], acc, nb
 	w.writeLiterals(lit, seg[p:end])
+}
+
+// flush stores acc at dst[o:] with one 8-byte store and keeps back the nb&7
+// bits of its unfinished byte; the bytes past the finished ones are
+// overwritten by the next store or append.
+func flush(dst []byte, o int, acc uint64, nb uint) (int, uint64, uint) {
+	binary.LittleEndian.PutUint64(dst[o:], acc)
+	n := nb >> 3
+	return o + int(n), acc >> (n << 3), nb & 7
+}
+
+// putLiterals codes b with lit at dst[o:], three literals per store.
+// Fewer than 8 bits may be pending, and dst needs 8 bytes of room past the
+// coded bits.
+func putLiterals(dst []byte, o int, acc uint64, nb uint, lit *[maxNumLit]hcode, b []byte) (int, uint64, uint) {
+	for ; len(b) >= 3; b = b[3:] {
+		h0, h1, h2 := lit[b[0]], lit[b[1]], lit[b[2]]
+		acc |= uint64(h0.code) << nb
+		nb += uint(h0.len)
+		acc |= uint64(h1.code) << nb
+		nb += uint(h1.len)
+		acc |= uint64(h2.code) << nb
+		nb += uint(h2.len)
+		o, acc, nb = flush(dst, o, acc, nb)
+	}
+	for _, c := range b {
+		h := lit[c]
+		acc |= uint64(h.code) << nb
+		nb += uint(h.len)
+	}
+	return flush(dst, o, acc, nb)
 }
 
 // writeHuff codes block as literals only (compress/flate's writeBlockHuff),
@@ -599,19 +615,7 @@ func (w *bitWriter) writeStored(b []byte, final bool) {
 // writeLiterals codes b with the literal codes lit, then the end-of-block
 // code. dst must have room for all of it plus 8 bytes.
 func (w *bitWriter) writeLiterals(lit *[maxNumLit]hcode, b []byte) {
-	dst := w.dst
-	o := len(dst)
-	dst = dst[:cap(dst)]
-	acc, nb := w.bits, w.nbits
-	for _, c := range b {
-		h := lit[c]
-		acc |= uint64(h.code) << nb
-		nb += uint(h.len)
-		if nb >= 32 {
-			binary.LittleEndian.PutUint32(dst[o:], uint32(acc))
-			o, acc, nb = o+4, acc>>32, nb-32
-		}
-	}
-	w.dst, w.bits, w.nbits = dst[:o], acc, nb
+	o, acc, nb := putLiterals(w.dst[:cap(w.dst)], len(w.dst), w.bits, w.nbits, lit, b)
+	w.dst, w.bits, w.nbits = w.dst[:o], acc, nb
 	w.writeCode(lit[endBlockMarker])
 }

@@ -3,6 +3,8 @@ package sealer
 import (
 	"bytes"
 	"compress/flate"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	stdadler32 "hash/adler32"
 	"io"
@@ -145,6 +147,26 @@ func TestDeflateNoLargerThanStdlib(t *testing.T) {
 	t.Logf("%d bytes in all, compress/flate %d (%.2f %%)", total, stdTotal, 100*float64(total)/float64(stdTotal))
 }
 
+// TestDeflateBytesArePinned pins the encoder's exact output: the SHA-256 of
+// every stream deflateSegment writes for a fixed corpus, each input coded as
+// a sync-flushed and as a final segment. A change that only makes the coder
+// faster leaves it alone; one that moves a single bit does not.
+func TestDeflateBytesArePinned(t *testing.T) {
+	const want = "7d77c622d2dceffa89c7313dea56988803db7931599ea863ebfe998bb309a5f4"
+	h := sha256.New()
+	for _, seg := range [][]byte{rowPayload(segmentSize, 1), walBatch(), benchDumpPayload(), probeAhead(),
+		make([]byte, 70_000), rowPayload(3*segmentSize, 3)} {
+		for _, last := range []bool{false, true} {
+			out := deflateSegment(nil, seg, last)
+			fmt.Fprintf(h, "%d:", len(out))
+			h.Write(out)
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("deflate output digest %s, want %s", got, want)
+	}
+}
+
 // TestDeflateEncoderReuse runs one pooled-size encoder over many segments
 // in a row, including one that forces the table base to wrap: reuse must
 // never let an earlier segment's table entries reach the output.
@@ -248,7 +270,8 @@ func walBatch() []byte {
 }
 
 func BenchmarkDeflateSegment(b *testing.B) {
-	for name, seg := range map[string][]byte{"rows1m": rowPayload(segmentSize, 1), "wal96k": walBatch()} {
+	for _, row := range []named[[]byte]{{"rows1m", rowPayload(segmentSize, 1)}, {"wal96k", walBatch()}} {
+		name, seg := row.name, row.v
 		b.Run(name+"/sealer", func(b *testing.B) {
 			b.SetBytes(int64(len(seg)))
 			b.ReportAllocs()

@@ -18,9 +18,11 @@
 // concatenation 0x78 0x01 ‖ segments ‖ Adler-32(payload) is a single valid
 // stream that Open, or any stock zlib reader, inflates unchanged; segment
 // boundaries cannot be recovered from it, which is why Open stays serial.
-// Each segment's goroutine also takes that segment's Adler-32, and Seal
-// folds them in order (adler32Combine), so Seal never walks the whole
-// payload on one core.
+// Each segment's goroutine also takes that segment's Adler-32, and the
+// serial rest of the envelope — folding those checksums (adler32Combine),
+// AES-CTR and the MAC — runs segment by segment behind the deflate, in
+// order, on whichever goroutine completes the in-order prefix (see chain),
+// so Seal never walks the whole payload on one core.
 //
 // The deflate encoder (deflate.go, huffman.go) compresses a whole
 // in-memory segment in 65 535-byte blocks with compress/flate BestSpeed's
@@ -203,55 +205,36 @@ func (s *Sealer) sum(dst, data []byte) []byte {
 // allocated at exact size — it is never recycled, so callers may retain
 // it — but all intermediate state (compressor, HMAC, scratch) is pooled.
 // A compressed payload longer than one segment is deflated on every idle
-// core (see deflate); the bytes do not depend on how many there were.
+// core and encrypted and MAC'd behind the deflate (see sealSegments); the
+// bytes do not depend on how many cores there were.
 func (s *Sealer) Seal(payload []byte) ([]byte, error) {
+	if s.opts.Compress && len(payload) > segmentSize {
+		return s.sealSegments(payload)
+	}
 	var flags byte
-	var segs []segment
+	var seg segment
 	bodyLen := len(payload)
 	if s.opts.Compress {
-		flags |= flagCompressed
-		var one [1]segment // keeps the one-segment path allocation-free
-		if len(payload) <= segmentSize {
-			one[0] = compressSegment(payload, true)
-			segs = one[:]
-		} else {
-			segs = deflate(payload)
-		}
-		defer func() {
-			for _, seg := range segs {
-				segPool.Put(seg.buf)
-			}
-		}()
-		bodyLen = zlibOverhead
-		for _, seg := range segs {
-			bodyLen += len(*seg.buf)
-		}
+		flags = flagCompressed
+		seg = compressSegment(payload, true)
+		defer segPool.Put(seg.buf)
+		bodyLen = zlibOverhead + len(*seg.buf)
 	}
 	size := len(magic) + 1 + bodyLen + macSize
 	if s.opts.Encrypt {
-		flags |= flagEncrypted
 		size += ivSize
 	}
-	out := make([]byte, 0, size)
-	out = append(out, magic...)
-	out = append(out, flags)
-	if s.opts.Encrypt {
-		out = out[:len(out)+ivSize]
-		if _, err := rand.Read(out[len(out)-ivSize:]); err != nil {
-			return nil, fmt.Errorf("sealer: iv: %w", err)
-		}
+	out, err := s.header(make([]byte, 0, size), flags)
+	if err != nil {
+		return nil, err
 	}
-	// The body goes straight to its final position — the segments are never
-	// concatenated anywhere else — and is encrypted there, in place.
+	// The body goes straight to its final position and is encrypted there,
+	// in place.
 	start := len(out)
 	if s.opts.Compress {
 		out = append(out, 0x78, 0x01) // RFC 1950: deflate, 32 KiB window, fastest
-		sum := uint32(1)              // Adler-32 of nothing
-		for _, seg := range segs {
-			out = append(out, *seg.buf...)
-			sum = adler32Combine(sum, seg.sum, seg.n)
-		}
-		out = binary.BigEndian.AppendUint32(out, sum)
+		out = append(out, *seg.buf...)
+		out = binary.BigEndian.AppendUint32(out, seg.sum)
 	} else {
 		out = append(out, payload...)
 	}
@@ -259,6 +242,51 @@ func (s *Sealer) Seal(payload []byte) ([]byte, error) {
 		cipher.NewCTR(s.block, out[start-ivSize:start]).XORKeyStream(out[start:], out[start:])
 	}
 	return s.sum(out, out), nil
+}
+
+// header appends the envelope's header to dst: the magic, flags (plus
+// flagEncrypted when encrypting) and, when encrypting, a fresh IV.
+func (s *Sealer) header(dst []byte, flags byte) ([]byte, error) {
+	dst = append(dst, magic...)
+	if !s.opts.Encrypt {
+		return append(dst, flags), nil
+	}
+	dst = append(dst, flags|flagEncrypted)
+	dst = dst[:len(dst)+ivSize]
+	if _, err := rand.Read(dst[len(dst)-ivSize:]); err != nil {
+		return nil, fmt.Errorf("sealer: iv: %w", err)
+	}
+	return dst, nil
+}
+
+// sealSegments seals a compressed payload of more than one segment. The
+// output's size is known only once every segment is deflated, so each
+// segment is encrypted and MAC'd in its own buffer as soon as it and every
+// earlier one are deflated (see chain), and then copied into the output.
+func (s *Sealer) sealSegments(payload []byte) ([]byte, error) {
+	head, err := s.header(make([]byte, 0, len(magic)+1+ivSize+2), flagCompressed)
+	if err != nil {
+		return nil, err
+	}
+	c := &chain{mac: s.macPool.Get().(hash.Hash), sum: 1} // 1: Adler-32 of nothing
+	defer s.macPool.Put(c.mac)
+	c.mac.Reset()
+	c.mac.Write(head) //nolint:errcheck // hash writes never fail
+	if s.opts.Encrypt {
+		c.ctr = cipher.NewCTR(s.block, head[len(head)-ivSize:])
+	}
+	head = append(head, 0x78, 0x01) // RFC 1950: deflate, 32 KiB window, fastest
+	c.seal(head[len(head)-2:])
+	c.deflate(payload)
+	out := make([]byte, 0, len(head)+c.size+4+macSize)
+	out = append(out, head...)
+	for _, seg := range c.segs {
+		out = append(out, *seg.buf...)
+		segPool.Put(seg.buf)
+	}
+	out = binary.BigEndian.AppendUint32(out, c.sum)
+	c.seal(out[len(out)-4:])
+	return c.mac.Sum(out), nil
 }
 
 // deflateSegment appends seg's raw deflate stream to dst, using a pooled
@@ -354,21 +382,70 @@ func borrowHelper() bool {
 	return false
 }
 
-// deflate compresses a multi-segment payload, one pooled buffer per
-// segment. The calling goroutine compresses segments itself and borrows
-// helpers, without ever blocking for one, while fewer than GOMAXPROCS-1
-// are lent out process-wide: on one core nothing is spawned, and five part
-// workers sealing a dump at once — or a fleet of a thousand tenants —
-// cannot oversubscribe the machine. Which goroutine compresses which
-// segment does not reach the output.
-func deflate(payload []byte) []segment {
+// chain is the serial part of a multi-segment Seal: one CTR stream and one
+// MAC state, through which every deflated segment must pass in order, plus
+// the running Adler-32 and body size. Whichever goroutine extends the
+// deflated in-order prefix chains it, unless another goroutine is already
+// chaining; the bytes are the same whoever does.
+type chain struct {
+	ctr  cipher.Stream // nil when not encrypting
+	mac  hash.Hash
+	sum  uint32 // Adler-32 of the raw bytes of the chained segments
+	size int    // deflated bytes of the chained segments
+
+	mu      sync.Mutex
+	segs    []segment // guarded by mu until deflate returns; buf nil until deflated
+	next    int       // guarded by mu: the first segment not yet chained
+	running bool      // guarded by mu: a goroutine is chaining
+}
+
+// seal encrypts b in place, when encrypting, and feeds it to the MAC.
+func (c *chain) seal(b []byte) {
+	if c.ctr != nil {
+		c.ctr.XORKeyStream(b, b)
+	}
+	c.mac.Write(b) //nolint:errcheck // hash writes never fail
+}
+
+// finish records segment i as deflated, then chains every deflated segment
+// from c.next on, unless another goroutine is doing so: that one sees
+// segment i when it takes the lock again.
+func (c *chain) finish(i int, seg segment) {
+	c.mu.Lock()
+	c.segs[i] = seg
+	if c.running {
+		c.mu.Unlock()
+		return
+	}
+	c.running = true
+	for c.next < len(c.segs) && c.segs[c.next].buf != nil {
+		seg := c.segs[c.next]
+		c.mu.Unlock()
+		c.seal(*seg.buf)
+		c.sum = adler32Combine(c.sum, seg.sum, seg.n)
+		c.size += len(*seg.buf)
+		c.mu.Lock()
+		c.next++
+	}
+	c.running = false
+	c.mu.Unlock()
+}
+
+// deflate compresses a multi-segment payload into c.segs, one pooled buffer
+// per segment, and chains every segment. The calling goroutine compresses
+// segments itself and borrows helpers, without ever blocking for one, while
+// fewer than GOMAXPROCS-1 are lent out process-wide: on one core nothing is
+// spawned, and five part workers sealing a dump at once — or a fleet of a
+// thousand tenants — cannot oversubscribe the machine. Which goroutine
+// compresses or chains which segment does not reach the output.
+func (c *chain) deflate(payload []byte) {
 	n := (len(payload) + segmentSize - 1) / segmentSize
-	segs := make([]segment, n)
+	c.segs = make([]segment, n)
 	var next atomic.Int32
 	work := func() {
 		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
 			end := min((i+1)*segmentSize, len(payload))
-			segs[i] = compressSegment(payload[i*segmentSize:end], i == n-1)
+			c.finish(i, compressSegment(payload[i*segmentSize:end], i == n-1))
 		}
 	}
 	var wg sync.WaitGroup
@@ -382,7 +459,6 @@ func deflate(payload []byte) []segment {
 	}
 	work()
 	wg.Wait()
-	return segs
 }
 
 // Open verifies and unwraps a sealed object. The result never aliases

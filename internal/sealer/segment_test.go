@@ -132,6 +132,57 @@ func TestSealedBytesAreAFunctionOfThePayload(t *testing.T) {
 	}
 }
 
+// envelopeBody returns the body of an object s sealed — what lies between
+// the header and the MAC — decrypted under the object's own IV if s
+// encrypts.
+func envelopeBody(s *Sealer, sealed []byte) []byte {
+	body := sealed[len(magic)+1 : len(sealed)-macSize]
+	if !s.Encrypting() {
+		return body
+	}
+	out := make([]byte, len(body)-ivSize)
+	cipher.NewCTR(s.block, body[:ivSize]).XORKeyStream(out, body[ivSize:])
+	return out
+}
+
+// TestEnvelopeChain pins the chain that encrypts and MACs a multi-segment
+// body behind its deflate: under every encrypting configuration and at
+// GOMAXPROCS 1, 2 and 8, the body decrypted under the object's own IV is
+// the body the same options without encryption seal, and Open accepts the
+// object.
+func TestEnvelopeChain(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	big := rowPayload(20<<20, 8)
+	for name, s := range configs(t) {
+		if !s.Encrypting() {
+			continue
+		}
+		unencrypted, err := New(Options{Compress: s.Compressing()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range []int{0, 1, segmentSize - 1, segmentSize + 1, 6_700_000, 20 << 20} {
+			want, err := unencrypted.Seal(big[:n])
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, procs := range []int{1, 2, 8} {
+				runtime.GOMAXPROCS(procs)
+				sealed, err := s.Seal(big[:n])
+				if err != nil {
+					t.Fatalf("%s/%d/GOMAXPROCS %d: Seal: %v", name, n, procs, err)
+				}
+				if !bytes.Equal(envelopeBody(s, sealed), envelopeBody(unencrypted, want)) {
+					t.Fatalf("%s/%d/GOMAXPROCS %d: decrypted body differs from the unencrypted one", name, n, procs)
+				}
+				if got, err := s.Open(sealed); err != nil || !bytes.Equal(got, big[:n]) {
+					t.Fatalf("%s/%d/GOMAXPROCS %d: Open = %v, equal=%v", name, n, procs, err, bytes.Equal(got, big[:n]))
+				}
+			}
+		}
+	}
+}
+
 func TestSegmentedTamperingDetected(t *testing.T) {
 	payload := rowPayload(3*segmentSize+999, 3)
 	for name, s := range configs(t) {
@@ -152,12 +203,17 @@ func TestSegmentedTamperingDetected(t *testing.T) {
 }
 
 // TestConcurrentSealsStayInsideHelperBudget runs many multi-segment Seals at
-// once (under -race in `make race`) while sampling the process-wide helper
-// count: it never exceeds GOMAXPROCS-1 and returns to zero, and every Seal
-// still produces the same bytes.
+// once (under -race in `make race`), half of them encrypting, while sampling
+// the process-wide helper count: it never exceeds GOMAXPROCS-1 and returns
+// to zero, every compress-only Seal still produces the same bytes, and every
+// encrypting one the same header and decrypted body under a valid MAC.
 func TestConcurrentSealsStayInsideHelperBudget(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	s, err := New(Options{Compress: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc, err := New(Options{Compress: true, Encrypt: true, Password: "pw"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,13 +239,34 @@ func TestConcurrentSealsStayInsideHelperBudget(t *testing.T) {
 			}
 		}
 	}()
+	encWant, err := enc.Seal(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	header, wantBody := encWant[:len(magic)+1], envelopeBody(s, want)
 	var wg sync.WaitGroup
 	for i := 0; i < 32; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if sealed, err := s.Seal(payload); err != nil || !bytes.Equal(sealed, want) {
-				t.Errorf("concurrent Seal: err=%v, same bytes=%v", err, bytes.Equal(sealed, want))
+			if i%2 == 0 {
+				if sealed, err := s.Seal(payload); err != nil || !bytes.Equal(sealed, want) {
+					t.Errorf("concurrent Seal: err=%v, same bytes=%v", err, bytes.Equal(sealed, want))
+				}
+				return
+			}
+			// An encrypting Seal draws a fresh IV, so its bytes differ run
+			// to run: its header must match, its body decrypt to the
+			// compress-only one, and its MAC cover it.
+			sealed, err := enc.Seal(payload)
+			if err != nil {
+				t.Errorf("concurrent encrypting Seal: %v", err)
+				return
+			}
+			mac := len(sealed) - macSize
+			if !bytes.Equal(sealed[:len(header)], header) || !bytes.Equal(envelopeBody(enc, sealed), wantBody) ||
+				!bytes.Equal(enc.sum(nil, sealed[:mac]), sealed[mac:]) {
+				t.Errorf("concurrent encrypting Seal: header, decrypted body or MAC differs")
 			}
 		}()
 	}
