@@ -134,6 +134,8 @@ type checkpointer struct {
 	chainTipGen int
 	chainLen    int
 	chainBytes  int64
+	// chainInFlight: a dump or delta is queued or uploading (finalizeLocked).
+	chainInFlight atomic.Bool
 
 	stats   checkpointStats
 	metrics *checkpointMetrics
@@ -438,7 +440,11 @@ func (c *checkpointer) handleTruncate(path string) {
 }
 
 // finalizeLocked closes the collection, decides dump vs incremental
-// (the 150 % rule, lines 9-13) and enqueues the object for upload.
+// (the 150 % rule, lines 9-13) and enqueues the object for upload. The
+// rule is skipped while a chain element is in flight: until it lands and
+// retires its victims the view's total is unchanged, so every checkpoint
+// end would cross again and plan another full dump. Those ship as plain
+// checkpoints; the first end after the landing evaluates the rule.
 func (c *checkpointer) finalizeLocked() {
 	rawBytes := estimateSize(c.writes)
 	writes := MergeWrites(c.writes)
@@ -455,37 +461,41 @@ func (c *checkpointer) finalizeLocked() {
 	c.genAlloc[c.tsAtBegin] = gen
 	c.genMu.Unlock()
 	obj := dbObject{ts: c.tsAtBegin, gen: gen, typ: Checkpoint, writes: writes, bufBytes: estimateSize(writes)}
-	localSize, err := c.localDBSize()
-	if err != nil {
-		c.bufBytes.Add(-rawBytes)
-		c.fail(fmt.Errorf("core: sizing local database: %w", err))
-		return
-	}
-	if float64(c.view.TotalDBSize()+estimateSize(writes)) >= c.params.DumpThreshold*float64(localSize) {
-		// Plan the next chain element synchronously: no database-file write
-		// can race us here because the DBMS is still inside its
-		// checkpoint-end write. The plan holds only file ranges plus the
-		// eagerly-read extras — the file bytes stream at upload time, under
-		// the dump gate (§5.3: Ginja stops local DB writes during dump
-		// creation). The collected checkpoint writes are dropped: the dump
-		// (or delta) re-reads the data ranges they already landed in.
-		buildStart := c.clk.Now()
-		chainObj, err := c.planChainElement(c.tsAtBegin, gen, localSize)
+	if !c.chainInFlight.Load() {
+		localSize, err := c.localDBSize()
 		if err != nil {
 			c.bufBytes.Add(-rawBytes)
-			c.fail(fmt.Errorf("core: planning %s: %w", chainObj.typ, err))
+			c.fail(fmt.Errorf("core: sizing local database: %w", err))
 			return
 		}
-		if c.metrics != nil {
-			c.metrics.build.ObserveDuration(c.clk.Since(buildStart))
+		if float64(c.view.TotalDBSize()+estimateSize(writes)) >= c.params.DumpThreshold*float64(localSize) {
+			// Plan the next chain element synchronously: no database-file
+			// write can race us here because the DBMS is still inside its
+			// checkpoint-end write. The plan holds only file ranges plus the
+			// eagerly-read extras — the file bytes stream at upload time,
+			// under the dump gate (§5.3: Ginja stops local DB writes during
+			// dump creation). The collected checkpoint writes are dropped:
+			// the dump (or delta) re-reads the data ranges they landed in.
+			buildStart := c.clk.Now()
+			chainObj, err := c.planChainElement(c.tsAtBegin, gen, localSize)
+			if err != nil {
+				c.bufBytes.Add(-rawBytes)
+				c.fail(fmt.Errorf("core: planning %s: %w", chainObj.typ, err))
+				return
+			}
+			if c.metrics != nil {
+				c.metrics.build.ObserveDuration(c.clk.Since(buildStart))
+			}
+			obj = chainObj
+			c.chainInFlight.Store(true) // before the Send: upload may clear it at once
 		}
-		obj = chainObj
 	}
 	c.bufBytes.Add(obj.bufBytes - rawBytes)
 	if simclock.Send(c.ctx, c.clk, c.queue, obj) != nil {
 		c.bufBytes.Add(-obj.bufBytes)
-		if obj.hold != nil {
+		if obj.hold != nil { // a chain element that never reached the queue
 			c.releaseGate(obj.hold)
+			c.chainInFlight.Store(false)
 		}
 		return
 	}
@@ -698,6 +708,9 @@ func (c *checkpointer) upload(obj dbObject) error {
 		victims = append(victims, gcVictim{names: d.PartNames(), db: &d})
 	}
 	c.retire(victims)
+	if obj.typ != Checkpoint { // its victims have left TotalDBSize: the rule may run again
+		c.chainInFlight.Store(false)
+	}
 	var orphans []OrphanPart
 	if obj.typ == Dump {
 		orphans = c.view.OrphanParts()

@@ -8,15 +8,22 @@ import (
 	"time"
 
 	"github.com/ginja-dr/ginja/internal/cloud"
+	"github.com/ginja-dr/ginja/internal/simclock"
 )
 
 // gatedStore blocks selected Puts until released, for deterministic
-// pipeline tests.
+// pipeline tests, and counts Deletes per name. A blocked Put waits through
+// the simclock hand-off helpers on clk (nil: the wall clock), so a
+// virtual-time test can hold one while the rest of the system runs on; it
+// then releases with simclock.Close.
 type gatedStore struct {
 	cloud.ObjectStore
+	clk simclock.Clock
 
 	mu      sync.Mutex
 	blocked map[string]chan struct{} // substring -> release channel
+	held    int                      // Puts that met a gate
+	deleted map[string]int
 }
 
 func newGatedStore() *gatedStore {
@@ -38,18 +45,37 @@ func (g *gatedStore) Put(ctx context.Context, name string, data []byte) error {
 	for substr, ch := range g.blocked {
 		if strings.Contains(name, substr) {
 			gate = ch
+			g.held++
 			break
 		}
 	}
+	clk := g.clk
 	g.mu.Unlock()
 	if gate != nil {
-		select {
-		case <-gate:
-		case <-ctx.Done():
-			return ctx.Err()
+		if clk == nil {
+			clk = simclock.Real()
+		}
+		if _, _, err := simclock.Recv(ctx, clk, gate); err != nil {
+			return err
 		}
 	}
 	return g.ObjectStore.Put(ctx, name, data)
+}
+
+func (g *gatedStore) heldPuts() int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.held
+}
+
+func (g *gatedStore) Delete(ctx context.Context, name string) error {
+	g.mu.Lock()
+	if g.deleted == nil {
+		g.deleted = make(map[string]int)
+	}
+	g.deleted[name]++
+	g.mu.Unlock()
+	return g.ObjectStore.Delete(ctx, name)
 }
 
 func testParams(b, s int) Params {

@@ -3,8 +3,10 @@ package core_test
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -16,6 +18,7 @@ import (
 	"github.com/ginja-dr/ginja/internal/minidb"
 	"github.com/ginja-dr/ginja/internal/minidb/innoengine"
 	"github.com/ginja-dr/ginja/internal/minidb/pgengine"
+	"github.com/ginja-dr/ginja/internal/simclock"
 	"github.com/ginja-dr/ginja/internal/vfs"
 	"github.com/ginja-dr/ginja/internal/workload/tpcc"
 )
@@ -115,16 +118,23 @@ func TestFullStackOnRealDisk(t *testing.T) {
 }
 
 // TestFullStackWithTransientCloudFailures injects a 20 % failure rate:
-// the retry logic must absorb every failure with no data loss.
+// the retry logic must absorb every failure with no data loss. The store
+// and Ginja share one virtual clock, and cloudsim draws each failure from
+// (seed, op, name, instant), so which operations fail — and the retry
+// count — is a function of the seed alone.
 func TestFullStackWithTransientCloudFailures(t *testing.T) {
+	clk := simclock.NewSim()
 	flaky := cloudsim.New(cloud.NewMemStore(), cloudsim.Options{
 		TimeScale:   -1,
 		FailureRate: 0.2,
 		Seed:        99,
+		Clock:       clk,
 	})
 	params := fastParams()
+	params.Clock = clk
 	params.UploadRetries = 0 // retry forever
-	r := newRig(t, flaky, params,
+	reads := &readFailCounter{ObjectStore: flaky}
+	r := newRig(t, reads, params,
 		func() minidb.Engine { return pgengine.NewWithSizes(1024, 16*1024, 1024) },
 		func() dbevent.Processor { return dbevent.NewPGProcessor() })
 	if err := r.db.CreateTable("kv", 0); err != nil {
@@ -139,21 +149,51 @@ func TestFullStackWithTransientCloudFailures(t *testing.T) {
 	if !r.g.Flush(20 * time.Second) {
 		t.Fatal("flush did not survive the failure rate")
 	}
-	waitCheckpointUploaded(t, r.g, 1)
-	if r.g.Stats().UploadRetries == 0 {
-		t.Fatal("no retries recorded despite 20% failure injection")
+	if !r.g.SyncCheckpoints(20 * time.Second) {
+		t.Fatal("checkpoint upload did not survive the failure rate")
+	}
+	if got := r.g.Stats().UploadRetries; got != 4 {
+		t.Fatalf("%d commit-path retries, want exactly 4 for seed 99", got)
 	}
 	if err := r.g.Err(); err != nil {
 		t.Fatalf("pipeline error: %v", err)
 	}
-	// Recovery must still see a coherent state (disable injection for the
-	// read path to isolate the upload-retry property).
+	// A cold recovery (LIST and GETs) reads through the same 20 % failure
+	// rate and must still rebuild every row.
+	before := reads.failed.Load()
 	db2 := r.disasterRecover(t)
+	if reads.failed.Load() == before {
+		t.Fatal("no read failed during recovery: the test no longer exercises read retries")
+	}
 	for i := 0; i < 60; i++ {
 		if _, err := db2.Get("kv", []byte(fmt.Sprintf("k%02d", i))); err != nil {
 			t.Fatalf("k%02d lost despite retries: %v", i, err)
 		}
 	}
+}
+
+// readFailCounter counts the Gets and Lists its store failed with an
+// injected transient error.
+type readFailCounter struct {
+	cloud.ObjectStore
+	failed atomic.Int64
+}
+
+func (s *readFailCounter) count(err error) error {
+	if errors.Is(err, cloudsim.ErrInjected) {
+		s.failed.Add(1)
+	}
+	return err
+}
+
+func (s *readFailCounter) Get(ctx context.Context, name string) ([]byte, error) {
+	b, err := s.ObjectStore.Get(ctx, name)
+	return b, s.count(err)
+}
+
+func (s *readFailCounter) List(ctx context.Context, prefix string) ([]cloud.ObjectInfo, error) {
+	infos, err := s.ObjectStore.List(ctx, prefix)
+	return infos, s.count(err)
 }
 
 // TestTPCCCrashConsistencyInvariant runs a live TPC-C workload under
