@@ -30,10 +30,12 @@ race:
 
 # determinism runs every virtual-time test — the clock's own (where time
 # moves: on the release that leaves no work token outstanding), core's, the
-# sim seed set and the four bench smokes (cmd/ginja-bench) — at three core
-# counts, with the simclock token oracle on (simtest.Main in their TestMain;
-# the clock's oracle tests switch it on themselves): a schedule is a
-# function of its seed, never of how many Ps run it.
+# sim seed set, the paper tables rendered twice
+# (TestPaperTablesAreDeterministic) and the four bench smokes
+# (cmd/ginja-bench) — at three core counts, with the simclock token oracle
+# on (simtest.Main in their TestMain; the clock's oracle tests switch it on
+# themselves): a schedule is a function of its seed, never of how many Ps
+# run it.
 DETERMINISM_PKGS = ./internal/simclock/... ./internal/core/... ./internal/sim/... ./internal/experiments/... ./cmd/ginja-bench
 determinism:
 	for p in 1 2 8; do GOMAXPROCS=$$p $(GO) test -count=1 $(DETERMINISM_PKGS) || exit 1; done

@@ -1,40 +1,26 @@
 // Benchmarks regenerating every table and figure of the paper's
 // evaluation, plus ablations of the design choices called out in
-// DESIGN.md. Each benchmark runs a complete experiment per iteration, so
-// they are best invoked with:
+// DESIGN.md. Each is a thin wrapper over the experiment `ginja-bench`
+// prints, run once per iteration, so they are best invoked with:
 //
 //	go test -bench=. -benchmem -benchtime=1x
 //
-// Custom metrics carry the experimental results (tpmC, puts, ms, ...);
-// ns/op is just the harness cost. Absolute values depend on the machine
-// and the time-compressed network simulation; the paper-relevant output
-// is the *relation* between configurations.
+// Custom metrics carry the experimental results (tx per virtual second,
+// PUTs, ms, ...); ns/op is just the harness cost. The measured figures run
+// in virtual time on the simulated WAN, so they are exact and the same on
+// every machine. The CPU side of the evaluation is the wall-clock
+// benchmark's (benchmark/).
 package ginja_test
 
 import (
-	"context"
 	"fmt"
-	"os"
 	"strings"
 	"testing"
-	"time"
 
-	"github.com/ginja-dr/ginja"
 	"github.com/ginja-dr/ginja/internal/cloud"
 	"github.com/ginja-dr/ginja/internal/costmodel"
 	"github.com/ginja-dr/ginja/internal/experiments"
 )
-
-// benchCell is the measurement window per configuration cell. Override
-// with GINJA_BENCH_CELL (e.g. GINJA_BENCH_CELL=5s for paper-grade runs).
-func benchCell() time.Duration {
-	if v := os.Getenv("GINJA_BENCH_CELL"); v != "" {
-		if d, err := time.ParseDuration(v); err == nil {
-			return d
-		}
-	}
-	return 250 * time.Millisecond
-}
 
 // --- Cost model (Figures 1 and 4, Table 2, §7.3) -----------------------
 
@@ -107,36 +93,20 @@ func BenchmarkRecoveryCostModel(b *testing.B) {
 // --- Semantics (Figure 2) ----------------------------------------------
 
 // BenchmarkFigure2BatchSafetySemantics runs the B=2/S=20 demonstration:
-// the reported metric is which update first blocked (21 when correct).
+// which update first blocked (21 when correct) and for how long.
 func BenchmarkFigure2BatchSafetySemantics(b *testing.B) {
-	var first int
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Figure2(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		first = res.FirstBlockedUpdate
-	}
-	b.ReportMetric(float64(first), "first-blocked-update")
-}
-
-// --- Throughput (Figures 5 and 6) ---------------------------------------
-
-func benchFigure5(b *testing.B, engine string) {
-	cell := benchCell()
-	var rows []experiments.Figure5Row
+	var res experiments.Figure2Result
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = experiments.Figure5(context.Background(), engine, cell)
-		if err != nil {
+		if res, err = experiments.Figure2(); err != nil {
 			b.Fatal(err)
 		}
 	}
-	for _, r := range rows {
-		b.ReportMetric(r.TpmTotal, "tpm:"+metricLabel(r.Cell.Label))
-	}
-	b.Log("\n" + renderFigure5(engine, rows))
+	b.ReportMetric(float64(res.FirstBlockedUpdate), "first-blocked-update")
+	b.ReportMetric(res.PerUpdateBlocked[len(res.PerUpdateBlocked)-1].Seconds()*1000, "ms-blocked-U21")
 }
+
+// --- WAN-bound throughput (Figures 5 and 6) -----------------------------
 
 // metricLabel makes a configuration label legal as a benchmark unit
 // (no whitespace allowed).
@@ -144,89 +114,66 @@ func metricLabel(label string) string {
 	return strings.NewReplacer(" ", "_", "(", "", ")", "").Replace(label)
 }
 
-func renderFigure5(engine string, rows []experiments.Figure5Row) string {
-	out := fmt.Sprintf("Figure 5 (%s):\n", engine)
-	for _, r := range rows {
-		out += fmt.Sprintf("  %-22s TpmC %8.0f  TpmTotal %8.0f\n", r.Cell.Label, r.TpmC, r.TpmTotal)
+// runCells runs one grid at the paper's transaction count.
+func runCells(b *testing.B, engine string, cells []experiments.Cell) []experiments.TPCCResult {
+	var rows []experiments.TPCCResult
+	for i := 0; i < b.N; i++ {
+		var err error
+		if rows, err = experiments.RunCells(engine, cells, experiments.PaperTransactions); err != nil {
+			b.Fatal(err)
+		}
 	}
-	return out
+	return rows
+}
+
+// benchCeilings reports each cell's ceiling in transactions per virtual
+// second (0: never blocked).
+func benchCeilings(b *testing.B, engine string, cells []experiments.Cell) {
+	for _, r := range runCells(b, engine, cells) {
+		b.ReportMetric(r.TxPerSec(), "tx/vs:"+metricLabel(r.Cell.Label))
+	}
 }
 
 // BenchmarkFigure5ThroughputPostgreSQL regenerates Figure 5a.
-func BenchmarkFigure5ThroughputPostgreSQL(b *testing.B) { benchFigure5(b, "postgresql") }
+func BenchmarkFigure5ThroughputPostgreSQL(b *testing.B) {
+	benchCeilings(b, "postgresql", experiments.Figure5Cells())
+}
 
 // BenchmarkFigure5ThroughputMySQL regenerates Figure 5b.
-func BenchmarkFigure5ThroughputMySQL(b *testing.B) { benchFigure5(b, "mysql") }
-
-func benchFigure6(b *testing.B, engine string) {
-	cell := benchCell()
-	var rows []experiments.Figure6Row
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.Figure6(context.Background(), engine, cell)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
-		b.ReportMetric(r.TpmTotal, "tpm:"+metricLabel(r.Cell.Label))
-	}
+func BenchmarkFigure5ThroughputMySQL(b *testing.B) {
+	benchCeilings(b, "mysql", experiments.Figure5Cells())
 }
 
 // BenchmarkFigure6SealerThroughputPostgreSQL regenerates Figure 6a.
-func BenchmarkFigure6SealerThroughputPostgreSQL(b *testing.B) { benchFigure6(b, "postgresql") }
+func BenchmarkFigure6SealerThroughputPostgreSQL(b *testing.B) {
+	benchCeilings(b, "postgresql", experiments.Figure6Cells())
+}
 
 // BenchmarkFigure6SealerThroughputMySQL regenerates Figure 6b.
-func BenchmarkFigure6SealerThroughputMySQL(b *testing.B) { benchFigure6(b, "mysql") }
+func BenchmarkFigure6SealerThroughputMySQL(b *testing.B) {
+	benchCeilings(b, "mysql", experiments.Figure6Cells())
+}
 
-// --- Cloud usage and resources (Tables 3 and 4) --------------------------
+// --- Cloud usage (Table 3) ------------------------------------------------
 
 // BenchmarkTable3CloudUsage regenerates Table 3 (PostgreSQL side).
 func BenchmarkTable3CloudUsage(b *testing.B) {
-	cell := benchCell()
-	var rows []experiments.Table3Row
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.Table3(context.Background(), "postgresql", cell)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
-		b.ReportMetric(float64(r.NumPUTs), "puts5min:"+metricLabel(r.Config))
-		b.ReportMetric(r.ObjectSizeKB, "kB:"+metricLabel(r.Config))
-		b.ReportMetric(r.PutLatencyMS, "ms:"+metricLabel(r.Config))
-	}
-}
-
-// BenchmarkTable4ResourceUsage regenerates Table 4 (PostgreSQL side).
-func BenchmarkTable4ResourceUsage(b *testing.B) {
-	cell := benchCell()
-	var rows []experiments.Table4Row
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.Table4(context.Background(), "postgresql", cell)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
-		b.ReportMetric(r.CPUPercent, "cpu%:"+metricLabel(r.Config))
-		b.ReportMetric(r.MemPercent, "mem%:"+metricLabel(r.Config))
+	for _, r := range runCells(b, "postgresql", experiments.Table3Cells()) {
+		b.ReportMetric(r.PutsPerKTx(), "puts/ktx:"+metricLabel(r.Cell.Label))
+		b.ReportMetric(r.MeanObjectBytes()/1000, "kB:"+metricLabel(r.Cell.Label))
+		b.ReportMetric(r.PutLatency.Seconds()*1000, "ms:"+metricLabel(r.Cell.Label))
 	}
 }
 
 // --- Recovery time (Figure 7) -------------------------------------------
 
 // BenchmarkFigure7RecoveryTime regenerates the recovery-time series at
-// reduced scale (W ∈ {1, 3}; set GINJA_BENCH_CELL higher and edit the
-// scales for paper-grade runs).
+// reduced scale (W ∈ {1, 3}).
 func BenchmarkFigure7RecoveryTime(b *testing.B) {
 	var rows []experiments.Figure7Row
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = experiments.Figure7(context.Background(), []int{1, 3}, benchCell())
-		if err != nil {
+		if rows, err = experiments.Figure7([]int{1, 3}, experiments.PaperTransactions); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -238,119 +185,49 @@ func BenchmarkFigure7RecoveryTime(b *testing.B) {
 
 // --- Ablations (DESIGN.md §5) --------------------------------------------
 
-// ablationRig runs count same-page WAL writes through a full Ginja stack
-// and reports the resulting upload counters.
-func ablationRig(b *testing.B, params ginja.Params, writes int, samePage bool) ginja.Stats {
-	b.Helper()
-	store := ginja.NewMemStore()
-	g, err := ginja.New(ginja.NewMemFS(), store, ginja.NewPGProcessor(), params)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := g.Boot(context.Background()); err != nil {
-		b.Fatal(err)
-	}
-	defer g.Close()
-	f, err := g.FS().OpenFile("pg_xlog/000000010000000000000000", os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer f.Close()
-	page := make([]byte, 8192)
-	for i := 0; i < writes; i++ {
-		off := int64(0)
-		if !samePage {
-			off = int64(i%1024) * 8192
-		}
-		if _, err := f.WriteAt(page, off); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if !g.Flush(time.Minute) {
-		b.Fatal("flush")
-	}
-	return g.Stats()
-}
-
 // BenchmarkAblationAggregation quantifies what write aggregation saves:
 // the same page-rewrite workload with coalescing on vs off.
 func BenchmarkAblationAggregation(b *testing.B) {
-	const writes = 2000
-	var with, without ginja.Stats
+	var res experiments.AblationAggregation
 	for i := 0; i < b.N; i++ {
-		p := ginja.DefaultParams()
-		p.Batch = 100
-		p.Safety = 10000
-		with = ablationRig(b, p, writes, true)
-		p.DisableAggregation = true
-		without = ablationRig(b, p, writes, true)
+		var err error
+		if res, err = experiments.RunAblationAggregation(2000); err != nil {
+			b.Fatal(err)
+		}
 	}
-	b.ReportMetric(float64(with.WALObjectsUploaded), "puts-aggregated")
-	b.ReportMetric(float64(without.WALObjectsUploaded), "puts-naive")
-	b.ReportMetric(float64(without.WALObjectsUploaded)/float64(with.WALObjectsUploaded), "savings-x")
+	b.ReportMetric(float64(res.PutsAggregated), "puts-aggregated")
+	b.ReportMetric(float64(res.PutsNaive), "puts-naive")
+	b.ReportMetric(res.SavingsX, "savings-x")
 }
 
 // BenchmarkAblationUploaders sweeps the uploader-pool size (the paper
-// found 5 best in its environment): time to drain a burst of uploads
-// through the WAN latency model.
+// found 5 best in its environment): virtual time to drain a burst of
+// uploads through the WAN profile.
 func BenchmarkAblationUploaders(b *testing.B) {
-	for _, uploaders := range []int{1, 5, 16} {
-		b.Run(fmt.Sprintf("uploaders=%d", uploaders), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				p := ginja.DefaultParams()
-				p.Batch = 1 // one object per write: pool parallelism dominates
-				p.Safety = 10000
-				p.Uploaders = uploaders
-				store := ginja.NewSimStore(ginja.NewMemStore(), ginja.SimOptions{
-					Profile:   ginja.WANProfile(),
-					TimeScale: 400,
-				})
-				g, err := ginja.New(ginja.NewMemFS(), store, ginja.NewPGProcessor(), p)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := g.Boot(context.Background()); err != nil {
-					b.Fatal(err)
-				}
-				f, err := g.FS().OpenFile("pg_xlog/000000010000000000000000", os.O_RDWR|os.O_CREATE, 0o644)
-				if err != nil {
-					b.Fatal(err)
-				}
-				page := make([]byte, 8192)
-				start := time.Now()
-				for w := 0; w < 200; w++ {
-					if _, err := f.WriteAt(page, int64(w)*8192); err != nil {
-						b.Fatal(err)
-					}
-				}
-				if !g.Flush(time.Minute) {
-					b.Fatal("flush")
-				}
-				b.ReportMetric(time.Since(start).Seconds()*1000, "ms-drain")
-				f.Close()
-				g.Close()
-			}
-		})
+	var rows []experiments.AblationUploadersRow
+	for i := 0; i < b.N; i++ {
+		var err error
+		if rows, err = experiments.RunAblationUploaders([]int{1, 5, 16}, 200); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, r := range rows {
+		b.ReportMetric(r.Drain.Seconds()*1000, fmt.Sprintf("ms-drain:uploaders=%d", r.Uploaders))
 	}
 }
 
 // BenchmarkAblationObjectSplit sweeps the object-size cap for a large
 // contiguous upload (the 20 MB split of §5.2).
 func BenchmarkAblationObjectSplit(b *testing.B) {
-	for _, maxMB := range []int64{1, 20, 1024} {
-		b.Run(fmt.Sprintf("cap=%dMB", maxMB), func(b *testing.B) {
-			var stats ginja.Stats
-			for i := 0; i < b.N; i++ {
-				p := ginja.DefaultParams()
-				p.Batch = 1024
-				p.Safety = 100000
-				p.BatchTimeout = 50 * time.Millisecond
-				p.MaxObjectSize = maxMB << 20
-				stats = ablationRig(b, p, 1024, false) // 1024 distinct pages = 8 MiB run
-			}
-			b.ReportMetric(float64(stats.WALObjectsUploaded), "objects")
-			b.ReportMetric(float64(stats.WALBytesUploaded)/(1<<20), "MiB")
-		})
+	var rows []experiments.AblationObjectSplitRow
+	for i := 0; i < b.N; i++ {
+		var err error
+		if rows, err = experiments.RunAblationObjectSplit([]int64{1, 20, 1024}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, r := range rows {
+		b.ReportMetric(float64(r.Objects), fmt.Sprintf("objects:cap=%dMB", r.CapMB))
 	}
 }
 
@@ -358,68 +235,17 @@ func BenchmarkAblationObjectSplit(b *testing.B) {
 // paper): lower thresholds dump more often (more upload bytes, less cloud
 // storage held); higher thresholds accumulate incremental checkpoints.
 func BenchmarkAblationDumpThreshold(b *testing.B) {
-	for _, threshold := range []float64{1.2, 1.5, 3.0} {
-		b.Run(fmt.Sprintf("threshold=%.1f", threshold), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				p := ginja.DefaultParams()
-				p.Batch = 8
-				p.Safety = 1024
-				p.BatchTimeout = 20 * time.Millisecond
-				p.DumpThreshold = threshold
-				store := ginja.NewMemStore()
-				metered := ginja.NewMeteredStore(store, ginja.AmazonS3Prices())
-				g, err := ginja.New(ginja.NewMemFS(), metered, ginja.NewPGProcessor(), p)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := g.Boot(context.Background()); err != nil {
-					b.Fatal(err)
-				}
-				db, err := ginja.OpenDB(g.FS(), ginja.NewPostgresEngine(), ginja.DBOptions{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := db.CreateTable("kv", 8); err != nil {
-					b.Fatal(err)
-				}
-				for round := 0; round < 6; round++ {
-					for k := 0; k < 16; k++ {
-						if err := db.Update(func(tx *ginja.Txn) error {
-							return tx.Put("kv", []byte(fmt.Sprintf("k%02d", k)),
-								[]byte(fmt.Sprintf("round-%d-%s", round, string(make([]byte, 256)))))
-						}); err != nil {
-							b.Fatal(err)
-						}
-					}
-					if !g.Flush(time.Minute) {
-						b.Fatal("flush")
-					}
-					if err := db.Checkpoint(); err != nil {
-						b.Fatal(err)
-					}
-					waitCkpt(b, g, int64(round+1))
-				}
-				counts := metered.Counts()
-				s := g.Stats()
-				b.ReportMetric(float64(counts.StoredBytes)/1024, "kB-held")
-				b.ReportMetric(float64(s.DBBytesUploaded)/1024, "kB-uploaded")
-				b.ReportMetric(float64(s.Dumps), "dumps")
-				db.Close()
-				g.Close()
-			}
-		})
-	}
-}
-
-func waitCkpt(b *testing.B, g *ginja.Ginja, want int64) {
-	b.Helper()
-	deadline := time.Now().Add(30 * time.Second)
-	for time.Now().Before(deadline) {
-		s := g.Stats()
-		if s.Checkpoints+s.Dumps >= want {
-			return
+	var rows []experiments.AblationDumpThresholdRow
+	for i := 0; i < b.N; i++ {
+		var err error
+		if rows, err = experiments.RunAblationDumpThreshold([]float64{1.2, 1.5, 3.0}); err != nil {
+			b.Fatal(err)
 		}
-		time.Sleep(2 * time.Millisecond)
 	}
-	b.Fatalf("checkpoint %d never uploaded", want)
+	for _, r := range rows {
+		th := fmt.Sprintf("threshold=%.1f", r.Threshold)
+		b.ReportMetric(float64(r.BytesHeld)/1024, "kB-held:"+th)
+		b.ReportMetric(float64(r.BytesShipped)/1024, "kB-uploaded:"+th)
+		b.ReportMetric(float64(r.Dumps), "dumps:"+th)
+	}
 }

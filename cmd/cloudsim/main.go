@@ -1,10 +1,11 @@
 // Command cloudsim serves an S3-style object store over HTTP, backed by a
 // local directory, optionally behind the WAN latency model — a stand-in
-// for Amazon S3 that cmd/ginja can point at with -cloud http://...
+// for Amazon S3 that cmd/ginja can point at with -cloud http://... The
+// modelled latency is slept in full on the wall clock.
 //
 // Usage:
 //
-//	cloudsim -addr :9000 -dir ./bucket [-wan] [-timescale 10] [-failure 0.01]
+//	cloudsim -addr :9000 -dir ./bucket [-wan] [-failure 0.01]
 package main
 
 import (
@@ -29,7 +30,6 @@ func run() error {
 	addr := flag.String("addr", ":9000", "listen address")
 	dir := flag.String("dir", "./cloudsim-bucket", "backing directory")
 	wan := flag.Bool("wan", false, "simulate WAN latency (the paper's Lisbon → S3 profile)")
-	timescale := flag.Float64("timescale", 1, "divide simulated latency by this factor")
 	failure := flag.Float64("failure", 0, "transient failure probability (0..1)")
 	token := flag.String("token", "", "require this bearer token on every request")
 	flag.Parse()
@@ -42,7 +42,6 @@ func run() error {
 	if *wan || *failure > 0 {
 		store = cs.New(disk, cs.Options{
 			Profile:     profileFor(*wan),
-			TimeScale:   *timescale,
 			FailureRate: *failure,
 		})
 	}

@@ -3,32 +3,32 @@
 //
 //   - the analytic cost model (§3, §7): figure1, figure4, table2,
 //     recovery-costs, and custom for an arbitrary deployment;
-//   - the §8 measurements — figure2, table1, figure5, figure6, table3,
-//     table4, figure7, ablations — which run the full Ginja stack (minidb
-//     with a PostgreSQL or MySQL I/O personality, the interception layer,
-//     the commit pipeline) under TPC-C against the simulated storage
-//     cloud on the real clock; absolute numbers depend on the machine and
-//     the time-compressed network model, the shapes (who wins, by what
-//     factor) reproduce the paper's;
-//   - json, which benchmarks one cloud path on the deterministic simulated
-//     WAN (latencies in virtual time: exact and machine-independent; only
-//     the allocation profiles read the runtime's real counters), enforces
-//     that path's gates and writes BENCH_<path>.json.
+//   - the WAN side of the §8 measurements — figure2, table1, figure5,
+//     figure6, table3, figure7, ablations — which run the full Ginja stack
+//     (minidb with a PostgreSQL or MySQL I/O personality, the interception
+//     layer, the commit pipeline, the checkpointer) under a fixed count of
+//     TPC-C transactions on the simulated WAN in virtual time: exact,
+//     machine-independent, the same bytes on every run;
+//   - json, which benchmarks one cloud path on the same simulated WAN
+//     (only the allocation profiles read the runtime's real counters),
+//     enforces that path's gates and writes BENCH_<path>.json.
+//
+// The CPU side of §8 (Figure 5's ext4/FUSE columns, Figure 6's sealer
+// cost, Table 4) is the wall-clock benchmark's (benchmark/).
 //
 // Usage:
 //
 //	ginja-bench figure1 [-budget 1.0]
 //	ginja-bench custom  -size 10 -updates 100 -batch 100 [-cr 1.43]
-//	ginja-bench figure5 [-engine postgresql|mysql|both] [-duration 3s]
-//	ginja-bench figure7 [-warehouses 1,5,10] [-workload 2s]
-//	ginja-bench all     [-duration 2s]
+//	ginja-bench figure5 [-engine postgresql|mysql|both]
+//	ginja-bench figure7 [-warehouses 1,5,10]
+//	ginja-bench all
 //	ginja-bench json    [-path datapath|commit|recovery|fleet] [-out FILE] [-parallel 5] [-smoke]
 //
 // `ginja-bench` alone lists every subcommand.
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -36,7 +36,6 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"time"
 
 	"github.com/ginja-dr/ginja/internal/cloud"
 	"github.com/ginja-dr/ginja/internal/costmodel"
@@ -56,9 +55,7 @@ func main() {
 type options struct {
 	// evalFlags
 	engines    []string
-	duration   time.Duration
 	warehouses string
-	workload   time.Duration
 	// figure1
 	budget float64
 	// customFlags
@@ -75,9 +72,7 @@ func evalFlags(fs *flag.FlagSet, o *options) {
 		o.engines, err = enginesOf(v)
 		return err
 	})
-	fs.DurationVar(&o.duration, "duration", 3*time.Second, "measurement window per configuration cell")
 	fs.StringVar(&o.warehouses, "warehouses", "1,5,10", "comma-separated warehouse scales (figure7)")
-	fs.DurationVar(&o.workload, "workload", 2*time.Second, "pre-disaster workload duration (figure7)")
 }
 
 func budgetFlag(fs *flag.FlagSet, o *options) {
@@ -108,14 +103,26 @@ type subcommand struct {
 	help      string
 	flags     func(*flag.FlagSet, *options) // nil: takes none
 	perEngine bool
-	run       func(ctx context.Context, w io.Writer, o *options, engine string) error
+	run       func(w io.Writer, o *options, engine string) error
 }
 
 // analytic adapts a renderer that needs no measurement and no flags.
-func analytic(render func(io.Writer)) func(context.Context, io.Writer, *options, string) error {
-	return func(_ context.Context, w io.Writer, _ *options, _ string) error {
+func analytic(render func(io.Writer)) func(io.Writer, *options, string) error {
+	return func(w io.Writer, _ *options, _ string) error {
 		render(w)
 		return nil
+	}
+}
+
+// grid adapts a TPC-C grid of the paper's §8: run its cells at the
+// paper's transaction count for one engine and render them.
+func grid(cells func() []experiments.Cell, render func(io.Writer, string, []experiments.TPCCResult)) func(io.Writer, *options, string) error {
+	return func(w io.Writer, _ *options, e string) error {
+		rows, err := experiments.RunCells(e, cells(), experiments.PaperTransactions)
+		if err == nil {
+			render(w, e, rows)
+		}
+		return err
 	}
 }
 
@@ -123,13 +130,13 @@ func analytic(render func(io.Writer)) func(context.Context, io.Writer, *options,
 // prints them.
 var tables = []subcommand{
 	{"figure1", "the $1/month capacity frontier (analytic)", budgetFlag, false,
-		func(_ context.Context, w io.Writer, o *options, _ string) error {
+		func(w io.Writer, o *options, _ string) error {
 			experiments.FprintFigure1(w, o.budget)
 			return nil
 		}},
-	{"figure2", "Batch/Safety blocking semantics (B=2, S=20)", nil, false,
-		func(ctx context.Context, w io.Writer, _ *options, _ string) error {
-			res, err := experiments.Figure2(ctx)
+	{"figure2", "Batch/Safety blocking semantics, B=2 S=20 (virtual time)", nil, false,
+		func(w io.Writer, _ *options, _ string) error {
+			res, err := experiments.Figure2()
 			if err == nil {
 				experiments.FprintFigure2(w, res)
 			}
@@ -139,53 +146,27 @@ var tables = []subcommand{
 	{"figure4", "monthly cost vs workload for B ∈ {10,100,1000} (analytic)", nil, false, analytic(experiments.FprintFigure4)},
 	{"table2", "Laboratory/Hospital vs EC2 VM comparison (analytic)", nil, false, analytic(experiments.FprintTable2)},
 	{"recovery-costs", "cost of recovering from a disaster, §7.3 (analytic)", nil, false, analytic(experiments.FprintRecoveryCosts)},
-	{"figure5", "TPC-C throughput across the B×S grid (+ ext4/FUSE baselines)", evalFlags, true,
-		func(ctx context.Context, w io.Writer, o *options, e string) error {
-			rows, err := experiments.Figure5(ctx, e, o.duration)
-			if err == nil {
-				experiments.FprintFigure5(w, e, rows)
-			}
-			return err
-		}},
-	{"figure6", "compression & encryption effect on throughput", evalFlags, true,
-		func(ctx context.Context, w io.Writer, o *options, e string) error {
-			rows, err := experiments.Figure6(ctx, e, o.duration)
-			if err == nil {
-				experiments.FprintFigure6(w, e, rows)
-			}
-			return err
-		}},
-	{"table3", "cloud usage: PUTs, object size, PUT latency", evalFlags, true,
-		func(ctx context.Context, w io.Writer, o *options, e string) error {
-			rows, err := experiments.Table3(ctx, e, o.duration)
-			if err == nil {
-				experiments.FprintTable3(w, e, rows, o.duration)
-			}
-			return err
-		}},
-	{"table4", "database server CPU/memory usage", evalFlags, true,
-		func(ctx context.Context, w io.Writer, o *options, e string) error {
-			rows, err := experiments.Table4(ctx, e, o.duration)
-			if err == nil {
-				experiments.FprintTable4(w, e, rows)
-			}
-			return err
-		}},
-	{"figure7", "recovery time by database size, on-premises vs in-region VM", evalFlags, false,
-		func(ctx context.Context, w io.Writer, o *options, _ string) error {
+	{"figure5", "WAN-bound TPC-C ceiling across the B×S grid (virtual time)", evalFlags, true,
+		grid(experiments.Figure5Cells, experiments.FprintFigure5)},
+	{"figure6", "compression & encryption on the WAN-bound ceiling (virtual time)", evalFlags, true,
+		grid(experiments.Figure6Cells, experiments.FprintFigure6)},
+	{"table3", "cloud usage: PUTs, object size, PUT latency (virtual time)", evalFlags, true,
+		grid(experiments.Table3Cells, experiments.FprintTable3)},
+	{"figure7", "recovery time by database size, on-premises vs in-region VM (virtual time)", evalFlags, false,
+		func(w io.Writer, o *options, _ string) error {
 			warehouses, err := parseInts(o.warehouses)
 			if err != nil {
 				return err
 			}
-			rows, err := experiments.Figure7(ctx, warehouses, o.workload)
+			rows, err := experiments.Figure7(warehouses, experiments.PaperTransactions)
 			if err == nil {
 				experiments.FprintFigure7(w, rows)
 			}
 			return err
 		}},
-	{"ablations", "aggregation / uploader-pool / dump-threshold ablations", nil, false,
-		func(ctx context.Context, w io.Writer, _ *options, _ string) error {
-			return experiments.FprintAblations(ctx, w)
+	{"ablations", "aggregation / uploader-pool / object-split / dump-threshold ablations (virtual time)", nil, false,
+		func(w io.Writer, _ *options, _ string) error {
+			return experiments.FprintAblations(w)
 		}},
 }
 
@@ -214,7 +195,7 @@ func run(args []string) error {
 		if err := fs.Parse(args[1:]); err != nil {
 			return err
 		}
-		return c.print(context.Background(), os.Stdout, o)
+		return c.print(os.Stdout, o)
 	}
 	usage()
 	return fmt.Errorf("unknown subcommand %q", args[0])
@@ -222,7 +203,7 @@ func run(args []string) error {
 
 // print runs c: once, or for a perEngine subcommand once for each engine
 // -engine selects, blank-line separated.
-func (c subcommand) print(ctx context.Context, w io.Writer, o *options) error {
+func (c subcommand) print(w io.Writer, o *options) error {
 	engines := []string{""}
 	if c.perEngine {
 		engines = o.engines
@@ -231,7 +212,7 @@ func (c subcommand) print(ctx context.Context, w io.Writer, o *options) error {
 		if i > 0 {
 			fmt.Fprintln(w)
 		}
-		if err := c.run(ctx, w, o, e); err != nil {
+		if err := c.run(w, o, e); err != nil {
 			return err
 		}
 	}
@@ -239,12 +220,12 @@ func (c subcommand) print(ctx context.Context, w io.Writer, o *options) error {
 }
 
 // runAll prints every table, blank-line separated.
-func runAll(ctx context.Context, w io.Writer, o *options, _ string) error {
+func runAll(w io.Writer, o *options, _ string) error {
 	for i, c := range tables {
 		if i > 0 {
 			fmt.Fprintln(w)
 		}
-		if err := c.print(ctx, w, o); err != nil {
+		if err := c.print(w, o); err != nil {
 			return err
 		}
 	}
@@ -263,7 +244,7 @@ func enginesOf(flagValue string) ([]string, error) {
 }
 
 // runCustom prices the deployment the custom flags describe.
-func runCustom(_ context.Context, w io.Writer, o *options, _ string) error {
+func runCustom(w io.Writer, o *options, _ string) error {
 	prices := cloud.AmazonS3May2017()
 	fmt.Fprintln(w, costmodel.Monthly(o.deployment, prices))
 	fmt.Fprintf(w, "recovery to on-premises: $%.3f (free to an in-region VM)\n",
@@ -322,7 +303,7 @@ var jsonPaths = map[string]struct {
 
 // runJSON benchmarks one path, prints its summary, enforces its gates and
 // writes the result as JSON (to stdout under -smoke).
-func runJSON(_ context.Context, w io.Writer, o *options, _ string) error {
+func runJSON(w io.Writer, o *options, _ string) error {
 	path, ok := jsonPaths[o.path]
 	if !ok {
 		return fmt.Errorf("unknown -path %q (want datapath, commit, recovery or fleet)", o.path)

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"context"
 	"io"
 	"testing"
 
@@ -18,7 +17,7 @@ func TestJSONSmokes(t *testing.T) {
 	for _, path := range []string{"datapath", "commit", "recovery", "fleet"} {
 		t.Run(path, func(t *testing.T) {
 			o := &options{path: path, parallel: 5, smoke: true}
-			if err := runJSON(context.Background(), io.Discard, o, ""); err != nil {
+			if err := runJSON(io.Discard, o, ""); err != nil {
 				t.Fatal(err)
 			}
 		})

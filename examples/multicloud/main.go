@@ -30,7 +30,7 @@ func run() error {
 	providerA := ginja.NewMemStore()
 	providerB := ginja.NewMemStore()
 	providerCBacking := ginja.NewMemStore()
-	providerC := ginja.NewSimStore(providerCBacking, ginja.SimOptions{TimeScale: -1})
+	providerC := ginja.NewSimStore(providerCBacking, ginja.SimOptions{})
 
 	multi, err := ginja.NewReplicatedStore(providerA, providerB, providerC)
 	if err != nil {

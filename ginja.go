@@ -193,7 +193,10 @@ type (
 	PriceSheet = cloud.PriceSheet
 	// MeteredStore wraps a store with operation metering and billing.
 	MeteredStore = cloud.MeteredStore
-	// SimOptions configures the simulated cloud (latency/fault model).
+	// SimOptions configures the simulated cloud (latency/fault model). The
+	// store sleeps each operation's modelled latency in full on
+	// SimOptions.Clock (nil: the wall clock); the zero Profile is an
+	// instant store.
 	SimOptions = cloudsim.Options
 	// SimProfile is a network behaviour model for the simulated cloud.
 	SimProfile = cloudsim.Profile

@@ -7,15 +7,8 @@ import (
 	"time"
 
 	"github.com/ginja-dr/ginja/internal/cloud"
+	"github.com/ginja-dr/ginja/internal/simclock"
 )
-
-func newFast(t *testing.T, opts Options) *Store {
-	t.Helper()
-	if opts.TimeScale == 0 {
-		opts.TimeScale = -1 // never sleep in unit tests
-	}
-	return New(cloud.NewMemStore(), opts)
-}
 
 func TestProfileLatencyShape(t *testing.T) {
 	p := WANProfile()
@@ -58,7 +51,7 @@ func TestLANFasterThanWAN(t *testing.T) {
 }
 
 func TestStorePassthrough(t *testing.T) {
-	s := newFast(t, Options{})
+	s := New(cloud.NewMemStore(), Options{})
 	ctx := context.Background()
 	if err := s.Put(ctx, "k", []byte("v")); err != nil {
 		t.Fatal(err)
@@ -80,7 +73,7 @@ func TestStorePassthrough(t *testing.T) {
 }
 
 func TestStoreOutage(t *testing.T) {
-	s := newFast(t, Options{})
+	s := New(cloud.NewMemStore(), Options{})
 	ctx := context.Background()
 	if err := s.Put(ctx, "k", []byte("v")); err != nil {
 		t.Fatal(err)
@@ -108,14 +101,14 @@ func TestStoreOutage(t *testing.T) {
 }
 
 func TestStoreInjectedFailures(t *testing.T) {
-	s := newFast(t, Options{FailureRate: 1.0})
+	s := New(cloud.NewMemStore(), Options{FailureRate: 1.0})
 	if err := s.Put(context.Background(), "k", []byte("v")); !errors.Is(err, ErrInjected) {
 		t.Fatalf("Put = %v, want ErrInjected", err)
 	}
 }
 
 func TestStoreFailureRateApproximate(t *testing.T) {
-	s := newFast(t, Options{FailureRate: 0.3, Seed: 7})
+	s := New(cloud.NewMemStore(), Options{FailureRate: 0.3, Seed: 7})
 	ctx := context.Background()
 	fails := 0
 	const n = 1000
@@ -129,48 +122,36 @@ func TestStoreFailureRateApproximate(t *testing.T) {
 	}
 }
 
-func TestStoreModelledLatencyRecorded(t *testing.T) {
-	s := newFast(t, Options{Profile: WANProfile()})
+// TestStoreSleepsModelledLatency: on a SimClock each operation costs
+// exactly its modelled latency in virtual time, and the zero Profile is an
+// instant store.
+func TestStoreSleepsModelledLatency(t *testing.T) {
 	ctx := context.Background()
-	if err := s.Put(ctx, "k", make([]byte, 1<<20)); err != nil {
-		t.Fatal(err)
-	}
-	stats := s.PutLatencyModel()
-	if stats.Count != 1 {
-		t.Fatalf("Count = %d", stats.Count)
-	}
-	// 1 MiB at ≈1.4 MB/s + 400 ms base ≈ 1.1 s modelled, even though the
-	// test slept zero real time.
-	if stats.Mean() < 500*time.Millisecond || stats.Mean() > 3*time.Second {
-		t.Fatalf("modelled mean = %v, want ≈1.1s", stats.Mean())
-	}
-	s.ResetLatencyModel()
-	if s.PutLatencyModel().Count != 0 {
-		t.Fatal("ResetLatencyModel did not clear stats")
-	}
-}
-
-func TestStoreTimeScaleCompressesRealTime(t *testing.T) {
-	s := New(cloud.NewMemStore(), Options{
-		Profile:   Profile{BaseLatency: 200 * time.Millisecond, UploadBandwidth: 1e9, DownloadBandwidth: 1e9},
-		TimeScale: 100,
-	})
-	start := time.Now()
-	if err := s.Put(context.Background(), "k", []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	if real := time.Since(start); real > 100*time.Millisecond {
-		t.Fatalf("scaled Put took %v of real time, want ≈2ms", real)
-	}
-	if m := s.PutLatencyModel().Mean(); m < 150*time.Millisecond {
-		t.Fatalf("modelled latency %v should stay unscaled", m)
+	p := WANProfile()
+	p.JitterFraction = 0
+	for _, tc := range []struct {
+		name    string
+		profile Profile
+		put     time.Duration
+	}{
+		{"wan", p, p.PutLatency(1 << 20)},
+		{"zero", Profile{}, 0},
+	} {
+		clk := simclock.NewSim()
+		s := New(cloud.NewMemStore(), Options{Profile: tc.profile, Clock: clk})
+		t0 := clk.Now()
+		if err := s.Put(ctx, "k", make([]byte, 1<<20)); err != nil {
+			t.Fatal(err)
+		}
+		if got := clk.Since(t0); got != tc.put {
+			t.Errorf("%s: Put took %v of virtual time, want %v", tc.name, got, tc.put)
+		}
 	}
 }
 
 func TestStoreContextCancellation(t *testing.T) {
 	s := New(cloud.NewMemStore(), Options{
-		Profile:   Profile{BaseLatency: 10 * time.Second, UploadBandwidth: 1, DownloadBandwidth: 1},
-		TimeScale: 1,
+		Profile: Profile{BaseLatency: 10 * time.Second, UploadBandwidth: 1, DownloadBandwidth: 1},
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()

@@ -5,9 +5,13 @@
 // The latency model is calibrated from the paper's Table 3 (PostgreSQL,
 // plain objects, Lisbon → S3 US East): 386 kB objects took ≈692 ms and
 // 10 081 kB objects ≈7 707 ms, i.e. a fixed per-request cost of roughly
-// 400 ms plus ≈1.4 MB/s of effective upload bandwidth. A TimeScale factor
-// lets experiments compress simulated wall-clock time while metrics report
-// the full modelled latency.
+// 400 ms plus ≈1.4 MB/s of effective upload bandwidth.
+//
+// The store sleeps its modelled latency on one of two clocks: a
+// simclock.SimClock, where it costs virtual time (every measurement and
+// simulation runs here, through sim.Rig), or the wall clock at 1:1 (the
+// cmd/cloudsim server and the examples). The zero Profile is an instant
+// store.
 package cloudsim
 
 import (
@@ -52,12 +56,21 @@ func LANProfile() Profile {
 
 // PutLatency returns the modelled latency for uploading size bytes.
 func (p Profile) PutLatency(size int64) time.Duration {
-	return p.BaseLatency + time.Duration(float64(size)/p.UploadBandwidth*float64(time.Second))
+	return p.BaseLatency + transfer(size, p.UploadBandwidth)
 }
 
 // GetLatency returns the modelled latency for downloading size bytes.
 func (p Profile) GetLatency(size int64) time.Duration {
-	return p.BaseLatency + time.Duration(float64(size)/p.DownloadBandwidth*float64(time.Second))
+	return p.BaseLatency + transfer(size, p.DownloadBandwidth)
+}
+
+// transfer is the time size bytes take at bandwidth bytes/second; a zero
+// bandwidth adds no transfer term.
+func transfer(size int64, bandwidth float64) time.Duration {
+	if bandwidth <= 0 {
+		return 0
+	}
+	return time.Duration(float64(size) / bandwidth * float64(time.Second))
 }
 
 // jittered applies the profile's jitter to d, u being uniform in [0, 1).

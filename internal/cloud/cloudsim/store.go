@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -22,12 +21,9 @@ var ErrInjected = errors.New("cloudsim: injected transient failure")
 
 // Options configures a simulated cloud store.
 type Options struct {
-	// Profile is the network behaviour model. Defaults to WANProfile.
+	// Profile is the network behaviour model. The zero Profile is an
+	// instant store: no round trip and no transfer time.
 	Profile Profile
-	// TimeScale divides every simulated sleep: a PUT modelled at 700 ms
-	// with TimeScale 100 sleeps 7 ms but still *reports* 700 ms. 0 or 1
-	// means real time; a negative TimeScale disables sleeping entirely.
-	TimeScale float64
 	// FailureRate is the probability (0..1) that an operation fails with
 	// ErrInjected before reaching the backing store.
 	FailureRate float64
@@ -35,15 +31,14 @@ type Options struct {
 	// opRand: on a simulation clock they are a function of the seed and the
 	// operation, not of the order concurrent operations arrive in).
 	Seed int64
-	// Clock supplies the latency-model sleeps. nil means the wall clock;
-	// deterministic simulations install a *simclock.SimClock so modelled
-	// latency costs virtual time instead of real time.
+	// Clock supplies the latency-model sleeps. nil means the wall clock,
+	// which sleeps the modelled latency in full; deterministic simulations
+	// install a *simclock.SimClock so modelled latency costs virtual time
+	// instead of real time.
 	Clock simclock.Clock
 }
 
-// Store wraps an ObjectStore with the behavioural model. It also keeps a
-// record of the *modelled* (unscaled) latencies so experiments can report
-// realistic numbers even when TimeScale compresses real time.
+// Store wraps an ObjectStore with the behavioural model.
 type Store struct {
 	inner cloud.ObjectStore
 	opts  Options
@@ -52,22 +47,12 @@ type Store struct {
 
 	down     atomic.Bool
 	failBits atomic.Uint64 // current FailureRate as math.Float64bits
-
-	mu          sync.Mutex
-	putModelled cloud.LatencyStats
-	getModelled cloud.LatencyStats
 }
 
 var _ cloud.ObjectStore = (*Store)(nil)
 
 // New wraps inner with the simulated network behaviour in opts.
 func New(inner cloud.ObjectStore, opts Options) *Store {
-	if opts.Profile == (Profile{}) {
-		opts.Profile = WANProfile()
-	}
-	if opts.TimeScale == 0 {
-		opts.TimeScale = 1
-	}
 	if opts.Clock == nil {
 		opts.Clock = simclock.Real()
 	}
@@ -93,29 +78,6 @@ func (s *Store) SetFailureRate(rate float64) { s.failBits.Store(math.Float64bits
 // FailureRate returns the current transient-failure probability.
 func (s *Store) FailureRate() float64 { return math.Float64frombits(s.failBits.Load()) }
 
-// PutLatencyModel returns the aggregated *modelled* PUT latencies, i.e.
-// what a real WAN deployment would have observed, independent of TimeScale.
-func (s *Store) PutLatencyModel() cloud.LatencyStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.putModelled
-}
-
-// GetLatencyModel returns the aggregated modelled GET latencies.
-func (s *Store) GetLatencyModel() cloud.LatencyStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.getModelled
-}
-
-// ResetLatencyModel clears the modelled latency aggregates.
-func (s *Store) ResetLatencyModel() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.putModelled = cloud.LatencyStats{}
-	s.getModelled = cloud.LatencyStats{}
-}
-
 // gate admits one operation: it fails during an outage, or when the
 // operation's failure roll lands under the current FailureRate. The
 // admitted operation's jitter draw is returned.
@@ -130,40 +92,13 @@ func (s *Store) gate(ctx context.Context, op, name string) (jitter float64, err 
 	return jitter, ctx.Err()
 }
 
-// sleepScaled sleeps d/TimeScale (no sleep when TimeScale < 0) and honours
+// sleep waits out a modelled latency on the store's clock and honours
 // context cancellation.
-func (s *Store) sleepScaled(ctx context.Context, d time.Duration) error {
-	if s.opts.TimeScale < 0 {
+func (s *Store) sleep(ctx context.Context, d time.Duration) error {
+	if d <= 0 {
 		return ctx.Err()
 	}
-	scaled := time.Duration(float64(d) / s.opts.TimeScale)
-	if scaled <= 0 {
-		return ctx.Err()
-	}
-	return simclock.SleepCtx(ctx, s.clk, scaled)
-}
-
-func (s *Store) recordPut(d time.Duration) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	addLatency(&s.putModelled, d)
-}
-
-func (s *Store) recordGet(d time.Duration) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	addLatency(&s.getModelled, d)
-}
-
-func addLatency(l *cloud.LatencyStats, d time.Duration) {
-	if l.Count == 0 || d < l.Min {
-		l.Min = d
-	}
-	if d > l.Max {
-		l.Max = d
-	}
-	l.Count++
-	l.Total += d
+	return simclock.SleepCtx(ctx, s.clk, d)
 }
 
 // Put implements cloud.ObjectStore with modelled upload latency.
@@ -173,14 +108,10 @@ func (s *Store) Put(ctx context.Context, name string, data []byte) error {
 		return err
 	}
 	d := s.opts.Profile.jittered(s.opts.Profile.PutLatency(int64(len(data))), u)
-	if err := s.sleepScaled(ctx, d); err != nil {
+	if err := s.sleep(ctx, d); err != nil {
 		return err
 	}
-	if err := s.inner.Put(ctx, name, data); err != nil {
-		return err
-	}
-	s.recordPut(d)
-	return nil
+	return s.inner.Put(ctx, name, data)
 }
 
 // Get implements cloud.ObjectStore with modelled download latency.
@@ -194,10 +125,9 @@ func (s *Store) Get(ctx context.Context, name string) ([]byte, error) {
 		return nil, err
 	}
 	d := s.opts.Profile.jittered(s.opts.Profile.GetLatency(int64(len(data))), u)
-	if err := s.sleepScaled(ctx, d); err != nil {
+	if err := s.sleep(ctx, d); err != nil {
 		return nil, err
 	}
-	s.recordGet(d)
 	return data, nil
 }
 
@@ -206,7 +136,7 @@ func (s *Store) List(ctx context.Context, prefix string) ([]cloud.ObjectInfo, er
 	if _, err := s.gate(ctx, "list", prefix); err != nil {
 		return nil, err
 	}
-	if err := s.sleepScaled(ctx, s.opts.Profile.BaseLatency); err != nil {
+	if err := s.sleep(ctx, s.opts.Profile.BaseLatency); err != nil {
 		return nil, err
 	}
 	return s.inner.List(ctx, prefix)
@@ -217,7 +147,7 @@ func (s *Store) Delete(ctx context.Context, name string) error {
 	if _, err := s.gate(ctx, "delete", name); err != nil {
 		return err
 	}
-	if err := s.sleepScaled(ctx, s.opts.Profile.BaseLatency); err != nil {
+	if err := s.sleep(ctx, s.opts.Profile.BaseLatency); err != nil {
 		return err
 	}
 	return s.inner.Delete(ctx, name)

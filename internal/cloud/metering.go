@@ -3,7 +3,6 @@ package cloud
 import (
 	"context"
 	"sync"
-	"time"
 )
 
 // OpCounts is a snapshot of the operations a MeteredStore has served.
@@ -16,39 +15,10 @@ type OpCounts struct {
 	// PeakStoredBytes is the maximum StoredBytes observed since creation
 	// (or the last Reset).
 	PeakStoredBytes int64
-	// PutLatency aggregates the observed latency of Put calls.
-	PutLatency LatencyStats
 }
 
-// LatencyStats summarises a latency distribution.
-type LatencyStats struct {
-	Count int64
-	Total time.Duration
-	Min   time.Duration
-	Max   time.Duration
-}
-
-// Mean returns the average latency, or zero when no samples exist.
-func (l LatencyStats) Mean() time.Duration {
-	if l.Count == 0 {
-		return 0
-	}
-	return l.Total / time.Duration(l.Count)
-}
-
-func (l *LatencyStats) add(d time.Duration) {
-	if l.Count == 0 || d < l.Min {
-		l.Min = d
-	}
-	if d > l.Max {
-		l.Max = d
-	}
-	l.Count++
-	l.Total += d
-}
-
-// MeteredStore wraps an ObjectStore, counting operations, payload bytes and
-// Put latency, and tracking the store's occupancy so that a monthly bill
+// MeteredStore wraps an ObjectStore, counting operations and payload
+// bytes, and tracking the store's occupancy so that a monthly bill
 // can be computed against a PriceSheet. This is the accounting substrate
 // behind the reproduction of Figure 4 and Tables 2–3.
 type MeteredStore struct {
@@ -69,16 +39,13 @@ func NewMeteredStore(inner ObjectStore, prices PriceSheet) *MeteredStore {
 
 // Put implements ObjectStore.
 func (m *MeteredStore) Put(ctx context.Context, name string, data []byte) error {
-	start := time.Now()
 	if err := m.inner.Put(ctx, name, data); err != nil {
 		return err
 	}
-	elapsed := time.Since(start)
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.counts.Puts++
 	m.counts.BytesUp += int64(len(data))
-	m.counts.PutLatency.add(elapsed)
 	m.counts.StoredBytes += int64(len(data)) - m.sizes[name]
 	m.sizes[name] = int64(len(data))
 	if m.counts.StoredBytes > m.counts.PeakStoredBytes {

@@ -42,9 +42,6 @@ func TestMeteredStoreCounts(t *testing.T) {
 	if c.PeakStoredBytes != 1500 {
 		t.Fatalf("PeakStoredBytes = %d, want 1500", c.PeakStoredBytes)
 	}
-	if c.PutLatency.Count != 2 {
-		t.Fatalf("PutLatency.Count = %d, want 2", c.PutLatency.Count)
-	}
 }
 
 func TestMeteredStoreOverwriteOccupancy(t *testing.T) {
@@ -118,20 +115,5 @@ func TestPriceSheetHelpers(t *testing.T) {
 	ratio := p.EgressPerGB / p.StoragePerGBMonth
 	if ratio < 3.5 || ratio > 4.5 {
 		t.Fatalf("egress/storage ratio = %v, want ≈4", ratio)
-	}
-}
-
-func TestLatencyStatsMean(t *testing.T) {
-	var l LatencyStats
-	if l.Mean() != 0 {
-		t.Fatal("empty Mean should be 0")
-	}
-	l.add(10)
-	l.add(30)
-	if l.Mean() != 20 {
-		t.Fatalf("Mean = %v, want 20", l.Mean())
-	}
-	if l.Min != 10 || l.Max != 30 {
-		t.Fatalf("Min/Max = %v/%v", l.Min, l.Max)
 	}
 }

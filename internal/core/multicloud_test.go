@@ -20,7 +20,7 @@ func threeProviders() (*ReplicatedStore, *cloud.MemStore, *cloud.MemStore, *clou
 	a := cloud.NewMemStore()
 	b := cloud.NewMemStore()
 	cBack := cloud.NewMemStore()
-	c := cloudsim.New(cBack, cloudsim.Options{TimeScale: -1})
+	c := cloudsim.New(cBack, cloudsim.Options{})
 	repl, err := NewReplicatedStore(a, b, c)
 	if err != nil {
 		panic(err)
@@ -51,8 +51,8 @@ func TestReplicatedPutThenGet(t *testing.T) {
 }
 
 func TestReplicatedPutFailsWithoutMajority(t *testing.T) {
-	a := cloudsim.New(cloud.NewMemStore(), cloudsim.Options{TimeScale: -1})
-	b := cloudsim.New(cloud.NewMemStore(), cloudsim.Options{TimeScale: -1})
+	a := cloudsim.New(cloud.NewMemStore(), cloudsim.Options{})
+	b := cloudsim.New(cloud.NewMemStore(), cloudsim.Options{})
 	c := cloud.NewMemStore()
 	repl, err := NewReplicatedStore(a, b, c)
 	if err != nil {
@@ -96,7 +96,7 @@ func (p *refusedPuts) Put(ctx context.Context, name string, data []byte) error {
 
 func TestRepairCopiesToLaggingProvider(t *testing.T) {
 	a, b := cloud.NewMemStore(), cloud.NewMemStore()
-	c := cloudsim.New(cloud.NewMemStore(), cloudsim.Options{TimeScale: -1})
+	c := cloudsim.New(cloud.NewMemStore(), cloudsim.Options{})
 	lagging := &refusedPuts{ObjectStore: c, refused: make(chan string, 2)}
 	repl, err := NewReplicatedStore(a, b, lagging)
 	if err != nil {
@@ -193,7 +193,7 @@ func TestRepairSkipsGarbageJudgementWhenProviderDown(t *testing.T) {
 func TestReplicatedListMergesAfterOutage(t *testing.T) {
 	// The flaky replica is FIRST, so a naive first-responder List would
 	// trust its stale listing.
-	stale := cloudsim.New(cloud.NewMemStore(), cloudsim.Options{TimeScale: -1})
+	stale := cloudsim.New(cloud.NewMemStore(), cloudsim.Options{})
 	lagging := &refusedPuts{ObjectStore: stale, refused: make(chan string, 1)}
 	b := cloud.NewMemStore()
 	c := cloud.NewMemStore()
@@ -258,7 +258,7 @@ func TestReplicatedListMergesAfterOutage(t *testing.T) {
 // and disaster recovery through the replicated store — with the stale
 // replica answering LISTs first — still reaches the flushed frontier.
 func TestReplicatedRecoveryAfterDivergentOutage(t *testing.T) {
-	stale := cloudsim.New(cloud.NewMemStore(), cloudsim.Options{TimeScale: -1})
+	stale := cloudsim.New(cloud.NewMemStore(), cloudsim.Options{})
 	repl, err := NewReplicatedStore(stale, cloud.NewMemStore(), cloud.NewMemStore())
 	if err != nil {
 		t.Fatal(err)
@@ -410,7 +410,7 @@ func TestReplicatedListMergesOnFreshProcess(t *testing.T) {
 }
 
 func TestRepairAllProvidersDown(t *testing.T) {
-	a := cloudsim.New(cloud.NewMemStore(), cloudsim.Options{TimeScale: -1})
+	a := cloudsim.New(cloud.NewMemStore(), cloudsim.Options{})
 	repl, err := NewReplicatedStore(a)
 	if err != nil {
 		t.Fatal(err)

@@ -17,7 +17,7 @@ import (
 // provider returns, everything drains and the database continues — no
 // manual intervention, no data loss.
 func TestCloudOutageBlocksThenResumes(t *testing.T) {
-	sim := cloudsim.New(cloud.NewMemStore(), cloudsim.Options{TimeScale: -1})
+	sim := cloudsim.New(cloud.NewMemStore(), cloudsim.Options{})
 	params := fastParams()
 	params.Batch = 2
 	params.Safety = 8

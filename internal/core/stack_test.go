@@ -125,7 +125,6 @@ func TestFullStackOnRealDisk(t *testing.T) {
 func TestFullStackWithTransientCloudFailures(t *testing.T) {
 	clk := simclock.NewSim()
 	flaky := cloudsim.New(cloud.NewMemStore(), cloudsim.Options{
-		TimeScale:   -1,
 		FailureRate: 0.2,
 		Seed:        99,
 		Clock:       clk,

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"os"
@@ -10,45 +9,55 @@ import (
 	"github.com/ginja-dr/ginja/internal/cloud"
 	"github.com/ginja-dr/ginja/internal/cloud/cloudsim"
 	"github.com/ginja-dr/ginja/internal/core"
-	"github.com/ginja-dr/ginja/internal/dbevent"
-	"github.com/ginja-dr/ginja/internal/minidb"
 	"github.com/ginja-dr/ginja/internal/minidb/pgengine"
-	"github.com/ginja-dr/ginja/internal/vfs"
+	"github.com/ginja-dr/ginja/internal/sim"
 )
 
-// writeThroughGinja boots a Ginja over a memory store, pushes `writes`
-// page writes through the intercepted WAL path and drains, returning the
-// stats. samePage repeats one page (the aggregation-friendly pattern);
-// otherwise pages are distinct.
-func writeThroughGinja(ctx context.Context, params core.Params, store cloud.ObjectStore,
-	writes int, samePage bool) (core.Stats, error) {
-	g, err := core.New(vfs.NewMemFS(), store, dbevent.NewPGProcessor(), params)
+// pageRun is what writeThroughGinja measured, in virtual time.
+type pageRun struct {
+	stats   core.Stats
+	blocked []time.Duration // per write: how long it waited on the WAN
+	drain   time.Duration   // first write until the queue drained
+}
+
+// writeThroughGinja boots a Ginja on a rig over profile (tune adjusts the
+// rig's parameters), pushes `writes` 8 KiB page writes through the
+// intercepted WAL path exactly like a DBMS would, and drains. samePage
+// repeats one page (the aggregation-friendly pattern); otherwise pages
+// are distinct.
+func writeThroughGinja(profile cloudsim.Profile, tune func(*core.Params), writes int, samePage bool) (pageRun, error) {
+	var run pageRun
+	rig := sim.NewRig(profile, 1)
+	params := rig.Params()
+	tune(&params)
+	g, err := rig.Boot(nil, params)
 	if err != nil {
-		return core.Stats{}, err
-	}
-	if err := g.Boot(ctx); err != nil {
-		return core.Stats{}, err
+		return run, err
 	}
 	defer g.Close()
 	f, err := g.FS().OpenFile(pgengine.SegmentPath(0), os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
-		return core.Stats{}, err
+		return run, err
 	}
 	defer f.Close()
 	page := make([]byte, 8192)
+	t0 := rig.Clock.Now()
 	for i := 0; i < writes; i++ {
 		off := int64(0)
 		if !samePage {
 			off = int64(i%1024) * 8192
 		}
+		start := rig.Clock.Now()
 		if _, err := f.WriteAt(page, off); err != nil {
-			return core.Stats{}, err
+			return run, fmt.Errorf("write %d: %w", i+1, err)
 		}
+		run.blocked = append(run.blocked, rig.Clock.Since(start))
 	}
-	if !g.Flush(time.Minute) {
-		return core.Stats{}, fmt.Errorf("experiments: ablation flush timed out")
+	if !g.Flush(drainTimeout) {
+		return run, fmt.Errorf("experiments: flush timed out")
 	}
-	return g.Stats(), nil
+	run.stats, run.drain = g.Stats(), rig.Clock.Since(t0)
+	return run, nil
 }
 
 // AblationAggregation quantifies write aggregation: the same page-rewrite
@@ -62,20 +71,24 @@ type AblationAggregation struct {
 	BytesNaive      int64
 }
 
-// RunAblationAggregation performs the aggregation ablation.
-func RunAblationAggregation(ctx context.Context, writes int) (AblationAggregation, error) {
+// RunAblationAggregation performs the aggregation ablation on an instant
+// store.
+func RunAblationAggregation(writes int) (AblationAggregation, error) {
 	res := AblationAggregation{Writes: writes}
-	p := core.DefaultParams()
-	p.Batch = 100
-	p.Safety = 10000
-	p.BatchTimeout = 20 * time.Millisecond
-
-	with, err := writeThroughGinja(ctx, p, cloud.NewMemStore(), writes, true)
+	run := func(disable bool) (core.Stats, error) {
+		r, err := writeThroughGinja(cloudsim.Profile{}, func(p *core.Params) {
+			p.Batch = 100
+			p.Safety = 10000
+			p.BatchTimeout = 20 * time.Millisecond
+			p.DisableAggregation = disable
+		}, writes, true)
+		return r.stats, err
+	}
+	with, err := run(false)
 	if err != nil {
 		return res, err
 	}
-	p.DisableAggregation = true
-	without, err := writeThroughGinja(ctx, p, cloud.NewMemStore(), writes, true)
+	without, err := run(true)
 	if err != nil {
 		return res, err
 	}
@@ -92,29 +105,52 @@ func RunAblationAggregation(ctx context.Context, writes int) (AblationAggregatio
 // AblationUploadersRow is one pool size in the uploader sweep.
 type AblationUploadersRow struct {
 	Uploaders int
-	Drain     time.Duration
+	Drain     time.Duration // virtual
 }
 
 // RunAblationUploaders sweeps the uploader-pool size (the paper found 5
 // best in its environment) over a burst of one-object-per-write uploads
-// through the WAN latency model.
-func RunAblationUploaders(ctx context.Context, pools []int, writes int) ([]AblationUploadersRow, error) {
+// through the WAN profile.
+func RunAblationUploaders(pools []int, writes int) ([]AblationUploadersRow, error) {
 	var rows []AblationUploadersRow
 	for _, n := range pools {
-		p := core.DefaultParams()
-		p.Batch = 1
-		p.Safety = writes * 2
-		p.Uploaders = n
-		p.BatchTimeout = 10 * time.Millisecond
-		store := cloudsim.New(cloud.NewMemStore(), cloudsim.Options{
-			Profile:   cloudsim.WANProfile(),
-			TimeScale: 400,
-		})
-		start := time.Now()
-		if _, err := writeThroughGinja(ctx, p, store, writes, false); err != nil {
+		r, err := writeThroughGinja(cloudsim.WANProfile(), func(p *core.Params) {
+			p.Batch = 1
+			p.Safety = writes * 2
+			p.Uploaders = n
+			p.BatchTimeout = 10 * time.Millisecond
+		}, writes, false)
+		if err != nil {
 			return nil, fmt.Errorf("experiments: uploaders=%d: %w", n, err)
 		}
-		rows = append(rows, AblationUploadersRow{Uploaders: n, Drain: time.Since(start)})
+		rows = append(rows, AblationUploadersRow{Uploaders: n, Drain: r.drain})
+	}
+	return rows, nil
+}
+
+// AblationObjectSplitRow is one object-size cap in the split sweep.
+type AblationObjectSplitRow struct {
+	CapMB   int64
+	Objects int64
+	Bytes   int64
+}
+
+// RunAblationObjectSplit sweeps the object-size cap (the 20 MB split of
+// §5.2) over one batch of 1 024 distinct 8 KiB pages: an 8 MiB contiguous
+// run.
+func RunAblationObjectSplit(capsMB []int64) ([]AblationObjectSplitRow, error) {
+	var rows []AblationObjectSplitRow
+	for _, capMB := range capsMB {
+		r, err := writeThroughGinja(cloudsim.Profile{}, func(p *core.Params) {
+			p.Batch = 1024
+			p.Safety = 100000
+			p.BatchTimeout = 50 * time.Millisecond
+			p.MaxObjectSize = capMB << 20
+		}, 1024, false)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: cap=%dMB: %w", capMB, err)
+		}
+		rows = append(rows, AblationObjectSplitRow{CapMB: capMB, Objects: r.stats.WALObjectsUploaded, Bytes: r.stats.WALBytesUploaded})
 	}
 	return rows, nil
 }
@@ -129,71 +165,64 @@ type AblationDumpThresholdRow struct {
 
 // RunAblationDumpThreshold sweeps the dump trigger (150 % in the paper):
 // lower thresholds dump more often (more upload traffic, less storage
-// held); higher thresholds accumulate incremental checkpoints.
-func RunAblationDumpThreshold(ctx context.Context, thresholds []float64) ([]AblationDumpThresholdRow, error) {
+// held); higher thresholds accumulate incremental checkpoints. Six rounds
+// of 16 updates, each ending in a checkpoint that settles before the next
+// round starts.
+func RunAblationDumpThreshold(thresholds []float64) ([]AblationDumpThresholdRow, error) {
 	var rows []AblationDumpThresholdRow
 	for _, th := range thresholds {
-		p := core.DefaultParams()
-		p.Batch = 8
-		p.Safety = 1024
-		p.BatchTimeout = 10 * time.Millisecond
-		p.DumpThreshold = th
-		metered := cloud.NewMeteredStore(cloud.NewMemStore(), cloud.AmazonS3May2017())
-		g, err := core.New(vfs.NewMemFS(), metered, dbevent.NewPGProcessor(), p)
+		row, err := dumpThresholdRun(th)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("experiments: threshold %.1f: %w", th, err)
 		}
-		if err := g.Boot(ctx); err != nil {
-			return nil, err
-		}
-		db, err := minidb.Open(g.FS(), pgengine.NewWithSizes(1024, 64*1024, 1024), minidb.Options{})
-		if err != nil {
-			return nil, err
-		}
-		if err := db.CreateTable("kv", 8); err != nil {
-			return nil, err
-		}
-		var ckpts int64
-		for round := 0; round < 6; round++ {
-			for k := 0; k < 16; k++ {
-				if err := db.Update(func(tx *minidb.Txn) error {
-					return tx.Put("kv", []byte(fmt.Sprintf("k%02d", k)),
-						[]byte(fmt.Sprintf("round-%d-%s", round, string(make([]byte, 256)))))
-				}); err != nil {
-					return nil, err
-				}
-			}
-			if !g.Flush(time.Minute) {
-				return nil, fmt.Errorf("experiments: threshold %.1f: flush", th)
-			}
-			if err := db.Checkpoint(); err != nil {
-				return nil, err
-			}
-			ckpts++
-			deadline := time.Now().Add(time.Minute)
-			for g.Stats().Checkpoints+g.Stats().Dumps < ckpts {
-				if time.Now().After(deadline) {
-					return nil, fmt.Errorf("experiments: threshold %.1f: checkpoint upload stuck", th)
-				}
-				time.Sleep(time.Millisecond)
-			}
-		}
-		s := g.Stats()
-		rows = append(rows, AblationDumpThresholdRow{
-			Threshold:    th,
-			Dumps:        s.Dumps,
-			BytesHeld:    metered.Counts().StoredBytes,
-			BytesShipped: s.DBBytesUploaded,
-		})
-		db.Close()
-		g.Close()
+		rows = append(rows, row)
 	}
 	return rows, nil
 }
 
+func dumpThresholdRun(th float64) (AblationDumpThresholdRow, error) {
+	row := AblationDumpThresholdRow{Threshold: th}
+	rig := sim.NewRig(cloudsim.Profile{}, 1)
+	p := rig.Params()
+	p.Batch = 8
+	p.Safety = 1024
+	p.BatchTimeout = 10 * time.Millisecond
+	p.DumpThreshold = th
+	metered := cloud.NewMeteredStore(rig.Store, cloud.AmazonS3May2017())
+	g, err := rig.Boot(metered, p)
+	if err != nil {
+		return row, err
+	}
+	defer g.Close()
+	db, err := rig.OpenKV(g)
+	if err != nil {
+		return row, err
+	}
+	defer db.Close()
+	for round := 0; round < 6; round++ {
+		if err := sim.PutRows(db, "k%02d", 16, fmt.Sprintf("round-%d-%s", round, make([]byte, 256))); err != nil {
+			return row, err
+		}
+		if !g.Flush(drainTimeout) {
+			return row, fmt.Errorf("flush timed out")
+		}
+		if err := db.Checkpoint(); err != nil {
+			return row, err
+		}
+		if !g.SyncCheckpoints(drainTimeout) {
+			return row, fmt.Errorf("checkpoint upload stuck")
+		}
+	}
+	s := g.Stats()
+	row.Dumps = s.Dumps
+	row.BytesHeld = metered.Counts().StoredBytes
+	row.BytesShipped = s.DBBytesUploaded
+	return row, nil
+}
+
 // FprintAblations runs and renders all ablation experiments.
-func FprintAblations(ctx context.Context, w io.Writer) error {
-	agg, err := RunAblationAggregation(ctx, 2000)
+func FprintAblations(w io.Writer) error {
+	agg, err := RunAblationAggregation(2000)
 	if err != nil {
 		return err
 	}
@@ -202,16 +231,25 @@ func FprintAblations(ctx context.Context, w io.Writer) error {
 		agg.PutsAggregated, float64(agg.BytesAggregated)/(1<<20),
 		agg.PutsNaive, float64(agg.BytesNaive)/(1<<20), agg.SavingsX)
 
-	ups, err := RunAblationUploaders(ctx, []int{1, 5, 16}, 200)
+	ups, err := RunAblationUploaders([]int{1, 5, 16}, 200)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintln(w, "Ablation — uploader pool size (200 objects through the WAN model):")
+	fmt.Fprintln(w, "Ablation — uploader pool size (200 objects through the WAN profile, virtual drain time):")
 	for _, r := range ups {
 		fmt.Fprintf(w, "  uploaders=%-3d drain %s\n", r.Uploaders, r.Drain.Round(time.Millisecond))
 	}
 
-	dumps, err := RunAblationDumpThreshold(ctx, []float64{1.2, 1.5, 3.0})
+	splits, err := RunAblationObjectSplit([]int64{1, 20, 1024})
+	if err != nil {
+		return err
+	}
+	fmt.Fprintln(w, "Ablation — object-size cap (one 8 MiB run of 1024 distinct pages):")
+	for _, r := range splits {
+		fmt.Fprintf(w, "  cap=%-7s objects=%-3d %.1f MiB\n", fmt.Sprintf("%dMB", r.CapMB), r.Objects, float64(r.Bytes)/(1<<20))
+	}
+
+	dumps, err := RunAblationDumpThreshold([]float64{1.2, 1.5, 3.0})
 	if err != nil {
 		return err
 	}

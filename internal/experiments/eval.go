@@ -5,418 +5,111 @@ import (
 	"fmt"
 	"time"
 
-	"github.com/ginja-dr/ginja/internal/cloud"
 	"github.com/ginja-dr/ginja/internal/cloud/cloudsim"
 	"github.com/ginja-dr/ginja/internal/core"
 	"github.com/ginja-dr/ginja/internal/dbevent"
 	"github.com/ginja-dr/ginja/internal/minidb"
+	"github.com/ginja-dr/ginja/internal/minidb/pgengine"
 	"github.com/ginja-dr/ginja/internal/vfs"
 	"github.com/ginja-dr/ginja/internal/workload/tpcc"
 )
 
-// ginjaParams builds a Params with the paper's evaluation settings
-// (5 uploaders) and the given B/S and envelope flags.
-func ginjaParams(b, s int, compress, encrypt bool) core.Params {
-	p := core.DefaultParams()
-	p.Batch = b
-	p.Safety = s
-	p.Uploaders = 5
-	p.BatchTimeout = 500 * time.Millisecond
-	p.SafetyTimeout = 30 * time.Second
-	p.Compress = compress
-	p.Encrypt = encrypt
-	if encrypt {
-		p.Password = "ginja-eval-password"
-	}
-	return p
-}
-
-// Figure5Cell is one column of Figure 5.
-type Figure5Cell struct {
-	Label    string
-	Baseline Baseline
-	B, S     int
-}
-
-// Figure5Cells returns the paper's Figure 5 column set: native FS, the
-// interception layer alone, the B×S grid, and No-Loss (S=B=1).
-func Figure5Cells() []Figure5Cell {
-	return []Figure5Cell{
-		{Label: "ext4", Baseline: BaselineNative},
-		{Label: "FUSE", Baseline: BaselineIntercept},
-		{Label: "B=1000 S=10000", Baseline: BaselineGinja, B: 1000, S: 10000},
-		{Label: "B=100 S=10000", Baseline: BaselineGinja, B: 100, S: 10000},
-		{Label: "B=10 S=10000", Baseline: BaselineGinja, B: 10, S: 10000},
-		{Label: "B=100 S=1000", Baseline: BaselineGinja, B: 100, S: 1000},
-		{Label: "B=10 S=1000", Baseline: BaselineGinja, B: 10, S: 1000},
-		{Label: "B=1 S=1000", Baseline: BaselineGinja, B: 1, S: 1000},
-		{Label: "B=10 S=100", Baseline: BaselineGinja, B: 10, S: 100},
-		{Label: "B=1 S=100", Baseline: BaselineGinja, B: 1, S: 100},
-		{Label: "B=1 S=10", Baseline: BaselineGinja, B: 1, S: 10},
-		{Label: "No-Loss (S=B=1)", Baseline: BaselineGinja, B: 1, S: 1},
-	}
-}
-
-// Figure5Row is one measured column of Figure 5.
-type Figure5Row struct {
-	Cell     Figure5Cell
-	TpmC     float64
-	TpmTotal float64
-}
-
-// Figure5 measures TPC-C throughput across the configuration grid for one
-// engine ("postgresql" → Figure 5a, "mysql" → Figure 5b).
-func Figure5(ctx context.Context, engineName string, cellDuration time.Duration) ([]Figure5Row, error) {
-	var rows []Figure5Row
-	for _, cell := range Figure5Cells() {
-		opts := TPCCOptions{
-			EngineName: engineName,
-			Baseline:   cell.Baseline,
-			Duration:   cellDuration,
-		}
-		if cell.Baseline == BaselineGinja {
-			opts.Params = ginjaParams(cell.B, cell.S, false, false)
-		}
-		res, err := RunTPCC(ctx, opts)
-		if err != nil {
-			return nil, fmt.Errorf("figure5 %s %q: %w", engineName, cell.Label, err)
-		}
-		rows = append(rows, Figure5Row{Cell: cell, TpmC: res.TpmC, TpmTotal: res.TpmTotal})
-	}
-	return rows, nil
-}
-
-// Figure6Cell is one column group of Figure 6.
-type Figure6Cell struct {
-	Label    string
-	B, S     int
-	Compress bool
-	Encrypt  bool
-}
-
-// Figure6Cells returns the paper's Figure 6 grid: three B/S configurations
-// × {normal, compression, encryption, both}.
-func Figure6Cells() []Figure6Cell {
-	var cells []Figure6Cell
-	for _, bs := range []struct{ b, s int }{{10, 100}, {100, 1000}, {1000, 10000}} {
-		for _, mode := range []struct {
-			label    string
-			comp, cr bool
-		}{
-			{"Normal", false, false},
-			{"Comp", true, false},
-			{"Crypt", false, true},
-			{"C+C", true, true},
-		} {
-			cells = append(cells, Figure6Cell{
-				Label:    fmt.Sprintf("%d/%d %s", bs.b, bs.s, mode.label),
-				B:        bs.b,
-				S:        bs.s,
-				Compress: mode.comp,
-				Encrypt:  mode.cr,
-			})
-		}
-	}
-	return cells
-}
-
-// Figure6Row is one measured column of Figure 6.
-type Figure6Row struct {
-	Cell     Figure6Cell
-	TpmC     float64
-	TpmTotal float64
-}
-
-// Figure6 measures the effect of compression and encryption on TPC-C
-// throughput for one engine.
-func Figure6(ctx context.Context, engineName string, cellDuration time.Duration) ([]Figure6Row, error) {
-	var rows []Figure6Row
-	for _, cell := range Figure6Cells() {
-		res, err := RunTPCC(ctx, TPCCOptions{
-			EngineName: engineName,
-			Baseline:   BaselineGinja,
-			Params:     ginjaParams(cell.B, cell.S, cell.Compress, cell.Encrypt),
-			Duration:   cellDuration,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("figure6 %s %q: %w", engineName, cell.Label, err)
-		}
-		rows = append(rows, Figure6Row{Cell: cell, TpmC: res.TpmC, TpmTotal: res.TpmTotal})
-	}
-	return rows, nil
-}
-
-// Table3Row is one configuration row of Table 3.
-type Table3Row struct {
-	Config        string
-	Engine        string
-	NumPUTs       int64   // scaled to the paper's 5-minute window
-	ObjectSizeKB  float64 // mean uploaded WAL object size
-	PutLatencyMS  float64 // mean modelled PUT latency
-	RawWindowPUTs int64   // unscaled PUTs in the measured window
-}
-
-// Table3 reproduces the cloud-usage table: PUT count (normalised to a
-// five-minute window like the paper), mean object size and modelled PUT
-// latency, for {10/100, 100/1000, 1000/10000} × {plain, C+C}.
-func Table3(ctx context.Context, engineName string, cellDuration time.Duration) ([]Table3Row, error) {
-	var rows []Table3Row
-	for _, bs := range []struct{ b, s int }{{10, 100}, {100, 1000}, {1000, 10000}} {
-		for _, sealed := range []struct {
-			label string
-			cc    bool
-		}{{"plain", false}, {"C+C", true}} {
-			res, err := RunTPCC(ctx, TPCCOptions{
-				EngineName: engineName,
-				Baseline:   BaselineGinja,
-				Params:     ginjaParams(bs.b, bs.s, sealed.cc, sealed.cc),
-				Duration:   cellDuration,
-			})
-			if err != nil {
-				return nil, fmt.Errorf("table3 %s %d/%d %s: %w", engineName, bs.b, bs.s, sealed.label, err)
-			}
-			scale := (5 * time.Minute).Seconds() / cellDuration.Seconds()
-			rows = append(rows, Table3Row{
-				Config:        fmt.Sprintf("%d/%d %s", bs.b, bs.s, sealed.label),
-				Engine:        engineName,
-				NumPUTs:       int64(float64(res.Ginja.WALObjectsUploaded) * scale),
-				ObjectSizeKB:  res.WALObjectMeanBytes / 1000,
-				PutLatencyMS:  float64(res.ModelledPutLatency.Mean()) / float64(time.Millisecond),
-				RawWindowPUTs: res.Ginja.WALObjectsUploaded,
-			})
-		}
-	}
-	return rows, nil
-}
-
-// Table4Row is one configuration row of Table 4.
-type Table4Row struct {
-	Config     string
-	CPUPercent float64
-	MemPercent float64 // of the paper's 32 GB server
-}
-
-// Table4 reproduces the resource-usage table for one engine: native FS,
-// interception only, and the 100/1000 configuration with each envelope
-// mode. CPU is process CPU over the run; memory is the Go runtime
-// footprint against the paper's 32 GB server.
-func Table4(ctx context.Context, engineName string, cellDuration time.Duration) ([]Table4Row, error) {
-	const serverRAM = 32 << 30
-	cells := []struct {
-		label      string
-		baseline   Baseline
-		comp, encr bool
-	}{
-		{"Native FS", BaselineNative, false, false},
-		{"FUSE FS", BaselineIntercept, false, false},
-		{"100/1000", BaselineGinja, false, false},
-		{"100/1000 Comp", BaselineGinja, true, false},
-		{"100/1000 Crypt", BaselineGinja, false, true},
-		{"100/1000 C+C", BaselineGinja, true, true},
-	}
-	var rows []Table4Row
-	for _, cell := range cells {
-		// A paced workload (terminals think between transactions) keeps
-		// the process off CPU saturation, like the paper's I/O-bound
-		// testbed, so the per-feature overheads are visible as deltas.
-		workload := tpcc.DefaultConfig()
-		workload.ThinkTime = 2 * time.Millisecond
-		if engineName == "mysql" {
-			workload.Warehouses = 2
-			workload.Terminals = 12
-			// InnoDB-style commits cost more CPU (512-byte log blocks →
-			// more page writes); pace harder to stay off saturation.
-			workload.ThinkTime = 6 * time.Millisecond
-		}
-		opts := TPCCOptions{
-			EngineName: engineName,
-			Baseline:   cell.baseline,
-			Duration:   cellDuration,
-			Workload:   workload,
-		}
-		if cell.baseline == BaselineGinja {
-			opts.Params = ginjaParams(100, 1000, cell.comp, cell.encr)
-		}
-		res, err := RunTPCC(ctx, opts)
-		if err != nil {
-			return nil, fmt.Errorf("table4 %s %q: %w", engineName, cell.label, err)
-		}
-		rows = append(rows, Table4Row{
-			Config:     cell.label,
-			CPUPercent: res.Resources.CPUPercent,
-			MemPercent: res.Resources.MemoryPercent(serverRAM),
-		})
-	}
-	return rows, nil
-}
-
-// RecoveryOptions configures a Figure 7 measurement.
-type RecoveryOptions struct {
-	EngineName string
-	Warehouses int
-	// Seconds of TPC-C to run before the disaster (grows the WAL tail).
-	WorkloadDuration time.Duration
-	// Profile models where recovery runs: WANProfile ≈ the on-premises
-	// server, LANProfile ≈ an EC2 VM in the bucket's region.
-	Profile cloudsim.Profile
-	// TimeScale compresses simulated latency during measurement.
-	TimeScale float64
-	Seed      int64
-}
-
 // RecoveryResult is one Figure 7 sample.
 type RecoveryResult struct {
 	Warehouses int
-	// ModelledTime is the recovery duration a real deployment would see,
-	// dominated by object downloads (paper §8.3: "the key factor here is
-	// the database download time").
-	ModelledTime time.Duration
-	// BytesDownloaded during the restore.
-	BytesDownloaded int64
-	// Objects fetched.
-	Objects int64
+	// RTO is Recover's virtual duration: LIST, then the plan's GETs,
+	// RecoveryFetchers at a time, through the profile.
+	RTO time.Duration
+	// Bytes downloaded and objects fetched by the restore.
+	Bytes   int64
+	Objects int
 }
 
-// RunRecovery builds a TPC-C database of the given scale under Ginja,
-// checkpoints and drains it, destroys the primary, and measures a full
-// Recovery from the cloud (Figure 7).
-func RunRecovery(ctx context.Context, opts RecoveryOptions) (RecoveryResult, error) {
-	var res RecoveryResult
-	if opts.EngineName == "" {
-		opts.EngineName = "postgresql"
-	}
-	if opts.Warehouses == 0 {
-		opts.Warehouses = 1
-	}
-	if opts.WorkloadDuration == 0 {
-		opts.WorkloadDuration = time.Second
-	}
-	if opts.TimeScale == 0 {
-		opts.TimeScale = 200
-	}
-	if opts.Profile == (cloudsim.Profile{}) {
-		opts.Profile = cloudsim.WANProfile()
-	}
-	res.Warehouses = opts.Warehouses
-
-	engine, err := engineFor(opts.EngineName)
-	if err != nil {
-		return res, err
-	}
-	base := cloud.NewMemStore()
-	// Build phase: no latency simulation, we only need the cloud state.
-	g, err := core.New(vfs.NewMemFS(), base, dbevent.ForEngine(opts.EngineName),
-		ginjaParams(100, 1000, false, false))
-	if err != nil {
-		return res, err
-	}
-	if err := g.Boot(ctx); err != nil {
-		return res, err
-	}
-	db, err := minidb.Open(g.FS(), engine, minidb.Options{})
-	if err != nil {
-		return res, err
-	}
+// RunRecovery builds a PostgreSQL-personality TPC-C database of the given
+// scale under Ginja on a rig over profile — WANProfile ≈ the on-premises
+// server, LANProfile ≈ an EC2 VM in the bucket's region — runs the
+// transactions (they grow the WAL tail past the load's checkpoints),
+// checkpoints and drains, abandons the primary, and measures a full
+// Recover from the bucket on a fresh machine (Figure 7). The DBMS must
+// then reopen on the restored files.
+func RunRecovery(warehouses, transactions int, profile cloudsim.Profile) (RecoveryResult, error) {
+	const engineName = "postgresql"
+	res := RecoveryResult{Warehouses: warehouses}
 	cfg := tpcc.DefaultConfig()
-	cfg.Warehouses = opts.Warehouses
+	cfg.Warehouses = warehouses
 	cfg.Terminals = 4
-	if err := tpcc.Load(db, cfg); err != nil {
-		return res, err
-	}
-	driver := tpcc.NewDriver(db, cfg)
-	if _, err := driver.Run(ctx, opts.WorkloadDuration); err != nil {
-		return res, err
-	}
-	if err := db.Checkpoint(); err != nil {
-		return res, err
-	}
-	if !g.Flush(30 * time.Second) {
-		return res, fmt.Errorf("experiments: flush before disaster timed out")
-	}
-	// Wait for the checkpoint upload to land.
-	deadline := time.Now().Add(30 * time.Second)
-	for g.Stats().Checkpoints+g.Stats().Dumps < 1 {
-		if time.Now().After(deadline) {
-			return res, fmt.Errorf("experiments: checkpoint never uploaded")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	if err := g.Close(); err != nil {
-		return res, err
-	}
-
-	// Disaster: the primary is gone. Recover through the latency model.
-	sim := cloudsim.New(base, cloudsim.Options{
-		Profile:   opts.Profile,
-		TimeScale: opts.TimeScale,
-		Seed:      opts.Seed,
-	})
-	metered := cloud.NewMeteredStore(sim, cloud.AmazonS3May2017())
-	freshFS := vfs.NewMemFS()
-	g2, err := core.New(freshFS, metered, dbevent.ForEngine(opts.EngineName),
-		ginjaParams(100, 1000, false, false))
+	cell := Cell{B: 100, S: 1000}
+	s, err := bootTPCC(engineName, profile, cell, cfg, nil)
 	if err != nil {
 		return res, err
 	}
-	if err := g2.Recover(ctx); err != nil {
+	defer s.g.Close() // the error paths before the disaster; a no-op after it
+	if _, err := tpcc.NewDriver(s.db, cfg).RunCount(transactions); err != nil {
 		return res, err
 	}
+	if err := s.db.Checkpoint(); err != nil {
+		return res, err
+	}
+	if !s.g.Flush(drainTimeout) || !s.g.SyncCheckpoints(drainTimeout) {
+		return res, fmt.Errorf("experiments: primary did not drain before the disaster")
+	}
+	// Disaster: the primary is gone, its DBMS never shut down.
+	if err := s.g.Close(); err != nil {
+		return res, err
+	}
+
+	g2, err := core.New(vfs.NewMemFS(), s.rig.Store, dbevent.ForEngine(engineName), cell.params(s.rig))
+	if err != nil {
+		return res, err
+	}
+	t0 := s.rig.Clock.Now()
+	if err := g2.Recover(context.Background()); err != nil {
+		return res, err
+	}
+	res.RTO = s.rig.Clock.Since(t0)
 	defer g2.Close()
+	bd := g2.Stats().LastRecovery
+	res.Bytes, res.Objects = bd.Bytes, bd.Objects
 	// The DBMS must come back and complete its own crash recovery.
-	db2, err := minidb.Open(g2.FS(), engine, minidb.Options{})
+	db2, err := minidb.Open(g2.FS(), pgengine.New(), minidb.Options{})
 	if err != nil {
 		return res, fmt.Errorf("experiments: DBMS restart after recovery: %w", err)
 	}
-	if _, err := db2.Get(tpcc.TableWarehouse, []byte(fmt.Sprintf("w:%04d", opts.Warehouses))); err != nil {
+	defer db2.Close()
+	if _, err := db2.Get(tpcc.TableWarehouse, []byte(fmt.Sprintf("w:%04d", warehouses))); err != nil {
 		return res, fmt.Errorf("experiments: recovered database incomplete: %w", err)
 	}
-
-	getStats := sim.GetLatencyModel()
-	counts := metered.Counts()
-	// Recovery downloads sequentially, so the modelled duration is the
-	// sum of modelled GET latencies plus one LIST round trip.
-	res.ModelledTime = getStats.Total + opts.Profile.BaseLatency
-	res.BytesDownloaded = counts.BytesDown
-	res.Objects = counts.Gets
 	return res, nil
+}
+
+// Figure7Row is one database scale of Figure 7.
+type Figure7Row struct {
+	Warehouses int
+	OnPremises time.Duration
+	InRegionVM time.Duration
+	Bytes      int64
+	Objects    int
 }
 
 // Figure7 measures recovery time for each warehouse scale under both
 // network profiles (on-premises vs in-region VM).
-type Figure7Row struct {
-	Warehouses    int
-	OnPremises    time.Duration
-	InRegionVM    time.Duration
-	BytesOnPrem   int64
-	ObjectsOnPrem int64
-}
-
-// Figure7 runs the recovery-time experiment at the given scales.
-func Figure7(ctx context.Context, warehouses []int, workload time.Duration) ([]Figure7Row, error) {
+func Figure7(warehouses []int, transactions int) ([]Figure7Row, error) {
 	var rows []Figure7Row
 	for _, w := range warehouses {
-		wan, err := RunRecovery(ctx, RecoveryOptions{
-			Warehouses:       w,
-			WorkloadDuration: workload,
-			Profile:          cloudsim.WANProfile(),
-		})
+		wan, err := RunRecovery(w, transactions, cloudsim.WANProfile())
 		if err != nil {
 			return nil, fmt.Errorf("figure7 W=%d on-prem: %w", w, err)
 		}
-		lan, err := RunRecovery(ctx, RecoveryOptions{
-			Warehouses:       w,
-			WorkloadDuration: workload,
-			Profile:          cloudsim.LANProfile(),
-		})
+		lan, err := RunRecovery(w, transactions, cloudsim.LANProfile())
 		if err != nil {
 			return nil, fmt.Errorf("figure7 W=%d in-region: %w", w, err)
 		}
 		rows = append(rows, Figure7Row{
-			Warehouses:    w,
-			OnPremises:    wan.ModelledTime,
-			InRegionVM:    lan.ModelledTime,
-			BytesOnPrem:   wan.BytesDownloaded,
-			ObjectsOnPrem: wan.Objects,
+			Warehouses: w,
+			OnPremises: wan.RTO,
+			InRegionVM: lan.RTO,
+			Bytes:      wan.Bytes,
+			Objects:    wan.Objects,
 		})
 	}
 	return rows, nil

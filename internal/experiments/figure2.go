@@ -1,16 +1,10 @@
 package experiments
 
 import (
-	"context"
-	"fmt"
-	"os"
 	"time"
 
-	"github.com/ginja-dr/ginja/internal/cloud"
 	"github.com/ginja-dr/ginja/internal/cloud/cloudsim"
 	"github.com/ginja-dr/ginja/internal/core"
-	"github.com/ginja-dr/ginja/internal/dbevent"
-	"github.com/ginja-dr/ginja/internal/vfs"
 )
 
 // Figure2Result demonstrates the Batch/Safety semantics of Figure 2:
@@ -18,76 +12,41 @@ import (
 // 21st unacknowledged update blocks the DBMS).
 type Figure2Result struct {
 	B, S int
-	// PerUpdateBlocked is how long each of the updates spent blocked.
+	// PerUpdateBlocked is how long each of the updates spent blocked, in
+	// virtual time.
 	PerUpdateBlocked []time.Duration
 	// Batches is the number of cloud synchronizations performed.
 	Batches int64
 	// FirstBlockedUpdate is the 1-based index of the first update that
-	// blocked measurably (0 = none did).
+	// blocked at all (0 = none did).
 	FirstBlockedUpdate int
 }
 
 // Figure2 reproduces the paper's Figure 2 execution: 21 updates through
-// Ginja configured with B=2, S=20 over a cloud with visible upload
-// latency. Updates 1–20 return immediately; update 21 blocks until the
-// pending synchronizations are acknowledged.
-func Figure2(ctx context.Context) (Figure2Result, error) {
-	const (
-		b       = 2
-		s       = 20
-		updates = 21
-	)
-	res := Figure2Result{B: b, S: s}
-
-	sim := cloudsim.New(cloud.NewMemStore(), cloudsim.Options{
-		Profile: cloudsim.Profile{
-			BaseLatency:       120 * time.Millisecond,
-			UploadBandwidth:   10e6,
-			DownloadBandwidth: 10e6,
-		},
-		TimeScale: 1, // real sleeps: the blocking must be observable
-	})
-	params := core.DefaultParams()
-	params.Batch = b
-	params.Safety = s
-	params.BatchTimeout = 20 * time.Millisecond
-	params.SafetyTimeout = 10 * time.Second
-	params.Uploaders = 1 // serialise uploads so the illustration is crisp
-
-	localFS := vfs.NewMemFS()
-	g, err := core.New(localFS, sim, dbevent.NewPGProcessor(), params)
+// Ginja configured with B=2, S=20 on a rig whose cloud takes 120 ms per
+// round trip. Updates 1–20 return at once; update 21 blocks until the
+// first synchronization is acknowledged.
+func Figure2() (Figure2Result, error) {
+	res := Figure2Result{B: 2, S: 20}
+	run, err := writeThroughGinja(cloudsim.Profile{
+		BaseLatency:       120 * time.Millisecond,
+		UploadBandwidth:   10e6,
+		DownloadBandwidth: 10e6,
+	}, func(p *core.Params) {
+		p.Batch, p.Safety = res.B, res.S
+		p.BatchTimeout = 20 * time.Millisecond
+		p.SafetyTimeout = 10 * time.Second
+		p.Uploaders = 1 // serialise uploads so the illustration is crisp
+	}, res.S+1, false)
 	if err != nil {
 		return res, err
 	}
-	if err := g.Boot(ctx); err != nil {
-		return res, err
-	}
-	defer g.Close()
-
-	// Drive WAL-page writes through the intercepted file system exactly
-	// like a DBMS would.
-	fsys := g.FS()
-	f, err := fsys.OpenFile("pg_xlog/000000010000000000000000", os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return res, err
-	}
-	defer f.Close()
-
-	page := make([]byte, 8192)
-	for i := 0; i < updates; i++ {
-		start := time.Now()
-		if _, err := f.WriteAt(page, int64(i)*8192); err != nil {
-			return res, fmt.Errorf("figure2 update %d: %w", i+1, err)
-		}
-		blocked := time.Since(start)
-		res.PerUpdateBlocked = append(res.PerUpdateBlocked, blocked)
-		if res.FirstBlockedUpdate == 0 && blocked > 50*time.Millisecond {
+	res.PerUpdateBlocked, res.Batches = run.blocked, run.stats.Batches
+	for i, d := range run.blocked {
+		if d > 0 {
 			res.FirstBlockedUpdate = i + 1
+			break
 		}
 	}
-	if !g.Flush(30 * time.Second) {
-		return res, fmt.Errorf("figure2: queue did not drain")
-	}
-	res.Batches = g.Stats().Batches
 	return res, nil
 }

@@ -82,15 +82,13 @@ func scenarios() []recoveryScenario {
 
 // RecoveryPhaseMs is the mean per-phase RTO budget across a scenario's
 // runs, in virtual milliseconds. Fetch is cumulative across the parallel
-// prefetchers, so it can exceed Total.
+// prefetchers, so it can exceed Total. The local phases (view build,
+// decode, apply, verify) cost nothing on the virtual clock; the
+// wall-clock benchmark's core.recovery_* rows measure them.
 type RecoveryPhaseMs struct {
-	List   float64 `json:"list_ms"`
-	View   float64 `json:"view_ms"`
-	Fetch  float64 `json:"fetch_ms"`
-	Decode float64 `json:"decode_ms"`
-	Apply  float64 `json:"apply_ms"`
-	Verify float64 `json:"verify_ms"`
-	Total  float64 `json:"total_ms"`
+	List  float64 `json:"list_ms"`
+	Fetch float64 `json:"fetch_ms"`
+	Total float64 `json:"total_ms"`
 }
 
 // RecoveryBenchScenario aggregates one fault schedule across seeds.
@@ -165,7 +163,7 @@ func quantileMs(sorted []time.Duration, q float64) float64 {
 	return millis(sorted[idx])
 }
 
-// RunRecovery replays every scenario across opts.Seeds deterministic
+// RunRecoveryBench replays every scenario across opts.Seeds deterministic
 // seeds and aggregates the measured RPO/RTO distributions.
 func RunRecoveryBench(opts RecoveryBenchOptions) (*RecoveryBenchResult, error) {
 	opts = opts.withDefaults()
@@ -190,11 +188,7 @@ func RunRecoveryBench(opts RecoveryBenchOptions) (*RecoveryBenchResult, error) {
 			rtos = append(rtos, r.RTO)
 			bd := r.Recovery
 			ph.List += millis(bd.List)
-			ph.View += millis(bd.ViewBuild)
 			ph.Fetch += millis(bd.Fetch)
-			ph.Decode += millis(bd.Decode)
-			ph.Apply += millis(bd.Apply)
-			ph.Verify += millis(bd.Verify)
 			ph.Total += millis(bd.Total)
 			agg.MeanObjects += float64(bd.Objects)
 			agg.MeanWALObjects += float64(bd.WALObjects)
@@ -206,11 +200,7 @@ func RunRecoveryBench(opts RecoveryBenchOptions) (*RecoveryBenchResult, error) {
 		}
 		n := float64(agg.Runs)
 		ph.List /= n
-		ph.View /= n
 		ph.Fetch /= n
-		ph.Decode /= n
-		ph.Apply /= n
-		ph.Verify /= n
 		ph.Total /= n
 		agg.Phases = ph
 		agg.MeanObjects /= n
@@ -288,9 +278,8 @@ func (r *RecoveryBenchResult) Fprint(out io.Writer) {
 		fmt.Fprintf(out, "%-18s RPO p50/p99 %7.1f/%7.1f ms  RTO p50/p99 %7.1f/%7.1f ms  (%d runs, %.0f objects, %.1f KiB)\n",
 			sc.Name+":", sc.RPOp50Ms, sc.RPOp99Ms, sc.RTOp50Ms, sc.RTOp99Ms,
 			sc.Runs, sc.MeanObjects, sc.MeanFetchedKB)
-		fmt.Fprintf(out, "%-18s phases list %.1f, view %.1f, fetch %.1f, decode %.1f, apply %.1f, verify %.1f, total %.1f ms\n",
-			"", sc.Phases.List, sc.Phases.View, sc.Phases.Fetch,
-			sc.Phases.Decode, sc.Phases.Apply, sc.Phases.Verify, sc.Phases.Total)
+		fmt.Fprintf(out, "%-18s phases list %.1f, fetch %.1f, total %.1f ms\n",
+			"", sc.Phases.List, sc.Phases.Fetch, sc.Phases.Total)
 	}
 	w := r.WarmStandby
 	fmt.Fprintf(out, "%-18s cold RTO p50/p99 %7.1f/%7.1f ms -> warm promote %7.1f/%7.1f ms (%.1fx, lag %.0f ms, %.0f vs %.0f objects)\n",

@@ -23,14 +23,14 @@ func FprintFigure1(w io.Writer, budget float64) {
 
 // FprintFigure2 renders the Batch/Safety demonstration.
 func FprintFigure2(w io.Writer, res Figure2Result) {
-	fmt.Fprintf(w, "Figure 2 — B=%d, S=%d: %d updates, %d cloud synchronizations\n",
+	fmt.Fprintf(w, "Figure 2 — B=%d, S=%d: %d updates, %d cloud synchronizations (virtual time)\n",
 		res.B, res.S, len(res.PerUpdateBlocked), res.Batches)
 	for i, d := range res.PerUpdateBlocked {
 		marker := ""
-		if d > 50*time.Millisecond {
+		if d > 0 {
 			marker = "  ← DBMS blocked (Safety limit reached)"
 		}
-		fmt.Fprintf(w, "U%-3d blocked %8s%s\n", i+1, d.Round(time.Millisecond), marker)
+		fmt.Fprintf(w, "U%-3d blocked %10s%s\n", i+1, d, marker)
 	}
 }
 
@@ -72,52 +72,57 @@ func FprintRecoveryCosts(w io.Writer) {
 	}
 }
 
-// FprintFigure5 renders one engine's throughput grid.
-func FprintFigure5(w io.Writer, engine string, rows []Figure5Row) {
-	fmt.Fprintf(w, "Figure 5 (%s) — TPC-C throughput under Ginja configurations\n", engine)
-	fmt.Fprintf(w, "%-22s %-12s %-12s\n", "configuration", "Tpm-C", "Tpm-Total")
+// fprintCeilings renders a throughput grid: each cell's WAN-bound
+// ceiling and the virtual time its transactions spent blocked.
+func fprintCeilings(w io.Writer, title string, rows []TPCCResult) {
+	fmt.Fprintln(w, title)
+	fmt.Fprintf(w, "%-22s %-16s %s\n", "configuration", "tx/virtual s", "blocked")
 	for _, r := range rows {
-		fmt.Fprintf(w, "%-22s %-12.0f %-12.0f\n", r.Cell.Label, r.TpmC, r.TpmTotal)
+		ceiling := "never blocked"
+		if tps := r.TxPerSec(); tps > 0 {
+			ceiling = fmt.Sprintf("%.1f", tps)
+		}
+		fmt.Fprintf(w, "%-22s %-16s %s\n", r.Cell.Label, ceiling, r.Blocked.Round(time.Millisecond))
 	}
+}
+
+// FprintFigure5 renders one engine's B×S grid.
+func FprintFigure5(w io.Writer, engine string, rows []TPCCResult) {
+	fprintCeilings(w, fmt.Sprintf("Figure 5 (%s) — WAN-bound TPC-C ceiling, %d transactions per cell (virtual time)",
+		engine, transactionsOf(rows)), rows)
 }
 
 // FprintFigure6 renders one engine's compression/encryption grid.
-func FprintFigure6(w io.Writer, engine string, rows []Figure6Row) {
-	fmt.Fprintf(w, "Figure 6 (%s) — compression & encryption effect on TPC-C throughput\n", engine)
-	fmt.Fprintf(w, "%-22s %-12s %-12s\n", "configuration", "Tpm-C", "Tpm-Total")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-22s %-12.0f %-12.0f\n", r.Cell.Label, r.TpmC, r.TpmTotal)
+func FprintFigure6(w io.Writer, engine string, rows []TPCCResult) {
+	fprintCeilings(w, fmt.Sprintf("Figure 6 (%s) — compression & encryption on the WAN-bound ceiling, %d transactions per cell (virtual time)",
+		engine, transactionsOf(rows)), rows)
+}
+
+func transactionsOf(rows []TPCCResult) int {
+	if len(rows) == 0 {
+		return 0
 	}
+	return rows[0].Transactions
 }
 
 // FprintTable3 renders the cloud-usage table.
-func FprintTable3(w io.Writer, engine string, rows []Table3Row, window time.Duration) {
-	fmt.Fprintf(w, "Table 3 (%s) — storage-cloud usage (PUT count normalised to 5 min; measured window %s)\n",
-		engine, window)
-	fmt.Fprintf(w, "%-22s %-14s %-16s %-16s\n", "configuration", "num PUTs", "object size (kB)", "PUT latency (ms)")
+func FprintTable3(w io.Writer, engine string, rows []TPCCResult) {
+	fmt.Fprintf(w, "Table 3 (%s) — storage-cloud usage over %d transactions (virtual time)\n", engine, transactionsOf(rows))
+	fmt.Fprintf(w, "%-22s %-16s %-18s %s\n", "configuration", "PUTs per 1000 tx", "object size (kB)", "PUT latency (ms)")
 	for _, r := range rows {
-		fmt.Fprintf(w, "%-22s %-14d %-16.0f %-16.0f\n", r.Config, r.NumPUTs, r.ObjectSizeKB, r.PutLatencyMS)
-	}
-}
-
-// FprintTable4 renders the resource-usage table.
-func FprintTable4(w io.Writer, engine string, rows []Table4Row) {
-	fmt.Fprintf(w, "Table 4 (%s) — database server resource usage (32 GB reference server)\n", engine)
-	fmt.Fprintf(w, "%-18s %-10s %-10s\n", "configuration", "CPU", "memory")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-18s %-10.1f%% %-10.2f%%\n", r.Config, r.CPUPercent, r.MemPercent)
+		fmt.Fprintf(w, "%-22s %-16.1f %-18.1f %.1f\n", r.Cell.Label, r.PutsPerKTx(), r.MeanObjectBytes()/1000,
+			float64(r.PutLatency)/float64(time.Millisecond))
 	}
 }
 
 // FprintFigure7 renders the recovery-time series.
 func FprintFigure7(w io.Writer, rows []Figure7Row) {
-	fmt.Fprintln(w, "Figure 7 — recovery time by database size (modelled network time)")
+	fmt.Fprintln(w, "Figure 7 — recovery time by database size (Recover's virtual duration)")
 	fmt.Fprintf(w, "%-14s %-18s %-18s %-14s %s\n",
 		"warehouses", "on-premises", "EC2 in-region", "bytes", "objects")
 	for _, r := range rows {
 		fmt.Fprintf(w, "%-14d %-18s %-18s %-14d %d\n",
-			r.Warehouses, r.OnPremises.Round(100*time.Millisecond),
-			r.InRegionVM.Round(10*time.Millisecond),
-			r.BytesOnPrem, r.ObjectsOnPrem)
+			r.Warehouses, r.OnPremises.Round(time.Millisecond),
+			r.InRegionVM.Round(time.Millisecond), r.Bytes, r.Objects)
 	}
 }

@@ -34,7 +34,7 @@ func getBody(t *testing.T, srv *httptest.Server, path string) (int, string) {
 // instrumented store and watches /healthz flip 200 → 503 → 200.
 func TestHealthzFlipsDuringOutage(t *testing.T) {
 	reg := NewRegistry()
-	sim := cloudsim.New(cloud.NewMemStore(), cloudsim.Options{TimeScale: -1})
+	sim := cloudsim.New(cloud.NewMemStore(), cloudsim.Options{})
 	store := InstrumentStore(sim, reg, "cloud")
 	srv := httptest.NewServer(Handler(reg, nil))
 	defer srv.Close()

@@ -130,7 +130,7 @@ func TestTracezEndpoint(t *testing.T) {
 // threshold does, and one success arms the hysteresis again.
 func TestHealthHysteresis(t *testing.T) {
 	reg := NewRegistry()
-	sim := cloudsim.New(cloud.NewMemStore(), cloudsim.Options{TimeScale: -1})
+	sim := cloudsim.New(cloud.NewMemStore(), cloudsim.Options{})
 	store := InstrumentStore(sim, reg, "cloud")
 	ctx := context.Background()
 

@@ -105,13 +105,7 @@ func (dr *Driver) Run(ctx context.Context, duration time.Duration) (Result, erro
 		wg.Add(1)
 		go func(t int) {
 			defer wg.Done()
-			term := &terminal{
-				db:   dr.db,
-				cfg:  cfg,
-				rng:  rand.New(rand.NewSource(cfg.Seed + int64(t)*7919)),
-				home: homeOf(t, cfg),
-				seq:  t * 1_000_000,
-			}
+			term := dr.terminal(t)
 			local := make(map[TxType]int64)
 			var localErrs int64
 			for ctx.Err() == nil {
@@ -124,14 +118,6 @@ func (dr *Driver) Run(ctx context.Context, duration time.Duration) (Result, erro
 					continue
 				}
 				local[typ]++
-				if cfg.ThinkTime > 0 {
-					timer := time.NewTimer(cfg.ThinkTime)
-					select {
-					case <-timer.C:
-					case <-ctx.Done():
-						timer.Stop()
-					}
-				}
 			}
 			mu.Lock()
 			for k, v := range local {
@@ -155,6 +141,43 @@ func (dr *Driver) Run(ctx context.Context, duration time.Duration) (Result, erro
 		res.TpmTotal = float64(total) / minutes
 	}
 	return res, nil
+}
+
+// RunCount runs n transactions on the calling goroutine, the terminals
+// taking turns (transaction i runs on terminal i mod Terminals). It starts
+// no goroutine and reads no clock, so the run is a function of the Config
+// alone and can drive a database whose storage runs on a virtual clock.
+// The result carries counts only: no duration, no rates.
+func (dr *Driver) RunCount(n int) (Result, error) {
+	terms := make([]*terminal, dr.cfg.Terminals)
+	for t := range terms {
+		terms[t] = dr.terminal(t)
+	}
+	res := Result{Counts: make(map[TxType]int64)}
+	for i := 0; i < n; i++ {
+		term := terms[i%len(terms)]
+		typ := pickTx(term.rng)
+		if err := term.execute(typ); err != nil {
+			if errors.Is(err, minidb.ErrClosed) {
+				return res, err
+			}
+			res.Errors++
+			continue
+		}
+		res.Counts[typ]++
+	}
+	return res, nil
+}
+
+// terminal builds client thread t with its own seeded stream and home.
+func (dr *Driver) terminal(t int) *terminal {
+	return &terminal{
+		db:   dr.db,
+		cfg:  dr.cfg,
+		rng:  rand.New(rand.NewSource(dr.cfg.Seed + int64(t)*7919)),
+		home: homeOf(t, dr.cfg),
+		seq:  t * 1_000_000,
+	}
 }
 
 // homeOf assigns terminal t a home (warehouse, district) round-robin.

@@ -14,7 +14,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
-	"time"
 )
 
 // Table names.
@@ -54,11 +53,6 @@ type Config struct {
 	Terminals int
 	// Seed makes runs reproducible.
 	Seed int64
-	// ThinkTime paces each terminal between transactions (0 = flat out).
-	// A paced run keeps the CPU unsaturated, which is how the paper's
-	// Table 4 resource percentages were measured (their DBMS was
-	// I/O-bound, not CPU-bound).
-	ThinkTime time.Duration
 }
 
 // DefaultConfig returns a laptop-scale configuration.

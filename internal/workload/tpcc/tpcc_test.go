@@ -2,6 +2,7 @@ package tpcc
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -202,6 +203,43 @@ func TestReadOnlyTransactions(t *testing.T) {
 	}
 	if got := db.Stats().Commits; got != commits {
 		t.Fatalf("read-only tx committed: %d → %d", commits, got)
+	}
+}
+
+// TestRunCountIsSeedOnly: a count-bounded run runs exactly n
+// transactions, and the same Config on a fresh database draws the same
+// mix and leaves byte-identical rows.
+func TestRunCountIsSeedOnly(t *testing.T) {
+	run := func() (Result, []minidb.KV) {
+		db := testDB(t)
+		cfg := smallConfig()
+		if err := Load(db, cfg); err != nil {
+			t.Fatal(err)
+		}
+		res, err := NewDriver(db, cfg).RunCount(200)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, err := db.Scan(TableCustomer, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, rows
+	}
+	a, rowsA := run()
+	b, rowsB := run()
+	var total int64
+	for _, v := range a.Counts {
+		total += v
+	}
+	if total+a.Errors != 200 {
+		t.Fatalf("ran %d transactions (+%d errors), want 200", total, a.Errors)
+	}
+	if fmt.Sprint(a.Counts, a.Errors) != fmt.Sprint(b.Counts, b.Errors) {
+		t.Fatalf("counts differ between runs: %v vs %v", a.Counts, b.Counts)
+	}
+	if fmt.Sprint(rowsA) != fmt.Sprint(rowsB) {
+		t.Fatal("customer rows differ between runs")
 	}
 }
 
