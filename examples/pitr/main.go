@@ -69,7 +69,9 @@ func run() error {
 		if err := db.Checkpoint(); err != nil {
 			return err
 		}
-		waitUploads(g, int64(day))
+		if !g.SyncCheckpoints(10 * time.Second) {
+			return fmt.Errorf("day %d checkpoint upload", day)
+		}
 		fmt.Printf("day %d checkpointed and replicated\n", day)
 	}
 
@@ -90,7 +92,9 @@ func run() error {
 	if err := db.Checkpoint(); err != nil {
 		return err
 	}
-	waitUploads(g, 4)
+	if !g.SyncCheckpoints(10 * time.Second) {
+		return fmt.Errorf("ransomware checkpoint upload")
+	}
 
 	// A plain Recover would faithfully restore the corrupted state. The
 	// retained generations let us go back instead.
@@ -121,17 +125,6 @@ func run() error {
 	}
 	fmt.Println("point-in-time recovery beat the ransomware")
 	return nil
-}
-
-func waitUploads(g *ginja.Ginja, want int64) {
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		s := g.Stats()
-		if s.Checkpoints+s.Dumps >= want {
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
 }
 
 // dumpGenerations lists the retained dumps' timestamps, ascending.

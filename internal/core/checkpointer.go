@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -14,13 +15,14 @@ import (
 )
 
 // dbObject is one finished checkpoint, delta or dump awaiting upload. A
-// checkpoint carries its collected writes in memory; dumps and deltas
-// carry a part plan whose lazy entries the uploader streams from the
-// local files (gated: database writes to the planned files are frozen
-// until the plan's reads complete).
+// checkpoint carries its collected writes in memory, merged, not joined;
+// dumps and deltas carry a part plan whose lazy entries the uploader
+// streams from the local files (gated: database writes to the planned
+// files are frozen until the plan's reads complete).
 type dbObject struct {
 	ts     int64
 	gen    int
+	seq    int64 // queue position (checkpointer.seq); an absorb keeps it
 	typ    DBObjectType
 	writes []FileWrite
 	plan   [][]planEntry
@@ -57,6 +59,7 @@ type checkpointStats struct {
 	checkpoints atomic.Int64
 	dumps       atomic.Int64
 	deltas      atomic.Int64
+	absorbed    atomic.Int64 // checkpoint ends shipped inside a later object
 	dbObjects   atomic.Int64 // uploaded parts
 	dbBytes     atomic.Int64 // sealed bytes
 	walDeleted  atomic.Int64
@@ -94,7 +97,17 @@ type checkpointer struct {
 	genMu    sync.Mutex
 	genAlloc map[int64]int
 
-	queue  chan dbObject
+	// The upload queue (DESIGN.md §19): at most one chain element, then one
+	// open checkpoint. done is the last seq processed, for sync; qCh closes
+	// on every change; queued mirrors len(pending) for the depth gauge.
+	qMu     sync.Mutex
+	pending []dbObject
+	closed  bool
+	seq     int64
+	done    int64
+	qCh     chan struct{}
+	queued  atomic.Int64
+
 	ctx    context.Context
 	cancel context.CancelFunc
 	loop   *simclock.Group // the upload loop (the CheckpointThread)
@@ -139,17 +152,6 @@ type checkpointer struct {
 
 	stats   checkpointStats
 	metrics *checkpointMetrics
-
-	// The settle hook: enqueuedN counts objects handed to the upload queue,
-	// processedN counts upload() calls that finished — including their GC
-	// sweep, which runs before the deferred noteProcessed. sync waits for
-	// processedN to catch up, giving tests and operators a deterministic
-	// "everything you triggered is durable and swept" barrier instead of
-	// polling counters that move mid-sweep.
-	settleMu   sync.Mutex
-	enqueuedN  int64
-	processedN int64
-	settleCh   chan struct{}
 
 	// retired holds the superseded objects a retention window
 	// (Params.RetainFor) keeps alive, by names[0]: see retire and
@@ -206,7 +208,6 @@ func newCheckpointer(localFS vfs.FS, proc dbevent.Processor, view *CloudView,
 		genAlloc:  make(map[int64]int),
 		retired:   make(map[string]gcVictim),
 		gateHolds: make(map[*gateHold]struct{}),
-		queue:     make(chan dbObject, 4),
 		ctx:       ctx,
 		cancel:    cancel,
 		loop:      simclock.NewGroup(clk),
@@ -295,7 +296,7 @@ func (c *checkpointer) start() {
 	if reg := c.params.Metrics; reg != nil {
 		reg.GaugeFunc(metricCkptQueueLen,
 			"Finished checkpoints/dumps awaiting upload by the CheckpointThread.",
-			nil, func() float64 { return float64(len(c.queue)) })
+			nil, func() float64 { return float64(c.queued.Load()) })
 		reg.GaugeFunc(metricCkptQueueBytes,
 			"In-memory payload bytes collected or queued on the checkpoint path (memory pressure while blocked on uploads).",
 			nil, func() float64 { return float64(c.bufBytes.Load()) })
@@ -306,8 +307,9 @@ func (c *checkpointer) start() {
 		}
 	}
 	c.loop.Go(func() {
+		var done int64
 		for {
-			obj, ok, _ := simclock.Recv(context.Background(), c.clk, c.queue)
+			obj, ok := c.next(done)
 			if !ok {
 				return
 			}
@@ -315,6 +317,7 @@ func (c *checkpointer) start() {
 				c.fail(err)
 				return
 			}
+			done = obj.seq
 		}
 	})
 	if c.params.RetainFor > 0 {
@@ -380,7 +383,10 @@ func (c *checkpointer) stopTrimTick() {
 // and retries are unbounded — the timeout cancels the context so the
 // upload loop exits instead of hanging shutdown forever.
 func (c *checkpointer) stop(timeout time.Duration) error {
-	simclock.Close(c.clk, c.queue)
+	c.qMu.Lock()
+	c.closed = true
+	c.queueChangedLocked()
+	c.qMu.Unlock()
 	t := c.clk.NewFuncTimer(c.cancel)
 	t.Reset(timeout)
 	c.loop.Wait()
@@ -439,17 +445,22 @@ func (c *checkpointer) handleTruncate(path string) {
 	c.dirty.markWhole(path)
 }
 
-// finalizeLocked closes the collection, decides dump vs incremental
-// (the 150 % rule, lines 9-13) and enqueues the object for upload. The
-// rule is skipped while a chain element is in flight: until it lands and
-// retires its victims the view's total is unchanged, so every checkpoint
-// end would cross again and plan another full dump. Those ship as plain
-// checkpoints; the first end after the landing evaluates the rule.
+// finalizeLocked closes the collection, decides dump vs incremental (the
+// 150 % rule, lines 9-13) and queues the object (DESIGN.md §19): merged
+// into the open checkpoint, the union being what the rule weighs, or as a
+// chain element that drops the open checkpoint unsent. The rule is skipped
+// while an element is in flight: until it lands the view's total is
+// unchanged, so every end would cross again. qMu is held only to swap the
+// union in; the DBMS waits only if it would outgrow the uploader window.
 func (c *checkpointer) finalizeLocked() {
 	rawBytes := estimateSize(c.writes)
-	writes := MergeWrites(c.writes)
+	defer c.bufBytes.Add(-rawBytes)
+	ws := c.writes
 	c.writes = nil
 	c.collecting = false
+	if c.ctx.Err() != nil { // stopped or failed: nothing will upload it
+		return
+	}
 
 	// Generations must be unique even while earlier objects with the same
 	// ts are still queued for upload (not yet in the view).
@@ -460,46 +471,134 @@ func (c *checkpointer) finalizeLocked() {
 	}
 	c.genAlloc[c.tsAtBegin] = gen
 	c.genMu.Unlock()
-	obj := dbObject{ts: c.tsAtBegin, gen: gen, typ: Checkpoint, writes: writes, bufBytes: estimateSize(writes)}
-	if !c.chainInFlight.Load() {
-		localSize, err := c.localDBSize()
-		if err != nil {
-			c.bufBytes.Add(-rawBytes)
-			c.fail(fmt.Errorf("core: sizing local database: %w", err))
-			return
+	var openSeq int64 // 0: none. Only this thread grows it; the loop may take it.
+	queued := func() bool { open := c.openLocked(); return open != nil && open.seq == openSeq }
+	for settled := false; !settled; openSeq = 0 {
+		c.qMu.Lock()
+		in := ws
+		if open := c.openLocked(); open != nil {
+			in, openSeq = slices.Concat(open.writes, ws), open.seq
 		}
-		if float64(c.view.TotalDBSize()+estimateSize(writes)) >= c.params.DumpThreshold*float64(localSize) {
-			// Plan the next chain element synchronously: no database-file
-			// write can race us here because the DBMS is still inside its
-			// checkpoint-end write. The plan holds only file ranges plus the
-			// eagerly-read extras — the file bytes stream at upload time,
-			// under the dump gate (§5.3: Ginja stops local DB writes during
-			// dump creation). The collected checkpoint writes are dropped:
-			// the dump (or delta) re-reads the data ranges they landed in.
-			buildStart := c.clk.Now()
-			chainObj, err := c.planChainElement(c.tsAtBegin, gen, localSize)
+		c.qMu.Unlock()
+		merged := new(mergeScratch).merge(in, false)
+		obj := dbObject{ts: c.tsAtBegin, gen: gen, typ: Checkpoint, seq: openSeq, writes: merged, bufBytes: estimateSize(merged)}
+		var chain *dbObject
+		if !c.chainInFlight.Load() {
+			localSize, err := c.localDBSize()
 			if err != nil {
-				c.bufBytes.Add(-rawBytes)
-				c.fail(fmt.Errorf("core: planning %s: %w", chainObj.typ, err))
+				c.fail(fmt.Errorf("core: sizing local database: %w", err))
 				return
 			}
-			if c.metrics != nil {
-				c.metrics.build.ObserveDuration(c.clk.Since(buildStart))
+			if float64(c.view.TotalDBSize()+obj.bufBytes) >= c.params.DumpThreshold*float64(localSize) {
+				// Plan synchronously: the DBMS is inside its checkpoint-end write, so
+				// no file write races us. Bytes stream at upload, under the gate (§5.3).
+				buildStart := c.clk.Now()
+				elem, err := c.planChainElement(c.tsAtBegin, gen, localSize)
+				if err != nil {
+					c.fail(fmt.Errorf("core: planning %s: %w", elem.typ, err))
+					return
+				}
+				if c.metrics != nil {
+					c.metrics.build.ObserveDuration(c.clk.Since(buildStart))
+				}
+				chain = &elem
 			}
-			obj = chainObj
-			c.chainInFlight.Store(true) // before the Send: upload may clear it at once
+		}
+		c.qMu.Lock()
+		switch settled = true; {
+		case chain != nil:
+			if queued() { // else the loop took it: it ships before the element
+				c.retireOpen(*c.openLocked(), chain.typ)
+				c.pending = c.pending[:len(c.pending)-1]
+			}
+			c.chainInFlight.Store(true)
+			c.enqueueLocked(*chain)
+		case openSeq == 0:
+			c.enqueueLocked(obj)
+		case !queued(): // taken meanwhile: rebuild without it
+			settled = false
+		case obj.bufBytes <= int64(c.params.CheckpointUploaders)*c.params.MaxObjectSize:
+			open := c.openLocked()
+			c.retireOpen(*open, Checkpoint)
+			*open = obj
+			c.bufBytes.Add(obj.bufBytes)
+		default: // over the window: wait until the loop takes it
+			for settled = false; !settled && queued(); {
+				settled = !c.waitQueueLocked(c.ctx) // stopped: nothing will upload
+			}
+		}
+		c.qMu.Unlock()
+	}
+}
+
+// openLocked is the queue's tail if that is a checkpoint: the open one.
+func (c *checkpointer) openLocked() *dbObject {
+	if n := len(c.pending); n > 0 && c.pending[n-1].typ == Checkpoint {
+		return &c.pending[n-1]
+	}
+	return nil
+}
+
+// retireOpen drops the open checkpoint's bytes and genAlloc reservation
+// once a later object (of type into) carries its writes. It runs under
+// qMu, so it must not register metrics: the export samples the queue.
+func (c *checkpointer) retireOpen(open dbObject, into DBObjectType) {
+	c.bufBytes.Add(-open.bufBytes)
+	c.genMu.Lock()
+	if c.genAlloc[open.ts] == open.gen {
+		delete(c.genAlloc, open.ts)
+	}
+	c.genMu.Unlock()
+	c.stats.absorbed.Add(1)
+	if c.metrics != nil {
+		c.metrics.absorbed[into].Inc()
+	}
+}
+
+func (c *checkpointer) enqueueLocked(obj dbObject) {
+	c.seq++
+	obj.seq = c.seq
+	c.pending = append(c.pending, obj)
+	c.bufBytes.Add(obj.bufBytes)
+	c.queueChangedLocked()
+}
+
+// next records object done as processed (uploaded, recorded and swept)
+// and hands the loop the oldest queued one; false once stopped and drained.
+func (c *checkpointer) next(done int64) (dbObject, bool) {
+	c.qMu.Lock()
+	defer c.qMu.Unlock()
+	c.done = done
+	c.queueChangedLocked()
+	for len(c.pending) == 0 {
+		if c.closed || !c.waitQueueLocked(context.Background()) {
+			return dbObject{}, false
 		}
 	}
-	c.bufBytes.Add(obj.bufBytes - rawBytes)
-	if simclock.Send(c.ctx, c.clk, c.queue, obj) != nil {
-		c.bufBytes.Add(-obj.bufBytes)
-		if obj.hold != nil { // a chain element that never reached the queue
-			c.releaseGate(obj.hold)
-			c.chainInFlight.Store(false)
-		}
-		return
+	obj := c.pending[0]
+	c.pending = slices.Delete(c.pending, 0, 1)
+	c.queueChangedLocked()
+	return obj, true
+}
+
+// waitQueueLocked parks, qMu released, until a queue change; false if ctx ends.
+func (c *checkpointer) waitQueueLocked(ctx context.Context) bool {
+	if c.qCh == nil {
+		c.qCh = make(chan struct{})
 	}
-	c.noteEnqueued()
+	ch := c.qCh
+	c.qMu.Unlock()
+	_, _, err := simclock.Recv(ctx, c.clk, ch)
+	c.qMu.Lock()
+	return err == nil
+}
+
+func (c *checkpointer) queueChangedLocked() {
+	c.queued.Store(int64(len(c.pending)))
+	if c.qCh != nil {
+		simclock.Close(c.clk, c.qCh)
+		c.qCh = nil
+	}
 }
 
 // planChainElement serves one DumpThreshold crossing: a delta when the
@@ -620,7 +719,6 @@ func (c *checkpointer) localDBSize() (int64, error) {
 // restart, LoadFromList records them as orphans (never surfacing them to
 // recovery) and the next dump's GC sweep deletes them.
 func (c *checkpointer) upload(obj dbObject) error {
-	defer c.noteProcessed() // runs last: GC and retention trimming included
 	defer c.bufBytes.Add(-obj.bufBytes)
 	var gateOnce sync.Once
 	release := func() {
@@ -632,7 +730,7 @@ func (c *checkpointer) upload(obj dbObject) error {
 	uploadStart := c.clk.Now()
 	parts := obj.plan
 	if parts == nil {
-		parts = planParts(entriesFromWrites(obj.writes), partBudget(c.params.MaxObjectSize))
+		parts = planParts(entriesFromWrites(joinRuns(obj.writes)), partBudget(c.params.MaxObjectSize))
 	}
 	ident := DBObjectInfo{Ts: obj.ts, Gen: obj.gen, Type: obj.typ,
 		BaseTs: obj.baseTs, BaseGen: obj.baseGen}
@@ -867,25 +965,9 @@ func (c *checkpointer) trimRetention(orphans []OrphanPart) error {
 	return c.sweep(victims, orphans)
 }
 
-func (c *checkpointer) noteEnqueued() {
-	c.settleMu.Lock()
-	c.enqueuedN++
-	c.settleMu.Unlock()
-}
-
-func (c *checkpointer) noteProcessed() {
-	c.settleMu.Lock()
-	c.processedN++
-	if c.processedN >= c.enqueuedN && c.settleCh != nil {
-		simclock.Close(c.clk, c.settleCh)
-		c.settleCh = nil
-	}
-	c.settleMu.Unlock()
-}
-
-// sync blocks until every checkpoint/dump enqueued so far has been fully
-// processed — uploaded, recorded in the view, and its GC sweep finished —
-// or until the timeout (false). A failed checkpointer returns false
+// sync blocks until every object queued so far (so every checkpoint that
+// ended before the call, merged or superseded) is uploaded, recorded and
+// swept, or until the timeout (false). A failed checkpointer returns false
 // immediately: its queue will never drain.
 func (c *checkpointer) sync(timeout time.Duration) bool {
 	ctx, cancel := context.WithCancel(c.ctx)
@@ -893,21 +975,13 @@ func (c *checkpointer) sync(timeout time.Duration) bool {
 	t := c.clk.NewFuncTimer(cancel)
 	t.Reset(timeout)
 	defer t.Stop()
-	for {
-		c.settleMu.Lock()
-		if c.processedN >= c.enqueuedN {
-			c.settleMu.Unlock()
-			return true
-		}
-		if c.settleCh == nil {
-			c.settleCh = make(chan struct{})
-		}
-		ch := c.settleCh
-		c.settleMu.Unlock()
-		if _, _, err := simclock.Recv(ctx, c.clk, ch); err != nil {
-			return false
-		}
+	c.qMu.Lock()
+	defer c.qMu.Unlock()
+	ok := true
+	for target := c.seq; ok && c.done < target; {
+		ok = c.waitQueueLocked(ctx)
 	}
+	return ok
 }
 
 func (c *checkpointer) fail(err error) {

@@ -25,16 +25,6 @@ type dirtyFile struct {
 	Ranges []byteRange
 }
 
-// bytes is the sum of range lengths; 0 for whole files (their size is
-// only known at plan time, when the planner stats them).
-func (f *dirtyFile) bytes() int64 {
-	var n int64
-	for _, r := range f.Ranges {
-		n += r.End - r.Off
-	}
-	return n
-}
-
 // dirtyMap accumulates the byte ranges dirtied per data file since the
 // last durable chain element (dump or delta). The checkpointer feeds it
 // from the collected checkpoint writes — off the commit hot path — and
@@ -126,20 +116,4 @@ func (m *dirtyMap) snapshotAndReset() map[string]*dirtyFile {
 	snap := m.files
 	m.files = make(map[string]*dirtyFile)
 	return snap
-}
-
-// estimateBytes is the sum of tracked dirty range lengths — a lower
-// bound on the next delta's payload (whole files count 0 until the
-// planner stats them).
-func (m *dirtyMap) estimateBytes() int64 {
-	if m == nil {
-		return 0
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var n int64
-	for _, f := range m.files {
-		n += f.bytes()
-	}
-	return n
 }

@@ -64,6 +64,9 @@ type Stats struct {
 	Checkpoints int64
 	Dumps       int64
 	Deltas      int64
+	// CheckpointsAbsorbed counts checkpoints that never shipped as their own
+	// object: merged into the open checkpoint, or superseded by a dump/delta.
+	CheckpointsAbsorbed int64
 	// DeltaChainLen is the length of the current delta chain (deltas since
 	// the last full base dump; 0 when the next threshold crossing will
 	// emit a full dump).
@@ -436,12 +439,11 @@ func (g *Ginja) start() {
 	}
 }
 
-// SyncCheckpoints blocks until every checkpoint and dump triggered so far
-// has been fully processed — uploaded, recorded, and its garbage-collection
-// sweep finished — or until the timeout elapses (returning false). It is
-// the deterministic barrier for tests and operators who would otherwise
-// poll Stats counters that move mid-sweep (the upload is counted before
-// its GC runs). Returns true immediately if replication has not started.
+// SyncCheckpoints blocks until every checkpoint that ended before the call
+// is durable (in its own object, merged into a later one, or superseded by
+// a dump or delta), recorded and swept, or until the timeout (false). Wait
+// on it, not on Stats object counts: those move mid-sweep and, once
+// checkpoints merge, no longer match. True at once before replication starts.
 func (g *Ginja) SyncCheckpoints(timeout time.Duration) bool {
 	if g.ckpt == nil {
 		return true
@@ -576,6 +578,7 @@ func (g *Ginja) Stats() Stats {
 		s.Checkpoints = g.ckpt.stats.checkpoints.Load()
 		s.Dumps = g.ckpt.stats.dumps.Load()
 		s.Deltas = g.ckpt.stats.deltas.Load()
+		s.CheckpointsAbsorbed = g.ckpt.stats.absorbed.Load()
 		s.DeltaChainLen = g.ckpt.deltaChainLen()
 		s.CheckpointBytesSaved = g.ckpt.stats.bytesSaved.Load()
 		s.DumpGateBlockedTime = time.Duration(g.ckpt.stats.gateBlockedNanos.Load())

@@ -154,7 +154,9 @@ func TestRecoveryAfterCheckpointGC(t *testing.T) {
 				if err := r.db.Checkpoint(); err != nil {
 					t.Fatal(err)
 				}
-				waitCheckpointUploaded(t, r.g, int64(round+1))
+				if !r.g.SyncCheckpoints(5 * time.Second) {
+					t.Fatalf("checkpoint queue did not settle (err %v)", r.g.Err())
+				}
 			}
 			// Post-checkpoint commits (will live only in WAL objects).
 			for i := 0; i < 10; i++ {
@@ -185,19 +187,6 @@ func TestRecoveryAfterCheckpointGC(t *testing.T) {
 	}
 }
 
-func waitCheckpointUploaded(t *testing.T, g *core.Ginja, want int64) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		s := g.Stats()
-		if s.Checkpoints+s.Dumps >= want {
-			return
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	t.Fatalf("checkpoint %d never uploaded (stats: %+v, err: %v)", want, g.Stats(), g.Err())
-}
-
 func TestDumpTriggeredAt150Percent(t *testing.T) {
 	r := pgRig(t, fastParams())
 	if err := r.db.CreateTable("kv", 0); err != nil {
@@ -205,7 +194,6 @@ func TestDumpTriggeredAt150Percent(t *testing.T) {
 	}
 	// Repeatedly rewrite the same keys and checkpoint: cloud DB objects
 	// accumulate until the 150 % rule forces a dump.
-	var ckpts int64
 	for round := 0; round < 40 && r.g.Stats().Dumps == 0; round++ {
 		for i := 0; i < 10; i++ {
 			r.put(t, "kv", fmt.Sprintf("k%02d", i), fmt.Sprintf("round-%d", round))
@@ -216,8 +204,9 @@ func TestDumpTriggeredAt150Percent(t *testing.T) {
 		if err := r.db.Checkpoint(); err != nil {
 			t.Fatal(err)
 		}
-		ckpts++
-		waitCheckpointUploaded(t, r.g, ckpts)
+		if !r.g.SyncCheckpoints(5 * time.Second) {
+			t.Fatalf("checkpoint queue did not settle (err %v)", r.g.Err())
+		}
 	}
 	s := r.g.Stats()
 	if s.Dumps == 0 {
@@ -434,7 +423,6 @@ func TestPITRGenerationsRetained(t *testing.T) {
 	if err := r.db.CreateTable("kv", 4); err != nil {
 		t.Fatal(err)
 	}
-	var uploads int64
 	for round := 0; round < 10; round++ {
 		r.put(t, "kv", "version", fmt.Sprintf("gen-%d-%s", round, string(make([]byte, 500))))
 		if !r.g.Flush(5 * time.Second) {
@@ -443,8 +431,9 @@ func TestPITRGenerationsRetained(t *testing.T) {
 		if err := r.db.Checkpoint(); err != nil {
 			t.Fatal(err)
 		}
-		uploads++
-		waitCheckpointUploaded(t, r.g, uploads)
+		if !r.g.SyncCheckpoints(5 * time.Second) {
+			t.Fatalf("checkpoint queue did not settle (err %v)", r.g.Err())
+		}
 	}
 	if r.g.Stats().Dumps < 3 {
 		t.Fatalf("only %d dumps happened; the test needs ≥ 3 generations", r.g.Stats().Dumps)

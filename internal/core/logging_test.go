@@ -52,7 +52,14 @@ func TestStructuredLoggingEmitsEvents(t *testing.T) {
 	if err := r.db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	waitCheckpointUploaded(t, r.g, 1)
+	if !r.g.SyncCheckpoints(5 * time.Second) {
+		t.Fatalf("checkpoint queue did not settle (err %v)", r.g.Err())
+	}
+	// The unlocker logs "batch durable" just after it releases the batch,
+	// so it can trail Flush; Close waits for the unlocker to exit.
+	if err := r.g.Close(); err != nil {
+		t.Fatal(err)
+	}
 
 	out := buf.String()
 	for _, want := range []string{

@@ -416,7 +416,8 @@ func (m *mergeScratch) merge(ws []FileWrite, join bool) []FileWrite {
 }
 
 // joinRuns concatenates, in place, every run of contiguous pieces into one
-// write whose buffer is allocated once, at the run's size.
+// write whose buffer is allocated once, at the run's size, clearing each
+// consumed entry so a joined piece can be freed before the rest are copied.
 func joinRuns(ws []FileWrite) []FileWrite {
 	out := ws[:0]
 	for i, j := 0, 0; i < len(ws); i = j {
@@ -431,6 +432,7 @@ func joinRuns(ws []FileWrite) []FileWrite {
 			}
 		}
 		out = append(out, w)
+		clear(ws[len(out):j])
 	}
 	return out
 }

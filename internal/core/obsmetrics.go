@@ -26,6 +26,7 @@ const (
 	metricPutsPerBatch   = "ginja_wal_puts_per_batch"
 
 	metricCheckpoints    = "ginja_checkpoints_total"
+	metricCkptAbsorbed   = "ginja_checkpoints_absorbed_total"
 	metricDBObjects      = "ginja_db_objects_uploaded_total"
 	metricDBBytes        = "ginja_db_bytes_uploaded_total"
 	metricGCDeleted      = "ginja_gc_deleted_total"
@@ -200,6 +201,7 @@ type checkpointMetrics struct {
 	checkpoints *obs.Counter
 	dumps       *obs.Counter
 	deltas      *obs.Counter
+	absorbed    map[DBObjectType]*obs.Counter // by the carrier's type
 	dbObjects   *obs.Counter
 	dbBytes     *obs.Counter
 	walDeleted  *obs.Counter
@@ -224,7 +226,12 @@ func newCheckpointMetrics(reg *obs.Registry) *checkpointMetrics {
 	if reg == nil {
 		return nil
 	}
+	absorbed := make(map[DBObjectType]*obs.Counter)
+	for _, into := range []DBObjectType{Checkpoint, Dump, Delta} {
+		absorbed[into] = reg.Counter(metricCkptAbsorbed, "Checkpoints shipped inside a later object, by its type.", obs.Labels{"into": string(into)})
+	}
 	return &checkpointMetrics{
+		absorbed:    absorbed,
 		checkpoints: reg.Counter(metricCheckpoints, "DB objects uploaded by type.", obs.Labels{"type": "checkpoint"}),
 		dumps:       reg.Counter(metricCheckpoints, "DB objects uploaded by type.", obs.Labels{"type": "dump"}),
 		deltas:      reg.Counter(metricCheckpoints, "DB objects uploaded by type.", obs.Labels{"type": "delta"}),

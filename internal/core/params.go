@@ -66,10 +66,10 @@ type Params struct {
 	// MaxObjectSize splits any larger object into parts (optimises upload
 	// latency, §5.2 footnote).
 	MaxObjectSize int64
-	// DumpThreshold triggers a new dump when the cloud DB objects exceed
-	// this multiple of the local database size (1.5 in the paper). It is not
-	// checked while a dump or delta is in flight: the cloud total counts it
-	// only once durable, so one crossing would plan a dump per checkpoint.
+	// DumpThreshold triggers a new dump when the cloud DB objects plus the
+	// open checkpoint, the ending one merged in, exceed this multiple of the
+	// local database size (1.5 in the paper). It is not checked while a dump
+	// or delta is in flight: the cloud total counts it only once durable.
 	DumpThreshold float64
 	// DeltaCheckpoints replaces most DumpThreshold-triggered full re-dumps
 	// with delta objects: sparse copies of only the byte ranges dirtied

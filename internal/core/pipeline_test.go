@@ -12,10 +12,10 @@ import (
 )
 
 // gatedStore blocks selected Puts until released, for deterministic
-// pipeline tests, and counts Deletes per name. A blocked Put waits through
-// the simclock hand-off helpers on clk (nil: the wall clock), so a
-// virtual-time test can hold one while the rest of the system runs on; it
-// then releases with simclock.Close.
+// pipeline tests, logs every Put name and counts Deletes per name. A
+// blocked Put waits through the simclock hand-off helpers on clk (nil: the
+// wall clock), so a virtual-time test can hold one while the rest of the
+// system runs on; it then releases with simclock.Close.
 type gatedStore struct {
 	cloud.ObjectStore
 	clk simclock.Clock
@@ -23,6 +23,7 @@ type gatedStore struct {
 	mu      sync.Mutex
 	blocked map[string]chan struct{} // substring -> release channel
 	held    int                      // Puts that met a gate
+	puts    []string
 	deleted map[string]int
 }
 
@@ -41,6 +42,7 @@ func (g *gatedStore) block(substr string) chan struct{} {
 
 func (g *gatedStore) Put(ctx context.Context, name string, data []byte) error {
 	g.mu.Lock()
+	g.puts = append(g.puts, name)
 	var gate chan struct{}
 	for substr, ch := range g.blocked {
 		if strings.Contains(name, substr) {

@@ -34,7 +34,9 @@ func TestDBObjectSplitEndToEnd(t *testing.T) {
 	if err := r.db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	waitCheckpointUploaded(t, r.g, 1)
+	if !r.g.SyncCheckpoints(5 * time.Second) {
+		t.Fatalf("checkpoint queue did not settle (err %v)", r.g.Err())
+	}
 
 	// Force a dump by dropping the threshold and checkpointing again.
 	// (The boot dump was empty; with the tiny cap the incremental

@@ -217,7 +217,9 @@ func TestTPCCCrashConsistencyInvariant(t *testing.T) {
 	if err := r.db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	waitCheckpointUploaded(t, r.g, 1)
+	if !r.g.SyncCheckpoints(5 * time.Second) {
+		t.Fatalf("checkpoint queue did not settle (err %v)", r.g.Err())
+	}
 	if _, err := tpcc.NewDriver(r.db, cfg).Run(context.Background(), 400*time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +330,9 @@ func TestInterruptedRecoveryIsRepeatable(t *testing.T) {
 	if !r.g.Flush(5 * time.Second) {
 		t.Fatal("flush")
 	}
-	waitCheckpointUploaded(t, r.g, 1)
+	if !r.g.SyncCheckpoints(5 * time.Second) {
+		t.Fatalf("checkpoint queue did not settle (err %v)", r.g.Err())
+	}
 
 	freshFS := vfs.NewMemFS()
 	// First attempt: cancel almost immediately so the restore aborts
@@ -391,7 +395,9 @@ func TestInnoCircularWrapUnderGinja(t *testing.T) {
 	if !r.g.Flush(10 * time.Second) {
 		t.Fatal("flush")
 	}
-	waitCheckpointUploaded(t, r.g, int64(r.db.Stats().Checkpoints))
+	if !r.g.SyncCheckpoints(5 * time.Second) {
+		t.Fatalf("checkpoint queue did not settle (err %v)", r.g.Err())
+	}
 
 	db2 := r.disasterRecover(t)
 	for i := 0; i < n; i++ {

@@ -36,7 +36,9 @@ func TestSingleFileBiggerThanMaxObjectSizeStreams(t *testing.T) {
 	if err := r.db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	waitCheckpointUploaded(t, r.g, 1)
+	if !r.g.SyncCheckpoints(5 * time.Second) {
+		t.Fatalf("checkpoint queue did not settle (err %v)", r.g.Err())
+	}
 
 	// The premise: at least one data-class file really is bigger than
 	// MaxObjectSize, so a single file must span parts.

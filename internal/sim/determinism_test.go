@@ -30,7 +30,7 @@ func TestRunTraceIsSeedOnly(t *testing.T) {
 // scheduler hands its shared upload and fetch slots between tenants
 // directly on the virtual clock.
 func TestRunFleetTraceIsSeedOnly(t *testing.T) {
-	const want = 0xb3f16f063634c162
+	const want = 0x42ab0a2b1abf33b7
 	cfg := FleetConfig{Seed: 1, Tenants: 12, Writers: 4, StepsPerWriter: 30, Churn: 3}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 2, 8} {
