@@ -8,13 +8,20 @@ FUZZTIME ?= 10s
 COVER_FLOOR_CORE ?= 85
 COVER_FLOOR_OBS  ?= 85
 
-.PHONY: build test vet race determinism loc verify cover-check fuzz-smoke bench-build bench-pair bench-seal bench bench-commit bench-commit-smoke bench-data bench-data-smoke bench-recovery bench-recovery-smoke bench-fleet bench-fleet-smoke
+.PHONY: build fmt test vet race determinism loc verify cover-check fuzz-smoke bench-build bench-pair bench-seal bench bench-commit bench-commit-smoke bench-data bench-data-smoke bench-recovery bench-recovery-smoke bench-fleet bench-fleet-smoke
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# fmt fails, listing them, if any of the repository's Go files (benchmark/
+# included, its build output under benchmark/out/ not) is not gofmt-clean.
+# It only reads the files.
+fmt:
+	@out="$$(find . -name '*.go' ! -path './benchmark/out/*' | xargs gofmt -l)"; \
+	if [ -n "$$out" ]; then echo "not gofmt-clean:"; echo "$$out"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -90,7 +97,7 @@ bench-build:
 
 # verify is the tier-1 gate (see ROADMAP.md): everything must pass before
 # a change lands.
-verify: build vet test race determinism cover-check fuzz-smoke bench-build bench-data-smoke bench-commit-smoke bench-recovery-smoke bench-fleet-smoke
+verify: build fmt vet test race determinism cover-check fuzz-smoke bench-build bench-data-smoke bench-commit-smoke bench-recovery-smoke bench-fleet-smoke
 
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x .

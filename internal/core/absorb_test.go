@@ -3,8 +3,10 @@ package core
 import (
 	"bytes"
 	"context"
+	"errors"
 	"io"
 	"runtime"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -25,6 +27,8 @@ import (
 //   - Supersede: a DumpThreshold crossing drops the open checkpoint unsent;
 //     the chain element covers it, and closing before the element lands
 //     still recovers a consistent prefix.
+//   - SupersedeInFlight: a crossing also cancels the checkpoint the loop is
+//     uploading; the part that landed is an orphan the element deletes.
 //   - Bound: a checkpoint end waits, rather than grow the open checkpoint
 //     past CheckpointUploaders × MaxObjectSize, until the loop takes it.
 //   - Scrape: absorbs run while the metrics export loops; neither may
@@ -38,6 +42,8 @@ func TestCheckpointsAbsorbWhileUploading(t *testing.T) {
 	}{{"Dumps", false}, {"DeltaCheckpoints", true}} {
 		t.Run("Supersede/"+v.name+"/Landed", func(t *testing.T) { testSupersede(t, v.deltas, false) })
 		t.Run("Supersede/"+v.name+"/ClosedEarly", func(t *testing.T) { testSupersede(t, v.deltas, true) })
+		t.Run("SupersedeInFlight/"+v.name+"/Landed", func(t *testing.T) { testSupersedeInFlight(t, v.deltas, false) })
+		t.Run("SupersedeInFlight/"+v.name+"/ClosedEarly", func(t *testing.T) { testSupersedeInFlight(t, v.deltas, true) })
 	}
 	t.Run("Bound", testAbsorbBound)
 }
@@ -344,6 +350,176 @@ func testSupersede(t *testing.T, deltas, closeEarly bool) {
 		t.Fatalf("stats %+v: want 2 checkpoints, one %s and nothing buffered", s, elem)
 	}
 	r.sameData(r.recover(), r.files(r.localFS, dbevent.KindData))
+}
+
+// testSupersedeInFlight lands checkpoint 1, then holds the ack of
+// checkpoint 2's first part: the part is stored, its PUT does not return.
+// Checkpoint 3 crosses the DumpThreshold on its own (ten of the sixteen
+// pages), so the chain element must cancel checkpoint 2's upload: the held
+// PUT returns the cancel error, part 1 is never PUT, and part 0 becomes an
+// orphan. A sync started before the crossing waits for the element. Landed,
+// the element's sweep deletes the orphan; closed before it lands, the
+// bucket recovers checkpoint 1 plus WAL, and the next incarnation's first
+// dump deletes the orphan LoadFromList finds.
+func testSupersedeInFlight(t *testing.T, deltas, closeEarly bool) {
+	r := newAbsorbRig(t, 16, func(p *Params) {
+		p.DeltaCheckpoints = deltas
+		p.DeltaCompactRatio = 1 // the 104 KiB delta must not fold into a dump
+		p.CheckpointUploaders = 1
+		p.MaxObjectSize = 16 << 10 // checkpoint 2's two pages take two parts
+	})
+	elem := Dump
+	if deltas {
+		elem = Delta
+	}
+	r.cycle(1, 0)
+	if !r.g.SyncCheckpoints(time.Minute) {
+		t.Fatalf("checkpoint 1 did not land (err %v)", r.g.Err())
+	}
+	atCkpt1 := r.files(r.localFS, dbevent.KindData)
+	ackGate := r.store.holdAck("_checkpoint_")
+	elemGate := r.store.block("_" + string(elem) + "_")
+	ts2 := r.cycle(2, 1, 2)
+	if r.g.SyncCheckpoints(time.Second) || r.store.heldPuts() != 1 {
+		t.Fatalf("checkpoint 2 is not held in its first PUT (%d held)", r.store.heldPuts())
+	}
+	var synced, landed atomic.Bool
+	waiter := simclock.NewGroup(r.clk)
+	waiter.Go(func() {
+		ok := r.g.SyncCheckpoints(time.Hour)
+		s := r.g.Stats()
+		landed.Store(ok && s.Dumps+s.Deltas == 1)
+		synced.Store(true)
+	})
+	r.clk.Sleep(time.Second) // the sync takes its target: checkpoint 2
+	r.cycle(3, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12)
+	if !r.g.ckpt.chainInFlight.Load() {
+		t.Fatal("checkpoint 3 did not cross the threshold")
+	}
+	if r.g.SyncCheckpoints(time.Second) || r.store.heldPuts() != 2 {
+		t.Fatalf("%d PUTs met a gate, want checkpoint 2's first and the %s's", r.store.heldPuts(), elem)
+	}
+	simclock.Close(r.clk, ackGate)
+	r.store.mu.Lock()
+	ackErrs := slices.Clone(r.store.ackErrs)
+	var part0 string
+	for _, name := range r.store.puts {
+		if n, err := ParseDBObjectName(name); err == nil && n.Ts == ts2 && n.Type == Checkpoint {
+			if n.Part != 0 {
+				t.Errorf("checkpoint 2 reached the store as %s after the crossing", name)
+			}
+			part0 = name
+		}
+	}
+	r.store.mu.Unlock()
+	if len(ackErrs) != 1 || !errors.Is(ackErrs[0], context.Canceled) || part0 == "" {
+		t.Fatalf("held PUT of checkpoint 2's part 0 (%q) returned %v, want the cancel error", part0, ackErrs)
+	}
+	if s := r.g.Stats(); s.Checkpoints != 1 || s.CheckpointsAbsorbed != 1 || r.absorbedMetric(string(elem)) != 1 {
+		t.Fatalf("stats %+v, absorbed metric %v: want checkpoint 2 superseded by the %s, not uploaded",
+			s, r.absorbedMetric(string(elem)), elem)
+	}
+	if synced.Load() {
+		t.Fatalf("a sync started before the crossing returned before the %s landed", elem)
+	}
+	if closeEarly {
+		r.g.Close()
+		waiter.Wait()
+		simclock.Close(r.clk, elemGate)
+		r.closedEarly(atCkpt1, part0, ts2)
+		return
+	}
+
+	simclock.Close(r.clk, elemGate)
+	waiter.Wait()
+	if !landed.Load() {
+		t.Fatalf("the sync started before the crossing failed or returned before the %s landed", elem)
+	}
+	r.noObjectAt(ts2, part0)
+	r.g.ckpt.genMu.Lock()
+	reserved := len(r.g.ckpt.genAlloc)
+	r.g.ckpt.genMu.Unlock()
+	if s := r.g.Stats(); reserved != 0 || s.Checkpoints != 1 || s.CheckpointBytesBuffered != 0 {
+		t.Fatalf("stats %+v, %d generation reservations: want checkpoint 1 alone uploaded and nothing left", s, reserved)
+	}
+	r.sameData(r.recover(), r.files(r.localFS, dbevent.KindData))
+}
+
+// closedEarly checks a bucket whose chain element never landed: recovery
+// and Verify both yield checkpoint 1 plus every later WAL write, and after
+// Reboot the first dump deletes the superseded checkpoint's part.
+func (r *absorbRig) closedEarly(atCkpt1 map[string][]byte, part0 string, ts2 int64) {
+	r.t.Helper()
+	sameLog := func(fs vfs.FS) {
+		log, err := vfs.ReadFile(fs, absorbWAL)
+		if err != nil {
+			r.t.Fatal(err)
+		}
+		for n := 2; n <= 3; n++ {
+			want := bytes.Repeat([]byte{byte('A' + n)}, 100)
+			if off := n * absorbPage; len(log) < off+100 || !bytes.Equal(log[off:off+100], want) {
+				r.t.Fatalf("recovered WAL lost cycle %d's commit", n)
+			}
+		}
+	}
+	rec := r.recover()
+	r.sameData(rec, atCkpt1)
+	sameLog(rec)
+	p := r.p
+	p.Metrics = nil
+	gv, err := New(vfs.NewMemFS(), r.store, r.proc, p)
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	target := vfs.NewMemFS()
+	if _, err := gv.Verify(context.Background(), target, nil, nil); err != nil {
+		r.t.Fatalf("Verify: %v", err)
+	}
+	r.sameData(target, atCkpt1)
+	sameLog(target)
+
+	g, err := New(r.localFS, r.store, r.proc, p)
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	if err := g.Reboot(context.Background()); err != nil {
+		r.t.Fatalf("Reboot: %v", err)
+	}
+	r.t.Cleanup(func() { g.Close() })
+	if orphans := g.view.OrphanParts(); len(orphans) != 1 || orphans[0].Name != part0 {
+		r.t.Fatalf("Reboot found orphans %+v, want %s", orphans, part0)
+	}
+	r.g = g
+	r.cycle(4, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12)
+	if !g.SyncCheckpoints(time.Minute) {
+		r.t.Fatalf("checkpoint queue did not settle (err %v)", g.Err())
+	}
+	if s := g.Stats(); s.Dumps != 1 {
+		r.t.Fatalf("stats %+v: the rebooted crossing must dump", s)
+	}
+	r.noObjectAt(ts2, part0)
+	r.sameData(r.recover(), r.files(r.localFS, dbevent.KindData))
+}
+
+// noObjectAt fails unless the superseded checkpoint's part was deleted,
+// once, and the bucket holds no object at its ts.
+func (r *absorbRig) noObjectAt(ts int64, part0 string) {
+	r.t.Helper()
+	infos, err := r.store.List(context.Background(), "")
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	for _, info := range infos {
+		if n, err := ParseDBObjectName(info.Name); err == nil && n.Ts == ts {
+			r.t.Fatalf("%s outlived the chain element that superseded it", info.Name)
+		}
+	}
+	r.store.mu.Lock()
+	deleted := r.store.deleted[part0]
+	r.store.mu.Unlock()
+	if deleted != 1 {
+		r.t.Fatalf("orphan %s deleted %d times, want once", part0, deleted)
+	}
 }
 
 func testAbsorbBound(t *testing.T) {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -99,14 +100,16 @@ type checkpointer struct {
 
 	// The upload queue (DESIGN.md §19): at most one chain element, then one
 	// open checkpoint. done is the last seq processed, for sync; qCh closes
-	// on every change; queued mirrors len(pending) for the depth gauge.
-	qMu     sync.Mutex
-	pending []dbObject
-	closed  bool
-	seq     int64
-	done    int64
-	qCh     chan struct{}
-	queued  atomic.Int64
+	// on every change; queued mirrors len(pending) for the depth gauge;
+	// uploading cancels the checkpoint the loop is uploading, if any.
+	qMu       sync.Mutex
+	pending   []dbObject
+	closed    bool
+	seq       int64
+	done      int64
+	qCh       chan struct{}
+	queued    atomic.Int64
+	uploading context.CancelCauseFunc
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -309,15 +312,18 @@ func (c *checkpointer) start() {
 	c.loop.Go(func() {
 		var done int64
 		for {
-			obj, ok := c.next(done)
+			obj, ctx, ok := c.next(done)
 			if !ok {
 				return
 			}
-			if err := c.upload(obj); err != nil {
+			switch err := c.upload(ctx, obj); {
+			case errors.As(err, new(superseded)): // done stays: the element's landing settles obj
+			case err != nil:
 				c.fail(err)
 				return
+			default:
+				done = obj.seq
 			}
-			done = obj.seq
 		}
 	})
 	if c.params.RetainFor > 0 {
@@ -448,10 +454,11 @@ func (c *checkpointer) handleTruncate(path string) {
 // finalizeLocked closes the collection, decides dump vs incremental (the
 // 150 % rule, lines 9-13) and queues the object (DESIGN.md §19): merged
 // into the open checkpoint, the union being what the rule weighs, or as a
-// chain element that drops the open checkpoint unsent. The rule is skipped
-// while an element is in flight: until it lands the view's total is
-// unchanged, so every end would cross again. qMu is held only to swap the
-// union in; the DBMS waits only if it would outgrow the uploader window.
+// chain element that drops the open checkpoint unsent and cancels the one
+// uploading, if any. The rule is skipped while an element is in flight:
+// until it lands the view's total is unchanged, so every end would cross
+// again. qMu is held only to swap the union in; the DBMS waits only if it
+// would outgrow the uploader window.
 func (c *checkpointer) finalizeLocked() {
 	rawBytes := estimateSize(c.writes)
 	defer c.bufBytes.Add(-rawBytes)
@@ -507,9 +514,14 @@ func (c *checkpointer) finalizeLocked() {
 		c.qMu.Lock()
 		switch settled = true; {
 		case chain != nil:
-			if queued() { // else the loop took it: it ships before the element
-				c.retireOpen(*c.openLocked(), chain.typ)
+			if queued() { // else the loop took it: it is uploading
+				open := c.pending[len(c.pending)-1]
 				c.pending = c.pending[:len(c.pending)-1]
+				c.bufBytes.Add(-open.bufBytes)
+				c.absorb(open, chain.typ, nil)
+			}
+			if c.uploading != nil { // the loop's checkpoint: dead on arrival too
+				c.uploading(superseded{chain.typ})
 			}
 			c.chainInFlight.Store(true)
 			c.enqueueLocked(*chain)
@@ -519,9 +531,9 @@ func (c *checkpointer) finalizeLocked() {
 			settled = false
 		case obj.bufBytes <= int64(c.params.CheckpointUploaders)*c.params.MaxObjectSize:
 			open := c.openLocked()
-			c.retireOpen(*open, Checkpoint)
+			c.bufBytes.Add(obj.bufBytes - open.bufBytes)
+			c.absorb(*open, Checkpoint, nil)
 			*open = obj
-			c.bufBytes.Add(obj.bufBytes)
 		default: // over the window: wait until the loop takes it
 			for settled = false; !settled && queued(); {
 				settled = !c.waitQueueLocked(c.ctx) // stopped: nothing will upload
@@ -539,14 +551,21 @@ func (c *checkpointer) openLocked() *dbObject {
 	return nil
 }
 
-// retireOpen drops the open checkpoint's bytes and genAlloc reservation
-// once a later object (of type into) carries its writes. It runs under
-// qMu, so it must not register metrics: the export samples the queue.
-func (c *checkpointer) retireOpen(open dbObject, into DBObjectType) {
-	c.bufBytes.Add(-open.bufBytes)
+// superseded is the cause a crossing cancels the uploading checkpoint
+// with: the chain element queued behind it, of type into, covers it.
+type superseded struct{ into DBObjectType }
+
+func (s superseded) Error() string { return "core: checkpoint superseded by a " + string(s.into) }
+
+// absorb drops a checkpoint's genAlloc reservation once a later object (of
+// type into) carries its writes, after recording as orphans the parts it
+// tried to PUT. It runs under qMu for the open checkpoint, so it must not
+// register metrics: the export samples the queue.
+func (c *checkpointer) absorb(ckpt dbObject, into DBObjectType, tried []string) {
 	c.genMu.Lock()
-	if c.genAlloc[open.ts] == open.gen {
-		delete(c.genAlloc, open.ts)
+	c.view.AddOrphans(ckpt.ts, ckpt.gen, tried)
+	if c.genAlloc[ckpt.ts] == ckpt.gen {
+		delete(c.genAlloc, ckpt.ts)
 	}
 	c.genMu.Unlock()
 	c.stats.absorbed.Add(1)
@@ -564,21 +583,29 @@ func (c *checkpointer) enqueueLocked(obj dbObject) {
 }
 
 // next records object done as processed (uploaded, recorded and swept)
-// and hands the loop the oldest queued one; false once stopped and drained.
-func (c *checkpointer) next(done int64) (dbObject, bool) {
+// and hands the loop the oldest queued one, a checkpoint under a context
+// a crossing cancels; false once stopped and drained.
+func (c *checkpointer) next(done int64) (dbObject, context.Context, bool) {
 	c.qMu.Lock()
 	defer c.qMu.Unlock()
+	if c.uploading != nil {
+		c.uploading(nil)
+		c.uploading = nil
+	}
 	c.done = done
 	c.queueChangedLocked()
 	for len(c.pending) == 0 {
 		if c.closed || !c.waitQueueLocked(context.Background()) {
-			return dbObject{}, false
+			return dbObject{}, nil, false
 		}
 	}
-	obj := c.pending[0]
+	obj, ctx := c.pending[0], c.ctx
+	if obj.typ == Checkpoint {
+		ctx, c.uploading = context.WithCancelCause(c.ctx)
+	}
 	c.pending = slices.Delete(c.pending, 0, 1)
 	c.queueChangedLocked()
-	return obj, true
+	return obj, ctx, true
 }
 
 // waitQueueLocked parks, qMu released, until a queue change; false if ctx ends.
@@ -717,8 +744,10 @@ func (c *checkpointer) localDBSize() (int64, error) {
 // The view learns about the object only after every part is durable, so a
 // failure mid-upload leaves at most orphan parts in the bucket; after a
 // restart, LoadFromList records them as orphans (never surfacing them to
-// recovery) and the next dump's GC sweep deletes them.
-func (c *checkpointer) upload(obj dbObject) error {
+// recovery) and the next chain element's GC sweep deletes them. A
+// checkpoint a crossing supersedes before it lands records the parts it
+// tried as orphans at once and returns the superseded cause.
+func (c *checkpointer) upload(ctx context.Context, obj dbObject) error {
 	defer c.bufBytes.Add(-obj.bufBytes)
 	var gateOnce sync.Once
 	release := func() {
@@ -734,7 +763,11 @@ func (c *checkpointer) upload(obj dbObject) error {
 	}
 	ident := DBObjectInfo{Ts: obj.ts, Gen: obj.gen, Type: obj.typ,
 		BaseTs: obj.baseTs, BaseGen: obj.baseGen}
-	info, err := c.uploader.upload(c.ctx, ident, parts, release)
+	info, tried, err := c.uploader.upload(ctx, ident, parts, release)
+	if sup, ok := context.Cause(ctx).(superseded); ok && err != nil {
+		c.absorb(obj, sup.into, tried)
+		return sup
+	}
 	if err != nil {
 		return err
 	}
@@ -790,8 +823,8 @@ func (c *checkpointer) upload(obj dbObject) error {
 
 	// Garbage collection (lines 23-29): the WAL objects this DB object
 	// covers; for a dump, the DB objects older than the oldest dump that
-	// must survive plus any orphan parts; for a delta, the checkpoints it
-	// recaptured. All of them are retired, then trimmed: without a
+	// must survive; for a delta, the checkpoints it recaptured; for both,
+	// any orphan parts. All of them are retired, then trimmed: without a
 	// retention window that deletes them at once; with one, the inline trim
 	// keeps the RetainObjects cap between trimmer ticks and an expired
 	// window does not wait for one.
@@ -806,11 +839,9 @@ func (c *checkpointer) upload(obj dbObject) error {
 		victims = append(victims, gcVictim{names: d.PartNames(), db: &d})
 	}
 	c.retire(victims)
+	var orphans []OrphanPart
 	if obj.typ != Checkpoint { // its victims have left TotalDBSize: the rule may run again
 		c.chainInFlight.Store(false)
-	}
-	var orphans []OrphanPart
-	if obj.typ == Dump {
 		orphans = c.view.OrphanParts()
 	}
 	return c.trimRetention(orphans)
@@ -965,10 +996,11 @@ func (c *checkpointer) trimRetention(orphans []OrphanPart) error {
 	return c.sweep(victims, orphans)
 }
 
-// sync blocks until every object queued so far (so every checkpoint that
-// ended before the call, merged or superseded) is uploaded, recorded and
-// swept, or until the timeout (false). A failed checkpointer returns false
-// immediately: its queue will never drain.
+// sync blocks until every object queued so far is uploaded, recorded and
+// swept — so every checkpoint that ended before the call is durable, or
+// merged into or superseded by an object that landed — or until the
+// timeout (false). A failed checkpointer returns false immediately: its
+// queue will never drain.
 func (c *checkpointer) sync(timeout time.Duration) bool {
 	ctx, cancel := context.WithCancel(c.ctx)
 	defer cancel()

@@ -94,7 +94,8 @@ type dbKey struct {
 // ignores them), but they are remembered for two reasons: NextDBGen must
 // never re-issue an orphaned generation (a reuse would let a fresh
 // object share its (ts, gen) slot with orphan parts of a different size),
-// and the next dump's garbage collection deletes them by name.
+// and the next chain element's garbage collection deletes them by name.
+// An upload a crossing superseded records its parts the same way.
 type OrphanPart struct {
 	Name string
 	Ts   int64
@@ -311,6 +312,21 @@ func (v *CloudView) DropOrphan(name string) {
 	delete(v.orphans, name)
 }
 
+// AddOrphans records the parts of this process's abandoned upload of
+// (ts, gen) as orphans, as LoadFromList would: any of them may exist.
+func (v *CloudView) AddOrphans(ts int64, gen int, names []string) {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	for _, name := range names {
+		v.addOrphan(ts, gen, name)
+	}
+}
+
+func (v *CloudView) addOrphan(ts int64, gen int, name string) {
+	v.orphans[name] = OrphanPart{Name: name, Ts: ts, Gen: gen}
+	v.orphanGen[ts] = max(v.orphanGen[ts], gen+1)
+}
+
 // LoadFromList rebuilds the view from a cloud listing (Reboot and Recovery
 // modes, Algorithm 1 lines 19–26): one listTracker round decides which
 // objects are complete, and those enter the view. Foreign or malformed
@@ -320,8 +336,8 @@ func (v *CloudView) DropOrphan(name string) {
 // mid-way never finished (the local view never learned about them, so
 // recovery must not either), invalid sets, deltas stranded without a
 // rooted chain — is recorded as orphans: NextDBGen never re-issues their
-// generation, and the next dump's garbage collection deletes them from the
-// bucket by name (checkpointer.collectOldDBObjects).
+// generation, and the next chain element's garbage collection deletes them
+// from the bucket by name (checkpointer.upload).
 func (v *CloudView) LoadFromList(infos []cloud.ObjectInfo) error {
 	v.mu.Lock()
 	defer v.mu.Unlock()
@@ -341,12 +357,9 @@ func (v *CloudView) LoadFromList(infos []cloud.ObjectInfo) error {
 		}
 	}
 	for _, g := range t.unresolved() {
-		ts, gen := g.info.Ts, g.info.Gen
+		ts := g.info.Ts
 		for _, p := range g.parts {
-			v.orphans[p.name] = OrphanPart{Name: p.name, Ts: ts, Gen: gen}
-		}
-		if gen+1 > v.orphanGen[ts] {
-			v.orphanGen[ts] = gen + 1
+			v.addOrphan(ts, g.info.Gen, p.name)
 		}
 		// The orphan's ts proves a WAL timestamp at least that high was
 		// once allocated; never re-issue it.

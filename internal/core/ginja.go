@@ -65,7 +65,8 @@ type Stats struct {
 	Dumps       int64
 	Deltas      int64
 	// CheckpointsAbsorbed counts checkpoints that never shipped as their own
-	// object: merged into the open checkpoint, or superseded by a dump/delta.
+	// object: merged into the open checkpoint, or superseded by a dump/delta
+	// while open or while uploading.
 	CheckpointsAbsorbed int64
 	// DeltaChainLen is the length of the current delta chain (deltas since
 	// the last full base dump; 0 when the next threshold crossing will
@@ -249,7 +250,7 @@ func (g *Ginja) Boot(ctx context.Context) error {
 		return fmt.Errorf("core: boot dump: %w", err)
 	}
 	up := &partUploader{fs: g.localFS, io: g.io, tracker: g.tracker}
-	info, err := up.upload(ctx, DBObjectInfo{Ts: 0, Gen: 0, Type: Dump}, plan, nil)
+	info, _, err := up.upload(ctx, DBObjectInfo{Ts: 0, Gen: 0, Type: Dump}, plan, nil)
 	if err != nil {
 		return fmt.Errorf("core: boot dump: %w", err)
 	}

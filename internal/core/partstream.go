@@ -8,6 +8,7 @@ import (
 	"io"
 	"io/fs"
 	"os"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -426,11 +427,14 @@ func (u *partUploader) release(bp *[]byte) {
 // last part's local reads completed — the signal that the database files
 // are no longer needed and frozen writers may resume; on failure the
 // caller's own release path must cover it. A single-part object is
-// uploaded under the plain unsplit name.
+// uploaded under the plain unsplit name. Once ctx is done no part is
+// sealed or PUT; a failed upload also returns the names it tried to PUT,
+// every part that may exist.
 func (u *partUploader) upload(ctx context.Context, ident DBObjectInfo,
-	parts [][]planEntry, readsDone func()) (DBObjectInfo, error) {
+	parts [][]planEntry, readsDone func()) (DBObjectInfo, []string, error) {
 	ts, gen := ident.Ts, ident.Gen
 	sizes := make([]int64, len(parts))
+	tried := make([]string, len(parts))
 	var readsLeft atomic.Int64
 	readsLeft.Store(int64(len(parts)))
 	ctx = withClass(ctx, classBulk) // once per object, not per part
@@ -446,7 +450,10 @@ func (u *partUploader) upload(ctx context.Context, ident DBObjectInfo,
 		}
 		u.tracker.add(int64(len(payload)))
 		sealStart := u.io.clk.Now()
-		sealed, err := u.io.seal.Seal(payload)
+		var sealed []byte
+		if err = ctx.Err(); err == nil {
+			sealed, err = u.io.seal.SealContext(ctx, payload)
+		}
 		// Both buffers exist until the payload scratch is released, so the
 		// sealed bytes enter the tracker first — the measured peak covers
 		// the overlap honestly.
@@ -471,7 +478,10 @@ func (u *partUploader) upload(ctx context.Context, ident DBObjectInfo,
 		}
 		name := ident.name(int64(len(sealed)), part, count).String()
 		putStart := u.io.clk.Now()
-		err = u.io.put(ctx, classBulk, name, sealed)
+		if err = ctx.Err(); err == nil {
+			tried[i] = name
+			err = u.io.put(ctx, classBulk, name, sealed)
+		}
 		u.tracker.sub(int64(len(sealed)))
 		if err != nil {
 			return fmt.Errorf("core: upload %s: %w", name, err)
@@ -482,7 +492,7 @@ func (u *partUploader) upload(ctx context.Context, ident DBObjectInfo,
 		return nil
 	})
 	if err != nil {
-		return ident, err
+		return ident, slices.DeleteFunc(tried, func(n string) bool { return n == "" }), err
 	}
 	for _, size := range sizes {
 		ident.Size += size
@@ -490,5 +500,5 @@ func (u *partUploader) upload(ctx context.Context, ident DBObjectInfo,
 	if len(parts) > 1 {
 		ident.PartSizes = sizes
 	}
-	return ident, nil
+	return ident, nil, nil
 }

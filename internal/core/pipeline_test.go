@@ -15,14 +15,17 @@ import (
 // pipeline tests, logs every Put name and counts Deletes per name. A
 // blocked Put waits through the simclock hand-off helpers on clk (nil: the
 // wall clock), so a virtual-time test can hold one while the rest of the
-// system runs on; it then releases with simclock.Close.
+// system runs on; it then releases with simclock.Close. A held ack is the
+// same wait after the object is stored.
 type gatedStore struct {
 	cloud.ObjectStore
 	clk simclock.Clock
 
 	mu      sync.Mutex
 	blocked map[string]chan struct{} // substring -> release channel
+	acks    map[string]chan struct{} // the same, waited on once stored
 	held    int                      // Puts that met a gate
+	ackErrs []error                  // what each held ack's wait returned
 	puts    []string
 	deleted map[string]int
 }
@@ -40,11 +43,43 @@ func (g *gatedStore) block(substr string) chan struct{} {
 	return ch
 }
 
+// holdAck makes every Put whose name contains substr store its object,
+// then wait until release before it returns: the object exists, and its
+// writer may never learn so.
+func (g *gatedStore) holdAck(substr string) chan struct{} {
+	ch := make(chan struct{})
+	g.mu.Lock()
+	if g.acks == nil {
+		g.acks = make(map[string]chan struct{})
+	}
+	g.acks[substr] = ch
+	g.mu.Unlock()
+	return ch
+}
+
 func (g *gatedStore) Put(ctx context.Context, name string, data []byte) error {
 	g.mu.Lock()
 	g.puts = append(g.puts, name)
+	g.mu.Unlock()
+	if err := g.wait(ctx, name, false); err != nil {
+		return err
+	}
+	if err := g.ObjectStore.Put(ctx, name, data); err != nil {
+		return err
+	}
+	return g.wait(ctx, name, true)
+}
+
+// wait parks until the first gate whose substring name contains opens: a
+// block gate, or with ack an ack gate, whose outcome it records.
+func (g *gatedStore) wait(ctx context.Context, name string, ack bool) error {
+	g.mu.Lock()
+	gates := g.blocked
+	if ack {
+		gates = g.acks
+	}
 	var gate chan struct{}
-	for substr, ch := range g.blocked {
+	for substr, ch := range gates {
 		if strings.Contains(name, substr) {
 			gate = ch
 			g.held++
@@ -53,15 +88,19 @@ func (g *gatedStore) Put(ctx context.Context, name string, data []byte) error {
 	}
 	clk := g.clk
 	g.mu.Unlock()
-	if gate != nil {
-		if clk == nil {
-			clk = simclock.Real()
-		}
-		if _, _, err := simclock.Recv(ctx, clk, gate); err != nil {
-			return err
-		}
+	if gate == nil {
+		return nil
 	}
-	return g.ObjectStore.Put(ctx, name, data)
+	if clk == nil {
+		clk = simclock.Real()
+	}
+	_, _, err := simclock.Recv(ctx, clk, gate)
+	if ack {
+		g.mu.Lock()
+		g.ackErrs = append(g.ackErrs, err)
+		g.mu.Unlock()
+	}
+	return err
 }
 
 func (g *gatedStore) heldPuts() int {

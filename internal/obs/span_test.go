@@ -93,8 +93,8 @@ func TestTracezEndpoint(t *testing.T) {
 		t.Fatalf("/tracez = %d\n%s", code, body)
 	}
 	var tz struct {
-		Total   uint64 `json:"total"`
-		Recent  []struct {
+		Total  uint64 `json:"total"`
+		Recent []struct {
 			Name       string  `json:"name"`
 			ID         int64   `json:"id"`
 			Extra      int64   `json:"extra"`

@@ -45,6 +45,7 @@ package sealer
 import (
 	"bytes"
 	"compress/zlib"
+	"context"
 	"crypto/aes"
 	"crypto/cipher"
 	"crypto/hmac"
@@ -208,8 +209,14 @@ func (s *Sealer) sum(dst, data []byte) []byte {
 // core and encrypted and MAC'd behind the deflate (see sealSegments); the
 // bytes do not depend on how many cores there were.
 func (s *Sealer) Seal(payload []byte) ([]byte, error) {
+	return s.SealContext(context.Background(), payload)
+}
+
+// SealContext is Seal that stops a multi-segment payload's deflate between
+// segments once ctx is done, and returns ctx's error.
+func (s *Sealer) SealContext(ctx context.Context, payload []byte) ([]byte, error) {
 	if s.opts.Compress && len(payload) > segmentSize {
-		return s.sealSegments(payload)
+		return s.sealSegments(ctx, payload)
 	}
 	var flags byte
 	var seg segment
@@ -263,7 +270,7 @@ func (s *Sealer) header(dst []byte, flags byte) ([]byte, error) {
 // output's size is known only once every segment is deflated, so each
 // segment is encrypted and MAC'd in its own buffer as soon as it and every
 // earlier one are deflated (see chain), and then copied into the output.
-func (s *Sealer) sealSegments(payload []byte) ([]byte, error) {
+func (s *Sealer) sealSegments(ctx context.Context, payload []byte) ([]byte, error) {
 	head, err := s.header(make([]byte, 0, len(magic)+1+ivSize+2), flagCompressed)
 	if err != nil {
 		return nil, err
@@ -277,7 +284,9 @@ func (s *Sealer) sealSegments(payload []byte) ([]byte, error) {
 	}
 	head = append(head, 0x78, 0x01) // RFC 1950: deflate, 32 KiB window, fastest
 	c.seal(head[len(head)-2:])
-	c.deflate(payload)
+	if err := c.deflate(ctx, payload); err != nil {
+		return nil, err
+	}
 	out := make([]byte, 0, len(head)+c.size+4+macSize)
 	out = append(out, head...)
 	for _, seg := range c.segs {
@@ -437,13 +446,14 @@ func (c *chain) finish(i int, seg segment) {
 // fewer than GOMAXPROCS-1 are lent out process-wide: on one core nothing is
 // spawned, and five part workers sealing a dump at once — or a fleet of a
 // thousand tenants — cannot oversubscribe the machine. Which goroutine
-// compresses or chains which segment does not reach the output.
-func (c *chain) deflate(payload []byte) {
+// compresses or chains which segment does not reach the output. Once ctx
+// is done no segment starts, and an unfinished payload's buffers go back.
+func (c *chain) deflate(ctx context.Context, payload []byte) error {
 	n := (len(payload) + segmentSize - 1) / segmentSize
 	c.segs = make([]segment, n)
 	var next atomic.Int32
 	work := func() {
-		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+		for i := int(next.Add(1)) - 1; i < n && ctx.Err() == nil; i = int(next.Add(1)) - 1 {
 			end := min((i+1)*segmentSize, len(payload))
 			c.finish(i, compressSegment(payload[i*segmentSize:end], i == n-1))
 		}
@@ -459,6 +469,15 @@ func (c *chain) deflate(payload []byte) {
 	}
 	work()
 	wg.Wait()
+	if c.next == n {
+		return nil
+	}
+	for _, seg := range c.segs {
+		if seg.buf != nil {
+			segPool.Put(seg.buf)
+		}
+	}
+	return ctx.Err()
 }
 
 // Open verifies and unwraps a sealed object. The result never aliases

@@ -3,6 +3,7 @@ package sealer
 import (
 	"bytes"
 	"compress/zlib"
+	"context"
 	"crypto/cipher"
 	crand "crypto/rand"
 	"errors"
@@ -10,7 +11,9 @@ import (
 	"io"
 	"math/rand"
 	"runtime"
+	"runtime/debug"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -277,5 +280,78 @@ func TestConcurrentSealsStayInsideHelperBudget(t *testing.T) {
 	}
 	if n := helpers.Load(); n != 0 {
 		t.Fatalf("%d helpers still counted after every Seal returned", n)
+	}
+}
+
+// cancelAfter is a context whose Err turns to context.Canceled on its
+// (n+1)-th call: SealContext asks once before each segment's deflate, so it
+// cancels a Seal after exactly n segments when one goroutine deflates.
+type cancelAfter struct {
+	context.Context
+	n atomic.Int32
+}
+
+func (c *cancelAfter) Err() error {
+	if c.n.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+func cancelledAfter(n int32) *cancelAfter {
+	c := &cancelAfter{Context: context.Background()}
+	c.n.Store(n)
+	return c
+}
+
+// TestSealContextStopsBetweenSegments cancels multi-segment Seals part way.
+// On four cores, with helpers deflating, each returns the context's error
+// and every helper goes back to the budget. On one core, with the
+// collector off so the pool keeps what it is given, exactly the three
+// deflated segments' buffers are back in the pool.
+func TestSealContextStopsBetweenSegments(t *testing.T) {
+	payload := rowPayload(8*segmentSize, 11)
+	for _, opts := range []Options{{Compress: true}, {Compress: true, Encrypt: true, Password: "pw"}} {
+		s, err := New(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		func() {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+			for n := int32(0); n < 8; n++ {
+				if sealed, err := s.SealContext(cancelledAfter(n), payload); sealed != nil || !errors.Is(err, context.Canceled) {
+					t.Fatalf("cancelled after %d segments: %d bytes, err %v, want the context's error", n, len(sealed), err)
+				}
+				if h := helpers.Load(); h != 0 {
+					t.Fatalf("%d helpers still counted after a cancelled Seal returned", h)
+				}
+			}
+		}()
+		sealed, err := s.SealContext(cancelledAfter(8), payload)
+		if err != nil {
+			t.Fatalf("a Seal cancelled after its last segment: %v", err)
+		}
+		if got, err := s.Open(sealed); err != nil || !bytes.Equal(got, payload) {
+			t.Fatalf("round trip after cancelled Seals: err=%v", err)
+		}
+	}
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for cap(*segPool.Get().(*[]byte)) > 0 { // drain: a fresh buffer is empty
+	}
+	s, err := New(Options{Compress: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.SealContext(cancelledAfter(3), payload); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled Seal: err %v", err)
+	}
+	for i := 0; i < 4; i++ {
+		if pooled := cap(*segPool.Get().(*[]byte)) > 0; pooled != (i < 3) {
+			t.Fatalf("pool buffer %d: pooled %v, want the 3 deflated segments' buffers and no more", i, pooled)
+		}
 	}
 }
