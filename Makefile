@@ -51,13 +51,15 @@ determinism:
 # lines in internal/core, in the sealer (envelope plus its deflate
 # encoder), in the virtual clock (internal/simclock and its test harness),
 # in the repo outside benchmark/, and in the virtual-time and paper-figure
-# measurement code (ROADMAP item 6).
+# measurement code (ROADMAP item 6), plus the number of core.Params fields
+# (one exported field per line of the struct).
 loc:
 	@printf 'internal/core        %s\n' "$$(find internal/core -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
 	@printf 'internal/sealer      %s\n' "$$(find internal/sealer -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
 	@printf 'internal/simclock    %s\n' "$$(find internal/simclock -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
 	@printf 'repo less benchmark/ %s\n' "$$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' | xargs cat | wc -l)"
 	@printf 'measurement          %s\n' "$$(find internal/sim internal/experiments cmd/ginja-bench -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
+	@printf 'Params fields        %s\n' "$$(awk '/^type Params struct/{f=1;next} f&&/^}/{f=0} f&&/^\t[A-Z]/{n++} END{print n}' internal/core/params.go)"
 
 # fuzz-smoke gives each wire-format fuzz target a short budget on top of
 # the checked-in corpus (internal/{core,sealer}/testdata/fuzz/). Reproduce

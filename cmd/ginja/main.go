@@ -436,12 +436,12 @@ func cmdStatus(ctx context.Context, o options) error {
 	return nil
 }
 
-// cmdPITR lists or restores point-in-time recovery points. Dump
-// generations are retained when the protected instance runs with
-// PITRGenerations > 0; with -retain set, superseded WAL and checkpoint
-// objects are kept too, so restore hits ANY commit timestamp inside the
-// retention window (RecoverAt's exact consistent prefix), not just dump
-// boundaries.
+// cmdPITR lists or restores point-in-time recovery points. When the
+// protected instance runs with -retain, superseded WAL and DB objects stay
+// in the bucket for that window (capped by -retain-objects), so restore
+// hits ANY commit timestamp inside it (RecoverAt's exact consistent
+// prefix); without it, the bucket holds only the newest dump and what
+// follows it.
 func cmdPITR(ctx context.Context, o options, args []string) error {
 	if len(args) == 0 {
 		return fmt.Errorf("usage: ginja pitr [flags] list | restore <timestamp>")

@@ -1,10 +1,11 @@
-// Point-in-time recovery: the paper's §5.4 extension — retain old dump
-// generations so the database can be restored to a state *before* an
-// operator mistake or a ransomware-style corruption, "such as the recent
-// WannaCry virus" (§5.4).
+// Point-in-time recovery: the paper's §5.4 extension — keep superseded
+// objects for a retention window so the database can be restored to a
+// state *before* an operator mistake or a ransomware-style corruption,
+// "such as the recent WannaCry virus" (§5.4).
 //
-// The example keeps 3 generations, lets "ransomware" scramble every row,
-// and then restores the last clean generation.
+// The example keeps an hour of history (Params.RetainFor), lets
+// "ransomware" scramble every row, and then restores the exact commit
+// prefix that ends at the last WAL timestamp before the attack.
 //
 //	go run ./examples/pitr
 package main
@@ -31,8 +32,9 @@ func run() error {
 	params := ginja.DefaultParams()
 	params.Batch = 4
 	params.Safety = 64
-	params.PITRGenerations = 3 // keep three restore points
-	params.DumpThreshold = 1.0 // dump eagerly so generations cycle fast
+	params.BatchTimeout = 50 * time.Millisecond // flush partial batches quickly
+	params.RetainFor = time.Hour                // every ts of the last hour is a restore point
+	params.DumpThreshold = 1.0                  // dump eagerly so old objects get superseded
 
 	local := ginja.NewMemFS()
 	g, err := ginja.New(local, store, ginja.NewPGProcessor(), params)
@@ -51,8 +53,7 @@ func run() error {
 		return err
 	}
 
-	// Three days of honest work, each ending in a checkpoint (= one
-	// retained generation).
+	// Three days of honest work, each ending in a checkpoint.
 	for day := 1; day <= 3; day++ {
 		for i := 0; i < 10; i++ {
 			key := fmt.Sprintf("doc-%02d", i)
@@ -74,6 +75,13 @@ func run() error {
 		}
 		fmt.Printf("day %d checkpointed and replicated\n", day)
 	}
+	// The checkpoint writes a WAL record of its own; once that is
+	// replicated too, the last WAL timestamp is the newest clean restore
+	// point.
+	if !g.Flush(30 * time.Second) {
+		return fmt.Errorf("flush day 3 checkpoint")
+	}
+	clean := g.View().LastWALTs()
 
 	// Day 4: ransomware scrambles everything — and Ginja, faithfully,
 	// replicates the damage.
@@ -97,10 +105,10 @@ func run() error {
 	}
 
 	// A plain Recover would faithfully restore the corrupted state. The
-	// retained generations let us go back instead.
-	dumps := dumpGenerations(g)
-	fmt.Printf("retained dump generations (by timestamp): %v\n", dumps)
-	clean := dumps[len(dumps)-2] // the last generation before day 4
+	// retention window lets us go back instead: the dumps since day 3
+	// superseded the objects that restore point needs, but did not delete
+	// them.
+	fmt.Printf("dumps so far: %d; restoring the prefix up to WAL ts %d\n", g.Stats().Dumps, clean)
 
 	target := ginja.NewMemFS()
 	gr, err := ginja.New(ginja.NewMemFS(), store, ginja.NewPGProcessor(), params)
@@ -115,25 +123,17 @@ func run() error {
 		return err
 	}
 	defer restored.Close()
-	v, err := restored.Get("documents", []byte("doc-00"))
-	if err != nil {
-		return err
-	}
-	fmt.Printf("restored doc-00 from generation ts=%d: %q\n", clean, v)
-	if string(v) == "!!ENCRYPTED-PAY-US!!" {
-		return fmt.Errorf("restored the corrupted state — PITR failed")
-	}
-	fmt.Println("point-in-time recovery beat the ransomware")
-	return nil
-}
-
-// dumpGenerations lists the retained dumps' timestamps, ascending.
-func dumpGenerations(g *ginja.Ginja) []int64 {
-	var out []int64
-	for _, d := range g.View().DBObjects() {
-		if d.Type == "dump" {
-			out = append(out, d.Ts)
+	for i := 0; i < 10; i++ {
+		key := fmt.Sprintf("doc-%02d", i)
+		v, err := restored.Get("documents", []byte(key))
+		if err != nil {
+			return err
+		}
+		if want := fmt.Sprintf("day-3 content of %s", key); string(v) != want {
+			return fmt.Errorf("restored %s = %q, want %q — PITR failed", key, v, want)
 		}
 	}
-	return out
+	fmt.Println("restored all 10 documents to their day-3 content")
+	fmt.Println("point-in-time recovery beat the ransomware")
+	return nil
 }

@@ -56,7 +56,8 @@ type (
 	// Ginja is the disaster-recovery middleware instance.
 	Ginja = core.Ginja
 	// Params is the user-facing configuration (Batch, Safety, timeouts,
-	// uploaders, compression, encryption, PITR retention).
+	// uploaders, compression, encryption, the point-in-time retention
+	// window).
 	Params = core.Params
 	// Stats is a snapshot of replication activity counters.
 	Stats = core.Stats

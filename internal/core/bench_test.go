@@ -133,26 +133,28 @@ func BenchmarkPipelineThroughput(b *testing.B) {
 // targets. allocs/op is the acceptance number: the packed path must stay
 // ≤ 2 allocs per commit (pooled submit copies, reused batch/plan scratch,
 // pooled per-object write lists; what remains is the amortized per-object
-// seal + store cost). The unpacked variant is the ablation baseline.
+// seal + store cost). The unpacked variant is the ablation baseline: its
+// objects are capped at one payload, so each commit is its own object.
 func BenchmarkCommitPath(b *testing.B) {
+	const payloadBytes = 256
 	for _, bc := range []struct {
-		name           string
-		disablePacking bool
-		adaptive       bool
+		name      string
+		maxObject int64 // 0: Validate fills in the default
+		adaptive  bool
 	}{
-		{"packed", false, false},
-		{"unpacked", true, false},
+		{"packed", 0, false},
+		{"unpacked", payloadBytes, false},
 		// The adaptive controller must not cost the hot path anything:
 		// observePut runs off the submit path and knob publication is one
 		// amortized pointer store per tick.
-		{"packed-adaptive", false, true},
+		{"packed-adaptive", 0, true},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			p := DefaultParams()
 			p.Batch = 50
 			p.Safety = 1000
 			p.BatchTimeout = 5 * time.Millisecond
-			p.DisablePacking = bc.disablePacking
+			p.MaxObjectSize = bc.maxObject
 			p.AdaptiveBatching = bc.adaptive
 			params, err := p.Validate()
 			if err != nil {
@@ -161,7 +163,7 @@ func BenchmarkCommitPath(b *testing.B) {
 			pipe := newPipeline(NewCloudView(), plainIO(cloud.NewMemStore(), params), params)
 			pipe.start(0)
 			defer pipe.drainAndStop(10 * time.Second)
-			payload := make([]byte, 256)
+			payload := make([]byte, payloadBytes)
 			submit := func(i int) {
 				if _, err := pipe.submit("pg_xlog/0001", int64(i%4096)*8192, payload); err != nil {
 					b.Fatal(err)

@@ -822,12 +822,11 @@ func (c *checkpointer) upload(ctx context.Context, obj dbObject) error {
 		"bytes", size, "parts", len(parts))
 
 	// Garbage collection (lines 23-29): the WAL objects this DB object
-	// covers; for a dump, the DB objects older than the oldest dump that
-	// must survive; for a delta, the checkpoints it recaptured; for both,
-	// any orphan parts. All of them are retired, then trimmed: without a
-	// retention window that deletes them at once; with one, the inline trim
-	// keeps the RetainObjects cap between trimmer ticks and an expired
-	// window does not wait for one.
+	// covers; for a dump, every older DB object; for a delta, the
+	// checkpoints it recaptured; for both, any orphan parts. All of them are
+	// retired, then trimmed: without a retention window that deletes them
+	// at once; with one, the inline trim keeps the RetainObjects cap between
+	// trimmer ticks and an expired window does not wait for one.
 	var victims []gcVictim
 	for _, w := range c.view.WALObjects() {
 		if w.Ts <= obj.ts {
@@ -848,30 +847,21 @@ func (c *checkpointer) upload(ctx context.Context, obj dbObject) error {
 }
 
 // supersededBy selects the DB objects a freshly durable obj makes
-// redundant. A dump supersedes everything older than the oldest dump that
-// must survive: the newest dump plus PITRGenerations older ones (each with
-// its incremental checkpoints) stay as recovery points (§5.4). A delta
-// supersedes every Checkpoint strictly between its base and itself: it
-// recaptured every range they dirtied (the dirty map is fed from the same
-// collected writes), and removing them is what keeps the chain
-// self-describing for LoadFromList, which never needs intervening
-// checkpoints to materialize a chain.
+// redundant. A dump supersedes every older DB object (Algorithm 3); a
+// retention window (Params.RetainFor) keeps them reachable by RecoverAt
+// until trimRetention deletes them. A delta supersedes every Checkpoint
+// strictly between its base and itself: it recaptured every range they
+// dirtied (the dirty map is fed from the same collected writes), and
+// removing them is what keeps the chain self-describing for LoadFromList,
+// which never needs intervening checkpoints to materialize a chain.
 func (c *checkpointer) supersededBy(obj dbObject) []DBObjectInfo {
 	objs := c.view.DBObjects() // sorted by (Ts, Gen)
 	var victims []DBObjectInfo
 	switch obj.typ {
 	case Dump:
-		// The cutoff is the oldest of the 1+PITRGenerations newest dumps
-		// (or the oldest dump there is).
-		var cutoff DBObjectInfo
-		for i, keep := len(objs)-1, 1+c.params.PITRGenerations; i >= 0 && keep > 0; i-- {
-			if objs[i].Type == Dump {
-				cutoff = objs[i]
-				keep--
-			}
-		}
+		self := DBObjectInfo{Ts: obj.ts, Gen: obj.gen}
 		for _, d := range objs {
-			if d.Before(cutoff) {
+			if d.Before(self) {
 				victims = append(victims, d)
 			}
 		}

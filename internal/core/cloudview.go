@@ -112,11 +112,12 @@ type CloudView struct {
 	nextTs int64
 	dbSize int64
 
-	// retired marks DB objects superseded by a newer dump but kept in the
-	// cloud by the point-in-time retention window (Params.RetainFor). They
-	// stay listed (RecoverAt needs them) but leave the 150 %-rule size
-	// accounting: retained history must not count as live cloud state, or
-	// every checkpoint after the first retirement would trigger a dump.
+	// retired marks DB objects superseded by a newer chain element but
+	// kept in the cloud by the point-in-time retention window
+	// (Params.RetainFor). They stay listed (RecoverAt needs them) but leave
+	// the 150 %-rule size accounting: retained history must not count as
+	// live cloud state, or every checkpoint after the first retirement
+	// would trigger a dump.
 	retired map[dbKey]bool
 
 	// orphans holds the parts of incomplete DB objects found by
@@ -235,10 +236,36 @@ func (v *CloudView) DeleteWAL(ts int64) {
 func (v *CloudView) MarkDBRetired(ts int64, gen int) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	key := dbKey{ts: ts, gen: gen}
+	v.markRetiredLocked(dbKey{ts: ts, gen: gen})
+}
+
+func (v *CloudView) markRetiredLocked(key dbKey) {
 	if d, ok := v.db[key]; ok && !v.retired[key] {
 		v.retired[key] = true
 		v.dbSize -= d.Size
+	}
+}
+
+// retireSupersededLocked marks what a live instance's garbage collection
+// has already retired, for a view rebuilt from a listing that still holds
+// retained history: every DB object older than the newest dump, and every
+// checkpoint older than the newest delta (each delta supersedes the
+// checkpoints since its base, the previous chain element; one older than
+// the newest dump adds nothing).
+func (v *CloudView) retireSupersededLocked() {
+	var dump, delta DBObjectInfo // the zero key: nothing is Before it
+	for _, d := range v.db {
+		if d.Type == Dump && dump.Before(*d) {
+			dump = *d
+		}
+		if d.Type == Delta && delta.Before(*d) {
+			delta = *d
+		}
+	}
+	for key, d := range v.db {
+		if d.Before(dump) || (d.Type == Checkpoint && d.Before(delta)) {
+			v.markRetiredLocked(key)
+		}
 	}
 }
 
@@ -356,6 +383,7 @@ func (v *CloudView) LoadFromList(infos []cloud.ObjectInfo) error {
 			return err
 		}
 	}
+	v.retireSupersededLocked()
 	for _, g := range t.unresolved() {
 		ts := g.info.Ts
 		for _, p := range g.parts {

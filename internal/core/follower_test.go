@@ -229,11 +229,7 @@ func (s *getRecorder) take() []string {
 // after it listed, which neither needs.
 func TestFollowerFirstPollIsColdRecovery(t *testing.T) {
 	params := fastParams()
-	params.PITRGenerations = 1
-	// The retained dump counts toward the dump rule, so the threshold
-	// leaves room for small checkpoints after the newest dump, and a round
-	// rewriting every row crosses it.
-	params.DumpThreshold = 2.5
+	params.RetainFor = time.Hour
 	r := pgRig(t, params)
 	if err := r.db.CreateTable("kv", 0); err != nil {
 		t.Fatal(err)

@@ -313,12 +313,12 @@ func (g *Ginja) Recover(ctx context.Context) error {
 // the commit history up to and including WAL timestamp ts: the newest
 // retained dump at or before ts, its delta chain and the incremental
 // checkpoints up to ts, then the consecutive WAL run ending at ts (see
-// plan). Any ts whose objects are still retained (Params.RetainFor /
-// PITRGenerations) is a valid recovery point; a ts older than the
-// retention window fails with ErrNoDump. ts = -1 recovers the newest
-// state (like Recover, but onto target). RecoverAt does NOT start
-// replication — point-in-time restores are for inspection or fork-off,
-// not for resuming the production timeline.
+// plan). Any ts whose objects are still retained (Params.RetainFor) is a
+// valid recovery point; a ts older than the retention window fails with
+// ErrNoDump. ts = -1 recovers the newest state (like Recover, but onto
+// target). RecoverAt does NOT start replication — point-in-time restores
+// are for inspection or fork-off, not for resuming the production
+// timeline.
 func (g *Ginja) RecoverAt(ctx context.Context, target vfs.FS, ts int64) error {
 	if ts < -1 {
 		return fmt.Errorf("core: RecoverAt target ts must be ≥ 0 (or -1 for newest), got %d", ts)

@@ -413,81 +413,6 @@ func TestSafetyBoundsDataLoss(t *testing.T) {
 	}
 }
 
-func TestPITRGenerationsRetained(t *testing.T) {
-	p := fastParams()
-	p.PITRGenerations = 2
-	p.DumpThreshold = 1.0 // dump as soon as cloud DB size reaches local size
-	r := pgRig(t, p)
-	// A tiny table (4 buckets) keeps the local size small so the dump
-	// threshold trips after a few checkpoints.
-	if err := r.db.CreateTable("kv", 4); err != nil {
-		t.Fatal(err)
-	}
-	for round := 0; round < 10; round++ {
-		r.put(t, "kv", "version", fmt.Sprintf("gen-%d-%s", round, string(make([]byte, 500))))
-		if !r.g.Flush(5 * time.Second) {
-			t.Fatal("flush")
-		}
-		if err := r.db.Checkpoint(); err != nil {
-			t.Fatal(err)
-		}
-		if !r.g.SyncCheckpoints(5 * time.Second) {
-			t.Fatalf("checkpoint queue did not settle (err %v)", r.g.Err())
-		}
-	}
-	if r.g.Stats().Dumps < 3 {
-		t.Fatalf("only %d dumps happened; the test needs ≥ 3 generations", r.g.Stats().Dumps)
-	}
-	dumps := 0
-	for _, d := range r.g.View().DBObjects() {
-		if d.Type == core.Dump {
-			dumps++
-		}
-	}
-	// Latest + 2 retained generations.
-	if dumps != 3 {
-		t.Fatalf("retained %d dumps, want 3 (1 current + 2 PITR)", dumps)
-	}
-
-	// Restore the OLDEST retained generation and check it shows an older
-	// version of the row.
-	var gens []int64
-	for _, d := range r.g.View().DBObjects() {
-		if d.Type == core.Dump {
-			gens = append(gens, d.Ts)
-		}
-	}
-	oldest := gens[0]
-	for _, ts := range gens {
-		if ts < oldest {
-			oldest = ts
-		}
-	}
-	target := vfs.NewMemFS()
-	gr, err := core.New(vfs.NewMemFS(), r.store, dbevent.NewPGProcessor(), p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := gr.RecoverAt(context.Background(), target, oldest); err != nil {
-		t.Fatalf("RecoverAt: %v", err)
-	}
-	dbOld, err := minidb.Open(target, pgengine.NewWithSizes(1024, 16*1024, 1024), minidb.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, err := dbOld.Get("kv", []byte("version"))
-	if err != nil {
-		t.Fatalf("version missing in PITR restore: %v", err)
-	}
-	latest, err := r.db.Get("kv", []byte("version"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(v) == string(latest) {
-		t.Fatalf("PITR restore shows the latest version %q, want an older one", v)
-	}
-}
-
 func TestBackupVerification(t *testing.T) {
 	r := pgRig(t, fastParams())
 	if err := r.db.CreateTable("kv", 0); err != nil {

@@ -227,29 +227,6 @@ func TestPipelinePackingRespectsMaxObjectSize(t *testing.T) {
 	}
 }
 
-// TestPipelineDisablePackingAblation: the ablation knob restores the
-// one-object-per-write-run behaviour.
-func TestPipelineDisablePackingAblation(t *testing.T) {
-	store := cloud.NewMemStore()
-	p := testParams(10, 100)
-	p.DisablePacking = true
-	pipe := startPipeline(t, store, p)
-	for i := 0; i < 10; i++ {
-		if _, err := pipe.submit(fmt.Sprintf("pg_xlog/%04d", i), 0, []byte{byte(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !pipe.q.drain(2 * time.Second) {
-		t.Fatal("queue did not drain")
-	}
-	if got := pipe.stats.walObjects.Load(); got != 10 {
-		t.Fatalf("uploaded %d objects with packing disabled, want 10", got)
-	}
-	if got := pipe.stats.packedObjects.Load(); got != 0 {
-		t.Fatalf("packedObjects = %d with packing disabled, want 0", got)
-	}
-}
-
 // TestPipelineRetryDelayFloorVirtualClock is the pipeline-level half of
 // the regression test for the retry hot-loop hazard: a caller that builds
 // Params by hand (bypassing Validate's defaults) leaves RetryBaseDelay at

@@ -99,18 +99,12 @@ type Params struct {
 	Compress bool
 	Encrypt  bool
 	Password string
-	// PITRGenerations keeps the N most recent dump generations (each dump
-	// plus its incremental checkpoints) instead of garbage-collecting
-	// them, enabling point-in-time recovery (§5.4). 0 disables retention.
-	PITRGenerations int
 	// RetainFor is the point-in-time recovery window: objects superseded
-	// by garbage collection (WAL covered by a checkpoint, generations
-	// retired by a dump) stay in the cloud until they have been superseded
+	// by garbage collection (WAL covered by a checkpoint, DB objects older
+	// than a dump) stay in the cloud until they have been superseded
 	// for this long, so RecoverAt(ts) can rebuild the exact consistent
 	// prefix for any ts committed inside the window. 0 disables the window
-	// (superseded objects are deleted immediately, today's behaviour).
-	// Retention composes with PITRGenerations: an object is deleted only
-	// when both policies allow it.
+	// (superseded objects are deleted immediately).
 	RetainFor time.Duration
 	// RetainObjects caps how many superseded objects the retention window
 	// may hold (BtrLog-style bounded chain length: recovery work is
@@ -138,19 +132,6 @@ type Params struct {
 	// Prices is the cloud price sheet the controller budgets against.
 	// The zero value means cloud.AmazonS3May2017().
 	Prices cloud.PriceSheet
-	// DisableAggregation turns off the coalescing of page rewrites before
-	// upload (one object per intercepted write). Exists only for the
-	// ablation benchmarks quantifying how much aggregation saves; never
-	// enable it in production. It implies DisablePacking, preserving its
-	// one-object-per-write contract.
-	DisableAggregation bool
-	// DisablePacking turns off WAL batch packing: instead of filling
-	// multi-write objects up to MaxObjectSize (one PUT per batch in the
-	// common case), each merged write-run becomes its own WAL object — the
-	// pre-packing behaviour. Exists only for the ablation benchmarks
-	// (BENCH_commitpath.json) quantifying what packing saves; never enable
-	// it in production.
-	DisablePacking bool
 	// Logger receives structured operational events (uploads, garbage
 	// collection, recovery progress, retries) including the per-batch
 	// trace spans that follow a commit from FS interception to cloud ack.
@@ -271,9 +252,6 @@ func (p Params) Validate() (Params, error) {
 	}
 	if p.Encrypt && p.Password == "" {
 		return p, errors.New("core: Encrypt requires Password")
-	}
-	if p.PITRGenerations < 0 {
-		return p, fmt.Errorf("core: PITRGenerations must be ≥ 0, got %d", p.PITRGenerations)
 	}
 	if p.RetainFor < 0 {
 		return p, fmt.Errorf("core: RetainFor must be ≥ 0, got %v", p.RetainFor)

@@ -37,7 +37,7 @@ func TestParamsValidateRejectsBadConfigs(t *testing.T) {
 		{"negative uploaders", Params{Uploaders: -2}},
 		{"dump threshold below 1", Params{DumpThreshold: 0.5}},
 		{"encrypt without password", Params{Encrypt: true}},
-		{"negative PITR", Params{PITRGenerations: -1}},
+		{"negative retention window", Params{RetainFor: -time.Second}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -68,15 +68,15 @@ func TestNoLossParams(t *testing.T) {
 
 func TestParamsCustomValuesPreserved(t *testing.T) {
 	in := Params{
-		Batch:           7,
-		Safety:          70,
-		BatchTimeout:    3 * time.Second,
-		SafetyTimeout:   9 * time.Second,
-		Uploaders:       2,
-		MaxObjectSize:   1 << 20,
-		DumpThreshold:   2.0,
-		Compress:        true,
-		PITRGenerations: 4,
+		Batch:         7,
+		Safety:        70,
+		BatchTimeout:  3 * time.Second,
+		SafetyTimeout: 9 * time.Second,
+		Uploaders:     2,
+		MaxObjectSize: 1 << 20,
+		DumpThreshold: 2.0,
+		Compress:      true,
+		RetainFor:     time.Hour,
 	}
 	out, err := in.Validate()
 	if err != nil {
@@ -84,7 +84,7 @@ func TestParamsCustomValuesPreserved(t *testing.T) {
 	}
 	if out.Batch != 7 || out.Safety != 70 || out.Uploaders != 2 ||
 		out.MaxObjectSize != 1<<20 || out.DumpThreshold != 2.0 ||
-		!out.Compress || out.PITRGenerations != 4 {
+		!out.Compress || out.RetainFor != time.Hour {
 		t.Fatalf("custom values clobbered: %+v", out)
 	}
 }

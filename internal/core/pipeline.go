@@ -293,35 +293,6 @@ func (p *pipeline) submit(path string, off int64, data []byte) (time.Duration, e
 	return blocked, err
 }
 
-// appendUnpacked plans one single-write object per split piece — the
-// pre-packing behaviour, kept for the DisablePacking/DisableAggregation
-// ablations that quantify what packing saves.
-func appendUnpacked(dst [][]FileWrite, writes []FileWrite, maxSize int64) [][]FileWrite {
-	plan := dst[:0]
-	add := func(w FileWrite) {
-		if k := len(plan); k < cap(plan) {
-			plan = plan[:k+1]
-			plan[k] = append(plan[k][:0], w)
-		} else {
-			plan = append(plan, []FileWrite{w})
-		}
-	}
-	for _, w := range writes {
-		if maxSize <= 0 || int64(len(w.Data)) <= maxSize || w.Whole {
-			add(w)
-			continue
-		}
-		for start := int64(0); start < int64(len(w.Data)); start += maxSize {
-			end := start + maxSize
-			if end > int64(len(w.Data)) {
-				end = int64(len(w.Data))
-			}
-			add(FileWrite{Path: w.Path, Offset: w.Offset + start, Data: w.Data[start:end]})
-		}
-	}
-	return plan
-}
-
 // aggregator implements the Aggregator thread: read batches of up to B
 // updates, coalesce page rewrites, pack the batch into the minimum number
 // of WAL objects (up to MaxObjectSize each), stamp timestamps and hand
@@ -351,12 +322,9 @@ func (p *pipeline) aggregator() {
 			writes = append(writes, FileWrite{Path: u.path, Offset: u.off, Data: u.data})
 		}
 		p.writesBuf = writes
-		merged := writes
-		if !p.params.DisableAggregation {
-			// Contiguous runs stay separate writes: joining them would copy
-			// payload, and the packed object carries a write list anyway.
-			merged = p.merge.merge(writes, false)
-		}
+		// Contiguous runs stay separate writes: joining them would copy
+		// payload, and the packed object carries a write list anyway.
+		merged := p.merge.merge(writes, false)
 		maxSize := p.params.MaxObjectSize
 		if maxSize > 0 {
 			for _, w := range merged {
@@ -365,13 +333,7 @@ func (p *pipeline) aggregator() {
 				}
 			}
 		}
-		// DisableAggregation keeps its documented "one object per
-		// intercepted write" contract, so it implies unpacked planning.
-		if p.params.DisablePacking || p.params.DisableAggregation {
-			p.plan = appendUnpacked(p.plan, merged, maxSize)
-		} else {
-			p.plan = AppendPackWrites(p.plan, merged, maxSize)
-		}
+		p.plan = AppendPackWrites(p.plan, merged, maxSize)
 		batchID := p.batchSeq.Add(1)
 		var maxTs int64
 		for _, group := range p.plan {

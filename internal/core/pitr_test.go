@@ -244,3 +244,105 @@ func TestRetentionObjectCapTrimsEarly(t *testing.T) {
 		t.Fatalf("RetainObjects cap never trimmed (stats %+v)", g.Stats())
 	}
 }
+
+// TestRebootLeavesRetainedObjectsOutOfDumpRule: a view rebuilt by Reboot
+// sizes the 150 % rule exactly like the instance that stopped. The objects
+// a re-dump (or a delta) superseded but the retention window keeps in the
+// bucket are history, not live cloud state; counting them would make the
+// first checkpoint after the restart a full dump.
+func TestRebootLeavesRetainedObjectsOutOfDumpRule(t *testing.T) {
+	for _, deltas := range []bool{false, true} {
+		t.Run(map[bool]string{false: "dumps", true: "deltas"}[deltas], func(t *testing.T) {
+			params := pitrParams()
+			params.DeltaCheckpoints = deltas
+			params.DeltaCompactRatio = 10 // the crossing ships a delta, never a fold
+			rebootRetainedRun(t, params)
+		})
+	}
+}
+
+func rebootRetainedRun(t *testing.T, params Params) {
+	store := cloud.NewMemStore()
+	local := vfs.NewMemFS()
+	g, err := New(local, store, dbevent.NewPGProcessor(), params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Boot(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	db, err := minidb.Open(g.FS(), pgengine.NewWithSizes(512, 8192, 1024), minidb.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.CreateTable("kv", 0); err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; g.Stats().Dumps+g.Stats().Deltas == 0; round++ {
+		if round == 10 {
+			t.Fatalf("no chain element after %d rounds (stats %+v)", round, g.Stats())
+		}
+		for i := 0; i < 200; i++ {
+			if err := db.Update(func(tx *minidb.Txn) error {
+				return tx.Put("kv", []byte(fmt.Sprintf("row-%03d", i)), []byte(fmt.Sprintf("r%d-%0400d", round, i)))
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !g.Flush(5 * time.Second) {
+			t.Fatal("flush")
+		}
+		if err := db.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		if !g.SyncCheckpoints(5 * time.Second) {
+			t.Fatal("checkpoint settle")
+		}
+	}
+	if st := g.Stats(); params.DeltaCheckpoints != (st.Deltas > 0) {
+		t.Fatalf("DeltaCheckpoints %v shipped %d dumps, %d deltas", params.DeltaCheckpoints, st.Dumps, st.Deltas)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Close(); err != nil {
+		t.Fatal(err)
+	}
+	live := g.view.TotalDBSize()
+
+	g2, err := New(local, store, dbevent.NewPGProcessor(), params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g2.Reboot(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	defer g2.Close()
+	if n, retained := len(g2.view.DBObjects()), len(g.view.DBObjects()); n != retained || n < 3 {
+		t.Fatalf("reboot lists %d DB objects, the stopped instance %d; want the same ≥ 3 (a chain element and retained objects it superseded)", n, retained)
+	}
+	if got := g2.view.TotalDBSize(); got != live {
+		t.Fatalf("TotalDBSize after Reboot = %d, want %d as before the stop", got, live)
+	}
+	db2, err := minidb.Open(g2.FS(), pgengine.NewWithSizes(512, 8192, 1024), minidb.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db2.Update(func(tx *minidb.Txn) error {
+		return tx.Put("kv", []byte("row-000"), []byte("after reboot"))
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if !g2.Flush(5 * time.Second) {
+		t.Fatal("flush after reboot")
+	}
+	if err := db2.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if !g2.SyncCheckpoints(5 * time.Second) {
+		t.Fatal("checkpoint settle after reboot")
+	}
+	if st := g2.Stats(); st.Dumps+st.Deltas != 0 || st.Checkpoints != 1 {
+		t.Fatalf("first checkpoint after Reboot: %d dumps, %d deltas, %d checkpoints; want an incremental checkpoint", st.Dumps, st.Deltas, st.Checkpoints)
+	}
+}

@@ -61,7 +61,8 @@ func writeThroughGinja(profile cloudsim.Profile, tune func(*core.Params), writes
 }
 
 // AblationAggregation quantifies write aggregation: the same page-rewrite
-// workload with coalescing on vs off (DESIGN.md §5).
+// workload in batches of 100 vs one update per batch, where there is
+// nothing to coalesce (DESIGN.md §5).
 type AblationAggregation struct {
 	Writes          int
 	PutsAggregated  int64
@@ -75,20 +76,19 @@ type AblationAggregation struct {
 // store.
 func RunAblationAggregation(writes int) (AblationAggregation, error) {
 	res := AblationAggregation{Writes: writes}
-	run := func(disable bool) (core.Stats, error) {
+	run := func(batch int) (core.Stats, error) {
 		r, err := writeThroughGinja(cloudsim.Profile{}, func(p *core.Params) {
-			p.Batch = 100
+			p.Batch = batch
 			p.Safety = 10000
 			p.BatchTimeout = 20 * time.Millisecond
-			p.DisableAggregation = disable
 		}, writes, true)
 		return r.stats, err
 	}
-	with, err := run(false)
+	with, err := run(100)
 	if err != nil {
 		return res, err
 	}
-	without, err := run(true)
+	without, err := run(1)
 	if err != nil {
 		return res, err
 	}

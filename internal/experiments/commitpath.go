@@ -119,7 +119,7 @@ type commitDrive struct {
 	batch        int
 	safety       int
 	batchTimeout time.Duration
-	unpacked     bool          // DisablePacking: one object per write-run
+	maxObject    int64         // Params.MaxObjectSize; 0 = the default
 	pace         time.Duration // 0 = submit as fast as the pipeline accepts
 	adaptive     bool          // AdaptiveBatching under ceiling
 	ceiling      float64
@@ -160,7 +160,7 @@ func driveCommits(d commitDrive) (commitOutcome, error) {
 	params.Safety = d.safety
 	params.BatchTimeout = d.batchTimeout
 	params.SafetyTimeout = 2 * time.Minute
-	params.DisablePacking = d.unpacked
+	params.MaxObjectSize = d.maxObject
 	params.AdaptiveBatching = d.adaptive
 	params.CostCeilingPerDay = d.ceiling
 	params.Metrics = reg
@@ -205,15 +205,20 @@ func driveCommits(d commitDrive) (commitOutcome, error) {
 
 // measureCommitpath drives Commits small scattered writes packed or
 // unpacked and reports throughput, latency quantiles and PUT accounting.
+// The unpacked baseline caps objects at one write's size, so each write
+// of a batch becomes its own object.
 func measureCommitpath(opts CommitpathOptions, packing bool) (CommitpathRun, error) {
 	run := CommitpathRun{Packing: packing, Commits: opts.Commits}
 	// Safety is 2×B so throughput is bound by upload round trips, not by
 	// an over-generous queue.
-	out, err := driveCommits(commitDrive{
+	d := commitDrive{
 		rtt: 40 * time.Millisecond, commits: opts.Commits, payloadBytes: opts.PayloadBytes,
 		batch: opts.Batch, safety: 2 * opts.Batch, batchTimeout: 50 * time.Millisecond,
-		unpacked: !packing,
-	})
+	}
+	if !packing {
+		d.maxObject = int64(opts.PayloadBytes)
+	}
+	out, err := driveCommits(d)
 	if err != nil {
 		return run, err
 	}
