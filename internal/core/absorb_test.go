@@ -195,6 +195,14 @@ func (r *absorbRig) putDBObjects() []DBName {
 	return out
 }
 
+// reservations counts the generations the view holds for objects that have
+// not landed.
+func (r *absorbRig) reservations() int {
+	r.g.view.mu.Lock()
+	defer r.g.view.mu.Unlock()
+	return len(r.g.view.reserved)
+}
+
 func (r *absorbRig) absorbedMetric(into string) float64 {
 	return r.p.Metrics.Counter(metricCkptAbsorbed, "", obs.Labels{"into": into}).Value()
 }
@@ -209,9 +217,7 @@ func testAbsorb(t *testing.T) {
 	r.cycle(2, 1, 2)
 	r.cycle(3, 2, 3)
 	ts4 := r.cycle(4, 3, 4)
-	r.g.ckpt.genMu.Lock()
-	reserved := len(r.g.ckpt.genAlloc)
-	r.g.ckpt.genMu.Unlock()
+	reserved := r.reservations()
 	if reserved != 2 {
 		t.Fatalf("%d generation reservations with one checkpoint uploading and one open, want 2", reserved)
 	}
@@ -237,9 +243,7 @@ func testAbsorb(t *testing.T) {
 	if s.CheckpointBytesBuffered != 0 {
 		t.Fatalf("%d bytes still buffered after the queue settled", s.CheckpointBytesBuffered)
 	}
-	r.g.ckpt.genMu.Lock()
-	reserved = len(r.g.ckpt.genAlloc)
-	r.g.ckpt.genMu.Unlock()
+	reserved = r.reservations()
 	if reserved != 0 {
 		t.Fatalf("%d generation reservations outlive the uploads", reserved)
 	}
@@ -436,9 +440,7 @@ func testSupersedeInFlight(t *testing.T, deltas, closeEarly bool) {
 		t.Fatalf("the sync started before the crossing failed or returned before the %s landed", elem)
 	}
 	r.noObjectAt(ts2, part0)
-	r.g.ckpt.genMu.Lock()
-	reserved := len(r.g.ckpt.genAlloc)
-	r.g.ckpt.genMu.Unlock()
+	reserved := r.reservations()
 	if s := r.g.Stats(); reserved != 0 || s.Checkpoints != 1 || s.CheckpointBytesBuffered != 0 {
 		t.Fatalf("stats %+v, %d generation reservations: want checkpoint 1 alone uploaded and nothing left", s, reserved)
 	}

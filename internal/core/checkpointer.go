@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -91,13 +90,6 @@ type checkpointer struct {
 	tsAtBegin  int64
 	writes     []FileWrite
 
-	// genAlloc holds the highest generation handed out per ts, under its
-	// own lock: the upload goroutine prunes entries while the DBMS thread
-	// may be blocked on the upload queue with c.mu held — sharing c.mu
-	// here would deadlock.
-	genMu    sync.Mutex
-	genAlloc map[int64]int
-
 	// The upload queue (DESIGN.md §19): at most one chain element, then one
 	// open checkpoint. done is the last seq processed, for sync; qCh closes
 	// on every change; queued mirrors len(pending) for the depth gauge;
@@ -156,15 +148,10 @@ type checkpointer struct {
 	stats   checkpointStats
 	metrics *checkpointMetrics
 
-	// retired holds the superseded objects a retention window
-	// (Params.RetainFor) keeps alive, by names[0]: see retire and
-	// trimRetention. trimSlot serializes trims; it is a one-slot channel,
+	// trimSlot serializes trims (trimRetention); it is a one-slot channel,
 	// not a mutex, because a trim holds it across cloud I/O and a trimmer
 	// waiting for it must park like any other clock wait.
-	retMu      sync.Mutex
-	retired    map[string]gcVictim
-	retiredSeq int
-	trimSlot   chan struct{}
+	trimSlot chan struct{}
 
 	// Trimmer tick state: the periodic retention trim is driven by a
 	// clock func timer (one entry on the shared tick wheel in fleet mode,
@@ -181,19 +168,6 @@ type checkpointer struct {
 	err   error
 }
 
-// gcVictim is one superseded cloud object: a WAL object, or a DB object
-// with all its parts.
-type gcVictim struct {
-	names []string      // cloud keys; names[0] identifies the object
-	walTs int64         // the WAL object's timestamp (db == nil)
-	db    *DBObjectInfo // nil for a WAL object
-	// at is the supersession stamp that starts the RetainFor window; seq
-	// numbers retired objects in stamping order, which within one sweep is
-	// WAL before the DB objects, oldest first.
-	at  time.Time
-	seq int
-}
-
 func newCheckpointer(localFS vfs.FS, proc dbevent.Processor, view *CloudView,
 	io *cloudIO, params Params, tracker *streamTracker) *checkpointer {
 	// Everything the CheckpointThread issues — DB-object parts, GC and
@@ -208,8 +182,6 @@ func newCheckpointer(localFS vfs.FS, proc dbevent.Processor, view *CloudView,
 		params:    params,
 		clk:       clk,
 		metrics:   newCheckpointMetrics(params.Metrics),
-		genAlloc:  make(map[int64]int),
-		retired:   make(map[string]gcVictim),
 		gateHolds: make(map[*gateHold]struct{}),
 		ctx:       ctx,
 		cancel:    cancel,
@@ -469,15 +441,7 @@ func (c *checkpointer) finalizeLocked() {
 		return
 	}
 
-	// Generations must be unique even while earlier objects with the same
-	// ts are still queued for upload (not yet in the view).
-	c.genMu.Lock()
-	gen := c.view.NextDBGen(c.tsAtBegin)
-	if g, ok := c.genAlloc[c.tsAtBegin]; ok && g+1 > gen {
-		gen = g + 1
-	}
-	c.genAlloc[c.tsAtBegin] = gen
-	c.genMu.Unlock()
+	gen := c.view.reserveDBGen(c.tsAtBegin)
 	var openSeq int64 // 0: none. Only this thread grows it; the loop may take it.
 	queued := func() bool { open := c.openLocked(); return open != nil && open.seq == openSeq }
 	for settled := false; !settled; openSeq = 0 {
@@ -557,17 +521,13 @@ type superseded struct{ into DBObjectType }
 
 func (s superseded) Error() string { return "core: checkpoint superseded by a " + string(s.into) }
 
-// absorb drops a checkpoint's genAlloc reservation once a later object (of
-// type into) carries its writes, after recording as orphans the parts it
-// tried to PUT. It runs under qMu for the open checkpoint, so it must not
-// register metrics: the export samples the queue.
+// absorb abandons a checkpoint once a later object (of type into) carries
+// its writes: the view records the parts it tried to PUT as orphans and
+// drops its generation reservation. It runs under qMu for the open
+// checkpoint, so it must not register metrics: the export samples the
+// queue.
 func (c *checkpointer) absorb(ckpt dbObject, into DBObjectType, tried []string) {
-	c.genMu.Lock()
-	c.view.AddOrphans(ckpt.ts, ckpt.gen, tried)
-	if c.genAlloc[ckpt.ts] == ckpt.gen {
-		delete(c.genAlloc, ckpt.ts)
-	}
-	c.genMu.Unlock()
+	c.view.abandon(ckpt.ts, ckpt.gen, tried)
 	c.stats.absorbed.Add(1)
 	if c.metrics != nil {
 		c.metrics.absorbed[into].Inc()
@@ -739,8 +699,8 @@ func (c *checkpointer) localDBSize() (int64, error) {
 // the DB object's part plan — each ≤ MaxObjectSize part independently
 // encoded, sealed and PUT by up to CheckpointUploaders workers, so
 // resident memory stays bounded by the uploader window, not the database
-// size — record it, then delete the WAL objects it supersedes and, for
-// dumps, older DB objects subject to the point-in-time retention policy.
+// size — record it, then delete what it supersedes (CloudView.supersede)
+// subject to the point-in-time retention policy.
 // The view learns about the object only after every part is durable, so a
 // failure mid-upload leaves at most orphan parts in the bucket; after a
 // restart, LoadFromList records them as orphans (never surfacing them to
@@ -784,14 +744,6 @@ func (c *checkpointer) upload(ctx context.Context, obj dbObject) error {
 	if err := c.view.AddDB(info); err != nil {
 		return err
 	}
-	// The view now knows about this (ts, gen): NextDBGen covers it, so the
-	// collision-avoidance entry is no longer needed (and would otherwise
-	// accumulate one entry per checkpoint forever).
-	c.genMu.Lock()
-	if g, ok := c.genAlloc[obj.ts]; ok && g <= obj.gen {
-		delete(c.genAlloc, obj.ts)
-	}
-	c.genMu.Unlock()
 	switch obj.typ {
 	case Dump:
 		c.stats.dumps.Add(1)
@@ -821,82 +773,18 @@ func (c *checkpointer) upload(ctx context.Context, obj dbObject) error {
 		"type", string(obj.typ), "ts", obj.ts, "gen", obj.gen,
 		"bytes", size, "parts", len(parts))
 
-	// Garbage collection (lines 23-29): the WAL objects this DB object
-	// covers; for a dump, every older DB object; for a delta, the
-	// checkpoints it recaptured; for both, any orphan parts. All of them are
-	// retired, then trimmed: without a retention window that deletes them
-	// at once; with one, the inline trim keeps the RetainObjects cap between
-	// trimmer ticks and an expired window does not wait for one.
-	var victims []gcVictim
-	for _, w := range c.view.WALObjects() {
-		if w.Ts <= obj.ts {
-			victims = append(victims, gcVictim{names: []string{w.Name()}, walTs: w.Ts})
-		}
-	}
-	for _, d := range c.supersededBy(obj) {
-		d := d
-		victims = append(victims, gcVictim{names: d.PartNames(), db: &d})
-	}
-	c.retire(victims)
+	// Garbage collection (lines 23-29): the view stamps what this object
+	// supersedes, then the trim deletes what is due — without a retention
+	// window everything stamped; with one, what keeps the RetainObjects cap
+	// between trimmer ticks and any window that has closed. A chain element
+	// also sweeps the orphan parts.
+	c.view.supersede(c.clk.Now())
 	var orphans []OrphanPart
 	if obj.typ != Checkpoint { // its victims have left TotalDBSize: the rule may run again
 		c.chainInFlight.Store(false)
 		orphans = c.view.OrphanParts()
 	}
 	return c.trimRetention(orphans)
-}
-
-// supersededBy selects the DB objects a freshly durable obj makes
-// redundant. A dump supersedes every older DB object (Algorithm 3); a
-// retention window (Params.RetainFor) keeps them reachable by RecoverAt
-// until trimRetention deletes them. A delta supersedes every Checkpoint
-// strictly between its base and itself: it recaptured every range they
-// dirtied (the dirty map is fed from the same collected writes), and
-// removing them is what keeps the chain self-describing for LoadFromList,
-// which never needs intervening checkpoints to materialize a chain.
-func (c *checkpointer) supersededBy(obj dbObject) []DBObjectInfo {
-	objs := c.view.DBObjects() // sorted by (Ts, Gen)
-	var victims []DBObjectInfo
-	switch obj.typ {
-	case Dump:
-		self := DBObjectInfo{Ts: obj.ts, Gen: obj.gen}
-		for _, d := range objs {
-			if d.Before(self) {
-				victims = append(victims, d)
-			}
-		}
-	case Delta:
-		base := DBObjectInfo{Ts: obj.baseTs, Gen: obj.baseGen}
-		self := DBObjectInfo{Ts: obj.ts, Gen: obj.gen}
-		for _, d := range objs {
-			if d.Type == Checkpoint && base.Before(d) && d.Before(self) {
-				victims = append(victims, d)
-			}
-		}
-	}
-	return victims
-}
-
-// retire stamps superseded objects with the start of their retention
-// window (Params.RetainFor, possibly zero) — first stamp wins, a re-marked
-// victim must not have its window restarted. Until trimRetention deletes
-// it a retired object stays in the cloud and in the view, so RecoverAt can
-// still reach it; a retired DB object leaves the 150 %-rule size
-// accounting at once.
-func (c *checkpointer) retire(victims []gcVictim) {
-	now := c.clk.Now()
-	c.retMu.Lock()
-	defer c.retMu.Unlock()
-	for _, v := range victims {
-		if _, ok := c.retired[v.names[0]]; !ok {
-			c.retiredSeq++
-			v.at, v.seq = now, c.retiredSeq
-			c.retired[v.names[0]] = v
-		}
-		if v.db != nil {
-			c.view.MarkDBRetired(v.db.Ts, v.db.Gen)
-		}
-	}
 }
 
 // sweep deletes victims and orphan parts through the seam's one bounded
@@ -946,9 +834,6 @@ func (c *checkpointer) sweep(victims []gcVictim, orphans []OrphanPart) error {
 				c.metrics.dbDeleted.Inc()
 			}
 		}
-		c.retMu.Lock()
-		delete(c.retired, v.names[0])
-		c.retMu.Unlock()
 	})
 	if err == nil && len(names) > 0 {
 		c.params.logger().Debug("garbage-collected WAL objects and DB parts",
@@ -957,29 +842,14 @@ func (c *checkpointer) sweep(victims []gcVictim, orphans []OrphanPart) error {
 	return err
 }
 
-// trimRetention deletes retired objects whose RetainFor window has
-// closed, plus — BtrLog-style bounded chain length — the oldest-superseded
-// entries beyond the RetainObjects cap, even if their window is still
-// open, plus the given orphan parts. Runs from the background trimmer and
-// inline after each upload; trimSlot keeps the two from racing each other.
+// trimRetention deletes the stamped objects the view reports expired —
+// their RetainFor window closed, or over the RetainObjects cap — plus the
+// given orphan parts. Runs from the background trimmer and inline after
+// each landing; trimSlot keeps the two from racing each other.
 func (c *checkpointer) trimRetention(orphans []OrphanPart) error {
 	simclock.Send(context.Background(), c.clk, c.trimSlot, struct{}{}) //nolint:errcheck // Background never ends
 	defer simclock.Recv(context.Background(), c.clk, c.trimSlot)       //nolint:errcheck
-	now := c.clk.Now()
-	c.retMu.Lock()
-	all := make([]gcVictim, 0, len(c.retired))
-	for _, v := range c.retired {
-		all = append(all, v)
-	}
-	c.retMu.Unlock()
-	sort.Slice(all, func(i, j int) bool { return all[i].seq < all[j].seq })
-	overflow := len(all) - c.params.RetainObjects
-	var victims []gcVictim
-	for i, v := range all {
-		if i < overflow || !now.Before(v.at.Add(c.params.RetainFor)) {
-			victims = append(victims, v)
-		}
-	}
+	victims := c.view.expired(c.clk.Now(), c.params.RetainFor, c.params.RetainObjects)
 	if len(victims)+len(orphans) == 0 {
 		return nil
 	}

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
+	"time"
 
 	"github.com/ginja-dr/ginja/internal/cloud"
 )
@@ -104,7 +107,9 @@ type OrphanPart struct {
 
 // CloudView is Ginja's local bookkeeping of the objects currently in the
 // cloud (Algorithm 1 line 1). It also owns the WAL timestamp counter that
-// totally orders uploads.
+// totally orders uploads, the generations handed out to DB objects not yet
+// landed, and the garbage-collection rule (supersede): which objects are
+// superseded, since when, and so which ones a sweep may delete.
 type CloudView struct {
 	mu     sync.Mutex
 	wal    map[int64]WALObjectInfo
@@ -112,13 +117,14 @@ type CloudView struct {
 	nextTs int64
 	dbSize int64
 
-	// retired marks DB objects superseded by a newer chain element but
-	// kept in the cloud by the point-in-time retention window
-	// (Params.RetainFor). They stay listed (RecoverAt needs them) but leave
-	// the 150 %-rule size accounting: retained history must not count as
-	// live cloud state, or every checkpoint after the first retirement
-	// would trigger a dump.
-	retired map[dbKey]bool
+	// walRetired and dbRetired hold, for each object the GC rule
+	// (supersede) found superseded, the instant it first did: the start of
+	// its point-in-time retention window (Params.RetainFor). A stamped object stays listed
+	// (RecoverAt needs it) until a sweep deletes it; a stamped DB object
+	// leaves the 150 %-rule size accounting at once, since retained history
+	// is not live cloud state.
+	walRetired map[int64]time.Time
+	dbRetired  map[dbKey]time.Time
 
 	// orphans holds the parts of incomplete DB objects found by
 	// LoadFromList, keyed by object name, until GC deletes them.
@@ -127,6 +133,10 @@ type CloudView struct {
 	// next generation NextDBGen may hand out for that ts, so orphaned
 	// generations are never reused even though they are not in db.
 	orphanGen map[int64]int
+	// reserved is the highest generation per ts handed out to a DB object
+	// that has not landed yet (reserveDBGen): the entry goes when the object
+	// lands or is abandoned, so the map holds at most the queued objects.
+	reserved map[int64]int
 }
 
 // NewCloudView returns an empty view. The WAL timestamp counter starts at
@@ -143,9 +153,11 @@ func NewCloudView() *CloudView {
 func (v *CloudView) reset(walHint int) {
 	v.wal = make(map[int64]WALObjectInfo, walHint)
 	v.db = make(map[dbKey]*DBObjectInfo)
-	v.retired = make(map[dbKey]bool)
+	v.walRetired = make(map[int64]time.Time)
+	v.dbRetired = make(map[dbKey]time.Time)
 	v.orphans = make(map[string]OrphanPart)
 	v.orphanGen = make(map[int64]int)
+	v.reserved = make(map[int64]int)
 	v.nextTs = 1
 	v.dbSize = 0
 }
@@ -168,21 +180,36 @@ func (v *CloudView) LastWALTs() int64 {
 
 // NextDBGen returns the next free generation number for DB objects with
 // timestamp ts. Generations consumed by orphans (incomplete objects found
-// in the cloud listing) count as taken: reusing one would let a fresh
-// object's parts coexist in the bucket with orphan parts of a different
-// size under the same (ts, gen).
+// in the cloud listing) or reserved for objects still uploading count as
+// taken: reusing one would let a fresh object's parts coexist in the
+// bucket with other parts of a different size under the same (ts, gen).
 func (v *CloudView) NextDBGen(ts int64) int {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	gen := 0
+	return v.nextDBGenLocked(ts)
+}
+
+func (v *CloudView) nextDBGenLocked(ts int64) int {
+	gen := v.orphanGen[ts]
 	for k := range v.db {
 		if k.ts == ts && k.gen >= gen {
 			gen = k.gen + 1
 		}
 	}
-	if g, ok := v.orphanGen[ts]; ok && g > gen {
-		gen = g
+	if g, ok := v.reserved[ts]; ok && g >= gen {
+		gen = g + 1
 	}
+	return gen
+}
+
+// reserveDBGen hands out the next free generation for a DB object about to
+// queue for upload at ts, and holds it until AddDB records the object or
+// abandon drops it.
+func (v *CloudView) reserveDBGen(ts int64) int {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	gen := v.nextDBGenLocked(ts)
+	v.reserved[ts] = gen
 	return gen
 }
 
@@ -203,10 +230,14 @@ func (v *CloudView) addWAL(info WALObjectInfo) {
 // AddDB records a complete DB object. Re-adding an existing (Ts, Gen) is
 // only legal for the same object — identical Size, Type and base; a
 // mismatch means two distinct objects claim the same slot (a generation
-// collision) and is reported.
+// collision) and is reported. The object's generation reservation, if any,
+// goes: NextDBGen sees the slot in db now.
 func (v *CloudView) AddDB(info DBObjectInfo) error {
 	v.mu.Lock()
 	defer v.mu.Unlock()
+	if g, ok := v.reserved[info.Ts]; ok && g <= info.Gen {
+		delete(v.reserved, info.Ts)
+	}
 	return v.addDB(info)
 }
 
@@ -228,45 +259,7 @@ func (v *CloudView) DeleteWAL(ts int64) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	delete(v.wal, ts)
-}
-
-// MarkDBRetired flags a DB object as superseded-but-retained: it stays in
-// DBObjects (point-in-time recovery can still use it) but stops counting
-// toward TotalDBSize. Idempotent; unknown keys are ignored.
-func (v *CloudView) MarkDBRetired(ts int64, gen int) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	v.markRetiredLocked(dbKey{ts: ts, gen: gen})
-}
-
-func (v *CloudView) markRetiredLocked(key dbKey) {
-	if d, ok := v.db[key]; ok && !v.retired[key] {
-		v.retired[key] = true
-		v.dbSize -= d.Size
-	}
-}
-
-// retireSupersededLocked marks what a live instance's garbage collection
-// has already retired, for a view rebuilt from a listing that still holds
-// retained history: every DB object older than the newest dump, and every
-// checkpoint older than the newest delta (each delta supersedes the
-// checkpoints since its base, the previous chain element; one older than
-// the newest dump adds nothing).
-func (v *CloudView) retireSupersededLocked() {
-	var dump, delta DBObjectInfo // the zero key: nothing is Before it
-	for _, d := range v.db {
-		if d.Type == Dump && dump.Before(*d) {
-			dump = *d
-		}
-		if d.Type == Delta && delta.Before(*d) {
-			delta = *d
-		}
-	}
-	for key, d := range v.db {
-		if d.Before(dump) || (d.Type == Checkpoint && d.Before(delta)) {
-			v.markRetiredLocked(key)
-		}
-	}
+	delete(v.walRetired, ts)
 }
 
 // DeleteDB forgets a DB object (after its cloud DELETEs).
@@ -275,12 +268,95 @@ func (v *CloudView) DeleteDB(ts int64, gen int) {
 	defer v.mu.Unlock()
 	key := dbKey{ts: ts, gen: gen}
 	if d, ok := v.db[key]; ok {
-		if !v.retired[key] {
+		if _, retired := v.dbRetired[key]; !retired {
 			v.dbSize -= d.Size
 		}
 		delete(v.db, key)
-		delete(v.retired, key)
+		delete(v.dbRetired, key)
 	}
+}
+
+// supersede applies the garbage-collection rule (Algorithm 3 lines 23–29)
+// to everything the view holds, and stamps what it newly finds superseded
+// with now. A DB object supersedes the WAL objects with ts ≤ its own; a
+// dump, every older DB object; a delta, the checkpoints since its base —
+// so along a chain every checkpoint older than the newest delta, since
+// each delta recaptured every range they dirtied. An object found again
+// keeps its first stamp: its window must not restart. The checkpointer
+// calls it after each landing, and Ginja.start after every start-up
+// load, so a restarted instance trims the history it lists.
+func (v *CloudView) supersede(now time.Time) {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	var newestTs int64
+	var dump, delta DBObjectInfo // the zero key: nothing is Before it
+	for _, d := range v.db {
+		newestTs = max(newestTs, d.Ts)
+		if d.Type == Dump && dump.Before(*d) {
+			dump = *d
+		}
+		if d.Type == Delta && delta.Before(*d) {
+			delta = *d
+		}
+	}
+	for ts := range v.wal {
+		if _, ok := v.walRetired[ts]; ts <= newestTs && !ok {
+			v.walRetired[ts] = now
+		}
+	}
+	for key, d := range v.db {
+		if _, ok := v.dbRetired[key]; !ok && (d.Before(dump) || (d.Type == Checkpoint && d.Before(delta))) {
+			v.dbRetired[key] = now
+			v.dbSize -= d.Size
+		}
+	}
+}
+
+// gcVictim is one superseded cloud object: a WAL object, or a DB object
+// with all its parts.
+type gcVictim struct {
+	names []string      // cloud keys; names[0] identifies the object
+	walTs int64         // the WAL object's timestamp (db == nil)
+	db    *DBObjectInfo // nil for a WAL object
+}
+
+// expired lists the stamped objects a sweep at now deletes: those whose
+// retainFor window has closed, plus, BtrLog-style, the oldest-stamped ones
+// beyond the retainObjects cap even if their window is still open. The
+// list is in stamping order: by stamp, and per stamp WAL by ts, then DB
+// by (ts, gen).
+func (v *CloudView) expired(now time.Time, retainFor time.Duration, retainObjects int) []gcVictim {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	type stamp struct {
+		at   time.Time
+		kind int // 0 WAL, 1 DB: a landing stamps its WAL victims first
+		key  dbKey
+	}
+	all := make([]stamp, 0, len(v.walRetired)+len(v.dbRetired))
+	for ts, at := range v.walRetired {
+		all = append(all, stamp{at, 0, dbKey{ts: ts}})
+	}
+	for key, at := range v.dbRetired {
+		all = append(all, stamp{at, 1, key})
+	}
+	slices.SortFunc(all, func(a, b stamp) int {
+		return cmp.Or(a.at.Compare(b.at), cmp.Compare(a.kind, b.kind),
+			cmp.Compare(a.key.ts, b.key.ts), cmp.Compare(a.key.gen, b.key.gen))
+	})
+	overflow := len(all) - retainObjects
+	var victims []gcVictim
+	for i, s := range all {
+		switch {
+		case i >= overflow && now.Before(s.at.Add(retainFor)):
+		case s.kind == 0:
+			victims = append(victims, gcVictim{names: []string{v.wal[s.key.ts].Name()}, walTs: s.key.ts})
+		default:
+			d := *v.db[s.key]
+			victims = append(victims, gcVictim{names: d.PartNames(), db: &d})
+		}
+	}
+	return victims
 }
 
 // TotalDBSize returns the summed payload size of all DB objects — the
@@ -339,13 +415,17 @@ func (v *CloudView) DropOrphan(name string) {
 	delete(v.orphans, name)
 }
 
-// AddOrphans records the parts of this process's abandoned upload of
-// (ts, gen) as orphans, as LoadFromList would: any of them may exist.
-func (v *CloudView) AddOrphans(ts int64, gen int, names []string) {
+// abandon records the parts this process's abandoned upload of (ts, gen)
+// tried as orphans, as LoadFromList would (any of them may exist), and
+// drops the object's generation reservation.
+func (v *CloudView) abandon(ts int64, gen int, tried []string) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	for _, name := range names {
+	for _, name := range tried {
 		v.addOrphan(ts, gen, name)
+	}
+	if v.reserved[ts] == gen {
+		delete(v.reserved, ts)
 	}
 }
 
@@ -383,7 +463,6 @@ func (v *CloudView) LoadFromList(infos []cloud.ObjectInfo) error {
 			return err
 		}
 	}
-	v.retireSupersededLocked()
 	for _, g := range t.unresolved() {
 		ts := g.info.Ts
 		for _, p := range g.parts {

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/ginja-dr/ginja/internal/cloud"
 )
@@ -127,5 +129,144 @@ func TestCloudViewConcurrent(t *testing.T) {
 	}
 	if last := v.LastWALTs(); last != 1600 {
 		t.Fatalf("LastWALTs = %d, want 1600 (no duplicate timestamps)", last)
+	}
+}
+
+// TestCloudViewSupersede is the garbage-collection rule on whole bucket
+// histories: a DB object supersedes the WAL objects with ts ≤ its own, a
+// dump every older DB object, a delta the checkpoints since its base. The
+// superseded objects are stamped and leave TotalDBSize; a view rebuilt
+// from the same listing stamps exactly what the live one did.
+func TestCloudViewSupersede(t *testing.T) {
+	dump := func(ts int64, gen int) DBObjectInfo { return DBObjectInfo{Ts: ts, Gen: gen, Type: Dump, Size: 1000} }
+	ckpt := func(ts int64, gen int) DBObjectInfo {
+		return DBObjectInfo{Ts: ts, Gen: gen, Type: Checkpoint, Size: 100}
+	}
+	delta := func(ts int64, base DBObjectInfo) DBObjectInfo {
+		return DBObjectInfo{Ts: ts, Type: Delta, Size: 10, BaseTs: base.Ts, BaseGen: base.Gen}
+	}
+	for _, tc := range []struct {
+		name    string
+		wal     int64 // WAL objects 1..wal
+		db      []DBObjectInfo
+		wantWAL []int64 // stamped
+		wantDB  []dbKey
+	}{
+		{name: "wal only", wal: 3},
+		{name: "boot", wal: 3, db: []DBObjectInfo{dump(0, 0)}},
+		{name: "checkpoints", wal: 6, db: []DBObjectInfo{dump(0, 0), ckpt(2, 0), ckpt(4, 0), ckpt(4, 1)},
+			wantWAL: []int64{1, 2, 3, 4}},
+		{name: "dump", wal: 6, db: []DBObjectInfo{dump(0, 0), ckpt(2, 0), dump(2, 1), ckpt(5, 0)},
+			wantWAL: []int64{1, 2, 3, 4, 5}, wantDB: []dbKey{{0, 0}, {2, 0}}},
+		{name: "delta chain", wal: 8,
+			db: []DBObjectInfo{dump(0, 0), ckpt(1, 0), delta(2, dump(0, 0)), ckpt(3, 0),
+				delta(4, delta(2, dump(0, 0))), ckpt(6, 0)},
+			wantWAL: []int64{1, 2, 3, 4, 5, 6}, wantDB: []dbKey{{1, 0}, {3, 0}}},
+		{name: "delta chain folded", wal: 8,
+			db:      []DBObjectInfo{dump(0, 0), ckpt(1, 0), delta(2, dump(0, 0)), ckpt(3, 0), dump(5, 0), ckpt(7, 0)},
+			wantWAL: []int64{1, 2, 3, 4, 5, 6, 7}, wantDB: []dbKey{{0, 0}, {1, 0}, {2, 0}, {3, 0}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			at := time.Unix(100, 0)
+			v := NewCloudView()
+			var listing []cloud.ObjectInfo
+			for ts := int64(1); ts <= tc.wal; ts++ {
+				w := WALObjectInfo{Ts: ts, Filename: "seg", Offset: ts * 8192, Size: 10}
+				v.AddWAL(w)
+				listing = append(listing, cloud.ObjectInfo{Name: w.Name(), Size: w.Size})
+			}
+			var live int64
+			for _, d := range tc.db {
+				if err := v.AddDB(d); err != nil {
+					t.Fatal(err)
+				}
+				listing = append(listing, cloud.ObjectInfo{Name: d.PartNames()[0], Size: d.Size})
+				live += d.Size
+			}
+			v.supersede(at)
+			wantWAL := map[int64]time.Time{}
+			for _, ts := range tc.wantWAL {
+				wantWAL[ts] = at
+			}
+			wantDB := map[dbKey]time.Time{}
+			for _, k := range tc.wantDB {
+				wantDB[k] = at
+				live -= v.db[k].Size
+			}
+			if !reflect.DeepEqual(v.walRetired, wantWAL) || !reflect.DeepEqual(v.dbRetired, wantDB) {
+				t.Fatalf("stamped WAL %v, DB %v; want %v, %v", v.walRetired, v.dbRetired, wantWAL, wantDB)
+			}
+			if got := v.TotalDBSize(); got != live {
+				t.Fatalf("TotalDBSize = %d, want %d without the stamped objects", got, live)
+			}
+
+			r := NewCloudView()
+			if err := r.LoadFromList(listing); err != nil {
+				t.Fatal(err)
+			}
+			r.supersede(at)
+			if !reflect.DeepEqual(r.walRetired, v.walRetired) || !reflect.DeepEqual(r.dbRetired, v.dbRetired) ||
+				r.TotalDBSize() != v.TotalDBSize() || !reflect.DeepEqual(r.DBObjects(), v.DBObjects()) ||
+				!reflect.DeepEqual(r.WALObjects(), v.WALObjects()) {
+				t.Fatalf("reloaded view stamps WAL %v, DB %v, sizes %d; live %v, %v, %d",
+					r.walRetired, r.dbRetired, r.TotalDBSize(), v.walRetired, v.dbRetired, v.TotalDBSize())
+			}
+		})
+	}
+}
+
+// TestCloudViewExpiredOrder: the first stamp wins, the window closes per
+// stamp, and a sweep (and the RetainObjects cap) takes the stamped objects
+// oldest stamp first — per stamp WAL by ts, then DB by (ts, gen).
+func TestCloudViewExpiredOrder(t *testing.T) {
+	v := NewCloudView()
+	t0 := time.Unix(100, 0)
+	t1 := t0.Add(time.Second)
+	wal := func(ts int64) WALObjectInfo { return WALObjectInfo{Ts: ts, Filename: "seg", Offset: ts} }
+	add := func(d DBObjectInfo) {
+		if err := v.AddDB(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Landing 1, a checkpoint at ts 2: WAL 1 and 2 stamped at t0.
+	add(DBObjectInfo{Ts: 0, Type: Dump, Size: 1000})
+	for ts := int64(1); ts <= 3; ts++ {
+		v.AddWAL(wal(ts))
+	}
+	add(DBObjectInfo{Ts: 2, Type: Checkpoint, Size: 100})
+	v.supersede(t0)
+	// Landing 2, a dump at ts 4: WAL 3 and 4 and both older DB objects
+	// stamped at t1; WAL 1 and 2 keep t0.
+	v.AddWAL(wal(4))
+	v.AddWAL(wal(5))
+	add(DBObjectInfo{Ts: 4, Type: Dump, Size: 1000})
+	v.supersede(t1)
+	if got := v.TotalDBSize(); got != 1000 {
+		t.Fatalf("TotalDBSize = %d, want the new dump's 1000", got)
+	}
+	names := func(victims []gcVictim) []string {
+		var out []string
+		for _, vc := range victims {
+			out = append(out, vc.names[0])
+		}
+		return out
+	}
+	ckpt2 := DBObjectInfo{Ts: 2, Type: Checkpoint, Size: 100}.PartNames()[0]
+	dump0 := DBObjectInfo{Ts: 0, Type: Dump, Size: 1000}.PartNames()[0]
+	for _, tc := range []struct {
+		name string
+		now  time.Time
+		cap  int
+		want []string
+	}{
+		{"window open", t0, 100, nil},
+		{"first stamps closed", t1, 100, []string{wal(1).Name(), wal(2).Name()}},
+		{"all closed", t1.Add(time.Second), 100,
+			[]string{wal(1).Name(), wal(2).Name(), wal(3).Name(), wal(4).Name(), dump0, ckpt2}},
+		{"cap", t0, 1, []string{wal(1).Name(), wal(2).Name(), wal(3).Name(), wal(4).Name(), dump0}},
+	} {
+		if got := names(v.expired(tc.now, time.Second, tc.cap)); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: expired = %v, want %v", tc.name, got, tc.want)
+		}
 	}
 }

@@ -341,7 +341,7 @@ func (f *Follower) Promote(ctx context.Context) (*Ginja, error) {
 	}
 	g := newGinja(f.localFS, f.io, f.proc, f.params)
 	bd := &RecoveryBreakdown{Mode: "promote"}
-	if err := g.recoverInto(ctx, f.localFS, bd, func(infos []cloud.ObjectInfo) error {
+	if err := g.recoverInto(ctx, g.view, f.localFS, bd, func(infos []cloud.ObjectInfo) error {
 		f.polls.Add(1)
 		// There is no next poll to finish what a GC race cut short: re-plan
 		// from the same listing until a poll completes (each retry forgets

@@ -297,8 +297,8 @@ func (g *Ginja) Recover(ctx context.Context) error {
 		return errors.New("core: already started")
 	}
 	bd := &RecoveryBreakdown{Mode: "recover"}
-	if err := g.recoverInto(ctx, g.localFS, bd, func([]cloud.ObjectInfo) error {
-		return g.restoreTo(ctx, g.localFS, -1, bd)
+	if err := g.recoverInto(ctx, g.view, g.localFS, bd, func([]cloud.ObjectInfo) error {
+		return g.restoreTo(ctx, g.view, g.localFS, -1, bd)
 	}); err != nil {
 		return err
 	}
@@ -318,23 +318,25 @@ func (g *Ginja) Recover(ctx context.Context) error {
 // ErrNoDump. ts = -1 recovers the newest state (like Recover, but onto
 // target). RecoverAt does NOT start replication — point-in-time restores
 // are for inspection or fork-off, not for resuming the production
-// timeline.
+// timeline — and plans from a view of its own listing, so the instance's
+// view, live or not, is left alone.
 func (g *Ginja) RecoverAt(ctx context.Context, target vfs.FS, ts int64) error {
 	if ts < -1 {
 		return fmt.Errorf("core: RecoverAt target ts must be ≥ 0 (or -1 for newest), got %d", ts)
 	}
 	bd := &RecoveryBreakdown{Mode: "recover_at"}
-	return g.recoverInto(ctx, target, bd, func([]cloud.ObjectInfo) error {
-		return g.restoreTo(ctx, target, ts, bd)
+	view := NewCloudView()
+	return g.recoverInto(ctx, view, target, bd, func([]cloud.ObjectInfo) error {
+		return g.restoreTo(ctx, view, target, ts, bd)
 	})
 }
 
-// recoverInto runs the full recovery sequence onto target — LIST,
-// CloudView build, restore (which fills target: from a plan for Recover
-// and RecoverAt, by a Follower's final catch-up for Promote), verify — with
+// recoverInto runs the full recovery sequence onto target — LIST, view
+// build, restore (which fills target: from a plan for Recover and
+// RecoverAt, by a Follower's final catch-up for Promote), verify — with
 // every phase timed into bd, then publishes bd (Stats.LastRecovery, the
 // ginja_recovery_phase_seconds histogram and "recovery:*" spans).
-func (g *Ginja) recoverInto(ctx context.Context, target vfs.FS, bd *RecoveryBreakdown, restore func([]cloud.ObjectInfo) error) error {
+func (g *Ginja) recoverInto(ctx context.Context, view *CloudView, target vfs.FS, bd *RecoveryBreakdown, restore func([]cloud.ObjectInfo) error) error {
 	clk := g.params.clock()
 	started := clk.Now()
 	infos, err := g.io.list(ctx, false)
@@ -344,7 +346,7 @@ func (g *Ginja) recoverInto(ctx context.Context, target vfs.FS, bd *RecoveryBrea
 	bd.List = clk.Since(started)
 
 	t := clk.Now()
-	if err := g.view.LoadFromList(infos); err != nil {
+	if err := view.LoadFromList(infos); err != nil {
 		return err
 	}
 	bd.ViewBuild = clk.Since(t)
@@ -367,12 +369,12 @@ func (g *Ginja) recoverInto(ctx context.Context, target vfs.FS, bd *RecoveryBrea
 	return nil
 }
 
-// restoreTo rebuilds target as plan orders it from the view (upTo = -1:
-// the newest state), accumulating the fetch/decode/apply phase timings
-// into bd. Only the downloads overlap (RecoveryFetchers parallel GETs);
-// every object is applied strictly in plan order.
-func (g *Ginja) restoreTo(ctx context.Context, target vfs.FS, upTo int64, bd *RecoveryBreakdown) error {
-	db, run, err := plan(g.view.DBObjects(), g.view.WALObjects(), upTo)
+// restoreTo rebuilds target as plan orders it from view (upTo = -1: the
+// newest state), accumulating the fetch/decode/apply phase timings into
+// bd. Only the downloads overlap (RecoveryFetchers parallel GETs); every
+// object is applied strictly in plan order.
+func (g *Ginja) restoreTo(ctx context.Context, view *CloudView, target vfs.FS, upTo int64, bd *RecoveryBreakdown) error {
+	db, run, err := plan(view.DBObjects(), view.WALObjects(), upTo)
 	if err != nil {
 		return err
 	}
@@ -420,8 +422,13 @@ func applyWrites(target vfs.FS, writes []FileWrite) error {
 	return nil
 }
 
-// start launches the replication threads (Algorithm 1 lines 2-6).
+// start launches the replication threads (Algorithm 1 lines 2-6). First
+// the view stamps what its start-up listing holds that the GC rule
+// supersedes — history a previous instance retained or never got to
+// delete — so the trim treats it like this instance's own: its retention
+// window starts now.
 func (g *Ginja) start() {
+	g.view.supersede(g.params.clock().Now())
 	g.pipe = newPipeline(g.view, g.io, g.params)
 	g.pipe.start(g.view.LastWALTs())
 	g.ckpt = newCheckpointer(g.localFS, g.proc, g.view, g.io, g.params, g.tracker)

@@ -100,11 +100,15 @@ type Params struct {
 	Encrypt  bool
 	Password string
 	// RetainFor is the point-in-time recovery window: objects superseded
-	// by garbage collection (WAL covered by a checkpoint, DB objects older
-	// than a dump) stay in the cloud until they have been superseded
-	// for this long, so RecoverAt(ts) can rebuild the exact consistent
-	// prefix for any ts committed inside the window. 0 disables the window
-	// (superseded objects are deleted immediately).
+	// by garbage collection (WAL covered by a DB object, DB objects older
+	// than a dump, checkpoints a delta recaptured) stay in the cloud until
+	// they have been superseded for this long, so RecoverAt(ts) can
+	// rebuild the exact consistent prefix for any ts committed inside the
+	// window. The window runs from when this instance found the object
+	// superseded: an instance started on a bucket that already holds
+	// superseded objects starts their window at start-up. 0 disables the
+	// window: superseded objects are deleted by the landing that
+	// supersedes them (those a restarted instance lists, at its first).
 	RetainFor time.Duration
 	// RetainObjects caps how many superseded objects the retention window
 	// may hold (BtrLog-style bounded chain length: recovery work is

@@ -162,41 +162,30 @@ func extrasEntries(fsys vfs.FS, proc dbevent.Processor) ([]planEntry, error) {
 	return entries, nil
 }
 
-// planDump plans a full dump (Algorithm 3 line 10) without reading the
-// data files: every data-class file becomes a lazy whole-file entry whose
-// bytes the uploader reads chunk by chunk. Only the extras regions are
-// read eagerly (see extrasEntries).
+// planDump plans a full dump (Algorithm 3 line 10) as the delta of every
+// data-class file marked whole: lazy whole-file entries whose bytes the
+// uploader reads chunk by chunk, plus the eager extras regions.
 func planDump(fsys vfs.FS, proc dbevent.Processor, budget int64) ([][]planEntry, error) {
 	files, err := vfs.Walk(fsys, "")
 	if err != nil {
 		return nil, err
 	}
-	sort.Strings(files)
-	var entries []planEntry
+	whole := make(map[string]*dirtyFile)
 	for _, p := range files {
-		if proc.FileKind(p) != dbevent.KindData {
-			continue
+		if proc.FileKind(p) == dbevent.KindData {
+			whole[p] = &dirtyFile{Whole: true}
 		}
-		fi, err := fsys.Stat(p)
-		if err != nil {
-			return nil, err
-		}
-		entries = append(entries, planEntry{path: p, length: fi.Size(), whole: true})
 	}
-	extras, err := extrasEntries(fsys, proc)
-	if err != nil {
-		return nil, err
-	}
-	return planParts(append(entries, extras...), budget), nil
+	return planDelta(fsys, proc, whole, budget)
 }
 
 // planDelta plans a delta object from the dirty map accumulated since the
 // last chain element: lazy entries covering only the dirtied page ranges
 // of each file (clamped to the file's current size — a range past EOF was
 // superseded by a truncate, which forces a whole-file entry anyway), plus
-// the eager extras regions every chain element recaptures. Like planDump
-// it runs at the consistent cut point, inside the DBMS's checkpoint-end
-// write, and reads no data-file bytes itself.
+// the eager extras regions every chain element recaptures (see
+// extrasEntries). It runs at the consistent cut point, inside the DBMS's
+// checkpoint-end write, and reads no data-file bytes itself.
 func planDelta(fsys vfs.FS, proc dbevent.Processor, dirty map[string]*dirtyFile, budget int64) ([][]planEntry, error) {
 	paths := make([]string, 0, len(dirty))
 	for p := range dirty {

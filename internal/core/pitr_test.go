@@ -12,6 +12,7 @@ import (
 	"github.com/ginja-dr/ginja/internal/dbevent"
 	"github.com/ginja-dr/ginja/internal/minidb"
 	"github.com/ginja-dr/ginja/internal/minidb/pgengine"
+	"github.com/ginja-dr/ginja/internal/simclock"
 	"github.com/ginja-dr/ginja/internal/vfs"
 )
 
@@ -138,11 +139,19 @@ func pitrPropertyRun(t *testing.T, seed int64) {
 	}
 }
 
+// simPITRParams is pitrParams on a virtual clock: the retention window
+// closes when the test moves time, never by the machine's pace.
+func simPITRParams() Params {
+	p := pitrParams()
+	p.Clock = simclock.NewSim()
+	return p
+}
+
 // TestRetentionTrimExpiresWindow: once the RetainFor window closes, the
 // trimmer deletes retired objects and RecoverAt before the oldest
 // surviving dump reports ErrNoDump ("outside the retention window").
 func TestRetentionTrimExpiresWindow(t *testing.T) {
-	params := pitrParams()
+	params := simPITRParams()
 	params.RetainFor = 30 * time.Millisecond
 	store := cloud.NewMemStore()
 	g, err := New(vfs.NewMemFS(), store, dbevent.NewPGProcessor(), params)
@@ -161,15 +170,15 @@ func TestRetentionTrimExpiresWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Churn until the 150 % rule retires the boot generation, then let the
-	// window expire and a later sweep trim it.
-	deadline := time.Now().Add(10 * time.Second)
-	for g.Stats().WALObjectsDeleted == 0 || g.Stats().DBObjectsDeleted == 0 {
-		if time.Now().After(deadline) {
+	// window expire and a later sweep trim it: each round moves the clock a
+	// trimmer tick (RetainFor/4).
+	for round := 0; g.Stats().WALObjectsDeleted == 0 || g.Stats().DBObjectsDeleted == 0; round++ {
+		if round == 100 {
 			t.Fatalf("retention never trimmed (stats %+v)", g.Stats())
 		}
 		for i := 0; i < 8; i++ {
 			if err := db.Update(func(tx *minidb.Txn) error {
-				return tx.Put("kv", []byte(fmt.Sprintf("k%d", i)), []byte(fmt.Sprintf("%d", time.Now().UnixNano())))
+				return tx.Put("kv", []byte(fmt.Sprintf("k%d", i)), []byte(fmt.Sprintf("r%d", round)))
 			}); err != nil {
 				t.Fatal(err)
 			}
@@ -183,6 +192,7 @@ func TestRetentionTrimExpiresWindow(t *testing.T) {
 		if !g.SyncCheckpoints(5 * time.Second) {
 			t.Fatal("settle")
 		}
+		params.Clock.Sleep(params.RetainFor / 4)
 	}
 	// The boot dump (ts 0) is gone: a target before the oldest surviving
 	// dump has no qualifying recovery point.
@@ -203,7 +213,7 @@ func TestRetentionTrimExpiresWindow(t *testing.T) {
 // the RetainObjects cap still bounds the retained chain (BtrLog-style),
 // trimming the oldest-superseded objects inline with GC.
 func TestRetentionObjectCapTrimsEarly(t *testing.T) {
-	params := pitrParams()
+	params := simPITRParams()
 	params.RetainFor = time.Hour
 	params.RetainObjects = 4
 	store := cloud.NewMemStore()
@@ -253,7 +263,7 @@ func TestRetentionObjectCapTrimsEarly(t *testing.T) {
 func TestRebootLeavesRetainedObjectsOutOfDumpRule(t *testing.T) {
 	for _, deltas := range []bool{false, true} {
 		t.Run(map[bool]string{false: "dumps", true: "deltas"}[deltas], func(t *testing.T) {
-			params := pitrParams()
+			params := simPITRParams()
 			params.DeltaCheckpoints = deltas
 			params.DeltaCompactRatio = 10 // the crossing ships a delta, never a fold
 			rebootRetainedRun(t, params)
@@ -261,7 +271,12 @@ func TestRebootLeavesRetainedObjectsOutOfDumpRule(t *testing.T) {
 	}
 }
 
-func rebootRetainedRun(t *testing.T, params Params) {
+// retainedHistory boots a primary, churns until the 150 % rule ships a
+// chain element, and stops it cleanly: with a long enough window the
+// bucket still holds every object the element superseded. It returns the
+// stopped instance, its bucket and its local files.
+func retainedHistory(t *testing.T, params Params) (*Ginja, cloud.ObjectStore, vfs.FS) {
+	t.Helper()
 	store := cloud.NewMemStore()
 	local := vfs.NewMemFS()
 	g, err := New(local, store, dbevent.NewPGProcessor(), params)
@@ -308,6 +323,11 @@ func rebootRetainedRun(t *testing.T, params Params) {
 	if err := g.Close(); err != nil {
 		t.Fatal(err)
 	}
+	return g, store, local
+}
+
+func rebootRetainedRun(t *testing.T, params Params) {
+	g, store, local := retainedHistory(t, params)
 	live := g.view.TotalDBSize()
 
 	g2, err := New(local, store, dbevent.NewPGProcessor(), params)
@@ -345,4 +365,92 @@ func rebootRetainedRun(t *testing.T, params Params) {
 	if st := g2.Stats(); st.Dumps+st.Deltas != 0 || st.Checkpoints != 1 {
 		t.Fatalf("first checkpoint after Reboot: %d dumps, %d deltas, %d checkpoints; want an incremental checkpoint", st.Dumps, st.Deltas, st.Checkpoints)
 	}
+}
+
+// TestRestartTrimsListedHistory: an instance started on a bucket that
+// holds retained history — superseded WAL and DB objects the stopped
+// instance kept for its RetainFor window — trims it like its own. Start-up
+// stamps what the listing holds superseded, the window restarts there, and
+// a trimmer tick after it closes deletes the objects: RetainFor later the
+// bucket holds what recovery plans, plus WAL newer than the plan's last DB
+// object, and nothing else.
+func TestRestartTrimsListedHistory(t *testing.T) {
+	for _, mode := range []string{"Reboot", "Recover"} {
+		t.Run(mode, func(t *testing.T) { restartTrimRun(t, mode) })
+	}
+}
+
+func restartTrimRun(t *testing.T, mode string) {
+	params := simPITRParams()
+	params.RetainFor = 200 * time.Millisecond
+	// No virtual time passes while the history builds, so the window keeps
+	// every superseded object in the bucket.
+	g, store, local := retainedHistory(t, params)
+	if st := g.Stats(); st.WALObjectsDeleted+st.DBObjectsDeleted != 0 {
+		t.Fatalf("the window trimmed before the restart (stats %+v)", st)
+	}
+	if extra := unplanned(t, store); len(extra) == 0 {
+		t.Fatal("no retained history in the bucket before the restart")
+	}
+
+	var g2 *Ginja
+	var err error
+	switch mode {
+	case "Reboot":
+		g2, err = New(local, store, dbevent.NewPGProcessor(), params)
+		if err == nil {
+			err = g2.Reboot(context.Background())
+		}
+	case "Recover":
+		g2, err = New(vfs.NewMemFS(), store, dbevent.NewPGProcessor(), params)
+		if err == nil {
+			err = g2.Recover(context.Background())
+		}
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g2.Close()
+	params.Clock.Sleep(300 * time.Millisecond)
+	if extra := unplanned(t, store); len(extra) != 0 {
+		t.Fatalf("300 ms after %s the bucket still holds %d objects recovery does not plan: %v (stats %+v)",
+			mode, len(extra), extra, g2.Stats())
+	}
+	if st := g2.Stats(); st.WALObjectsDeleted == 0 || st.DBObjectsDeleted == 0 {
+		t.Fatalf("stats %+v: want the listed WAL and DB history deleted", st)
+	}
+}
+
+// unplanned lists the bucket's objects that neither recovery's plan of the
+// newest state fetches nor are WAL objects newer than its last DB object.
+func unplanned(t *testing.T, store cloud.ObjectStore) []string {
+	t.Helper()
+	infos, err := store.List(context.Background(), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := NewCloudView()
+	if err := v.LoadFromList(infos); err != nil {
+		t.Fatal(err)
+	}
+	db, run, err := plan(v.DBObjects(), v.WALObjects(), -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keep := map[string]bool{}
+	for _, name := range planNames(db, run) {
+		keep[name] = true
+	}
+	for _, w := range v.WALObjects() {
+		if w.Ts > db[len(db)-1].Ts {
+			keep[w.Name()] = true
+		}
+	}
+	var extra []string
+	for _, info := range infos {
+		if !keep[info.Name] {
+			extra = append(extra, info.Name)
+		}
+	}
+	return extra
 }

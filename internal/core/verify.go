@@ -24,7 +24,9 @@ type VerifyResult struct {
 
 // Verify implements the paper's backup-verification procedure (§5.4)
 // "without interfering with the production system": it runs against the
-// cloud only, restoring into the scratch target file system.
+// cloud only, restoring into the scratch target file system, and plans
+// from a view of its own listing — a live instance's view, and so its WAL
+// timestamp counter, is left alone.
 //
 //  1. Every object is downloaded and its MAC verified.
 //  2. The database files are rebuilt into target and restart is invoked —
@@ -44,7 +46,8 @@ func (g *Ginja) Verify(ctx context.Context, target vfs.FS,
 	if err != nil {
 		return res, fmt.Errorf("core: verify list: %w", err)
 	}
-	if err := g.view.LoadFromList(infos); err != nil {
+	view := NewCloudView()
+	if err := view.LoadFromList(infos); err != nil {
 		return res, err
 	}
 	// Step 1: integrity of every object — each name, DB part or WAL object
@@ -62,7 +65,7 @@ func (g *Ginja) Verify(ctx context.Context, target vfs.FS,
 	}
 
 	// Step 2: rebuild into the scratch target and restart the DBMS.
-	if err := g.restoreTo(ctx, target, -1, &RecoveryBreakdown{Mode: "verify"}); err != nil {
+	if err := g.restoreTo(ctx, view, target, -1, &RecoveryBreakdown{Mode: "verify"}); err != nil {
 		return res, err
 	}
 	if restart != nil {
