@@ -288,7 +288,7 @@ func (c *checkpointer) start() {
 			if !ok {
 				return
 			}
-			switch err := c.upload(ctx, obj); {
+			switch err := c.upload(ctx, &obj); {
 			case errors.As(err, new(superseded)): // done stays: the element's landing settles obj
 			case err != nil:
 				c.fail(err)
@@ -707,7 +707,7 @@ func (c *checkpointer) localDBSize() (int64, error) {
 // recovery) and the next chain element's GC sweep deletes them. A
 // checkpoint a crossing supersedes before it lands records the parts it
 // tried as orphans at once and returns the superseded cause.
-func (c *checkpointer) upload(ctx context.Context, obj dbObject) error {
+func (c *checkpointer) upload(ctx context.Context, obj *dbObject) error {
 	defer c.bufBytes.Add(-obj.bufBytes)
 	var gateOnce sync.Once
 	release := func() {
@@ -717,15 +717,19 @@ func (c *checkpointer) upload(ctx context.Context, obj dbObject) error {
 	}
 	defer release()
 	uploadStart := c.clk.Now()
+	// The plan is the only holder of the object's bytes from here on, and
+	// the uploader drops them as it seals.
 	parts := obj.plan
 	if parts == nil {
-		parts = planParts(entriesFromWrites(joinRuns(obj.writes)), partBudget(c.params.MaxObjectSize))
+		parts = planParts(entriesFromWrites(obj.writes), partBudget(c.params.MaxObjectSize))
 	}
+	nparts := len(parts)
+	obj.writes, obj.plan = nil, nil
 	ident := DBObjectInfo{Ts: obj.ts, Gen: obj.gen, Type: obj.typ,
 		BaseTs: obj.baseTs, BaseGen: obj.baseGen}
 	info, tried, err := c.uploader.upload(ctx, ident, parts, release)
 	if sup, ok := context.Cause(ctx).(superseded); ok && err != nil {
-		c.absorb(obj, sup.into, tried)
+		c.absorb(*obj, sup.into, tried)
 		return sup
 	}
 	if err != nil {
@@ -735,10 +739,10 @@ func (c *checkpointer) upload(ctx context.Context, obj dbObject) error {
 	// Durable-data counters move only once the whole object landed: a
 	// sibling part failure abandons the object, and parts that did make it
 	// are orphans, not durable data.
-	c.stats.dbObjects.Add(int64(len(parts)))
+	c.stats.dbObjects.Add(int64(nparts))
 	c.stats.dbBytes.Add(size)
 	if c.metrics != nil {
-		c.metrics.dbObjects.Add(float64(len(parts)))
+		c.metrics.dbObjects.Add(float64(nparts))
 		c.metrics.dbBytes.Add(float64(size))
 	}
 	if err := c.view.AddDB(info); err != nil {
@@ -771,7 +775,7 @@ func (c *checkpointer) upload(ctx context.Context, obj dbObject) error {
 	}
 	c.params.logger().Info("db object uploaded",
 		"type", string(obj.typ), "ts", obj.ts, "gen", obj.gen,
-		"bytes", size, "parts", len(parts))
+		"bytes", size, "parts", nparts)
 
 	// Garbage collection (lines 23-29): the view stamps what this object
 	// supersedes, then the trim deletes what is due — without a retention

@@ -95,9 +95,10 @@ type Stats struct {
 	// or queued on the checkpoint path (the ginja_checkpoint_queue_bytes
 	// gauge).
 	CheckpointBytesBuffered int64
-	// PeakStreamBytes is the high-water mark of payload+sealed bytes
-	// resident in the streaming DB data path — bounded by
-	// 2 × CheckpointUploaders × MaxObjectSize regardless of database size.
+	// PeakStreamBytes is the high-water mark of the bytes the streaming DB
+	// data path holds: file chunks read but not yet deflated, plus sealed
+	// parts not yet PUT — bounded by 2 × CheckpointUploaders ×
+	// MaxObjectSize regardless of database size.
 	PeakStreamBytes int64
 	// RPO is the live durability watermark: the age of the oldest update
 	// not yet acknowledged by the cloud (0 when fully synchronized). Had a
@@ -191,7 +192,7 @@ func newGinja(localFS vfs.FS, io *cloudIO, proc dbevent.Processor, params Params
 	}
 	if reg := params.Metrics; reg != nil {
 		reg.GaugeFunc(metricStreamBytes,
-			"Payload+sealed bytes currently resident in the streaming DB data path.",
+			"File chunks not yet deflated plus sealed parts not yet PUT in the streaming DB data path.",
 			nil, func() float64 { return float64(g.tracker.cur.Load()) })
 		obs.RegisterBuildInfo(reg, Version, strconv.Itoa(ObjectFormatVersion))
 	}
@@ -459,12 +460,12 @@ func (g *Ginja) SyncCheckpoints(timeout time.Duration) bool {
 	return g.ckpt.sync(timeout)
 }
 
-// OnBeforeWrite implements vfs.Observer: data-class writes block here
-// while a streaming dump's or delta's local reads are in flight (§5.3:
-// Ginja stops local DB writes during dump creation) — but only writes to
-// files the active plans actually read lazily; everything else sails
-// through. The hook fires before the write lands, so no page can change
-// under a plan's file ranges.
+// OnBeforeWrite implements vfs.Observer: data-class writes and truncates
+// block here while a streaming dump's or delta's local reads are in flight
+// (§5.3: Ginja stops local DB writes during dump creation) — but only
+// those to files the active plans actually read lazily; everything else
+// sails through. The hook fires before the change lands, so no page can
+// change, and no file shrink, under a plan's file ranges.
 func (g *Ginja) OnBeforeWrite(path string, off int64, data []byte) {
 	if !g.started || g.closed || g.ckpt == nil {
 		return

@@ -22,25 +22,29 @@ import (
 // the whole database into memory, encoding it into one buffer and sealing
 // it once (O(DB) resident bytes, serial CPU), a dump or checkpoint is
 // first *planned* — split into ≤ partBudget payload slices, each entry
-// either an in-memory write or a lazy (path, offset, length) range of a
-// local file — and the plan is then executed by a bounded worker pool:
-// each worker reads+encodes its part into a pooled buffer sized from the
-// plan, seals it and PUTs it. At most CheckpointUploaders parts are
-// resident at any moment, so memory is bounded by CheckpointUploaders ×
-// (payload + sealed) ≤ 2 × CheckpointUploaders × MaxObjectSize regardless
-// of database size. Sealing parallelizes across the parts and, inside
-// sealer.Seal, across each part's 1 MiB segments: a one-part object (every
-// incremental checkpoint) still seals on every idle core.
+// either in-memory bytes or a lazy (path, offset, length) range of a local
+// file — and the plan is then executed by a bounded worker pool: each
+// worker lays its part out as a partSource (its file ranges read when the
+// part starts), seals it with sealer.SealFrom, one 1 MiB segment at a
+// time, and PUTs it. No encoded copy of a part exists: a checkpoint page
+// is held once, as collected, until its segment is deflated. At most
+// CheckpointUploaders parts are in flight, so what the stream adds — file
+// chunks not yet deflated and sealed parts not yet PUT — stays under
+// CheckpointUploaders × (payload + sealed) ≤ 2 × CheckpointUploaders ×
+// MaxObjectSize regardless of database size. Sealing parallelizes across
+// the parts and, inside the sealer, across each part's segments: a
+// one-part object (every incremental checkpoint) uses every idle core.
 
 // planEntry is one slice of a planned part: either carries its bytes
-// (data non-nil — collected checkpoint writes, dump extras) or names a
-// range of a local file to be read at upload time (data nil).
+// (data non-nil — collected checkpoint writes, a run of contiguous ones as
+// one entry of several pieces, and dump extras) or names a range of a local
+// file to be read when its part starts (data nil).
 type planEntry struct {
 	path   string
 	offset int64
 	length int64
 	whole  bool
-	data   []byte
+	data   [][]byte
 }
 
 // Per-entry wire overhead: flags(1) + pathLen(2) + offset(8) + dataLen(8)
@@ -75,10 +79,21 @@ func splitEntry(e planEntry, n int64) (head, tail planEntry) {
 	tail.length = e.length - n
 	tail.whole = false
 	if e.data != nil {
-		head.data = e.data[:n]
-		tail.data = e.data[n:]
+		head.data, tail.data = cutPieces(e.data, n)
 	}
 	return head, tail
+}
+
+// cutPieces splits a piece list after n bytes; the two lists share no
+// backing array.
+func cutPieces(pieces [][]byte, n int64) (head, tail [][]byte) {
+	for i, p := range pieces {
+		if n <= int64(len(p)) {
+			return append(pieces[:i:i], p[:n]), append([][]byte{p[n:]}, pieces[i+1:]...)
+		}
+		n -= int64(len(p))
+	}
+	return pieces, nil
 }
 
 // planParts greedily packs entries into parts of at most budget encoded
@@ -124,11 +139,18 @@ func planParts(entries []planEntry, budget int64) [][]planEntry {
 }
 
 // entriesFromWrites converts an in-memory write list (a finished
-// checkpoint collection) into plan entries.
+// checkpoint collection, merged) into plan entries. A run of contiguous
+// writes of one file becomes one entry of several pieces: the wire bytes
+// joinRuns would build, without joining them.
 func entriesFromWrites(writes []FileWrite) []planEntry {
-	entries := make([]planEntry, len(writes))
-	for i, w := range writes {
-		entries[i] = planEntry{path: w.Path, offset: w.Offset, length: int64(len(w.Data)), whole: w.Whole, data: w.Data}
+	var entries []planEntry
+	for _, w := range writes {
+		if k := len(entries) - 1; k >= 0 && entries[k].path == w.Path && entries[k].offset+entries[k].length == w.Offset {
+			entries[k].data = append(entries[k].data, w.Data)
+			entries[k].length += int64(len(w.Data))
+			continue
+		}
+		entries = append(entries, planEntry{path: w.Path, offset: w.Offset, length: int64(len(w.Data)), whole: w.Whole, data: [][]byte{w.Data}})
 	}
 	return entries
 }
@@ -156,7 +178,7 @@ func extrasEntries(fsys vfs.FS, proc dbevent.Processor) ([]planEntry, error) {
 			return nil, err
 		}
 		if n > 0 {
-			entries = append(entries, planEntry{path: region.Path, offset: region.Offset, length: int64(n), data: buf[:n]})
+			entries = append(entries, planEntry{path: region.Path, offset: region.Offset, length: int64(n), data: [][]byte{buf[:n]}})
 		}
 	}
 	return entries, nil
@@ -263,33 +285,85 @@ func planInMemBytes(parts [][]planEntry) int64 {
 	var n int64
 	for _, part := range parts {
 		for _, e := range part {
-			n += int64(len(e.data))
+			if e.data != nil {
+				n += e.length
+			}
 		}
 	}
 	return n
 }
 
-// partEncodedSize is the exact length encodePart produces for a part: the
-// plan fixes it before a byte is read.
-func partEncodedSize(entries []planEntry) int {
-	n := partHeaderSize
-	for _, e := range entries {
-		n += entryOverhead + len(e.path) + int(e.length)
-	}
-	return n
+// partSource is one part's payload, the write list DecodeWrites reads, as
+// pieces in payload order: the encoded headers, collected write data and
+// the ≤ 1 MiB chunks its file ranges were read into when the part started.
+// fill copies by payload offset and drops each piece once every byte of it
+// is copied, so the part drains segment by segment as the sealer deflates.
+type partSource struct {
+	mu      sync.Mutex
+	pieces  []sourcePiece // ordered by off, none empty
+	n       int           // payload size
+	tracker *streamTracker
 }
 
-// encodePart serializes one part's entries into buf (pooled scratch[:0] of
-// at least partEncodedSize capacity) as a self-framing write list — the
-// same wire format DecodeWrites reads — streaming lazy entries straight
-// from the local file into the encode buffer at their final position (no
-// intermediate copy).
-func encodePart(fsys vfs.FS, entries []planEntry, buf []byte) ([]byte, error) {
-	buf = append(buf, writeListMagic...)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(entries)))
+type sourcePiece struct {
+	off, left int // payload offset; bytes not yet copied
+	data      []byte
+	read      bool // a file chunk: counted in the tracker until dropped
+}
+
+func (s *partSource) add(b []byte, read bool) {
+	if len(b) > 0 {
+		s.pieces = append(s.pieces, sourcePiece{off: s.n, left: len(b), data: b, read: read})
+		s.n += len(b)
+	}
+}
+
+// fill is the part's sealer.SealFrom fill function.
+func (s *partSource) fill(dst []byte, off int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i := sort.Search(len(s.pieces), func(i int) bool { return s.pieces[i].off > off }) - 1; len(dst) > 0; i++ {
+		p := &s.pieces[i]
+		k := copy(dst, p.data[off-p.off:])
+		dst, off, p.left = dst[k:], off+k, p.left-k
+		if p.left == 0 {
+			s.drop(p)
+		}
+	}
+}
+
+func (s *partSource) drop(p *sourcePiece) {
+	if p.read {
+		s.tracker.sub(int64(len(p.data)))
+	}
+	p.data = nil
+}
+
+// close drops every piece left, e.g. of a part whose seal was cancelled.
+func (s *partSource) close() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i := range s.pieces {
+		s.drop(&s.pieces[i])
+	}
+}
+
+// source lays out one part's payload and reads its file ranges, chunk by
+// chunk, from the local files.
+func (u *partUploader) source(entries []planEntry) (*partSource, error) {
+	hdr := partHeaderSize
+	for _, e := range entries {
+		hdr += entryOverhead + len(e.path)
+	}
+	head := make([]byte, 0, hdr) // never grows: every piece cut from it stays valid
+	head = append(head, writeListMagic...)
+	head = binary.LittleEndian.AppendUint32(head, uint32(len(entries)))
+	src := &partSource{tracker: u.tracker}
+	src.add(head, false)
 	var (
 		curFile vfs.File
 		curPath string
+		read    int64
 	)
 	defer func() {
 		if curFile != nil {
@@ -301,75 +375,69 @@ func encodePart(fsys vfs.FS, entries []planEntry, buf []byte) ([]byte, error) {
 		if e.whole {
 			flags = 1
 		}
-		buf = append(buf, flags)
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(e.path)))
-		buf = append(buf, e.path...)
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(e.offset))
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(e.length))
-		if e.data != nil {
-			buf = append(buf, e.data...)
-			continue
+		at := len(head)
+		head = append(head, flags)
+		head = binary.LittleEndian.AppendUint16(head, uint16(len(e.path)))
+		head = append(head, e.path...)
+		head = binary.LittleEndian.AppendUint64(head, uint64(e.offset))
+		head = binary.LittleEndian.AppendUint64(head, uint64(e.length))
+		src.add(head[at:], false)
+		for _, d := range e.data {
+			src.add(d, false)
 		}
-		if e.length == 0 {
+		if e.data != nil || e.length == 0 {
 			continue
 		}
 		if curFile == nil || curPath != e.path {
 			if curFile != nil {
 				curFile.Close()
 			}
-			f, err := fsys.OpenFile(e.path, os.O_RDONLY, 0)
+			f, err := u.fs.OpenFile(e.path, os.O_RDONLY, 0)
 			if err != nil {
 				return nil, err
 			}
 			curFile, curPath = f, e.path
 		}
-		pos := len(buf)
-		buf = buf[:pos+int(e.length)]
-		n, err := curFile.ReadAt(buf[pos:], e.offset)
-		if n != int(e.length) {
-			if err == nil || errors.Is(err, io.EOF) {
-				err = fmt.Errorf("core: %s shrank under a streaming dump (read %d of %d at offset %d)",
-					e.path, n, e.length, e.offset)
+		for done := int64(0); done < e.length; {
+			chunk := make([]byte, min(e.length-done, 1<<20))
+			n, err := curFile.ReadAt(chunk, e.offset+done)
+			if done += int64(n); n != len(chunk) {
+				if err == nil || errors.Is(err, io.EOF) {
+					err = fmt.Errorf("core: %s shrank under a streaming dump (read %d of %d at offset %d)",
+						e.path, done, e.length, e.offset)
+				}
+				return nil, err
 			}
-			return nil, err
+			src.add(chunk, true)
+			read += int64(n)
 		}
 	}
-	return buf, nil
+	u.tracker.add(read)
+	return src, nil
 }
 
-// streamTracker accounts the payload+sealed bytes currently resident in
-// the streaming data path, with a high-water mark — the deterministic
-// measurement behind the O(CheckpointUploaders × MaxObjectSize) memory
-// bound (GC-noise-free, unlike heap sampling).
+// streamTracker accounts the bytes resident in the streaming data path —
+// file chunks read but not yet deflated, and sealed parts not yet PUT —
+// with a high-water mark: the deterministic measurement behind the
+// O(CheckpointUploaders × MaxObjectSize) memory bound (GC-noise-free,
+// unlike heap sampling).
 type streamTracker struct {
 	cur  atomic.Int64
 	peak atomic.Int64
 }
 
 func (t *streamTracker) add(n int64) {
-	if t == nil {
-		return
-	}
 	v := t.cur.Add(n)
-	for {
-		p := t.peak.Load()
-		if v <= p || t.peak.CompareAndSwap(p, v) {
-			return
-		}
+	for p := t.peak.Load(); v > p && !t.peak.CompareAndSwap(p, v); p = t.peak.Load() {
 	}
 }
 
-func (t *streamTracker) sub(n int64) {
-	if t != nil {
-		t.cur.Add(-n)
-	}
-}
+func (t *streamTracker) sub(n int64) { t.cur.Add(-n) }
 
-// partUploader executes a part plan: read→encode→seal→PUT per part, up to
-// CheckpointUploaders parts in flight. Encode buffers come from a
-// process-wide shared pool and are bounded at MaxObjectSize. Safe for
-// concurrent use by one upload at a time per object (the checkpointer
-// serializes objects; Boot runs alone).
+// partUploader executes a part plan: read→seal→PUT per part, up to
+// CheckpointUploaders parts in flight. Safe for concurrent use by one
+// upload at a time per object (the checkpointer serializes objects; Boot
+// runs alone).
 type partUploader struct {
 	fs      vfs.FS
 	io      *cloudIO // also the source of Params and the clock
@@ -380,45 +448,18 @@ type partUploader struct {
 	putHist  *obs.Histogram
 }
 
-// partBufs is the process-wide encode-scratch pool, shared by every
-// partUploader (every tenant in a fleet): the live buffer count tracks
-// the fleet's CONCURRENT part uploads — bounded by the uploader pools —
-// instead of one retained buffer per database instance. getPartBuf drops
-// a pool hit smaller than need and allocates exactly need — a 6 MiB
-// checkpoint does not cost a MaxObjectSize buffer — and release drops
-// buffers that exceed the releasing instance's bound.
-var partBufs sync.Pool
-
-func getPartBuf(need int) *[]byte {
-	if bp, ok := partBufs.Get().(*[]byte); ok && cap(*bp) >= need {
-		return bp
-	}
-	b := make([]byte, 0, need)
-	return &b
-}
-
-// release returns an encode buffer to the shared pool unless it grew
-// past the object-size bound (a pathological plan entry) — an oversized
-// buffer retained in the pool would defeat the memory bound.
-func (u *partUploader) release(bp *[]byte) {
-	if u.io.params.MaxObjectSize > 0 && int64(cap(*bp)) > u.io.params.MaxObjectSize {
-		return
-	}
-	*bp = (*bp)[:0]
-	partBufs.Put(bp)
-}
-
 // upload streams every planned part and returns ident completed with the
 // object's sealed Size (and, when split, PartSizes) — the record the view
 // takes. ident carries the object's identity — (Ts, Gen, Type)
 // plus the base linkage when the object is a delta — from which every
-// part name is built. readsDone (optional) fires once, as soon as the
-// last part's local reads completed — the signal that the database files
-// are no longer needed and frozen writers may resume; on failure the
-// caller's own release path must cover it. A single-part object is
-// uploaded under the plain unsplit name. Once ctx is done no part is
-// sealed or PUT; a failed upload also returns the names it tried to PUT,
-// every part that may exist.
+// part name is built. It consumes parts: a part's entries are dropped once
+// its source holds them, so what the part pins drains as it seals.
+// readsDone (optional) fires once, as soon as the last part's local reads
+// completed — the signal that the database files are no longer needed and
+// frozen writers may resume; on failure the caller's own release path
+// must cover it. A single-part object is uploaded under the plain unsplit
+// name. Once ctx is done no part is sealed or PUT; a failed upload also
+// returns the names it tried to PUT, every part that may exist.
 func (u *partUploader) upload(ctx context.Context, ident DBObjectInfo,
 	parts [][]planEntry, readsDone func()) (DBObjectInfo, []string, error) {
 	ts, gen := ident.Ts, ident.Gen
@@ -428,32 +469,24 @@ func (u *partUploader) upload(ctx context.Context, ident DBObjectInfo,
 	readsLeft.Store(int64(len(parts)))
 	ctx = withClass(ctx, classBulk) // once per object, not per part
 	err := runLimited(ctx, u.io.clk, u.io.params.CheckpointUploaders, len(parts), func(ctx context.Context, i int) error {
-		bp := getPartBuf(partEncodedSize(parts[i]))
-		payload, err := encodePart(u.fs, parts[i], (*bp)[:0])
+		src, err := u.source(parts[i])
+		parts[i] = nil
 		if err != nil {
-			u.release(bp)
 			return fmt.Errorf("core: build DB part ts=%d gen=%d part=%d: %w", ts, gen, i, err)
 		}
 		if readsLeft.Add(-1) == 0 && readsDone != nil {
 			readsDone()
 		}
-		u.tracker.add(int64(len(payload)))
 		sealStart := u.io.clk.Now()
 		var sealed []byte
 		if err = ctx.Err(); err == nil {
-			sealed, err = u.io.seal.SealContext(ctx, payload)
+			sealed, err = u.io.seal.SealFrom(ctx, src.n, src.fill)
 		}
-		// Both buffers exist until the payload scratch is released, so the
-		// sealed bytes enter the tracker first — the measured peak covers
-		// the overlap honestly.
-		u.tracker.add(int64(len(sealed)))
-		*bp = payload
-		u.release(bp)
-		u.tracker.sub(int64(len(payload)))
+		src.close()
 		if err != nil {
-			u.tracker.sub(int64(len(sealed)))
 			return fmt.Errorf("core: seal DB part ts=%d gen=%d part=%d: %w", ts, gen, i, err)
 		}
+		u.tracker.add(int64(len(sealed)))
 		if u.sealHist != nil {
 			u.sealHist.ObserveDuration(u.io.clk.Since(sealStart))
 		}

@@ -82,8 +82,9 @@ type StreamingResult struct {
 	// LocalDBBytes is the local database size at dump time — the O(DB)
 	// quantity the old data path kept resident.
 	LocalDBBytes int64 `json:"local_db_bytes"`
-	// PeakStreamBytes is the measured high-water mark of payload+sealed
-	// bytes resident in the streaming data path.
+	// PeakStreamBytes is the measured high-water mark of the bytes resident
+	// in the streaming data path: file chunks read but not yet deflated,
+	// plus sealed parts not yet PUT.
 	PeakStreamBytes int64 `json:"peak_stream_bytes"`
 	// BoundBytes is 2 × CheckpointUploaders × MaxObjectSize; WithinBound
 	// asserts PeakStreamBytes stayed under it.

@@ -58,6 +58,7 @@ import (
 	"hash"
 	"io"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -79,8 +80,6 @@ const (
 	// the lost 32 KiB window (+0.03 % on row-like data); smaller segments
 	// would only buy load balance.
 	segmentSize = 1 << 20
-	// zlibOverhead is the RFC 1950 header plus the Adler-32 trailer.
-	zlibOverhead = 2 + 4
 )
 
 var magic = []byte("GJA1")
@@ -206,44 +205,58 @@ func (s *Sealer) sum(dst, data []byte) []byte {
 // allocated at exact size — it is never recycled, so callers may retain
 // it — but all intermediate state (compressor, HMAC, scratch) is pooled.
 // A compressed payload longer than one segment is deflated on every idle
-// core and encrypted and MAC'd behind the deflate (see sealSegments); the
-// bytes do not depend on how many cores there were.
+// core and encrypted and MAC'd behind the deflate (see chain); the bytes
+// do not depend on how many cores there were.
 func (s *Sealer) Seal(payload []byte) ([]byte, error) {
 	return s.SealContext(context.Background(), payload)
 }
 
-// SealContext is Seal that stops a multi-segment payload's deflate between
+// SealContext is Seal that stops a compressed payload's deflate between
 // segments once ctx is done, and returns ctx's error.
 func (s *Sealer) SealContext(ctx context.Context, payload []byte) ([]byte, error) {
-	if s.opts.Compress && len(payload) > segmentSize {
-		return s.sealSegments(ctx, payload)
-	}
-	var flags byte
-	var seg segment
-	bodyLen := len(payload)
+	return s.seal(ctx, source{payload: payload, n: len(payload)})
+}
+
+// SealFrom is SealContext over an n-byte payload that fill produces on
+// demand: fill(dst, off) writes payload bytes [off, off+len(dst)) into dst.
+// A compressed payload is filled one segment at a time, into a pooled
+// segment buffer, on the goroutine that deflates that segment, and the
+// buffer goes back to the pool once deflated; a plain one is filled
+// straight into the output. fill may run on several goroutines at once,
+// always for disjoint ranges. The sealed bytes are Seal's for the same
+// payload: segment boundaries sit at fixed payload offsets.
+func (s *Sealer) SealFrom(ctx context.Context, n int, fill func(dst []byte, off int)) ([]byte, error) {
+	return s.seal(ctx, source{fill: fill, n: n})
+}
+
+// source is a payload being sealed: in memory, or produced by fill.
+type source struct {
+	payload []byte
+	fill    func(dst []byte, off int) // nil when payload holds the bytes
+	n       int
+}
+
+// seal is Seal, SealContext and SealFrom. A plain body goes straight to its
+// final position and is encrypted there, in place; a compressed one is a
+// chain of one or more deflated segments.
+func (s *Sealer) seal(ctx context.Context, src source) ([]byte, error) {
 	if s.opts.Compress {
-		flags = flagCompressed
-		seg = compressSegment(payload, true)
-		defer segPool.Put(seg.buf)
-		bodyLen = zlibOverhead + len(*seg.buf)
+		return s.sealChain(ctx, src)
 	}
-	size := len(magic) + 1 + bodyLen + macSize
+	size := len(magic) + 1 + src.n + macSize
 	if s.opts.Encrypt {
 		size += ivSize
 	}
-	out, err := s.header(make([]byte, 0, size), flags)
+	out, err := s.header(make([]byte, 0, size), 0)
 	if err != nil {
 		return nil, err
 	}
-	// The body goes straight to its final position and is encrypted there,
-	// in place.
 	start := len(out)
-	if s.opts.Compress {
-		out = append(out, 0x78, 0x01) // RFC 1950: deflate, 32 KiB window, fastest
-		out = append(out, *seg.buf...)
-		out = binary.BigEndian.AppendUint32(out, seg.sum)
+	out = out[:start+src.n]
+	if src.fill != nil {
+		src.fill(out[start:], 0)
 	} else {
-		out = append(out, payload...)
+		copy(out[start:], src.payload)
 	}
 	if s.opts.Encrypt {
 		cipher.NewCTR(s.block, out[start-ivSize:start]).XORKeyStream(out[start:], out[start:])
@@ -266,16 +279,20 @@ func (s *Sealer) header(dst []byte, flags byte) ([]byte, error) {
 	return dst, nil
 }
 
-// sealSegments seals a compressed payload of more than one segment. The
-// output's size is known only once every segment is deflated, so each
-// segment is encrypted and MAC'd in its own buffer as soon as it and every
-// earlier one are deflated (see chain), and then copied into the output.
-func (s *Sealer) sealSegments(ctx context.Context, payload []byte) ([]byte, error) {
-	head, err := s.header(make([]byte, 0, len(magic)+1+ivSize+2), flagCompressed)
+// sealChain seals a compressed payload. The output's size is known only
+// once every segment is deflated, so each segment is encrypted and MAC'd in
+// its own buffer as soon as it and every earlier one are deflated (see
+// chain), and then copied into the output, the one allocation of a
+// steady-state call.
+func (s *Sealer) sealChain(ctx context.Context, src source) ([]byte, error) {
+	c := chainPool.Get().(*chain)
+	defer c.release()
+	head, err := s.header(c.head[:0], flagCompressed)
 	if err != nil {
 		return nil, err
 	}
-	c := &chain{mac: s.macPool.Get().(hash.Hash), sum: 1} // 1: Adler-32 of nothing
+	c.ctx, c.src, c.sum = ctx, src, 1 // 1: Adler-32 of nothing
+	c.mac = s.macPool.Get().(hash.Hash)
 	defer s.macPool.Put(c.mac)
 	c.mac.Reset()
 	c.mac.Write(head) //nolint:errcheck // hash writes never fail
@@ -284,7 +301,7 @@ func (s *Sealer) sealSegments(ctx context.Context, payload []byte) ([]byte, erro
 	}
 	head = append(head, 0x78, 0x01) // RFC 1950: deflate, 32 KiB window, fastest
 	c.seal(head[len(head)-2:])
-	if err := c.deflate(ctx, payload); err != nil {
+	if err := c.deflate(); err != nil {
 		return nil, err
 	}
 	out := make([]byte, 0, len(head)+c.size+4+macSize)
@@ -391,21 +408,43 @@ func borrowHelper() bool {
 	return false
 }
 
-// chain is the serial part of a multi-segment Seal: one CTR stream and one
-// MAC state, through which every deflated segment must pass in order, plus
-// the running Adler-32 and body size. Whichever goroutine extends the
-// deflated in-order prefix chains it, unless another goroutine is already
-// chaining; the bytes are the same whoever does.
+// chain is a compressed Seal: the payload's segments, deflated on as many
+// goroutines as the helper budget allows, and the serial rest — one CTR
+// stream and one MAC state, through which every deflated segment must pass
+// in order, plus the running Adler-32 and body size. Whichever goroutine
+// extends the deflated in-order prefix chains it, unless another goroutine
+// is already chaining; the bytes are the same whoever does. Chains are
+// pooled, so a one-segment Seal allocates only its output.
 type chain struct {
+	head [4 + 1 + ivSize + 2]byte // magic, flags, IV, zlib header
+	ctx  context.Context
+	src  source
 	ctr  cipher.Stream // nil when not encrypting
 	mac  hash.Hash
 	sum  uint32 // Adler-32 of the raw bytes of the chained segments
 	size int    // deflated bytes of the chained segments
 
+	claim atomic.Int32 // the next segment to deflate
+	wg    sync.WaitGroup
+
 	mu      sync.Mutex
 	segs    []segment // guarded by mu until deflate returns; buf nil until deflated
 	next    int       // guarded by mu: the first segment not yet chained
 	running bool      // guarded by mu: a goroutine is chaining
+}
+
+var (
+	chainPool = sync.Pool{New: func() any { return new(chain) }}
+	// rawPool holds the segment buffers SealFrom fills.
+	rawPool = sync.Pool{New: func() any { b := make([]byte, segmentSize); return &b }}
+)
+
+// release drops what c refers to and returns it to the pool.
+func (c *chain) release() {
+	clear(c.segs)
+	c.ctx, c.src, c.ctr, c.mac = nil, source{}, nil, nil
+	c.size, c.next = 0, 0
+	chainPool.Put(c)
 }
 
 // seal encrypts b in place, when encrypting, and feeds it to the MAC.
@@ -440,35 +479,24 @@ func (c *chain) finish(i int, seg segment) {
 	c.mu.Unlock()
 }
 
-// deflate compresses a multi-segment payload into c.segs, one pooled buffer
-// per segment, and chains every segment. The calling goroutine compresses
+// deflate compresses the payload into c.segs, one pooled buffer per
+// segment, and chains every segment. The calling goroutine compresses
 // segments itself and borrows helpers, without ever blocking for one, while
 // fewer than GOMAXPROCS-1 are lent out process-wide: on one core nothing is
 // spawned, and five part workers sealing a dump at once — or a fleet of a
 // thousand tenants — cannot oversubscribe the machine. Which goroutine
 // compresses or chains which segment does not reach the output. Once ctx
 // is done no segment starts, and an unfinished payload's buffers go back.
-func (c *chain) deflate(ctx context.Context, payload []byte) error {
-	n := (len(payload) + segmentSize - 1) / segmentSize
-	c.segs = make([]segment, n)
-	var next atomic.Int32
-	work := func() {
-		for i := int(next.Add(1)) - 1; i < n && ctx.Err() == nil; i = int(next.Add(1)) - 1 {
-			end := min((i+1)*segmentSize, len(payload))
-			c.finish(i, compressSegment(payload[i*segmentSize:end], i == n-1))
-		}
-	}
-	var wg sync.WaitGroup
+func (c *chain) deflate() error {
+	n := max(1, (c.src.n+segmentSize-1)/segmentSize)
+	c.segs = slices.Grow(c.segs[:0], n)[:n]
+	c.claim.Store(0)
 	for h := 1; h < n && borrowHelper(); h++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer helpers.Add(-1)
-			work()
-		}()
+		c.wg.Add(1)
+		go c.help()
 	}
-	work()
-	wg.Wait()
+	c.work()
+	c.wg.Wait()
 	if c.next == n {
 		return nil
 	}
@@ -477,7 +505,33 @@ func (c *chain) deflate(ctx context.Context, payload []byte) error {
 			segPool.Put(seg.buf)
 		}
 	}
-	return ctx.Err()
+	return c.ctx.Err()
+}
+
+// help is a borrowed helper's share of deflate.
+func (c *chain) help() {
+	defer c.wg.Done()
+	defer helpers.Add(-1)
+	c.work()
+}
+
+// work deflates and chains unclaimed segments until none is left or ctx is
+// done. A SealFrom segment is filled into a pooled buffer first, which goes
+// back as soon as it is deflated.
+func (c *chain) work() {
+	n := len(c.segs)
+	for i := int(c.claim.Add(1)) - 1; i < n && c.ctx.Err() == nil; i = int(c.claim.Add(1)) - 1 {
+		off, end := i*segmentSize, min((i+1)*segmentSize, c.src.n)
+		if c.src.fill == nil {
+			c.finish(i, compressSegment(c.src.payload[off:end], i == n-1))
+			continue
+		}
+		raw := rawPool.Get().(*[]byte)
+		c.src.fill((*raw)[:end-off], off)
+		seg := compressSegment((*raw)[:end-off], i == n-1)
+		rawPool.Put(raw)
+		c.finish(i, seg)
+	}
 }
 
 // Open verifies and unwraps a sealed object. The result never aliases

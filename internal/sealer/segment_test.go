@@ -186,6 +186,41 @@ func TestEnvelopeChain(t *testing.T) {
 	}
 }
 
+// TestSealFromMatchesSeal: a payload filled segment by segment, on as many
+// goroutines as deflate it, seals to Seal's bytes — the body under the
+// object's own IV when encrypting — and each fill covers its segment
+// exactly once.
+func TestSealFromMatchesSeal(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	big := rowPayload(20<<20, 9)
+	for name, s := range configs(t) {
+		for _, n := range segmentEdgeSizes {
+			payload := big[:n]
+			var filled atomic.Int64
+			got, err := s.SealFrom(context.Background(), n, func(dst []byte, off int) {
+				if s.Compressing() && (off%segmentSize != 0 || len(dst) != min(segmentSize, n-off)) {
+					t.Errorf("%s/%d: fill(%d bytes, %d) is not one segment", name, n, len(dst), off)
+				}
+				filled.Add(int64(copy(dst, payload[off:])))
+			})
+			if err != nil {
+				t.Fatalf("%s/%d: SealFrom: %v", name, n, err)
+			}
+			want, err := s.Seal(payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if filled.Load() != int64(n) || !bytes.Equal(envelopeBody(s, got), envelopeBody(s, want)) {
+				t.Fatalf("%s/%d: filled %d bytes, body equal %v", name, n, filled.Load(),
+					bytes.Equal(envelopeBody(s, got), envelopeBody(s, want)))
+			}
+			if back, err := s.Open(got); err != nil || !bytes.Equal(back, payload) {
+				t.Fatalf("%s/%d: Open = %v, equal=%v", name, n, err, bytes.Equal(back, payload))
+			}
+		}
+	}
+}
+
 func TestSegmentedTamperingDetected(t *testing.T) {
 	payload := rowPayload(3*segmentSize+999, 3)
 	for name, s := range configs(t) {

@@ -10,11 +10,12 @@ import (
 // the path of the calling database thread: if OnWrite blocks, the database
 // write blocks — this is how the Safety parameter throttles the DBMS.
 type Observer interface {
-	// OnBeforeWrite is called before data is handed to the local file. It
-	// may block — this is how Ginja freezes database-file writes while a
+	// OnBeforeWrite is called before data is handed to the local file, and
+	// before a truncate with off the new size and nil data. It may block —
+	// this is how Ginja freezes database-file writes and truncates while a
 	// streaming dump is reading the files (§5.3: local DB writes stop
-	// during dump creation). The write has NOT happened yet when this
-	// runs, so implementations must not assume the data is on disk.
+	// during dump creation). The change has NOT happened yet when this
+	// runs, so implementations must not assume it is on disk.
 	OnBeforeWrite(path string, off int64, data []byte)
 	// OnWrite is called after data has been durably handed to the local
 	// file but before the write returns to the database.
@@ -139,6 +140,7 @@ func (f *interceptFile) Sync() error {
 }
 
 func (f *interceptFile) Truncate(size int64) error {
+	f.obs.OnBeforeWrite(f.path, size, nil)
 	if err := f.inner.Truncate(size); err != nil {
 		return err
 	}
