@@ -1,11 +1,14 @@
 package s3http
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -268,5 +271,92 @@ func TestBearerTokenAuth(t *testing.T) {
 	defer open.Close()
 	if err := NewClient(open.URL, open.Client()).Put(ctx, "k3", []byte("v")); err != nil {
 		t.Fatalf("open server rejected: %v", err)
+	}
+}
+
+// keepStore keeps the slice a PUT hands it, so that a test sees what the
+// handler allocated and nothing the store adds.
+type keepStore struct {
+	cloud.ObjectStore
+	puts map[string][]byte
+}
+
+func (s *keepStore) Put(_ context.Context, name string, data []byte) error {
+	s.puts[name] = data
+	return nil
+}
+
+// bodyReader is a PUT body that counts its reads.
+type bodyReader struct {
+	r     io.Reader
+	reads int
+}
+
+func (b *bodyReader) Read(p []byte) (int, error) {
+	b.reads++
+	return b.r.Read(p)
+}
+
+// putBody serves one PUT of body, declared as length bytes (-1: unknown,
+// as a chunked request), and returns its status.
+func putBody(t *testing.T, h http.Handler, key string, body io.Reader, length int64) int {
+	t.Helper()
+	req := httptest.NewRequest(http.MethodPut, "/o/"+key, body)
+	req.ContentLength = length
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	return rec.Code
+}
+
+// TestServerPutBodyLength: a declared length over the bound is refused
+// before the body is read, a body shorter than its declared length is a
+// bad request and stores nothing, and a body of unknown length is read up
+// to the bound.
+func TestServerPutBodyLength(t *testing.T) {
+	store := &keepStore{puts: map[string][]byte{}}
+	h := NewHandler(store)
+	huge := &bodyReader{r: strings.NewReader("x")}
+	if code := putBody(t, h, "huge", huge, maxObjectBytes+1); code != http.StatusRequestEntityTooLarge || huge.reads != 0 {
+		t.Fatalf("oversized Content-Length: status %d after %d reads, want 413 after none", code, huge.reads)
+	}
+	if code := putBody(t, h, "short", strings.NewReader("half"), 8); code != http.StatusBadRequest {
+		t.Fatalf("short body: status %d, want 400", code)
+	}
+	if code := putBody(t, h, "chunked", strings.NewReader("unknown length"), -1); code != http.StatusOK {
+		t.Fatalf("chunked body: status %d, want 200", code)
+	}
+	over := io.LimitReader(zeros{}, maxObjectBytes+1)
+	if code := putBody(t, h, "chunked-huge", over, -1); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized chunked body: status %d, want 413", code)
+	}
+	if len(store.puts) != 1 || string(store.puts["chunked"]) != "unknown length" {
+		t.Fatalf("stored %d objects, want only the chunked one intact", len(store.puts))
+	}
+}
+
+type zeros struct{}
+
+func (zeros) Read(p []byte) (int, error) {
+	clear(p)
+	return len(p), nil
+}
+
+// TestServerPutAllocatesItsBody: a PUT of known length reads its body into
+// one buffer of that size, not into a buffer grown by doubling.
+func TestServerPutAllocatesItsBody(t *testing.T) {
+	const size = 4 << 20
+	store := &keepStore{puts: map[string][]byte{}}
+	h := NewHandler(store)
+	payload := bytes.Repeat([]byte{'p'}, size)
+	putBody(t, h, "warm", bytes.NewReader(payload[:1]), 1)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	code := putBody(t, h, "obj", bytes.NewReader(payload), size)
+	runtime.ReadMemStats(&after)
+	if code != http.StatusOK || !bytes.Equal(store.puts["obj"], payload) {
+		t.Fatalf("PUT: status %d, stored intact %v", code, bytes.Equal(store.puts["obj"], payload))
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > size+64<<10 {
+		t.Fatalf("a %d-byte PUT allocated %d bytes, want at most %d", size, alloc, size+64<<10)
 	}
 }

@@ -91,13 +91,9 @@ func (h *Handler) serveList(w http.ResponseWriter, r *http.Request) {
 func (h *Handler) serveObject(w http.ResponseWriter, r *http.Request, key string) {
 	switch r.Method {
 	case http.MethodPut:
-		data, err := io.ReadAll(io.LimitReader(r.Body, maxObjectBytes+1))
+		data, status, err := readBody(r)
 		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		if len(data) > maxObjectBytes {
-			http.Error(w, "object too large", http.StatusRequestEntityTooLarge)
+			http.Error(w, err.Error(), status)
 			return
 		}
 		if err := h.store.Put(r.Context(), key, data); err != nil {
@@ -131,6 +127,35 @@ func (h *Handler) serveObject(w http.ResponseWriter, r *http.Request, key string
 	default:
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 	}
+}
+
+// errTooLarge refuses an object over maxObjectBytes.
+var errTooLarge = errors.New("object too large")
+
+// readBody reads a PUT body, or returns the error and the status that
+// refuse it. A body of known length is read into one buffer of that size:
+// a length over maxObjectBytes is refused before any byte is read, and a
+// body that ends short of it is a bad request. A body of unknown length
+// (chunked) is read up to the bound.
+func readBody(r *http.Request) ([]byte, int, error) {
+	if r.ContentLength > maxObjectBytes {
+		return nil, http.StatusRequestEntityTooLarge, errTooLarge
+	}
+	if r.ContentLength >= 0 {
+		data := make([]byte, r.ContentLength)
+		if _, err := io.ReadFull(r.Body, data); err != nil {
+			return nil, http.StatusBadRequest, err
+		}
+		return data, http.StatusOK, nil
+	}
+	data, err := io.ReadAll(io.LimitReader(r.Body, maxObjectBytes+1))
+	switch {
+	case err != nil:
+		return nil, http.StatusBadRequest, err
+	case len(data) > maxObjectBytes:
+		return nil, http.StatusRequestEntityTooLarge, errTooLarge
+	}
+	return data, http.StatusOK, nil
 }
 
 // statusError reports an unexpected HTTP status from the server.

@@ -608,11 +608,11 @@ func (c *checkpointer) planChainElement(ts int64, gen int, localSize int64) (dbO
 			if err != nil {
 				return dbObject{typ: Delta}, err
 			}
-			deltaBytes := planPayloadBytes(plan)
+			deltaBytes, inMem := planBytes(plan)
 			if float64(chainBytes+deltaBytes) <= c.params.DeltaCompactRatio*float64(localSize) {
 				obj := dbObject{ts: ts, gen: gen, typ: Delta, plan: plan,
 					baseTs: tipTs, baseGen: tipGen,
-					bufBytes: planInMemBytes(plan), savedBytes: localSize - deltaBytes}
+					bufBytes: inMem, savedBytes: localSize - deltaBytes}
 				if obj.savedBytes < 0 {
 					obj.savedBytes = 0
 				}
@@ -635,7 +635,8 @@ func (c *checkpointer) planChainElement(ts int64, gen int, localSize int64) (dbO
 	if c.dirty != nil {
 		c.dirty.snapshotAndReset()
 	}
-	obj := dbObject{ts: ts, gen: gen, typ: Dump, plan: plan, bufBytes: planInMemBytes(plan)}
+	_, inMem := planBytes(plan)
+	obj := dbObject{ts: ts, gen: gen, typ: Dump, plan: plan, bufBytes: inMem}
 	obj.hold = c.acquireGate(planLazyPaths(plan))
 	c.chainMu.Lock()
 	c.chainValid = c.dirty != nil
@@ -727,7 +728,7 @@ func (c *checkpointer) upload(ctx context.Context, obj *dbObject) error {
 	obj.writes, obj.plan = nil, nil
 	ident := DBObjectInfo{Ts: obj.ts, Gen: obj.gen, Type: obj.typ,
 		BaseTs: obj.baseTs, BaseGen: obj.baseGen}
-	info, tried, err := c.uploader.upload(ctx, ident, parts, release)
+	info, tried, err := c.uploader.upload(ctx, ident, parts, release, nil)
 	if sup, ok := context.Cause(ctx).(superseded); ok && err != nil {
 		c.absorb(*obj, sup.into, tried)
 		return sup

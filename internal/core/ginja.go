@@ -208,10 +208,10 @@ func (g *Ginja) View() *CloudView { return g.view }
 // Params returns the validated configuration.
 func (g *Ginja) Params() Params { return g.params }
 
-// Boot uploads an initial copy of an existing database — one WAL object
-// per local WAL segment, then a full dump — and starts the replication
-// threads (Algorithm 1, Boot mode). The DBMS must only be started after
-// Boot returns.
+// Boot uploads an initial copy of an existing database — every local WAL
+// segment, cut into objects of at most MaxObjectSize, then a full dump —
+// and starts the replication threads (Algorithm 1, Boot mode). The DBMS
+// must only be started after Boot returns.
 func (g *Ginja) Boot(ctx context.Context) error {
 	if g.started {
 		return errors.New("core: already started")
@@ -221,39 +221,36 @@ func (g *Ginja) Boot(ctx context.Context) error {
 		return fmt.Errorf("core: boot walk: %w", err)
 	}
 	sort.Strings(files)
+	budget := partBudget(g.params.MaxObjectSize)
+	var wal []bootWAL
 	for _, p := range files {
 		if g.proc.FileKind(p) != dbevent.KindWAL {
 			continue
 		}
-		content, err := vfs.ReadFile(g.localFS, p)
+		fi, err := g.localFS.Stat(p)
 		if err != nil {
-			return fmt.Errorf("core: boot read %s: %w", p, err)
+			return fmt.Errorf("core: boot stat %s: %w", p, err)
 		}
-		ts := g.view.NextWALTs()
-		payload := EncodeWrites([]FileWrite{{Path: p, Offset: 0, Data: content}})
-		sealed, err := g.io.seal.Seal(payload)
-		if err != nil {
-			return err
+		for _, part := range planParts([]planEntry{{path: p, length: fi.Size()}}, budget) {
+			wal = append(wal, bootWAL{WALObjectInfo{Ts: g.view.NextWALTs(), Filename: p, Offset: part[0].offset}, part[0].length})
 		}
-		name := WALObjectName(ts, p, 0)
-		if err := g.io.put(ctx, classSafety, name, sealed); err != nil {
-			return fmt.Errorf("core: boot upload %s: %w", name, err)
-		}
-		g.view.AddWAL(WALObjectInfo{Ts: ts, Filename: p, Offset: 0, Size: int64(len(sealed))})
 	}
 	// The boot dump takes the reserved timestamp 0, so that recovery's
 	// "WAL newer than the newest DB object" rule keeps the boot segments.
 	// The DBMS is not running yet, so the plan's lazy file ranges are
-	// stable without the dump gate; the parts stream through the same
-	// bounded uploader pool as steady-state dumps.
-	plan, err := planDump(g.localFS, g.proc, partBudget(g.params.MaxObjectSize))
+	// stable without the dump gate. The WAL objects and dump parts stream
+	// through one bounded uploader pool (see upload).
+	plan, err := planDump(g.localFS, g.proc, budget)
 	if err != nil {
 		return fmt.Errorf("core: boot dump: %w", err)
 	}
 	up := &partUploader{fs: g.localFS, io: g.io, tracker: g.tracker}
-	info, _, err := up.upload(ctx, DBObjectInfo{Ts: 0, Gen: 0, Type: Dump}, plan, nil)
+	info, _, err := up.upload(ctx, DBObjectInfo{Ts: 0, Gen: 0, Type: Dump}, plan, nil, wal)
 	if err != nil {
-		return fmt.Errorf("core: boot dump: %w", err)
+		return fmt.Errorf("core: boot: %w", err)
+	}
+	for _, w := range wal {
+		g.view.AddWAL(w.WALObjectInfo)
 	}
 	if err := g.view.AddDB(info); err != nil {
 		return err

@@ -53,8 +53,9 @@ type Params struct {
 	// Uploaders is the number of parallel upload threads.
 	Uploaders int
 	// CheckpointUploaders bounds the parallel PUTs used for the parts of
-	// one dump/checkpoint DB object, and the parallel DELETEs used by
-	// garbage collection. 0 means "same as Uploaders". The cloudView only
+	// one dump/checkpoint DB object (at Boot, with the WAL objects, which
+	// all land before any dump part is PUT), and the parallel DELETEs used
+	// by garbage collection. 0 means "same as Uploaders". The cloudView only
 	// learns about a DB object after every part is durable, so raising
 	// this never weakens the recovery invariants.
 	CheckpointUploaders int
@@ -64,7 +65,7 @@ type Params struct {
 	// the downloads overlap. 0 means "same as Uploaders".
 	RecoveryFetchers int
 	// MaxObjectSize splits any larger object into parts (optimises upload
-	// latency, §5.2 footnote).
+	// latency, §5.2 footnote), Boot's WAL segments included.
 	MaxObjectSize int64
 	// DumpThreshold triggers a new dump when the cloud DB objects plus the
 	// open checkpoint, the ending one merged in, exceed this multiple of the

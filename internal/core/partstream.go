@@ -15,6 +15,7 @@ import (
 
 	"github.com/ginja-dr/ginja/internal/dbevent"
 	"github.com/ginja-dr/ginja/internal/obs"
+	"github.com/ginja-dr/ginja/internal/simclock"
 	"github.com/ginja-dr/ginja/internal/vfs"
 )
 
@@ -250,17 +251,20 @@ func planDelta(fsys vfs.FS, proc dbevent.Processor, dirty map[string]*dirtyFile,
 	return planParts(append(entries, extras...), budget), nil
 }
 
-// planPayloadBytes is the total payload a plan will ship (lazy ranges
-// included) — the quantity the fold decision weighs against the local
-// database size.
-func planPayloadBytes(parts [][]planEntry) int64 {
-	var n int64
+// planBytes returns the total payload a plan will ship (lazy ranges
+// included) — what the fold decision weighs against the local database
+// size — and the part of it held in memory (a lazy entry costs nothing
+// until a worker streams it).
+func planBytes(parts [][]planEntry) (total, inMem int64) {
 	for _, part := range parts {
 		for _, e := range part {
-			n += e.length
+			total += e.length
+			if e.data != nil {
+				inMem += e.length
+			}
 		}
 	}
-	return n
+	return total, inMem
 }
 
 // planLazyPaths is the set of files a plan reads at upload time — the
@@ -277,20 +281,6 @@ func planLazyPaths(parts [][]planEntry) map[string]struct{} {
 		}
 	}
 	return paths
-}
-
-// planInMemBytes is the payload held in memory by a plan (the lazy
-// entries cost nothing until a worker streams them).
-func planInMemBytes(parts [][]planEntry) int64 {
-	var n int64
-	for _, part := range parts {
-		for _, e := range part {
-			if e.data != nil {
-				n += e.length
-			}
-		}
-	}
-	return n
 }
 
 // partSource is one part's payload, the write list DecodeWrites reads, as
@@ -332,6 +322,23 @@ func (s *partSource) fill(dst []byte, off int) {
 	}
 }
 
+// view is the part's sealer.SealFrom view: payload bytes [off, end) in
+// place when one piece holds them all (a file chunk cut at segment
+// boundaries holds its whole segment), else nil.
+func (s *partSource) view(off, end int) []byte {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	p := &s.pieces[sort.Search(len(s.pieces), func(i int) bool { return s.pieces[i].off > off })-1]
+	if end > p.off+len(p.data) {
+		return nil
+	}
+	b := p.data[off-p.off : end-p.off]
+	if p.left -= end - off; p.left == 0 {
+		s.drop(p)
+	}
+	return b
+}
+
 func (s *partSource) drop(p *sourcePiece) {
 	if p.read {
 		s.tracker.sub(int64(len(p.data)))
@@ -348,8 +355,8 @@ func (s *partSource) close() {
 	}
 }
 
-// source lays out one part's payload and reads its file ranges, chunk by
-// chunk, from the local files.
+// source lays out one part's payload and reads its file ranges in chunks
+// that end at the sealer's 1 MiB segment boundaries (see view).
 func (u *partUploader) source(entries []planEntry) (*partSource, error) {
 	hdr := partHeaderSize
 	for _, e := range entries {
@@ -399,7 +406,7 @@ func (u *partUploader) source(entries []planEntry) (*partSource, error) {
 			curFile, curPath = f, e.path
 		}
 		for done := int64(0); done < e.length; {
-			chunk := make([]byte, min(e.length-done, 1<<20))
+			chunk := make([]byte, min(e.length-done, int64(1<<20-src.n%(1<<20))))
 			n, err := curFile.ReadAt(chunk, e.offset+done)
 			if done += int64(n); n != len(chunk) {
 				if err == nil || errors.Is(err, io.EOF) {
@@ -448,6 +455,12 @@ type partUploader struct {
 	putHist  *obs.Histogram
 }
 
+// bootWAL is one Boot WAL object: length bytes of Filename from Offset.
+type bootWAL struct {
+	WALObjectInfo
+	length int64
+}
+
 // upload streams every planned part and returns ident completed with the
 // object's sealed Size (and, when split, PartSizes) — the record the view
 // takes. ident carries the object's identity — (Ts, Gen, Type)
@@ -458,37 +471,63 @@ type partUploader struct {
 // completed — the signal that the database files are no longer needed and
 // frozen writers may resume; on failure the caller's own release path
 // must cover it. A single-part object is uploaded under the plain unsplit
-// name. Once ctx is done no part is sealed or PUT; a failed upload also
-// returns the names it tried to PUT, every part that may exist.
+// name. Boot's WAL objects (wal, each given its sealed Size once it
+// landed) are jobs of the same pool, dispatched first and PUT in the
+// Safety class; a part may seal beside them but is PUT only once all of
+// them landed. Once ctx is done no part is sealed or PUT; a failed upload
+// also returns the names it tried to PUT.
 func (u *partUploader) upload(ctx context.Context, ident DBObjectInfo,
-	parts [][]planEntry, readsDone func()) (DBObjectInfo, []string, error) {
+	parts [][]planEntry, readsDone func(), wal []bootWAL) (DBObjectInfo, []string, error) {
 	ts, gen := ident.Ts, ident.Gen
 	sizes := make([]int64, len(parts))
 	tried := make([]string, len(parts))
-	var readsLeft atomic.Int64
+	var readsLeft, walLeft atomic.Int64
 	readsLeft.Store(int64(len(parts)))
+	walLeft.Store(int64(len(wal)))
+	landed := make(chan struct{}) // closed once every WAL object landed
+	if len(wal) == 0 {
+		close(landed)
+	}
 	ctx = withClass(ctx, classBulk) // once per object, not per part
-	err := runLimited(ctx, u.io.clk, u.io.params.CheckpointUploaders, len(parts), func(ctx context.Context, i int) error {
-		src, err := u.source(parts[i])
-		parts[i] = nil
-		if err != nil {
-			return fmt.Errorf("core: build DB part ts=%d gen=%d part=%d: %w", ts, gen, i, err)
+	err := runLimited(ctx, u.io.clk, u.io.params.CheckpointUploaders, len(wal)+len(parts), func(ctx context.Context, j int) error {
+		i := j - len(wal)
+		var entries []planEntry
+		if i < 0 {
+			entries = []planEntry{{path: wal[j].Filename, offset: wal[j].Offset, length: wal[j].length}}
+		} else {
+			entries, parts[i] = parts[i], nil
 		}
-		if readsLeft.Add(-1) == 0 && readsDone != nil {
+		src, err := u.source(entries)
+		if err != nil {
+			return fmt.Errorf("core: build part ts=%d gen=%d job=%d: %w", ts, gen, j, err)
+		}
+		if i >= 0 && readsLeft.Add(-1) == 0 && readsDone != nil {
 			readsDone()
 		}
 		sealStart := u.io.clk.Now()
 		var sealed []byte
 		if err = ctx.Err(); err == nil {
-			sealed, err = u.io.seal.SealFrom(ctx, src.n, src.fill)
+			sealed, err = u.io.seal.SealFrom(ctx, src.n, src.fill, src.view)
 		}
 		src.close()
 		if err != nil {
-			return fmt.Errorf("core: seal DB part ts=%d gen=%d part=%d: %w", ts, gen, i, err)
+			return fmt.Errorf("core: seal part ts=%d gen=%d job=%d: %w", ts, gen, j, err)
 		}
 		u.tracker.add(int64(len(sealed)))
+		defer u.tracker.sub(int64(len(sealed)))
 		if u.sealHist != nil {
 			u.sealHist.ObserveDuration(u.io.clk.Since(sealStart))
+		}
+		if i < 0 {
+			w := &wal[j]
+			name := WALObjectName(w.Ts, w.Filename, w.Offset)
+			if err := u.io.put(ctx, classSafety, name, sealed); err != nil {
+				return fmt.Errorf("core: boot upload %s: %w", name, err)
+			}
+			if w.Size = int64(len(sealed)); walLeft.Add(-1) == 0 {
+				simclock.Close(u.io.clk, landed)
+			}
+			return nil
 		}
 		sizes[i] = int64(len(sealed))
 		part, count := -1, 0
@@ -499,12 +538,14 @@ func (u *partUploader) upload(ctx context.Context, ident DBObjectInfo,
 			}
 		}
 		name := ident.name(int64(len(sealed)), part, count).String()
+		if _, _, err = simclock.Recv(ctx, u.io.clk, landed); err == nil {
+			err = ctx.Err()
+		}
 		putStart := u.io.clk.Now()
-		if err = ctx.Err(); err == nil {
+		if err == nil {
 			tried[i] = name
 			err = u.io.put(ctx, classBulk, name, sealed)
 		}
-		u.tracker.sub(int64(len(sealed)))
 		if err != nil {
 			return fmt.Errorf("core: upload %s: %w", name, err)
 		}

@@ -22,7 +22,11 @@
 // serial rest of the envelope — folding those checksums (adler32Combine),
 // AES-CTR and the MAC — runs segment by segment behind the deflate, in
 // order, on whichever goroutine completes the in-order prefix (see chain),
-// so Seal never walks the whole payload on one core.
+// so Seal never walks the whole payload on one core. The goroutines a seal
+// adds come from one process-wide budget of GOMAXPROCS-1 helpers, never
+// waited for: a seal borrows a free slot before each of its segments, so
+// one that started while every slot was lent out gains a helper as soon as
+// another seal hands one back (see lend).
 //
 // The deflate encoder (deflate.go, huffman.go) compresses a whole
 // in-memory segment in 65 535-byte blocks with compress/flate BestSpeed's
@@ -144,7 +148,7 @@ var (
 	zrPool  sync.Pool // io.ReadCloser + zlib.Resetter
 
 	// helpers counts the goroutines currently lent to multi-segment Seal
-	// calls, process-wide (see deflate).
+	// calls, process-wide (see lend).
 	helpers atomic.Int32
 )
 
@@ -222,17 +226,27 @@ func (s *Sealer) SealContext(ctx context.Context, payload []byte) ([]byte, error
 // A compressed payload is filled one segment at a time, into a pooled
 // segment buffer, on the goroutine that deflates that segment, and the
 // buffer goes back to the pool once deflated; a plain one is filled
-// straight into the output. fill may run on several goroutines at once,
-// always for disjoint ranges. The sealed bytes are Seal's for the same
-// payload: segment boundaries sit at fixed payload offsets.
-func (s *Sealer) SealFrom(ctx context.Context, n int, fill func(dst []byte, off int)) ([]byte, error) {
-	return s.seal(ctx, source{fill: fill, n: n})
+// straight into the output. A view, when given, is asked for each
+// compressed segment first: view(off, end) returns payload bytes
+// [off, end) where they already lie, which are deflated in place and only
+// read, or nil, and then the segment is filled. fill and view may run on
+// several goroutines at once, always for disjoint ranges. The sealed bytes
+// are Seal's for the same payload: segment boundaries sit at fixed payload
+// offsets.
+func (s *Sealer) SealFrom(ctx context.Context, n int, fill func(dst []byte, off int), view ...func(off, end int) []byte) ([]byte, error) {
+	src := source{fill: fill, n: n}
+	if len(view) > 0 {
+		src.view = view[0]
+	}
+	return s.seal(ctx, src)
 }
 
-// source is a payload being sealed: in memory, or produced by fill.
+// source is a payload being sealed: in memory, or produced by fill (and
+// view, when set).
 type source struct {
 	payload []byte
 	fill    func(dst []byte, off int) // nil when payload holds the bytes
+	view    func(off, end int) []byte
 	n       int
 }
 
@@ -424,8 +438,9 @@ type chain struct {
 	sum  uint32 // Adler-32 of the raw bytes of the chained segments
 	size int    // deflated bytes of the chained segments
 
-	claim atomic.Int32 // the next segment to deflate
-	wg    sync.WaitGroup
+	claim   atomic.Int32 // the next segment to deflate
+	workers atomic.Int32 // goroutines deflating: the caller and its helpers
+	wg      sync.WaitGroup
 
 	mu      sync.Mutex
 	segs    []segment // guarded by mu until deflate returns; buf nil until deflated
@@ -481,20 +496,14 @@ func (c *chain) finish(i int, seg segment) {
 
 // deflate compresses the payload into c.segs, one pooled buffer per
 // segment, and chains every segment. The calling goroutine compresses
-// segments itself and borrows helpers, without ever blocking for one, while
-// fewer than GOMAXPROCS-1 are lent out process-wide: on one core nothing is
-// spawned, and five part workers sealing a dump at once — or a fleet of a
-// thousand tenants — cannot oversubscribe the machine. Which goroutine
+// segments itself and borrows helpers (see lend). Which goroutine
 // compresses or chains which segment does not reach the output. Once ctx
 // is done no segment starts, and an unfinished payload's buffers go back.
 func (c *chain) deflate() error {
 	n := max(1, (c.src.n+segmentSize-1)/segmentSize)
 	c.segs = slices.Grow(c.segs[:0], n)[:n]
 	c.claim.Store(0)
-	for h := 1; h < n && borrowHelper(); h++ {
-		c.wg.Add(1)
-		go c.help()
-	}
+	c.workers.Store(1)
 	c.work()
 	c.wg.Wait()
 	if c.next == n {
@@ -508,23 +517,51 @@ func (c *chain) deflate() error {
 	return c.ctx.Err()
 }
 
+// lend borrows a helper for each unclaimed segment beyond the goroutines
+// already deflating, without ever blocking for one, while fewer than
+// GOMAXPROCS-1 are lent out process-wide: on one core nothing is spawned,
+// and five part workers sealing a dump at once — or a fleet of a thousand
+// tenants — cannot oversubscribe the machine. It runs before every
+// segment, so a chain that started while the budget was lent out takes a
+// slot that frees at its next segment boundary. Only a goroutine that
+// deflate still waits for calls it, so the group's Add never races its Wait.
+func (c *chain) lend() {
+	for int(c.workers.Load()) < len(c.segs)-int(c.claim.Load()) && borrowHelper() {
+		c.workers.Add(1)
+		c.wg.Add(1)
+		go c.help()
+	}
+}
+
 // help is a borrowed helper's share of deflate.
 func (c *chain) help() {
 	defer c.wg.Done()
 	defer helpers.Add(-1)
+	defer c.workers.Add(-1)
 	c.work()
 }
 
 // work deflates and chains unclaimed segments until none is left or ctx is
-// done. A SealFrom segment is filled into a pooled buffer first, which goes
-// back as soon as it is deflated.
+// done. A SealFrom segment is deflated in place when the view holds it, or
+// filled into a pooled buffer first, which goes back as soon as it is
+// deflated.
 func (c *chain) work() {
 	n := len(c.segs)
-	for i := int(c.claim.Add(1)) - 1; i < n && c.ctx.Err() == nil; i = int(c.claim.Add(1)) - 1 {
+	for c.lend(); ; c.lend() {
+		i := int(c.claim.Add(1)) - 1
+		if i >= n || c.ctx.Err() != nil {
+			return
+		}
 		off, end := i*segmentSize, min((i+1)*segmentSize, c.src.n)
 		if c.src.fill == nil {
 			c.finish(i, compressSegment(c.src.payload[off:end], i == n-1))
 			continue
+		}
+		if c.src.view != nil {
+			if in := c.src.view(off, end); in != nil {
+				c.finish(i, compressSegment(in, i == n-1))
+				continue
+			}
 		}
 		raw := rawPool.Get().(*[]byte)
 		c.src.fill((*raw)[:end-off], off)

@@ -221,6 +221,59 @@ func TestSealFromMatchesSeal(t *testing.T) {
 	}
 }
 
+// TestChainGainsFreedHelper: a multi-segment seal that starts while the
+// helper budget is lent out deflates alone until a slot frees; then it
+// takes the slot at its next segment boundary, so its two remaining
+// segments are filled at the same time, and its bytes are Seal's.
+func TestChainGainsFreedHelper(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2)) // a budget of one helper
+	s, err := New(Options{Compress: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := rowPayload(3*segmentSize, 7)
+	want, err := s.Seal(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lent atomic.Bool
+	helpers.Add(1) // the budget is lent out
+	lent.Store(true)
+	defer func() {
+		if lent.Swap(false) {
+			helpers.Add(-1)
+		}
+	}()
+	var (
+		entered  atomic.Int32
+		together = make(chan struct{})
+		alone    atomic.Bool
+	)
+	got, err := s.SealFrom(context.Background(), len(payload), func(dst []byte, off int) {
+		switch {
+		case off == 0:
+			if lent.Swap(false) {
+				helpers.Add(-1) // the slot frees while segment 0 is filled
+			}
+		case entered.Add(1) == 2:
+			close(together)
+		default:
+			select {
+			case <-together:
+			case <-time.After(5 * time.Second):
+				alone.Store(true)
+			}
+		}
+		copy(dst, payload[off:])
+	})
+	if err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("SealFrom: err=%v, Seal's bytes %v", err, bytes.Equal(got, want))
+	}
+	if alone.Load() {
+		t.Fatal("segments 1 and 2 were filled one after the other: the chain never took the freed helper slot")
+	}
+}
+
 func TestSegmentedTamperingDetected(t *testing.T) {
 	payload := rowPayload(3*segmentSize+999, 3)
 	for name, s := range configs(t) {
