@@ -51,7 +51,7 @@ determinism:
 # lines in internal/core, in the sealer (envelope plus its deflate
 # encoder), in the virtual clock (internal/simclock and its test harness),
 # in the repo outside benchmark/, and in the virtual-time and paper-figure
-# measurement code (ROADMAP item 6), plus the number of core.Params fields
+# measurement code (ROADMAP item 12), plus the number of core.Params fields
 # (one exported field per line of the struct).
 loc:
 	@printf 'internal/core        %s\n' "$$(find internal/core -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"

@@ -131,17 +131,13 @@ type checkpointer struct {
 	// element (dump or delta); nil unless Params.DeltaCheckpoints.
 	dirty *dirtyMap
 
-	// The delta chain this process is extending: tip identity, length and
-	// summed payload since the base dump. chainValid means the tip was
-	// planned by THIS process while the dirty map was live — a rebooted
-	// process starts invalid (its dirty map missed whatever the previous
-	// incarnation wrote) and re-validates with its first full dump.
-	chainMu     sync.Mutex
-	chainValid  bool
-	chainTipTs  int64
-	chainTipGen int
-	chainLen    int
-	chainBytes  int64
+	// What the view cannot know of the chain (its tip and length are the
+	// view's: chain). chainValid: THIS process planned it while the dirty
+	// map was live — a rebooted process starts invalid (its dirty map missed
+	// whatever the previous incarnation wrote) and re-validates with its
+	// first full dump. chainBytes: the deltas' summed raw payload since it.
+	chainValid atomic.Bool
+	chainBytes atomic.Int64
 	// chainInFlight: a dump or delta is queued or uploading (finalizeLocked).
 	chainInFlight atomic.Bool
 
@@ -595,38 +591,31 @@ func (c *checkpointer) queueChangedLocked() {
 // when the chain would exceed MaxDeltaChain elements, or when its summed
 // payload plus this delta would exceed DeltaCompactRatio of the local
 // database size. Either way the dirty epoch resets — the new element
-// covers everything recorded so far.
+// covers everything recorded so far. The delta's base is the chain tip of
+// the view's live set: the rule runs only while no chain element is in
+// flight (chainInFlight), so the last one has landed.
 func (c *checkpointer) planChainElement(ts int64, gen int, localSize int64) (dbObject, error) {
 	budget := partBudget(c.params.MaxObjectSize)
-	if c.dirty != nil {
-		c.chainMu.Lock()
-		valid, tipTs, tipGen := c.chainValid, c.chainTipTs, c.chainTipGen
-		chainLen, chainBytes := c.chainLen, c.chainBytes
-		c.chainMu.Unlock()
-		if valid && chainLen+1 <= c.params.MaxDeltaChain {
-			plan, err := planDelta(c.localFS, c.proc, c.dirty.snapshotAndReset(), budget)
-			if err != nil {
-				return dbObject{typ: Delta}, err
-			}
-			deltaBytes, inMem := planBytes(plan)
-			if float64(chainBytes+deltaBytes) <= c.params.DeltaCompactRatio*float64(localSize) {
-				obj := dbObject{ts: ts, gen: gen, typ: Delta, plan: plan,
-					baseTs: tipTs, baseGen: tipGen,
-					bufBytes: inMem, savedBytes: localSize - deltaBytes}
-				if obj.savedBytes < 0 {
-					obj.savedBytes = 0
-				}
-				obj.hold = c.acquireGate(planLazyPaths(plan))
-				c.chainMu.Lock()
-				c.chainTipTs, c.chainTipGen = ts, gen
-				c.chainLen++
-				c.chainBytes += deltaBytes
-				c.chainMu.Unlock()
-				return obj, nil
-			}
-			// The chain would outgrow the compact ratio: fold. The consumed
-			// dirty epoch is covered by the full dump below.
+	tip, chainLen, ok := c.chain()
+	if ok && chainLen+1 <= c.params.MaxDeltaChain {
+		plan, err := planDelta(c.localFS, c.proc, c.dirty.snapshotAndReset(), budget)
+		if err != nil {
+			return dbObject{typ: Delta}, err
 		}
+		deltaBytes, inMem := planBytes(plan)
+		if float64(c.chainBytes.Load()+deltaBytes) <= c.params.DeltaCompactRatio*float64(localSize) {
+			obj := dbObject{ts: ts, gen: gen, typ: Delta, plan: plan,
+				baseTs: tip.Ts, baseGen: tip.Gen,
+				bufBytes: inMem, savedBytes: localSize - deltaBytes}
+			if obj.savedBytes < 0 {
+				obj.savedBytes = 0
+			}
+			obj.hold = c.acquireGate(planLazyPaths(plan))
+			c.chainBytes.Add(deltaBytes)
+			return obj, nil
+		}
+		// The chain would outgrow the compact ratio: fold. The consumed
+		// dirty epoch is covered by the full dump below.
 	}
 	plan, err := planDump(c.localFS, c.proc, budget)
 	if err != nil {
@@ -638,41 +627,35 @@ func (c *checkpointer) planChainElement(ts int64, gen int, localSize int64) (dbO
 	_, inMem := planBytes(plan)
 	obj := dbObject{ts: ts, gen: gen, typ: Dump, plan: plan, bufBytes: inMem}
 	obj.hold = c.acquireGate(planLazyPaths(plan))
-	c.chainMu.Lock()
-	c.chainValid = c.dirty != nil
-	c.chainTipTs, c.chainTipGen = ts, gen
-	c.chainLen, c.chainBytes = 0, 0
-	c.chainMu.Unlock()
+	c.chainValid.Store(c.dirty != nil)
+	c.chainBytes.Store(0)
 	return obj, nil
 }
 
-// noteChainBase seeds the delta chain with a base dump uploaded outside
-// the checkpointer's queue (Boot's ts-0 dump). The dirty map is empty at
-// boot and sees every write from then on, so the first threshold
-// crossing may already be served by a delta. A rebooted or recovered
-// process must NOT seed from the cloud view: its dirty map missed
-// whatever the previous incarnation wrote after the last chain element,
-// so its first crossing emits a full dump instead.
-func (c *checkpointer) noteChainBase(ts int64, gen int) {
-	if c.dirty == nil {
-		return
-	}
-	c.chainMu.Lock()
-	c.chainValid = true
-	c.chainTipTs, c.chainTipGen = ts, gen
-	c.chainLen, c.chainBytes = 0, 0
-	c.chainMu.Unlock()
+// deltaChainLen reports the landed chain's length (deltas since the base
+// dump) for Stats and the gauge; 0 while this process owns none.
+func (c *checkpointer) deltaChainLen() int {
+	_, n, _ := c.chain()
+	return n
 }
 
-// deltaChainLen reports the current chain length (deltas since the base
-// dump) for Stats and the gauge.
-func (c *checkpointer) deltaChainLen() int {
-	c.chainMu.Lock()
-	defer c.chainMu.Unlock()
-	if !c.chainValid {
-		return 0
+// chain reads the chain this process extends from the view's live set: its
+// newest element and how many deltas it holds past the root dump. ok is
+// false while the process owns no chain (chainValid) or none is listed.
+func (c *checkpointer) chain() (tip DBObjectInfo, deltas int, ok bool) {
+	if !c.chainValid.Load() {
+		return tip, 0, false
 	}
-	return c.chainLen
+	db, _, err := live(c.view.DBObjects(), nil, -1)
+	for _, d := range db {
+		if d.Type != Checkpoint {
+			tip = d
+		}
+		if d.Type == Delta {
+			deltas++
+		}
+	}
+	return tip, deltas, err == nil
 }
 
 // localDBSize sums the sizes of all data-class files (the "local DB size"

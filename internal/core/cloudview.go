@@ -278,34 +278,32 @@ func (v *CloudView) DeleteDB(ts int64, gen int) {
 
 // supersede applies the garbage-collection rule (Algorithm 3 lines 23–29)
 // to everything the view holds, and stamps what it newly finds superseded
-// with now. A DB object supersedes the WAL objects with ts ≤ its own; a
-// dump, every older DB object; a delta, the checkpoints since its base —
-// so along a chain every checkpoint older than the newest delta, since
-// each delta recaptured every range they dirtied. An object found again
-// keeps its first stamp: its window must not restart. The checkpointer
-// calls it after each landing, and Ginja.start after every start-up
-// load, so a restarted instance trims the history it lists.
+// with now: every DB object the view's live set, live(-1), leaves out, and
+// the WAL objects up to that set's newest DB object. Along a chain that is
+// every checkpoint older than the newest chain element, which recaptured
+// the ranges they dirtied. With no dump listed nothing is superseded. An
+// object found again keeps its first stamp: its window must not restart.
+// The checkpointer calls it after each landing, Ginja.start after every
+// start-up load (so a restarted instance trims the history it lists), and
+// a Follower before it drops what is stamped from its view.
 func (v *CloudView) supersede(now time.Time) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	var newestTs int64
-	var dump, delta DBObjectInfo // the zero key: nothing is Before it
-	for _, d := range v.db {
-		newestTs = max(newestTs, d.Ts)
-		if d.Type == Dump && dump.Before(*d) {
-			dump = *d
-		}
-		if d.Type == Delta && delta.Before(*d) {
-			delta = *d
-		}
+	dbs := v.dbObjects()
+	keep, _, err := live(dbs, nil, -1)
+	if err != nil {
+		return
 	}
 	for ts := range v.wal {
-		if _, ok := v.walRetired[ts]; ts <= newestTs && !ok {
+		if _, ok := v.walRetired[ts]; ts <= keep[len(keep)-1].Ts && !ok {
 			v.walRetired[ts] = now
 		}
 	}
-	for key, d := range v.db {
-		if _, ok := v.dbRetired[key]; !ok && (d.Before(dump) || (d.Type == Checkpoint && d.Before(delta))) {
+	for _, d := range dbs {
+		key := dbKey{ts: d.Ts, gen: d.Gen}
+		if len(keep) > 0 && keep[0].Ts == d.Ts && keep[0].Gen == d.Gen {
+			keep = keep[1:]
+		} else if _, ok := v.dbRetired[key]; !ok {
 			v.dbRetired[key] = now
 			v.dbSize -= d.Size
 		}
@@ -384,6 +382,10 @@ func (v *CloudView) WALObjects() []WALObjectInfo {
 func (v *CloudView) DBObjects() []DBObjectInfo {
 	v.mu.Lock()
 	defer v.mu.Unlock()
+	return v.dbObjects()
+}
+
+func (v *CloudView) dbObjects() []DBObjectInfo {
 	out := make([]DBObjectInfo, 0, len(v.db))
 	for _, d := range v.db {
 		out = append(out, *d)

@@ -30,7 +30,7 @@ func TestCloudViewLoadFromListPrunesPartialObjects(t *testing.T) {
 	if got := v.TotalDBSize(); got != 900 {
 		t.Fatalf("TotalDBSize = %d, want 900 (partial object must not count)", got)
 	}
-	if p, _, err := plan(v.DBObjects(), v.WALObjects(), -1); err != nil || p[0].Ts != 0 {
+	if p, _, err := live(v.DBObjects(), v.WALObjects(), -1); err != nil || p[0].Ts != 0 {
 		t.Fatalf("plan = %+v, %v; the partial dump must not be eligible", p, err)
 	}
 	orphans := v.OrphanParts()

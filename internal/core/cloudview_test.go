@@ -165,6 +165,11 @@ func TestCloudViewSupersede(t *testing.T) {
 		{name: "delta chain folded", wal: 8,
 			db:      []DBObjectInfo{dump(0, 0), ckpt(1, 0), delta(2, dump(0, 0)), ckpt(3, 0), dump(5, 0), ckpt(7, 0)},
 			wantWAL: []int64{1, 2, 3, 4, 5, 6, 7}, wantDB: []dbKey{{0, 0}, {1, 0}, {2, 0}, {3, 0}}},
+		// X6 is rooted on D0's chain, not on D4's, so recovery takes D4 and
+		// replays WAL 5–8: X6 is superseded, WAL 5 and 6 are not.
+		{name: "delta off the newest dump's chain", wal: 8,
+			db:      []DBObjectInfo{dump(0, 0), delta(2, dump(0, 0)), dump(4, 0), delta(6, delta(2, dump(0, 0)))},
+			wantWAL: []int64{1, 2, 3, 4}, wantDB: []dbKey{{0, 0}, {2, 0}, {6, 0}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			at := time.Unix(100, 0)

@@ -22,14 +22,17 @@ import (
 //
 // Its apply is recovery run continuously, not a second algorithm. Each
 // poll diffs one LIST through a listTracker into the follower's own
-// CloudView and asks plan — the function cold recovery uses — for the
-// newest state. The replica keeps the longest prefix of the plan's DB
-// objects it already holds and fetches the rest through cloudIO.restore:
-// when every planned DB object is in place, only the WAL run past the
-// applied frontier; otherwise the DB suffix and the whole run. A first poll
-// is therefore exactly a cold recovery, and an older object listed late
+// CloudView and asks live — the walk cold recovery uses — for the newest
+// state. The replica keeps the longest prefix of the plan's DB objects it
+// already holds and fetches the rest through cloudIO.restore: when every
+// planned DB object is in place, only the WAL run past the applied
+// frontier; otherwise the DB suffix and the whole run. A first poll is
+// therefore exactly a cold recovery, and an older object listed late
 // (read-after-write list lag) is just a different plan, whose newer objects
-// and WAL run replay by construction.
+// and WAL run replay by construction. After each plan the view forgets
+// what the primary's GC rule stamps (CloudView.supersede), so it holds
+// live(-1) and the WAL past it: a poll costs the live bucket, not the
+// history the follower has seen.
 //
 // Lifecycle: NewFollower → Start (initial sync + tail loop) → either
 // Promote (disaster: final catch-up, then a started *Ginja on the warm
@@ -225,23 +228,16 @@ func (f *Follower) poll(ctx context.Context, infos []cloud.ObjectInfo, bd *Recov
 		}
 	}
 	dbs, wals := f.view.DBObjects(), f.view.WALObjects()
-	db, run, err := plan(dbs, wals, -1)
+	db, run, err := live(dbs, wals, -1)
 	if err != nil { // ErrNoDump, the only error of an unbounded plan
 		f.settle(len(wals), len(dbs)+len(wals) == 0)
 		return true, nil
 	}
-	// What precedes the dump, and WAL its newest DB object covers, is out
-	// of every later plan too: a poll should cost the live bucket, not the
-	// history the follower has seen.
-	for _, d := range dbs {
-		if d.Before(db[0]) {
-			f.view.DeleteDB(d.Ts, d.Gen)
-		}
-	}
-	for _, w := range wals {
-		if w.Ts <= db[len(db)-1].Ts {
-			f.view.DeleteWAL(w.Ts)
-		}
+	// Forget what the GC rule stamps: no later plan needs it.
+	now := f.clk.Now()
+	f.view.supersede(now)
+	for _, gone := range f.view.expired(now, 0, 0) {
+		f.forget(gone.names[0])
 	}
 
 	k := 0

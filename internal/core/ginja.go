@@ -68,9 +68,9 @@ type Stats struct {
 	// object: merged into the open checkpoint, or superseded by a dump/delta
 	// while open or while uploading.
 	CheckpointsAbsorbed int64
-	// DeltaChainLen is the length of the current delta chain (deltas since
-	// the last full base dump; 0 when the next threshold crossing will
-	// emit a full dump).
+	// DeltaChainLen is the length of the landed delta chain (deltas since
+	// the last full base dump; 0 while the process owns no chain, so the
+	// next threshold crossing will emit a full dump).
 	DeltaChainLen int
 	// CheckpointBytesSaved is the cumulative payload NOT uploaded because
 	// a delta shipped instead of the full re-dump the 150 % rule would
@@ -260,8 +260,9 @@ func (g *Ginja) Boot(ctx context.Context) error {
 	g.start()
 	// The boot dump can seed the delta chain: the DBMS has not run yet, so
 	// the fresh dirty map has missed nothing. (Reboot/Recover must not seed
-	// — their newest dump predates this process's dirty tracking.)
-	g.ckpt.noteChainBase(0, 0)
+	// — their dirty map missed whatever the previous incarnation wrote
+	// after the last chain element, so their first crossing folds.)
+	g.ckpt.chainValid.Store(g.ckpt.dirty != nil)
 	return nil
 }
 
@@ -287,8 +288,8 @@ func (g *Ginja) Reboot(ctx context.Context) error {
 
 // Recover rebuilds the local database files from the cloud (Algorithm 1,
 // Recovery mode): newest dump, then its delta chain and the incremental
-// checkpoints in (Ts, Gen) order, then the WAL objects with consecutive
-// timestamps (see plan). After Recover returns, the DBMS can be started on
+// checkpoints after it, then the WAL objects with consecutive timestamps
+// (see live). After Recover returns, the DBMS can be started on
 // FS() and will complete its own crash recovery from the rebuilt files.
 func (g *Ginja) Recover(ctx context.Context) error {
 	if g.started {
@@ -310,8 +311,8 @@ func (g *Ginja) Recover(ctx context.Context) error {
 // RecoverAt rebuilds the local files to the exact consistent prefix of
 // the commit history up to and including WAL timestamp ts: the newest
 // retained dump at or before ts, its delta chain and the incremental
-// checkpoints up to ts, then the consecutive WAL run ending at ts (see
-// plan). Any ts whose objects are still retained (Params.RetainFor) is a
+// checkpoints after it up to ts, then the consecutive WAL run ending at ts
+// (see live). Any ts whose objects are still retained (Params.RetainFor) is a
 // valid recovery point; a ts older than the retention window fails with
 // ErrNoDump. ts = -1 recovers the newest state (like Recover, but onto
 // target). RecoverAt does NOT start replication — point-in-time restores
@@ -367,12 +368,12 @@ func (g *Ginja) recoverInto(ctx context.Context, view *CloudView, target vfs.FS,
 	return nil
 }
 
-// restoreTo rebuilds target as plan orders it from view (upTo = -1: the
+// restoreTo rebuilds target as live orders it from view (upTo = -1: the
 // newest state), accumulating the fetch/decode/apply phase timings into
 // bd. Only the downloads overlap (RecoveryFetchers parallel GETs); every
 // object is applied strictly in plan order.
 func (g *Ginja) restoreTo(ctx context.Context, view *CloudView, target vfs.FS, upTo int64, bd *RecoveryBreakdown) error {
-	db, run, err := plan(view.DBObjects(), view.WALObjects(), upTo)
+	db, run, err := live(view.DBObjects(), view.WALObjects(), upTo)
 	if err != nil {
 		return err
 	}

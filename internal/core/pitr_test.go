@@ -271,6 +271,92 @@ func TestRebootLeavesRetainedObjectsOutOfDumpRule(t *testing.T) {
 	}
 }
 
+// TestRecoverySkipsWrittenOffCheckpoints: under a retention window the
+// bucket still lists the checkpoints a chain delta recaptured, but no
+// recovery needs them. RecoverAt(-1) and a Follower's first poll each fetch
+// exactly live(-1) and its WAL run — none of those checkpoints — and the
+// follower's view then holds live(-1) and the WAL past its newest DB
+// object, nothing it has written off.
+func TestRecoverySkipsWrittenOffCheckpoints(t *testing.T) {
+	params := simPITRParams()
+	params.DeltaCheckpoints = true
+	params.DeltaCompactRatio = 10 // the crossing ships a delta, never a fold
+	_, store, _ := retainedHistory(t, params)
+	ctx := context.Background()
+
+	infos, err := store.List(ctx, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := NewCloudView()
+	if err := v.LoadFromList(infos); err != nil {
+		t.Fatal(err)
+	}
+	_, run, err := live(v.DBObjects(), v.WALObjects(), -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The one chain element is a delta on the boot dump: every listed
+	// checkpoint before it is written off.
+	var delta DBObjectInfo
+	for _, d := range v.DBObjects() {
+		if d.Type == Delta {
+			delta = d
+		}
+	}
+	var keep []DBObjectInfo
+	writtenOff := 0
+	for _, d := range v.DBObjects() {
+		if d.Type == Checkpoint && d.Before(delta) {
+			writtenOff += len(d.PartNames())
+		} else {
+			keep = append(keep, d)
+		}
+	}
+	if delta.Type != Delta || writtenOff == 0 {
+		t.Fatalf("bucket %s: want a delta with retained checkpoints before it", planSig(v.DBObjects(), nil))
+	}
+	want := len(planNames(keep, run))
+
+	g, err := New(vfs.NewMemFS(), store, dbevent.NewPGProcessor(), params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.RecoverAt(ctx, vfs.NewMemFS(), -1); err != nil {
+		t.Fatal(err)
+	}
+	bdAt := g.Stats().LastRecovery
+	t.Logf("RecoverAt(-1): %d objects, %d B; %d listed parts written off", bdAt.Objects, bdAt.Bytes, writtenOff)
+	if bdAt.Objects != want {
+		t.Fatalf("RecoverAt(-1) fetched %d objects, want %d (the bucket holds %d parts of written-off checkpoints)",
+			bdAt.Objects, want, writtenOff)
+	}
+
+	f, err := NewFollower(vfs.NewMemFS(), store, dbevent.NewPGProcessor(), params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	// Start's first poll, with a breakdown to count what it fetches.
+	bd := &RecoveryBreakdown{}
+	if complete, err := f.poll(ctx, infos, bd); err != nil || !complete {
+		t.Fatalf("first poll: complete %v, %v", complete, err)
+	}
+	if bd.Objects != want {
+		t.Fatalf("a follower's first poll fetched %d objects, want %d (the bucket holds %d parts of written-off checkpoints)",
+			bd.Objects, want, writtenOff)
+	}
+	var past []WALObjectInfo
+	for _, w := range v.WALObjects() {
+		if w.Ts > keep[len(keep)-1].Ts {
+			past = append(past, w)
+		}
+	}
+	if got, want := planSig(f.view.DBObjects(), f.view.WALObjects()), planSig(keep, past); got != want {
+		t.Fatalf("the follower's view holds %s, want live(-1) and the WAL past it: %s", got, want)
+	}
+}
+
 // retainedHistory boots a primary, churns until the 150 % rule ships a
 // chain element, and stops it cleanly: with a long enough window the
 // bucket still holds every object the element superseded. It returns the
@@ -433,7 +519,7 @@ func unplanned(t *testing.T, store cloud.ObjectStore) []string {
 	if err := v.LoadFromList(infos); err != nil {
 		t.Fatal(err)
 	}
-	db, run, err := plan(v.DBObjects(), v.WALObjects(), -1)
+	db, run, err := live(v.DBObjects(), v.WALObjects(), -1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,8 +8,9 @@ import (
 )
 
 // TestPlan pins the recovery order on fabricated views: which dump, which
-// chain and checkpoints, which WAL run. The property tests reach plan only
-// through whole systems.
+// chain and checkpoints, which WAL run. TestLiveWalkExhaustive checks live
+// against a page model on every small history; the property tests reach
+// it through whole systems.
 func TestPlan(t *testing.T) {
 	dump := func(ts int64) DBObjectInfo { return DBObjectInfo{Ts: ts, Type: Dump} }
 	ckpt := func(ts int64) DBObjectInfo { return DBObjectInfo{Ts: ts, Type: Checkpoint} }
@@ -31,8 +32,13 @@ func TestPlan(t *testing.T) {
 	}{
 		{"retained older dump is skipped", []DBObjectInfo{dump(0), ckpt(2), dump(5), ckpt(7)}, upTo12, -1, "D5 C7 | 8-12"},
 		{"retained older dump serves an older ts", []DBObjectInfo{dump(0), ckpt(2), dump(5), ckpt(7)}, upTo12, 4, "D0 C2 | 3-4"},
+		// X9 recaptures every range C8 dirtied, so C8 is history.
 		{"delta based off the chain is left out",
-			[]DBObjectInfo{dump(0), delta(2, 0), dump(4), delta(6, 2), delta(7, 4), ckpt(8), delta(9, 7)}, upTo12, -1, "D4 X7 C8 X9 | 10-12"},
+			[]DBObjectInfo{dump(0), delta(2, 0), dump(4), delta(6, 2), delta(7, 4), ckpt(8), delta(9, 7)}, upTo12, -1, "D4 X7 X9 | 10-12"},
+		{"upTo between chain elements keeps the checkpoints after the tip",
+			[]DBObjectInfo{dump(0), ckpt(2), delta(3, 0), ckpt(5), delta(6, 3)}, upTo12, 5, "D0 X3 C5 |"},
+		{"checkpoints before the newest chain element are left out",
+			[]DBObjectInfo{dump(0), ckpt(2), delta(3, 0), ckpt(5), delta(6, 3)}, upTo12, -1, "D0 X3 X6 | 7-12"},
 		{"upTo inside a delta chain", []DBObjectInfo{dump(0), delta(3, 0), delta(6, 3), delta(9, 6)}, upTo12, 7, "D0 X3 X6 | 7-7"},
 		{"a WAL gap ends the run", []DBObjectInfo{dump(0), ckpt(3)}, wals(1, 2, 3, 4, 5, 7, 8), -1, "D0 C3 | 4-5"},
 		{"the run stops at upTo", []DBObjectInfo{dump(0)}, upTo12, 4, "D0 | 1-4"},
@@ -41,7 +47,7 @@ func TestPlan(t *testing.T) {
 		{"no dump at all", []DBObjectInfo{ckpt(1)}, upTo12, -1, ""},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			db, run, err := plan(tc.dbs, tc.wals, tc.upTo)
+			db, run, err := live(tc.dbs, tc.wals, tc.upTo)
 			if tc.want == "" {
 				if !errors.Is(err, ErrNoDump) {
 					t.Fatalf("plan = %v, %v, %v; want ErrNoDump", db, run, err)

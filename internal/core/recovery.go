@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -9,50 +10,58 @@ import (
 	"github.com/ginja-dr/ginja/internal/vfs"
 )
 
-// plan is the one place the recovery order is decided (Algorithm 1's
-// Recovery mode) — for Recover, RecoverAt, Verify and every Follower poll
-// alike. From a view snapshot (dbs in (Ts, Gen) order, wals in Ts order)
-// it picks:
+// live is the one walk that decides what in the bucket still matters: the
+// objects a recovery to upTo (-1 = no bound) applies, in order (Algorithm
+// 1's Recovery mode). Recover, RecoverAt, Verify and every Follower poll
+// restore it, CloudView.supersede stamps what live(-1) leaves out
+// (Algorithm 3 lines 23–29), and the checkpointer takes its chain tip from
+// it. From a view snapshot (dbs in (Ts, Gen) order, wals in Ts order), among
+// the DB objects at or before upTo it takes:
 //
-//  1. the newest dump at or before upTo (-1 = no bound);
-//  2. after it, in (Ts, Gen) order and up to upTo, the checkpoints and the
-//     delta chain rooted at that dump: a delta joins only if its `.b` base
-//     is the previous chain element, so one rooted elsewhere (an older
-//     retained dump's chain) is left out. A retained checkpoint applied
-//     before the delta that superseded it is harmless — the delta
-//     recaptures every range it dirtied — and a chain prefix is itself a
-//     consistent cut;
-//  3. the WAL objects with consecutive timestamps from the newest planned
-//     DB object's Ts + 1. A gap (an object lost mid-upload when the
-//     disaster struck) ends the run, which is what bounds data loss to S;
-//     stopping at upTo is what makes RecoverAt(ts) the exact prefix ≤ ts.
+//  1. the newest dump, the chain's root;
+//  2. the chain, walked back from its newest element to the root: a dump
+//     has no base, a delta's base is explicit (`.b`), and a delta is on
+//     the chain only if its base is;
+//  3. the checkpoints after the newest chain element — which recaptured
+//     every range dirtied before it — up to the first object that is not
+//     one (an off-chain delta, which they build on);
+//  4. the WAL objects with consecutive timestamps from the newest planned
+//     DB object's Ts + 1. A gap (an object lost mid-upload) ends the run,
+//     which bounds data loss to S; stopping at upTo makes RecoverAt(ts)
+//     the exact prefix ≤ ts.
 //
 // No qualifying dump is ErrNoDump.
-func plan(dbs []DBObjectInfo, wals []WALObjectInfo, upTo int64) (db []DBObjectInfo, run []WALObjectInfo, err error) {
+func live(dbs []DBObjectInfo, wals []WALObjectInfo, upTo int64) (db []DBObjectInfo, run []WALObjectInfo, err error) {
 	within := func(ts int64) bool { return upTo < 0 || ts <= upTo }
-	dump := -1
+	dbs = dbs[:sort.Search(len(dbs), func(i int) bool { return !within(dbs[i].Ts) })]
+	root := -1
 	for i, d := range dbs {
-		if d.Type == Dump && within(d.Ts) {
-			dump = i
+		if d.Type == Dump {
+			root = i
 		}
 	}
-	if dump < 0 {
+	if root < 0 {
 		if upTo < 0 {
 			return nil, nil, ErrNoDump
 		}
 		return nil, nil, fmt.Errorf("core: no dump at or before ts %d (outside the retention window): %w", upTo, ErrNoDump)
 	}
-	db = []DBObjectInfo{dbs[dump]}
-	tip := dbs[dump]
-	for _, d := range dbs[dump+1:] {
-		if !within(d.Ts) {
-			break
+	chain := map[dbKey]int{{dbs[root].Ts, dbs[root].Gen}: root}
+	tip := root
+	for i := root + 1; i < len(dbs); i++ {
+		d := dbs[i]
+		if _, ok := chain[dbKey{d.BaseTs, d.BaseGen}]; ok && d.Type == Delta {
+			chain[dbKey{d.Ts, d.Gen}], tip = i, i
 		}
-		if d.Type == Delta {
-			if d.BaseTs != tip.Ts || d.BaseGen != tip.Gen {
-				continue
-			}
-			tip = d
+	}
+	for i := tip; i > root; i = chain[dbKey{dbs[i].BaseTs, dbs[i].BaseGen}] {
+		db = append(db, dbs[i])
+	}
+	db = append(db, dbs[root])
+	slices.Reverse(db)
+	for _, d := range dbs[tip+1:] {
+		if d.Type != Checkpoint {
+			break
 		}
 		db = append(db, d)
 	}
