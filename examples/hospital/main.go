@@ -62,8 +62,8 @@ func run() error {
 	if err := tpcc.Load(db, cfg); err != nil {
 		return err
 	}
-	fmt.Println("running the ward's transaction mix for 3 seconds ...")
-	res, err := tpcc.NewDriver(db, cfg).Run(ctx, 3*time.Second)
+	fmt.Println("running the ward's transaction mix for 1 second ...")
+	res, err := tpcc.NewDriver(db, cfg).Run(ctx, time.Second)
 	if err != nil {
 		return err
 	}

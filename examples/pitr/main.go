@@ -32,9 +32,8 @@ func run() error {
 	params := ginja.DefaultParams()
 	params.Batch = 4
 	params.Safety = 64
-	params.BatchTimeout = 50 * time.Millisecond // flush partial batches quickly
-	params.RetainFor = time.Hour                // every ts of the last hour is a restore point
-	params.DumpThreshold = 1.0                  // dump eagerly so old objects get superseded
+	params.RetainFor = time.Hour // every ts of the last hour is a restore point
+	params.DumpThreshold = 1.0   // dump eagerly so old objects get superseded
 
 	local := ginja.NewMemFS()
 	g, err := ginja.New(local, store, ginja.NewPGProcessor(), params)

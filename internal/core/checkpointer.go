@@ -378,14 +378,14 @@ func (c *checkpointer) handle(ev dbevent.Event) {
 	switch ev.Type {
 	case dbevent.CheckpointBegin:
 		// ts = timestamp of the last WAL object allocated before the
-		// checkpoint began (line 5). Re-stamp even when an implicit
-		// collection (stray data writes such as table creation) is
-		// already open: the checkpoint flushes every page dirtied by
-		// commits that completed before this event, so all WAL
-		// timestamps allocated up to now are covered — and the stray
+		// checkpoint began (line 5), taken by a cut. Re-stamp even when
+		// an implicit collection (stray data writes such as table
+		// creation) is already open: the checkpoint flushes every page
+		// dirtied by commits that completed before this event, so all
+		// WAL timestamps allocated up to now are covered — and the stray
 		// writes themselves carry no WAL dependency.
 		c.collecting = true
-		c.tsAtBegin = c.view.LastWALTs()
+		c.tsAtBegin = c.view.cut()
 		c.appendWriteLocked(ev)
 	case dbevent.CheckpointData:
 		if !c.collecting {
@@ -393,7 +393,7 @@ func (c *checkpointer) handle(ev dbevent.Event) {
 			// created mid-run): open an implicit collection so the write
 			// still reaches the cloud with the next checkpoint.
 			c.collecting = true
-			c.tsAtBegin = c.view.LastWALTs()
+			c.tsAtBegin = c.view.cut()
 		}
 		c.appendWriteLocked(ev)
 	case dbevent.CheckpointEnd:

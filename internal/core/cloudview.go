@@ -116,6 +116,7 @@ type CloudView struct {
 	db     map[dbKey]*DBObjectInfo
 	nextTs int64
 	dbSize int64
+	epoch  int64 // cuts so far (see cut)
 
 	// walRetired and dbRetired hold, for each object the GC rule
 	// (supersede) found superseded, the instant it first did: the start of
@@ -169,6 +170,24 @@ func (v *CloudView) NextWALTs() int64 {
 	ts := v.nextTs
 	v.nextTs++
 	return ts
+}
+
+// allocWALTs allocates n consecutive WAL timestamps and returns the first
+// with the current epoch: a batch lies wholly on one side of every cut.
+func (v *CloudView) allocWALTs(n int) (first, epoch int64) {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	v.nextTs += int64(n)
+	return v.nextTs - int64(n), v.epoch
+}
+
+// cut returns the ts of a DB object captured now, the last WAL ts
+// allocated, and starts a new epoch (walShadows).
+func (v *CloudView) cut() int64 {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	v.epoch++
+	return v.nextTs - 1
 }
 
 // LastWALTs returns the most recently allocated WAL timestamp (0 if none).

@@ -65,6 +65,7 @@ type commitQueue struct {
 
 	tbExpired bool
 	tsExpired bool
+	draining  int // drain calls waiting: each cuts partial batches
 	tbTimer   simclock.Timer
 	tsTimer   simclock.Timer
 	closed    bool
@@ -180,8 +181,8 @@ func (q *commitQueue) put(u update) (time.Duration, error) {
 	return blocked, nil
 }
 
-// nextBatch blocks until B unsent updates exist (or TB expired with at
-// least one pending, or the queue is closing) and copies them into buf
+// nextBatch blocks until B unsent updates exist (or one is, and TB
+// expired, a drain waits or the queue is closing) and copies them into buf
 // (usually the caller's reused batch slice) without removing them. It
 // returns ok=false when the queue is closed and fully drained of unsent
 // items.
@@ -190,7 +191,7 @@ func (q *commitQueue) nextBatch(buf []update) ([]update, bool) {
 	defer q.mu.Unlock()
 	for {
 		pending := len(q.items) - q.taken
-		if pending >= q.batch || (pending > 0 && (q.tbExpired || q.closed)) {
+		if pending >= q.batch || (pending > 0 && (q.tbExpired || q.draining > 0 || q.closed)) {
 			n := pending
 			if n > q.batch {
 				n = q.batch
@@ -287,13 +288,6 @@ func (q *commitQueue) setKnobs(batch int, batchTimeout time.Duration) {
 	}
 }
 
-// knobs returns the effective (Batch, BatchTimeout) pair.
-func (q *commitQueue) knobs() (int, time.Duration) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.batch, q.batchTimeout
-}
-
 // size returns the number of unacknowledged updates.
 func (q *commitQueue) size() int {
 	q.mu.Lock()
@@ -323,10 +317,10 @@ func (q *commitQueue) blockedDuration() time.Duration {
 }
 
 // drain waits until every enqueued update has been acknowledged and
-// removed, or the timeout elapses. It parks on a condition variable that
-// removeFront signals when the queue empties — no polling — with a
-// clock-driven timer bounding the wait, so it is cheap in production and
-// instantaneous under a simulation clock.
+// removed, or the timeout elapses, cutting partial batches meanwhile. It
+// parks on a condition variable that removeFront signals when the queue
+// empties — no polling — with a clock-driven timer bounding the wait, so
+// it is cheap in production and instantaneous under a simulation clock.
 func (q *commitQueue) drain(timeout time.Duration) bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -342,6 +336,9 @@ func (q *commitQueue) drain(timeout time.Duration) bool {
 	})
 	t.Reset(timeout)
 	defer t.Stop()
+	q.draining++
+	defer func() { q.draining-- }()
+	q.more.Broadcast()
 	for q.liveLocked() > 0 && !timedOut && !q.closed {
 		q.emptied.Wait()
 	}

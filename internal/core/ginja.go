@@ -510,7 +510,9 @@ func (g *Ginja) OnTruncate(path string, size int64) {
 	g.ckpt.handleTruncate(path)
 }
 
-// OnRemove implements vfs.Observer.
+// OnRemove implements vfs.Observer. Removes and renames are not
+// replicated, and WAL trim shadows stay valid only because of that: once
+// they are, each must drop the shadow of the path it affects.
 func (g *Ginja) OnRemove(string) {}
 
 // Err returns the first fatal replication error, if any.

@@ -120,6 +120,7 @@ type pipeline struct {
 	writesBuf []FileWrite
 	merge     mergeScratch
 	plan      [][]FileWrite
+	shadows   walShadows
 
 	errMu sync.Mutex
 	err   error
@@ -144,6 +145,7 @@ func newPipeline(view *CloudView, io *cloudIO, params Params) *pipeline {
 		ctx:      ctx,
 		cancel:   cancel,
 		wg:       simclock.NewGroup(clk),
+		shadows:  walShadows{files: make(map[string]FileWrite)},
 	}
 	if params.Metrics != nil {
 		p.spans = params.Metrics.Spans()
@@ -317,28 +319,10 @@ func (p *pipeline) aggregator() {
 				m.queueWait.ObserveDuration(aggStart.Sub(u.at))
 			}
 		}
-		writes := p.writesBuf[:0]
-		for _, u := range updates {
-			writes = append(writes, FileWrite{Path: u.path, Offset: u.off, Data: u.data})
-		}
-		p.writesBuf = writes
-		// Contiguous runs stay separate writes: joining them would copy
-		// payload, and the packed object carries a write list anyway.
-		merged := p.merge.merge(writes, false)
-		maxSize := p.params.MaxObjectSize
-		if maxSize > 0 {
-			for _, w := range merged {
-				if !w.Whole && int64(len(w.Data)) > maxSize {
-					p.stats.splitWrites.Add(1)
-				}
-			}
-		}
-		p.plan = AppendPackWrites(p.plan, merged, maxSize)
 		batchID := p.batchSeq.Add(1)
-		var maxTs int64
-		for _, group := range p.plan {
-			ts := p.view.NextWALTs()
-			maxTs = ts
+		first := p.planBatch(updates)
+		maxTs := first + int64(len(p.plan)) - 1
+		for i, group := range p.plan {
 			if len(group) > 1 {
 				p.stats.packedObjects.Add(1)
 			}
@@ -347,7 +331,7 @@ func (p *pipeline) aggregator() {
 			}
 			ws := walWritesPool.Get().(*[]FileWrite)
 			*ws = append((*ws)[:0], group...)
-			if simclock.Send(p.ctx, p.clk, p.uploadCh, walUpload{ts: ts, batch: batchID, writes: ws}) != nil {
+			if simclock.Send(p.ctx, p.clk, p.uploadCh, walUpload{ts: first + int64(i), batch: batchID, writes: ws}) != nil {
 				*ws = (*ws)[:0]
 				walWritesPool.Put(ws)
 				return
@@ -383,6 +367,31 @@ func (p *pipeline) aggregator() {
 			return
 		}
 	}
+}
+
+// planBatch coalesces, packs, stamps and then trims a batch into p.plan
+// and returns its first timestamp.
+func (p *pipeline) planBatch(updates []update) int64 {
+	writes := p.writesBuf[:0]
+	for _, u := range updates {
+		writes = append(writes, FileWrite{Path: u.path, Offset: u.off, Data: u.data})
+	}
+	p.writesBuf = writes
+	// Contiguous runs stay separate writes: joining them would copy
+	// payload, and the packed object carries a write list anyway.
+	merged := p.merge.merge(writes, false)
+	maxSize := p.params.MaxObjectSize
+	if maxSize > 0 {
+		for _, w := range merged {
+			if !w.Whole && int64(len(w.Data)) > maxSize {
+				p.stats.splitWrites.Add(1)
+			}
+		}
+	}
+	p.plan = AppendPackWrites(p.plan, merged, maxSize)
+	first, epoch := p.view.allocWALTs(len(p.plan))
+	p.shadows.trim(epoch, p.plan, merged)
+	return first
 }
 
 // sealOne encodes and seals one WAL object. Each worker passes its

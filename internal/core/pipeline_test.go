@@ -199,17 +199,41 @@ func TestPipelineAggregationCoalescesSamePage(t *testing.T) {
 }
 
 func TestPipelineBatchTimeoutFlushesPartialBatch(t *testing.T) {
-	// B=100 but only 3 updates: TB must flush them.
+	// B=100 but only 3 updates, and nothing drains: TB alone flushes them.
 	store := cloud.NewMemStore()
 	p := testParams(100, 1000)
 	p.BatchTimeout = 30 * time.Millisecond
+	p.Clock = simclock.NewSim()
 	pipe := startPipeline(t, store, p)
 	submitN(t, pipe, 3)
-	if !pipe.q.drain(2 * time.Second) {
-		t.Fatal("TB did not flush the partial batch")
+	p.Clock.Sleep(p.BatchTimeout / 2)
+	if got := pipe.stats.walObjects.Load(); got != 0 {
+		t.Fatalf("%d objects uploaded before TB", got)
 	}
-	if got := pipe.stats.walObjects.Load(); got == 0 {
-		t.Fatal("nothing uploaded")
+	p.Clock.Sleep(p.BatchTimeout)
+	if got := pipe.q.size(); got != 0 {
+		t.Fatalf("TB did not flush the partial batch: %d updates pending", got)
+	}
+}
+
+func TestPipelineDrainCutsPartialBatch(t *testing.T) {
+	// Flush and Close drain the queue: a partial batch is cut at once, as
+	// TB would cut it, instead of waiting out a TB of an hour.
+	store := cloud.NewMemStore()
+	p := testParams(100, 1000)
+	p.BatchTimeout = time.Hour
+	p.Clock = simclock.NewSim()
+	pipe := startPipeline(t, store, p)
+	submitN(t, pipe, 3)
+	start := p.Clock.Now()
+	if !pipe.q.drain(time.Minute) {
+		t.Fatal("drain timed out behind the partial batch")
+	}
+	if d := p.Clock.Since(start); d != 0 {
+		t.Fatalf("drain took %v of virtual time, want none", d)
+	}
+	if got := pipe.stats.batches.Load(); got != 1 {
+		t.Fatalf("%d batches, want the one partial batch", got)
 	}
 }
 

@@ -151,8 +151,8 @@ func TestFullStackWithTransientCloudFailures(t *testing.T) {
 	if !r.g.SyncCheckpoints(20 * time.Second) {
 		t.Fatal("checkpoint upload did not survive the failure rate")
 	}
-	if got := r.g.Stats().UploadRetries; got != 4 {
-		t.Fatalf("%d commit-path retries, want exactly 4 for seed 99", got)
+	if got := r.g.Stats().UploadRetries; got != 7 {
+		t.Fatalf("%d commit-path retries, want exactly 7 for seed 99", got)
 	}
 	if err := r.g.Err(); err != nil {
 		t.Fatalf("pipeline error: %v", err)

@@ -178,8 +178,11 @@ func TestCommitQueueShrinkWakesAggregator(t *testing.T) {
 	if d := clk.Since(start); d != 0 {
 		t.Fatalf("aggregator woke at +%v, by the re-armed TB, not by the shrink (missing wakeup)", d)
 	}
-	if b, tb := q.knobs(); b != 3 || tb != time.Hour {
-		t.Fatalf("knobs() = (%d, %v), want (3, 1h)", b, tb)
+	q.mu.Lock()
+	b, tb := q.batch, q.batchTimeout
+	q.mu.Unlock()
+	if b != 3 || tb != time.Hour {
+		t.Fatalf("queue knobs = (%d, %v), want (3, 1h)", b, tb)
 	}
 }
 

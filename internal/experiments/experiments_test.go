@@ -43,7 +43,7 @@ func TestFigure5ShapeHighBSBeatsNoLoss(t *testing.T) {
 	if generous.Blocked != 0 {
 		t.Fatalf("B=100 S=10000 blocked %v, want never", generous.Blocked)
 	}
-	if want := 66107060799 * time.Nanosecond; noLoss.Blocked != want {
+	if want := 65107147249 * time.Nanosecond; noLoss.Blocked != want {
 		t.Fatalf("No-Loss blocked %v, want exactly %v", noLoss.Blocked, want)
 	}
 }
@@ -89,8 +89,8 @@ func TestFigure7ShapeGrowsWithSizeAndLANFaster(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []Figure7Row{
-		{Warehouses: 1, OnPremises: 1385274239, InRegionVM: 42014123, Bytes: 3813843, Objects: 6},
-		{Warehouses: 3, OnPremises: 2070985425, InRegionVM: 77488535, Bytes: 7833349, Objects: 6},
+		{Warehouses: 1, OnPremises: 1440735867, InRegionVM: 45121848, Bytes: 3807641, Objects: 6},
+		{Warehouses: 3, OnPremises: 1921384742, InRegionVM: 77163868, Bytes: 7823683, Objects: 6},
 	}
 	for i, r := range rows {
 		if r != want[i] {

@@ -10,8 +10,9 @@ import (
 // the path of the calling database thread: if OnWrite blocks, the database
 // write blocks — this is how the Safety parameter throttles the DBMS.
 type Observer interface {
-	// OnBeforeWrite is called before data is handed to the local file, and
-	// before a truncate with off the new size and nil data. It may block —
+	// OnBeforeWrite is called before data is handed to the local file,
+	// before a truncate with off the new size and nil data, and before a
+	// rename once per name with off 0 and nil data. It may block —
 	// this is how Ginja freezes database-file writes and truncates while a
 	// streaming dump is reading the files (§5.3: local DB writes stop
 	// during dump creation). The change has NOT happened yet when this
@@ -88,8 +89,12 @@ func (i *InterceptFS) Remove(name string) error {
 	return nil
 }
 
-// Rename implements FS.
+// Rename implements FS. Both names pass OnBeforeWrite first, as a
+// truncate does, so a rename waits while a dump reads either file. The
+// observer hears of no rename: Ginja does not replicate it yet.
 func (i *InterceptFS) Rename(oldName, newName string) error {
+	i.obs.OnBeforeWrite(normalize(oldName), 0, nil)
+	i.obs.OnBeforeWrite(normalize(newName), 0, nil)
 	return i.inner.Rename(oldName, newName)
 }
 
