@@ -135,19 +135,25 @@ func BenchmarkPipelineThroughput(b *testing.B) {
 // pooled per-object write lists; what remains is the amortized per-object
 // seal + store cost). The unpacked variant is the ablation baseline: its
 // objects are capped at one payload, so each commit is its own object.
+// Payloads are non-zero, as WAL records are: an all-zero one would ship
+// as a zero fill. The zero-tail variant commits fresh 8 KiB pages, a
+// record at the head and zeros after, so every write is cut into its
+// record and a zero fill.
 func BenchmarkCommitPath(b *testing.B) {
 	const payloadBytes = 256
 	for _, bc := range []struct {
 		name      string
 		maxObject int64 // 0: Validate fills in the default
 		adaptive  bool
+		zeroTail  int // zero bytes after the record
 	}{
-		{"packed", 0, false},
-		{"unpacked", payloadBytes, false},
+		{"packed", 0, false, 0},
+		{"unpacked", payloadBytes, false, 0},
 		// The adaptive controller must not cost the hot path anything:
 		// observePut runs off the submit path and knob publication is one
 		// amortized pointer store per tick.
-		{"packed-adaptive", 0, true},
+		{"packed-adaptive", 0, true, 0},
+		{"packed-zero-tail", 0, false, 8192 - payloadBytes},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			p := DefaultParams()
@@ -163,7 +169,10 @@ func BenchmarkCommitPath(b *testing.B) {
 			pipe := newPipeline(NewCloudView(), plainIO(cloud.NewMemStore(), params), params)
 			pipe.start(0)
 			defer pipe.drainAndStop(10 * time.Second)
-			payload := make([]byte, payloadBytes)
+			payload := make([]byte, payloadBytes+bc.zeroTail)
+			for i := range payloadBytes {
+				payload[i] = byte(1 + i%255)
+			}
 			submit := func(i int) {
 				if _, err := pipe.submit("pg_xlog/0001", int64(i%4096)*8192, payload); err != nil {
 					b.Fatal(err)

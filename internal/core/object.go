@@ -220,6 +220,9 @@ type FileWrite struct {
 	// Whole marks a dump entry: on recovery the file is truncated to
 	// exactly this content.
 	Whole bool
+	// Zero marks a zero fill: Data is all zero and ships as its length
+	// alone. A decoded zero fill's Data aliases zeroBlock.
+	Zero bool
 }
 
 // End returns the byte offset just past this write.
@@ -229,7 +232,47 @@ func (w FileWrite) End() int64 { return w.Offset + int64(len(w.Data)) }
 //
 //	magic(4) "GJWL" | count(4) | entries...
 //	entry: flags(1) | pathLen(2) | path | offset(8) | dataLen(8) | data
+//
+// flags is 0 for a positional write, 1 (Whole) for a dump entry's whole
+// file and 2 (Zero) for a zero fill: dataLen zero bytes at offset, of
+// which no data byte follows. A zero fill is 1 to zeroBlockSize bytes
+// long; the encoder cuts a longer Zero write into block-sized entries,
+// so a decoder never sizes anything by a length the object claims. Flag
+// values 4 and 8 are reserved for the namespace's remove and rename
+// entries (ROADMAP item 2); every other value is malformed. The
+// Aggregator emits a zero fill for a WAL write's trailing zero run longer
+// than the entry header it costs, and only when the sealer does not
+// compress: deflate already shrinks a zero run below a second header
+// (DESIGN.md §12).
 const writeListMagic = "GJWL"
+
+const (
+	flagWhole = 1
+	flagZero  = 2
+)
+
+// entryHeader is the size of an entry's fixed fields plus its path.
+func entryHeader(path string) int { return 1 + 2 + len(path) + 8 + 8 }
+
+// zeroBlockSize caps one zero-fill entry.
+const zeroBlockSize = 64 << 10
+
+// zeroBlock is what every decoded zero fill's Data aliases. It is never
+// written: appliers copy from it, and its slices are capacity-clipped.
+var zeroBlock [zeroBlockSize]byte
+
+// zeroTail counts the zero bytes data ends with.
+func zeroTail(data []byte) int {
+	n := 0
+	for n < len(data) {
+		k := common(data[:len(data)-n], zeroBlock[:], true)
+		n += k
+		if k < zeroBlockSize {
+			break
+		}
+	}
+	return n
+}
 
 // ErrBadWriteList reports a malformed serialized write list.
 var ErrBadWriteList = errors.New("core: malformed write list")
@@ -245,9 +288,14 @@ func EncodeWrites(writes []FileWrite) []byte {
 // must not hand the result to anything that retains it — Sealer.Seal does
 // not.
 func EncodeWritesInto(buf []byte, writes []FileWrite) []byte {
-	size := 8
+	size, count := 8, 0
 	for _, w := range writes {
-		size += 1 + 2 + len(w.Path) + 8 + 8 + len(w.Data)
+		if w.Zero {
+			n := (len(w.Data) + zeroBlockSize - 1) / zeroBlockSize
+			size, count = size+n*entryHeader(w.Path), count+n
+			continue
+		}
+		size, count = size+entryHeader(w.Path)+len(w.Data), count+1
 	}
 	if cap(buf)-len(buf) < size {
 		grown := make([]byte, len(buf), len(buf)+size)
@@ -255,35 +303,46 @@ func EncodeWritesInto(buf []byte, writes []FileWrite) []byte {
 		buf = grown
 	}
 	buf = append(buf, writeListMagic...)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(writes)))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(count))
 	for _, w := range writes {
+		if w.Zero {
+			for at := 0; at < len(w.Data); at += zeroBlockSize {
+				buf = appendEntryHeader(buf, flagZero, w.Path, w.Offset+int64(at), int64(min(zeroBlockSize, len(w.Data)-at)))
+			}
+			continue
+		}
 		var flags byte
 		if w.Whole {
-			flags = 1
+			flags = flagWhole
 		}
-		buf = append(buf, flags)
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(w.Path)))
-		buf = append(buf, w.Path...)
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(w.Offset))
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(len(w.Data)))
+		buf = appendEntryHeader(buf, flags, w.Path, w.Offset, int64(len(w.Data)))
 		buf = append(buf, w.Data...)
 	}
 	return buf
 }
 
+// appendEntryHeader appends an entry's fields up to its data.
+func appendEntryHeader(buf []byte, flags byte, path string, off, dataLen int64) []byte {
+	buf = append(buf, flags)
+	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(path)))
+	buf = append(buf, path...)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(off))
+	return binary.LittleEndian.AppendUint64(buf, uint64(dataLen))
+}
+
 // DecodeWrites parses a serialized write list. Every Data in the result is
-// a capacity-clipped sub-slice of buf, not a copy: the list is valid while
-// buf is unmodified (every caller applies it and drops it before buf).
+// a capacity-clipped sub-slice of buf, or of zeroBlock for a zero fill,
+// not a copy: the list is valid while buf is unmodified (every caller
+// applies it and drops it before buf).
 func DecodeWrites(buf []byte) ([]FileWrite, error) {
 	if len(buf) < 8 || string(buf[:4]) != writeListMagic {
 		return nil, ErrBadWriteList
 	}
 	count := int(binary.LittleEndian.Uint32(buf[4:8]))
-	// The smallest entry (empty path, empty data) is 19 bytes, so a count
+	// The smallest entry (empty path, no data) is 19 bytes, so a count
 	// the buffer cannot possibly hold is malformed — and must not size an
 	// allocation (a 4-byte header would otherwise demand gigabytes).
-	const minEntrySize = 1 + 2 + 8 + 8
-	if count > (len(buf)-8)/minEntrySize {
+	if count > (len(buf)-8)/entryHeader("") {
 		return nil, ErrBadWriteList
 	}
 	writes := make([]FileWrite, 0, count)
@@ -293,7 +352,7 @@ func DecodeWrites(buf []byte) ([]FileWrite, error) {
 			return nil, ErrBadWriteList
 		}
 		flags := buf[off]
-		if flags&^1 != 0 {
+		if flags != 0 && flags != flagWhole && flags != flagZero {
 			return nil, ErrBadWriteList
 		}
 		pathLen := int(binary.LittleEndian.Uint16(buf[off+1 : off+3]))
@@ -306,11 +365,20 @@ func DecodeWrites(buf []byte) ([]FileWrite, error) {
 		wOff := int64(binary.LittleEndian.Uint64(buf[off : off+8]))
 		dataLen := binary.LittleEndian.Uint64(buf[off+8 : off+16])
 		off += 16
+		if flags == flagZero {
+			// An empty zero fill has no canonical encoding: the encoder
+			// emits no entry for it.
+			if dataLen == 0 || dataLen > zeroBlockSize {
+				return nil, ErrBadWriteList
+			}
+			writes = append(writes, FileWrite{Path: p, Offset: wOff, Data: zeroBlock[:dataLen:dataLen], Zero: true})
+			continue
+		}
 		if dataLen > uint64(len(buf)-off) {
 			return nil, ErrBadWriteList
 		}
 		end := off + int(dataLen)
-		writes = append(writes, FileWrite{Path: p, Offset: wOff, Data: buf[off:end:end], Whole: flags&1 != 0})
+		writes = append(writes, FileWrite{Path: p, Offset: wOff, Data: buf[off:end:end], Whole: flags == flagWhole})
 		off = end
 	}
 	if off != len(buf) {

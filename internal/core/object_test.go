@@ -2,10 +2,15 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"github.com/ginja-dr/ginja/internal/vfs"
 )
 
 func TestWALObjectNameRoundTrip(t *testing.T) {
@@ -168,6 +173,143 @@ func TestDecodeWritesRejectsCorruption(t *testing.T) {
 		if _, err := DecodeWrites(bad); err == nil {
 			t.Errorf("case %d accepted", i)
 		}
+	}
+}
+
+// TestZeroFillRoundTrip: a Zero write ships as zero-fill entries of at
+// most zeroBlockSize bytes each, with no data bytes, and decodes to
+// writes of zeros that alias the shared block.
+func TestZeroFillRoundTrip(t *testing.T) {
+	long := zeroBlockSize + 100
+	writes := []FileWrite{
+		{Path: "pg_wal/1", Offset: 8192, Data: []byte("record")},
+		{Path: "pg_wal/1", Offset: 8198, Data: make([]byte, 8186), Zero: true},
+		{Path: "pg_wal/2", Offset: 1 << 24, Data: make([]byte, long), Zero: true},
+	}
+	buf := EncodeWrites(writes)
+	if want := 8 + 4*entryHeader("pg_wal/1") + len("record"); len(buf) != want {
+		t.Fatalf("encoded %d bytes, want %d: a zero fill ships no data", len(buf), want)
+	}
+	decoded, err := DecodeWrites(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []FileWrite{
+		writes[0], writes[1],
+		{Path: "pg_wal/2", Offset: 1 << 24, Data: make([]byte, zeroBlockSize), Zero: true},
+		{Path: "pg_wal/2", Offset: 1<<24 + zeroBlockSize, Data: make([]byte, 100), Zero: true},
+	}
+	if !reflect.DeepEqual(decoded, want) {
+		t.Fatalf("decoded %+v, want %+v", decoded, want)
+	}
+	for _, w := range decoded[1:] {
+		if &w.Data[0] != &zeroBlock[0] || cap(w.Data) != len(w.Data) {
+			t.Fatalf("zero fill at %d is not a capacity-clipped slice of the shared block", w.Offset)
+		}
+	}
+	if re := EncodeWrites(decoded); !bytes.Equal(re, buf) {
+		t.Fatal("decoded zero fills do not re-encode to the same bytes")
+	}
+}
+
+// TestDecodeRejectsBadZeroFills: a zero fill longer than the block, an
+// empty one and one that is also Whole are malformed, and a forged
+// length sizes no allocation: the one the decoder makes is the write list,
+// which the count field sizes and the buffer length bounds.
+func TestDecodeRejectsBadZeroFills(t *testing.T) {
+	entry := func(flags byte, dataLen int64) []byte {
+		return appendEntryHeader(append([]byte(writeListMagic), 1, 0, 0, 0), flags, "", 0, dataLen)
+	}
+	for _, c := range []struct {
+		name  string
+		flags byte
+		n     int64
+	}{
+		{"past the block", flagZero, zeroBlockSize + 1},
+		{"2^62", flagZero, 1 << 62},
+		{"empty", flagZero, 0},
+		{"whole and zero", flagWhole | flagZero, 8},
+		{"reserved flag", 4, 0},
+	} {
+		buf := entry(c.flags, c.n)
+		if _, err := DecodeWrites(buf); err == nil {
+			t.Errorf("%s: accepted", c.name)
+		}
+		if n := testing.AllocsPerRun(10, func() { DecodeWrites(buf) }); n > 1 {
+			t.Errorf("%s: %.0f allocations, want at most the write list's", c.name, n)
+		}
+	}
+	if _, err := DecodeWrites(entry(flagZero, zeroBlockSize)); err != nil {
+		t.Fatalf("a zero fill of exactly one block: %v", err)
+	}
+}
+
+// TestZeroBlockStaysZero: applying decoded zero fills, writing over what
+// they landed on and appending to their Data leave the shared block all
+// zero.
+func TestZeroBlockStaysZero(t *testing.T) {
+	buf := EncodeWrites([]FileWrite{
+		{Path: "pg_wal/1", Offset: 0, Data: []byte("record")},
+		{Path: "pg_wal/1", Offset: 6, Data: make([]byte, 4090), Zero: true},
+		{Path: "pg_wal/2", Offset: 0, Data: make([]byte, zeroBlockSize), Zero: true},
+	})
+	writes, err := DecodeWrites(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	target := vfs.NewMemFS()
+	if err := applyWrites(target, writes); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{"pg_wal/1", "pg_wal/2"} {
+		if err := vfs.WriteAt(target, path, 0, bytes.Repeat([]byte{0xAB}, 5000)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, w := range writes {
+		_ = append(w.Data, 0xCD)
+	}
+	if i := bytes.IndexFunc(zeroBlock[:], func(r rune) bool { return r != 0 }); i >= 0 {
+		t.Fatalf("shared zero block holds a non-zero byte at %d", i)
+	}
+	got, err := vfs.ReadFile(target, "pg_wal/2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != zeroBlockSize || !bytes.Equal(got[5000:], zeroBlock[5000:]) {
+		t.Fatal("the applied zero fill is not zeros")
+	}
+}
+
+// TestEncodingWithoutZeroRunIsUnchanged: a batch whose writes end in no
+// zero run plans and encodes to exactly the bytes it did before the
+// zero-fill entry existed (the hash was taken from that encoder and
+// Aggregator). Zeros inside a write stay data.
+func TestEncodingWithoutZeroRunIsUnchanged(t *testing.T) {
+	const want = "1548f5a4f0eba4febaca6533bde2bab4e26cb1863574297851178f4ae9e1b963"
+	p := newPipeline(NewCloudView(), nil, DefaultParams())
+	defer p.cancel()
+	var batch []update
+	for i := 0; i < 6; i++ {
+		data := make([]byte, 100+300*i)
+		for k := range data {
+			if k < len(data)/3 || k > len(data)/2 { // a zero run inside
+				data[k] = byte(1 + (i+k)%251)
+			}
+		}
+		batch = append(batch, update{path: fmt.Sprintf("pg_wal/%d", i%2), off: int64(i) * 8192, data: data})
+	}
+	p.planBatch(batch)
+	h := sha256.New()
+	for _, group := range p.plan {
+		h.Write(EncodeWrites(group))
+	}
+	h.Write(EncodeWrites([]FileWrite{
+		{Path: "base/1", Data: []byte("whole file"), Whole: true},
+		{Path: "base/2", Offset: 7},
+	}))
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("encoding hash %s, want %s", got, want)
 	}
 }
 
@@ -572,6 +714,18 @@ func FuzzDecodeWrites(f *testing.F) {
 	// Forged count: header claims 4 billion entries in a 12-byte buffer.
 	forged := append([]byte("GJWL"), 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0)
 	f.Add(forged)
+	// A zero fill, as the Aggregator cuts a fresh WAL page's tail; one
+	// after a whole-file entry; and one forging a 2^62-byte run, which
+	// must be rejected before anything is sized by it.
+	f.Add(EncodeWrites([]FileWrite{
+		{Path: "pg_wal/0001", Offset: 8192, Data: []byte("commit-a")},
+		{Path: "pg_wal/0001", Offset: 8200, Data: make([]byte, 8184), Zero: true},
+	}))
+	f.Add(EncodeWrites([]FileWrite{
+		{Path: "base/1", Data: []byte("whole"), Whole: true},
+		{Path: "base/1", Offset: 5, Data: make([]byte, 64), Zero: true},
+	}))
+	f.Add(appendEntryHeader(append([]byte("GJWL"), 1, 0, 0, 0), flagZero, "", 0, 1<<62))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		writes, err := DecodeWrites(data)
 		if err != nil {

@@ -48,12 +48,8 @@ type planEntry struct {
 	data   [][]byte
 }
 
-// Per-entry wire overhead: flags(1) + pathLen(2) + offset(8) + dataLen(8)
-// plus the path bytes; partHeaderSize is the write-list header.
-const (
-	entryOverhead  = 1 + 2 + 8 + 8
-	partHeaderSize = 8
-)
+// partHeaderSize is the write-list header; entryHeader sizes each entry's.
+const partHeaderSize = 8
 
 // partBudget is the payload budget per part: enough below MaxObjectSize
 // that a sealed part (envelope + MAC + IV + zlib stored-block worst case)
@@ -111,7 +107,7 @@ func planParts(entries []planEntry, budget int64) [][]planEntry {
 		curBytes = partHeaderSize
 	}
 	for _, e := range entries {
-		overhead := int64(entryOverhead + len(e.path))
+		overhead := int64(entryHeader(e.path))
 		rem := e
 		for {
 			room := budget - curBytes - overhead
@@ -360,7 +356,7 @@ func (s *partSource) close() {
 func (u *partUploader) source(entries []planEntry) (*partSource, error) {
 	hdr := partHeaderSize
 	for _, e := range entries {
-		hdr += entryOverhead + len(e.path)
+		hdr += entryHeader(e.path)
 	}
 	head := make([]byte, 0, hdr) // never grows: every piece cut from it stays valid
 	head = append(head, writeListMagic...)
@@ -380,14 +376,10 @@ func (u *partUploader) source(entries []planEntry) (*partSource, error) {
 	for _, e := range entries {
 		var flags byte
 		if e.whole {
-			flags = 1
+			flags = flagWhole
 		}
 		at := len(head)
-		head = append(head, flags)
-		head = binary.LittleEndian.AppendUint16(head, uint16(len(e.path)))
-		head = append(head, e.path...)
-		head = binary.LittleEndian.AppendUint64(head, uint64(e.offset))
-		head = binary.LittleEndian.AppendUint64(head, uint64(e.length))
+		head = appendEntryHeader(head, flags, e.path, e.offset, e.length)
 		src.add(head[at:], false)
 		for _, d := range e.data {
 			src.add(d, false)

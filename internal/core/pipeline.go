@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -323,12 +324,6 @@ func (p *pipeline) aggregator() {
 		first := p.planBatch(updates)
 		maxTs := first + int64(len(p.plan)) - 1
 		for i, group := range p.plan {
-			if len(group) > 1 {
-				p.stats.packedObjects.Add(1)
-			}
-			if m != nil {
-				m.writesPerObject.Observe(float64(len(group)))
-			}
 			ws := walWritesPool.Get().(*[]FileWrite)
 			*ws = append((*ws)[:0], group...)
 			if simclock.Send(p.ctx, p.clk, p.uploadCh, walUpload{ts: first + int64(i), batch: batchID, writes: ws}) != nil {
@@ -370,7 +365,8 @@ func (p *pipeline) aggregator() {
 }
 
 // planBatch coalesces, packs, stamps and then trims a batch into p.plan
-// and returns its first timestamp.
+// and returns its first timestamp. Unless the sealer compresses, each
+// write's trailing zero run then ships as a zero fill (cutZeroTails).
 func (p *pipeline) planBatch(updates []update) int64 {
 	writes := p.writesBuf[:0]
 	for _, u := range updates {
@@ -389,9 +385,51 @@ func (p *pipeline) planBatch(updates []update) int64 {
 		}
 	}
 	p.plan = AppendPackWrites(p.plan, merged, maxSize)
+	// Packing counts the writes it packed, not the zero fills cut below.
+	for _, group := range p.plan {
+		if len(group) > 1 {
+			p.stats.packedObjects.Add(1)
+		}
+		if m := p.metrics; m != nil {
+			m.writesPerObject.Observe(float64(len(group)))
+		}
+	}
 	first, epoch := p.view.allocWALTs(len(p.plan))
 	p.shadows.trim(epoch, p.plan, merged)
+	if !p.params.Compress { // the sealer compresses iff Params.Compress
+		for i := range p.plan {
+			p.plan[i] = cutZeroTails(p.plan[i])
+		}
+	}
 	return first
+}
+
+// cutZeroTails cuts each positional write's trailing zero run, where it
+// is longer than the entry header a zero fill costs, off into a zero fill
+// right after the write; an all-zero write becomes one. The fills stay in
+// the write's object, and a group the cuts grow keeps its capacity for
+// later batches.
+func cutZeroTails(group []FileWrite) []FileWrite {
+	for i := 0; i < len(group); i++ {
+		w := &group[i]
+		if w.Whole || w.Zero {
+			continue
+		}
+		z := zeroTail(w.Data)
+		if z <= entryHeader(w.Path) {
+			continue
+		}
+		keep := len(w.Data) - z
+		fill := FileWrite{Path: w.Path, Offset: w.Offset + int64(keep), Data: w.Data[keep:], Zero: true}
+		if keep == 0 {
+			*w = fill
+			continue
+		}
+		w.Data = w.Data[:keep]
+		group = slices.Insert(group, i+1, fill)
+		i++
+	}
+	return group
 }
 
 // sealOne encodes and seals one WAL object. Each worker passes its

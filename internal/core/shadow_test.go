@@ -13,9 +13,10 @@ import (
 )
 
 // trimStream drives a never-started pipeline's planBatch over random
-// batches of WAL rewrites, appends and overlapping writes to a few files,
-// with random cuts between batches. It records each object twice: as
-// planBatch trimmed it and as the same batch packs untrimmed.
+// batches of WAL rewrites, fresh zero-tailed pages, appends and
+// overlapping writes to a few files, with random cuts between batches.
+// It records each object twice: as recovery decodes what planBatch
+// trimmed and cut, and as the same batch packs untrimmed.
 type trimStream struct {
 	objs, plain [][]FileWrite // by ts - 1
 	cuts        []int64       // DB object timestamps, 0 for Boot's dump
@@ -30,6 +31,7 @@ func runTrimStream(t *testing.T, rng *rand.Rand) trimStream {
 	t.Helper()
 	params := DefaultParams()
 	params.MaxObjectSize = []int64{0, 300, 1000}[rng.Intn(3)]
+	params.Compress = rng.Intn(4) == 0 // no zero fills then
 	view := NewCloudView()
 	p := newPipeline(view, nil, params)
 	defer p.cancel()
@@ -49,7 +51,11 @@ func runTrimStream(t *testing.T, rng *rand.Rand) trimStream {
 		for i := range updates {
 			f := rng.Intn(trimFiles)
 			var off, n int64
-			switch rng.Intn(4) {
+			fresh := false
+			switch rng.Intn(5) {
+			case 4: // a fresh page: a record at its head, zeros after
+				fresh = true
+				fallthrough
 			case 0: // the next page
 				tip[f] += trimPage
 				fallthrough
@@ -64,7 +70,10 @@ func runTrimStream(t *testing.T, rng *rand.Rand) trimStream {
 				live[f] = append(live[f], make([]byte, need-len(live[f]))...)
 			}
 			data := bytes.Clone(live[f][off : off+n])
-			for k := rng.Intn(3); k > 0; k-- { // change a stretch, or nothing
+			if fresh {
+				rng.Read(data[:1+rng.Intn(trimPage/2)])
+			}
+			for k := rng.Intn(3); k > 0 && !fresh; k-- { // change a stretch, or nothing
 				lo := rng.Intn(len(data))
 				rng.Read(data[lo : lo+1+rng.Intn(len(data)-lo)])
 			}
@@ -83,14 +92,29 @@ func runTrimStream(t *testing.T, rng *rand.Rand) trimStream {
 				b, len(p.plan), first, len(plain), len(s.objs)+1)
 		}
 		for i, group := range p.plan {
-			for j, w := range group {
-				f := int(w.Path[len(w.Path)-1] - '0')
-				if want := modelTrim(plain[i][j], shadow[f]); w.Offset != want.Offset || !bytes.Equal(w.Data, want.Data) {
-					t.Fatalf("batch %d object %d write %d: shipped %s@%d+%d, want @%d+%d",
-						b, i, j, w.Path, w.Offset, len(w.Data), want.Offset, len(want.Data))
+			var want []FileWrite
+			for _, w := range plain[i] {
+				w = modelTrim(w, shadow[int(w.Path[len(w.Path)-1]-'0')])
+				if params.Compress {
+					want = append(want, w)
+				} else {
+					want = append(want, modelCut(w)...)
 				}
 			}
-			s.objs = append(s.objs, cloneWrites(group))
+			if len(group) != len(want) {
+				t.Fatalf("batch %d object %d: shipped %d writes, want %d", b, i, len(group), len(want))
+			}
+			for j, w := range group {
+				if w.Offset != want[j].Offset || w.Zero != want[j].Zero || !bytes.Equal(w.Data, want[j].Data) {
+					t.Fatalf("batch %d object %d write %d: shipped %s@%d+%d zero=%t, want @%d+%d zero=%t",
+						b, i, j, w.Path, w.Offset, len(w.Data), w.Zero, want[j].Offset, len(want[j].Data), want[j].Zero)
+				}
+			}
+			decoded, err := DecodeWrites(EncodeWrites(group))
+			if err != nil {
+				t.Fatalf("batch %d object %d: %v", b, i, err)
+			}
+			s.objs = append(s.objs, decoded)
 			s.plain = append(s.plain, cloneWrites(plain[i]))
 		}
 		for i, w := range merged {
@@ -123,6 +147,24 @@ func modelTrim(w FileWrite, sh *FileWrite) FileWrite {
 	return FileWrite{Path: w.Path, Offset: lo, Data: w.Data[lo-w.Offset : hi-w.Offset]}
 }
 
+// modelCut is the zero-fill rule byte by byte: w's trailing zero run, if
+// longer than the 19-byte entry header plus the path, ships as a zero
+// fill after what is left of w.
+func modelCut(w FileWrite) []FileWrite {
+	keep := len(w.Data)
+	for keep > 0 && w.Data[keep-1] == 0 {
+		keep--
+	}
+	if len(w.Data)-keep <= 19+len(w.Path) {
+		return []FileWrite{w}
+	}
+	fill := FileWrite{Path: w.Path, Offset: w.Offset + int64(keep), Data: w.Data[keep:], Zero: true}
+	if keep == 0 {
+		return []FileWrite{fill}
+	}
+	return []FileWrite{{Path: w.Path, Offset: w.Offset, Data: w.Data[:keep]}, fill}
+}
+
 func cloneWrites(ws []FileWrite) []FileWrite {
 	out := make([]FileWrite, len(ws))
 	for i, w := range ws {
@@ -133,15 +175,25 @@ func cloneWrites(ws []FileWrite) []FileWrite {
 
 // TestTrimmedWALReplaysLikeUntrimmed is the trim's soundness property:
 // for every cut (a DB object's timestamp, where recovery starts) and every
-// crash prefix after it, replaying the trimmed objects after the cut onto
-// arbitrary bytes gives the untrimmed replay's bytes wherever a write
-// landed. Each shipped write is also exactly the rule's trim of its
-// untrimmed self against the untrimmed shadow, and every batch mints the
-// objects its untrimmed writes pack into, even when nothing changed.
+// crash prefix after it, replaying the trimmed objects after the cut,
+// encoded and decoded as recovery reads them, onto arbitrary bytes gives
+// the untrimmed replay's bytes wherever a write landed. Each shipped write
+// is also exactly the rule's trim of its untrimmed self against the
+// untrimmed shadow, followed by its zero fill where the sealer does not
+// compress, and every batch mints the objects its untrimmed writes pack
+// into, even when nothing changed.
 func TestTrimmedWALReplaysLikeUntrimmed(t *testing.T) {
+	fills := 0
 	for seed := int64(1); seed <= 150; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		s := runTrimStream(t, rng)
+		for _, obj := range s.objs {
+			for _, w := range obj {
+				if w.Zero {
+					fills++
+				}
+			}
+		}
 		for _, cut := range s.cuts {
 			// Arbitrary bytes where recovery starts: what the DB object
 			// holds of the WAL files is no concern of the objects after it.
@@ -166,6 +218,10 @@ func TestTrimmedWALReplaysLikeUntrimmed(t *testing.T) {
 			}
 		}
 	}
+	if fills == 0 {
+		t.Fatal("no object shipped a zero fill")
+	}
+	t.Logf("%d zero fills shipped", fills)
 }
 
 func replayWrites(files *[trimFiles][]byte, ws []FileWrite) {
@@ -242,6 +298,37 @@ func TestTrimAllocatesNothing(t *testing.T) {
 		}
 	}
 	round()
+	if n := testing.AllocsPerRun(100, round); n != 0 {
+		t.Fatalf("%.1f allocations per round of a cut and four batches, want 0", n)
+	}
+}
+
+// TestZeroTailCutAllocatesNothing: in steady state, planning batches of
+// fresh pages, each a record at the head and zeros after, cuts every
+// write into its record and a zero fill without allocating: the groups
+// grow into capacity kept from earlier batches.
+func TestZeroTailCutAllocatesNothing(t *testing.T) {
+	view := NewCloudView()
+	p := newPipeline(view, nil, DefaultParams())
+	defer p.cancel()
+	var batches [4][]update
+	for i := range batches {
+		for f := 0; f < 2; f++ {
+			page := make([]byte, 8192)
+			copy(page, fmt.Sprintf("record %d of pg_wal/%d", i, f))
+			batches[i] = append(batches[i], update{path: fmt.Sprintf("pg_wal/%d", f), off: int64(i) * 8192, data: page})
+		}
+	}
+	round := func() {
+		view.cut()
+		for _, batch := range batches {
+			p.planBatch(batch)
+		}
+	}
+	round()
+	if n := len(p.plan[0]); n != 4 || !p.plan[0][1].Zero || !p.plan[0][3].Zero {
+		t.Fatalf("planned %+v, want two records each followed by a zero fill", p.plan[0])
+	}
 	if n := testing.AllocsPerRun(100, round); n != 0 {
 		t.Fatalf("%.1f allocations per round of a cut and four batches, want 0", n)
 	}

@@ -40,7 +40,11 @@ func writeThroughGinja(profile cloudsim.Profile, tune func(*core.Params), writes
 		return run, err
 	}
 	defer f.Close()
+	// A page full of records: an all-zero one would ship as a zero fill.
 	page := make([]byte, 8192)
+	for i := range page {
+		page[i] = byte(1 + i%255)
+	}
 	t0 := rig.Clock.Now()
 	for i := 0; i < writes; i++ {
 		off := int64(0)

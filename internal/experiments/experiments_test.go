@@ -43,7 +43,7 @@ func TestFigure5ShapeHighBSBeatsNoLoss(t *testing.T) {
 	if generous.Blocked != 0 {
 		t.Fatalf("B=100 S=10000 blocked %v, want never", generous.Blocked)
 	}
-	if want := 65107147249 * time.Nanosecond; noLoss.Blocked != want {
+	if want := 64951340183 * time.Nanosecond; noLoss.Blocked != want {
 		t.Fatalf("No-Loss blocked %v, want exactly %v", noLoss.Blocked, want)
 	}
 }
@@ -89,8 +89,8 @@ func TestFigure7ShapeGrowsWithSizeAndLANFaster(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []Figure7Row{
-		{Warehouses: 1, OnPremises: 1440735867, InRegionVM: 45121848, Bytes: 3807641, Objects: 6},
-		{Warehouses: 3, OnPremises: 1921384742, InRegionVM: 77163868, Bytes: 7823683, Objects: 6},
+		{Warehouses: 1, OnPremises: 1422021808, InRegionVM: 42624703, Bytes: 3792146, Objects: 6},
+		{Warehouses: 3, OnPremises: 1939252915, InRegionVM: 80540741, Bytes: 7809915, Objects: 6},
 	}
 	for i, r := range rows {
 		if r != want[i] {

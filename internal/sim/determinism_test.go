@@ -11,7 +11,7 @@ import (
 // Go scheduler, decides when time moves. The constant pins the trace
 // across runs too (and under -race, which reschedules everything).
 func TestRunTraceIsSeedOnly(t *testing.T) {
-	const want = 0x88f5332c8d85a189
+	const want = 0xb6a379ab6df248ed
 	cfg := Config{Seed: 5, Deltas: true, Follower: true}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 2, 8} {
@@ -30,7 +30,7 @@ func TestRunTraceIsSeedOnly(t *testing.T) {
 // scheduler hands its shared upload and fetch slots between tenants
 // directly on the virtual clock.
 func TestRunFleetTraceIsSeedOnly(t *testing.T) {
-	const want = 0x132a0423a70f918d
+	const want = 0x7806350077e94435
 	cfg := FleetConfig{Seed: 1, Tenants: 12, Writers: 4, StepsPerWriter: 30, Churn: 3}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 2, 8} {
