@@ -203,6 +203,14 @@ func (r *absorbRig) reservations() int {
 	return len(r.g.view.reserved)
 }
 
+// elemInFlight reads the queue state: a chain element is queued or
+// uploading and has not landed.
+func (r *absorbRig) elemInFlight() bool {
+	r.g.ckpt.qMu.Lock()
+	defer r.g.ckpt.qMu.Unlock()
+	return r.g.ckpt.q.elemInFlight()
+}
+
 func (r *absorbRig) absorbedMetric(into string) float64 {
 	return r.p.Metrics.Counter(metricCkptAbsorbed, "", obs.Labels{"into": into}).Value()
 }
@@ -294,11 +302,11 @@ func testSupersede(t *testing.T, deltas, closeEarly bool) {
 	}
 	atCkpt1 := r.files(r.localFS, dbevent.KindData)
 	r.cycle(2, 0, 1, 2, 3, 4)
-	if s := r.g.Stats(); s.Dumps+s.Deltas != 0 || r.g.ckpt.chainInFlight.Load() {
+	if s := r.g.Stats(); s.Dumps+s.Deltas != 0 || r.elemInFlight() {
 		t.Fatalf("checkpoint 2 alone crossed the threshold (stats %+v)", s)
 	}
 	ts3 := r.cycle(3, 3, 4, 5, 6, 7, 8, 9)
-	if !r.g.ckpt.chainInFlight.Load() {
+	if !r.elemInFlight() {
 		t.Fatal("checkpoints 2 and 3 together did not cross the threshold")
 	}
 	if s := r.g.Stats(); s.CheckpointsAbsorbed != 1 || r.absorbedMetric(string(elem)) != 1 {
@@ -397,7 +405,7 @@ func testSupersedeInFlight(t *testing.T, deltas, closeEarly bool) {
 	})
 	r.clk.Sleep(time.Second) // the sync takes its target: checkpoint 2
 	r.cycle(3, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12)
-	if !r.g.ckpt.chainInFlight.Load() {
+	if !r.elemInFlight() {
 		t.Fatal("checkpoint 3 did not cross the threshold")
 	}
 	if r.g.SyncCheckpoints(time.Second) || r.store.heldPuts() != 2 {

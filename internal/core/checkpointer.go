@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -22,7 +21,7 @@ import (
 type dbObject struct {
 	ts     int64
 	gen    int
-	seq    int64 // queue position (checkpointer.seq); an absorb keeps it
+	seq    int64 // queue position (ckptQueue.seq); an absorb keeps it
 	typ    DBObjectType
 	writes []FileWrite
 	plan   [][]planEntry
@@ -90,15 +89,11 @@ type checkpointer struct {
 	tsAtBegin  int64
 	writes     []FileWrite
 
-	// The upload queue (DESIGN.md §19): at most one chain element, then one
-	// open checkpoint. done is the last seq processed, for sync; qCh closes
-	// on every change; queued mirrors len(pending) for the depth gauge;
-	// uploading cancels the checkpoint the loop is uploading, if any.
+	// The upload queue (DESIGN.md §19, ckptqueue.go): q changes only through
+	// step, under qMu. qCh closes on every wake; queued mirrors q.depth() for
+	// the depth gauge; uploading cancels the checkpoint the loop uploads.
 	qMu       sync.Mutex
-	pending   []dbObject
-	closed    bool
-	seq       int64
-	done      int64
+	q         ckptQueue
 	qCh       chan struct{}
 	queued    atomic.Int64
 	uploading context.CancelCauseFunc
@@ -138,8 +133,6 @@ type checkpointer struct {
 	// first full dump. chainBytes: the deltas' summed raw payload since it.
 	chainValid atomic.Bool
 	chainBytes atomic.Int64
-	// chainInFlight: a dump or delta is queued or uploading (finalizeLocked).
-	chainInFlight atomic.Bool
 
 	stats   checkpointStats
 	metrics *checkpointMetrics
@@ -184,6 +177,7 @@ func newCheckpointer(localFS vfs.FS, proc dbevent.Processor, view *CloudView,
 		loop:      simclock.NewGroup(clk),
 		trims:     simclock.NewGroup(clk),
 		trimSlot:  make(chan struct{}, 1),
+		q:         ckptQueue{window: int64(params.CheckpointUploaders) * params.MaxObjectSize},
 	}
 	if params.DeltaCheckpoints {
 		c.dirty = newDirtyMap()
@@ -278,20 +272,12 @@ func (c *checkpointer) start() {
 		}
 	}
 	c.loop.Go(func() {
-		var done int64
-		for {
-			obj, ctx, ok := c.next(done)
+		for ev := (qEvent{kind: evDone}); ; { // nothing held yet: done stays 0
+			obj, ctx, ok := c.next(ev)
 			if !ok {
 				return
 			}
-			switch err := c.upload(ctx, &obj); {
-			case errors.As(err, new(superseded)): // done stays: the element's landing settles obj
-			case err != nil:
-				c.fail(err)
-				return
-			default:
-				done = obj.seq
-			}
+			ev = c.upload(ctx, &obj)
 		}
 	})
 	if c.params.RetainFor > 0 {
@@ -358,8 +344,7 @@ func (c *checkpointer) stopTrimTick() {
 // upload loop exits instead of hanging shutdown forever.
 func (c *checkpointer) stop(timeout time.Duration) error {
 	c.qMu.Lock()
-	c.closed = true
-	c.queueChangedLocked()
+	c.stepLocked(qEvent{kind: evClose})
 	c.qMu.Unlock()
 	t := c.clk.NewFuncTimer(c.cancel)
 	t.Reset(timeout)
@@ -420,13 +405,12 @@ func (c *checkpointer) handleTruncate(path string) {
 }
 
 // finalizeLocked closes the collection, decides dump vs incremental (the
-// 150 % rule, lines 9-13) and queues the object (DESIGN.md §19): merged
-// into the open checkpoint, the union being what the rule weighs, or as a
-// chain element that drops the open checkpoint unsent and cancels the one
-// uploading, if any. The rule is skipped while an element is in flight:
-// until it lands the view's total is unchanged, so every end would cross
-// again. qMu is held only to swap the union in; the DBMS waits only if it
-// would outgrow the uploader window.
+// 150 % rule, lines 9-13) and hands the object to the queue (DESIGN.md
+// §19), which merges it into the open checkpoint, the union being what the
+// rule weighs, or queues it. An end is two steps: a snapshot of the open
+// checkpoint and the guard, then a commit. qMu is released between them
+// while the union is merged and the rule runs, so the loop may take the
+// open checkpoint meanwhile; step then has the end rebuild.
 func (c *checkpointer) finalizeLocked() {
 	rawBytes := estimateSize(c.writes)
 	defer c.bufBytes.Add(-rawBytes)
@@ -438,77 +422,97 @@ func (c *checkpointer) finalizeLocked() {
 	}
 
 	gen := c.view.reserveDBGen(c.tsAtBegin)
-	var openSeq int64 // 0: none. Only this thread grows it; the loop may take it.
-	queued := func() bool { open := c.openLocked(); return open != nil && open.seq == openSeq }
-	for settled := false; !settled; openSeq = 0 {
-		c.qMu.Lock()
+	c.qMu.Lock()
+	defer c.qMu.Unlock()
+	for ev := (qEvent{kind: evSnapshot}); ; {
+		a, ok := c.driveLocked(c.ctx, ev)
+		if !ok || a.kind != actSnapshot { // queued, or stopped: nothing will upload it
+			return
+		}
 		in := ws
-		if open := c.openLocked(); open != nil {
-			in, openSeq = slices.Concat(open.writes, ws), open.seq
+		if a.obj.seq != 0 {
+			in = slices.Concat(a.obj.writes, ws)
 		}
 		c.qMu.Unlock()
-		merged := new(mergeScratch).merge(in, false)
-		obj := dbObject{ts: c.tsAtBegin, gen: gen, typ: Checkpoint, seq: openSeq, writes: merged, bufBytes: estimateSize(merged)}
-		var chain *dbObject
-		if !c.chainInFlight.Load() {
-			localSize, err := c.localDBSize()
-			if err != nil {
-				c.fail(fmt.Errorf("core: sizing local database: %w", err))
-				return
-			}
-			if float64(c.view.TotalDBSize()+obj.bufBytes) >= c.params.DumpThreshold*float64(localSize) {
-				// Plan synchronously: the DBMS is inside its checkpoint-end write, so
-				// no file write races us. Bytes stream at upload, under the gate (§5.3).
-				buildStart := c.clk.Now()
-				elem, err := c.planChainElement(c.tsAtBegin, gen, localSize)
-				if err != nil {
-					c.fail(fmt.Errorf("core: planning %s: %w", elem.typ, err))
-					return
-				}
-				if c.metrics != nil {
-					c.metrics.build.ObserveDuration(c.clk.Since(buildStart))
-				}
-				chain = &elem
-			}
-		}
+		obj, ok := c.endObject(in, gen, a.rule)
 		c.qMu.Lock()
-		switch settled = true; {
-		case chain != nil:
-			if queued() { // else the loop took it: it is uploading
-				open := c.pending[len(c.pending)-1]
-				c.pending = c.pending[:len(c.pending)-1]
-				c.bufBytes.Add(-open.bufBytes)
-				c.absorb(open, chain.typ, nil)
-			}
-			if c.uploading != nil { // the loop's checkpoint: dead on arrival too
-				c.uploading(superseded{chain.typ})
-			}
-			c.chainInFlight.Store(true)
-			c.enqueueLocked(*chain)
-		case openSeq == 0:
-			c.enqueueLocked(obj)
-		case !queued(): // taken meanwhile: rebuild without it
-			settled = false
-		case obj.bufBytes <= int64(c.params.CheckpointUploaders)*c.params.MaxObjectSize:
-			open := c.openLocked()
-			c.bufBytes.Add(obj.bufBytes - open.bufBytes)
-			c.absorb(*open, Checkpoint, nil)
-			*open = obj
-		default: // over the window: wait until the loop takes it
-			for settled = false; !settled && queued(); {
-				settled = !c.waitQueueLocked(c.ctx) // stopped: nothing will upload
-			}
+		if !ok {
+			return
 		}
-		c.qMu.Unlock()
+		ev = qEvent{kind: evCommit, obj: obj, base: a.obj.seq}
 	}
 }
 
-// openLocked is the queue's tail if that is a checkpoint: the open one.
-func (c *checkpointer) openLocked() *dbObject {
-	if n := len(c.pending); n > 0 && c.pending[n-1].typ == Checkpoint {
-		return &c.pending[n-1]
+// endObject merges an end's writes into the checkpoint it ships as and,
+// if rule, applies the 150 % rule to it: a crossing returns the chain
+// element planned in its place instead. False if sizing or planning failed
+// (the checkpointer has failed).
+func (c *checkpointer) endObject(in []FileWrite, gen int, rule bool) (dbObject, bool) {
+	merged := new(mergeScratch).merge(in, false)
+	obj := dbObject{ts: c.tsAtBegin, gen: gen, typ: Checkpoint, writes: merged, bufBytes: estimateSize(merged)}
+	if !rule {
+		return obj, true
 	}
-	return nil
+	localSize, err := c.localDBSize()
+	if err != nil {
+		c.fail(fmt.Errorf("core: sizing local database: %w", err))
+		return obj, false
+	}
+	if float64(c.view.TotalDBSize()+obj.bufBytes) < c.params.DumpThreshold*float64(localSize) {
+		return obj, true
+	}
+	// Plan synchronously: the DBMS is inside its checkpoint-end write, so no
+	// file write races us. Bytes stream at upload, under the gate (§5.3).
+	buildStart := c.clk.Now()
+	elem, err := c.planChainElement(c.tsAtBegin, gen, localSize)
+	if err != nil {
+		c.fail(fmt.Errorf("core: planning %s: %w", elem.typ, err))
+		return elem, false
+	}
+	if c.metrics != nil {
+		c.metrics.build.ObserveDuration(c.clk.Since(buildStart))
+	}
+	return elem, true
+}
+
+// stepLocked runs ev through step and does the actions that concern no
+// caller: queue bytes, absorbs, the crossing's cancel and wakes. It returns
+// the action meant for the caller, if any. An absorbed checkpoint is
+// abandoned in the view, which records the parts it tried to PUT as orphans
+// and drops its generation reservation. Nothing here may reach the metrics
+// registry (the absorb counters are registered up front): the export holds
+// the registry's lock while it samples the queue gauges.
+func (c *checkpointer) stepLocked(ev qEvent) (reply qAction) {
+	var acts []qAction
+	c.q, acts = step(c.q, ev)
+	for _, a := range acts {
+		switch a.kind {
+		case actQueued:
+			c.bufBytes.Add(a.obj.bufBytes)
+		case actAbsorb:
+			if a.queued {
+				c.bufBytes.Add(-a.obj.bufBytes)
+			}
+			c.view.abandon(a.obj.ts, a.obj.gen, a.tried)
+			c.stats.absorbed.Add(1)
+			if c.metrics != nil {
+				c.metrics.absorbed[a.into].Inc()
+			}
+		case actCancel:
+			if c.uploading != nil { // nil once the loop failed
+				c.uploading(superseded{a.into})
+			}
+		case actWake:
+			c.queued.Store(c.q.depth())
+			if c.qCh != nil {
+				simclock.Close(c.clk, c.qCh)
+				c.qCh = nil
+			}
+		default:
+			reply = a
+		}
+	}
+	return reply
 }
 
 // superseded is the cause a crossing cancels the uploading checkpoint
@@ -517,70 +521,48 @@ type superseded struct{ into DBObjectType }
 
 func (s superseded) Error() string { return "core: checkpoint superseded by a " + string(s.into) }
 
-// absorb abandons a checkpoint once a later object (of type into) carries
-// its writes: the view records the parts it tried to PUT as orphans and
-// drops its generation reservation. It runs under qMu for the open
-// checkpoint, so it must not register metrics: the export samples the
-// queue.
-func (c *checkpointer) absorb(ckpt dbObject, into DBObjectType, tried []string) {
-	c.view.abandon(ckpt.ts, ckpt.gen, tried)
-	c.stats.absorbed.Add(1)
-	if c.metrics != nil {
-		c.metrics.absorbed[into].Inc()
-	}
-}
-
-func (c *checkpointer) enqueueLocked(obj dbObject) {
-	c.seq++
-	obj.seq = c.seq
-	c.pending = append(c.pending, obj)
-	c.bufBytes.Add(obj.bufBytes)
-	c.queueChangedLocked()
-}
-
-// next records object done as processed (uploaded, recorded and swept)
-// and hands the loop the oldest queued one, a checkpoint under a context
-// a crossing cancels; false once stopped and drained.
-func (c *checkpointer) next(done int64) (dbObject, context.Context, bool) {
+// next reports how the loop's last object ended (ev) and hands the loop
+// the next one, a checkpoint under a context a crossing cancels; false
+// once stopped and drained, or failed.
+func (c *checkpointer) next(ev qEvent) (dbObject, context.Context, bool) {
 	c.qMu.Lock()
 	defer c.qMu.Unlock()
 	if c.uploading != nil {
 		c.uploading(nil)
 		c.uploading = nil
 	}
-	c.done = done
-	c.queueChangedLocked()
-	for len(c.pending) == 0 {
-		if c.closed || !c.waitQueueLocked(context.Background()) {
-			return dbObject{}, nil, false
-		}
+	if a := c.stepLocked(ev); a.kind == actExit {
+		return dbObject{}, nil, false
 	}
-	obj, ctx := c.pending[0], c.ctx
-	if obj.typ == Checkpoint {
+	a, _ := c.driveLocked(context.Background(), qEvent{kind: evNext})
+	if a.kind == actExit {
+		return dbObject{}, nil, false
+	}
+	ctx := c.ctx
+	if a.obj.typ == Checkpoint {
 		ctx, c.uploading = context.WithCancelCause(c.ctx)
 	}
-	c.pending = slices.Delete(c.pending, 0, 1)
-	c.queueChangedLocked()
-	return obj, ctx, true
+	return a.obj, ctx, true
 }
 
-// waitQueueLocked parks, qMu released, until a queue change; false if ctx ends.
-func (c *checkpointer) waitQueueLocked(ctx context.Context) bool {
-	if c.qCh == nil {
-		c.qCh = make(chan struct{})
-	}
-	ch := c.qCh
-	c.qMu.Unlock()
-	_, _, err := simclock.Recv(ctx, c.clk, ch)
-	c.qMu.Lock()
-	return err == nil
-}
-
-func (c *checkpointer) queueChangedLocked() {
-	c.queued.Store(int64(len(c.pending)))
-	if c.qCh != nil {
-		simclock.Close(c.clk, c.qCh)
-		c.qCh = nil
+// driveLocked offers ev until step stops answering wait, parking between
+// offers, qMu released, until the queue changes; false if ctx ends first.
+func (c *checkpointer) driveLocked(ctx context.Context, ev qEvent) (qAction, bool) {
+	for {
+		a := c.stepLocked(ev)
+		if a.kind != actWait {
+			return a, true
+		}
+		if c.qCh == nil {
+			c.qCh = make(chan struct{})
+		}
+		ch := c.qCh
+		c.qMu.Unlock()
+		_, _, err := simclock.Recv(ctx, c.clk, ch)
+		c.qMu.Lock()
+		if err != nil {
+			return a, false
+		}
 	}
 }
 
@@ -593,7 +575,7 @@ func (c *checkpointer) queueChangedLocked() {
 // database size. Either way the dirty epoch resets — the new element
 // covers everything recorded so far. The delta's base is the chain tip of
 // the view's live set: the rule runs only while no chain element is in
-// flight (chainInFlight), so the last one has landed.
+// flight (ckptQueue.elemInFlight), so the last one has landed.
 func (c *checkpointer) planChainElement(ts int64, gen int, localSize int64) (dbObject, error) {
 	budget := partBudget(c.params.MaxObjectSize)
 	tip, chainLen, ok := c.chain()
@@ -684,14 +666,15 @@ func (c *checkpointer) localDBSize() (int64, error) {
 // encoded, sealed and PUT by up to CheckpointUploaders workers, so
 // resident memory stays bounded by the uploader window, not the database
 // size — record it, then delete what it supersedes (CloudView.supersede)
-// subject to the point-in-time retention policy.
+// subject to the point-in-time retention policy. It returns how the upload
+// ended, as the queue's event.
 // The view learns about the object only after every part is durable, so a
 // failure mid-upload leaves at most orphan parts in the bucket; after a
 // restart, LoadFromList records them as orphans (never surfacing them to
 // recovery) and the next chain element's GC sweep deletes them. A
-// checkpoint a crossing supersedes before it lands records the parts it
-// tried as orphans at once and returns the superseded cause.
-func (c *checkpointer) upload(ctx context.Context, obj *dbObject) error {
+// checkpoint a crossing supersedes before it lands hands the queue the
+// parts it tried, which records them as orphans at once.
+func (c *checkpointer) upload(ctx context.Context, obj *dbObject) qEvent {
 	defer c.bufBytes.Add(-obj.bufBytes)
 	var gateOnce sync.Once
 	release := func() {
@@ -700,6 +683,10 @@ func (c *checkpointer) upload(ctx context.Context, obj *dbObject) error {
 		}
 	}
 	defer release()
+	failed := func(err error) qEvent {
+		c.fail(err)
+		return qEvent{kind: evFailed}
+	}
 	uploadStart := c.clk.Now()
 	// The plan is the only holder of the object's bytes from here on, and
 	// the uploader drops them as it seals.
@@ -712,12 +699,11 @@ func (c *checkpointer) upload(ctx context.Context, obj *dbObject) error {
 	ident := DBObjectInfo{Ts: obj.ts, Gen: obj.gen, Type: obj.typ,
 		BaseTs: obj.baseTs, BaseGen: obj.baseGen}
 	info, tried, err := c.uploader.upload(ctx, ident, parts, release, nil)
-	if sup, ok := context.Cause(ctx).(superseded); ok && err != nil {
-		c.absorb(*obj, sup.into, tried)
-		return sup
+	if _, ok := context.Cause(ctx).(superseded); ok && err != nil {
+		return qEvent{kind: evSuperseded, tried: tried}
 	}
 	if err != nil {
-		return err
+		return failed(err)
 	}
 	size := info.Size
 	// Durable-data counters move only once the whole object landed: a
@@ -730,7 +716,7 @@ func (c *checkpointer) upload(ctx context.Context, obj *dbObject) error {
 		c.metrics.dbBytes.Add(float64(size))
 	}
 	if err := c.view.AddDB(info); err != nil {
-		return err
+		return failed(err)
 	}
 	switch obj.typ {
 	case Dump:
@@ -741,21 +727,11 @@ func (c *checkpointer) upload(ctx context.Context, obj *dbObject) error {
 	default:
 		c.stats.checkpoints.Add(1)
 	}
-	if c.metrics != nil {
-		switch obj.typ {
-		case Dump:
-			c.metrics.dumps.Inc()
-			c.metrics.baseBytes.Add(float64(size))
-			c.metrics.uploadDump.ObserveDuration(c.clk.Since(uploadStart))
-		case Delta:
-			c.metrics.deltas.Inc()
-			c.metrics.deltaBytes.Add(float64(size))
-			c.metrics.uploadDelta.ObserveDuration(c.clk.Since(uploadStart))
-		default:
-			c.metrics.checkpoints.Inc()
-			c.metrics.ckptBytes.Add(float64(size))
-			c.metrics.uploadCkpt.ObserveDuration(c.clk.Since(uploadStart))
-		}
+	if m := c.metrics; m != nil {
+		l := m.landed[obj.typ]
+		l.objects.Inc()
+		l.bytes.Add(float64(size))
+		l.upload.ObserveDuration(c.clk.Since(uploadStart))
 	}
 	c.params.logger().Info("db object uploaded",
 		"type", string(obj.typ), "ts", obj.ts, "gen", obj.gen,
@@ -769,10 +745,15 @@ func (c *checkpointer) upload(ctx context.Context, obj *dbObject) error {
 	c.view.supersede(c.clk.Now())
 	var orphans []OrphanPart
 	if obj.typ != Checkpoint { // its victims have left TotalDBSize: the rule may run again
-		c.chainInFlight.Store(false)
+		c.qMu.Lock()
+		c.stepLocked(qEvent{kind: evLanded})
+		c.qMu.Unlock()
 		orphans = c.view.OrphanParts()
 	}
-	return c.trimRetention(orphans)
+	if err := c.trimRetention(orphans); err != nil {
+		return failed(err)
+	}
+	return qEvent{kind: evDone}
 }
 
 // sweep deletes victims and orphan parts through the seam's one bounded
@@ -857,10 +838,7 @@ func (c *checkpointer) sync(timeout time.Duration) bool {
 	defer t.Stop()
 	c.qMu.Lock()
 	defer c.qMu.Unlock()
-	ok := true
-	for target := c.seq; ok && c.done < target; {
-		ok = c.waitQueueLocked(ctx)
-	}
+	_, ok := c.driveLocked(ctx, qEvent{kind: evSync, base: c.q.seq})
 	return ok
 }
 

@@ -37,17 +37,6 @@ func runLimited(ctx context.Context, clk simclock.Clock, workers, n int, task fu
 	if workers > n {
 		workers = n
 	}
-	if workers == 1 {
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if err := task(ctx, i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 
 	gctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -113,21 +102,6 @@ func prefetchInOrder(ctx context.Context, clk simclock.Clock, workers int, names
 	}
 	if workers < 1 {
 		workers = 1
-	}
-	if workers == 1 {
-		for i, name := range names {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			data, err := fetch(ctx, name)
-			if err != nil {
-				return err
-			}
-			if err := apply(i, data); err != nil {
-				return err
-			}
-		}
-		return nil
 	}
 	if workers > n {
 		workers = n

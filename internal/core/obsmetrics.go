@@ -198,28 +198,23 @@ func newPipelineMetrics(reg *obs.Registry) *pipelineMetrics {
 // checkpointMetrics bundles the checkpoint-path instruments; nil when
 // observability is disabled.
 type checkpointMetrics struct {
-	checkpoints *obs.Counter
-	dumps       *obs.Counter
-	deltas      *obs.Counter
-	absorbed    map[DBObjectType]*obs.Counter // by the carrier's type
-	dbObjects   *obs.Counter
-	dbBytes     *obs.Counter
-	walDeleted  *obs.Counter
-	dbDeleted   *obs.Counter
-
-	// Durable checkpoint-path bytes by object kind: base full dumps,
-	// delta chain elements, incremental checkpoints.
-	baseBytes  *obs.Counter
-	deltaBytes *obs.Counter
-	ckptBytes  *obs.Counter
+	landed     map[DBObjectType]landedMetrics
+	absorbed   map[DBObjectType]*obs.Counter // by the carrier's type
+	dbObjects  *obs.Counter
+	dbBytes    *obs.Counter
+	walDeleted *obs.Counter
+	dbDeleted  *obs.Counter
 
 	build       *obs.Histogram // dump plan construction duration
-	uploadCkpt  *obs.Histogram
-	uploadDump  *obs.Histogram
-	uploadDelta *obs.Histogram
 	partPut     *obs.Histogram // per-part DB PUT, retries included
 	sealPart    *obs.Histogram // per-part seal stage (streamed data path)
 	gateBlocked *obs.Histogram // per-write dump-gate blocked duration
+}
+
+// landedMetrics are the instruments one object type moves when it lands.
+type landedMetrics struct {
+	objects, bytes *obs.Counter
+	upload         *obs.Histogram
 }
 
 func newCheckpointMetrics(reg *obs.Registry) *checkpointMetrics {
@@ -227,29 +222,27 @@ func newCheckpointMetrics(reg *obs.Registry) *checkpointMetrics {
 		return nil
 	}
 	absorbed := make(map[DBObjectType]*obs.Counter)
-	for _, into := range []DBObjectType{Checkpoint, Dump, Delta} {
-		absorbed[into] = reg.Counter(metricCkptAbsorbed, "Checkpoints shipped inside a later object, by its type.", obs.Labels{"into": string(into)})
+	landed := make(map[DBObjectType]landedMetrics)
+	// Durable checkpoint-path bytes are labelled by object kind: base full
+	// dumps, delta chain elements, incremental checkpoints.
+	for typ, kind := range map[DBObjectType]string{Checkpoint: "checkpoint", Dump: "base", Delta: "delta"} {
+		absorbed[typ] = reg.Counter(metricCkptAbsorbed, "Checkpoints shipped inside a later object, by its type.", obs.Labels{"into": string(typ)})
+		landed[typ] = landedMetrics{
+			objects: reg.Counter(metricCheckpoints, "DB objects uploaded by type.", obs.Labels{"type": string(typ)}),
+			bytes:   reg.Counter(metricCkptBytes, "Durable checkpoint-path bytes by object kind.", obs.Labels{"kind": kind}),
+			upload: reg.Histogram(metricCkptUpload,
+				"DB object seal+upload duration in seconds by type.", obs.Labels{"type": string(typ)}, nil),
+		}
 	}
 	return &checkpointMetrics{
-		absorbed:    absorbed,
-		checkpoints: reg.Counter(metricCheckpoints, "DB objects uploaded by type.", obs.Labels{"type": "checkpoint"}),
-		dumps:       reg.Counter(metricCheckpoints, "DB objects uploaded by type.", obs.Labels{"type": "dump"}),
-		deltas:      reg.Counter(metricCheckpoints, "DB objects uploaded by type.", obs.Labels{"type": "delta"}),
-		dbObjects:   reg.Counter(metricDBObjects, "DB object parts uploaded (checkpoint path PUTs).", nil),
-		dbBytes:     reg.Counter(metricDBBytes, "Sealed DB bytes uploaded.", nil),
-		walDeleted:  reg.Counter(metricGCDeleted, "Objects removed by garbage collection.", obs.Labels{"kind": "wal"}),
-		dbDeleted:   reg.Counter(metricGCDeleted, "Objects removed by garbage collection.", obs.Labels{"kind": "db"}),
-		baseBytes:   reg.Counter(metricCkptBytes, "Durable checkpoint-path bytes by object kind.", obs.Labels{"kind": "base"}),
-		deltaBytes:  reg.Counter(metricCkptBytes, "Durable checkpoint-path bytes by object kind.", obs.Labels{"kind": "delta"}),
-		ckptBytes:   reg.Counter(metricCkptBytes, "Durable checkpoint-path bytes by object kind.", obs.Labels{"kind": "checkpoint"}),
+		landed:     landed,
+		absorbed:   absorbed,
+		dbObjects:  reg.Counter(metricDBObjects, "DB object parts uploaded (checkpoint path PUTs).", nil),
+		dbBytes:    reg.Counter(metricDBBytes, "Sealed DB bytes uploaded.", nil),
+		walDeleted: reg.Counter(metricGCDeleted, "Objects removed by garbage collection.", obs.Labels{"kind": "wal"}),
+		dbDeleted:  reg.Counter(metricGCDeleted, "Objects removed by garbage collection.", obs.Labels{"kind": "db"}),
 		build: reg.Histogram(metricCkptBuild,
 			"Full-dump construction duration in seconds.", nil, nil),
-		uploadCkpt: reg.Histogram(metricCkptUpload,
-			"DB object seal+upload duration in seconds by type.", obs.Labels{"type": "checkpoint"}, nil),
-		uploadDump: reg.Histogram(metricCkptUpload,
-			"DB object seal+upload duration in seconds by type.", obs.Labels{"type": "dump"}, nil),
-		uploadDelta: reg.Histogram(metricCkptUpload,
-			"DB object seal+upload duration in seconds by type.", obs.Labels{"type": "delta"}, nil),
 		partPut: reg.Histogram(metricDBPartPut,
 			"Per-part DB object PUT duration in seconds, retries included.", nil, nil),
 		sealPart: reg.Histogram(metricDBSeal,

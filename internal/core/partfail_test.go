@@ -79,12 +79,10 @@ func TestConcurrentPartUploadOutageMidDump(t *testing.T) {
 	if err := r.db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for r.g.Err() == nil {
-		if time.Now().After(deadline) {
-			t.Fatal("checkpointer never reported the failed part upload")
-		}
-		time.Sleep(5 * time.Millisecond)
+	// A failed checkpointer's queue never drains: the sync returns false at
+	// once.
+	if r.g.SyncCheckpoints(10*time.Second) || r.g.Err() == nil {
+		t.Fatal("checkpointer never reported the failed part upload")
 	}
 	if store.landed.Load() == 0 {
 		t.Fatal("no part landed before the outage; test exercised nothing")
@@ -164,12 +162,10 @@ func TestOrphanPartsSweptByNextDumpGC(t *testing.T) {
 	if err := r.db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for r.g.Err() == nil {
-		if time.Now().After(deadline) {
-			t.Fatal("checkpointer never reported the failed part upload")
-		}
-		time.Sleep(5 * time.Millisecond)
+	// A failed checkpointer's queue never drains: the sync returns false at
+	// once.
+	if r.g.SyncCheckpoints(10*time.Second) || r.g.Err() == nil {
+		t.Fatal("checkpointer never reported the failed part upload")
 	}
 	store.armed.Store(false)
 
@@ -193,11 +189,14 @@ func TestOrphanPartsSweptByNextDumpGC(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Drive checkpoints until the accumulated cloud DB size crosses the
-	// dump threshold: that dump's GC must sweep the recorded orphans.
-	// Each round dirties every row so the incremental checkpoints carry
-	// real volume.
-	deadline = time.Now().Add(10 * time.Second)
-	for round := 0; ; round++ {
+	// dump threshold: that dump's GC must sweep the recorded orphans. Each
+	// round dirties every row so the incremental checkpoints carry real
+	// volume, and a true sync means every object queued so far landed and
+	// was swept.
+	for round := 0; g2.Stats().Dumps == 0; round++ {
+		if round == 100 {
+			t.Fatalf("no dump after %d rounds", round)
+		}
 		for i := 0; i < 50; i++ {
 			if err := db2.Update(func(tx *minidb.Txn) error {
 				return tx.Put("accounts", []byte(fmt.Sprintf("acct-%03d", i)),
@@ -209,39 +208,24 @@ func TestOrphanPartsSweptByNextDumpGC(t *testing.T) {
 		if err := db2.Checkpoint(); err != nil {
 			t.Fatal(err)
 		}
-		swept := false
-		for !swept && !time.Now().After(deadline) {
-			if err := g2.Err(); err != nil {
-				t.Fatalf("replication failed after recovery: %v", err)
-			}
-			if g2.Stats().Dumps == 0 {
-				break // no dump yet: grow the cloud DB size another round
-			}
-			infos, err := store.List(context.Background(), "DB/")
-			if err != nil {
-				t.Fatal(err)
-			}
-			present := make(map[string]bool, len(infos))
-			for _, info := range infos {
-				present[info.Name] = true
-			}
-			left := 0
-			for _, o := range orphans {
-				if present[o.Name] {
-					left++
-				}
-			}
-			swept = left == 0 && len(g2.View().OrphanParts()) == 0
-			if !swept {
-				time.Sleep(5 * time.Millisecond)
-			}
+		if !g2.SyncCheckpoints(10 * time.Second) {
+			t.Fatalf("replication failed after recovery: %v", g2.Err())
 		}
-		if swept {
-			break
+	}
+	infos, err := store.List(context.Background(), "DB/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	present := make(map[string]bool, len(infos))
+	for _, info := range infos {
+		present[info.Name] = true
+	}
+	for _, o := range orphans {
+		if present[o.Name] {
+			t.Errorf("orphan part %s still in the bucket after the dump's sweep", o.Name)
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("orphan parts still in the bucket after %d rounds (dumps=%d, view records %d orphans)",
-				round+1, g2.Stats().Dumps, len(g2.View().OrphanParts()))
-		}
+	}
+	if left := g2.View().OrphanParts(); len(left) != 0 {
+		t.Fatalf("the view still records %d orphans after the dump's sweep", len(left))
 	}
 }
